@@ -121,9 +121,11 @@ class ChainSignals:
     ``queue_fill``    the chain head's input-queue depth / capacity;
     ``busy_fraction`` mean fraction of the tick the chain's node(s) spent
                       processing;
-    ``block_fill``    mean ColumnarBlock fill since the last tick, as a
-                      fraction of the plan's edge batch size (vectorized
-                      chains only — 0.0 elsewhere);
+    ``block_fill``    mean rows at a ColumnarBlock's *widest* point since
+                      the last tick, as a fraction of the plan's edge
+                      batch size, capped at 1 (vectorized chains only —
+                      0.0 elsewhere); a fan-out member makes one entry
+                      row a full block;
     ``blocks_delta``  columnar blocks formed since the last tick;
     ``block_capable`` at least one member offers a block kernel, so
                       ``SetChainMode("vectorized")`` is applicable.

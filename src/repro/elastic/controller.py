@@ -511,10 +511,13 @@ class ElasticController:
         if chain.fused:
             op = chain.nodes[0].operator
             if isinstance(op, VectorizedFusedOperator):
+                # rows at each block's widest point, not at its entry: one
+                # layer row that fans out to thousands of cells is a full
+                # block, however the layer arrived
                 blocks_delta = max(0, op.blocks_in - chain.prev_blocks)
-                rows_delta = max(0, op.block_rows_in - chain.prev_block_rows)
+                rows_delta = max(0, op.block_rows_peak - chain.prev_block_rows)
                 chain.prev_blocks = op.blocks_in
-                chain.prev_block_rows = op.block_rows_in
+                chain.prev_block_rows = op.block_rows_peak
                 if blocks_delta:
                     batch = (
                         self._plan.edge_batch_size if self._plan is not None else 1

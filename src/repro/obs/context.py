@@ -212,19 +212,23 @@ class ObsContext:
                 )
                 blocks_in = getattr(op, "blocks_in", 0)
                 if blocks_in:
-                    block_rows = getattr(op, "block_rows_in", 0)
                     samples.append(
                         Sample("spe_blocks_in_total", labels, blocks_in, "counter")
                     )
                     samples.append(
                         Sample(
-                            "spe_block_rows_in_total", labels, block_rows, "counter"
+                            "spe_block_rows_in_total", labels,
+                            op.block_rows_in, "counter",
                         )
                     )
                     samples.append(
                         Sample(
                             "spe_block_fill_ratio", labels,
-                            block_rows / blocks_in / max(ex.edge_batch_size, 1),
+                            min(
+                                1.0,
+                                op.block_rows_peak / blocks_in
+                                / max(ex.edge_batch_size, 1),
+                            ),
                         )
                     )
                 extra = op.stats_extra()
@@ -342,8 +346,10 @@ _HELP = {
     "spe_batch_fill_ratio": "mean batch occupancy vs configured batch size",
     "spe_operator_mode": "execution mode per operator (scalar or vectorized)",
     "spe_blocks_in_total": "columnar blocks formed by a vectorized operator",
-    "spe_block_rows_in_total": "rows processed inside columnar blocks",
-    "spe_block_fill_ratio": "mean block occupancy vs configured batch size",
+    "spe_block_rows_in_total": "rows entering columnar blocks",
+    "spe_block_fill_ratio": (
+        "mean rows at a block's widest point vs configured batch size, capped at 1"
+    ),
     "spe_last_tau": "newest event time (tau) seen by a node",
     "spe_queue_depth": "tuples currently queued on a stream",
     "spe_queue_high_watermark": "max queue depth observed on a stream",

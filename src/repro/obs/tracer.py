@@ -5,10 +5,14 @@ The tracer stamps a trace ID into every Nth tuple at each source (the
 decision is a counter comparison, so unsampled tuples cost one ``%``), and
 every scheduler node that handles a stamped tuple — or any tuple derived
 from it, since ``StreamTuple.derive`` carries the ID along — appends a
-span: node name, wall-clock start, processing duration. One OT layer's
-journey through collector, fuse, partition, detect and correlate is then
-reconstructable as an ordered span list, the in-process equivalent of an
-OpenTelemetry trace for one recoat gap.
+span: node name, wall-clock start, processing duration. Tracing is per
+*run*: a node that takes a whole batch in one call appends one span per
+distinct trace ID in it, with the number of that trace's tuples in the run
+and its share of the run's duration, so watching a pipeline never changes
+how it executes. One OT layer's journey through collector, fuse,
+partition, detect and correlate is then reconstructable as an ordered span
+list, the in-process equivalent of an OpenTelemetry trace for one recoat
+gap.
 """
 
 from __future__ import annotations
@@ -17,21 +21,23 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..spe.tuples import StreamTuple
 
 
 @dataclass(frozen=True)
 class Span:
-    """One node's work on one traced tuple."""
+    """One node's work on one trace's tuples in one run."""
 
     trace_id: str
     node: str
     kind: str  # "source" | "operator" | "sink"
-    wall_time: float
+    wall_time: float  # when the work started
     duration_s: float
     layer: int | None = None
     specimen: str | None = None
+    tuples: int = 1  # this trace's tuples in the run
 
 
 @dataclass
@@ -108,25 +114,81 @@ class Tracer:
         kind: str,
         duration_s: float,
         t: StreamTuple | None = None,
+        started_wall: float | None = None,
     ) -> None:
-        """Append one span to a trace (creating/evicting as needed)."""
+        """Append one span to a trace (creating/evicting as needed).
+
+        ``started_wall`` is the wall-clock time the work began; a caller
+        that only timed the work gets "now minus the duration".
+        """
+        if started_wall is None:
+            started_wall = time.time() - duration_s
         span = Span(
             trace_id=trace_id,
             node=node,
             kind=kind,
-            wall_time=time.time(),
+            wall_time=started_wall,
             duration_s=duration_s,
             layer=t.layer if t is not None else None,
             specimen=t.specimen if t is not None else None,
         )
         with self._lock:
-            trace = self._traces.get(trace_id)
-            if trace is None:
-                trace = Trace(trace_id)
-                self._traces[trace_id] = trace
-                while len(self._traces) > self.max_traces:
-                    self._traces.popitem(last=False)
-            trace.spans.append(span)
+            self._append(span)
+
+    def record_run(
+        self,
+        node: str,
+        kind: str,
+        started_wall: float,
+        duration_s: float,
+        tuples: Iterable[StreamTuple],
+    ) -> None:
+        """Append one span per distinct trace ID among a run's tuples.
+
+        The run was one call, so each trace is attributed the share of its
+        duration its tuples make up; all spans land under one lock
+        acquisition. Unsampled tuples cost one attribute read each.
+        """
+        seen: dict[str, list] = {}  # trace id -> [tuples, first tuple]
+        total = 0
+        for t in tuples:
+            total += 1
+            trace_id = t.trace_id
+            if trace_id is None:
+                continue
+            entry = seen.get(trace_id)
+            if entry is None:
+                seen[trace_id] = [1, t]
+            else:
+                entry[0] += 1
+        if not seen:
+            return
+        spans = [
+            Span(
+                trace_id=trace_id,
+                node=node,
+                kind=kind,
+                wall_time=started_wall,
+                duration_s=duration_s * count / total,
+                layer=first.layer,
+                specimen=first.specimen,
+                tuples=count,
+            )
+            for trace_id, (count, first) in seen.items()
+        ]
+        with self._lock:
+            for span in spans:
+                self._append(span)
+
+    def _append(self, span: Span) -> None:
+        """Add a span to its trace; the caller holds the lock."""
+        trace = self._traces.get(span.trace_id)
+        if trace is None:
+            trace = Trace(span.trace_id)
+            self._traces[span.trace_id] = trace
+            while len(self._traces) > self.max_traces:
+                self._traces.popitem(last=False)
+        trace.spans.append(span)
 
     # -- queries ------------------------------------------------------------
 

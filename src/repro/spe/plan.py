@@ -275,20 +275,38 @@ class FusedOperator(Operator):
         return f"FusedOperator({' + '.join(self.part_names())})"
 
 
+#: Expected rows at a block group's widest point below which a run takes
+#: the scalar cascade. A lone row that stays a lone row only pays the
+#: tuple<->column conversion; anything wider keeps the block path, and
+#: whether *small* blocks still pay off is CostModelPolicy's call (it reads
+#: the fill of the blocks that do form), not this operator's.
+_BLOCK_MIN_ROWS = 2
+
+
 class VectorizedFusedOperator(FusedOperator):
     """A fused chain whose kernel-compatible stages run array-at-a-time.
 
-    Single tuples still take the inherited scalar cascade (a one-row block
-    costs more than it saves); when a run arrives — a
-    :class:`~repro.spe.stream.TupleBatch` from a batched edge — maximal
-    groups of consecutive *block-capable* members execute block-to-block:
-    the run converts to a :class:`~repro.spe.columnar.ColumnarBlock` once
-    at the group's entry, each member's ``process_block`` transforms it
-    column-wise, and rows convert back to tuples only at the group's exit.
-    Members without a block variant (and rows a member declares
-    ineligible: punctuation, specimen-less tuples) run the scalar path at
-    their exact stream position, so ordering, punctuation semantics, and
-    every counter are identical to the scalar chain.
+    Maximal groups of consecutive *block-capable* members execute
+    block-to-block: a run of rows converts to a
+    :class:`~repro.spe.columnar.ColumnarBlock` once at the group's entry,
+    each member's ``process_block`` transforms it column-wise, and rows
+    convert back to tuples only at the group's exit. Members without a
+    block variant (and rows a member declares ineligible: punctuation,
+    specimen-less tuples) run the scalar path at their exact stream
+    position, so ordering, punctuation semantics, and every counter are
+    identical to the scalar chain.
+
+    How the input was framed never matters: a single tuple walks the same
+    groups as a :class:`~repro.spe.stream.TupleBatch`, because what
+    reaches a group is whatever the members before it emitted (one layer
+    tuple is a dozen specimen rows by the time it leaves
+    ``partition:spec``). Scalar-vs-block is decided **per run at each
+    group's entry** from what the operator observes there: the run length
+    times the group's measured row expansion (rows at its widest point per
+    entry row — a fan-out member such as ``partition:cell`` turns one row
+    into thousands). A run expected to stay below
+    :data:`_BLOCK_MIN_ROWS` — one row through a non-expanding group —
+    takes the scalar cascade, which also keeps measuring the expansion.
 
     Eligibility is decided at group entry; block kernels must preserve the
     eligibility invariants downstream stages rely on (they may filter or
@@ -315,9 +333,27 @@ class VectorizedFusedOperator(FusedOperator):
         self._eligibles = [
             getattr(part.operator, "block_eligible", None) for part in self._parts
         ]
-        # columnar transport counters (block fill ratio in repro.obs)
+        # the walk, resolved once: (i, j, is_block_group) over members i..j-1
+        self._segments: list[tuple[int, int, bool]] = []
+        i, n = 0, len(self._parts)
+        while i < n:
+            j = i + 1
+            if self._block_capable[i]:
+                while j < n and self._block_capable[j]:
+                    j += 1
+            self._segments.append((i, j, self._block_capable[i]))
+            i = j
+        # group start -> widest rows per entry row: the largest recent
+        # observation, halved per run that stays below it. Mistaking a
+        # fan-out run for a narrow one costs a scalar pass over thousands
+        # of rows, the opposite mistake one block conversion, so the
+        # estimate jumps up at once and only decays.
+        self._expansion = {i: 1.0 for i, _j, is_block in self._segments if is_block}
+        # columnar transport counters (block fill ratio in repro.obs):
+        # blocks formed, rows in them at entry and at their widest point
         self.blocks_in = 0
         self.block_rows_in = 0
+        self.block_rows_peak = 0
 
     def member_modes(self) -> dict[str, str]:
         """Execution mode per constituent, keyed by original node name."""
@@ -326,22 +362,18 @@ class VectorizedFusedOperator(FusedOperator):
             for part, capable in zip(self._parts, self._block_capable)
         }
 
+    def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
+        return self.process_many([t])
+
     def process_many(self, tuples: list[StreamTuple]) -> list[StreamTuple]:
         items = list(tuples)
-        n = len(self._parts)
-        i = 0
-        while i < n:
+        for i, j, is_block in self._segments:
             if not items:
                 return items
-            if not self._block_capable[i]:
+            if is_block:
+                items = self._run_block_group(items, i, j)
+            else:
                 items = self._apply_scalar(items, i)
-                i += 1
-                continue
-            j = i + 1
-            while j < n and self._block_capable[j]:
-                j += 1
-            items = self._run_block_group(items, i, j)
-            i = j
         return items
 
     def _apply_scalar(self, tuples: list[StreamTuple], i: int) -> list[StreamTuple]:
@@ -350,7 +382,9 @@ class VectorizedFusedOperator(FusedOperator):
         if counts is not None:
             counts[0] += len(tuples)
         many = self._manys[i]
-        if many is not None:
+        if len(tuples) == 1:
+            out = self._processes[i](0, tuples[0])
+        elif many is not None:
             out = many(tuples)
         else:
             process = self._processes[i]
@@ -382,42 +416,67 @@ class VectorizedFusedOperator(FusedOperator):
             if eligible:
                 keys = t.payload.keys()
                 if run and keys != run_keys:
-                    self._flush_block_run(run, i, j, extend)
+                    self._flush_run(run, i, j, extend)
                     run = []
                 run_keys = keys
                 run.append(t)
                 continue
             if run:
-                self._flush_block_run(run, i, j, extend)
+                self._flush_run(run, i, j, extend)
                 run = []
             # ineligible row: scalar through these stages, in stream order
-            seq = [t]
-            for k in range(i, j):
-                seq = self._apply_scalar(seq, k)
-                if not seq:
-                    break
-            if seq:
-                extend(seq)
+            self._scalar_run([t], i, j, extend)
         if run:
-            self._flush_block_run(run, i, j, extend)
+            self._flush_run(run, i, j, extend)
         return out
 
-    def _flush_block_run(self, run: list[StreamTuple], i: int, j: int, extend) -> None:
+    def _flush_run(self, run: list[StreamTuple], i: int, j: int, extend) -> None:
+        """One eligible same-schema run through group ``i..j-1``: pick the
+        path, then fold what the run showed into the expansion estimate."""
+        n = len(run)
+        expansion = self._expansion[i]
+        if n * expansion < _BLOCK_MIN_ROWS:
+            widest = self._scalar_run(run, i, j, extend)
+        else:
+            widest = self._block_run(run, i, j, extend)
+        self._expansion[i] = max(widest / n, expansion / 2.0)
+
+    def _scalar_run(self, seq: list[StreamTuple], i: int, j: int, extend) -> int:
+        """Scalar cascade through ``i..j-1``; returns the widest row count."""
+        widest = len(seq)
+        for k in range(i, j):
+            seq = self._apply_scalar(seq, k)
+            if not seq:
+                return widest
+            if len(seq) > widest:
+                widest = len(seq)
+        extend(seq)
+        return widest
+
+    def _block_run(self, run: list[StreamTuple], i: int, j: int, extend) -> int:
+        """Block-to-block through ``i..j-1``; returns the widest row count."""
         from .columnar import ColumnarBlock
 
         block = ColumnarBlock.from_tuples(run)
-        self.blocks_in += 1
-        self.block_rows_in += len(run)
+        widest = len(run)
         member_counts = self._member_counts
         for k in range(i, j):
             if member_counts is not None:
                 member_counts[k][0] += len(block)
             block = self._block_processes[k](block)
+            rows = len(block)
             if member_counts is not None:
-                member_counts[k][1] += len(block)
-            if not len(block):
-                return
-        extend(block.to_tuples())
+                member_counts[k][1] += rows
+            if rows > widest:
+                widest = rows
+            if not rows:
+                break
+        else:
+            extend(block.to_tuples())
+        self.blocks_in += 1
+        self.block_rows_in += len(run)
+        self.block_rows_peak += widest
+        return widest
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"VectorizedFusedOperator({' + '.join(self.part_names())})"

@@ -204,20 +204,10 @@ class NodeExecutor:
         """Process one item (data tuple, batch, barrier, or EOS) from one input."""
         node = self.node
         if type(item) is TupleBatch:
-            # Bulk fast path: hand the whole run to the operator in one
-            # call when it can take one. Per-tuple tracing needs the
-            # tuple-at-a-time loop, so the path only engages untraced.
-            if (
-                len(item) > 0
-                and self._process_many is not None
-                and self._tracer is None
-            ):
-                self._handle_batch(item)
-                return
-            # Unbatch transparently: batches carry only data tuples, so no
-            # control transition can occur mid-batch.
-            for t in item:
-                self.handle(input_index, t)
+            # Batches carry only data tuples, so no control transition can
+            # occur mid-batch: the whole run is handled (and traced) as one.
+            if item:
+                self._handle_batch(input_index, item)
             return
         if type(item) is ColumnarBlock:
             # Blocks normally live *inside* a vectorized fused node; one
@@ -241,6 +231,9 @@ class NodeExecutor:
             return
         stats = self.stats
         stats.tuples_in += 1
+        tracer = self._tracer
+        traced = tracer is not None and item.trace_id is not None
+        started_wall = time.time() if traced else 0.0
         started = time.perf_counter()
         if node.kind == "operator":
             self._run_operator(node.operator.process, input_index, item)
@@ -252,33 +245,46 @@ class NodeExecutor:
             stats.last_tau = item.tau
             if stats.timing_counts is not None:
                 stats.record_time(duration)
-            tracer = self._tracer
-            if tracer is not None and item.trace_id is not None:
-                tracer.record(item.trace_id, node.name, node.kind, duration, item)
+            if traced:
+                tracer.record(
+                    item.trace_id, node.name, node.kind, duration, item, started_wall
+                )
 
-    def _handle_batch(self, batch: TupleBatch) -> None:
-        """Run one TupleBatch through the operator's bulk method.
+    def _handle_batch(self, input_index: int, batch: TupleBatch) -> None:
+        """Run one non-empty TupleBatch through the node as a single run.
 
-        Counters advance exactly as the per-tuple loop would advance them;
-        processing time is attributed evenly across the run's tuples for
-        the per-tuple timing histogram.
+        One path whether or not anyone is watching: an operator with a bulk
+        method takes the batch in one call, everything else loops inside
+        the same timing envelope. Counters advance exactly as the per-tuple
+        loop would advance them; processing time is attributed evenly
+        across the run's tuples for the per-tuple timing histogram, and the
+        tracer gets one span per distinct trace id in the run.
         """
+        node = self.node
         stats = self.stats
         n = len(batch)
         stats.tuples_in += n
+        tracer = self._tracer
+        started_wall = time.time() if tracer is not None else 0.0
         started = time.perf_counter()
-        try:
-            outputs = self._process_many(batch)
-        except Exception as exc:
-            raise OperatorError(self.node.name, exc) from exc
-        if outputs:
-            self._emit(outputs)
+        if self._process_many is not None:
+            self._run_operator(self._process_many, batch)
+        elif node.kind == "operator":
+            process = node.operator.process
+            for t in batch:
+                self._run_operator(process, input_index, t)
+        elif node.kind == "sink":
+            accept = node.sink.accept
+            for t in batch:
+                accept(t)
         duration = time.perf_counter() - started
         stats.processing_seconds += duration
         if self._obs is not None:
             stats.last_tau = batch[-1].tau
             if stats.timing_counts is not None:
                 stats.record_time_bulk(duration / n, n)
+            if tracer is not None:
+                tracer.record_run(node.name, node.kind, started_wall, duration, batch)
 
     def _run_operator(self, fn, *args: object) -> None:
         try:

@@ -43,14 +43,15 @@ MANUAL = ElasticConfig(
 class SlowSource(Source):
     """Paced replay: keeps the stream alive while a chain drains."""
 
-    def __init__(self, name, records, delay=0.002):
+    def __init__(self, name, records, delay=0.002, burst=1):
         super().__init__(name)
         self._records = list(records)
         self._delay = delay
+        self._burst = burst  # tuples emitted back-to-back per sleep
 
     def __iter__(self):
-        for t in self._records:
-            if self._delay:
+        for i, t in enumerate(self._records):
+            if self._delay and i % self._burst == 0:
                 time.sleep(self._delay)
             t.ingest_time = time.monotonic()
             yield t
@@ -589,6 +590,85 @@ def test_tick_applies_cost_model_under_induced_backlog(baseline):
         for i in range(N_RECORDS)
     )
     assert payload_counts(sink) == expected
+
+
+# -- block fill is measured at a block's widest point -------------------------
+
+FAN_OUT = 40
+
+
+def fan_out(t):
+    return [t.derive(payload=dict(t.payload)) for _ in range(FAN_OUT)]
+
+
+fan_out.process_block = lambda block: block.take(
+    [i for i in range(len(block)) for _ in range(FAN_OUT)]
+)
+
+#: default cost model, ticked by hand once blocks have formed
+TICKED_BY_HAND = ElasticConfig(
+    tick_s=60.0, cooldown_s=0.0,
+    replan=ReplanConfig(cooldown_s=0.0, streak_ticks=1),
+)
+
+
+def _tick_once_blocks_formed(strata, at_least=5):
+    controller = strata.elastic
+    chain = controller.chains[0]
+    assert chain.mode == "vectorized"
+    operator = chain.nodes[0].operator
+    deadline = time.monotonic() + 30
+    while operator.blocks_in < at_least and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert operator.blocks_in >= at_least and strata.running()
+    controller.tick()
+    return controller, chain, operator
+
+
+def test_single_arrivals_behind_a_fan_out_stay_vectorized():
+    """A source edge delivers one tuple at a time, so every block has one
+    row at entry — and ``FAN_OUT`` rows where it is widest, which is what
+    the kernels amortize over. Rule 1 must not call that starved."""
+    strata = Strata(engine_mode="threaded")
+    sink = CollectingSink("out")
+    (
+        strata.add_source(SlowSource("src", records(), 0.004), "raw")
+        .partition("cells", fan_out, replicable=False)
+        .detect_event("m2", block_b, replicable=False)
+        .deliver(sink)
+    )
+    strata.start(DeployConfig(plan=True, elastic=TICKED_BY_HAND))
+    controller, chain, operator = _tick_once_blocks_formed(strata)
+    assert operator.block_rows_in == operator.blocks_in  # singles at entry
+    assert operator.block_rows_peak == FAN_OUT * operator.blocks_in
+    assert chain.mode == "vectorized"
+    assert "set_chain_mode" not in controller.summary()["actions"]
+    strata.wait(timeout=120)
+    assert len(sink.results) == FAN_OUT * N_RECORDS
+
+
+def test_starved_trickle_without_fan_out_still_goes_scalar():
+    """Bursts of 4 behind a batched edge form 4-row blocks that never
+    widen: fill 4/32 is under the 0.25 floor, so rule 1 still fires."""
+    strata = Strata(engine_mode="threaded")
+    sink = CollectingSink("out")
+    (
+        strata.add_source(SlowSource("src", records(), 0.01, burst=4), "raw")
+        # a keyed group in front: its merge's output edge batches, which is
+        # what hands the chain multi-tuple runs (source edges never batch)
+        .partition("parts", lambda t: [t.derive()], replicable=False)
+        .partition("cells", mark_a)
+        .detect_event("v1", block_a, replicable=False)
+        .detect_event("v2", block_b, replicable=False)
+        .deliver(sink)
+    )
+    strata.start(DeployConfig(plan=True, elastic=TICKED_BY_HAND))
+    controller, chain, operator = _tick_once_blocks_formed(strata)
+    assert operator.block_rows_peak == operator.block_rows_in  # no fan-out
+    assert chain.mode == "scalar"
+    assert controller.summary()["actions"].get("set_chain_mode") == 1
+    strata.wait(timeout=120)
+    assert len(sink.results) == N_RECORDS
 
 
 # -- set_bounds vs in-flight rescale (fleet lending race) ---------------------

@@ -5,25 +5,41 @@ fused chain's execution to array-at-a-time kernels, and nothing else may
 change — the expert sink sees the identical result multiset, and
 checkpoints written under either plan shape restore into the other
 (snapshots are keyed by logical node names, not by execution mode).
+
+ISSUE 12 adds arrival-shape independence: a vectorized chain fed one tuple
+sequence under *any* framing — all singles, arbitrary batch sizes, runs cut
+by punctuation or payload-schema changes — produces the outputs, member
+counters and snapshots the scalar chain produces tuple by tuple.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import ThermalThresholds, store_thresholds
 from repro.core import (
+    DetectEventOperator,
+    IsolateCells,
+    LabelCell,
+    PartitionOperator,
     Strata,
     UseCaseConfig,
     build_use_case,
     calibrate_job,
+    make_punctuation,
     specimen_regions_px,
 )
 from repro.kvstore.memory import MemoryStore
 from repro.recovery import ChaosInjector, CheckpointCoordinator, RecoveryCoordinator
 from repro.recovery.storage import CheckpointStorage
-from repro.spe import PlanConfig
+from repro.spe import PlanConfig, StreamTuple
+from repro.spe.plan import FusedOperator, VectorizedFusedOperator, _FusedPart
+from repro.spe.stream import TupleBatch
 from tests.conftest import TEST_IMAGE_PX
 from tests.recovery.test_crash_recovery import signature
 
@@ -173,3 +189,132 @@ def test_crash_under_vectorized_plan_recovers_under_scalar(
     assert len(partial) < len(oracle_signature), "crash came too late to matter"
     assert sorted(set(partial) | set(recovered)) == oracle_signature
     assert len(recovered) == len(set(recovered)), "duplicate results delivered"
+
+
+# -- arrival-shape equivalence (operator level) -------------------------------
+
+IMAGE_PX = 8
+
+
+def _split_halves(t):
+    """Scalar-only partition F: a layer image -> its two half-plate specimens."""
+    if t.specimen is not None:
+        return [t.derive()]
+    image = t.payload["image"]
+    half = IMAGE_PX // 2
+    return [
+        t.derive(
+            payload={"image": image[:, c:c + half], "origin_row": 0, "origin_col": c},
+            specimen=f"half-{c}",
+            portion="whole",
+        )
+        for c in (0, half)
+    ]
+
+
+def _tag(t):
+    """Scalar-only detectEvent F behind the block group."""
+    return [t.derive(payload={**t.payload, "seen": True})]
+
+
+def _chain(cls):
+    """spec (scalar, mints punctuation) -> [cell, label] block group -> tail."""
+    store = MemoryStore()
+    store_thresholds(store, "j", ThermalThresholds(60.0, 100.0, 150.0, 190.0))
+    operators = [
+        PartitionOperator("spec", _split_halves),
+        PartitionOperator("cell", IsolateCells(2)),
+        DetectEventOperator("label", LabelCell(store)),
+        DetectEventOperator("tail", _tag),
+    ]
+    op = cls("chain", [_FusedPart(o.name, o.name, o) for o in operators])
+    op.enable_member_stats()
+    return op
+
+
+def _image(seed, shape=(IMAGE_PX, IMAGE_PX)):
+    return np.random.default_rng(seed).integers(0, 256, size=shape).astype(float)
+
+
+def _sequence(spec):
+    """Materialize a drawn spec into fresh tuples (never shared across runs)."""
+    out = []
+    for i, (kind, seed) in enumerate(spec):
+        base = dict(tau=float(i), job="j", layer=i)
+        if kind == "layer":  # specimen-less: spec fans it out + mints punctuation
+            out.append(StreamTuple(payload={"image": _image(seed)}, **base))
+        elif kind == "specimen":  # block-eligible on arrival, schema A
+            out.append(StreamTuple(
+                payload={"image": _image(seed, (4, 4)), "origin_row": 2, "origin_col": 4},
+                specimen="pre", portion="whole", **base,
+            ))
+        elif kind == "bare":  # block-eligible, schema B: splits the block run
+            out.append(StreamTuple(
+                payload={"image": _image(seed, (4, 6))},
+                specimen="pre", portion="whole", **base,
+            ))
+        elif kind == "shaped":  # schema C: masked means + coverage filter
+            mask = np.random.default_rng(seed + 1).random((4, 4)) > 0.4
+            out.append(StreamTuple(
+                payload={"image": _image(seed, (4, 4)), "part_mask": mask},
+                specimen="pre", portion="whole", **base,
+            ))
+        else:  # punctuation arriving from upstream: ineligible, forwarded
+            template = StreamTuple(payload={}, **base)
+            out.append(make_punctuation(template, "pre"))
+    return out
+
+
+def _observable(t):
+    return (t.tau, t.job, t.layer, t.specimen, t.portion, sorted(t.payload.items()))
+
+
+_SPEC = st.lists(
+    st.tuples(
+        st.sampled_from(["layer", "specimen", "bare", "shaped", "punct"]),
+        st.integers(min_value=0, max_value=2**16),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=_SPEC,
+    cuts=st.lists(st.integers(min_value=1, max_value=9), min_size=1),
+    singles_via_process=st.booleans(),
+)
+def test_any_framing_matches_the_scalar_chain(spec, cuts, singles_via_process):
+    scalar = _chain(FusedOperator)
+    expected = []
+    for t in _sequence(spec):
+        expected.extend(scalar.process(0, t))
+
+    vectorized = _chain(VectorizedFusedOperator)
+    tuples = _sequence(spec)
+    got = []
+    at = k = 0
+    while at < len(tuples):
+        frame = tuples[at:at + cuts[k % len(cuts)]]
+        at += len(frame)
+        k += 1
+        if len(frame) == 1 and singles_via_process:
+            got.extend(vectorized.process(0, frame[0]))
+        else:
+            got.extend(vectorized.process_many(TupleBatch(frame)))
+
+    assert [_observable(t) for t in got] == [_observable(t) for t in expected]
+    assert vectorized.member_stats() == scalar.member_stats()
+    assert vectorized.snapshot_parts() == scalar.snapshot_parts()
+
+
+def test_all_singles_still_form_blocks_behind_a_fan_out():
+    """Guard against a vacuous property: fed one layer at a time, the block
+    group still runs (the scalar head hands it a two-specimen run)."""
+    op = _chain(VectorizedFusedOperator)
+    for t in _sequence([("layer", 1), ("layer", 2), ("layer", 3)]):
+        op.process(0, t)
+    assert op.blocks_in == 3
+    assert op.block_rows_in == 6
+    assert op.block_rows_peak == 3 * (IMAGE_PX // 2) ** 2

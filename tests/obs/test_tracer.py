@@ -1,8 +1,11 @@
 """Sampled tracing: stamping, span recording, FIFO eviction."""
 
+import time
+
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import ObsConfig, ObsContext, Tracer
+from repro.spe import CollectingSink, ListSource, MapOperator, Query, StreamEngine
 from repro.spe.tuples import StreamTuple
 
 
@@ -69,6 +72,81 @@ class TestSpans:
         left.trace_id = None
         right.trace_id = "b#0"
         assert StreamTuple.fused(left, right).trace_id == "b#0"
+
+
+class TestSpanTiming:
+    def test_wall_time_is_the_start_of_the_work(self):
+        """Regression: ``record`` used to stamp ``time.time()`` after the
+        work, so ``elapsed_s`` overstated every trace by its last span."""
+        tracer = Tracer(sample_every=1)
+        tracer.record("a", "op", "operator", 0.25, started_wall=100.0)
+        tracer.record("a", "sink", "sink", 0.5, started_wall=100.25)
+        trace = tracer.trace("a")
+        assert [s.wall_time for s in trace.spans] == [100.0, 100.25]
+        assert trace.elapsed_s() == pytest.approx(0.75)
+
+    def test_scheduler_stamps_the_start_not_the_end(self):
+        work_s = 0.2
+
+        def slow(t):
+            time.sleep(work_s)
+            return t
+
+        q = Query()
+        q.add_source("src", ListSource("src", [_tuple()]))
+        q.add_operator("slow", MapOperator("slow", slow), "src")
+        q.add_sink("out", CollectingSink(), "slow")
+        obs = ObsContext(ObsConfig(trace_sample_every=1, qos_deadline_s=None))
+        StreamEngine(mode="sync").run(q, obs=obs)
+        finished = time.time()
+        (trace,) = obs.tracer.traces()
+        assert trace.nodes == ["src", "slow", "out"]
+        span = trace.spans[1]
+        assert span.duration_s >= work_s
+        assert span.wall_time + span.duration_s <= finished + 0.005
+        assert trace.elapsed_s() <= finished - trace.spans[0].wall_time + 0.005
+
+    def test_untimed_callers_get_now_minus_duration(self):
+        tracer = Tracer(sample_every=1)
+        before = time.time()
+        tracer.record("a", "op", "operator", 2.0)
+        span = tracer.trace("a").spans[0]
+        assert before - 2.0 <= span.wall_time <= time.time() - 2.0
+
+
+class TestRuns:
+    def _run(self):
+        ts = [_tuple(layer=i // 2) for i in range(6)]
+        for t, trace_id in zip(ts, ["a", "a", None, "b", "a", None]):
+            t.trace_id = trace_id
+        return ts
+
+    def test_one_span_per_distinct_trace_id(self):
+        tracer = Tracer(sample_every=1)
+        tracer.record_run("fused", "operator", 50.0, 0.6, self._run())
+        a, b = tracer.trace("a").spans, tracer.trace("b").spans
+        assert len(a) == len(b) == 1
+        assert (a[0].tuples, b[0].tuples) == (3, 1)
+        # the run's duration is shared by tuple count, untraced rows included
+        assert a[0].duration_s == pytest.approx(0.3)
+        assert b[0].duration_s == pytest.approx(0.1)
+        assert a[0].wall_time == b[0].wall_time == 50.0
+        # span metadata comes from the trace's first tuple in the run
+        assert (a[0].layer, b[0].layer) == (0, 1)
+
+    def test_untraced_run_records_nothing(self):
+        tracer = Tracer(sample_every=1)
+        ts = [_tuple(i) for i in range(4)]
+        tracer.record_run("n", "operator", 1.0, 0.1, ts)
+        assert len(tracer) == 0
+
+    def test_run_spans_respect_eviction(self):
+        tracer = Tracer(sample_every=1, max_traces=2)
+        ts = [_tuple(i) for i in range(3)]
+        for i, t in enumerate(ts):
+            t.trace_id = f"t{i}"
+        tracer.record_run("n", "operator", 1.0, 0.3, ts)
+        assert tracer.trace_ids() == ["t1", "t2"]
 
 
 class TestEviction:

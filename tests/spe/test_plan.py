@@ -448,6 +448,70 @@ def test_vectorized_operator_counts_blocks_and_rows():
     assert [t.payload["x"] for t in out] == [x + 11 for x in range(5)]
     assert op.blocks_in == 1
     assert op.block_rows_in == 5
+    assert op.block_rows_peak == 5  # nothing fans out: widest == entry
+
+
+class BlockFanOut(Operator):
+    """One row in, ``k`` rows out, with a columnar twin (a fan-out member)."""
+
+    num_inputs = 1
+    supports_block = True
+
+    def __init__(self, name, k):
+        super().__init__(name)
+        self.k = k
+
+    def process(self, input_index, t):
+        return [t.derive(payload={"x": t.payload["x"]}) for _ in range(self.k)]
+
+    def process_block(self, block):
+        return block.take([i for i in range(len(block)) for _ in range(self.k)])
+
+
+def _block_operator(*operators):
+    return VectorizedFusedOperator(
+        "v", [_FusedPart(o.name, o.name, o) for o in operators]
+    )
+
+
+def test_single_tuples_behind_a_fan_out_member_form_blocks():
+    """The scalar-vs-block choice follows the rows in front of the group,
+    not the framing: singles that fan out are blocks from the second one
+    on (the first measures the expansion on the scalar path)."""
+    op = _block_operator(BlockFanOut("fan", 50), BlockBump("b", 1))
+    outs = [op.process(0, t) for t in tuples(4)]
+    assert [len(out) for out in outs] == [50] * 4
+    assert [t.payload["x"] for t in outs[2]] == [3] * 50
+    assert op.blocks_in == 3
+    assert op.block_rows_in == 3
+    assert op.block_rows_peak == 150
+
+
+def test_single_non_expanding_tuples_take_the_scalar_cascade():
+    op = _block_operator(BlockBump("b0", 1), BlockBump("b1", 10))
+    for t in tuples(6):
+        assert [o.payload["x"] for o in op.process(0, t)] == [t.payload["x"] + 11]
+    assert op.blocks_in == 0
+    # ... and a one-tuple batch is the same single row, however it is framed
+    op.process_many(TupleBatch(tuples(1)))
+    assert op.blocks_in == 0
+    op.process_many(TupleBatch(tuples(2)))
+    assert op.blocks_in == 1
+
+
+def test_expansion_estimate_decays_when_the_fan_out_stops():
+    fan = BlockFanOut("fan", 64)
+    op = _block_operator(fan, BlockBump("b", 1))
+    for t in tuples(3):
+        op.process(0, t)
+    assert op.blocks_in == 2
+    fan.k = 1  # the stream turns narrow: blocks stop once the estimate decays
+    for t in tuples(12):
+        op.process(0, t)
+    formed = op.blocks_in
+    for t in tuples(4):
+        op.process(0, t)
+    assert op.blocks_in == formed < 2 + 12
 
 
 # -- batched transport -------------------------------------------------------
