@@ -11,9 +11,13 @@ end and gate the PR's acceptance criteria:
   post-adapt throughput back to at least what the static plan sustains
   before the skew.
 * **low-fill leg** — a slow trickle through a vectorized chain forms
-  starved blocks (1-2 rows against a 32-row batch), so the per-block
-  conversion overhead stops amortizing. The cost model must flip the
-  chain to scalar via ``SetChainMode``.
+  4-row blocks against a 32-row batch. Scalar-vs-block is the vectorized
+  operator's own per-run choice, so with re-planning enabled the
+  controller must leave a low-rate chain alone — **zero** chain
+  mutations, no drain barrier — and p50 sink latency must stay within
+  1.25x of what the parent commit (which drained the chain to swap its
+  operator) recorded for the same leg (EXPERIMENTS.md E15), or of the
+  same plan with re-planning off in this process when the box is slower.
 
 Both legs replay the identical records through a static plan and gate
 divergence 0, mirroring the other benchmark divergence checks. Results
@@ -22,6 +26,7 @@ land in ``BENCH_replan.json`` at the repo root for the CI artifact.
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -44,13 +49,20 @@ SKEW_AT = N_RECORDS // 3
 
 #: low-fill leg sizing: bursts of TRICKLE_BURST tuples every
 #: TRICKLE_DELAY. Each burst becomes one edge batch, so the vectorized
-#: chain forms blocks of 4 rows against the plan's 32-row batch size —
-#: fill 0.125, well under the 0.25 cost-model floor.
+#: chain forms blocks of 4 rows against the plan's 32-row batch size.
 N_TRICKLE = int(os.environ.get("REPRO_BENCH_REPLAN_TRICKLE", "220"))
 TRICKLE_BURST = 4
 TRICKLE_DELAY = (
     float(os.environ.get("REPRO_BENCH_REPLAN_TRICKLE_MS", "16.0")) / 1e3
 )
+#: p50 sink latency of this leg at the parent commit, median of 10 runs on
+#: the box E15 was measured on. A slower box is held to the same plan's p50
+#: with re-planning off, from the same process (whichever bound is looser).
+PARENT_TRICKLE_P50_MS = 0.235
+TRICKLE_P50_BOUND = 1.25
+#: most off/on rounds the p50 gate may take; a sub-millisecond p50 from one
+#: ~0.9 s run swings by +-40 % on a shared box, so a noisy round is repeated
+TRICKLE_ROUNDS = 5
 
 HOT_KEY = "s0"
 
@@ -60,7 +72,7 @@ class PacedSource(Source):
 
     ``burst`` > 1 emits that many tuples back-to-back per sleep: the
     burst lands in one edge batch, so the vectorized chain forms blocks
-    of ``burst`` rows — starved relative to the plan's batch size.
+    of ``burst`` rows — small relative to the plan's batch size.
     """
 
     def __init__(self, name, records, delay, burst=1):
@@ -213,6 +225,10 @@ def first_event(controller, kinds):
     return None
 
 
+def p50_ms(sink):
+    return 1e3 * statistics.median(sink.latency.samples())
+
+
 def test_replan_adaptation_smoke(benchmark, capsys):
     # -- hot-key leg: static reference run (same records, same pacing) -----
     strata, _, static_sink = build(skew_records(), SRC_DELAY, scrub, enrich)
@@ -251,7 +267,7 @@ def test_replan_adaptation_smoke(benchmark, capsys):
 
     controller = state["controller"]
     actions = state["summary"]["actions"]
-    adapt = first_event(controller, {"unfuse", "set_chain_mode"})
+    adapt = first_event(controller, {"unfuse"})
     assert adapt is not None, f"no runtime adaptation fired: {actions}"
     assert actions.get("unfuse", 0) >= 1
     time_to_adapt = adapt["wall_time"] - state["source"].skew_onset
@@ -276,29 +292,51 @@ def test_replan_adaptation_smoke(benchmark, capsys):
     strata.wait(timeout=300)
     trickle_ref = result_keys(trickle_static)
 
-    # -- low-fill leg: starved vectorized blocks must flip to scalar -------
-    strata, source, trickle_sink = build_trickle(
-        trickle_records(), TRICKLE_DELAY, TRICKLE_BURST
-    )
+    # -- low-fill leg: re-planning on must leave the low-rate chain alone ---
+    # Each round runs the same elastic plan shape with re-planning off, then
+    # on. Box noise only ever adds latency, so each side's p50 is the best
+    # of its rounds, and rounds stop once the p50 gate is met; the
+    # functional gates hold on every round.
     trickle_elastic = ElasticConfig(
         tick_s=0.1, cooldown_s=0.0,
         replan=ReplanConfig(cooldown_s=0.0, streak_ticks=2),
     )
-    started = time.time()
-    strata.start(DeployConfig(plan=True, elastic=trickle_elastic))
-    trickle_controller = strata.elastic
-    chain = trickle_controller.chains[0]
-    assert chain.mode == "vectorized"
-    strata.wait(timeout=300)
+    replan_off_p50 = trickle_p50 = float("inf")
+    for rounds in range(1, TRICKLE_ROUNDS + 1):
+        strata, _, replan_off_sink = build_trickle(
+            trickle_records(), TRICKLE_DELAY, TRICKLE_BURST
+        )
+        strata.start(
+            DeployConfig(plan=True, elastic=ElasticConfig(tick_s=0.1, cooldown_s=0.0))
+        )
+        strata.wait(timeout=300)
+        replan_off_p50 = min(replan_off_p50, p50_ms(replan_off_sink))
 
-    trickle_actions = trickle_controller.summary()["actions"]
-    flip = first_event(trickle_controller, {"set_chain_mode"})
-    assert flip is not None, f"no mode flip fired: {trickle_actions}"
-    assert trickle_actions.get("set_chain_mode", 0) >= 1
-    assert chain.mode == "scalar"
-    trickle_time_to_adapt = flip["wall_time"] - started
-    trickle_divergence = divergence(trickle_ref, result_keys(trickle_sink))
-    assert trickle_divergence == 0
+        strata, _, trickle_sink = build_trickle(
+            trickle_records(), TRICKLE_DELAY, TRICKLE_BURST
+        )
+        strata.start(DeployConfig(plan=True, elastic=trickle_elastic))
+        trickle_controller = strata.elastic
+        chain = trickle_controller.chains[0]
+        assert chain.mode == "vectorized"
+        operator = chain.nodes[0].operator
+        strata.wait(timeout=300)
+
+        trickle_actions = trickle_controller.summary()["actions"]
+        assert trickle_actions == {}, (
+            f"a low-rate chain was mutated: {trickle_actions}"
+        )
+        assert not [e for e in trickle_controller.events if "chain" in e]
+        assert chain.nodes[0].operator is operator  # never drained, never swapped
+        trickle_divergence = divergence(trickle_ref, result_keys(trickle_sink))
+        assert trickle_divergence == 0
+        trickle_p50 = min(trickle_p50, p50_ms(trickle_sink))
+        p50_limit = TRICKLE_P50_BOUND * max(PARENT_TRICKLE_P50_MS, replan_off_p50)
+        if trickle_p50 <= p50_limit:
+            break
+    assert trickle_p50 <= p50_limit, (
+        f"low-fill p50 {trickle_p50:.3f} ms > {p50_limit:.3f} ms"
+    )
 
     payload = {
         "benchmark": "replan_adaptation",
@@ -310,6 +348,7 @@ def test_replan_adaptation_smoke(benchmark, capsys):
             "trickle_records": N_TRICKLE,
             "trickle_burst": TRICKLE_BURST,
             "trickle_period_ms": TRICKLE_DELAY * 1e3,
+            "trickle_rounds_max": TRICKLE_ROUNDS,
         },
         "hot_key": {
             "time_to_adapt_s": round(time_to_adapt, 4),
@@ -323,9 +362,13 @@ def test_replan_adaptation_smoke(benchmark, capsys):
             "divergence": skew_divergence,
         },
         "low_fill": {
-            "time_to_adapt_s": round(trickle_time_to_adapt, 4),
             "actions": trickle_actions,
-            "mode_after": chain.mode,
+            "mode": chain.mode,
+            "blocks_formed": operator.blocks_in,
+            "p50_latency_ms": round(trickle_p50, 4),
+            "replan_off_p50_latency_ms": round(replan_off_p50, 4),
+            "parent_p50_latency_ms": PARENT_TRICKLE_P50_MS,
+            "rounds": rounds,
             "divergence": trickle_divergence,
         },
     }
@@ -335,11 +378,11 @@ def test_replan_adaptation_smoke(benchmark, capsys):
         print()
         print(format_table(
             ["leg", "first action", "time to adapt (s)",
-             "throughput (t/s)", "divergence"],
+             "throughput (t/s)", "p50 latency (ms)", "divergence"],
             [
-                ["hot-key", adapt["kind"], time_to_adapt, post_tput,
+                ["hot-key", adapt["kind"], time_to_adapt, post_tput, "-",
                  skew_divergence],
-                ["low-fill", flip["kind"], trickle_time_to_adapt, "-",
+                ["low-fill", "none", "-", "-", trickle_p50,
                  trickle_divergence],
             ],
         ))

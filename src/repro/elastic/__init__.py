@@ -7,8 +7,8 @@ mutation share that protocol:
 
 * **rescaling** keyed-replicated operator groups (state re-sharded
   across the new replica count);
-* **re-planning** fused linear chains — unfuse/fuse, scalar/vectorized
-  mode flips, and dist-worker stage migration — driven by the typed
+* **re-planning** fused linear chains — unfuse/fuse, and dist-worker
+  stage migration — driven by the typed
   :data:`~repro.elastic.actions.AdaptationAction` algebra returned by an
   :class:`~repro.elastic.actions.AdaptationPolicy` (default:
   :class:`~repro.elastic.replan.CostModelPolicy`). Legacy
@@ -25,7 +25,6 @@ from .actions import (
     NoOp,
     Rescale,
     ScalePolicyAdapter,
-    SetChainMode,
     Unfuse,
     WorkloadView,
     is_legacy_scale_policy,
@@ -66,7 +65,6 @@ __all__ = [
     "Rescale",
     "ScalePolicy",
     "ScalePolicyAdapter",
-    "SetChainMode",
     "Unfuse",
     "WorkloadView",
     "discover_chains",

@@ -10,8 +10,6 @@ from workload statistics), so policies now return a sequence of typed
 * :class:`Unfuse`        — break a fused linear chain into per-operator
                            nodes (pipeline parallelism across threads);
 * :class:`Fuse`          — re-fuse a previously unfused chain;
-* :class:`SetChainMode`  — flip a fused chain between scalar and
-                           vectorized (columnar) execution;
 * :class:`Migrate`       — move a pipeline stage to another dist worker;
 * :class:`NoOp`          — explicitly decide nothing (with a reason).
 
@@ -19,7 +17,7 @@ from workload statistics), so policies now return a sequence of typed
 :class:`WorkloadView` snapshot of every group's and chain's signals.
 Legacy :class:`~repro.elastic.policy.ScalePolicy` objects keep working
 through :class:`ScalePolicyAdapter`, which emits only :class:`Rescale`
-actions and a one-time :class:`DeprecationWarning`.
+actions and a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -67,24 +65,6 @@ class Unfuse:
 
 
 @dataclass(frozen=True)
-class SetChainMode:
-    """Flip a fused chain's execution mode (``scalar``/``vectorized``)."""
-
-    chain: str
-    mode: str
-    kind = "set_chain_mode"
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("scalar", "vectorized"):
-            raise ValueError(
-                f"chain mode must be 'scalar' or 'vectorized', got {self.mode!r}"
-            )
-
-    def describe(self) -> str:
-        return f"{self.mode} {self.chain}"
-
-
-@dataclass(frozen=True)
 class Migrate:
     """Move pipeline stage ``stage`` onto dist worker ``to_worker``."""
 
@@ -108,7 +88,7 @@ class NoOp:
 
 
 #: The closed set of decisions an AdaptationPolicy may return.
-AdaptationAction = Union[Rescale, Fuse, Unfuse, SetChainMode, Migrate, NoOp]
+AdaptationAction = Union[Rescale, Fuse, Unfuse, Migrate, NoOp]
 
 
 @dataclass(frozen=True)
@@ -120,15 +100,11 @@ class ChainSignals:
     ``members``       the constituent operators' original node names;
     ``queue_fill``    the chain head's input-queue depth / capacity;
     ``busy_fraction`` mean fraction of the tick the chain's node(s) spent
-                      processing;
-    ``block_fill``    mean rows at a ColumnarBlock's *widest* point since
-                      the last tick, as a fraction of the plan's edge
-                      batch size, capped at 1 (vectorized chains only —
-                      0.0 elsewhere); a fan-out member makes one entry
-                      row a full block;
-    ``blocks_delta``  columnar blocks formed since the last tick;
-    ``block_capable`` at least one member offers a block kernel, so
-                      ``SetChainMode("vectorized")`` is applicable.
+                      processing.
+
+    ``mode`` is informational: a vectorized chain picks scalar-vs-block
+    per run from what it measures (:mod:`repro.spe.plan`); no action
+    changes it.
     """
 
     name: str
@@ -137,9 +113,6 @@ class ChainSignals:
     fused: bool
     queue_fill: float = 0.0
     busy_fraction: float = 0.0
-    block_fill: float = 0.0
-    blocks_delta: int = 0
-    block_capable: bool = False
 
 
 @dataclass(frozen=True)
@@ -205,17 +178,16 @@ class ScalePolicyAdapter:
     apart from the :class:`DeprecationWarning` raised here.
     """
 
-    def __init__(self, policy: ScalePolicy, warn: bool = True) -> None:
+    def __init__(self, policy: ScalePolicy) -> None:
         self._policy = policy
-        if warn:
-            warnings.warn(
-                f"{type(policy).__name__} implements the legacy "
-                "ScalePolicy.decide(group, signals, current) -> int contract; "
-                "implement AdaptationPolicy.decide(view) -> "
-                "Sequence[AdaptationAction] to control re-planning too",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+        warnings.warn(
+            f"{type(policy).__name__} implements the legacy "
+            "ScalePolicy.decide(group, signals, current) -> int contract; "
+            "implement AdaptationPolicy.decide(view) -> "
+            "Sequence[AdaptationAction] to control re-planning too",
+            DeprecationWarning,
+            stacklevel=3,
+        )
 
     @property
     def wrapped(self) -> ScalePolicy:

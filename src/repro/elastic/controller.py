@@ -2,24 +2,26 @@
 
 The controller watches the same signals an operator reads off the
 ``strata-repro top`` table — boundary-queue fill, per-replica busy
-fraction, watermark lag, QoS watchdog violations, columnar block fill —
-assembles them into one :class:`~repro.elastic.actions.WorkloadView` per
-tick, and asks its :class:`~repro.elastic.actions.AdaptationPolicy` for a
-sequence of typed actions. It can apply four plan mutations *while the
-query runs*:
+fraction, watermark lag, QoS watchdog violations — assembles them into
+one :class:`~repro.elastic.actions.WorkloadView` per tick, and asks its
+:class:`~repro.elastic.actions.AdaptationPolicy` for a sequence of typed
+actions. It can apply three plan mutations *while the query runs*:
 
 * **Rescale** a keyed-replicated group to a new replica count (the
   original elastic capability);
 * **Unfuse** a fused linear chain into per-operator nodes, regaining
   pipeline parallelism when one thread becomes the bottleneck;
-* **Fuse** an idle unfused chain back into a single node;
-* **SetChainMode** — flip a fused chain between scalar and vectorized
-  (columnar) execution from observed block fill ratios;
-* **Migrate** is delegated to the distributed coordinator via a
-  placement hook (moving a stage between forked workers is a process
-  operation, not a thread-level splice).
+* **Fuse** an idle unfused chain back into a single node.
 
-Every mutation reuses the same drain/splice protocol:
+**Migrate** is delegated to the distributed coordinator via a placement
+hook (moving a stage between forked workers is a process operation, not
+a thread-level splice). Whether a fused chain's rows run scalar or
+columnar is not a plan mutation at all: the vectorized operator picks
+per run (:mod:`repro.spe.plan`).
+
+Every mutation is one call of :meth:`ElasticController._mutate`, which
+owns the drain/splice protocol; an action only supplies its rebuild
+step:
 
 1. **drain** — inject a :class:`~repro.spe.barrier.RescaleBarrier` scoped
    to the target nodes into their boundary stream; it aligns like a
@@ -50,7 +52,7 @@ import math
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..spe.barrier import RESCALE_EPOCH_BASE, RescaleBarrier
@@ -77,13 +79,12 @@ from .actions import (
     NoOp,
     Rescale,
     ScalePolicyAdapter,
-    SetChainMode,
     Unfuse,
     WorkloadView,
     is_legacy_scale_policy,
 )
 from .config import ElasticConfig
-from .policy import GroupSignals, HysteresisPolicy
+from .policy import GroupSignals
 from .replan import AdaptiveChain, CostModelPolicy, discover_chains
 
 logger = logging.getLogger("repro.elastic")
@@ -95,23 +96,27 @@ class ElasticError(SPEError):
 
 @dataclass
 class ElasticGroup:
-    """One rescalable keyed-replicated operator group, live."""
+    """One rescalable keyed-replicated operator group, live.
+
+    ``nodes`` runs router first, merge last, clone chains between; the
+    replica count is read off the live router, never stored beside it.
+    """
 
     name: str
     meta: ReplicaGroupMeta
-    router_node: Node
-    merge_node: Node
     nodes: list[Node]
     boundary: Stream
-    parallelism: int
     batch_size: int = 1
-    last_rescale: float = field(default_factory=time.monotonic)
-    # signal bookkeeping (previous-tick totals for delta computation)
+    # previous-tick busy total, for the delta the signals are taken over
     prev_busy_s: float = 0.0
 
     @property
     def node_ids(self) -> set[int]:
         return {id(n) for n in self.nodes}
+
+    @property
+    def parallelism(self) -> int:
+        return self.nodes[0].router.num_shards
 
 
 def discover_groups(nodes: list[Node]) -> list[ElasticGroup]:
@@ -146,11 +151,8 @@ def discover_groups(nodes: list[Node]) -> list[ElasticGroup]:
             ElasticGroup(
                 name=meta.members[0],
                 meta=meta,
-                router_node=node,
-                merge_node=merge,
                 nodes=members,
                 boundary=node.inputs[0],
-                parallelism=node.router.num_shards,
             )
         )
     return groups
@@ -205,6 +207,10 @@ class ElasticController:
         self._action_counts: dict[str, int] = {}
         self._last_action_s = 0.0
         self._epoch_counter = itertools.count()
+        # target name -> (kind, monotonic time) of its newest mutation;
+        # cooldowns count from controller start until a target has one
+        self._adapted: dict[str, tuple[str, float]] = {}
+        self._started = time.monotonic()
         self._prev_qos_violations = 0
         self._last_migration = 0.0
         # distributed placement hooks, wired by the coordinator: a loads
@@ -221,16 +227,14 @@ class ElasticController:
     def _resolve_policy(self, policy: Any) -> AdaptationPolicy:
         """Normalize ``config.policy`` into an AdaptationPolicy.
 
-        ``None`` picks the default for the deployment shape: the full
-        cost model when replanning is on, otherwise the classic
-        hysteresis policy behind a silent shim. A user-supplied legacy
-        :class:`ScalePolicy` goes through the same shim but *with* the
-        one-time :class:`DeprecationWarning`.
+        ``None`` picks the cost model for either deployment shape: with
+        replanning off no chains are discovered, so all it ever sees are
+        replica groups and it decides exactly what its hysteresis scale
+        policy decides. A user-supplied legacy :class:`ScalePolicy` is
+        wrapped by the shim that raises the :class:`DeprecationWarning`.
         """
         if policy is None:
-            if self._replan is not None:
-                return CostModelPolicy(self._replan)
-            return ScalePolicyAdapter(HysteresisPolicy(), warn=False)
+            return CostModelPolicy(self._replan)
         if is_legacy_scale_policy(policy):
             return ScalePolicyAdapter(policy)
         return policy
@@ -318,7 +322,7 @@ class ElasticController:
                 c.name: {
                     "mode": c.mode,
                     "fused": c.fused,
-                    "last_action": c.last_action,
+                    "last_action": self._adapted.get(c.name, ("", 0.0))[0],
                 }
                 for c in self.chains
             },
@@ -359,13 +363,11 @@ class ElasticController:
                 workers = dict(self._worker_loads())
             except Exception:  # pragma: no cover - heartbeat races
                 logger.exception("worker load snapshot failed")
-        with self._lock:
-            bounds = (self._min_parallelism, self._max_parallelism)
         return WorkloadView(
             groups=groups,
             chains=chains,
             workers=workers,
-            bounds=bounds,
+            bounds=self.bounds,
             tick_s=self._config.tick_s,
         )
 
@@ -386,12 +388,9 @@ class ElasticController:
                 group = self._group_named(action.group)
                 if group is None:
                     continue
-                with self._lock:
-                    low, high = self._min_parallelism, self._max_parallelism
-                target = max(low, min(high, action.target))
-                if (
-                    target != group.parallelism
-                    and now - group.last_rescale >= self._config.cooldown_s
+                target = self._clamp(action.target)
+                if target != group.parallelism and self._cooled(
+                    group.name, now, self._config.cooldown_s
                 ):
                     if self.rescale(
                         group, target, signals=view.groups.get(group.name)
@@ -408,22 +407,19 @@ class ElasticController:
             chain = self._chain_named(getattr(action, "chain", ""))
             if chain is None:
                 continue
-            if now - chain.last_adapt < self._replan.cooldown_s:
+            if not self._cooled(chain.name, now, self._replan.cooldown_s):
                 continue
             if self.apply_action(action):
                 budget -= 1
         # Bounds are authoritative even when the policy sees no load: a
         # group left outside the live clamp (fleet lending moved it) is
         # pulled back in on the normal cooldown cadence.
-        with self._lock:
-            low, high = self._min_parallelism, self._max_parallelism
         for group in self.groups:
             if group.name in rescaled:
                 continue
-            clamped = max(low, min(high, group.parallelism))
-            if (
-                clamped != group.parallelism
-                and now - group.last_rescale >= self._config.cooldown_s
+            clamped = self._clamp(group.parallelism)
+            if clamped != group.parallelism and self._cooled(
+                group.name, now, self._config.cooldown_s
             ):
                 if self.rescale(group, clamped, signals=view.groups.get(group.name)):
                     rescaled.add(group.name)
@@ -431,6 +427,15 @@ class ElasticController:
             for group in self.groups:
                 if group.name not in rescaled and group.name in view.groups:
                     self._adapt_batching(group, view.groups[group.name], executors)
+
+    def _clamp(self, target: int) -> int:
+        """``target`` moved inside the live parallelism bounds."""
+        low, high = self.bounds
+        return max(low, min(high, target))
+
+    def _cooled(self, name: str, now: float, cooldown_s: float) -> bool:
+        """True once ``cooldown_s`` passed since the target last mutated."""
+        return now - self._adapted.get(name, ("", self._started))[1] >= cooldown_s
 
     def _group_named(self, name: str) -> ElasticGroup | None:
         for group in self.groups:
@@ -453,11 +458,27 @@ class ElasticController:
         self._prev_qos_violations = total
         return max(0, delta)
 
-    def _group_executors(
-        self, group: ElasticGroup, executors: list[NodeExecutor]
+    def _live_executors(
+        self, target: ElasticGroup | AdaptiveChain, executors: list[NodeExecutor]
     ) -> list[NodeExecutor]:
-        ids = group.node_ids
+        ids = target.node_ids
         return [ex for ex in executors if id(ex.node) in ids and not ex.retired]
+
+    def _load(
+        self,
+        target: ElasticGroup | AdaptiveChain,
+        executors: list[NodeExecutor],
+        threads: int,
+    ) -> tuple[float, float]:
+        """(boundary queue fill, mean busy fraction per thread this tick)."""
+        fill = len(target.boundary) / max(1, target.boundary.capacity)
+        busy_total = sum(
+            ex.stats.processing_seconds
+            for ex in self._live_executors(target, executors)
+        )
+        busy_delta = max(0.0, busy_total - target.prev_busy_s)
+        target.prev_busy_s = busy_total
+        return fill, busy_delta / (self._config.tick_s * max(1, threads))
 
     def _signals(
         self,
@@ -465,12 +486,7 @@ class ElasticController:
         executors: list[NodeExecutor],
         qos_delta: int,
     ) -> GroupSignals:
-        fill = len(group.boundary) / max(1, group.boundary.capacity)
-        group_exec = self._group_executors(group, executors)
-        busy_total = sum(ex.stats.processing_seconds for ex in group_exec)
-        busy_delta = max(0.0, busy_total - group.prev_busy_s)
-        group.prev_busy_s = busy_total
-        busy_fraction = busy_delta / (self._config.tick_s * max(1, group.parallelism))
+        fill, busy_fraction = self._load(group, executors, group.parallelism)
         source_taus = [
             ex.stats.last_tau
             for ex in executors
@@ -495,36 +511,7 @@ class ElasticController:
     def _chain_signals(
         self, chain: AdaptiveChain, executors: list[NodeExecutor]
     ) -> ChainSignals:
-        ids = chain.node_ids
-        chain_exec = [
-            ex for ex in executors if id(ex.node) in ids and not ex.retired
-        ]
-        busy_total = sum(ex.stats.processing_seconds for ex in chain_exec)
-        busy_delta = max(0.0, busy_total - chain.prev_busy_s)
-        chain.prev_busy_s = busy_total
-        busy_fraction = busy_delta / (
-            self._config.tick_s * max(1, len(chain.nodes))
-        )
-        fill = len(chain.boundary) / max(1, chain.boundary.capacity)
-        blocks_delta = 0
-        block_fill = 0.0
-        if chain.fused:
-            op = chain.nodes[0].operator
-            if isinstance(op, VectorizedFusedOperator):
-                # rows at each block's widest point, not at its entry: one
-                # layer row that fans out to thousands of cells is a full
-                # block, however the layer arrived
-                blocks_delta = max(0, op.blocks_in - chain.prev_blocks)
-                rows_delta = max(0, op.block_rows_peak - chain.prev_block_rows)
-                chain.prev_blocks = op.blocks_in
-                chain.prev_block_rows = op.block_rows_peak
-                if blocks_delta:
-                    batch = (
-                        self._plan.edge_batch_size if self._plan is not None else 1
-                    )
-                    block_fill = min(
-                        1.0, rows_delta / blocks_delta / max(1, batch)
-                    )
+        fill, busy_fraction = self._load(chain, executors, len(chain.nodes))
         return ChainSignals(
             name=chain.name,
             mode=chain.mode,
@@ -532,9 +519,6 @@ class ElasticController:
             fused=chain.fused,
             queue_fill=fill,
             busy_fraction=busy_fraction,
-            block_fill=block_fill,
-            blocks_delta=blocks_delta,
-            block_capable=chain.block_capable,
         )
 
     # -- adaptive batching --------------------------------------------------
@@ -560,7 +544,7 @@ class ElasticController:
         if target == current:
             return
         group.batch_size = target
-        for ex in self._group_executors(group, executors):
+        for ex in self._live_executors(group, executors):
             if ex.node.kind != "source":
                 ex.set_batching(target)
         self._record_event(
@@ -593,8 +577,6 @@ class ElasticController:
             return self._unfuse_chain(chain)
         if isinstance(action, Fuse):
             return self._fuse_chain(chain)
-        if isinstance(action, SetChainMode):
-            return self._set_chain_mode(chain, action.mode)
         return False
 
     def _migrate(self, action: Migrate) -> bool:
@@ -632,335 +614,82 @@ class ElasticController:
         self._action_counts[kind] = self._action_counts.get(kind, 0) + 1
         self._last_action_s = duration_s
 
-    # -- chain mutation protocol --------------------------------------------
+    # -- the mutation protocol ----------------------------------------------
 
-    def _drain_chain(
+    def _mutate(
         self,
-        chain: AdaptiveChain,
+        kind: str,
+        target: ElasticGroup | AdaptiveChain,
         scope: frozenset[str],
         absorb_at: str,
-        chain_exec: list[NodeExecutor],
+        rebuild: Callable[[RescaleBarrier], tuple[list[Node], dict[str, Any]]],
     ) -> bool:
-        """Scoped drain of a chain via the rescale-barrier protocol.
+        """Drain ``target``, rebuild it, splice the replacement in.
 
-        One barrier copy per boundary producer is injected at the chain
-        head; every scope node retires at alignment and the ``absorb_at``
-        node (the chain's last live node) absorbs the barrier, which is
-        the fully-drained signal. Intermediate edges of an unfused chain
-        are drained by FIFO order: the barrier only reaches node *i+1*
-        after node *i* forwarded everything ahead of it.
+        The one copy of the protocol every plan mutation runs. One barrier
+        copy per boundary producer is injected at the target's boundary
+        (so the head node's alignment count matches the stream's producer
+        arithmetic); every ``scope`` node retires at alignment and the
+        ``absorb_at`` node — the target's last live node — absorbs the
+        barrier, which is the fully-drained signal. Edges inside the scope
+        drain by FIFO order: the barrier only reaches node *i+1* after
+        node *i* forwarded everything ahead of it.
+
+        ``rebuild(barrier)`` then returns the replacement nodes and the
+        detail to record with the event; it runs only once the target is
+        retired, so it must always produce a working replacement.
+
+        Returns False when the drain was abandoned because end-of-stream
+        beat the barrier to the target or the scheduler began shutting
+        down; nothing has been changed then. There is no timeout-abort:
+        once the head consumed the barrier the target is retiring, and
+        walking away would leave the dataflow headless.
         """
+        started = time.monotonic()
+        ids = target.node_ids
+        retiring = [ex for ex in self._scheduler.executors if id(ex.node) in ids]
         epoch = RESCALE_EPOCH_BASE + next(self._epoch_counter)
         barrier = RescaleBarrier(epoch, scope, absorb_at=absorb_at)
-        boundary = chain.boundary
+        boundary = target.boundary
         for _ in range(boundary.num_producers):
             while not boundary.put(barrier, timeout=0.2):
-                if self._drain_aborted(chain_exec):
-                    self._record_chain_event(
-                        "abort", chain, {"phase": "inject"}
-                    )
+                if self._drain_aborted(retiring):
+                    self._record_event("abort", target, {"phase": "inject"})
                     return False
         while not barrier.wait_absorbed(timeout=0.2):
-            if self._drain_aborted(chain_exec):
-                self._record_chain_event("abort", chain, {"phase": "drain"})
+            if self._drain_aborted(retiring):
+                self._record_event("abort", target, {"phase": "drain"})
                 return False
-        return True
-
-    def _splice_chain(
-        self,
-        chain: AdaptiveChain,
-        new_nodes: list[Node],
-        retired_exec: list[NodeExecutor],
-    ) -> None:
-        """Swap a chain's nodes in the live dataflow (rescale ordering)."""
+        new_nodes, detail = rebuild(barrier)
         with self._lock:
-            self._splice_node_list(chain.nodes, new_nodes)
+            self._splice_node_list(target.nodes, new_nodes)
             if self._checkpointer is not None and hasattr(self._checkpointer, "rebind"):
-                # Before the scheduler sees the new shape: in-flight epochs
-                # must expect acks from the replacement nodes. Chain
-                # manifests are keyed by member names in every shape, so
-                # the expected names do not change — only the node objects.
+                # Before the scheduler sees the new nodes: in-flight epochs
+                # must expect acks from the replacements, not the retired
+                # ones, or those epochs never commit. (Chain manifests are
+                # keyed by member names in every shape, so for a chain only
+                # the node objects change, not the expected names.)
                 self._checkpointer.rebind(self._nodes)
             if self._obs is not None and hasattr(self._obs, "rebind"):
-                self._obs.rebind(self._nodes, retired=retired_exec)
+                self._obs.rebind(self._nodes, retired=retiring)
             self._scheduler.splice(new_nodes)
-            chain.nodes = new_nodes
-            chain.reset_counters()
-            chain.last_adapt = time.monotonic()
-
-    def _chain_executors(self, chain: AdaptiveChain) -> list[NodeExecutor]:
-        ids = chain.node_ids
-        return [ex for ex in self._scheduler.executors if id(ex.node) in ids]
-
-    def _unfuse_chain(self, chain: AdaptiveChain) -> bool:
-        """Break a fused chain into one node (and thread) per constituent."""
-        if not chain.fused:
-            return False
-        started = time.monotonic()
-        node = chain.nodes[0]
-        operator = node.operator
-        chain_exec = self._chain_executors(chain)
-        if not self._drain_chain(
-            chain, frozenset({node.name}), node.name, chain_exec
-        ):
-            return False
-        # Rebuild from the *live* drained operator instances: state never
-        # leaves the process, so nothing is lost or duplicated.
-        new_nodes: list[Node] = []
-        prev: Node | None = None
-        for part in operator.parts:
-            fresh = Node(
-                part.name, "operator", operator=part.operator,
-                base_name=part.base_name,
-            )
-            if prev is None:
-                fresh.inputs = list(node.inputs)
-            else:
-                stream = Stream(
-                    f"{prev.name}->{part.name}", chain.boundary.capacity
-                )
-                prev.outputs.append(stream)
-                fresh.inputs.append(stream)
-            new_nodes.append(fresh)
-            prev = fresh
-        tail = new_nodes[-1]
-        tail.outputs = list(node.outputs)
-        tail.router = node.router
-        self._splice_chain(chain, new_nodes, chain_exec)
-        with self._lock:
-            chain.fused = False
-            chain.mode = "unfused"
-            chain.last_action = "unfuse"
-            self._count_action("unfuse", time.monotonic() - started)
-        self._record_chain_event(
-            "unfuse",
-            chain,
-            {
-                "members": list(chain.members),
-                "duration_s": round(time.monotonic() - started, 6),
-            },
-        )
-        logger.info(
-            "unfused chain %s into %d nodes in %.3fs",
-            chain.name, len(new_nodes), time.monotonic() - started,
-        )
-        return True
-
-    def _fuse_chain(self, chain: AdaptiveChain) -> bool:
-        """Collapse a previously unfused chain back into one fused node."""
-        if chain.fused:
-            return False
-        started = time.monotonic()
-        nodes = chain.nodes
-        chain_exec = self._chain_executors(chain)
-        scope = frozenset(n.name for n in nodes)
-        if not self._drain_chain(chain, scope, nodes[-1].name, chain_exec):
-            return False
-        parts = [
-            _FusedPart(n.name, n.base_name, n.operator) for n in nodes
-        ]
-        vectorize = self._plan is not None and self._plan.vectorize
-        capable = any(
-            bool(getattr(n.operator, "supports_block", False)) for n in nodes
-        )
-        operator: FusedOperator
-        if vectorize and capable:
-            operator = VectorizedFusedOperator(chain.name, parts)
-        else:
-            operator = FusedOperator(chain.name, parts)
-        fused = Node(
-            chain.name, "operator", operator=operator, router=nodes[-1].router
-        )
-        fused.mode_reason = "replan: re-fused at runtime"
-        fused.inputs = list(nodes[0].inputs)
-        fused.outputs = list(nodes[-1].outputs)
-        self._splice_chain(chain, [fused], chain_exec)
-        with self._lock:
-            chain.fused = True
-            chain.mode = operator.execution_mode
-            chain.last_action = "fuse"
-            self._count_action("fuse", time.monotonic() - started)
-        self._record_chain_event(
-            "fuse",
-            chain,
-            {
-                "mode": chain.mode,
-                "duration_s": round(time.monotonic() - started, 6),
-            },
-        )
-        logger.info(
-            "re-fused chain %s (%s) in %.3fs",
-            chain.name, chain.mode, time.monotonic() - started,
-        )
-        return True
-
-    def _set_chain_mode(self, chain: AdaptiveChain, mode: str) -> bool:
-        """Flip a fused chain between scalar and vectorized execution."""
-        if mode not in ("scalar", "vectorized"):
-            raise ElasticError(
-                f"chain mode must be 'scalar' or 'vectorized', got {mode!r}"
-            )
-        if not chain.fused or chain.mode == mode:
-            return False
-        if mode == "vectorized" and not chain.block_capable:
-            self._record_chain_event(
-                "mode_skipped", chain,
-                {"mode": mode, "reason": "no member provides a block variant"},
-            )
-            return False
-        started = time.monotonic()
-        node = chain.nodes[0]
-        chain_exec = self._chain_executors(chain)
-        if not self._drain_chain(
-            chain, frozenset({node.name}), node.name, chain_exec
-        ):
-            return False
-        parts = node.operator.parts
-        operator: FusedOperator
-        if mode == "vectorized":
-            operator = VectorizedFusedOperator(chain.name, parts)
-        else:
-            operator = FusedOperator(chain.name, parts)
-        fresh = Node(
-            chain.name, "operator", operator=operator, router=node.router
-        )
-        fresh.mode_reason = f"replan: flipped to {mode} at runtime"
-        fresh.inputs = list(node.inputs)
-        fresh.outputs = list(node.outputs)
-        self._splice_chain(chain, [fresh], chain_exec)
-        with self._lock:
-            chain.mode = mode
-            chain.last_action = f"mode={mode}"
-            self._count_action("set_chain_mode", time.monotonic() - started)
-        self._record_chain_event(
-            "set_chain_mode",
-            chain,
-            {"mode": mode, "duration_s": round(time.monotonic() - started, 6)},
-        )
-        logger.info(
-            "flipped chain %s to %s in %.3fs",
-            chain.name, mode, time.monotonic() - started,
-        )
-        return True
-
-    # -- rescale protocol ---------------------------------------------------
-
-    def rescale(
-        self,
-        group: ElasticGroup,
-        target: int,
-        signals: GroupSignals | None = None,
-    ) -> bool:
-        """Drain, re-shard, and resplice ``group`` at ``target`` replicas.
-
-        ``target`` is clamped to the live bounds at entry *and* re-read
-        after the drain, so a concurrent :meth:`set_bounds` shrink can
-        never leave the group above the lent maximum. Returns False when
-        the rescale was abandoned because the group finished first
-        (end-of-stream beat the barrier to the router), the scheduler
-        began shutting down, or clamping made it a no-op.
-        """
-        if target < 1:
-            raise ElasticError("target parallelism must be >= 1")
-        with self._lock:
-            low, high = self._min_parallelism, self._max_parallelism
-        target = max(low, min(high, target))
-        if target == group.parallelism:
-            return False
-        started = time.monotonic()
-        old_n = group.parallelism
-        executors = self._scheduler.executors
-        group_exec = [
-            ex for ex in executors if id(ex.node) in group.node_ids
-        ]
-        scope = frozenset(n.name for n in group.nodes)
-        epoch = RESCALE_EPOCH_BASE + next(self._epoch_counter)
-        barrier = RescaleBarrier(epoch, scope, absorb_at=group.meta.merge_name)
-        boundary = group.boundary
-        # Inject one barrier copy per boundary producer, so the router's
-        # alignment count matches the stream's producer arithmetic.
-        for _ in range(boundary.num_producers):
-            while not boundary.put(barrier, timeout=0.2):
-                if self._drain_aborted(group_exec):
-                    self._record_event("abort", group, {"phase": "inject"})
-                    return False
-        # Wait for the merge to absorb the barrier. No timeout-abort here:
-        # once the router consumed the barrier the group is retiring, and
-        # walking away would leave the dataflow headless. The only exits
-        # are absorption, end-of-stream winning the race, or shutdown.
-        while not barrier.wait_absorbed(timeout=0.2):
-            if self._drain_aborted(group_exec):
-                self._record_event("abort", group, {"phase": "drain"})
-                return False
-        # The drain may have raced a set_bounds shrink; the group is
-        # already retired, so rebuild at the freshly clamped target (old_n
-        # if the clamp collapsed the change — still a correct rebuild).
-        with self._lock:
-            low, high = self._min_parallelism, self._max_parallelism
-        target = max(low, min(high, target))
-        snapshots = barrier.snapshots
-        new_nodes, clone_ops = build_replicated_group(
-            group.meta, target,
-            inputs=[boundary], outputs=list(group.merge_node.outputs),
-        )
-        route = lambda key: hash_route(key, target)  # noqa: E731
-        for j, member in enumerate(group.meta.members):
-            states = [snapshots.get(f"{member}::{i}") for i in range(old_n)]
-            prototype = group.meta.factories[j]()
-            new_states = prototype.reshard_state(states, target, route)
-            for i, state in enumerate(new_states):
-                if state is not None:
-                    clone_ops[f"{member}::{i}"].restore_state(state)
-        if self._plan is not None and self._plan.fusion:
-            new_nodes = fuse_linear_chains(new_nodes, vectorize=self._plan.vectorize)
-        with self._lock:
-            self._splice_node_list(group.nodes, new_nodes)
-            if self._checkpointer is not None and hasattr(self._checkpointer, "rebind"):
-                # Before the scheduler sees the new names: in-flight epochs
-                # must expect acks from the replacement nodes, not the
-                # retired ones, or those epochs never commit.
-                self._checkpointer.rebind(self._nodes)
-            if self._obs is not None and hasattr(self._obs, "rebind"):
-                self._obs.rebind(self._nodes, retired=group_exec)
-            self._scheduler.splice(new_nodes)
-            group.nodes = new_nodes
-            group.router_node = new_nodes[0]
-            group.merge_node = new_nodes[-1]
-            group.parallelism = target
-            group.prev_busy_s = 0.0
-            group.last_rescale = time.monotonic()
-            if target > old_n:
-                self._rescales_up += 1
-            elif target < old_n:
-                self._rescales_down += 1
-            self._last_rescale_s = time.monotonic() - started
-            self._count_action("rescale", self._last_rescale_s)
-        if self._config.adaptive_batching and group.batch_size > 1:
-            for ex in self._scheduler.executors:
-                if id(ex.node) in group.node_ids and ex.node.kind != "source":
-                    ex.set_batching(group.batch_size)
+            target.nodes = new_nodes
+            target.prev_busy_s = 0.0
+            now = time.monotonic()
+            self._adapted[target.name] = (kind, now)
+            self._count_action(kind, now - started)
         self._record_event(
-            "rescale",
-            group,
-            {
-                "from": old_n,
-                "to": target,
-                "epoch": epoch,
-                "duration_s": round(self._last_rescale_s, 6),
-                "signals": None if signals is None else vars(signals),
-            },
+            kind, target,
+            {**detail, "epoch": epoch, "duration_s": round(now - started, 6)},
         )
-        logger.info(
-            "rescaled group %s: %d -> %d replicas in %.3fs",
-            group.name, old_n, target, self._last_rescale_s,
-        )
-        return target != old_n
+        logger.info("%s %s in %.3fs: %s", kind, target.name, now - started, detail)
+        return True
 
-    def _drain_aborted(self, group_exec: list[NodeExecutor]) -> bool:
+    def _drain_aborted(self, retiring: list[NodeExecutor]) -> bool:
         """True when the drain can never complete (EOS won, or shutdown)."""
         if self._scheduler.stopping or not self._scheduler.alive():
             return True
-        return any(ex.finalized for ex in group_exec)
+        return any(ex.finalized for ex in retiring)
 
     def _splice_node_list(self, old: list[Node], new: list[Node]) -> None:
         ids = {id(n) for n in old}
@@ -974,29 +703,154 @@ class ElasticController:
         ]
         self._nodes[:] = kept_before + new + kept_after
 
+    # -- the rebuild steps --------------------------------------------------
+
+    def _unfuse_chain(self, chain: AdaptiveChain) -> bool:
+        """Break a fused chain into one node (and thread) per constituent."""
+        if not chain.fused:
+            return False
+        node = chain.nodes[0]
+
+        def rebuild(_barrier: RescaleBarrier) -> tuple[list[Node], dict[str, Any]]:
+            # The *live* drained operator instances move into the new
+            # shape: state never leaves the process, so nothing is lost
+            # or duplicated.
+            new_nodes: list[Node] = []
+            for part in node.operator.parts:
+                fresh = Node(
+                    part.name, "operator", operator=part.operator,
+                    base_name=part.base_name,
+                )
+                if new_nodes:
+                    prev = new_nodes[-1]
+                    stream = Stream(
+                        f"{prev.name}->{part.name}", chain.boundary.capacity
+                    )
+                    prev.outputs.append(stream)
+                    fresh.inputs.append(stream)
+                else:
+                    fresh.inputs = list(node.inputs)
+                new_nodes.append(fresh)
+            new_nodes[-1].outputs = list(node.outputs)
+            new_nodes[-1].router = node.router
+            return new_nodes, {"members": list(chain.members)}
+
+        return self._mutate(
+            "unfuse", chain, frozenset({node.name}), node.name, rebuild
+        )
+
+    def _fuse_chain(self, chain: AdaptiveChain) -> bool:
+        """Collapse a previously unfused chain back into one fused node."""
+        if chain.fused:
+            return False
+        nodes = chain.nodes
+
+        def rebuild(_barrier: RescaleBarrier) -> tuple[list[Node], dict[str, Any]]:
+            parts = [_FusedPart(n.name, n.base_name, n.operator) for n in nodes]
+            vectorize = self._plan is not None and self._plan.vectorize
+            capable = any(
+                bool(getattr(n.operator, "supports_block", False)) for n in nodes
+            )
+            operator: FusedOperator
+            if vectorize and capable:
+                operator = VectorizedFusedOperator(chain.name, parts)
+            else:
+                operator = FusedOperator(chain.name, parts)
+            fused = Node(
+                chain.name, "operator", operator=operator, router=nodes[-1].router
+            )
+            fused.mode_reason = "replan: re-fused at runtime"
+            fused.inputs = list(nodes[0].inputs)
+            fused.outputs = list(nodes[-1].outputs)
+            return [fused], {"mode": operator.execution_mode}
+
+        return self._mutate(
+            "fuse", chain, frozenset(n.name for n in nodes), nodes[-1].name, rebuild
+        )
+
+    def rescale(
+        self,
+        group: ElasticGroup,
+        target: int,
+        signals: GroupSignals | None = None,
+    ) -> bool:
+        """Drain, re-shard, and resplice ``group`` at ``target`` replicas.
+
+        ``target`` is clamped to the live bounds at entry *and* re-read
+        after the drain, so a concurrent :meth:`set_bounds` shrink can
+        never leave the group above the lent maximum. Returns False when
+        the rescale was abandoned (see :meth:`_mutate`) or clamping made
+        it a no-op.
+        """
+        if target < 1:
+            raise ElasticError("target parallelism must be >= 1")
+        target = self._clamp(target)
+        old_n = group.parallelism
+        if target == old_n:
+            return False
+
+        def rebuild(barrier: RescaleBarrier) -> tuple[list[Node], dict[str, Any]]:
+            # The drain may have raced a set_bounds shrink; the group is
+            # already retired, so rebuild at the freshly clamped target
+            # (old_n if the clamp collapsed the change — still a correct
+            # rebuild).
+            new_n = self._clamp(target)
+            new_nodes, clone_ops = build_replicated_group(
+                group.meta, new_n,
+                inputs=[group.boundary], outputs=list(group.nodes[-1].outputs),
+            )
+            route = lambda key: hash_route(key, new_n)  # noqa: E731
+            for j, member in enumerate(group.meta.members):
+                states = [
+                    barrier.snapshots.get(f"{member}::{i}") for i in range(old_n)
+                ]
+                prototype = group.meta.factories[j]()
+                new_states = prototype.reshard_state(states, new_n, route)
+                for i, state in enumerate(new_states):
+                    if state is not None:
+                        clone_ops[f"{member}::{i}"].restore_state(state)
+            if self._plan is not None and self._plan.fusion:
+                new_nodes = fuse_linear_chains(
+                    new_nodes, vectorize=self._plan.vectorize
+                )
+            return new_nodes, {
+                "from": old_n,
+                "to": new_n,
+                "signals": None if signals is None else vars(signals),
+            }
+
+        if not self._mutate(
+            "rescale", group, frozenset(n.name for n in group.nodes),
+            group.meta.merge_name, rebuild,
+        ):
+            return False
+        new_n = group.parallelism
+        with self._lock:
+            self._last_rescale_s = self._last_action_s
+            if new_n > old_n:
+                self._rescales_up += 1
+            elif new_n < old_n:
+                self._rescales_down += 1
+        if self._config.adaptive_batching and group.batch_size > 1:
+            for ex in self._live_executors(group, self._scheduler.executors):
+                if ex.node.kind != "source":
+                    ex.set_batching(group.batch_size)
+        return new_n != old_n
+
     # -- observability ------------------------------------------------------
 
     def _record_event(
-        self, kind: str, group: ElasticGroup, detail: dict[str, Any]
+        self,
+        kind: str,
+        target: ElasticGroup | AdaptiveChain,
+        detail: dict[str, Any],
     ) -> None:
-        event = {
-            "kind": kind,
-            "group": group.name,
-            "parallelism": group.parallelism,
-            "wall_time": time.time(),
-            **detail,
-        }
-        self.events.append(event)
-
-    def _record_chain_event(
-        self, kind: str, chain: AdaptiveChain, detail: dict[str, Any]
-    ) -> None:
-        event = {
-            "kind": kind,
-            "chain": chain.name,
-            "wall_time": time.time(),
-            **detail,
-        }
+        event: dict[str, Any] = {"kind": kind, "wall_time": time.time(), **detail}
+        if isinstance(target, ElasticGroup):
+            event["group"] = target.name
+            event["parallelism"] = target.parallelism
+        else:
+            event["chain"] = target.name
         self.events.append(event)
 
     def _collect_metrics(self):
@@ -1037,16 +891,14 @@ class ElasticController:
                         1.0,
                     )
                 )
-                if chain.last_action:
+                if chain.name in self._adapted:
+                    action, at = self._adapted[chain.name]
                     for node in chain.nodes:
                         samples.append(
                             Sample(
                                 "elastic_last_adaptation",
-                                (
-                                    ("operator", node.name),
-                                    ("action", chain.last_action),
-                                ),
-                                float(chain.last_adapt),
+                                (("operator", node.name), ("action", action)),
+                                at,
                             )
                         )
             for kind, count in sorted(self._action_counts.items()):

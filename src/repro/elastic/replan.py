@@ -8,15 +8,14 @@ decision logic or bookkeeping — no drain/splice mechanics (those live in
                              ``ElasticConfig.replan`` and round-tripped
                              through the ``[elastic.replan]`` TOML table;
 * :class:`AdaptiveChain`   — one fused linear chain the controller may
-                             rewrite at runtime, with its live nodes and
-                             the per-tick counters deltas are taken over;
+                             rewrite at runtime, with its live nodes;
 * :func:`discover_chains`  — find every adaptable chain in a compiled
                              plan (fused, single-input, outside every
                              keyed replica group);
 * :class:`CostModelPolicy` — the default :class:`AdaptationPolicy`: the
                              classic hysteresis policy for replica
                              counts plus a chain cost model over the
-                             observed busy/queue/block-fill statistics;
+                             observed busy/queue statistics;
 * :func:`plan_migration`   — the placement rule the dist coordinator
                              applies to heartbeat load summaries.
 
@@ -26,17 +25,14 @@ thread: when the chain is both backlogged and busy, the pipeline
 parallelism regained by unfusing (up to ``len(members)`` threads) beats
 the hop cost, so the model emits :class:`Unfuse`; when an unfused chain
 goes idle, the hop cost dominates again and it emits :class:`Fuse`.
-For a vectorized chain, columnar execution pays a fixed per-block
-conversion overhead amortized across the block's rows: observed fill
-below ``vector_min_fill`` means the blocks are too empty to pay for
-themselves (:class:`SetChainMode` scalar), while a backlogged scalar
-chain with block-capable members flips the other way.
+Whether a fused chain's rows run scalar or columnar is not decided here:
+:class:`~repro.spe.plan.VectorizedFusedOperator` picks per run from the
+row expansion it measures, with no drain.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..spe.plan import FusedOperator
@@ -48,7 +44,6 @@ from .actions import (
     Fuse,
     Migrate,
     Rescale,
-    SetChainMode,
     Unfuse,
     WorkloadView,
 )
@@ -76,8 +71,6 @@ class ReplanConfig:
     unfuse_busy: float = 0.8
     refuse_queue_fill: float = 0.05
     refuse_busy: float = 0.2
-    vector_min_fill: float = 0.25
-    vector_queue_fill: float = 0.5
     migrate: bool = False
     migrate_busy_ratio: float = 2.0
 
@@ -93,8 +86,6 @@ class ReplanConfig:
             "unfuse_busy",
             "refuse_queue_fill",
             "refuse_busy",
-            "vector_min_fill",
-            "vector_queue_fill",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -135,9 +126,10 @@ class AdaptiveChain:
     """One linear operator chain the controller may rewrite at runtime.
 
     ``name`` is the stable chain identity: the fused node's name at
-    discovery time, kept through every unfuse/fuse/mode-flip round trip.
-    ``nodes`` tracks the chain's current live node(s) — one fused node, or
-    one node per member after an unfuse. Checkpoint manifests are keyed by
+    discovery time, kept through every unfuse/fuse round trip. ``nodes``
+    tracks the chain's current live node(s) — one fused node, or one node
+    per member after an unfuse — and the chain's shape and mode are read
+    off them, never stored beside them. Checkpoint manifests are keyed by
     the member names in both shapes, so recovery stays portable across any
     adaptation history.
     """
@@ -146,25 +138,21 @@ class AdaptiveChain:
     members: tuple[str, ...]
     nodes: list[Node]
     boundary: Stream
-    fused: bool = True
-    mode: str = "scalar"
-    block_capable: bool = False
-    last_adapt: float = field(default_factory=time.monotonic)
-    last_action: str = ""
-    # signal bookkeeping (previous-tick totals for delta computation)
+    # previous-tick busy total, for the delta the signals are taken over
     prev_busy_s: float = 0.0
-    prev_blocks: int = 0
-    prev_block_rows: int = 0
 
     @property
     def node_ids(self) -> set[int]:
         return {id(n) for n in self.nodes}
 
-    def reset_counters(self) -> None:
-        """Forget totals after a rewrite (new operators start from zero)."""
-        self.prev_busy_s = 0.0
-        self.prev_blocks = 0
-        self.prev_block_rows = 0
+    @property
+    def fused(self) -> bool:
+        return isinstance(self.nodes[0].operator, FusedOperator)
+
+    @property
+    def mode(self) -> str:
+        """``"unfused"``, or the live fused operator's execution mode."""
+        return self.nodes[0].operator.execution_mode if self.fused else "unfused"
 
 
 def discover_chains(
@@ -194,12 +182,6 @@ def discover_chains(
                 members=tuple(op.part_names()),
                 nodes=[node],
                 boundary=node.inputs[0],
-                fused=True,
-                mode=op.execution_mode,
-                block_capable=any(
-                    bool(getattr(part.operator, "supports_block", False))
-                    for part in op.parts
-                ),
             )
         )
     return chains
@@ -243,8 +225,9 @@ class CostModelPolicy:
     def _streak(self, chain: str, rule: str, active: bool) -> bool:
         """Advance the (chain, rule) streak; True once it reaches the bar.
 
-        Every other rule's streak for the chain resets when this one
-        advances, so competing rules cannot both ripen from stale ticks.
+        The two rules are mutually exclusive (one needs a fused chain, the
+        other an unfused one), and an inactive rule drops its streak, so
+        a chain never carries more than one ripening streak.
         """
         key = (chain, rule)
         if not active:
@@ -259,28 +242,7 @@ class CostModelPolicy:
 
     def _chain_action(self, chain: ChainSignals) -> AdaptationAction | None:
         cfg = self._cfg
-        # Rule 1 — vectorized chain forming starved blocks: the per-block
-        # conversion overhead amortizes over block rows; below the minimum
-        # fill the columnar path costs more than the scalar cascade saves.
-        starved = (
-            chain.fused
-            and chain.mode == "vectorized"
-            and chain.blocks_delta > 0
-            and chain.block_fill < cfg.vector_min_fill
-        )
-        if self._streak(chain.name, "to_scalar", starved):
-            return SetChainMode(chain=chain.name, mode="scalar")
-        # Rule 2 — backlogged scalar chain with block kernels available:
-        # full queues mean full blocks, so the columnar path pays off.
-        vectorizable = (
-            chain.fused
-            and chain.mode == "scalar"
-            and chain.block_capable
-            and chain.queue_fill >= cfg.vector_queue_fill
-        )
-        if self._streak(chain.name, "to_vectorized", vectorizable):
-            return SetChainMode(chain=chain.name, mode="vectorized")
-        # Rule 3 — saturated fused chain: one thread is the bottleneck;
+        # Rule 1 — saturated fused chain: one thread is the bottleneck;
         # unfusing regains up to len(members)-way pipeline parallelism,
         # worth the extra queue hops while the chain is busy *and* backed
         # up (busy alone means the thread still keeps pace).
@@ -292,7 +254,7 @@ class CostModelPolicy:
         )
         if self._streak(chain.name, "unfuse", saturated):
             return Unfuse(chain=chain.name)
-        # Rule 4 — idle unfused chain: the queue hops now dominate the
+        # Rule 2 — idle unfused chain: the queue hops now dominate the
         # (absent) pipeline-parallelism gain; collapse back to one node.
         idle = (
             not chain.fused

@@ -130,8 +130,8 @@ class FusedOperator(Operator):
                 raise ValueError(
                     f"fused constituent {part.name!r} must be single-input"
                 )
-        # bound process methods, resolved once: the cascade loop runs per
-        # tuple per stage and attribute lookups there are measurable
+        # bound process methods, resolved once: _apply runs per stage per
+        # run and attribute lookups there are measurable
         self._processes = [part.operator.process for part in self._parts]
         # bulk per-stage methods where a member offers one (used whenever a
         # whole run of tuples traverses the chain at once)
@@ -150,26 +150,38 @@ class FusedOperator(Operator):
         """Original node names, the keys fused state snapshots under."""
         return [part.name for part in self._parts]
 
+    def _apply(self, tuples: list[StreamTuple], i: int) -> list[StreamTuple]:
+        """Constituent ``i`` over one run of tuples.
+
+        The one place a member meets a run, whichever class or path the
+        run came through: a lone tuple takes ``process``, a longer run the
+        member's bulk method when it has one. Member stats are checked
+        once per stage per run, never per tuple.
+        """
+        if len(tuples) == 1:
+            out = self._processes[i](0, tuples[0])
+        elif self._manys[i] is not None:
+            out = self._manys[i](tuples)
+        else:
+            process = self._processes[i]
+            out = []
+            extend = out.extend
+            for t in tuples:
+                got = process(0, t)
+                if got:
+                    extend(got)
+        if self._member_counts is not None:
+            counts = self._member_counts[i]
+            counts[0] += len(tuples)
+            counts[1] += len(out)
+        return out
+
     def _cascade(self, tuples: list[StreamTuple], start: int) -> list[StreamTuple]:
         """Push tuples through constituents ``start..n-1``."""
-        for i in range(start, len(self._processes)):
+        for i in range(start, len(self._parts)):
             if not tuples:
                 return tuples
-            if len(tuples) == 1:
-                tuples = self._processes[i](0, tuples[0])
-                continue
-            many = self._manys[i]
-            if many is not None:
-                tuples = many(tuples)
-                continue
-            process = self._processes[i]
-            nxt: list[StreamTuple] = []
-            extend = nxt.extend
-            for t in tuples:
-                out = process(0, t)
-                if out:
-                    extend(out)
-            tuples = nxt
+            tuples = self._apply(tuples, i)
         return tuples
 
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
@@ -189,12 +201,11 @@ class FusedOperator(Operator):
     def enable_member_stats(self) -> None:
         """Count tuples in/out per constituent (repro.obs; idempotent).
 
-        Swaps the cascade for a counting variant on this *instance* only,
-        so un-observed pipelines keep the zero-overhead loop.
+        Takes effect from the next run; un-observed pipelines pay one
+        ``None`` check per stage per run.
         """
         if self._member_counts is None:
             self._member_counts = [[0, 0] for _ in self._parts]
-            self._cascade = self._cascade_counted  # type: ignore[method-assign]
 
     def member_stats(self) -> dict[str, tuple[int, int]] | None:
         """Per-constituent (tuples_in, tuples_out), keyed by original name."""
@@ -204,31 +215,6 @@ class FusedOperator(Operator):
             part.name: (counts[0], counts[1])
             for part, counts in zip(self._parts, self._member_counts)
         }
-
-    def _cascade_counted(
-        self, tuples: list[StreamTuple], start: int
-    ) -> list[StreamTuple]:
-        member_counts = self._member_counts
-        for i in range(start, len(self._processes)):
-            if not tuples:
-                return tuples
-            counts = member_counts[i]
-            counts[0] += len(tuples)
-            many = self._manys[i]
-            if many is not None and len(tuples) > 1:
-                tuples = many(tuples)
-                counts[1] += len(tuples)
-                continue
-            process = self._processes[i]
-            nxt: list[StreamTuple] = []
-            extend = nxt.extend
-            for t in tuples:
-                out = process(0, t)
-                if out:
-                    extend(out)
-            counts[1] += len(nxt)
-            tuples = nxt
-        return tuples
 
     def on_input_closed(self, input_index: int) -> list[StreamTuple]:
         # Only the chain head observes the node's real input closing; what
@@ -277,9 +263,13 @@ class FusedOperator(Operator):
 
 #: Expected rows at a block group's widest point below which a run takes
 #: the scalar cascade. A lone row that stays a lone row only pays the
-#: tuple<->column conversion; anything wider keeps the block path, and
-#: whether *small* blocks still pay off is CostModelPolicy's call (it reads
-#: the fill of the blocks that do form), not this operator's.
+#: tuple<->column conversion; anything wider takes the block path. Rows
+#: are not a uniform unit of work, so no larger constant is right for
+#: every chain (EXPERIMENTS.md E15): two cheap columnar members break
+#: even near 16 rows, but a thermal row is a region's whole cell grid and
+#: its block kernel wins 15x at any run length. Blocking a cheap narrow
+#: run wastes microseconds; sending a grid-per-row run down the scalar
+#: cascade wastes milliseconds, so the constant sits at the low end.
 _BLOCK_MIN_ROWS = 2
 
 
@@ -373,30 +363,8 @@ class VectorizedFusedOperator(FusedOperator):
             if is_block:
                 items = self._run_block_group(items, i, j)
             else:
-                items = self._apply_scalar(items, i)
+                items = self._apply(items, i)
         return items
-
-    def _apply_scalar(self, tuples: list[StreamTuple], i: int) -> list[StreamTuple]:
-        """One scalar stage over a run (member stats included when on)."""
-        counts = self._member_counts[i] if self._member_counts is not None else None
-        if counts is not None:
-            counts[0] += len(tuples)
-        many = self._manys[i]
-        if len(tuples) == 1:
-            out = self._processes[i](0, tuples[0])
-        elif many is not None:
-            out = many(tuples)
-        else:
-            process = self._processes[i]
-            out = []
-            extend = out.extend
-            for t in tuples:
-                got = process(0, t)
-                if got:
-                    extend(got)
-        if counts is not None:
-            counts[1] += len(out)
-        return out
 
     def _run_block_group(
         self, items: list[StreamTuple], i: int, j: int
@@ -445,7 +413,7 @@ class VectorizedFusedOperator(FusedOperator):
         """Scalar cascade through ``i..j-1``; returns the widest row count."""
         widest = len(seq)
         for k in range(i, j):
-            seq = self._apply_scalar(seq, k)
+            seq = self._apply(seq, k)
             if not seq:
                 return widest
             if len(seq) > widest:

@@ -212,7 +212,8 @@ class NodeExecutor:
         if type(item) is ColumnarBlock:
             # Blocks normally live *inside* a vectorized fused node; one
             # crossing an edge re-enters as the equivalent tuple run.
-            self.handle(input_index, item.to_tuples())
+            if len(item):
+                self._handle_batch(input_index, item.to_tuples())
             return
         if item is END_OF_STREAM:
             if input_index in self._closed_inputs:
@@ -229,36 +230,19 @@ class NodeExecutor:
         if is_barrier(item):
             self._on_barrier(input_index, item)
             return
-        stats = self.stats
-        stats.tuples_in += 1
-        tracer = self._tracer
-        traced = tracer is not None and item.trace_id is not None
-        started_wall = time.time() if traced else 0.0
-        started = time.perf_counter()
-        if node.kind == "operator":
-            self._run_operator(node.operator.process, input_index, item)
-        elif node.kind == "sink":
-            node.sink.accept(item)
-        duration = time.perf_counter() - started
-        stats.processing_seconds += duration
-        if self._obs is not None:
-            stats.last_tau = item.tau
-            if stats.timing_counts is not None:
-                stats.record_time(duration)
-            if traced:
-                tracer.record(
-                    item.trace_id, node.name, node.kind, duration, item, started_wall
-                )
+        # a lone tuple is a run of one
+        self._handle_batch(input_index, [item])
 
-    def _handle_batch(self, input_index: int, batch: TupleBatch) -> None:
-        """Run one non-empty TupleBatch through the node as a single run.
+    def _handle_batch(self, input_index: int, batch: list[StreamTuple]) -> None:
+        """Run one non-empty run of data tuples through the node.
 
-        One path whether or not anyone is watching: an operator with a bulk
-        method takes the batch in one call, everything else loops inside
-        the same timing envelope. Counters advance exactly as the per-tuple
-        loop would advance them; processing time is attributed evenly
-        across the run's tuples for the per-tuple timing histogram, and the
-        tracer gets one span per distinct trace id in the run.
+        One path whatever the run's length and whether or not anyone is
+        watching: an operator with a bulk method takes the run in one
+        call, everything else loops inside the same timing envelope.
+        Counters advance exactly as a per-tuple loop would advance them;
+        processing time is attributed evenly across the run's tuples for
+        the per-tuple timing histogram, and the tracer gets one span per
+        distinct trace id in the run.
         """
         node = self.node
         stats = self.stats

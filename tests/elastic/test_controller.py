@@ -8,7 +8,14 @@ from collections import Counter
 import pytest
 
 from repro.core import DeployConfig, RecoveryConfig, Strata
-from repro.elastic import ElasticConfig, discover_groups
+from repro.elastic import (
+    ElasticConfig,
+    Fuse,
+    ReplanConfig,
+    Rescale,
+    Unfuse,
+    discover_groups,
+)
 from repro.kvstore.memory import MemoryStore
 from repro.recovery import CheckpointCoordinator
 from repro.spe import CollectingSink, ListSource, PlanError, Query
@@ -150,16 +157,67 @@ def test_rescale_up_then_down_preserves_output(baseline):
     assert kinds.count("rescale") == 2
 
 
-def test_rescale_after_end_of_stream_aborts_cleanly():
+@pytest.mark.parametrize("mutation", ["rescale", "unfuse", "fuse"])
+def test_mutation_after_end_of_stream_aborts_cleanly(mutation):
+    """Every plan mutation runs the same drain: when end-of-stream beat the
+    barrier to the target, it returns False having touched nothing — node
+    list, checkpointer binding and executors are exactly as they were."""
+    coordinator = CheckpointCoordinator(MemoryStore())
+    rebinds = []
+    rebind = coordinator.rebind
+    coordinator.rebind = lambda nodes: (rebinds.append(len(nodes)), rebind(nodes))
     strata = Strata(engine_mode="threaded")
-    sink = build(strata, records(24), delay=0.0)
-    strata.start(DeployConfig(plan=True, elastic=MANUAL))
+    sink = CollectingSink("out")
+    (
+        strata.add_source(
+            SlowSource("src", records(48), 0.005), "raw", checkpointable=True
+        )
+        # an adaptable two-member chain in front of the rescalable group
+        .detect_event("m1", mark)
+        .detect_event("m2", mark, replicable=False)
+        .partition("parts", assign)
+        .partition("cells", mark)
+        .deliver(sink)
+    )
+    strata.start(
+        DeployConfig(
+            plan=True,
+            elastic=ElasticConfig(
+                max_parallelism=4, tick_s=60.0, cooldown_s=0.0,
+                replan=ReplanConfig(cooldown_s=0.0),
+            ),
+            recovery=RecoveryConfig(checkpointer=coordinator),
+        )
+    )
     controller = strata.elastic
-    group = controller.groups[0]
+    group, chain = controller.groups[0], controller.chains[0]
+    if mutation == "fuse":  # fusing needs an unfused chain to start from
+        assert controller.apply_action(Unfuse(chain=chain.name))
     strata.wait(timeout=60)  # the stream is done; nothing left to drain
-    assert not controller.rescale(group, 3)
-    assert group.parallelism == 1
-    assert len(sink.results) == 24
+    before = (
+        [id(n) for n in controller._nodes],
+        [id(ex) for ex in controller._scheduler.executors],
+        list(rebinds),
+        controller.summary()["actions"],
+        group.parallelism,
+        chain.fused,
+    )
+    action = {
+        "rescale": Rescale(group=group.name, target=3),
+        "unfuse": Unfuse(chain=chain.name),
+        "fuse": Fuse(chain=chain.name),
+    }[mutation]
+    assert not controller.apply_action(action)
+    assert controller.events[-1]["kind"] == "abort"
+    assert before == (
+        [id(n) for n in controller._nodes],
+        [id(ex) for ex in controller._scheduler.executors],
+        rebinds,
+        controller.summary()["actions"],
+        group.parallelism,
+        chain.fused,
+    )
+    assert len(sink.results) == 48
 
 
 def test_rescale_to_same_parallelism_is_a_no_op():

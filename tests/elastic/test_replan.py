@@ -1,7 +1,8 @@
 """Adaptive re-planning: the action algebra, the cost model, and live
-chain rewrites (unfuse/fuse/mode flips) with divergence-zero output."""
+chain rewrites (unfuse/fuse) with divergence-zero output."""
 
 import time
+import typing
 from collections import Counter
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.core import DeployConfig, Strata
 from repro.core.deploy import DeployConfigError
 from repro.elastic import (
+    AdaptationAction,
     CostModelPolicy,
     ElasticConfig,
     Fuse,
@@ -18,7 +20,6 @@ from repro.elastic import (
     ReplanConfig,
     Rescale,
     ScalePolicyAdapter,
-    SetChainMode,
     Unfuse,
     WorkloadView,
     is_legacy_scale_policy,
@@ -130,17 +131,14 @@ def test_action_kinds_and_describe():
     assert "x3" in Rescale("g", 3).describe()
     assert Unfuse("c").kind == "unfuse"
     assert Fuse("c").kind == "fuse"
-    assert SetChainMode("c", "vectorized").kind == "set_chain_mode"
     assert Migrate("stage-1", "worker-2").describe() == (
         "migrate stage-1 -> worker-2"
     )
     assert NoOp().describe() == "noop"
     assert "idle" in NoOp("idle").describe()
-
-
-def test_set_chain_mode_validates_mode():
-    with pytest.raises(ValueError, match="scalar"):
-        SetChainMode("c", "columnar")
+    assert set(typing.get_args(AdaptationAction)) == {
+        Rescale, Fuse, Unfuse, Migrate, NoOp
+    }
 
 
 def test_actions_are_frozen():
@@ -202,7 +200,8 @@ def test_is_legacy_scale_policy():
     assert is_legacy_scale_policy(HysteresisPolicy())
     assert is_legacy_scale_policy(LegacyDoubler())
     assert not is_legacy_scale_policy(CostModelPolicy())
-    assert not is_legacy_scale_policy(ScalePolicyAdapter(LegacyDoubler(), warn=False))
+    with pytest.warns(DeprecationWarning):
+        assert not is_legacy_scale_policy(ScalePolicyAdapter(LegacyDoubler()))
     assert not is_legacy_scale_policy(object())
 
 
@@ -228,7 +227,9 @@ def test_adapter_skips_groups_already_at_target():
         def decide(self, group, signals, current):
             return current
 
-    assert ScalePolicyAdapter(Hold(), warn=False).decide(
+    with pytest.warns(DeprecationWarning):
+        adapter = ScalePolicyAdapter(Hold())
+    assert adapter.decide(
         WorkloadView(groups={"g": GroupSignals(parallelism=2)})
     ) == []
 
@@ -239,8 +240,7 @@ def test_adapter_skips_groups_already_at_target():
 def chain_signals(**kw):
     base = dict(
         name="c", mode="scalar", members=("a", "b"), fused=True,
-        queue_fill=0.0, busy_fraction=0.0, block_fill=0.0,
-        blocks_delta=0, block_capable=False,
+        queue_fill=0.0, busy_fraction=0.0,
     )
     base.update(kw)
     return ChainSignals(**base)
@@ -250,25 +250,14 @@ def decide_chain(policy, signals):
     return policy.decide(WorkloadView(chains={signals.name: signals}))
 
 
-def test_rule_starved_vectorized_goes_scalar():
+@pytest.mark.parametrize("mode", ["scalar", "vectorized"])
+def test_rule_saturated_chain_unfuses(mode):
+    """The model never decides a fused chain's execution mode (that is the
+    vectorized operator's per-run choice); backlog alone moves nothing,
+    backlog on a busy chain unfuses it whatever its mode."""
     policy = CostModelPolicy(ReplanConfig(streak_ticks=1))
-    signals = chain_signals(mode="vectorized", blocks_delta=5, block_fill=0.1)
-    assert decide_chain(policy, signals) == [
-        SetChainMode(chain="c", mode="scalar")
-    ]
-
-
-def test_rule_backlogged_scalar_goes_vectorized():
-    policy = CostModelPolicy(ReplanConfig(streak_ticks=1))
-    signals = chain_signals(block_capable=True, queue_fill=0.9)
-    assert decide_chain(policy, signals) == [
-        SetChainMode(chain="c", mode="vectorized")
-    ]
-
-
-def test_rule_saturated_chain_unfuses():
-    policy = CostModelPolicy(ReplanConfig(streak_ticks=1))
-    signals = chain_signals(queue_fill=0.9, busy_fraction=0.95)
+    assert decide_chain(policy, chain_signals(mode=mode, queue_fill=0.9)) == []
+    signals = chain_signals(mode=mode, queue_fill=0.9, busy_fraction=0.95)
     assert decide_chain(policy, signals) == [Unfuse(chain="c")]
 
 
@@ -403,15 +392,31 @@ def test_no_groups_no_chains_still_raises_plan_error():
 
 
 def test_unfuse_preserves_output(baseline):
-    strata = Strata(engine_mode="threaded")
+    strata = Strata(engine_mode="threaded", obs=True)
     sink = build_chain(strata, records())
     strata.start(DeployConfig(plan=True, elastic=MANUAL))
     controller = strata.elastic
     chain = controller.chains[0]
+    assert chain.mode == "scalar"  # read off the live operator
     assert controller.apply_action(Unfuse(chain=chain.name))
     assert not chain.fused
     assert len(chain.nodes) == len(chain.members) >= 2
     assert chain.mode == "unfused"
+    samples = strata.obs.snapshot().samples
+    assert [
+        s.label("mode") for s in samples
+        if s.name == "elastic_chain_mode" and s.label("chain") == chain.name
+    ] == ["unfused"]
+    assert any(
+        s.name == "elastic_replan_actions_total"
+        and s.label("action") == "unfuse"
+        and s.value == 1.0
+        for s in samples
+    )
+    assert {
+        s.label("operator") for s in samples
+        if s.name == "elastic_last_adaptation" and s.label("action") == "unfuse"
+    } == set(chain.members)
     strata.wait(timeout=120)
     assert payload_counts(sink) == baseline
     summary = controller.summary()
@@ -454,67 +459,25 @@ def block_baseline():
     return payload_counts(sink)
 
 
-def test_mode_flip_vectorized_to_scalar(block_baseline):
-    strata = Strata(engine_mode="threaded", obs=True)
-    sink = build_chain(strata, records(), block=True)
-    strata.start(DeployConfig(plan=True, elastic=MANUAL))
-    controller = strata.elastic
-    chain = controller.chains[0]
-    assert chain.mode == "vectorized"  # the compiler picked the block path
-    assert controller.apply_action(SetChainMode(chain=chain.name, mode="scalar"))
-    assert chain.mode == "scalar"
-    snap = strata.obs.snapshot()
-    modes = {
-        s.label("chain"): s.label("mode")
-        for s in snap.samples
-        if s.name == "elastic_chain_mode"
-    }
-    assert modes[chain.name] == "scalar"
-    assert any(
-        s.name == "elastic_replan_actions_total"
-        and s.label("action") == "set_chain_mode"
-        and s.value == 1.0
-        for s in snap.samples
-    )
-    assert any(
-        s.name == "elastic_last_adaptation"
-        and s.label("action") == "mode=scalar"
-        for s in snap.samples
-    )
-    strata.wait(timeout=120)
-    assert payload_counts(sink) == block_baseline
-
-
-def test_mode_flip_scalar_to_vectorized(block_baseline):
+@pytest.mark.parametrize("vectorize", [True, False])
+def test_refused_chain_mode_follows_the_plan(block_baseline, vectorize):
+    """A chain's mode is whatever its live operator says: re-fusing a
+    block-capable chain builds the class the plan compiler would have."""
+    mode = "vectorized" if vectorize else "scalar"
     strata = Strata(engine_mode="threaded")
     sink = build_chain(strata, records(), block=True)
     strata.start(
-        DeployConfig(plan=PlanConfig(vectorize=False), elastic=MANUAL)
+        DeployConfig(plan=PlanConfig(vectorize=vectorize), elastic=MANUAL)
     )
     controller = strata.elastic
     chain = controller.chains[0]
-    assert chain.mode == "scalar" and chain.block_capable
-    assert controller.apply_action(
-        SetChainMode(chain=chain.name, mode="vectorized")
-    )
-    assert chain.mode == "vectorized"
+    assert chain.mode == mode
+    assert controller.apply_action(Unfuse(chain=chain.name))
+    assert controller.apply_action(Fuse(chain=chain.name))
+    assert chain.mode == mode
+    assert controller.summary()["chains"][chain.name]["mode"] == mode
     strata.wait(timeout=120)
     assert payload_counts(sink) == block_baseline
-
-
-def test_vectorized_mode_requires_block_capability(baseline):
-    strata = Strata(engine_mode="threaded")
-    sink = build_chain(strata, records())  # scalar-only members
-    strata.start(DeployConfig(plan=True, elastic=MANUAL))
-    controller = strata.elastic
-    chain = controller.chains[0]
-    assert not chain.block_capable
-    assert not controller.apply_action(
-        SetChainMode(chain=chain.name, mode="vectorized")
-    )
-    assert chain.mode == "scalar"
-    strata.wait(timeout=120)
-    assert payload_counts(sink) == baseline
 
 
 # -- tick-driven adaptation ---------------------------------------------------
@@ -592,7 +555,7 @@ def test_tick_applies_cost_model_under_induced_backlog(baseline):
     assert payload_counts(sink) == expected
 
 
-# -- block fill is measured at a block's widest point -------------------------
+# -- scalar-vs-block is the operator's call, live ------------------------------
 
 FAN_OUT = 40
 
@@ -605,30 +568,34 @@ fan_out.process_block = lambda block: block.take(
     [i for i in range(len(block)) for _ in range(FAN_OUT)]
 )
 
-#: default cost model, ticked by hand once blocks have formed
+#: default cost model, ticked by hand mid-stream
 TICKED_BY_HAND = ElasticConfig(
     tick_s=60.0, cooldown_s=0.0,
     replan=ReplanConfig(cooldown_s=0.0, streak_ticks=1),
 )
 
 
-def _tick_once_blocks_formed(strata, at_least=5):
+def _tick_mid_stream(strata, sink, at_least):
     controller = strata.elastic
     chain = controller.chains[0]
     assert chain.mode == "vectorized"
-    operator = chain.nodes[0].operator
     deadline = time.monotonic() + 30
-    while operator.blocks_in < at_least and time.monotonic() < deadline:
+    while len(sink) < at_least and time.monotonic() < deadline:
         time.sleep(0.005)
-    assert operator.blocks_in >= at_least and strata.running()
+    assert len(sink) >= at_least and strata.running()
     controller.tick()
-    return controller, chain, operator
+    controller.tick()
+    # no drain barrier, no replacement operator: the controller has no say
+    assert controller.summary()["actions"] == {}
+    assert not [e for e in controller.events if "chain" in e]
+    assert chain.mode == "vectorized"
+    return chain.nodes[0].operator
 
 
-def test_single_arrivals_behind_a_fan_out_stay_vectorized():
+def test_single_arrivals_behind_a_fan_out_form_full_blocks():
     """A source edge delivers one tuple at a time, so every block has one
     row at entry — and ``FAN_OUT`` rows where it is widest, which is what
-    the kernels amortize over. Rule 1 must not call that starved."""
+    the kernels amortize over."""
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
     (
@@ -638,37 +605,26 @@ def test_single_arrivals_behind_a_fan_out_stay_vectorized():
         .deliver(sink)
     )
     strata.start(DeployConfig(plan=True, elastic=TICKED_BY_HAND))
-    controller, chain, operator = _tick_once_blocks_formed(strata)
-    assert operator.block_rows_in == operator.blocks_in  # singles at entry
-    assert operator.block_rows_peak == FAN_OUT * operator.blocks_in
-    assert chain.mode == "vectorized"
-    assert "set_chain_mode" not in controller.summary()["actions"]
+    operator = _tick_mid_stream(strata, sink, at_least=5 * FAN_OUT)
     strata.wait(timeout=120)
     assert len(sink.results) == FAN_OUT * N_RECORDS
+    # the first lone row measures the expansion on the scalar cascade
+    assert operator.blocks_in == N_RECORDS - 1
+    assert operator.block_rows_in == operator.blocks_in  # singles at entry
+    assert operator.block_rows_peak == FAN_OUT * operator.blocks_in
 
 
-def test_starved_trickle_without_fan_out_still_goes_scalar():
-    """Bursts of 4 behind a batched edge form 4-row blocks that never
-    widen: fill 4/32 is under the 0.25 floor, so rule 1 still fires."""
+def test_starved_trickle_without_fan_out_stays_on_the_scalar_cascade(block_baseline):
+    """Lone rows through a chain that never widens them would only pay the
+    tuple<->column conversion: no block forms, and nothing is drained or
+    swapped to get there."""
     strata = Strata(engine_mode="threaded")
-    sink = CollectingSink("out")
-    (
-        strata.add_source(SlowSource("src", records(), 0.01, burst=4), "raw")
-        # a keyed group in front: its merge's output edge batches, which is
-        # what hands the chain multi-tuple runs (source edges never batch)
-        .partition("parts", lambda t: [t.derive()], replicable=False)
-        .partition("cells", mark_a)
-        .detect_event("v1", block_a, replicable=False)
-        .detect_event("v2", block_b, replicable=False)
-        .deliver(sink)
-    )
+    sink = build_chain(strata, records(), delay=0.004, block=True)
     strata.start(DeployConfig(plan=True, elastic=TICKED_BY_HAND))
-    controller, chain, operator = _tick_once_blocks_formed(strata)
-    assert operator.block_rows_peak == operator.block_rows_in  # no fan-out
-    assert chain.mode == "scalar"
-    assert controller.summary()["actions"].get("set_chain_mode") == 1
+    operator = _tick_mid_stream(strata, sink, at_least=5)
     strata.wait(timeout=120)
-    assert len(sink.results) == N_RECORDS
+    assert operator.blocks_in == 0
+    assert payload_counts(sink) == block_baseline
 
 
 # -- set_bounds vs in-flight rescale (fleet lending race) ---------------------
@@ -726,9 +682,11 @@ def test_deploy_config_replan_bool_passthrough():
     assert config.elastic.replan is None
 
 
-def test_deploy_config_replan_unknown_key_dotted_path():
-    with pytest.raises(DeployConfigError, match=r"elastic\.replan\.bogus"):
-        DeployConfig.from_dict({"elastic": {"replan": {"bogus": 1}}})
+# the two retired mode-flip thresholds are unknown keys like any other
+@pytest.mark.parametrize("key", ["bogus", "vector_min_fill", "vector_queue_fill"])
+def test_deploy_config_replan_unknown_key_dotted_path(key):
+    with pytest.raises(DeployConfigError, match=rf"elastic\.replan\.{key}"):
+        DeployConfig.from_dict({"elastic": {"replan": {key: 0.5}}})
 
 
 def test_deploy_config_replan_invalid_value():

@@ -514,6 +514,25 @@ def test_expansion_estimate_decays_when_the_fan_out_stops():
     assert op.blocks_in == formed < 2 + 12
 
 
+@pytest.mark.parametrize("cls", [FusedOperator, VectorizedFusedOperator])
+def test_member_stats_enabled_mid_stream_count_only_later_runs(cls):
+    """Both classes apply a member to a run through the same method, which
+    looks at the counters per run: switching them on needs no rewiring and
+    counts exactly the runs that follow, scalar stages and block stages."""
+    operators = [BlockFanOut("fan", 3), BlockBump("b", 1), bump("m", 100)]
+    op = cls("c", [_FusedPart(o.name, o.name, o) for o in operators])
+    assert op.member_stats() is None
+    assert len(op.process_many(tuples(4))) == 12  # unobserved
+    methods = {k for k, v in vars(op).items() if callable(v)}
+    op.enable_member_stats()
+    op.enable_member_stats()  # idempotent: the counters are not reset
+    assert {k for k, v in vars(op).items() if callable(v)} == methods  # no rebinding
+    assert op.member_stats() == {"fan": (0, 0), "b": (0, 0), "m": (0, 0)}
+    assert len(op.process(0, tuples(1)[0])) == 3
+    assert len(op.process_many(tuples(2))) == 6
+    assert op.member_stats() == {"fan": (3, 9), "b": (9, 9), "m": (9, 9)}
+
+
 # -- batched transport -------------------------------------------------------
 
 
