@@ -4,13 +4,19 @@ The distributed coordinator cuts the pub/sub pipeline into stages and
 forks one worker process per stage group, wired through the networked
 broker. This benchmark replays the evaluation build through the
 in-process engine and through both payload transports of the distributed
-runtime, and holds every distributed variant to two promises:
+runtime, and holds every distributed variant to three promises:
 
 * **no divergence** — the detected-event output must be identical (same
   canonical result set) to the in-process threaded run, per transport;
 * **honest accounting** — throughput, latency, and the per-variant
   speedup ratios land in ``BENCH_dist.json`` at the repository root so CI
-  can archive them and the dist-smoke job can flag regressions.
+  can archive them and the dist-smoke job can flag regressions;
+* **flat memory** — the coordinator keeps every record replayable (it
+  never trims a connector log), but a reclaimed shm slab goes to the
+  transport's spill file, not to the heap: a coordinator that ran 3N
+  layers through a ring of a few slots may end with next to nothing more
+  resident per extra layer than one that ran N
+  (``shm_coordinator_rss_mb_per_layer``, gated in CI).
 
 Crossing process boundaries costs serialization and socket hops; the shm
 transport exists to strip the payload bytes out of that cost. On a
@@ -24,14 +30,18 @@ while the divergence gates always apply.
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.bench import EvaluationWorkload, format_table
+from repro.bench import EvaluationWorkload, active_profile, format_table
 from repro.core import (
     DeployConfig,
     Strata,
@@ -63,6 +73,16 @@ def _workers() -> int:
 
 def _shm_workers() -> int:
     return int(os.environ.get("REPRO_BENCH_DIST_SHM_WORKERS", 4))
+
+
+#: the RSS leg runs this many layers, then three times as many
+RSS_LAYERS = 40
+
+#: ring of the RSS leg: far fewer slots than layers, so nearly every slab
+#: is reclaimed while its record is still in the log — but more than one
+#: produce frame's worth (produce_batch=8), or the frame's last images
+#: find every slot leased to their own frame and ride inline, onto the heap
+RSS_RING_SLOTS = 12
 
 
 def _cores() -> int:
@@ -120,7 +140,13 @@ def dist_workload(profile):
     )
 
 
-def _deploy(profile, workload: EvaluationWorkload, variant: str) -> dict:
+def _deploy(
+    profile,
+    workload: EvaluationWorkload,
+    variant: str,
+    records: list | None = None,
+    dist_config: DistConfig | None = None,
+) -> dict:
     config = UseCaseConfig(
         image_px=workload.image_px,
         cell_edge_px=profile.scale_cell_edge(20),
@@ -132,17 +158,20 @@ def _deploy(profile, workload: EvaluationWorkload, variant: str) -> dict:
         config.cell_edge_px,
         regions=specimen_regions_px(workload.job.specimens, workload.image_px),
     )
-    records = workload.records
+    if records is None:
+        records = workload.records
     pipeline = build_use_case(
         iter(records), iter(records), config, strata=strata
     )
-    dist_config = _variants(workload.image_px)[variant]
+    if dist_config is None:
+        dist_config = _variants(workload.image_px)[variant]
     started = time.monotonic()
     if dist_config is None:
         report = strata.deploy()
     else:
         report = strata.deploy(DeployConfig(dist=dist_config))
     wall = time.monotonic() - started
+    resident_mb = _resident_mb()  # the broker (strata) is still alive here
     # read latency off the expert sink itself: the pub/sub report also
     # lists the connector writer sinks, so the report-level helper is
     # ambiguous here
@@ -156,6 +185,7 @@ def _deploy(profile, workload: EvaluationWorkload, variant: str) -> dict:
         "median_latency_s": latency.median,
         "max_latency_s": latency.maximum,
         "result_keys": sorted(map(_result_key, pipeline.sink.results)),
+        "resident_mb": resident_mb,
     }
     if dist_config is not None:
         dist = report.extra["dist"]
@@ -163,6 +193,78 @@ def _deploy(profile, workload: EvaluationWorkload, variant: str) -> dict:
         out["workers"] = len(dist["workers"])
         out["restarts"] = dist["restarts"]
     return out
+
+
+def _resident_mb() -> float:
+    """Resident set of this process, allocator slack handed back first.
+
+    Without the trim the reading carries megabytes of freed-but-kept heap
+    from the run's transient buffers (fetch replies of spilled images),
+    which says how the allocator felt, not what the run retained.
+    """
+    gc.collect()
+    try:
+        ctypes.CDLL("libc.so.6").malloc_trim(0)
+    except (OSError, AttributeError):  # not glibc: read it as it is
+        pass
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def _coordinator_rss_mb(layers: int) -> float:
+    """Resident MB of a fresh coordinator once it ran ``layers`` layers over shm.
+
+    Each measurement is its own interpreter (this file run as a program),
+    so both start from the same clean heap — a forked child of the test
+    process would fill the holes its parent's allocator already holds
+    resident and report no growth at all.
+    """
+    done = subprocess.run(
+        [sys.executable, __file__, "--coordinator-rss", str(layers)],
+        capture_output=True, text=True, timeout=600,
+    )
+    if done.returncode != 0:
+        raise RuntimeError(f"shm coordinator over {layers} layers failed:\n{done.stderr}")
+    return float(done.stdout.strip().splitlines()[-1])
+
+
+def _coordinator_rss_main(layers: int) -> None:
+    """Child side of :func:`_coordinator_rss_mb`: run, print the resident MB.
+
+    Read when the deployment has returned and the broker's logs are still
+    alive: what the run *retained*, not the transient fetch replies of its
+    peak. The ring is a few slots, so the run laps it many times.
+    """
+    profile = active_profile()
+    workload = EvaluationWorkload(image_px=profile.image_px, layers=_layers(), seed=7)
+    image_bytes = workload.image_px * workload.image_px * 8
+    dist_config = DistConfig(
+        workers=_workers(),
+        transport="shm",
+        shm_slots=RSS_RING_SLOTS,
+        shm_slab_bytes=image_bytes + (1 << 20),
+        produce_batch=8,
+    )
+    run = _deploy(
+        profile, workload, "distributed-shm",
+        records=list(workload.replay(layers)), dist_config=dist_config,
+    )
+    if run["results"] != layers * len(workload.job.specimens):
+        raise SystemExit(f"expected {layers} layers of verdicts, got {run['results']}")
+    print(run["resident_mb"])
+
+
+def test_dist_shm_coordinator_memory_is_flat(benchmark):
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # measured below
+    base = RSS_LAYERS
+    short = _coordinator_rss_mb(base)
+    long = _coordinator_rss_mb(3 * base)
+    _results["rss"] = {
+        "layers": [base, 3 * base],
+        "ring_slots": RSS_RING_SLOTS,
+        "resident_mb": [round(short, 2), round(long, 2)],
+        "mb_per_layer": (long - short) / (2 * base),
+    }
 
 
 @pytest.mark.parametrize("variant", VARIANT_NAMES)
@@ -186,6 +288,7 @@ def test_dist_throughput_variant(benchmark, profile, dist_workload, variant):
 
 def test_dist_throughput_report(benchmark, profile):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # report-only step
+    rss = _results.pop("rss")
     assert len(_results) == len(VARIANT_NAMES)
     rows = [
         [
@@ -206,7 +309,9 @@ def test_dist_throughput_report(benchmark, profile):
     base = _results["in-process"]
     variants_out: dict[str, dict] = {}
     for name, run in _results.items():
-        entry = {k: v for k, v in run.items() if k != "result_keys"}
+        entry = {
+            k: v for k, v in run.items() if k not in ("result_keys", "resident_mb")
+        }
         if name != "in-process":
             entry["throughput_ratio_dist_over_inproc"] = (
                 run["achieved_images_s"] / base["achieved_images_s"]
@@ -225,6 +330,9 @@ def test_dist_throughput_report(benchmark, profile):
         "speedup_gate": SHM_SPEEDUP_GATE,
         "speedup_gate_applied": _require_speedup(),
         "variants": variants_out,
+        # what one more layer costs the coordinator's RSS under shm
+        "shm_coordinator_rss": rss,
+        "shm_coordinator_rss_mb_per_layer": rss["mb_per_layer"],
         # headline ratio: the transport the redesign optimizes for
         "throughput_ratio_dist_over_inproc": shm[
             "throughput_ratio_dist_over_inproc"
@@ -238,6 +346,10 @@ def test_dist_throughput_report(benchmark, profile):
     for name in ("distributed-tcp", "distributed-shm"):
         ratio = variants_out[name]["throughput_ratio_dist_over_inproc"]
         print(f"{name} / in-process throughput: {ratio:.3f}x")
+    print(
+        f"shm coordinator RSS: {rss['resident_mb']} MB after {rss['layers']} "
+        f"layers = {rss['mb_per_layer']:.4f} MB per extra layer"
+    )
     print(f"-> {BENCH_JSON}")
 
     # the divergence gates: no transport may change results
@@ -258,3 +370,9 @@ def test_dist_throughput_report(benchmark, profile):
             f"speedup gate skipped: {_cores()} core(s) available "
             "(set REPRO_BENCH_DIST_REQUIRE_SPEEDUP=1 to force)"
         )
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] != "--coordinator-rss":
+        sys.exit("usage: test_dist_throughput.py --coordinator-rss LAYERS")
+    _coordinator_rss_main(int(sys.argv[2]))

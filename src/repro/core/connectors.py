@@ -9,6 +9,12 @@ sentinel per partition when the query side closes), and a
 :class:`PubSubReaderSource` replays a topic into another query until every
 partition has delivered its sentinel.
 
+A record's value is one tuple or — when a batching writer was handed
+several same-key, same-schema tuples in a row — one
+:class:`~repro.spe.columnar.ColumnarBlock` holding the run. The reader
+turns a block back into its rows, so what crosses the connector is the
+same tuple sequence either way; only the number of records differs.
+
 The ``broker`` argument is duck-typed: an in-process
 :class:`~repro.pubsub.broker.Broker` yields local clients, while anything
 exposing ``producer()``/``consumer()`` factories (a
@@ -27,8 +33,10 @@ from typing import Any, Iterator
 from ..pubsub.broker import Broker
 from ..pubsub.consumer import Consumer
 from ..pubsub.producer import Producer
+from ..spe.columnar import ColumnarBlock
 from ..spe.sink import Sink
 from ..spe.source import Source
+from ..spe.stream import TupleBatch, flatten_runs
 from ..spe.tuples import StreamTuple
 
 #: value published when the writing query side has no more tuples
@@ -86,13 +94,27 @@ def _content_key(t: StreamTuple) -> tuple:
     return (t.tau, t.job, t.layer, t.specimen, t.portion)
 
 
+def _record_key(t: StreamTuple) -> str:
+    return f"{t.job}/{t.layer}"
+
+
+def _block_key(t: StreamTuple) -> tuple:
+    """Tuples agreeing on this, in a row, can share one block record."""
+    return (t.job, t.layer, t.payload.keys())
+
+
 class PubSubWriterSink(Sink):
     """Terminates a query branch by publishing its tuples to a topic.
 
-    ``batch_size > 1`` buffers tuples and publishes them through the
-    producer's ``send_batch`` (one wire round trip for the whole batch,
-    written with vectored I/O) when the producer supports it — the
-    distributed runtime turns this on via ``DistConfig.produce_batch``.
+    ``batch_size`` is the most tuples one produce frame may carry. Above 1
+    (and with a producer that has ``send_batch``; the distributed runtime
+    turns this on via ``DistConfig.produce_batch``) tuples are buffered
+    until the frame is full or :meth:`flush` is called — the scheduler
+    calls it whenever the sink's input has nothing more ready, so a
+    partial frame never waits for the next tuple. Within a frame,
+    consecutive tuples sharing a record key and a payload schema travel as
+    one :class:`~repro.spe.columnar.ColumnarBlock` record; a tuple with no
+    such neighbour stays a tuple record. Order is preserved exactly.
     The buffer is always flushed before the EOS broadcast and before a
     rebind, so batching never reorders a record after its sentinel.
     """
@@ -122,18 +144,22 @@ class PubSubWriterSink(Sink):
         which is unreachable from the child — rebinding swaps in a network
         client without touching the rest of the node graph.
         """
-        self._flush()
+        self.flush()
         if batch_size is not None:
             self._batch_size = max(1, int(batch_size))
         self._producer = _producer_for(broker)
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
+        """Publish whatever is buffered as one produce frame."""
         if not self._buffer:
             return
-        records = [
-            {"value": t, "key": f"{t.job}/{t.layer}", "timestamp": t.tau}
-            for t in self._buffer
-        ]
+        records = []
+        for _, group in itertools.groupby(self._buffer, _block_key):
+            run = list(group)
+            key, tau = _record_key(run[0]), run[0].tau
+            if len(run) > 1:
+                run = [ColumnarBlock.from_tuples(run)]
+            records.extend({"value": v, "key": key, "timestamp": tau} for v in run)
         self._buffer.clear()
         self._producer.send_batch(self._topic, records)
 
@@ -141,9 +167,9 @@ class PubSubWriterSink(Sink):
         if self._batch_size > 1 and hasattr(self._producer, "send_batch"):
             self._buffer.append(t)
             if len(self._buffer) >= self._batch_size:
-                self._flush()
+                self.flush()
             return
-        self._producer.send(self._topic, t, key=f"{t.job}/{t.layer}", timestamp=t.tau)
+        self._producer.send(self._topic, t, key=_record_key(t), timestamp=t.tau)
 
     def on_close(self) -> None:
         """Publish one end-of-stream sentinel to *every* partition.
@@ -153,7 +179,7 @@ class PubSubWriterSink(Sink):
         others — so the sentinel is broadcast per partition explicitly.
         Buffered records flush first: a sentinel must never overtake data.
         """
-        self._flush()
+        self.flush()
         for partition in range(self._producer.partitions_of(self._topic)):
             self._producer.send(self._topic, EOS_SENTINEL, partition=partition)
         super().on_close()
@@ -162,10 +188,18 @@ class PubSubWriterSink(Sink):
 class PubSubReaderSource(Source):
     """Feeds a query from a topic until every partition reaches EOS.
 
-    ``dedup=True`` suppresses records whose content key
+    ``dedup=True`` suppresses tuples whose content key
     ``(tau, job, layer, specimen, portion)`` was already delivered — the
     at-least-once replay filter the distributed runtime relies on when a
-    restarted upstream worker republishes its output.
+    restarted upstream worker republishes its output. The filter works per
+    row, not per record: a replay may frame the same tuples into blocks
+    with different boundaries.
+
+    Iterating yields tuples. :meth:`runs` yields the same sequence but
+    hands a multi-row record over whole, as a
+    :class:`~repro.spe.stream.TupleBatch` — the scheduler ships it down
+    the edge as one entry, so the run its producer framed survives the
+    connector without a linger timer on this side.
     """
 
     def __init__(
@@ -187,10 +221,15 @@ class PubSubReaderSource(Source):
         self._dedup = dedup
         self._duplicates = 0
         self._consumer = None
+        # (topic, partition) -> offset after the last record handed over.
+        # The consumer's own position runs ahead of it by whatever one poll
+        # fetched and this source has not yielded yet.
+        self._delivered: dict[tuple[str, int], int] = {}
         self._connect()
 
     def _connect(self) -> None:
         self._broker.ensure_topic(self._topic)
+        self._delivered.clear()
         self._consumer = _consumer_for(
             self._broker,
             self._group,
@@ -213,7 +252,7 @@ class PubSubReaderSource(Source):
 
     @property
     def duplicates_suppressed(self) -> int:
-        """Replayed records dropped by the dedup filter so far."""
+        """Replayed tuples dropped by the dedup filter so far."""
         return self._duplicates
 
     def rebind(
@@ -236,9 +275,19 @@ class PubSubReaderSource(Source):
         self._connect()
 
     def offsets(self) -> list[list]:
-        """Replay positions as ``[topic, partition, next_offset]`` triples."""
+        """Replay positions as ``[topic, partition, next_offset]`` triples.
+
+        A position names the first record *not yet handed over*, and always
+        falls on a record boundary: a block's rows are delivered together.
+        """
         return [
-            [topic, partition, self._consumer.position(topic, partition)]
+            [
+                topic,
+                partition,
+                self._delivered.get(
+                    (topic, partition), self._consumer.position(topic, partition)
+                ),
+            ]
             for topic, partition in self._consumer.assignment
         ]
 
@@ -246,26 +295,52 @@ class PubSubReaderSource(Source):
         """Rewind to positions previously captured by :meth:`offsets`."""
         for topic, partition, offset in offsets:
             self._consumer.seek(topic, int(partition), int(offset))
+            self._delivered[(topic, int(partition))] = int(offset)
 
     def commit_offsets(self, offsets: list[list]) -> None:
         """Pin captured positions on the broker (per-partition commits)."""
         for topic, partition, offset in offsets:
             self._consumer.commit(topic, int(partition), int(offset))
 
-    def __iter__(self) -> Iterator[StreamTuple]:
+    def runs(self) -> Iterator[Any]:
+        """Yield each record's tuples: one tuple, or a ``TupleBatch`` of rows."""
         pending = set(self._consumer.assignment)
         seen: set[tuple] = set()
         while pending:
             for message in self._consumer.poll(timeout=self._poll_timeout):
-                if isinstance(message.value, str) and message.value == EOS_SENTINEL:
+                # Moves before the hand-over: a checkpoint barrier taken
+                # while this generator rests at a yield below must not
+                # replay the record just delivered.
+                self._delivered[(message.topic, message.partition)] = (
+                    message.offset + 1
+                )
+                value = message.value
+                if type(value) is ColumnarBlock:
+                    run = value.to_tuples()
+                elif isinstance(value, StreamTuple):
+                    run = [value]
+                elif isinstance(value, str) and value == EOS_SENTINEL:
                     pending.discard((message.topic, message.partition))
                     continue
-                if self._dedup and isinstance(message.value, StreamTuple):
-                    key = _content_key(message.value)
-                    if key in seen:
-                        self._duplicates += 1
-                        continue
-                    seen.add(key)
+                else:
+                    yield value
+                    continue
+                if self._dedup:
+                    run = TupleBatch(t for t in run if self._first_sight(t, seen))
                 # Do NOT restamp ingest_time: latency spans the connector
                 # hop too (data was available when the writer received it).
-                yield message.value
+                if len(run) > 1:
+                    yield run
+                elif run:
+                    yield run[0]
+
+    def _first_sight(self, t: StreamTuple, seen: set[tuple]) -> bool:
+        key = _content_key(t)
+        if key in seen:
+            self._duplicates += 1
+            return False
+        seen.add(key)
+        return True
+
+    def __iter__(self) -> Iterator[StreamTuple]:
+        return flatten_runs(self.runs())

@@ -4,7 +4,9 @@ The coordinator owns the broker (served over TCP by
 :class:`~repro.net.server.BrokerServer`), cuts the built query into stages
 at the pub/sub connector edges, forks one worker process per stage group,
 and runs the terminal stage — the one delivering to the expert's sinks —
-in its own process so results land in the objects the user holds.
+in its own process so results land in the objects the user holds. That
+stage reads the broker's logs in place (``BrokerServer.consumer``): the
+records never leave the address space they already sit in.
 
 Supervision is process-first: a worker that dies with a non-zero exit
 code is re-forked from the coordinator's pristine copy of its stage (up
@@ -65,9 +67,11 @@ class DistConfig:
     ``shm_slots``           slab count of the shm ring.
     ``shm_slab_bytes``      byte size of each slab (must fit the largest
                             payload array; bigger arrays ride inline).
-    ``produce_batch``       records buffered per writer sink before one
-                            batched ``produce_batch`` frame is written with
-                            vectored I/O (1 = unbatched sends).
+    ``produce_batch``       max tuples per produce frame: a writer sink
+                            buffers up to this many (never past the end of
+                            its input's ready run) and publishes them in one
+                            ``produce_batch`` frame, same-layer runs as one
+                            block record (1 = one send per tuple).
     """
 
     workers: int | None = None
@@ -143,7 +147,6 @@ class DistCoordinator:
                 "slab_bytes": self._config.shm_slab_bytes,
             },
         )
-        self._local_client: Any | None = None
         self._stages: list[StageSpec] = []
         self._local_stages: list[StageSpec] = []
         self._workers: list[WorkerProcess] = []
@@ -226,22 +229,12 @@ class DistCoordinator:
         )
         address = self._server.start()
         # The terminal stage replays alongside restarted workers: it must
-        # never resume from commits and must drop replayed records. Under a
-        # non-tcp payload transport it must also read through a loopback
-        # client — a direct broker read would surface transport-internal
-        # payload refs (shm SlabRefs) instead of arrays.
-        reader_broker: Any = self._broker
-        if self._config.transport != "tcp":
-            from ..net.client import BrokerClient
-
-            self._local_client = BrokerClient(
-                *address, allow_pickle=self._config.allow_pickle
-            )
-            self._local_client.wait_ready(timeout=15.0)
-            reader_broker = self._local_client
+        # never resume from commits and must drop replayed records. It
+        # attaches to the server in-process, which reads the logs in place
+        # and resolves transport-internal payload refs (shm SlabRefs).
         for stage in self._local_stages:
             for reader in stage.readers():
-                reader.rebind(reader_broker, auto_commit=False, dedup=True)
+                reader.rebind(self._server, auto_commit=False, dedup=True)
         self._workers = [
             WorkerProcess(
                 f"worker-{i}",
@@ -354,8 +347,6 @@ class DistCoordinator:
         if self._scrape_server is not None:
             self._scrape_server.shutdown()
             self._scrape_server.server_close()
-        if self._local_client is not None:
-            self._local_client.close()
         if self._server.stop():
             logger.warning("broker server stop() hit its drain deadline")
 
@@ -373,8 +364,6 @@ class DistCoordinator:
         if self._scrape_server is not None:
             self._scrape_server.shutdown()
             self._scrape_server.server_close()
-        if self._local_client is not None:
-            self._local_client.close()
         self._server.stop()
 
     # -- supervision ----------------------------------------------------------

@@ -75,9 +75,10 @@ _ERROR_TYPES: dict[str, type[Exception]] = {
     "ValueError": ValueError,
 }
 
-#: a stale slab handle means the server reclaimed the slot mid-fetch; the
-#: record is materialized server-side by then, so a couple of refetches
-#: always converge
+#: a stale slab handle on the *first* record of a reply means the server
+#: reclaimed the slot mid-fetch; the record is spilled server-side by
+#: then, so the refetch answers inline and a couple of attempts always
+#: converge (a stale record further in just ends the batch early)
 _STALE_RETRIES = 3
 
 
@@ -609,8 +610,8 @@ class RemoteConsumer:
                 response, frame = self._fetch_frame(
                     topic, partition, start, max_records, timeout
                 )
+            records = []
             try:
-                records = []
                 for record_meta, blob in zip(response.records, frame.blobs):
                     records.append(
                         Message(
@@ -625,10 +626,12 @@ class RemoteConsumer:
                     )
             except StaleSlabError:
                 # The server reclaimed a slab between encoding the reply
-                # and our copy-out; the record is materialized broker-side
-                # now, so the refetch returns inline bytes. Position was
-                # not advanced, so nothing is skipped.
-                continue
+                # and our copy-out. Keep what already decoded — the next
+                # fetch starts at the stale record, which the server has
+                # spilled by now and answers inline. Only a stale *first*
+                # record leaves nothing to return: refetch right away.
+                if not records:
+                    continue
             if records:
                 self._positions[(topic, partition)] = records[-1].offset + 1
             return records
@@ -640,22 +643,24 @@ class RemoteConsumer:
     def poll(self, max_records: int = 1024, timeout: float = 0.0) -> list:
         """Fetch available records across the assignment.
 
-        Same contract as the in-process consumer: one non-blocking pass
-        over every assigned partition, then — if nothing arrived and a
-        timeout was given — one blocking fetch on the first partition.
+        Same contract as the in-process consumer: every assigned
+        partition is read without blocking, and — if nothing arrived and a
+        timeout was given — the first partition is waited on.
         """
         out: list = []
         budget = max_records
-        for name, partition in self._assignment:
+        # The first partition is fetched last, so that fetch can double as
+        # the blocking wait when the others had nothing: one round trip
+        # where a non-blocking pass plus a blocking fetch would make two.
+        for name, partition in self._assignment[1:]:
             if budget <= 0:
                 break
             records = self._fetch(name, partition, budget, 0.0)
-            if records:
-                out.extend(records)
-                budget -= len(records)
-        if not out and timeout > 0 and self._assignment:
+            out.extend(records)
+            budget -= len(records)
+        if budget > 0 and self._assignment:
             name, partition = self._assignment[0]
-            out.extend(self._fetch(name, partition, max_records, timeout))
+            out.extend(self._fetch(name, partition, budget, 0.0 if out else timeout))
         if out and self._auto_commit:
             self.commit()
         return out

@@ -12,8 +12,9 @@ connection: sockets are non-blocking, reads go through an incremental
 per-connection write queues flushed with vectored I/O. Fast operations
 run inline on the loop thread (the broker is thread-safe and every
 handler is a dict lookup plus an append or read); only operations the op
-table marks ``may_block`` — blocking fetches — are handed to short-lived
-daemon threads so a quiet partition never stalls the loop. Requests are
+table marks ``may_block`` — blocking fetches — that really have to wait
+are handed to short-lived daemon threads so a quiet partition never
+stalls the loop. Requests are
 parsed through the typed op table in :mod:`repro.net.ops`, so the server
 has no string-dispatch surface of its own.
 
@@ -22,7 +23,10 @@ Record values cross the wire through the serde wire codec and are stored
 same broker fully interoperable with remote ones. Under the shm
 transport, "decoded" means a :class:`~repro.net.shm.SlabRef` — payload
 arrays stay in the shared ring and fetch replies re-encode to ~100-byte
-handles.
+handles. A reader living in the server's own process attaches through
+:meth:`BrokerServer.consumer` instead of a socket: it reads the log in
+place and has the transport resolve such refs at read time, with no
+encode, no decode and no fetch thread.
 
 Pickle frames are refused by default (``allow_pickle=False``): a network
 peer must not be able to run arbitrary bytecode in the broker process.
@@ -32,6 +36,7 @@ enables pickle explicitly.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import selectors
@@ -42,7 +47,9 @@ from collections import deque
 from typing import Any
 
 from ..pubsub.broker import Broker
+from ..pubsub.consumer import Consumer
 from ..pubsub.errors import InvalidOffsetError
+from ..pubsub.message import Message
 from ..serde import SerdeContext, decode_wire, encode_wire
 from .errors import ProtocolError
 from .frames import (
@@ -100,6 +107,23 @@ class _Conn:
         self.out: deque[bytes] = deque()  # pending outbound buffers
         self.off = 0  # bytes of out[0] already sent
         self.close_after_flush = False
+
+
+class _InPlaceConsumer(Consumer):
+    """A consumer on the served broker whose values went through the transport."""
+
+    def __init__(self, broker: Broker, resolve: Any, *args: Any, **kwargs: Any) -> None:
+        super().__init__(broker, *args, **kwargs)
+        self._resolve = resolve
+
+    def poll(self, max_records: int = 1024, timeout: float = 0.0) -> list[Message]:
+        out = []
+        for message in super().poll(max_records, timeout):
+            value = self._resolve(message.value)
+            if value is not message.value:
+                message = dataclasses.replace(message, value=value)
+            out.append(message)
+        return out
 
 
 class BrokerServer:
@@ -225,6 +249,37 @@ class BrokerServer:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+    # -- in-process attachment ----------------------------------------------
+    # The slice of the client surface a pub/sub reader binds to, for code
+    # that lives in the server's process (the dist coordinator's terminal
+    # stage): same records, no socket.
+
+    def ensure_topic(
+        self, name: str, partitions: int = 1, retention: int | None = None
+    ) -> int:
+        return self._broker.ensure_topic(name, partitions, retention).num_partitions
+
+    def consumer(
+        self,
+        group: str,
+        topics: list[str] | None = None,
+        auto_offset_reset: str = "earliest",
+        auto_commit: bool = True,
+    ) -> Consumer:
+        """A consumer reading the served broker's logs in place.
+
+        Values the transport stored as internal refs (shm slab refs) come
+        back as payloads, in a shallow copy of the stored record.
+        """
+        return _InPlaceConsumer(
+            self._broker,
+            self._transport.resolve,
+            group,
+            topics,
+            auto_offset_reset=auto_offset_reset,
+            auto_commit=auto_commit,
+        )
 
     # -- worker registry (read by the dist coordinator) --------------------
 
@@ -402,20 +457,33 @@ class BrokerServer:
         except Exception as exc:
             self._enqueue(conn, Frame(TYPE_ERROR, frame.corr_id, _error_meta(exc)))
             return
-        if spec.may_block is not None and spec.may_block(request):
-            threading.Thread(
-                target=self._run_blocking,
-                args=(conn, frame, spec.name, request),
-                name=f"broker-server-{spec.name}",
-                daemon=True,
-            ).start()
-            return
         try:
+            if (
+                spec.may_block is not None
+                and spec.may_block(request)
+                and self._fetch_must_wait(request)
+            ):
+                threading.Thread(
+                    target=self._run_blocking,
+                    args=(conn, frame, spec.name, request),
+                    name=f"broker-server-{spec.name}",
+                    daemon=True,
+                ).start()
+                return
             meta, blobs = self._handlers[spec.name](conn, request, frame.blobs)
             reply = Frame(TYPE_RESPONSE, frame.corr_id, meta, tuple(blobs))
         except Exception as exc:  # typed error travels to the client
             reply = Frame(TYPE_ERROR, frame.corr_id, _error_meta(exc))
         self._enqueue(conn, reply)
+
+    def _fetch_must_wait(self, req: Any) -> bool:
+        """True when a blocking fetch has nothing to return yet.
+
+        Only then is it worth a thread: with records already in the log the
+        loop answers it like any other request.
+        """
+        log = self._broker.topic(req.topic).log(int(req.partition))
+        return int(req.offset) >= log.end_offset
 
     def _run_blocking(
         self, conn: _Conn, frame: Frame, op: str, request: Any

@@ -20,23 +20,32 @@ Ownership is explicit and server-authoritative:
   array. Fetches re-encode the handle (tiny frame); replay re-reads the
   same slab;
 * when the ring is full, the server **reclaims** the oldest bound slot by
-  materializing its pixels back into the broker's private memory (one
-  memcpy) — or for free, if the record was already trimmed — so the ring
-  recycles without ever losing replayable data. Producers whose lease
-  request still comes back empty fall back to inline payloads; remote
-  peers that cannot attach the ring never negotiate shm at all.
+  **spilling** its pixels to an unlinked temp file (one ``pwrite``
+  straight out of the ring, into an extent that is reused once the
+  record it held is trimmed) — or for free, if the record was
+  already trimmed — so the ring recycles without ever losing replayable
+  data and without the broker's heap growing with the stream. A fetch,
+  a replay from the earliest offset or an in-process read of a spilled
+  record ``pread``s it back. Producers whose lease request still comes
+  back empty fall back to inline payloads; remote peers that cannot
+  attach the ring never negotiate shm at all.
 
 Staleness is detected with a per-slot generation seqlock: readers check
 the generation before and after copying out, and a mismatch raises
 :class:`StaleSlabError`, which the remote consumer answers by re-fetching
-the record (the server will have inlined it by then).
+the record (the server has spilled it by then and answers inline). A
+read inside the server's process (:func:`resolve_refs`) never raises it:
+the spill is recorded before the generation moves, so a stale read falls
+back to the spilled copy.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import struct
+import tempfile
 import threading
 import weakref
 from collections import OrderedDict, deque
@@ -47,6 +56,7 @@ from ..serde import (
     SerdeContext,
     SerdeError,
     encode_ndarray_body,
+    ndarray_frame,
     register_codec,
 )
 
@@ -73,7 +83,7 @@ _CREATED: set[str] = set()
 class StaleSlabError(SerdeError):
     """A slab handle's generation no longer matches the ring (slot reused).
 
-    Recoverable: the record that carried the handle has been materialized
+    Recoverable: the record that carried the handle has been spilled
     server-side, so re-fetching the same offset returns inline pixels.
     """
 
@@ -222,6 +232,11 @@ class SlabRing:
         )
         dst[:] = contiguous.view(np.uint8).reshape(-1)
 
+    def view(self, slot: int, nbytes: int) -> memoryview:
+        """The first ``nbytes`` of ``slot``, in place (no copy, no seqlock)."""
+        offset = self._data_off + slot * self.slab_bytes
+        return self._shm.buf[offset : offset + nbytes]
+
     def read(self, handle: SlabHandle) -> Any:
         """Copy the slab out as a private ndarray, seqlock-validated."""
         import numpy as np
@@ -292,34 +307,169 @@ def detach_ring(name: str) -> None:
 # -- server side ---------------------------------------------------------------
 
 
+def _default_spill_dir() -> str | None:
+    """Where the spill file goes when the server was given no directory.
+
+    ``$TMPDIR`` if set, else ``/var/tmp``: by convention that one is on
+    disk, where ``/tmp`` is a tmpfs on many hosts — and a spill into RAM
+    frees nothing, it only hides the payloads from the process's RSS.
+    ``None`` leaves the choice to :mod:`tempfile`.
+    """
+    if os.environ.get("TMPDIR"):
+        return None
+    return "/var/tmp" if os.access("/var/tmp", os.W_OK | os.X_OK) else None
+
+
+class _Spill:
+    """Home of reclaimed slab payloads: one unlinked temp file of slab-sized extents.
+
+    Created on the first reclaim, so a deployment whose ring never wraps
+    opens nothing. A payload takes one extent; the extent goes back on the
+    free list when the record that owned it leaves the broker log (its
+    :class:`SlabRef` is collected), so under topic retention the file stops
+    growing at about ``retained records x slab_bytes``. With no retention it
+    grows with the stream — on disk, which is the point. Stores are
+    serialized by the plane's lock; reads are positional and need none.
+    """
+
+    def __init__(self, extent_bytes: int, directory: str | None = None) -> None:
+        self._extent_bytes = extent_bytes
+        self._directory = directory
+        self._file: Any | None = None
+        self._extents = 0  # ever allocated: the file never shrinks
+        self._free: list[int] = []
+        # (offset, nbytes) of extents whose ref is gone. Filled by weakref
+        # finalizers, which may run in any thread, mid-allocation, with the
+        # plane's lock held: they do this one atomic append and no more.
+        self._released: deque[tuple[int, int]] = deque()
+        self._held = 0
+
+    def _collect(self) -> None:
+        while self._released:
+            offset, nbytes = self._released.popleft()
+            self._free.append(offset)
+            self._held -= nbytes
+
+    def store(self, ref: "SlabRef", payload: memoryview) -> int:
+        """Write ``payload`` into a free extent, owned by ``ref``; returns its offset."""
+        if self._file is None:
+            self._file = tempfile.TemporaryFile(
+                prefix="strata-slab-spill-",
+                dir=self._directory or _default_spill_dir(),
+            )
+        self._collect()
+        reused = bool(self._free)
+        offset = self._free.pop() if reused else self._extents * self._extent_bytes
+        fd = self._file.fileno()
+        written = 0
+        try:
+            while written < len(payload):
+                written += os.pwrite(fd, payload[written:], offset + written)
+        except OSError:
+            if reused:
+                self._free.append(offset)
+            raise
+        if not reused:
+            self._extents += 1
+        self._held += written
+        weakref.finalize(ref, self._released.append, (offset, written)).atexit = False
+        return offset
+
+    def readinto(self, buffer: bytearray, offset: int) -> None:
+        """Fill ``buffer`` from the file at ``offset``."""
+        fd = self._file.fileno()
+        view = memoryview(buffer)
+        done = 0
+        while done < len(view):
+            got = os.preadv(fd, [view[done:]], offset + done)
+            if not got:
+                raise SlabRingError("slab spill file is truncated")
+            done += got
+
+    def stats(self) -> dict[str, int]:
+        """``spill_bytes``: payload held now; ``spill_file_bytes``: the file's size."""
+        self._collect()
+        return {
+            "spill_bytes": self._held,
+            "spill_file_bytes": self._extents * self._extent_bytes,
+        }
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+
+
 class SlabRef:
     """What the broker stores in place of a payload array.
 
-    Holds the handle while the slab is live; :meth:`materialize` pulls the
-    pixels into this process (used when the ring reclaims the slot). The
-    server plane tracks these by weakref, so a record trimmed from the
-    broker log frees its slot without any copy at all.
+    Holds the handle while the slab is live. When the ring reclaims the
+    slot the payload moves to the plane's spill file and ``_home`` names
+    where: ``(spill, offset)`` — or the payload's ``bytes``, when the spill
+    could not be written and it had to stay in this process. The server
+    plane tracks refs by weakref, so a record trimmed from the broker log
+    frees its slot without any copy at all.
     """
 
-    __slots__ = ("handle", "_ring", "_array", "_lock", "__weakref__")
+    __slots__ = ("handle", "_ring", "_home", "__weakref__")
 
     def __init__(self, handle: SlabHandle, ring: SlabRing) -> None:
         self.handle = handle
         self._ring = ring
-        self._array: Any | None = None
-        self._lock = threading.Lock()
+        self._home: Any | None = None
 
     @property
-    def array(self) -> Any | None:
-        """The materialized pixels, or None while they still live in shm."""
-        return self._array
+    def live(self) -> bool:
+        """True while the payload still sits in its slab."""
+        return self._home is None
 
-    def materialize(self) -> Any:
-        """Copy the pixels out of the ring into this process (idempotent)."""
-        with self._lock:
-            if self._array is None:
-                self._array = self._ring.read(self.handle)
-            return self._array
+    def _reclaimed(self) -> bytearray:
+        """A private copy of the reclaimed payload's bytes."""
+        if isinstance(self._home, bytes):  # the spill could not take it
+            return bytearray(self._home)
+        spill, offset = self._home
+        raw = bytearray(self.handle.nbytes)
+        spill.readinto(raw, offset)
+        return raw
+
+    def load(self) -> Any:
+        """The payload as a private ndarray, from wherever it lives now.
+
+        The reclaimer records the new home *before* it moves the slot's
+        generation, so a read that loses the seqlock race finds the copy.
+        Only a handle that never matched a lease has neither, and raises.
+        """
+        import numpy as np
+
+        if self._home is None:
+            try:
+                return self._ring.read(self.handle)
+            except StaleSlabError:
+                if self._home is None:
+                    raise
+        flat = np.frombuffer(self._reclaimed(), dtype=np.dtype(self.handle.dtype))
+        return flat.reshape(self.handle.shape)
+
+    def encode(self) -> bytes:
+        """Wire form for a fetch: the handle while live, else the pixels."""
+        if self._home is None:
+            return self.handle.encode()
+        return ndarray_frame(self.handle.dtype, self.handle.shape, self._reclaimed())
+
+
+def _load(value: Any) -> Any:
+    return value.load() if type(value) is SlabRef else value
+
+
+def resolve_refs(value: Any) -> Any:
+    """A stored record value as a reader inside the server's process sees it.
+
+    Every :class:`SlabRef` is replaced by its array, in a shallow copy of
+    the tuple or block that held it (``map_values``): the log's record
+    keeps its refs — it is neither mutated nor re-inflated — and the reader
+    owns what it was given.
+    """
+    map_values = getattr(value, "map_values", None)
+    return _load(value) if map_values is None else map_values(_load)
 
 
 @dataclass
@@ -336,7 +486,12 @@ class ShmServerPlane:
     population is fixed, so every operation is O(1) amortized.
     """
 
-    def __init__(self, ring: SlabRing, min_bytes: int = SHM_MIN_BYTES) -> None:
+    def __init__(
+        self,
+        ring: SlabRing,
+        min_bytes: int = SHM_MIN_BYTES,
+        spill_dir: str | None = None,
+    ) -> None:
         self.ring = ring
         self.min_bytes = min_bytes
         self._lock = threading.Lock()
@@ -344,10 +499,12 @@ class ShmServerPlane:
         self._leased: dict[int, _Lease] = {}
         self._bound: OrderedDict[int, weakref.ref] = OrderedDict()
         self._next_gen = 1
+        self._spill = _Spill(ring.slab_bytes, spill_dir)
         # accounting, surfaced through stats()
         self.leases_granted = 0
         self.leases_reclaimed = 0
         self.slabs_bound = 0
+        self.slabs_spilled = 0
         self.slabs_materialized = 0
         self.slabs_trimmed = 0
 
@@ -368,7 +525,7 @@ class ShmServerPlane:
         """Grant up to ``count`` (slot, gen) pairs to ``owner``.
 
         When the free list runs dry, bound slots are reclaimed oldest
-        first (trimmed records for free, live ones via materialization).
+        first (trimmed records for free, live ones by spilling to disk).
         Returns fewer — possibly zero — pairs when the ring is truly full,
         which is the caller's cue to fall back to inline payloads.
         """
@@ -417,8 +574,8 @@ class ShmServerPlane:
         Called from the serde decode hook while the server stores a
         produced record. A handle that does not match a live lease (e.g. a
         replayed produce after a reclaim) yields a ref that will simply
-        read stale and materialize to an error — but in practice the
-        producing client just wrote it under a valid lease.
+        read stale — but in practice the producing client just wrote it
+        under a valid lease.
         """
         ref = SlabRef(handle, self.ring)
         with self._lock:
@@ -452,11 +609,19 @@ class ShmServerPlane:
                 # already invalidated (shouldn't happen, but never spin)
                 self._retire_locked(slot)
                 return True
+            # The payload's new home is recorded before the generation
+            # moves: a reader that then loses the seqlock finds the copy.
             try:
-                ref.materialize()
-            except SerdeError:  # pragma: no cover - seqlock paranoia
-                pass
-            self.slabs_materialized += 1
+                offset = self._spill.store(
+                    ref, self.ring.view(slot, ref.handle.nbytes)
+                )
+                ref._home = (self._spill, offset)
+                self.slabs_spilled += 1
+            except OSError as exc:
+                # no room to spill: keep the record replayable from the heap
+                logger.warning("slab spill failed (%s); keeping payload in memory", exc)
+                ref._home = bytes(self.ring.view(slot, ref.handle.nbytes))
+                self.slabs_materialized += 1
             self._retire_locked(slot)
             return True
         return False
@@ -471,11 +636,14 @@ class ShmServerPlane:
                 "leases_granted": self.leases_granted,
                 "leases_reclaimed": self.leases_reclaimed,
                 "slabs_bound": self.slabs_bound,
+                "slabs_spilled": self.slabs_spilled,
+                **self._spill.stats(),
                 "slabs_materialized": self.slabs_materialized,
                 "slabs_trimmed": self.slabs_trimmed,
             }
 
     def close(self) -> None:
+        self._spill.close()
         self.ring.close()
         if self.ring._owner:
             self.ring.unlink()
@@ -573,10 +741,7 @@ def _matches_shm(value: Any, ctx: SerdeContext) -> bool:
 
 def _encode_shm(value: Any, ctx: SerdeContext) -> bytes:
     if isinstance(value, SlabRef):
-        array = value.array
-        if array is not None:  # reclaimed: the pixels live here now
-            return encode_ndarray_body(array)
-        return value.handle.encode()
+        return value.encode()
     plane = ctx.options["shm_producer"]
     handle = plane.put(value)
     if handle is None:  # ring full (or lease path gone): inline fallback

@@ -39,6 +39,7 @@ from .shm import (
     SlabRing,
     SlabRingError,
     attach_ring,
+    resolve_refs,
 )
 
 logger = logging.getLogger(__name__)
@@ -69,6 +70,14 @@ class ServerTransport:
     def encode_options(self) -> dict[str, Any]:
         """Extra context options when the server re-encodes for a fetch."""
         return {}
+
+    def resolve(self, value: Any) -> Any:
+        """A stored record value as an in-process reader should see it.
+
+        Whatever ``decode_options`` made the server store in place of a
+        payload is turned back into the payload here (identity on tcp).
+        """
+        return value
 
     def lease(self, conn_token: int, count: int) -> list[tuple[int, int]]:
         """Grant payload slabs to a connection (no-op on tcp)."""
@@ -195,15 +204,19 @@ class ShmServerTransport(ServerTransport):
         slots: int = DEFAULT_SHM_SLOTS,
         slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
         min_bytes: int = SHM_MIN_BYTES,
+        spill_dir: str | None = None,
     ) -> None:
         ring = SlabRing.create(slots=slots, slab_bytes=slab_bytes)
-        self.plane = ShmServerPlane(ring, min_bytes=min_bytes)
+        self.plane = ShmServerPlane(ring, min_bytes=min_bytes, spill_dir=spill_dir)
 
     def describe(self) -> dict[str, Any]:
         return self.plane.describe()
 
     def decode_options(self) -> dict[str, Any]:
         return {"shm_server": self.plane}
+
+    def resolve(self, value: Any) -> Any:
+        return resolve_refs(value)
 
     def lease(self, conn_token: int, count: int) -> list[tuple[int, int]]:
         return self.plane.lease(conn_token, count)

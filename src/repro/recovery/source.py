@@ -11,7 +11,9 @@ Two position models, chosen by duck-typing the inner source:
 
 * **pubsub** — the inner source exposes ``offsets()``/``seek()`` (e.g.
   :class:`~repro.core.connectors.PubSubReaderSource`); positions are
-  per-partition broker offsets and restore is an exact seek.
+  per-partition broker offsets and restore is an exact seek. Such a
+  source may hand over a whole record's tuples at once (``runs()``); a
+  barrier then falls between records, never inside one.
 * **count** — any other source; the position is the number of tuples
   emitted, and restore skips that many tuples on the next iteration
   (correct whenever the source replays deterministically, which holds for
@@ -25,6 +27,7 @@ from typing import Any, Callable, Iterator
 
 from ..spe.barrier import CheckpointBarrier
 from ..spe.source import Source
+from ..spe.stream import TupleBatch, flatten_runs
 from ..spe.tuples import StreamTuple
 
 #: (source_name, epoch, position) — invoked at the exact injection point
@@ -90,21 +93,27 @@ class CheckpointableSource(Source):
                 on_inject(self.name, barrier.epoch, self.position())
             yield barrier
 
-    def __iter__(self) -> Iterator[StreamTuple | CheckpointBarrier]:
-        iterator = iter(self._inner)
+    def runs(self) -> Iterator[StreamTuple | TupleBatch | CheckpointBarrier]:
+        """The inner source's items, whole runs included, with barriers between."""
+        inner_runs = getattr(self._inner, "runs", None)
+        iterator = inner_runs() if inner_runs is not None else iter(self._inner)
         while True:
-            # Drain BEFORE pulling the next tuple: once a tuple is pulled,
-            # a pubsub inner's offsets already point past it, so a barrier
-            # taken then would both replay the tuple and have emitted it.
+            # Drain BEFORE pulling the next item: once it is pulled, a
+            # pubsub inner's offsets already point past it, so a barrier
+            # taken then would both replay the item and have emitted it.
             yield from self._drain()
             try:
-                t = next(iterator)
+                item = next(iterator)
             except StopIteration:
                 yield from self._drain()
                 return
             if self._skip > 0:
+                # count positions come from sources that emit single tuples
                 self._skip -= 1
                 self._emitted += 1
                 continue
-            yield t
-            self._emitted += 1
+            yield item
+            self._emitted += len(item) if type(item) is TupleBatch else 1
+
+    def __iter__(self) -> Iterator[StreamTuple | CheckpointBarrier]:
+        return flatten_runs(self.runs())

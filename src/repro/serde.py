@@ -11,7 +11,10 @@ Two codecs live here, layered on the same one-byte tag scheme:
   :func:`register_codec`). The built-in entries cover numpy arrays
   (``n``: dtype/shape header + raw buffer, no pickle) and
   :class:`~repro.spe.tuples.StreamTuple` (``t``: JSON metadata +
-  recursively encoded payload entries) on top of the storage tags.
+  recursively encoded payload entries) and
+  :class:`~repro.spe.columnar.ColumnarBlock` (``c``: a run of same-schema
+  tuples as one record, one array body per numeric column) on top of the
+  storage tags.
   Transports add their own: the shared-memory payload plane registers an
   ``ndarray-shm`` codec (:mod:`repro.net.shm`) whose frames carry slab
   handles instead of pixels.
@@ -40,6 +43,7 @@ TAG_JSON = b"j"
 TAG_PICKLE = b"p"
 TAG_NDARRAY = b"n"
 TAG_TUPLE = b"t"
+TAG_BLOCK = b"c"
 
 #: bumped whenever a built-in tag's byte layout changes; registered codecs
 #: carry their own semantic versions via the ``version=`` registry field
@@ -324,15 +328,99 @@ def _matches_tuple(value: Any, ctx: SerdeContext) -> bool:
     return isinstance(value, StreamTuple)
 
 
+# A block record is a run of same-schema tuples shipped as one value:
+#
+#   c | u32 meta_len | meta JSON | (u32 blob_len | blob)*
+#
+# meta holds the row count, the four object metadata columns (job,
+# specimen, portion, trace_id) and, per payload column in order,
+# ``[key, kind]`` or ``[key, "j", values]``. Blobs follow in this order:
+# tau, layer, ingest_time, then the payload columns that have any —
+# kind "a" (a numeric column) is one blob, kind "l" (a list column JSON
+# cannot reproduce) is one blob per row, kind "j" (a JSON-exact list) has
+# none. Every blob goes through the codec walk, so an array column of
+# SHM_MIN_BYTES or more takes a slab by itself and a list element pickles
+# exactly where the tuple codec would have pickled it as a payload value.
+
+
+def _encode_block(value: Any, ctx: SerdeContext) -> bytes:
+    cols: list[list] = []
+    bodies = [value.tau, value.layer, value.ingest_time]
+    for key, col in value.columns.items():
+        if type(col) is not list:
+            cols.append([key, "a"])
+            bodies.append(col)
+        elif _json_roundtrips(col):
+            cols.append([key, "j", col])
+        else:
+            cols.append([key, "l"])
+            bodies.extend(col)
+    meta = json.dumps(
+        {
+            "n": len(value.job),
+            "job": value.job,
+            "specimen": value.specimen,
+            "portion": value.portion,
+            "trace_id": value.trace_id,
+            "cols": cols,
+        }
+    ).encode("utf-8")
+    parts = [TAG_BLOCK, _U32.pack(len(meta)), meta]
+    for body in bodies:
+        blob = encode_wire(body, context=ctx)
+        parts.append(_U32.pack(len(blob)))
+        parts.append(blob)
+    return b"".join(parts)
+
+
+def _decode_block(body: bytes, ctx: SerdeContext) -> Any:
+    from .spe.columnar import ColumnarBlock
+
+    meta_len = _U32.unpack_from(body)[0]
+    meta = json.loads(body[4 : 4 + meta_len].decode("utf-8"))
+    cursor = 4 + meta_len
+
+    def blob() -> Any:
+        nonlocal cursor
+        blob_len = _U32.unpack_from(body, cursor)[0]
+        start = cursor + 4
+        cursor = start + blob_len
+        return decode_wire(body[start:cursor], context=ctx)
+
+    rows = meta["n"]
+    tau, layer, ingest_time = blob(), blob(), blob()
+    columns: dict[str, Any] = {}
+    for key, kind, *inline in meta["cols"]:
+        if kind == "a":
+            columns[key] = blob()
+        elif kind == "l":
+            columns[key] = [blob() for _ in range(rows)]
+        else:
+            columns[key] = inline[0]
+    return ColumnarBlock(
+        tau=tau,
+        job=meta["job"],
+        layer=layer,
+        specimen=meta["specimen"],
+        portion=meta["portion"],
+        ingest_time=ingest_time,
+        trace_id=meta["trace_id"],
+        columns=columns,
+    )
+
+
+def ndarray_frame(dtype: str, shape: Any, raw: Any) -> bytes:
+    """The plain ndarray wire layout around an already-flat buffer."""
+    header = json.dumps({"dtype": dtype, "shape": list(shape)}).encode("utf-8")
+    return b"".join((TAG_NDARRAY, _U32.pack(len(header)), header, raw))
+
+
 def encode_ndarray_body(array: Any) -> bytes:
     """The plain ndarray wire layout, tag included (shared with shm fallback)."""
     import numpy as np
 
     array = np.ascontiguousarray(array)
-    header = json.dumps(
-        {"dtype": array.dtype.str, "shape": list(array.shape)}
-    ).encode("utf-8")
-    return TAG_NDARRAY + _U32.pack(len(header)) + header + array.tobytes()
+    return ndarray_frame(array.dtype.str, array.shape, array.tobytes())
 
 
 def _encode_ndarray(value: Any, ctx: SerdeContext) -> bytes:
@@ -362,6 +450,14 @@ register_codec(
     matches=_matches_tuple,
     priority=100,
     name="stream-tuple",
+)
+register_codec(
+    TAG_BLOCK,
+    _encode_block,
+    _decode_block,
+    matches=lambda value, ctx: getattr(value, "_is_columnar_block", False),
+    priority=95,
+    name="columnar-block",
 )
 register_codec(
     TAG_NDARRAY,

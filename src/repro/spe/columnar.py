@@ -24,7 +24,7 @@ values. Control items (punctuation, barriers, EOS) are never blocked.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -192,6 +192,28 @@ class ColumnarBlock:
             ingest_time=self.ingest_time,
             trace_id=self.trace_id,
             columns=columns,
+        )
+
+    def map_values(self, fn: Callable[[Any], Any]) -> "ColumnarBlock":
+        """Shallow copy with ``fn`` applied to every array and list-column element.
+
+        For code that swaps stored values for others without knowing the
+        block's layout (a transport resolving payload references): the row
+        metadata lists are shared, everything ``fn`` could replace is passed
+        through it once.
+        """
+        return ColumnarBlock(
+            tau=fn(self.tau),
+            job=self.job,
+            layer=fn(self.layer),
+            specimen=self.specimen,
+            portion=self.portion,
+            ingest_time=fn(self.ingest_time),
+            trace_id=self.trace_id,
+            columns={
+                key: [fn(v) for v in col] if type(col) is list else fn(col)
+                for key, col in self.columns.items()
+            },
         )
 
     def __len__(self) -> int:

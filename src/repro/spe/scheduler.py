@@ -96,6 +96,12 @@ class NodeExecutor:
             if node.kind == "operator"
             else None
         )
+        # Drain hook: a sink that buffers (a batching connector writer) is
+        # told when its input has nothing more ready — on the way to
+        # blocking, so under load its batches fill instead.
+        self._sink_flush = (
+            getattr(node.sink, "flush", None) if node.kind == "sink" else None
+        )
 
     @property
     def finalized(self) -> bool:
@@ -179,6 +185,8 @@ class NodeExecutor:
         """Ship every partially filled output batch now."""
         for stream, buf in self._buffers.values():
             self._flush_stream(stream, buf)
+        if self._sink_flush is not None:
+            self._sink_flush()
         self._last_flush = time.monotonic()
 
     def maybe_flush(self, now: float) -> None:
@@ -321,10 +329,12 @@ class NodeExecutor:
 
     def _complete_checkpoint(self, epoch: int) -> None:
         """Snapshot at the aligned cut, then forward the barrier downstream."""
+        # Pre-barrier data must precede the barrier in every output queue —
+        # and leave a buffering sink before the sink acknowledges the epoch:
+        # the snapshot claims everything before the cut was delivered.
+        self.flush_outputs()
         if self._checkpoint_listener is not None:
             self._snapshot_into(self._checkpoint_listener, epoch)
-        # Pre-barrier data must precede the barrier in every output queue.
-        self.flush_outputs()
         # Broadcast to every output stream (bypassing any hash router: a
         # barrier belongs to all replicas, not one key's partition).
         barrier = CheckpointBarrier(epoch)
@@ -559,28 +569,59 @@ class ThreadedScheduler:
             self._stop.set()
 
     def _source_loop(self, ex: NodeExecutor) -> None:
+        node = ex.node
         tracer = ex._tracer
         obs_on = ex._obs is not None
-        for t in ex.node.source:
+        put = self._source_put
+        # A source that already holds framed runs (a connector reader
+        # decoding block records) hands each over whole through runs().
+        runs = getattr(node.source, "runs", None)
+        for t in runs() if runs is not None else node.source:
             if self._stop.is_set():
                 break
             if is_barrier(t):
                 # Barriers go to every output, ignoring hash routers.
-                for stream in ex.node.outputs:
-                    while not stream.put(t, timeout=0.2):
-                        if self._stop.is_set():
-                            return
+                if not all(put(stream, t) for stream in node.outputs):
+                    return
+                continue
+            if type(t) is TupleBatch:
+                if not self._ship_run(ex, t):
+                    return
                 continue
             ex.stats.tuples_out += 1
             if obs_on:
                 ex.stats.last_tau = t.tau
                 if tracer is not None:
-                    tracer.at_source(ex.node.name, t)
-            for stream in ex.node.route(t):
-                while not stream.put(t, timeout=0.2):
-                    if self._stop.is_set():
-                        return
+                    tracer.at_source(node.name, t)
+            for stream in node.route(t):
+                if not put(stream, t):
+                    return
         ex.finalize()
+
+    def _source_put(self, stream: Stream, item: object) -> bool:
+        """Blocking put; False once stop was requested."""
+        while not stream.put(item, timeout=0.2):
+            if self._stop.is_set():
+                return False
+        return True
+
+    def _ship_run(self, ex: NodeExecutor, run: TupleBatch) -> bool:
+        """Send a source's run down its edges: one TupleBatch per destination."""
+        node = ex.node
+        ex.stats.tuples_out += len(run)
+        if ex._obs is not None:
+            ex.stats.last_tau = run[-1].tau
+            if ex._tracer is not None:
+                for t in run:
+                    ex._tracer.at_source(node.name, t)
+        if node.router is None:
+            batches = [(stream, TupleBatch(run)) for stream in node.outputs]
+        else:
+            routed: dict[int, TupleBatch] = {}
+            for t in run:
+                routed.setdefault(node.router.route(t), TupleBatch()).append(t)
+            batches = [(node.outputs[i], batch) for i, batch in routed.items()]
+        return all(self._source_put(stream, batch) for stream, batch in batches)
 
     def _consumer_loop(self, ex: NodeExecutor) -> None:
         while not ex.finalized and not ex.retired and not self._stop.is_set():

@@ -23,6 +23,11 @@ class Sink(ABC):
     ``latency_capacity`` bounds the latency-sample memory via reservoir
     sampling (see :class:`~repro.spe.metrics.LatencyRecorder`); ``None``
     keeps every sample, appropriate for finite replays.
+
+    A sink that buffers what it consumes defines ``flush()``: the threaded
+    scheduler calls it whenever the sink's input has nothing more ready,
+    and at a checkpoint barrier before it takes the sink's snapshot — a
+    committed epoch never covers a tuple the sink still holds.
     """
 
     def __init__(self, name: str, latency_capacity: int | None = None) -> None:

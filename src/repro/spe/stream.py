@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .barrier import is_barrier
 
@@ -44,6 +44,15 @@ class TupleBatch(list):
     """
 
     __slots__ = ()
+
+
+def flatten_runs(items: Iterable[Any]) -> Iterator[Any]:
+    """Yield ``items`` one by one, a :class:`TupleBatch` as its tuples."""
+    for item in items:
+        if type(item) is TupleBatch:
+            yield from item
+        else:
+            yield item
 
 
 #: entry types whose capacity weight is their row count; extended by

@@ -15,7 +15,7 @@ as the paper defines it (time from *all inputs available* to result).
 from __future__ import annotations
 
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 # Default identifiers used when no partition function has run yet: the whole
 # layer is treated as a single specimen/portion (paper, Table 1 `partition`).
@@ -87,6 +87,12 @@ class StreamTuple:
         t.ingest_time = self.ingest_time
         t.trace_id = self.trace_id
         return t
+
+    def map_values(self, fn: Callable[[Any], Any]) -> "StreamTuple":
+        """Shallow copy with ``fn`` applied to every payload value."""
+        return self.derive(
+            payload={key: fn(v) for key, v in self.payload.items()}, copy=False
+        )
 
     @staticmethod
     def fused(

@@ -164,3 +164,62 @@ def test_reader_rebind_keeps_group_and_overrides_flags():
     assert reader.duplicates_suppressed == 1
     # no commit happened: the group can replay from earliest on the broker
     assert second.committed("g", "strata.s", 0) is None
+
+
+# -- block records ---------------------------------------------------------------
+
+
+def _publish_blocks(broker):
+    """A topic holding block(5 rows), tuple, block(3 rows), sentinel."""
+    from repro.spe import ColumnarBlock
+
+    producer = Producer(broker)
+    rows = [make_tuple(i) for i in range(9)]
+    for t in rows:
+        t.job, t.layer = "J", 0  # one record key; tau keeps the rows distinct
+    producer.send("strata.s", ColumnarBlock.from_tuples(rows[:5]), key="J/0")
+    producer.send("strata.s", rows[5], key="J/0")
+    producer.send("strata.s", ColumnarBlock.from_tuples(rows[6:]), key="J/0")
+    producer.send("strata.s", EOS_SENTINEL, partition=0)
+    return rows
+
+
+def test_reader_unpacks_block_records_and_hands_over_runs():
+    broker = Broker()
+    rows = _publish_blocks(broker)
+    assert [t.tau for t in PubSubReaderSource("r", broker, "strata.s")] == [
+        t.tau for t in rows
+    ]
+    runs = list(PubSubReaderSource("r2", broker, "strata.s").runs())
+    assert [len(r) if isinstance(r, list) else 1 for r in runs] == [5, 1, 3]
+
+
+def test_barrier_falls_on_a_record_boundary_and_restore_loses_nothing():
+    """A checkpoint requested while a block's rows are being delivered is
+    taken after the block: the captured offsets name the first record not
+    yet handed over, and a restore from them yields exactly the rest."""
+    from repro.recovery.source import CheckpointableSource
+    from repro.spe.barrier import CheckpointBarrier, is_barrier
+
+    broker = Broker()
+    rows = _publish_blocks(broker)
+    source = CheckpointableSource(PubSubReaderSource("r", broker, "strata.s"))
+    captured = {}
+    before, after = [], []
+    for item in source:
+        if is_barrier(item):
+            continue
+        (after if captured else before).append(item.tau)
+        if len(before) == 2 and not captured and not source._pending:
+            # mid-block: rows 0 and 1 of the first record are out
+            source.request_barrier(
+                CheckpointBarrier(1),
+                lambda name, epoch, position: captured.update(position),
+            )
+    assert before == [t.tau for t in rows[:5]]  # the block was finished first
+    assert after == [t.tau for t in rows[5:]]
+    assert captured == {"kind": "pubsub", "offsets": [["strata.s", 0, 1]]}
+
+    restored = CheckpointableSource(PubSubReaderSource("r2", broker, "strata.s"))
+    restored.restore_position(captured)
+    assert [t.tau for t in restored if not is_barrier(t)] == [t.tau for t in rows[5:]]

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.dist import DistConfig, DistCoordinator
+from repro.spe import ColumnarBlock
 
 from .test_worker_runtime import build, result_key
 
@@ -135,3 +136,231 @@ def test_shm_config_toml_roundtrip():
     assert legacy.dist.transport == "tcp" and legacy.dist.produce_batch == 1
     with pytest.raises(DeployConfigError, match="dist.transprot"):
         DeployConfig.from_dict({"dist": {"workers": 2, "transprot": "shm"}})
+
+
+def _paced(records, period_s):
+    for record in records:
+        time.sleep(period_s)
+        yield record
+
+
+def test_worker_kill_with_block_records_dedups_per_row(
+    layer_records, reference_images, test_job, baseline
+):
+    """The same chaos with batching writers, the kill timed to land after
+    the first results were published: the restarted workers republish
+    their output as block records, and the terminal stage must de-duplicate
+    row by row — a replay need not frame the same blocks."""
+    strata, pipeline = build(
+        layer_records, reference_images, test_job,
+        ot_records=_paced(layer_records, 0.03),
+    )
+    coordinator = DistCoordinator(
+        strata.query, strata.broker,
+        DistConfig(workers=2, produce_batch=8, **SHM_CONFIG),
+        capacity=strata.capacity,
+    )
+    coordinator.start()
+    cells = strata.broker.ensure_topic("strata.cellLabel").log(0)
+
+    def chaos():
+        deadline = time.monotonic() + 20
+        while cells.end_offset < 4 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        for worker in coordinator.workers:
+            worker.kill()
+
+    threading.Thread(target=chaos, daemon=True).start()
+    report = coordinator.run()
+
+    assert sorted(map(result_key, pipeline.sink.results)) == baseline
+    dist = report.extra["dist"]
+    assert dist["failure"] is None
+    records = [
+        m.value
+        for m in coordinator.server.broker.topic("strata.cellLabel").log(0).read(0, 10**6)
+        if not isinstance(m.value, str)  # the end-of-stream sentinels
+    ]
+    assert any(isinstance(value, ColumnarBlock) for value in records)
+    rows = [
+        t
+        for value in records
+        for t in (value.to_tuples() if isinstance(value, ColumnarBlock) else [value])
+    ]
+    distinct = {(t.tau, t.job, t.layer, t.specimen, t.portion) for t in rows}
+    # every distinct row reached the terminal stage exactly once, however
+    # many times and in whatever framing the incarnations published it
+    assert len(rows) - dist["duplicates_suppressed_local"] == len(distinct)
+    assert dist["restarts"] >= 1
+    assert dist["duplicates_suppressed_local"] > 0
+
+
+# -- the ring under a producer that laps it ------------------------------------
+
+
+def _slab_array(i, kb=64):
+    import numpy as np
+
+    return np.full(kb * 128, float(i))  # kb KiB of float64, all equal to i
+
+
+def test_producer_lapping_the_ring_inside_every_fetch_loses_nothing(monkeypatch):
+    """A 4-slot ring and the worst schedule an unpaced producer can hit:
+    every time the consumer is part-way through decoding a fetched batch,
+    the producer laps the whole ring, so the handles still ahead in that
+    batch go stale. A stale handle must cost nothing already decoded — the
+    consumer keeps the prefix and resumes at the stale record, which the
+    server has spilled and answers inline by then — so all 240 arrays
+    arrive, in order. Refetching the whole batch instead never converges:
+    each attempt loses the race the same way."""
+    import repro.net.client as client_module
+    from repro.net import BrokerClient, BrokerServer
+    from repro.pubsub import Broker
+
+    count, slots = 240, 4
+    with BrokerServer(
+        Broker(), transport="shm",
+        transport_options={"slots": slots, "slab_bytes": 128 * 1024},
+    ) as server:
+        with BrokerClient(*server.address) as client:
+            producer = client.producer()
+            sent = 0
+
+            def produce(n):
+                nonlocal sent
+                for _ in range(min(n, count - sent)):
+                    producer.send("t", _slab_array(sent))
+                    sent += 1
+
+            decoded_in_fetch = 0
+            real_decode = client_module.decode_wire
+
+            def racing_decode(blob, **kwargs):
+                nonlocal decoded_in_fetch
+                decoded_in_fetch += 1
+                if decoded_in_fetch == 2:
+                    produce(slots)  # reclaims every slot a pending handle names
+                return real_decode(blob, **kwargs)
+
+            monkeypatch.setattr(client_module, "decode_wire", racing_decode)
+            produce(slots + 2)
+            consumer = client.consumer("g", ["t"], auto_commit=False)
+            real_fetch_frame = consumer._fetch_frame
+
+            def fetch_frame(*args):
+                nonlocal decoded_in_fetch
+                decoded_in_fetch = 0  # the race repeats on every fetch attempt
+                return real_fetch_frame(*args)
+
+            monkeypatch.setattr(consumer, "_fetch_frame", fetch_frame)
+            seen = []
+            for _ in range(4 * count):
+                for message in consumer.poll(max_records=64):
+                    assert (message.value == message.value[0]).all()
+                    seen.append(int(message.value[0]))
+                if len(seen) == count:
+                    break
+                if sent == len(seen):
+                    produce(slots)
+            producer.close()
+            consumer.close()
+        stats = server.transport.stats()
+    assert seen == list(range(count))
+    assert stats["slabs_spilled"] >= count - slots - 8  # all but the live tail
+
+
+def test_retained_payload_is_flat_in_stream_length():
+    """With no consumer commit and no retention, every record stays
+    replayable — on disk, not in the broker's heap. Feeding 4x the records
+    grows the spill 4x and the heap by less than one ring's worth, and a
+    replay from offset 0 is bit-identical."""
+    import gc
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.net import BrokerClient, BrokerServer
+    from repro.pubsub import Broker
+
+    slots, kb = 8, 64
+    ring_bytes = slots * kb * 1024
+    n = 48
+    with BrokerServer(
+        Broker(), transport="shm",
+        transport_options={"slots": slots, "slab_bytes": kb * 1024},
+    ) as server:
+        with BrokerClient(*server.address) as client:
+            producer = client.producer()
+
+            def feed(start, stop):
+                for i in range(start, stop):
+                    producer.send("t", _slab_array(i, kb))
+
+            tracemalloc.start()
+            try:
+                feed(0, n)
+                gc.collect()
+                heap_n, _ = tracemalloc.get_traced_memory()
+                spill_n = server.transport.stats()["spill_bytes"]
+                feed(n, 4 * n)
+                gc.collect()
+                heap_4n, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            stats = server.transport.stats()
+            assert stats["slabs_materialized"] == 0
+            assert stats["slabs_spilled"] >= 4 * n - slots - 8
+            assert stats["spill_bytes"] == stats["slabs_spilled"] * kb * 1024
+            assert stats["spill_bytes"] >= 3 * spill_n  # grows with the stream
+            assert heap_4n - heap_n < ring_bytes  # ... and the heap does not
+
+            # replay from earliest: a remote fetch and an in-process read
+            consumer = client.consumer("replay", ["t"], auto_commit=False)
+            remote = []
+            while len(remote) < 4 * n:
+                got = consumer.poll(max_records=32, timeout=5.0)
+                assert got
+                remote.extend(m.value for m in got)
+            local = [m.value for m in server.consumer("local", ["t"]).poll(10**6)]
+            for i, (a, b) in enumerate(zip(remote, local, strict=True)):
+                expected = _slab_array(i, kb)
+                assert a.tobytes() == expected.tobytes()
+                assert b.tobytes() == expected.tobytes()
+            producer.close()
+            consumer.close()
+
+
+def test_spill_stays_bounded_under_topic_retention(tmp_path):
+    """A topic with ``retention`` drops its oldest records; the spill
+    extents those records owned are reused, so the spill file stops
+    growing at about one retention's worth however long the stream runs —
+    and what is still retained replays bit-identical."""
+    from repro.net import BrokerClient, BrokerServer
+    from repro.pubsub import Broker
+
+    slots, kb, retention, n = 8, 64, 16, 400
+    slab = kb * 1024
+    broker = Broker()
+    broker.ensure_topic("t", 1, retention)
+    with BrokerServer(
+        broker, transport="shm",
+        transport_options={
+            "slots": slots, "slab_bytes": slab, "spill_dir": str(tmp_path),
+        },
+    ) as server:
+        with BrokerClient(*server.address) as client:
+            producer = client.producer()
+            for i in range(n):
+                producer.send("t", _slab_array(i, kb))
+            stats = server.transport.stats()
+            assert stats["slabs_materialized"] == 0
+            assert stats["slabs_spilled"] >= n - retention - 2 * slots
+            assert stats["spill_bytes"] <= retention * slab
+            assert stats["spill_file_bytes"] <= (retention + slots) * slab
+            assert list(tmp_path.iterdir()) == []  # unlinked from the start
+
+            kept = server.consumer("local", ["t"]).poll(10**6)
+            assert [m.offset for m in kept] == list(range(n - retention, n))
+            for m in kept:
+                assert m.value.tobytes() == _slab_array(m.offset, kb).tobytes()
+            producer.close()

@@ -20,7 +20,9 @@ from tests.conftest import TEST_IMAGE_PX
 CELL_EDGE = 5
 
 
-def build(layer_records, reference_images, test_job, connector_mode="pubsub"):
+def build(
+    layer_records, reference_images, test_job, connector_mode="pubsub", ot_records=None
+):
     config = UseCaseConfig(
         image_px=TEST_IMAGE_PX, cell_edge_px=CELL_EDGE, window_layers=4
     )
@@ -30,7 +32,10 @@ def build(layer_records, reference_images, test_job, connector_mode="pubsub"):
         regions=specimen_regions_px(test_job.specimens, TEST_IMAGE_PX),
     )
     pipeline = build_use_case(
-        iter(layer_records), iter(layer_records), config, strata=strata
+        iter(layer_records) if ot_records is None else ot_records,
+        iter(layer_records),
+        config,
+        strata=strata,
     )
     return strata, pipeline
 

@@ -270,7 +270,7 @@ def test_starved_ring_degrades_to_inline(n_arrays):
 @settings(max_examples=20, deadline=None)
 def test_ring_recycles_through_reclamation(n_arrays):
     """More payloads than slots: the server plane reclaims bound slots by
-    materializing, and every record stays readable afterwards."""
+    spilling, and every record stays readable afterwards."""
     server_ring = SlabRing.create(slots=3, slab_bytes=64 * 1024)
     plane = ShmServerPlane(server_ring, min_bytes=0)
     try:
@@ -291,12 +291,104 @@ def test_ring_recycles_through_reclamation(n_arrays):
             for a in arrays
         ]
         for ref, original in zip(stored, arrays):
-            # ref is a SlabRef (live slab) or, after reclamation, already
-            # materialized; either way the pixels must match
-            value = ref.array if ref.array is not None else ref.materialize()
-            np.testing.assert_array_equal(value, original)
+            # ref is a SlabRef: live in its slab or, after reclamation,
+            # spilled; either way the pixels must match
+            np.testing.assert_array_equal(ref.load(), original)
         stats = plane.stats()
         assert stats["leased"] <= producer._lease_batch
         assert stats["slabs_bound"] == n_arrays
+        assert stats["slabs_spilled"] == sum(not ref.live for ref in stored)
+        assert stats["slabs_materialized"] == 0
     finally:
         plane.close()
+
+
+# -- block records through a served broker ------------------------------------
+
+
+def _run_of(rows: int, layer: int, wide: bool):
+    from repro.spe import StreamTuple
+
+    return [
+        StreamTuple(
+            tau=layer + i / 1000.0, job="J", layer=layer,
+            payload={"v": i * 0.25, "n": i, "tag": "x" if wide else None},
+            specimen=f"S{i % 3}", portion=str(i), ingest_time=5.0 + i,
+        )
+        for i in range(rows)
+    ]
+
+
+@pytest.fixture(scope="module", params=["tcp", "shm"])
+def served(request):
+    from repro.net import BrokerClient, BrokerServer
+    from repro.pubsub import Broker
+
+    # a tiny ring with a low slab floor: block columns of 64 rows or more
+    # ride slabs, and a handful of examples laps the ring into the spill
+    options = (
+        {"slots": 4, "slab_bytes": 8 * 1024, "min_bytes": 512}
+        if request.param == "shm"
+        else None
+    )
+    with BrokerServer(
+        Broker(), transport=request.param, transport_options=options
+    ) as server:
+        with BrokerClient(*server.address) as client:
+            yield server, client
+
+
+_topic_ids = iter(range(10**9))
+
+
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=96), st.booleans()),
+        min_size=1, max_size=6,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_block_records_survive_any_produce_frame(served, shapes):
+    """Any mix of tuple and block records in one produce frame comes back
+    from a fetch — and from an in-process read — as the same tuples in the
+    same order, whatever the transport did with the columns."""
+    from repro.spe import ColumnarBlock
+
+    server, client = served
+    topic = f"blocks-{next(_topic_ids)}"
+    runs = [_run_of(rows, layer, wide) for layer, (rows, wide) in enumerate(shapes)]
+    records = [
+        {"value": run[0] if len(run) == 1 else ColumnarBlock.from_tuples(run), "key": "k"}
+        for run in runs
+    ]
+    producer = client.producer()
+    try:
+        offsets = producer.send_batch(topic, records)
+    finally:
+        producer.close()
+    assert [offset for _, offset in offsets] == list(range(len(runs)))
+
+    def rows_of(messages):
+        out = []
+        for message in messages:
+            value = message.value
+            out.extend(value.to_tuples() if isinstance(value, ColumnarBlock) else [value])
+        return out
+
+    def fields(t):
+        return (t.tau, t.job, t.layer, t.specimen, t.portion, t.ingest_time,
+                t.trace_id, t.payload)
+
+    expected = [fields(t) for run in runs for t in run]
+    consumer = client.consumer(f"g-{topic}", [topic])
+    try:
+        remote = []
+        while len(remote) < len(expected):
+            got = consumer.poll(timeout=5.0)
+            assert got, "fetch returned nothing before every record arrived"
+            remote.extend(rows_of(got))
+    finally:
+        consumer.close()
+    local = rows_of(server.consumer(f"l-{topic}", [topic]).poll())
+    assert [fields(t) for t in remote] == expected
+    assert [fields(t) for t in local] == expected

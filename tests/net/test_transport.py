@@ -127,15 +127,20 @@ def test_oversized_arrays_fall_back_inline(shm_served):
 
 
 def test_local_consumer_sees_shm_produced_records(shm_served):
-    """The broker stores SlabRefs; a same-process reader must go through a
-    loopback client (documented constraint), which materializes cleanly."""
-    _, server, client = shm_served
+    """The broker stores SlabRefs; a same-process reader attaches through
+    the server, which resolves them at read time — or through a loopback
+    client. Both see the pixels; the stored record keeps its ref."""
+    broker, server, client = shm_served
     image = np.full((256, 256), 3.5)
     client.producer().send("t", image)
+    got = server.consumer("g1", ["t"]).poll(timeout=5.0)[0].value
+    np.testing.assert_array_equal(got, image)
     host, port = server.address
     with BrokerClient(host, port) as reader:
         got = reader.consumer("g2", ["t"]).poll(timeout=5.0)[0].value
     np.testing.assert_array_equal(got, image)
+    stored = broker.topic("t").log(0).read(0)[0].value
+    assert not isinstance(stored, np.ndarray) and stored.live
 
 
 # -- lease lifecycle ----------------------------------------------------------
@@ -260,3 +265,59 @@ def test_stop_deadline_hits_when_a_peer_refuses_to_read():
             conn.close()
     finally:
         server.stop()
+
+
+def test_spill_extents_survive_refs_dying_on_other_threads(tmp_path):
+    """An extent is handed back by a weakref finalizer that can run on any
+    thread at any bytecode; the store side (serialized by the plane's
+    lock, as here) must neither lose an extent nor hand one out twice.
+    Four threads store, verify and drop payloads under a 1 µs switch
+    interval: every read-back matches, nothing stays held at the end and
+    the file never grew past what was alive at once."""
+    import sys
+    import threading
+
+    from repro.net.shm import _Spill
+
+    class Owner:  # weakref-able stand-in for a SlabRef
+        pass
+
+    extent, threads, rounds, keep = 4096, 4, 300, 3
+    spill = _Spill(extent, str(tmp_path))
+    lock = threading.Lock()
+    errors = []
+
+    def work(seed):
+        held = []
+        try:
+            for i in range(rounds):
+                owner = Owner()
+                payload = bytes([seed]) * 1000 + i.to_bytes(4, "big")
+                with lock:
+                    offset = spill.store(owner, memoryview(payload))
+                held.append((owner, offset, payload))
+                for _, off, expected in held:
+                    back = bytearray(len(expected))
+                    spill.readinto(back, off)
+                    assert back == expected, "an extent was handed out twice"
+                if len(held) > keep:
+                    held.pop(0)  # its finalizer fires here, on this thread
+        except Exception as exc:  # surfaced by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(s,)) for s in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    stats = spill.stats()
+    assert stats["spill_bytes"] == 0
+    assert stats["spill_file_bytes"] <= threads * (keep + 2) * extent
+    spill.close()

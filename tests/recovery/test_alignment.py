@@ -121,3 +121,44 @@ def test_sync_scheduler_checkpoints_too(chain_query_factory):
     assert position == {"kind": "count", "emitted": 0}
     assert coordinator.storage.load_node_state(0, "sum")["fn"]["total"] == 0
     assert len(sink.results) == 10
+
+
+def test_buffering_sink_is_flushed_before_it_acknowledges_the_epoch():
+    """A sink with ``flush()`` (a batching connector writer) must publish
+    its pre-barrier tuples before its snapshot is taken: once the epoch
+    commits, a crash must not find tuples the manifest calls delivered
+    still sitting in the sink's buffer."""
+    from repro.spe.barrier import CheckpointBarrier
+    from repro.spe.scheduler import NodeExecutor
+
+    events = []
+
+    class BufferingSink(CollectingSink):
+        def __init__(self, name):
+            super().__init__(name)
+            self.buffer = []
+
+        def consume(self, t):
+            self.buffer.append(t)
+
+        def flush(self):
+            for t in self.buffer:
+                super().consume(t)
+            self.buffer.clear()
+
+    sink = BufferingSink("out")
+    q = Query("buffered")
+    q.add_source("src", IterableSource("src", iter(())))
+    q.add_sink("out", sink, "src")
+    node = next(n for n in q.build() if n.kind == "sink")
+    ex = NodeExecutor(
+        node,
+        checkpoint_listener=lambda name, epoch, state: events.append(
+            (name, epoch, len(sink.buffer), len(sink.results))
+        ),
+    )
+    for t in make_tuples(3):
+        ex.handle(0, t)
+    assert len(sink.buffer) == 3  # nothing told it to publish yet
+    ex.handle(0, CheckpointBarrier(0))
+    assert events == [("out", 0, 0, 3)]

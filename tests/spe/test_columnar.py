@@ -152,6 +152,33 @@ def test_with_columns_adds_without_mutating_original():
     assert extended.to_tuples()[1].payload == {"x": 1.0, "y": 2.0}
 
 
+def test_map_values_swaps_stored_values_in_a_shallow_copy():
+    """``map_values`` passes every array and every list-column element
+    through ``fn`` once (a transport swapping payload references for
+    payloads) and leaves the original block and tuple untouched."""
+
+    class Ref:
+        def __init__(self, value):
+            self.value = value
+
+    def unref(v):
+        return v.value if type(v) is Ref else v
+
+    tuples = [_make_tuple(i, {"x": float(i), "img": [i, i]}) for i in range(3)]
+    block = ColumnarBlock.from_tuples(tuples)
+    stored = block.with_columns(
+        x=Ref(block.columns["x"]), img=[Ref(v) for v in block.columns["img"]]
+    )
+    stored.tau = Ref(block.tau)
+    resolved = stored.map_values(unref)
+    assert type(stored.tau) is Ref and type(stored.columns["x"]) is Ref
+    assert [_fields(t) for t in resolved.to_tuples()] == [_fields(t) for t in tuples]
+
+    held = tuples[0].derive(payload={"x": Ref(7.0), "y": 1})
+    assert held.map_values(unref).payload == {"x": 7.0, "y": 1}
+    assert type(held.payload["x"]) is Ref
+
+
 def test_blocks_weigh_their_row_count_in_stream_accounting():
     tuples = [_make_tuple(i, {"x": float(i)}) for i in range(5)]
     block = ColumnarBlock.from_tuples(tuples)

@@ -225,3 +225,51 @@ def test_sync_scheduler_survives_emission_beyond_stream_capacity():
     assert len(sink.results) == n * n
     out_stream = next(node for node in nodes if node.kind == "sink").inputs[0]
     assert out_stream.high_watermark > out_stream.capacity  # overshoot happened
+
+
+def test_source_runs_cross_the_edge_as_one_batch_per_destination():
+    """A source exposing ``runs()`` may hand over a whole run; the threaded
+    scheduler ships it as one TupleBatch per destination stream (two
+    consumers get a batch each), single tuples and order untouched."""
+    from repro.spe import Operator, ThreadedScheduler
+    from repro.spe.source import Source
+    from repro.spe.stream import TupleBatch
+
+    data = tuples(7)
+
+    class FramedSource(Source):
+        def runs(self):
+            yield TupleBatch(data[:4])
+            yield data[4]
+            yield TupleBatch(data[5:])
+
+        def __iter__(self):
+            raise AssertionError("the scheduler must prefer runs()")
+
+    class RunLengths(Operator):
+        num_inputs = 1
+
+        def __init__(self, name):
+            super().__init__(name)
+            self.lengths = []
+
+        def process(self, input_index, t):
+            return self.process_many([t])
+
+        def process_many(self, batch):
+            self.lengths.append(len(batch))
+            return list(batch)
+
+    q = Query("runs")
+    q.add_source("src", FramedSource("src"))
+    left, right = RunLengths("left"), RunLengths("right")
+    sinks = CollectingSink("l"), CollectingSink("r")
+    q.add_operator("left", left, "src")
+    q.add_operator("right", right, "src")
+    q.add_sink("out-l", sinks[0], "left")
+    q.add_sink("out-r", sinks[1], "right")
+    stats = ThreadedScheduler().run(q.build())
+    assert stats["src"].tuples_out == 7
+    for op, sink in zip((left, right), sinks):
+        assert sum(op.lengths) == 7 and 4 in op.lengths  # the run arrived whole
+        assert [t.layer for t in sink.results] == list(range(7))
