@@ -6,8 +6,14 @@ we variate L from 5 layers (0.2 mm) to 80 layers (3.2 mm). Also in this
 case, despite the expected growth trend, all reported latency values are
 lower than the QoS threshold."
 
-Expected shape: latency grows with L (more accumulated events to cluster
-per trigger) while staying under the QoS threshold at the evaluated scale.
+What grows with L is the window: the events clustered per trigger. The
+paper's prototype re-clusters that window from scratch on every layer, so
+its latency follows the window size. Here ``correlateEvents`` keeps the
+window's eps-neighbour pairs between triggers and pays only for the new
+layer's k x n distance block plus one pass of the labeller over the pairs
+(EXPERIMENTS.md E17), which flattens the latency curve on purpose. The
+reproduced claims are therefore the two that still mean something: the
+window does grow with L, and every L stays under the QoS threshold.
 """
 
 from __future__ import annotations
@@ -60,33 +66,41 @@ def test_fig6_latency_for_window(benchmark, profile, fig6_workload, window):
         build_mm=round(window * config.layer_thickness_mm, 2),
         median_ms=round(summary.median * 1e3, 2),
         max_ms=round(summary.maximum * 1e3, 2),
+        window_points_mean=round(run.window_points_mean, 1),
     )
 
 
-def test_fig6_report_and_trend(benchmark, profile):
+def test_fig6_report_window_growth_and_qos(benchmark, profile):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)  # report-only step
     assert len(_results) == len(WINDOW_LAYERS), "run the parametrized benches first"
     rows = [
         boxplot_row(f"L={window}({window * 0.04:.1f}mm)", _results[window].summary)
+        + [round(_results[window].window_points_mean, 1)]
         for window in WINDOW_LAYERS
     ]
     print("\n=== Figure 6: latency (ms) vs inter-layer window L ===")
-    print(format_table(BOXPLOT_HEADERS, rows))
+    print(format_table(BOXPLOT_HEADERS + ["window_pts"], rows))
     print(f"QoS threshold: {profile.qos_seconds * 1e3:.0f} ms")
     save_json(
         "fig6_latency_vs_layers",
         {
             "profile": profile.name,
             "qos_seconds": profile.qos_seconds,
-            "rows": {str(w): _results[w].summary.as_row(1e3) for w in WINDOW_LAYERS},
+            "rows": {
+                str(w): {
+                    **_results[w].summary.as_row(1e3),
+                    "window_points_mean": _results[w].window_points_mean,
+                }
+                for w in WINDOW_LAYERS
+            },
         },
     )
-    # growth trend: the largest window must be slower than the smallest
-    assert (
-        _results[WINDOW_LAYERS[-1]].summary.median
-        > _results[WINDOW_LAYERS[0]].summary.median * 0.9
-    ), "latency should not shrink as L grows (paper Figure 6 trend)"
-    assert (
-        _results[WINDOW_LAYERS[-1]].summary.mean
-        >= _results[WINDOW_LAYERS[0]].summary.mean
+    # the work offered to correlateEvents grows with L ...
+    points = [_results[w].window_points_mean for w in WINDOW_LAYERS]
+    assert points == sorted(points) and points[-1] > 2 * points[0], (
+        f"window points should grow with L, got {points}"
     )
+    # ... and every L answers inside the recoat gap (the paper's claim;
+    # sized for the ci profile, like the per-window check above)
+    if profile.name == "ci":
+        assert all(_results[w].meets_qos(profile.qos_seconds) for w in WINDOW_LAYERS)

@@ -124,6 +124,8 @@ class LatencyRun:
     cells_evaluated: int
     wall_seconds: float
     config: UseCaseConfig
+    #: mean events per correlate window (the work that grows with L)
+    window_points_mean: float = 0.0
 
     @property
     def summary(self) -> FiveNumberSummary:
@@ -192,6 +194,11 @@ def run_latency_experiment(
         cells_evaluated=pipeline.cells_evaluated,
         wall_seconds=wall,
         config=config,
+        window_points_mean=(
+            sum(t.payload["num_events"] for t in sink.results) / len(sink.results)
+            if sink.results
+            else 0.0
+        ),
     )
 
 

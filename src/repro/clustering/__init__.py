@@ -1,15 +1,24 @@
 """Clustering algorithms used by STRATA's Event Aggregator.
 
-From-scratch DBSCAN (grid-accelerated) with an incremental cross-layer
-variant implementing the paper's ``correlateEvents(L, DBSCAN)`` semantics,
-plus the k-means baseline from prior defect-detection work.
+From-scratch DBSCAN — neighbour-pair producers (dense, grid, naive) feeding
+one array-at-a-time labeller — with a sliding layer window that keeps its
+neighbour pairs between evaluations (the paper's
+``correlateEvents(L, DBSCAN)`` semantics), plus the k-means baseline from
+prior defect-detection work.
 """
 
-from .dbscan import NOISE, GridIndex, core_point_mask, dbscan
+from .dbscan import (
+    NOISE,
+    core_point_mask,
+    dbscan,
+    dense_edges,
+    grid_edges,
+    label_edges,
+    naive_edges,
+)
 from .incremental import (
     ClusteringResult,
     ClusterSummary,
-    IncrementalLayerClusterer,
     LayerWindowClusterer,
     summarize_clusters,
 )
@@ -18,11 +27,13 @@ from .quality import detection_scores, pair_confusion, rand_index
 
 __all__ = [
     "dbscan",
-    "GridIndex",
+    "dense_edges",
+    "grid_edges",
+    "naive_edges",
+    "label_edges",
     "core_point_mask",
     "NOISE",
     "LayerWindowClusterer",
-    "IncrementalLayerClusterer",
     "ClusteringResult",
     "ClusterSummary",
     "summarize_clusters",

@@ -5,19 +5,31 @@ method the paper's use case plugs into ``correlateEvents``: it needs no
 pre-declared cluster count and finds clusters of arbitrary shape — the
 properties §5 cites for preferring it over k-means.
 
-Neighborhood queries use a uniform grid with bucket edge ``eps``: all
-points within ``eps`` of a query point lie in the 3^d adjacent buckets, so
-expected query cost is proportional to local density instead of n.
-A naive O(n²) search is kept for the ablation benchmark (A3) and as a
-cross-check oracle in tests.
+The work is split in two. *Edge producers* turn points into the list of
+unordered pairs ``(lo, hi)``, ``lo < hi``, that lie within ``eps`` of each
+other (a point is its own neighbour implicitly):
 
-Small inputs (the per-window event sets ``correlateEvents`` clusters every
-layer are a few dozen points) skip the grid entirely: one broadcast
-computes the full pairwise neighbor matrix, and the BFS expands over
-pre-extracted neighbor rows. Building the grid's buckets and candidate
-caches costs more than the O(n²) matrix until well past a thousand
-points, and the labels are identical — cluster membership in DBSCAN does
-not depend on the order neighbors are enumerated.
+* :func:`dense_edges` — all pairs from one broadcast per row block; the
+  right tool up to :data:`DENSE_CUTOFF` points, and the one the sliding
+  window uses for "new rows against everything" (``start``);
+* :func:`grid_edges` — a uniform grid with bucket edge ``eps``: every
+  neighbour of a point lies in the 3^d adjacent buckets, so candidates
+  are enumerated per *pair of adjacent buckets*, all buckets at once;
+* :func:`naive_edges` — one full scan per point, kept for the ablation
+  benchmark (A3) and as a cross-check in tests.
+
+All three use the same subtract-square-sum arithmetic, so they agree to
+the bit on which pairs are within ``eps``.
+
+One *labeller*, :func:`label_edges`, turns an edge list into labels
+without visiting points one by one: degree gives the core mask, the core
+graph's connected components are found by min-label hooking and pointer
+jumping, clusters are numbered by their lowest core index, and a border
+point takes the lowest cluster id among its core neighbours. That is what
+the textbook seed-order BFS produces (a cluster is born at its lowest
+unvisited core point and is grown to completion before the next one
+starts, so an earlier cluster always claims a shared border point first),
+hence the labels are identical to it, ids included.
 
 Labels follow scikit-learn conventions: cluster ids are 0..k-1 and noise
 is ``-1``.
@@ -25,83 +37,264 @@ is ``-1``.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 NOISE = -1
-UNVISITED = -2
 
-#: below this size, a full pairwise neighbor matrix beats the grid index
-DENSE_CUTOFF = 768
+#: up to this many points one all-pairs block beats sorting into buckets
+#: (measured crossover 160-224 points, sparse blobs to packed lattice; E17)
+DENSE_CUTOFF = 192
+
+#: elements of the (rows, cols, d) difference tensor one dense block may hold
+_BLOCK_ELEMS = 1 << 21
+#: candidate pairs the grid producer tests in one pass
+_PAIR_CHUNK = 1 << 18
+
+Edges = tuple[np.ndarray, np.ndarray]
 
 
-class GridIndex:
-    """Uniform-grid spatial index supporting eps-neighborhood queries.
+def _join(lows: list[np.ndarray], highs: list[np.ndarray]) -> Edges:
+    if len(lows) == 1:
+        return lows[0], highs[0]
+    if not lows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(lows), np.concatenate(highs)
 
-    All points sharing a grid cell also share their candidate set (the
-    union of the 3^d adjacent buckets), so candidate arrays are built once
-    per *cell* and cached — in the dense defect blobs this code clusters,
-    that removes almost all per-point Python overhead.
+
+def _as_points(points: np.ndarray | Iterable[Iterable[float]]) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points.reshape(-1, 1)
+    if points.ndim != 2:
+        raise ValueError("points must be a (n, d) array")
+    return points
+
+
+def _check_eps(eps: float) -> None:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+
+
+# -- edge producers ------------------------------------------------------------
+
+
+def dense_edges(points: np.ndarray, eps: float, start: int = 0) -> Edges:
+    """Pairs within ``eps`` whose higher index is ``>= start``.
+
+    Row block ``[s, e)`` is compared against columns ``[0, e)`` in one
+    broadcast; blocks are sized so the difference tensor stays a few MB
+    however many points there are. With ``start`` at the old point count
+    this is the sliding window's increment: k new rows against n columns.
     """
-
-    def __init__(self, points: np.ndarray, eps: float) -> None:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2:
-            raise ValueError("points must be a (n, d) array")
-        self._points = points
-        self._eps = eps
-        self._buckets: dict[tuple[int, ...], list[int]] = {}
-        self._point_cells: list[tuple[int, ...]] = []
-        if len(points):
-            cells = np.floor(points / eps).astype(np.int64)
-            self._point_cells = list(map(tuple, cells))
-            for index, cell in enumerate(self._point_cells):
-                self._buckets.setdefault(cell, []).append(index)
-        self._dim = points.shape[1]
-        # Pre-compute neighbor cell offsets (3^d patterns).
-        self._offsets = _neighbor_offsets(self._dim)
-        self._candidate_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def _candidates_for_cell(self, cell: tuple[int, ...]) -> np.ndarray:
-        cached = self._candidate_cache.get(cell)
-        if cached is not None:
-            return cached
-        candidates: list[int] = []
-        for offset in self._offsets:
-            bucket = self._buckets.get(tuple(c + o for c, o in zip(cell, offset)))
-            if bucket:
-                candidates.extend(bucket)
-        result = np.asarray(candidates, dtype=np.int64)
-        self._candidate_cache[cell] = result
-        return result
-
-    def neighbors(self, index: int) -> np.ndarray:
-        """Indices of all points within eps of point ``index`` (inclusive)."""
-        cand = self._candidates_for_cell(self._point_cells[index])
-        if len(cand) == 0:
-            return cand
-        diffs = self._points[cand] - self._points[index]
-        mask = np.einsum("ij,ij->i", diffs, diffs) <= self._eps * self._eps
-        return cand[mask]
+    _check_eps(eps)
+    n, dim = points.shape
+    limit = eps * eps
+    lows: list[np.ndarray] = []
+    highs: list[np.ndarray] = []
+    rows = max(1, _BLOCK_ELEMS // max(1, n * dim))
+    s = start
+    while s < n:
+        e = min(n, s + rows)
+        diffs = points[s:e, None, :] - points[None, :e, :]
+        row, col = np.nonzero(np.einsum("ijk,ijk->ij", diffs, diffs) <= limit)
+        row += s
+        below = col < row
+        lows.append(col[below])
+        highs.append(row[below])
+        s = e
+    return _join(lows, highs)
 
 
-def _neighbor_offsets(dim: int) -> list[tuple[int, ...]]:
-    if dim == 0:
-        return []
-    offsets: list[tuple[int, ...]] = [()]
-    for _ in range(dim):
-        offsets = [prev + (delta,) for prev in offsets for delta in (-1, 0, 1)]
-    return offsets
+def naive_edges(points: np.ndarray, eps: float) -> Edges:
+    """One scan of all points per point (the O(n^2) reference search)."""
+    _check_eps(eps)
+    limit = eps * eps
+    lows: list[np.ndarray] = []
+    highs: list[np.ndarray] = []
+    for index in range(len(points)):
+        diffs = points[:index] - points[index]
+        found = np.nonzero(np.einsum("ij,ij->i", diffs, diffs) <= limit)[0]
+        lows.append(found)
+        highs.append(np.full(len(found), index, dtype=np.int64))
+    return _join(lows, highs)
 
 
-def _naive_neighbors(points: np.ndarray, index: int, eps: float) -> np.ndarray:
-    diffs = points - points[index]
-    mask = np.einsum("ij,ij->i", diffs, diffs) <= eps * eps
-    return np.nonzero(mask)[0]
+def _forward_offsets(dim: int) -> np.ndarray:
+    """Half of the 3^d bucket offsets: the lexicographically positive ones.
+
+    A pair of adjacent buckets is enumerated once, from its lower member.
+    """
+    offsets = np.stack(
+        np.meshgrid(*[np.arange(-1, 2)] * dim, indexing="ij"), axis=-1
+    ).reshape(-1, dim)
+    return offsets[len(offsets) // 2 + 1 :]
+
+
+def _bucket_keys(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per-point integer bucket key and the key stride of each axis.
+
+    Bucket coordinates are compacted per axis first — a run of empty
+    buckets shrinks to one — so the key space is bounded by the point
+    count, not by the coordinate range; adjacency (|delta| <= 1 on every
+    axis) is unchanged by that. ``None`` when even the compacted key space
+    overflows int64 (many dimensions), which the caller answers with the
+    dense producer.
+    """
+    cells = np.floor(points / eps).astype(np.int64)
+    dim = cells.shape[1]
+    compact = np.empty_like(cells)
+    extents: list[int] = []
+    for axis in range(dim):
+        values, inverse = np.unique(cells[:, axis], return_inverse=True)
+        steps = np.minimum(np.diff(values), 2)
+        position = np.concatenate(([1], 1 + np.cumsum(steps)))
+        compact[:, axis] = position[inverse]
+        extents.append(int(position[-1]) + 2)  # room for the -1/+1 probes
+    strides = [1] * dim
+    for axis in range(dim - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * extents[axis + 1]
+    if strides[0] * extents[0] >= 2**62:
+        return None
+    stride_array = np.asarray(strides, dtype=np.int64)
+    return compact @ stride_array, stride_array
+
+
+def _ragged_product(
+    start_a: np.ndarray, size_a: np.ndarray, start_b: np.ndarray, size_b: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All (a, b) positions of every pair of ranges, as flat array chunks.
+
+    The products are numbered end to end and that numbering is cut into
+    chunks, so memory is bounded even when one bucket holds every point.
+    """
+    counts = size_a * size_b
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for chunk in range(0, total, _PAIR_CHUNK):
+        flat = np.arange(chunk, min(total, chunk + _PAIR_CHUNK))
+        pair = np.searchsorted(ends, flat, side="right")
+        within = flat - begins[pair]
+        width = size_b[pair]
+        yield start_a[pair] + within // width, start_b[pair] + within % width
+
+
+def grid_edges(points: np.ndarray, eps: float) -> Edges:
+    """Pairs within ``eps`` via a uniform grid, one bucket pair at a time.
+
+    Points are sorted by bucket; for the bucket itself and each forward
+    neighbour offset, the candidate pairs of *all* occupied buckets are
+    laid out as one flat array and tested in one pass. Cost follows local
+    density (candidates per point), not n.
+    """
+    _check_eps(eps)
+    n, dim = points.shape
+    if n < 2 or dim == 0:
+        return dense_edges(points, eps)
+    keyed = _bucket_keys(points, eps)
+    if keyed is None:
+        return dense_edges(points, eps)
+    keys, strides = keyed
+    order = np.argsort(keys, kind="stable")
+    buckets, first, size = np.unique(keys[order], return_index=True, return_counts=True)
+    sorted_points = points[order]
+    limit = eps * eps
+    lows: list[np.ndarray] = []
+    highs: list[np.ndarray] = []
+
+    def emit(a: np.ndarray, b: np.ndarray) -> None:
+        diffs = sorted_points[a] - sorted_points[b]
+        near = np.einsum("ij,ij->i", diffs, diffs) <= limit
+        a, b = order[a[near]], order[b[near]]
+        lows.append(np.minimum(a, b))
+        highs.append(np.maximum(a, b))
+
+    # within a bucket: positions a < b of the same range
+    for a, b in _ragged_product(first, size, first, size):
+        inside = a < b
+        emit(a[inside], b[inside])
+    for offset in _forward_offsets(dim):
+        wanted = buckets + offset @ strides
+        slot = np.searchsorted(buckets, wanted)
+        slot[slot == len(buckets)] = 0
+        here = np.nonzero(buckets[slot] == wanted)[0]
+        there = slot[here]
+        for a, b in _ragged_product(first[here], size[here], first[there], size[there]):
+            emit(a, b)
+    return _join(lows, highs)
+
+
+# -- the labeller --------------------------------------------------------------
+
+
+def _core_mask(n: int, lo: np.ndarray, hi: np.ndarray, min_samples: int) -> np.ndarray:
+    """Core points: eps-neighbourhood (the point included) >= min_samples."""
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n) + 1
+    return degree >= min_samples
+
+
+def label_edges(n: int, lo: np.ndarray, hi: np.ndarray, min_samples: int) -> np.ndarray:
+    """DBSCAN labels of ``n`` points from their eps-neighbour pairs.
+
+    Identical, ids included, to growing clusters one seed at a time in
+    index order (see the module docstring for why).
+    """
+    if min_samples < 1:
+        raise ValueError("min_samples must be >= 1")
+    labels = np.full(n, NOISE, dtype=np.int64)
+    if n == 0:
+        return labels
+    core = _core_mask(n, lo, hi, min_samples)
+    lo_core = core[lo]
+    hi_core = core[hi]
+
+    # Connected components of the core graph. ``root[p]`` only ever moves
+    # to a lower index of p's own component, so it ends at the component's
+    # lowest core index.
+    both = lo_core & hi_core
+    a, b = lo[both], hi[both]
+    index = np.arange(n)
+    root = index.copy()
+    while len(a):
+        root_a, root_b = root[a], root[b]
+        apart = root_a != root_b
+        if not apart.any():
+            break
+        a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
+        # hook the higher root of every still-split edge under the lower
+        np.minimum.at(root, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
+        while True:  # pointer jumping: flatten every chain of hooks
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+    # number clusters by ascending lowest core index
+    is_seed = core & (root == index)
+    cluster_of_seed = np.cumsum(is_seed) - 1
+    labels[core] = cluster_of_seed[root[core]]
+
+    # a border point joins the first-born cluster among its core neighbours
+    lo_border = hi_core & ~lo_core
+    hi_border = lo_core & ~hi_core
+    border = np.concatenate((lo[lo_border], hi[hi_border]))
+    if len(border):
+        via = np.concatenate((hi[lo_border], lo[hi_border]))
+        claimed = np.full(n, n, dtype=np.int64)
+        np.minimum.at(claimed, border, labels[via])
+        reached = claimed < n
+        labels[reached] = claimed[reached]
+    return labels
+
+
+def _edges(points: np.ndarray, eps: float, use_grid: bool) -> Edges:
+    if not use_grid:
+        return naive_edges(points, eps)
+    if len(points) <= DENSE_CUTOFF:
+        return dense_edges(points, eps)
+    return grid_edges(points, eps)
 
 
 def dbscan(
@@ -114,80 +307,18 @@ def dbscan(
 
     ``min_samples`` counts the point itself, matching the common
     convention: a point is *core* when its eps-neighborhood (inclusive)
-    holds at least ``min_samples`` points.
+    holds at least ``min_samples`` points. ``use_grid=False`` selects the
+    naive neighbour search (ablation A3); the labels are the same.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    n = len(points)
-    labels = np.full(n, UNVISITED, dtype=np.int64)
-    if n == 0:
-        return labels
+    points = _as_points(points)
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-    if use_grid and n <= DENSE_CUTOFF:
-        # Array-at-a-time fast path: one broadcast yields every
-        # eps-neighborhood at once. Same subtract-square-sum arithmetic as
-        # the per-point searches, so the masks are bit-identical.
-        diffs = points[:, None, :] - points[None, :, :]
-        within = np.einsum("ijk,ijk->ij", diffs, diffs) <= eps * eps
-        # one nonzero over the whole matrix, split into per-row views
-        # (every row is non-empty: a point neighbors itself)
-        i_idx, j_idx = np.nonzero(within)
-        counts = np.bincount(i_idx, minlength=n)
-        rows = np.split(j_idx, np.cumsum(counts)[:-1])
-        neighbors = rows.__getitem__
-    elif use_grid:
-        index = GridIndex(points, eps)
-        neighbors = index.neighbors
-    else:
-        neighbors = lambda i: _naive_neighbors(points, i, eps)  # noqa: E731
-
-    def absorb(found: np.ndarray, cluster: int, queue: deque) -> None:
-        """Claim unvisited/noise neighbors for ``cluster``.
-
-        Only previously-unvisited points are queued for expansion: a point
-        already marked NOISE had its neighborhood computed and is known
-        non-core, so it joins as a border point without re-expansion.
-        """
-        found_labels = labels[found]
-        unvisited = found[found_labels == UNVISITED]
-        noise = found[found_labels == NOISE]
-        labels[noise] = cluster
-        labels[unvisited] = cluster
-        queue.extend(unvisited.tolist())
-
-    cluster = 0
-    for seed in range(n):
-        if labels[seed] != UNVISITED:
-            continue
-        seed_neighbors = neighbors(seed)
-        if len(seed_neighbors) < min_samples:
-            labels[seed] = NOISE
-            continue
-        # Grow a new cluster from this core point (BFS over core points).
-        labels[seed] = cluster
-        queue: deque[int] = deque()
-        absorb(seed_neighbors, cluster, queue)
-        while queue:
-            current = queue.popleft()
-            current_neighbors = neighbors(current)
-            if len(current_neighbors) < min_samples:
-                continue  # border point: belongs to the cluster, does not expand it
-            absorb(current_neighbors, cluster, queue)
-        cluster += 1
-    return labels
+    lo, hi = _edges(points, eps, use_grid)
+    return label_edges(len(points), lo, hi, min_samples)
 
 
 def core_point_mask(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     """Boolean mask of core points (used by property tests)."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points.reshape(-1, 1)
-    if len(points) == 0:
-        return np.zeros(0, dtype=bool)
-    index = GridIndex(points, eps)
-    return np.array([len(index.neighbors(i)) >= min_samples for i in range(len(points))])
+    points = _as_points(points)
+    lo, hi = _edges(points, eps, use_grid=True)
+    return _core_mask(len(points), lo, hi, min_samples)

@@ -6,16 +6,15 @@ events of the previous ``L`` layers, so a defect growing through the build
 height shows up as one three-dimensional cluster (parameter ``L`` bounds
 how many layers a cluster can expand through — Figure 6 sweeps it).
 
-Two implementations:
-
-* :class:`LayerWindowClusterer` — the reference: keeps the last ``L``
-  layers of points and re-runs grid DBSCAN over the whole window each time
-  a layer completes. Simple, and the semantics are by-construction exactly
-  "DBSCAN over the last L layers".
-* :class:`IncrementalLayerClusterer` — an optimization candidate for the
-  ablation suite: caches each retained layer's point array so window
-  assembly is O(window) instead of re-extracting, and skips clustering
-  when the new layer adds no points and none expired.
+:class:`LayerWindowClusterer` owns that window. Consecutive windows share
+all but one layer, so it keeps the window's points *and their
+eps-neighbour pairs* from call to call: a new layer costs one distance
+block (its k points against the n in the window), an expired layer is a
+prefix drop plus an index shift of the pair list, and every evaluation is
+one run of the array-at-a-time labeller over the pairs. The result is
+by construction "DBSCAN over the last L layers" — the pairs are the ones a
+from-scratch run would find (same arithmetic) and the labeller is the one
+``dbscan()`` uses.
 
 Points are 3-D: (x_mm, y_mm, z_mm), where z encodes the layer index times
 the layer thickness, so ``eps`` has one spatial meaning in-plane and
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dbscan import dbscan
+from .dbscan import dense_edges, label_edges
 
 
 @dataclass(frozen=True)
@@ -76,22 +75,47 @@ def summarize_clusters(
     The use case reports anomalous regions only "when bigger than a certain
     volume" (§5); volume is estimated as cell count x per-cell volume.
     """
+    members = np.nonzero(labels >= 0)[0]
+    if not len(members):
+        return []
+    # One stable sort groups the clustered points by label; extrema come
+    # from reduceat over the groups. Coordinate sums use bincount, which
+    # adds in point order — the same floats, to the bit, as summing each
+    # cluster's rows on their own (add.reduceat pairs differently).
+    member_labels = labels[members]
+    order = members[np.argsort(member_labels, kind="stable")]
+    grouped = labels[order]
+    starts = np.nonzero(np.diff(grouped, prepend=-1))[0]
+    cluster_ids = grouped[starts]
+    sizes = np.bincount(member_labels)[cluster_ids]
+    member_points = points[members]
+    sums = np.stack(
+        [
+            np.bincount(member_labels, weights=member_points[:, axis])[cluster_ids]
+            for axis in range(points.shape[1])
+        ],
+        axis=1,
+    )
+    centroids = (sums / sizes[:, None]).tolist()
+    grouped_points = points[order]
+    bbox_min = np.minimum.reduceat(grouped_points, starts, axis=0).tolist()
+    bbox_max = np.maximum.reduceat(grouped_points, starts, axis=0).tolist()
+    grouped_layers = point_layers[order]
+    first_layer = np.minimum.reduceat(grouped_layers, starts).tolist()
+    last_layer = np.maximum.reduceat(grouped_layers, starts).tolist()
     summaries: list[ClusterSummary] = []
-    for cluster_id in sorted(int(c) for c in np.unique(labels) if c >= 0):
-        mask = labels == cluster_id
-        members = points[mask]
-        layer_span = point_layers[mask]
-        volume = float(mask.sum()) * cell_volume_mm3
+    for index, (cluster_id, size) in enumerate(zip(cluster_ids.tolist(), sizes.tolist())):
+        volume = float(size) * cell_volume_mm3
         if volume < min_volume_mm3:
             continue
         summaries.append(
             ClusterSummary(
                 cluster_id=cluster_id,
-                size=int(mask.sum()),
-                centroid=tuple(float(v) for v in members.mean(axis=0)),
-                bbox_min=tuple(float(v) for v in members.min(axis=0)),
-                bbox_max=tuple(float(v) for v in members.max(axis=0)),
-                layers=(int(layer_span.min()), int(layer_span.max())),
+                size=size,
+                centroid=tuple(centroids[index]),
+                bbox_min=tuple(bbox_min[index]),
+                bbox_max=tuple(bbox_max[index]),
+                layers=(first_layer[index], last_layer[index]),
                 volume_mm3=volume,
             )
         )
@@ -99,18 +123,28 @@ def summarize_clusters(
 
 
 class LayerWindowClusterer:
-    """Re-clusters the sliding window of the last ``L`` layers per update."""
+    """The sliding window of event points and its eps-neighbour graph.
+
+    :meth:`observe_layer` is the paper's ``correlateEvents(L, DBSCAN)`` in
+    one call: append a completed layer, retire what falls out of the last
+    ``window_layers`` observed layers, cluster. A caller that is *told* its
+    window (``DBSCANCorrelator`` gets it from the operator) uses the two
+    steps underneath, :meth:`expire_layers` and :meth:`append_layer`, and
+    :attr:`layer_counts` to see what the window holds; for it
+    ``window_layers`` may be ``None`` (``observe_layer`` then never
+    retires anything).
+    """
 
     def __init__(
         self,
-        window_layers: int,
+        window_layers: int | None,
         eps: float,
         min_samples: int,
         layer_thickness_mm: float,
         cell_volume_mm3: float = 1.0,
         min_volume_mm3: float = 0.0,
     ) -> None:
-        if window_layers < 1:
+        if window_layers is not None and window_layers < 1:
             raise ValueError("window must cover at least one layer")
         self._window_layers = window_layers
         self._eps = eps
@@ -118,91 +152,95 @@ class LayerWindowClusterer:
         self._thickness = layer_thickness_mm
         self._cell_volume = cell_volume_mm3
         self._min_volume = min_volume_mm3
-        # deque of (layer_index, (n, 2) xy array)
-        self._layers: deque[tuple[int, np.ndarray]] = deque()
+        self.reset()
 
     @property
-    def window_layers(self) -> int:
+    def window_layers(self) -> int | None:
         return self._window_layers
 
-    def snapshot_state(self) -> dict[str, object]:
-        """Checkpointable window contents (the L retained layers)."""
-        return {"layers": [(layer, xy.copy()) for layer, xy in self._layers]}
+    @property
+    def layer_counts(self) -> list[tuple[int, int]]:
+        """(layer index, point count) of every retained layer, oldest first."""
+        return list(self._layers)
 
-    def restore_state(self, state: dict[str, object]) -> None:
-        self._layers = deque(
-            (int(layer), np.asarray(xy, dtype=float).reshape(-1, 2))
-            for layer, xy in state["layers"]
+    @property
+    def points(self) -> np.ndarray:
+        """(n, 3) window points, oldest layer first; never written in place."""
+        return self._points
+
+    @property
+    def point_layers(self) -> np.ndarray:
+        return self._point_layers
+
+    def reset(self) -> None:
+        """Empty the window."""
+        self._layers: deque[tuple[int, int]] = deque()
+        self._points = np.empty((0, 3))
+        self._point_layers = np.empty(0, dtype=np.int64)
+        # eps-neighbour pairs of the window's points, lo < hi
+        self._lo = np.empty(0, dtype=np.int64)
+        self._hi = np.empty(0, dtype=np.int64)
+
+    def expire_layers(self, count: int) -> None:
+        """Retire the ``count`` oldest layers: a prefix drop of the points
+        and an index shift of the pairs that survive."""
+        drop = sum(self._layers.popleft()[1] for _ in range(count))
+        if drop:
+            kept = self._lo >= drop  # lo < hi: a pair lives as long as its lo
+            self._lo = self._lo[kept] - drop
+            self._hi = self._hi[kept] - drop
+            self._points = self._points[drop:]
+            self._point_layers = self._point_layers[drop:]
+
+    def append_layer(self, layer: int, xy_points: np.ndarray) -> None:
+        """Add one layer's points: one block of its k points against the
+        n + k now in the window; pairs among older points are kept."""
+        xy_points = np.asarray(xy_points, dtype=float).reshape(-1, 2)
+        count = len(xy_points)
+        self._layers.append((layer, count))
+        if not count:
+            return
+        retained = len(self._points)
+        z = np.full((count, 1), layer * self._thickness)
+        self._points = np.concatenate((self._points, np.hstack((xy_points, z))))
+        self._point_layers = np.concatenate(
+            (self._point_layers, np.full(count, layer, dtype=np.int64))
         )
+        lo, hi = dense_edges(self._points, self._eps, start=retained)
+        self._lo = np.concatenate((self._lo, lo))
+        self._hi = np.concatenate((self._hi, hi))
+
+    def labels(self) -> np.ndarray:
+        """DBSCAN labels of the window's points (noise = -1)."""
+        return label_edges(len(self._points), self._lo, self._hi, self._min_samples)
+
+    def cluster(self) -> ClusteringResult:
+        """Labels and per-cluster summaries of the current window."""
+        labels = self.labels()
+        summaries = summarize_clusters(
+            self._points, labels, self._point_layers, self._cell_volume, self._min_volume
+        )
+        return ClusteringResult(labels, self._points, self._point_layers, summaries)
 
     def observe_layer(self, layer: int, xy_points: np.ndarray) -> ClusteringResult:
         """Add one completed layer's event points and cluster the window."""
-        xy_points = np.asarray(xy_points, dtype=float).reshape(-1, 2)
-        self._layers.append((layer, xy_points))
-        while len(self._layers) > self._window_layers:
-            self._layers.popleft()
-        return self._cluster()
+        if self._window_layers is not None:
+            self.expire_layers(max(0, len(self._layers) + 1 - self._window_layers))
+        self.append_layer(layer, xy_points)
+        return self.cluster()
 
-    def _cluster(self) -> ClusteringResult:
-        if not self._layers:
-            empty = np.empty((0, 3))
-            return ClusteringResult(
-                labels=np.empty(0, dtype=np.int64),
-                points=empty,
-                point_layers=np.empty(0, dtype=np.int64),
-            )
-        blocks = []
-        layer_ids = []
-        for layer, xy in self._layers:
-            if len(xy) == 0:
-                continue
-            z = np.full((len(xy), 1), layer * self._thickness)
-            blocks.append(np.hstack([xy, z]))
-            layer_ids.append(np.full(len(xy), layer, dtype=np.int64))
-        if not blocks:
-            empty = np.empty((0, 3))
-            return ClusteringResult(
-                labels=np.empty(0, dtype=np.int64),
-                points=empty,
-                point_layers=np.empty(0, dtype=np.int64),
-            )
-        points = np.vstack(blocks)
-        point_layers = np.concatenate(layer_ids)
-        labels = dbscan(points, self._eps, self._min_samples)
-        summaries = summarize_clusters(
-            points, labels, point_layers, self._cell_volume, self._min_volume
-        )
-        return ClusteringResult(labels, points, point_layers, summaries)
-
-
-class IncrementalLayerClusterer(LayerWindowClusterer):
-    """Window clusterer that avoids re-clustering no-op updates.
-
-    When a layer arrives with zero event points and no retained layer
-    expires, the previous result is still valid; this variant returns the
-    cached result in that case. Used in the A1/A3 ablation discussion —
-    with sparse defects most layers are empty, so the saving is real.
-    """
-
-    def __init__(self, *args: float, **kwargs: float) -> None:
-        super().__init__(*args, **kwargs)
-        self._cached: ClusteringResult | None = None
+    def snapshot_state(self) -> dict[str, object]:
+        """Checkpointable window contents (the L retained layers)."""
+        layers = []
+        start = 0
+        for layer, count in self._layers:
+            layers.append((layer, self._points[start : start + count, :2].copy()))
+            start += count
+        return {"layers": layers}
 
     def restore_state(self, state: dict[str, object]) -> None:
-        super().restore_state(state)
-        # The cached result belongs to the pre-crash instance; recompute
-        # lazily from the restored window on the next observe_layer.
-        self._cached = None
-
-    def observe_layer(self, layer: int, xy_points: np.ndarray) -> ClusteringResult:
-        xy_points = np.asarray(xy_points, dtype=float).reshape(-1, 2)
-        will_expire = len(self._layers) >= self._window_layers and len(self._layers) > 0
-        expiring_nonempty = will_expire and len(self._layers[0][1]) > 0
-        if len(xy_points) == 0 and not expiring_nonempty and self._cached is not None:
-            self._layers.append((layer, xy_points))
-            while len(self._layers) > self._window_layers:
-                self._layers.popleft()
-            return self._cached
-        result = super().observe_layer(layer, xy_points)
-        self._cached = result
-        return result
+        """Refill the window layer by layer: the pairs are recomputed from
+        the restored points, the same way they were first found."""
+        self.reset()
+        for layer, xy_points in state["layers"]:
+            self.append_layer(int(layer), xy_points)

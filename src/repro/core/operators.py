@@ -17,6 +17,7 @@ portability from the underlying engine.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 from ..spe.operators.base import (
@@ -252,6 +253,13 @@ class DetectEventOperator(Operator):
         return {"events_detected_total": self.events_out}
 
 
+def _sort_by_layer(per_layer: dict[int, Any]) -> None:
+    """Re-establish ascending layer order in place (dicts keep insertion order)."""
+    ordered = sorted(per_layer.items())
+    per_layer.clear()
+    per_layer.update(ordered)
+
+
 class CorrelateEventsOperator(Operator):
     """Stateful aggregate for ``correlateEvents(s_in, s_out, L, F)``.
 
@@ -270,8 +278,10 @@ class CorrelateEventsOperator(Operator):
             raise ValueError("L must be >= 1 layer")
         self._window = window_layers
         self._fn = fn
-        # (job, specimen) -> {layer -> [events]}
+        # (job, specimen) -> {layer -> [events]}, layers in ascending order
         self._events: dict[tuple[str, str], dict[int, list[StreamTuple]]] = {}
+        # (job, specimen) -> {layer -> latest ingest_time among its events}
+        self._latest_ingest: dict[tuple[str, str], dict[int, float]] = {}
         # last punctuation tuple per group, reused as output template
         self._last_punct: dict[tuple[str, str], StreamTuple] = {}
         self.triggers = 0
@@ -279,38 +289,64 @@ class CorrelateEventsOperator(Operator):
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
         group = (t.job, t.specimen)
         if not is_punctuation(t):
-            self._events.setdefault(group, {}).setdefault(t.layer, []).append(t)
+            self._insert(group, t)
             return []
         self._last_punct[group] = t
         return self._trigger(group, t)
 
+    def _insert(self, group: tuple[str, str], t: StreamTuple) -> None:
+        per_layer = self._events.get(group)
+        if per_layer is None:
+            per_layer = self._events[group] = {}
+            self._latest_ingest[group] = {}
+        latest = self._latest_ingest[group]
+        events = per_layer.get(t.layer)
+        if events is None:
+            out_of_order = bool(per_layer) and t.layer < next(reversed(per_layer))
+            events = per_layer[t.layer] = []
+            latest[t.layer] = t.ingest_time
+            if out_of_order:
+                _sort_by_layer(per_layer)
+        elif t.ingest_time > latest[t.layer]:
+            latest[t.layer] = t.ingest_time
+        events.append(t)
+
     def _trigger(self, group: tuple[str, str], punct: StreamTuple) -> list[StreamTuple]:
         layer = punct.layer
         per_layer = self._events.get(group, {})
+        latest = self._latest_ingest.get(group, {})
         low = layer - self._window + 1
-        window_events = [
-            event
-            for event_layer in sorted(per_layer)
-            if low <= event_layer <= layer
-            for event in per_layer[event_layer]
-        ]
-        # Evict anything that can no longer appear in a future window.
-        for event_layer in [l for l in per_layer if l < low]:
+        # Layers ascend: what can no longer appear in a future window sits
+        # at the front, what this window holds comes next.
+        expired: list[int] = []
+        in_window: list[int] = []
+        for event_layer in per_layer:
+            if event_layer < low:
+                expired.append(event_layer)
+            elif event_layer <= layer:
+                in_window.append(event_layer)
+            else:
+                break
+        for event_layer in expired:
             del per_layer[event_layer]
+            del latest[event_layer]
+        window_events = list(
+            chain.from_iterable(per_layer[event_layer] for event_layer in in_window)
+        )
         self.triggers += 1
         payloads = self._fn(punct.job, layer, punct.specimen, window_events)
         if payloads is None:
             return []
         if isinstance(payloads, dict):
             payloads = [payloads]
+        ingest_time = max(
+            [punct.ingest_time, *(latest[event_layer] for event_layer in in_window)]
+        )
         outputs: list[StreamTuple] = []
         for payload in payloads:
             out = punct.derive(payload=payload, portion=None)
             out.portion = None  # output schema of Table 1 has no portion
-            if window_events:
-                out.ingest_time = max(
-                    [e.ingest_time for e in window_events] + [punct.ingest_time]
-                )
+            out.ingest_time = ingest_time
             outputs.append(out)
         return outputs
 
@@ -334,10 +370,16 @@ class CorrelateEventsOperator(Operator):
         return state
 
     def restore_state(self, state: dict[str, Any]) -> None:
-        self._events = {
-            group: {int(layer): list(events) for layer, events in per_layer.items()}
-            for group, per_layer in state["events"].items()
-        }
+        self._events = {}
+        self._latest_ingest = {}
+        for group, per_layer in state["events"].items():
+            restored = {int(layer): list(events) for layer, events in per_layer.items()}
+            _sort_by_layer(restored)
+            self._events[group] = restored
+            self._latest_ingest[group] = {
+                layer: max(e.ingest_time for e in events)
+                for layer, events in restored.items()
+            }
         self._last_punct = dict(state["last_punct"])
         self.triggers = int(state["triggers"])
         restore_callable(self._fn, state.get("fn"))
@@ -391,4 +433,5 @@ class CorrelateEventsOperator(Operator):
         # Nothing to flush: results are punctuation-triggered, and every
         # layer's punctuation has already fired by the time inputs close.
         self._events.clear()
+        self._latest_ingest.clear()
         return []

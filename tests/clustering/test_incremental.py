@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.clustering import (
-    IncrementalLayerClusterer,
-    LayerWindowClusterer,
-    dbscan,
-    summarize_clusters,
-)
+from repro.clustering import LayerWindowClusterer, dbscan, summarize_clusters
+
+from .bfs_oracle import loop_summaries
 
 
 def disk(cx, cy, n=12, r=0.3, seed=0):
@@ -81,9 +78,8 @@ def test_window_matches_batch_dbscan():
         [np.hstack([xy, np.full((len(xy), 1), layer * 0.1)]) for layer, xy in layers.items()]
     )
     expected = dbscan(stacked, eps=1.0, min_samples=3)
-    from repro.clustering import rand_index
-
-    assert rand_index(result.labels, expected) == 1.0
+    assert np.array_equal(result.labels, expected)
+    assert np.array_equal(result.points, stacked)
 
 
 def test_min_volume_filters_summaries():
@@ -110,42 +106,89 @@ def test_summarize_clusters_fields():
     assert s.bbox_max == (1.0, 1.0, 0.1)
 
 
-def test_incremental_caches_noop_layers():
-    clusterer = IncrementalLayerClusterer(
+def test_summaries_equal_the_mask_per_cluster_loop():
+    """Same numbers, to the bit, as one boolean mask per cluster."""
+    rng = np.random.default_rng(9)
+    for trial in range(40):
+        n = int(rng.integers(1, 600))
+        points = rng.uniform(0, 250, size=(n, 3))
+        labels = rng.integers(-1, int(rng.integers(0, 9)), size=n)
+        layers = rng.integers(0, 50, size=n)
+        min_volume = float(rng.choice([0.0, 30.0]))
+        got = summarize_clusters(points, labels, layers, 0.7, min_volume)
+        want = loop_summaries(points, labels, layers, 0.7, min_volume)
+        assert [tuple(s.__dict__.values()) for s in got] == want
+        for summary in got:
+            assert type(summary.size) is int and type(summary.layers[0]) is int
+            assert all(type(v) is float for v in summary.centroid + summary.bbox_min)
+
+
+def test_summarize_no_clusters():
+    nothing = np.empty(0, dtype=int)
+    assert summarize_clusters(np.empty((0, 3)), nothing, nothing, 1.0) == []
+    noise = np.full(4, -1)
+    assert summarize_clusters(np.zeros((4, 3)), noise, np.zeros(4, dtype=int), 1.0) == []
+
+
+def test_empty_layers_leave_the_clusters_alone():
+    """A layer without events changes nothing until a non-empty one expires
+    (what the removed skip-if-unchanged variant special-cased)."""
+    clusterer = LayerWindowClusterer(
         window_layers=5, eps=1.0, min_samples=3, layer_thickness_mm=0.04
     )
     first = clusterer.observe_layer(0, disk(0, 0))
     second = clusterer.observe_layer(1, np.empty((0, 2)))
-    assert second is first  # cached: nothing changed
+    assert np.array_equal(second.labels, first.labels)
+    assert second.summaries == first.summaries
     third = clusterer.observe_layer(2, disk(0, 0, seed=3))
-    assert third is not first
+    assert len(third.labels) == 24
+    assert clusterer.layer_counts == [(0, 12), (1, 0), (2, 12)]
 
 
-def test_incremental_recomputes_on_expiry():
-    clusterer = IncrementalLayerClusterer(
+def test_expiry_of_the_last_nonempty_layer_empties_the_window():
+    clusterer = LayerWindowClusterer(
         window_layers=2, eps=1.0, min_samples=3, layer_thickness_mm=0.04
     )
     clusterer.observe_layer(0, disk(0, 0))
     clusterer.observe_layer(1, np.empty((0, 2)))
-    # layer 0 (non-empty) expires now: cache must be invalidated
+    # layer 0 (non-empty) expires now
     result = clusterer.observe_layer(2, np.empty((0, 2)))
     assert result.num_clusters == 0
+    assert len(result.labels) == 0
 
 
-def test_incremental_equals_reference():
-    reference = LayerWindowClusterer(
-        window_layers=3, eps=1.0, min_samples=3, layer_thickness_mm=0.04
-    )
-    incremental = IncrementalLayerClusterer(
+def test_window_equals_from_scratch_every_layer():
+    clusterer = LayerWindowClusterer(
         window_layers=3, eps=1.0, min_samples=3, layer_thickness_mm=0.04
     )
     rng = np.random.default_rng(5)
+    history = []
     for layer in range(10):
         xy = disk(layer % 3, 0, seed=layer) if rng.random() > 0.4 else np.empty((0, 2))
-        a = reference.observe_layer(layer, xy)
-        b = incremental.observe_layer(layer, xy)
-        assert a.num_clusters == b.num_clusters
-        assert len(a.labels) == len(b.labels)
+        history.append((layer, xy))
+        result = clusterer.observe_layer(layer, xy)
+        stacked = np.vstack(
+            [np.hstack([p, np.full((len(p), 1), l * 0.04)]) for l, p in history[-3:]]
+        )
+        assert np.array_equal(result.labels, dbscan(stacked, eps=1.0, min_samples=3))
+
+
+def test_expire_and_append_are_the_steps_under_observe_layer():
+    make = lambda L: LayerWindowClusterer(  # noqa: E731
+        window_layers=L, eps=1.0, min_samples=3, layer_thickness_mm=0.04
+    )
+    observed, stepped = make(2), make(None)
+    for layer in range(5):
+        want = observed.observe_layer(layer, disk(layer * 0.3, 0, seed=layer))
+        if layer >= 2:
+            stepped.expire_layers(1)
+        stepped.append_layer(layer, disk(layer * 0.3, 0, seed=layer))
+        got = stepped.cluster()
+        assert np.array_equal(got.labels, want.labels)
+        assert got.summaries == want.summaries
+        assert stepped.layer_counts == observed.layer_counts
+    stepped.reset()
+    assert stepped.layer_counts == [] and len(stepped.labels()) == 0
 
 
 def test_invalid_window():

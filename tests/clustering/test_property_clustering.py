@@ -21,8 +21,7 @@ point_arrays = st.lists(
 def test_grid_and_naive_agree(points, eps, k):
     grid = dbscan(points, eps=eps, min_samples=k, use_grid=True)
     naive = dbscan(points, eps=eps, min_samples=k, use_grid=False)
-    # label ids may differ in principle; partitions must be identical
-    assert rand_index(grid, naive) == 1.0
+    assert np.array_equal(grid, naive)
 
 
 @given(points=point_arrays, eps=st.sampled_from([0.5, 1.0]), k=st.integers(2, 5))

@@ -163,6 +163,60 @@ class TestCorrelateEventsOperator:
         out = op.process(0, punct)
         assert out[0].ingest_time == 123.0
 
+    def test_ingest_time_is_the_latest_across_retained_layers_only(self):
+        op = CorrelateEventsOperator("c", window_layers=2, fn=self.count_fn)
+        for layer, stamp in ((0, 900.0), (1, 50.0), (2, 70.0), (2, 60.0)):
+            event = layer_tuple(layer, specimen="S", portion=f"p{stamp}", x=0)
+            event.ingest_time = stamp
+            op.process(0, event)
+        punct = make_punctuation(layer_tuple(2), "S")
+        punct.ingest_time = 1.0
+        out = op.process(0, punct)
+        assert out[0].payload["layers"] == [1, 2]
+        assert out[0].ingest_time == 70.0  # layer 0's 900.0 has left the window
+
+    def test_random_arrivals_match_sorting_on_every_trigger(self):
+        """Late events, layers arriving out of order, punctuations going
+        backwards, a restore in the middle: windows, eviction and ingest
+        times equal a per-trigger sort and scan of everything held."""
+        import random
+
+        rng = random.Random(5)
+        for window in (1, 3, 6):
+            seen_events = []
+
+            def fn(job, layer, specimen, events):
+                seen_events.append(list(events))
+                return {"n": len(events)}
+
+            op = CorrelateEventsOperator("c", window_layers=window, fn=fn)
+            held: dict[int, list] = {}
+            for step in range(300):
+                layer = max(0, step // 6 + rng.randint(-4, 2))
+                if rng.random() < 0.7:
+                    event = layer_tuple(layer, specimen="S", portion=f"c{step}", x=step)
+                    event.ingest_time = rng.uniform(0, 1000)
+                    held.setdefault(layer, []).append(event)
+                    assert op.process(0, event) == []
+                    continue
+                punct = make_punctuation(layer_tuple(layer), "S")
+                punct.ingest_time = rng.uniform(0, 1000)
+                if rng.random() < 0.2:
+                    state = op.snapshot_state()
+                    op = CorrelateEventsOperator("c", window_layers=window, fn=fn)
+                    op.restore_state(state)
+                (out,) = op.process(0, punct)
+                low = layer - window + 1
+                want = [e for l in sorted(held) if low <= l <= layer for e in held[l]]
+                assert len(seen_events[-1]) == len(want)
+                assert all(a is b for a, b in zip(seen_events[-1], want))
+                stamps = [e.ingest_time for e in want] + [punct.ingest_time]
+                assert out.ingest_time == max(stamps)
+                held = {l: evs for l, evs in held.items() if l >= low}
+                per_layer = op._events.get(("J", "S"), {})
+                assert list(per_layer) == sorted(held)
+                assert all(per_layer[l] == held[l] for l in held)
+
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             CorrelateEventsOperator("c", window_layers=0, fn=self.count_fn)

@@ -49,6 +49,25 @@ def signature(results) -> list[tuple]:
     )
 
 
+def exact_payloads(results) -> dict[tuple, tuple]:
+    """(layer, specimen) -> the whole correlate payload, nothing rounded:
+    every float of every summary and the bytes of the cluster image."""
+    return {
+        (t.layer, t.specimen): (
+            t.payload["num_events"],
+            t.payload["num_clusters"],
+            tuple(
+                tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in c.values())
+                for c in t.payload["clusters"]
+            ),
+            None
+            if "cluster_image" not in t.payload
+            else (t.payload["cluster_image"].shape, t.payload["cluster_image"].tobytes()),
+        )
+        for t in results
+    }
+
+
 def _paced(records, delay):
     for record in records:
         time.sleep(delay)
@@ -57,7 +76,8 @@ def _paced(records, delay):
 
 def _build(strata, layer_records, reference_images, test_job, delay=0.0):
     config = UseCaseConfig(
-        image_px=TEST_IMAGE_PX, cell_edge_px=CELL_EDGE, window_layers=WINDOW
+        image_px=TEST_IMAGE_PX, cell_edge_px=CELL_EDGE, window_layers=WINDOW,
+        render_cluster_image=True,
     )
     calibrate_job(
         strata.kv, test_job.job_id, reference_images, CELL_EDGE,
@@ -69,15 +89,20 @@ def _build(strata, layer_records, reference_images, test_job, delay=0.0):
 
 
 @pytest.fixture(scope="module")
-def oracle_signature(layer_records, reference_images, test_job):
+def oracle_results(layer_records, reference_images, test_job):
     strata = Strata(engine_mode="threaded")
     pipeline = _build(strata, layer_records, reference_images, test_job)
     strata.deploy()
-    return signature(pipeline.sink.results)
+    return pipeline.sink.results
+
+
+@pytest.fixture(scope="module")
+def oracle_signature(oracle_results):
+    return signature(oracle_results)
 
 
 def test_crash_after_two_checkpoints_recovers_identically(
-    layer_records, reference_images, test_job, oracle_signature
+    layer_records, reference_images, test_job, oracle_signature, oracle_results
 ):
     ckpt_store = MemoryStore()
 
@@ -115,6 +140,14 @@ def test_crash_after_two_checkpoints_recovers_identically(
     # reported, nothing extra, no duplicates (DedupSink absorbs replays).
     assert sorted(set(partial) | set(recovered)) == oracle_signature
     assert len(recovered) == len(set(recovered)), "duplicate results delivered"
+    # The recovered correlator starts with no kept window: it refills from
+    # the restored events and must report what the uninterrupted run's
+    # long-lived windows did, to the last bit.
+    want = exact_payloads(oracle_results)
+    assert any(clusters and image for _, _, clusters, image in want.values())
+    for run in (pipeline.sink.results, pipeline2.sink.results):
+        for key, payload in exact_payloads(run).items():
+            assert payload == want[key], key
 
 
 def test_recovered_run_latency_state_restored(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.adaptive import AdaptiveThresholdLearner
-from repro.clustering.incremental import IncrementalLayerClusterer
+from repro.clustering.incremental import LayerWindowClusterer
 from repro.core.operators import CorrelateEventsOperator, DetectEventOperator
 from repro.spe import CollectingSink, StreamTuple
 from repro.spe.metrics import LatencyRecorder
@@ -106,8 +106,8 @@ def test_adaptive_learner_roundtrip():
     assert b.current == a.current
 
 
-def test_incremental_clusterer_roundtrip():
-    make = lambda: IncrementalLayerClusterer(
+def test_window_clusterer_roundtrip():
+    make = lambda: LayerWindowClusterer(
         window_layers=3, eps=1.5, min_samples=2, layer_thickness_mm=0.04
     )
     a = make()
