@@ -334,7 +334,12 @@ def _matches_tuple(value: Any, ctx: SerdeContext) -> bool:
 #
 # meta holds the row count, the four object metadata columns (job,
 # specimen, portion, trace_id) and, per payload column in order,
-# ``[key, kind]`` or ``[key, "j", values]``. Blobs follow in this order:
+# ``[key, kind]`` or ``[key, "j", values]``. Row metadata ships as the
+# block holds it (``ColumnarBlock.run_encoded``): with ``runs`` in meta,
+# job, specimen, trace_id, tau, layer and ingest_time carry one entry per
+# run of rows and ``runs`` the run lengths — a fan-out's inherited
+# metadata costs its parents, not its rows; without it they are per row.
+# ``portion`` is always per row. Blobs follow in this order:
 # tau, layer, ingest_time, then the payload columns that have any —
 # kind "a" (a numeric column) is one blob, kind "l" (a list column JSON
 # cannot reproduce) is one blob per row, kind "j" (a JSON-exact list) has
@@ -345,7 +350,8 @@ def _matches_tuple(value: Any, ctx: SerdeContext) -> bool:
 
 def _encode_block(value: Any, ctx: SerdeContext) -> bytes:
     cols: list[list] = []
-    bodies = [value.tau, value.layer, value.ingest_time]
+    inherited, runs = value.run_encoded()
+    bodies = [inherited["tau"], inherited["layer"], inherited["ingest_time"]]
     for key, col in value.columns.items():
         if type(col) is not list:
             cols.append([key, "a"])
@@ -355,16 +361,17 @@ def _encode_block(value: Any, ctx: SerdeContext) -> bytes:
         else:
             cols.append([key, "l"])
             bodies.extend(col)
-    meta = json.dumps(
-        {
-            "n": len(value.job),
-            "job": value.job,
-            "specimen": value.specimen,
-            "portion": value.portion,
-            "trace_id": value.trace_id,
-            "cols": cols,
-        }
-    ).encode("utf-8")
+    fields = {
+        "n": len(value),
+        "job": inherited["job"],
+        "specimen": inherited["specimen"],
+        "portion": value.portion,
+        "trace_id": inherited["trace_id"],
+        "cols": cols,
+    }
+    if runs is not None:
+        fields["runs"] = runs
+    meta = json.dumps(fields).encode("utf-8")
     parts = [TAG_BLOCK, _U32.pack(len(meta)), meta]
     for body in bodies:
         blob = encode_wire(body, context=ctx)
@@ -374,6 +381,8 @@ def _encode_block(value: Any, ctx: SerdeContext) -> bytes:
 
 
 def _decode_block(body: bytes, ctx: SerdeContext) -> Any:
+    import numpy as np
+
     from .spe.columnar import ColumnarBlock
 
     meta_len = _U32.unpack_from(body)[0]
@@ -397,6 +406,7 @@ def _decode_block(body: bytes, ctx: SerdeContext) -> Any:
             columns[key] = [blob() for _ in range(rows)]
         else:
             columns[key] = inline[0]
+    runs = meta.get("runs")
     return ColumnarBlock(
         tau=tau,
         job=meta["job"],
@@ -406,6 +416,11 @@ def _decode_block(body: bytes, ctx: SerdeContext) -> Any:
         ingest_time=ingest_time,
         trace_id=meta["trace_id"],
         columns=columns,
+        parent=(
+            None
+            if runs is None
+            else np.repeat(np.arange(len(runs), dtype=np.intp), runs)
+        ),
     )
 
 

@@ -17,6 +17,20 @@ Columns whose values are uniformly ``float`` or uniformly ``int`` become
 mixed types, out-of-range ints) stays a plain list, so no value is ever
 coerced.
 
+**Row metadata is stored once per parent row, not once per row.** The
+seven tuple fields (``tau``, ``job``, ``layer``, ``specimen``, ``portion``,
+``ingest_time``, ``trace_id``) are held as short tables plus a row index
+into them: ``parent`` maps each row to the metadata entry it inherits
+(``None``: row *i* owns entry *i*), and ``portion_index`` does the same for
+the portion table. A fan-out (one specimen row becoming its 5 000 cell
+rows, :meth:`ColumnarBlock.fan_out`) therefore allocates two index arrays
+and no per-cell Python object, and :meth:`~ColumnarBlock.take` /
+:meth:`~ColumnarBlock.select` only re-index. The per-row view comes back
+through the properties of those names and :meth:`~ColumnarBlock.to_tuples`;
+code that can work per entry reads :meth:`~ColumnarBlock.inherited`, and a
+codec ships :meth:`~ColumnarBlock.run_encoded`. Nothing outside this class
+expands the encoding.
+
 Blocks only ever form over *data* tuples with one shared payload schema;
 ``from_tuples`` rejects mixed key sets rather than inventing missing
 values. Control items (punctuation, barriers, EOS) are never blocked.
@@ -58,21 +72,38 @@ def _as_column(values: list) -> "np.ndarray | list":
     return values
 
 
-def _take_list(values: list, indices: list[int]) -> list:
-    return [values[i] for i in indices]
+#: the row-metadata fields every row of a fan-out inherits from its parent
+_INHERITED = ("tau", "job", "layer", "specimen", "ingest_time", "trace_id")
+
+
+def _gather(values: Any, index: "np.ndarray | None") -> Any:
+    """``values`` seen through a row index (``None``: as stored)."""
+    if index is None:
+        return values
+    if isinstance(values, np.ndarray):
+        return values[index]
+    return [values[i] for i in index.tolist()]
 
 
 class ColumnarBlock:
-    """A run of data tuples stored column-wise (struct-of-arrays)."""
+    """A run of data tuples stored column-wise (struct-of-arrays).
+
+    The constructor takes row metadata per row; with ``parent`` the six
+    inherited fields are tables instead and ``parent[i]`` is the entry row
+    *i* reads (``portion`` stays per row; :meth:`fan_out` indexes it too).
+    """
 
     __slots__ = (
-        "tau",
-        "job",
-        "layer",
-        "specimen",
-        "portion",
-        "ingest_time",
-        "trace_id",
+        "_tau",
+        "_job",
+        "_layer",
+        "_specimen",
+        "_ingest_time",
+        "_trace_id",
+        "_parent",
+        "_portion",
+        "_portion_index",
+        "_rows",
         "columns",
     )
 
@@ -89,14 +120,18 @@ class ColumnarBlock:
         ingest_time: np.ndarray,
         trace_id: list,
         columns: dict[str, "np.ndarray | list"],
+        parent: "np.ndarray | None" = None,
     ) -> None:
-        self.tau = tau
-        self.job = job
-        self.layer = layer
-        self.specimen = specimen
-        self.portion = portion
-        self.ingest_time = ingest_time
-        self.trace_id = trace_id
+        self._tau = tau
+        self._job = job
+        self._layer = layer
+        self._specimen = specimen
+        self._ingest_time = ingest_time
+        self._trace_id = trace_id
+        self._parent = parent
+        self._portion = portion
+        self._portion_index = None
+        self._rows = len(job) if parent is None else len(parent)
         self.columns = columns
 
     @classmethod
@@ -124,6 +159,101 @@ class ColumnarBlock:
             trace_id=[t.trace_id for t in tuples],
             columns=columns,
         )
+
+    # -- row metadata ----------------------------------------------------------
+
+    def inherited(self, name: str) -> Any:
+        """The stored table of one inherited field: one entry per parent
+        row, every row reads one of them, and an entry no row reads may
+        remain — enough to ask whether all rows share a value."""
+        if name not in _INHERITED:
+            raise KeyError(name)
+        return getattr(self, "_" + name)
+
+    # The per-row views. On a block with a parent index each read expands
+    # (O(rows)): hoist it out of loops.
+
+    @property
+    def tau(self) -> np.ndarray:
+        return _gather(self._tau, self._parent)
+
+    @property
+    def job(self) -> list:
+        return _gather(self._job, self._parent)
+
+    @property
+    def layer(self) -> np.ndarray:
+        return _gather(self._layer, self._parent)
+
+    @property
+    def specimen(self) -> list:
+        return _gather(self._specimen, self._parent)
+
+    @property
+    def ingest_time(self) -> np.ndarray:
+        return _gather(self._ingest_time, self._parent)
+
+    @property
+    def trace_id(self) -> list:
+        return _gather(self._trace_id, self._parent)
+
+    @property
+    def portion(self) -> list:
+        return _gather(self._portion, self._portion_index)
+
+    def run_encoded(self) -> "tuple[dict[str, Any], list[int] | None]":
+        """Inherited metadata with one entry per run of consecutive rows
+        sharing a parent, and the run lengths (``None``: every row is its
+        own run). The compact form a codec ships; ``parent`` for it is
+        ``np.repeat(np.arange(len(runs)), runs)``.
+        """
+        parent = self._parent
+        if parent is None:
+            return {name: getattr(self, "_" + name) for name in _INHERITED}, None
+        changes = np.ones(len(parent), dtype=bool)
+        changes[1:] = parent[1:] != parent[:-1]
+        starts = np.flatnonzero(changes)
+        heads = parent[starts]
+        runs = np.diff(starts, append=len(parent)).tolist()
+        if np.array_equal(heads, np.arange(len(self._job))):
+            # one run per entry, in order (a fan-out, a decoded record):
+            # the tables ship as stored, whatever a transport left in them
+            heads = None
+        return {
+            name: _gather(getattr(self, "_" + name), heads) for name in _INHERITED
+        }, runs
+
+    # -- derived blocks ----------------------------------------------------------
+
+    def replace_columns(self, columns: dict[str, Any]) -> "ColumnarBlock":
+        """New block over ``columns``: same rows, same metadata encoding
+        (what a one-row-in, one-row-out operator returns)."""
+        out = ColumnarBlock.__new__(ColumnarBlock)
+        for slot in ColumnarBlock.__slots__:
+            setattr(out, slot, getattr(self, slot))
+        out.columns = columns
+        return out
+
+    def fan_out(
+        self,
+        counts: "np.ndarray | Sequence[int]",
+        columns: dict[str, "np.ndarray | list"],
+        portion: list,
+        portion_index: "np.ndarray | None" = None,
+    ) -> "ColumnarBlock":
+        """New block in which row *i* of this one becomes ``counts[i]`` rows.
+
+        The new rows inherit row *i*'s metadata through the parent index;
+        only ``portion`` (a table, read through ``portion_index``) and the
+        payload ``columns`` are theirs.
+        """
+        spread = np.repeat(np.arange(self._rows, dtype=np.intp), counts)
+        out = self.replace_columns(columns)
+        out._parent = spread if self._parent is None else self._parent[spread]
+        out._portion = portion
+        out._portion_index = portion_index
+        out._rows = len(spread)
+        return out
 
     def to_tuples(self) -> TupleBatch:
         """Materialize the rows back into stream tuples (lossless).
@@ -158,22 +288,21 @@ class ColumnarBlock:
         return out
 
     def take(self, indices: "np.ndarray | Iterable[int]") -> "ColumnarBlock":
-        """New block with the rows at ``indices``, in the given order."""
+        """New block with the rows at ``indices``, in the given order.
+
+        Columns are gathered; row metadata is only re-indexed (the tables
+        are shared with this block).
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        idx_list = idx.tolist()
-        return ColumnarBlock(
-            tau=self.tau[idx],
-            job=_take_list(self.job, idx_list),
-            layer=self.layer[idx],
-            specimen=_take_list(self.specimen, idx_list),
-            portion=_take_list(self.portion, idx_list),
-            ingest_time=self.ingest_time[idx],
-            trace_id=_take_list(self.trace_id, idx_list),
-            columns={
-                key: col[idx] if isinstance(col, np.ndarray) else _take_list(col, idx_list)
-                for key, col in self.columns.items()
-            },
+        out = self.replace_columns(
+            {key: _gather(col, idx) for key, col in self.columns.items()}
         )
+        out._parent = idx if self._parent is None else self._parent[idx]
+        out._portion_index = (
+            idx if self._portion_index is None else self._portion_index[idx]
+        )
+        out._rows = len(idx)
+        return out
 
     def select(self, mask: np.ndarray) -> "ColumnarBlock":
         """New block with the rows where boolean ``mask`` is true."""
@@ -183,41 +312,29 @@ class ColumnarBlock:
         """New block sharing this block's metadata with columns added."""
         columns = dict(self.columns)
         columns.update(extra)
-        return ColumnarBlock(
-            tau=self.tau,
-            job=self.job,
-            layer=self.layer,
-            specimen=self.specimen,
-            portion=self.portion,
-            ingest_time=self.ingest_time,
-            trace_id=self.trace_id,
-            columns=columns,
-        )
+        return self.replace_columns(columns)
 
     def map_values(self, fn: Callable[[Any], Any]) -> "ColumnarBlock":
         """Shallow copy with ``fn`` applied to every array and list-column element.
 
         For code that swaps stored values for others without knowing the
         block's layout (a transport resolving payload references): the row
-        metadata lists are shared, everything ``fn`` could replace is passed
-        through it once.
+        metadata lists and index arrays are shared, everything ``fn`` could
+        replace is passed through it once.
         """
-        return ColumnarBlock(
-            tau=fn(self.tau),
-            job=self.job,
-            layer=fn(self.layer),
-            specimen=self.specimen,
-            portion=self.portion,
-            ingest_time=fn(self.ingest_time),
-            trace_id=self.trace_id,
-            columns={
+        out = self.replace_columns(
+            {
                 key: [fn(v) for v in col] if type(col) is list else fn(col)
                 for key, col in self.columns.items()
-            },
+            }
         )
+        out._tau = fn(self._tau)
+        out._layer = fn(self._layer)
+        out._ingest_time = fn(self._ingest_time)
+        return out
 
     def __len__(self) -> int:
-        return len(self.tau)
+        return self._rows
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -318,10 +318,13 @@ class EstimateThermalState:
         innovation_rmse = np.empty(n, dtype=np.float64)
         overheat_cells: list[int] = []
         dropped_cells: list[int] = []
+        jobs = block.job
+        specimens = block.specimen
+        layers = block.layer.tolist()
         for i in range(n):
             payload = self._step_grids(
-                block.job[i],
-                block.specimen[i],
+                jobs[i],
+                specimens[i],
                 frames[i],
                 plans[i],
                 plans_next[i],
@@ -335,19 +338,10 @@ class EstimateThermalState:
             innovation_rmse[i] = payload["innovation_rmse"]
             overheat_cells.append(payload["overheat_cells"])
             dropped_cells.append(payload["dropped_cells"])
-            self._maybe_alert(
-                block.job[i], int(block.layer[i]), block.specimen[i], payload
-            )
+            self._maybe_alert(jobs[i], layers[i], specimens[i], payload)
         self.frames_processed += n
-        return ColumnarBlock(
-            tau=block.tau,
-            job=block.job,
-            layer=block.layer,
-            specimen=block.specimen,
-            portion=block.portion,
-            ingest_time=block.ingest_time,
-            trace_id=block.trace_id,
-            columns={
+        return block.replace_columns(
+            {
                 "forecast": forecasts,
                 "measured": measured,
                 "forecast_mean": forecast_mean,
@@ -356,7 +350,7 @@ class EstimateThermalState:
                 "innovation_rmse": innovation_rmse,
                 "overheat_cells": np.asarray(overheat_cells, dtype=np.int64),
                 "dropped_cells": np.asarray(dropped_cells, dtype=np.int64),
-            },
+            }
         )
 
     # -- checkpoint / recover / rescale ---------------------------------------

@@ -98,15 +98,8 @@ class ExtractMeltPoolFeatures:
             }
             payloads.append(self._payload(row_payload, total, peak, melt))
         self.frames_processed += n
-        return ColumnarBlock(
-            tau=block.tau,
-            job=block.job,
-            layer=block.layer,
-            specimen=block.specimen,
-            portion=block.portion,
-            ingest_time=block.ingest_time,
-            trace_id=block.trace_id,
-            columns={
+        return block.replace_columns(
+            {
                 "log_peak": np.asarray([p["log_peak"] for p in payloads]),
                 "log_dose": np.asarray([p["log_dose"] for p in payloads]),
                 "cell_total": [p["cell_total"] for p in payloads],
@@ -122,7 +115,7 @@ class ExtractMeltPoolFeatures:
                 "commanded_speed_mm_s": np.asarray(
                     [p["commanded_speed_mm_s"] for p in payloads]
                 ),
-            },
+            }
         )
 
     # counters are the only state; they reshard additively into shard 0

@@ -1,14 +1,17 @@
 """STRATA operators: punctuation flow and correlate windowing."""
 
+import numpy as np
 import pytest
 
+from repro.analysis import ThermalThresholds, store_thresholds
+from repro.core.functions import IsolateCells, LabelCell
 from repro.core.operators import (
     CorrelateEventsOperator,
     DetectEventOperator,
     PartitionOperator,
 )
 from repro.core.punctuation import is_punctuation, make_punctuation
-from repro.spe import WHOLE_SPECIMEN, StreamTuple
+from repro.spe import WHOLE_SPECIMEN, ColumnarBlock, StreamTuple
 
 
 def layer_tuple(layer, job="J", specimen=None, portion=None, **payload):
@@ -97,7 +100,8 @@ class TestCorrelateEventsOperator:
     def feed_layer(self, op, layer, specimen, num_events):
         out = []
         for i in range(num_events):
-            out.extend(op.process(0, layer_tuple(layer, specimen=specimen, portion=f"c{i}", x=i)))
+            event = layer_tuple(layer, specimen=specimen, portion=f"c{i}", x=i)
+            out.extend(op.process(0, event))
         out.extend(op.process(0, make_punctuation(layer_tuple(layer), specimen)))
         return out
 
@@ -227,3 +231,165 @@ class TestCorrelateEventsOperator:
             self.feed_layer(op, layer, "S1", 1)
         per_layer = op._events[("J", "S1")]
         assert all(layer >= 8 for layer in per_layer)
+
+
+class TestCellFanOutBlocks:
+    """partition(IsolateCells) -> detectEvent(LabelCell) as blocks (ISSUE 16).
+
+    The fan-out block inherits row metadata from its specimen rows instead
+    of expanding it per cell; what leaves the chain must still be the
+    scalar chain's tuples, field for field and type for type.
+    """
+
+    TH = ThermalThresholds(100, 110, 150, 160)
+
+    def specimen_tuples(self, seed, jobs=("J",), masks=False):
+        rng = np.random.default_rng(seed)
+        # 8 px patches of one level (so coarse cells still reach the extreme
+        # classes) with pixel noise on top (so fine cells are not uniform)
+        levels = rng.choice(
+            np.array([20, 105, 130, 155, 240], dtype=np.uint8),
+            size=(12, 15), p=[0.2, 0.1, 0.4, 0.1, 0.2],
+        )
+        frame = np.kron(levels, np.ones((8, 8), dtype=np.uint8))
+        frame += rng.integers(0, 6, size=frame.shape, dtype=np.uint8)
+        out = []
+        for k, (rows, cols) in enumerate([(24, 36), (24, 36), (17, 9), (30, 50)]):
+            r0, c0 = 5 * k, 7 * k
+            payload = {
+                "image": frame[r0 : r0 + rows, c0 : c0 + cols],
+                "origin_row": r0,
+                "origin_col": c0,
+            }
+            if masks:  # one schema per block: unshaped specimens carry None
+                shaped = k % 2 == 0
+                payload["part_mask"] = rng.random((rows, cols)) < 0.75 if shaped else None
+            t = StreamTuple(
+                tau=1.5, job=jobs[k % len(jobs)], layer=4, specimen=f"S{k:02d}",
+                portion="*", payload=payload, ingest_time=10.0 + k,
+            )
+            t.trace_id = f"tr{k}" if k % 2 else None
+            out.append(t)
+        return out
+
+    def chain(self, kv_store, edge, jobs):
+        for job in jobs:
+            store_thresholds(kv_store, job, self.TH)
+        return (
+            PartitionOperator("p", IsolateCells(edge)),
+            DetectEventOperator("d", LabelCell(kv_store)),
+        )
+
+    @staticmethod
+    def typed(tuples):
+        return [
+            [(v, type(v)) for v in (
+                t.tau, t.job, t.layer, t.specimen, t.portion, t.ingest_time,
+                t.trace_id, *t.payload.keys(), *t.payload.values(),
+            )]
+            for t in tuples
+        ]
+
+    @pytest.mark.parametrize("edge", [1, 2, 3, 8])
+    @pytest.mark.parametrize("masks", [False, True])
+    @pytest.mark.parametrize("jobs", [("J",), ("J", "K")])
+    def test_block_chain_equals_scalar_chain(self, kv_store, edge, masks, jobs):
+        tuples = self.specimen_tuples(edge, jobs, masks)
+        part, detect = self.chain(kv_store, edge, jobs)
+        scalar = []
+        for t in tuples:
+            for cell in part.process(0, t):
+                scalar.extend(detect.process(0, cell))
+        assert scalar, "the frame is seeded to contain events"
+        counters = (part._fn.cells_emitted, detect._fn.cells_evaluated, detect.events_out)
+
+        part_b, detect_b = self.chain(kv_store, edge, jobs)
+        cells = part_b.process_block(ColumnarBlock.from_tuples(tuples))
+        events = detect_b.process_block(cells)
+        assert self.typed(events.to_tuples()) == self.typed(scalar)
+        assert counters == (
+            part_b._fn.cells_emitted, detect_b._fn.cells_evaluated, detect_b.events_out
+        )
+        # metadata was never expanded on the way: one entry per specimen row
+        assert len(cells.inherited("specimen")) == len(tuples)
+        assert len(events.inherited("specimen")) == len(tuples)
+
+        # ... and equals what the eagerly expanded cell block gives
+        eager = ColumnarBlock(
+            tau=cells.tau, job=cells.job, layer=cells.layer, specimen=cells.specimen,
+            portion=cells.portion, ingest_time=cells.ingest_time,
+            trace_id=cells.trace_id, columns=dict(cells.columns),
+        )
+        assert len(eager.inherited("specimen")) == len(cells)
+        assert self.typed(cells.to_tuples()) == self.typed(eager.to_tuples())
+        _, detect_e = self.chain(kv_store, edge, jobs)
+        assert self.typed(detect_e.process_block(eager).to_tuples()) == self.typed(scalar)
+
+    def test_partitioning_a_layer_allocates_per_specimen_not_per_cell(self):
+        """12 specimens, 60 000 cells: the block's row metadata may cost
+        Python-heap memory per specimen, never per cell. The eager fan-out
+        held four 60 000-element lists (~1.9 MB of pointers); the bound
+        here is 64 KB for everything the block keeps on the Python heap."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        frame = rng.integers(0, 256, size=(700, 700), dtype=np.uint8)
+        tuples = [
+            StreamTuple(
+                tau=1.0, job="J", layer=1, specimen=f"S{k:02d}", portion="*",
+                payload={
+                    "image": frame[10 + 40 * k : 210 + 40 * k, 15 * k : 15 * k + 100],
+                    "origin_row": 10 + 40 * k, "origin_col": 15 * k,
+                },
+            )
+            for k in range(12)
+        ]
+        iso = IsolateCells(2)
+        source = ColumnarBlock.from_tuples(tuples)
+        iso.process_block(source)  # warm the per-grid label and center caches
+
+        def python_heap():
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, 0)]  # numpy buffers are domain != 0
+            )
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            before = python_heap()
+            cells = iso.process_block(source)
+            grown = python_heap() - before
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 60_000
+        assert grown < 64 * 1024, f"{grown} bytes of Python objects for one layer"
+        assert all(
+            len(cells.inherited(name)) == 12
+            for name in ("job", "specimen", "trace_id", "tau", "layer", "ingest_time")
+        )
+
+    def test_encoded_fan_out_block_carries_job_and_specimen_per_specimen(self):
+        """On the wire a longer job name costs a fan-out block one copy per
+        specimen row (``job``, and once more inside ``specimen``) — not one
+        per cell, whatever the cell count."""
+        from repro.serde import decode_wire, encode_wire
+
+        def encoded(job, edge):
+            tuples = [
+                StreamTuple(
+                    tau=1.0, job=job, layer=1, specimen=f"{job}/S{k}", portion="*",
+                    payload={"image": np.full((40, 40), 7 * k, dtype=np.uint8)},
+                )
+                for k in range(3)
+            ]
+            cells = IsolateCells(edge).process_block(ColumnarBlock.from_tuples(tuples))
+            assert len(cells) == 3 * (40 // edge) ** 2
+            return cells, encode_wire(cells)
+
+        extra = 30
+        for edge in (10, 2):  # 16 and 400 cells per specimen
+            cells, short = encoded("J", edge)
+            _, long = encoded("J" + "x" * extra, edge)
+            assert len(long) - len(short) == 3 * 2 * extra
+            back = decode_wire(short)
+            assert self.typed(back.to_tuples()) == self.typed(cells.to_tuples())

@@ -166,10 +166,19 @@ def test_map_values_swaps_stored_values_in_a_shallow_copy():
 
     tuples = [_make_tuple(i, {"x": float(i), "img": [i, i]}) for i in range(3)]
     block = ColumnarBlock.from_tuples(tuples)
-    stored = block.with_columns(
-        x=Ref(block.columns["x"]), img=[Ref(v) for v in block.columns["img"]]
+    stored = ColumnarBlock(
+        tau=Ref(block.tau),
+        job=block.job,
+        layer=block.layer,
+        specimen=block.specimen,
+        portion=block.portion,
+        ingest_time=block.ingest_time,
+        trace_id=block.trace_id,
+        columns={
+            "x": Ref(block.columns["x"]),
+            "img": [Ref(v) for v in block.columns["img"]],
+        },
     )
-    stored.tau = Ref(block.tau)
     resolved = stored.map_values(unref)
     assert type(stored.tau) is Ref and type(stored.columns["x"]) is Ref
     assert [_fields(t) for t in resolved.to_tuples()] == [_fields(t) for t in tuples]
@@ -184,3 +193,153 @@ def test_blocks_weigh_their_row_count_in_stream_accounting():
     block = ColumnarBlock.from_tuples(tuples)
     assert item_weight(block) == 5 == item_weight(block.to_tuples())
     assert item_weight(tuples[0]) == 1
+
+
+# -- late-materialised row metadata (ISSUE 16) ---------------------------------
+#
+# A fan-out block stores inherited metadata once per parent row plus a row
+# index. Everything observable about it must equal the eagerly expanded
+# block — the form the fan-out used to build, rebuilt here from the raw
+# inputs with the retired ``_repeat_list`` formulation as the oracle.
+
+
+def _repeat_list(values, counts):
+    out = []
+    for value, count in zip(values, counts):
+        out.extend([value] * count)
+    return out
+
+
+def _typed_fields(t):
+    """A tuple's fields with their exact types (float vs np.float64 matters)."""
+    values = _fields(t)[:-1] + tuple(t.payload.values())
+    return [list(t.payload)] + [(v, type(v)) for v in values]
+
+
+def _rows(block):
+    return [_typed_fields(t) for t in block.to_tuples()]
+
+
+@st.composite
+def _fan_outs(draw):
+    """(fan-out block, its eagerly expanded twin) over the same inputs."""
+    parents = [
+        _make_tuple(i, {"x": float(i)}) for i in range(draw(st.integers(1, 5)))
+    ]
+    counts = [draw(st.integers(0, 6)) for _ in parents]
+    rows = sum(counts)
+    table = [f"{r}:{c}" for r in range(3) for c in range(4)]
+    index = np.array(
+        [draw(st.integers(0, len(table) - 1)) for _ in range(rows)], dtype=np.intp
+    )
+    columns = {
+        "mean": np.array([0.5 * i for i in range(rows)], dtype=np.float64),
+        "n": np.arange(rows, dtype=np.int64),
+        "tag": [f"t{i % 3}" for i in range(rows)],
+    }
+    source = ColumnarBlock.from_tuples(parents)
+    fan = source.fan_out(counts, dict(columns), table, index)
+    reps = np.asarray(counts, dtype=np.intp)
+    eager = ColumnarBlock(
+        tau=np.repeat(source.tau, reps),
+        job=_repeat_list(source.job, counts),
+        layer=np.repeat(source.layer, reps),
+        specimen=_repeat_list(source.specimen, counts),
+        portion=[table[i] for i in index.tolist()],
+        ingest_time=np.repeat(source.ingest_time, reps),
+        trace_id=_repeat_list(source.trace_id, counts),
+        columns=dict(columns),
+    )
+    return fan, eager
+
+
+@given(pair=_fan_outs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fan_out_block_equals_its_eager_expansion(pair, data):
+    fan, eager = pair
+    rows = len(eager.job)
+    assert len(fan) == len(eager) == rows
+    assert item_weight(fan) == rows
+    assert _rows(fan) == _rows(eager)
+    # the per-row views, one by one, with list/array kinds and value types
+    for name in ("job", "specimen", "portion", "trace_id"):
+        assert getattr(fan, name) == getattr(eager, name)
+    for name in ("tau", "layer", "ingest_time"):
+        assert np.array_equal(getattr(fan, name), getattr(eager, name))
+        assert getattr(fan, name).dtype == getattr(eager, name).dtype
+
+    indices = data.draw(
+        st.lists(st.integers(-rows, rows - 1), max_size=2 * rows) if rows else st.just([])
+    )
+    assert _rows(fan.take(indices)) == _rows(eager.take(indices))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    assert _rows(fan.select(mask)) == _rows(eager.select(mask))
+    label = [f"L{i}" for i in range(rows)]
+    assert _rows(fan.with_columns(label=label)) == _rows(eager.with_columns(label=label))
+    assert "label" not in fan.columns
+    only = {"label": label}
+    assert _rows(fan.replace_columns(only)) == _rows(eager.replace_columns(only))
+    assert _rows(fan.map_values(lambda v: v)) == _rows(eager)
+    # a selection of a selection, and a fan-out of a fan-out, compose
+    again = data.draw(st.lists(st.integers(0, max(len(indices) - 1, 0)), max_size=4))
+    if indices:
+        assert _rows(fan.take(indices).take(again)) == _rows(
+            eager.take(indices).take(again)
+        )
+    twice = [data.draw(st.integers(0, 2)) for _ in range(rows)]
+    sub = [f"s{i}" for i in range(sum(twice))]
+    assert _rows(fan.fan_out(twice, {}, sub)) == _rows(eager.fan_out(twice, {}, sub))
+
+
+@given(pair=_fan_outs(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fan_out_block_survives_the_wire_like_its_eager_expansion(pair, data):
+    from repro.serde import decode_wire, encode_wire
+
+    fan, eager = pair
+    rows = len(fan)
+    want = _rows(eager)
+    decoded = decode_wire(encode_wire(fan))
+    assert len(decoded) == rows and _rows(decoded) == want
+    # a decoded record re-encodes to the same bytes (a broker relaying it)
+    assert encode_wire(decoded) == encode_wire(fan)
+    indices = data.draw(
+        st.lists(st.integers(0, rows - 1), max_size=rows) if rows else st.just([])
+    )
+    taken = decode_wire(encode_wire(fan.take(indices)))
+    assert _rows(taken) == _rows(eager.take(indices))
+
+
+def test_fan_out_metadata_is_per_parent_in_memory_and_on_the_wire():
+    """The guard ISSUE 16 asks for: nothing about ``job`` / ``specimen`` /
+    ``trace_id`` scales with the cells a specimen fans out into."""
+    from repro.serde import encode_wire
+
+    def fan(job, cells):
+        parents = [
+            StreamTuple(1.0, job, 3, {"x": 0.0}, specimen=f"{job}-S{k:02d}", portion="*")
+            for k in range(12)
+        ]
+        source = ColumnarBlock.from_tuples(parents)
+        table = [str(i) for i in range(cells)]
+        return source.fan_out(
+            [cells] * 12,
+            {"mean": np.zeros(12 * cells)},
+            table,
+            np.tile(np.arange(cells, dtype=np.intp), 12),
+        )
+
+    block = fan("J", 5000)
+    assert len(block) == 60_000
+    for name in ("job", "specimen", "trace_id", "tau", "layer", "ingest_time"):
+        assert len(block.inherited(name)) == 12
+    survivors = block.take(np.arange(0, 60_000, 2000))
+    assert len(survivors.inherited("job")) == 12  # re-indexed, not expanded
+    assert survivors.to_tuples()[-1].specimen == "J-S11"
+
+    # on the wire: a longer job name costs its 12 parents (job once, inside
+    # specimen once), never its 60 000 rows — at any fan-out width
+    extra = len("J" * 40) - len("J")
+    for cells in (50, 5000):
+        short, long = encode_wire(fan("J", cells)), encode_wire(fan("J" * 40, cells))
+        assert len(long) - len(short) == 12 * 2 * extra
