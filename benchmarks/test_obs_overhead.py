@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import EvaluationWorkload, format_table, run_throughput_experiment
-from repro.core import UseCaseConfig
+from repro.core import DeployConfig, UseCaseConfig
 from repro.obs import ObsConfig, ObsContext
 from repro.spe import PlanConfig
 
@@ -33,11 +33,11 @@ OFFERED_RATE = 4096.0
 #: throughput with obs on must stay within this factor of obs off
 MIN_RATIO = 0.9
 
-#: the optimized plan of the fusion benchmark — the hot transport path
-#: where per-tuple instrumentation overhead would show first. vectorize is
-#: pinned: observing must leave the block path on (ISSUE 12), and a drop
-#: back to the scalar cascade under the tracer is a 10x, not a 10 %, loss
-PLAN = PlanConfig(fusion=True, edge_batch_size=32, vectorize=True)
+#: the default plan of the fusion benchmark — the hot transport path
+#: where per-tuple instrumentation overhead would show first. Observing
+#: must leave the block path on (ISSUE 12): a drop back to the scalar
+#: cascade under the tracer is a 10x, not a 10 %, loss
+PLAN = PlanConfig(edge_batch_size=32)
 
 VARIANTS: dict[str, object] = {
     "obs-off": None,
@@ -90,7 +90,7 @@ def test_obs_overhead_variant(benchmark, profile, transport_workload, variant):
             config,
             offered_images_s=OFFERED_RATE,
             total_images=_total_images(),
-            optimize=PLAN,
+            optimize=DeployConfig(plan=PLAN),
             obs=_obs_for(variant),
         )
         runs.append(run)

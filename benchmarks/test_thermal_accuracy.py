@@ -8,10 +8,12 @@ Four measurements, one JSON artifact (``BENCH_thermal.json``):
    sensor noise floor (else a thermometer would do).
 2. **Reconstruction accuracy** — recovered laser power/speed against the
    hidden *actual* (drifted) schedule; gated at a few percent relative.
-3. **Throughput, scalar vs vectorized** — the same forecast pipeline
-   with the plan compiler's columnar path off and on.  The vectorized
-   path replaces per-cell Python loops with the grid kernels, so the
-   speedup is single-thread algorithmic and is gated unconditionally.
+3. **Throughput, plan off vs plan on** — the same forecast pipeline as
+   declared (one thread per operator, tuple at a time) and under the
+   default compiled plan.  Both run the grid kernels — a lone region
+   tuple is the kernel over one row — so what the ratio reports is what
+   fusion and block execution save in hops and conversions; the gate is
+   that the results are identical.
 4. **Deploy-mode divergence** — threaded, distributed-tcp,
    distributed-shm and elastic runs of both pipelines must produce
    identical results (exact float comparison: both engine paths reduce
@@ -35,7 +37,6 @@ from repro.bench import format_table
 from repro.core import DeployConfig, Strata
 from repro.core.deploy import ElasticConfig
 from repro.dist import DistConfig
-from repro.spe import PlanConfig
 from repro.thermal import (
     ThermalPipelineConfig,
     build_forecast_pipeline,
@@ -51,9 +52,6 @@ FORECAST_GATE_FRACTION_OF_SENSOR = 1.0
 #: mean relative reconstruction error gates (vs the hidden actual values)
 POWER_ERROR_GATE = 0.05
 SPEED_ERROR_GATE = 0.08
-#: vectorized frames/s over scalar frames/s (single-thread algorithmic win)
-VECTORIZE_SPEEDUP_GATE = 1.2
-
 _results: dict[str, dict] = {}
 
 
@@ -187,12 +185,9 @@ def test_reconstruction_accuracy(benchmark, profile):
     assert float(np.mean(speed_errs)) <= SPEED_ERROR_GATE
 
 
-def test_throughput_scalar_vs_vectorized(benchmark, profile):
+def test_throughput_plan_off_vs_plan_on(benchmark, profile):
     build = _build(_layers())
-    modes = {
-        "scalar": PlanConfig(vectorize=False),
-        "vectorized": PlanConfig(vectorize=True),
-    }
+    modes = {"plan_off": None, "plan_on": True}
     out: dict[str, dict] = {}
 
     def run_all():
@@ -206,22 +201,17 @@ def test_throughput_scalar_vs_vectorized(benchmark, profile):
             }
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
-    speedup = out["vectorized"]["frames_s"] / out["scalar"]["frames_s"]
-    assert out["vectorized"]["result_keys"] == out["scalar"]["result_keys"], (
-        "vectorized execution changed forecast results"
+    speedup = out["plan_on"]["frames_s"] / out["plan_off"]["frames_s"]
+    assert out["plan_on"]["result_keys"] == out["plan_off"]["result_keys"], (
+        "the compiled plan changed forecast results"
     )
     _results["throughput"] = {
-        "scalar_frames_s": out["scalar"]["frames_s"],
-        "vectorized_frames_s": out["vectorized"]["frames_s"],
-        "vectorized_speedup": speedup,
-        "speedup_gate": VECTORIZE_SPEEDUP_GATE,
+        "plan_off_frames_s": out["plan_off"]["frames_s"],
+        "plan_on_frames_s": out["plan_on"]["frames_s"],
+        "plan_on_speedup": speedup,
         "results_identical": True,
     }
     benchmark.extra_info.update(speedup=round(speedup, 2))
-    assert speedup >= VECTORIZE_SPEEDUP_GATE, (
-        f"vectorized path must be >= {VECTORIZE_SPEEDUP_GATE}x scalar, "
-        f"got {speedup:.2f}x"
-    )
 
 
 def test_deploy_mode_divergence(benchmark, profile):
@@ -297,8 +287,8 @@ def test_thermal_report(benchmark, profile):
             ["speed mean rel err %",
              round(rc["speed_mean_rel_error"] * 100, 2),
              f"<= {SPEED_ERROR_GATE * 100:.0f}%"],
-            ["vectorized speedup", round(tp["vectorized_speedup"], 2),
-             f">= {VECTORIZE_SPEEDUP_GATE}x"],
+            ["plan-on speedup", round(tp["plan_on_speedup"], 2), "reported"],
+            ["plan-on results identical", tp["results_identical"], "== True"],
             ["deploy-mode divergence", _results["divergence"]["total"], "== 0"],
         ],
     ))
@@ -308,7 +298,6 @@ def test_thermal_report(benchmark, profile):
             "forecast_rmse_beats_sensor_noise": True,
             "power_error_gate": POWER_ERROR_GATE,
             "speed_error_gate": SPEED_ERROR_GATE,
-            "vectorize_speedup_gate": VECTORIZE_SPEEDUP_GATE,
             "divergence_gate": 0,
         },
         **_results,

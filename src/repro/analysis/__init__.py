@@ -26,12 +26,9 @@ from .labeling import (
 )
 from .thermal_kernels import (
     kalman_predict,
-    kalman_predict_scalar,
     kalman_update,
-    kalman_update_scalar,
     laser_feature_vector,
     meltpool_cell_stats,
-    meltpool_cell_stats_scalar,
     top_k_mean,
 )
 from .thresholds import (
@@ -68,11 +65,8 @@ __all__ = [
     "WARM",
     "VERY_WARM",
     "kalman_predict",
-    "kalman_predict_scalar",
     "kalman_update",
-    "kalman_update_scalar",
     "meltpool_cell_stats",
-    "meltpool_cell_stats_scalar",
     "top_k_mean",
     "laser_feature_vector",
 ]

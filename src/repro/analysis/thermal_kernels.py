@@ -1,19 +1,19 @@
 """Numpy kernels for the thermal workloads (estimator + melt-pool features).
 
-Two hot paths ship both a whole-grid kernel and a scalar twin:
+Two hot paths:
 
 * the **Kalman recursion** of ``repro.thermal.estimator`` — one
   independent scalar filter per grid cell over the per-layer surface
   temperature state.  The grid kernels apply the predict/update step to
-  every cell at once; the ``*_scalar`` twins are the per-cell reference
-  the property suite holds them to.  Both express the identical IEEE-754
-  operation sequence per element, so kernel and scalar paths are
-  bit-identical, which is what lets the vectorized and scalar pipeline
-  modes share one divergence gate.
+  every cell at once, each element through the IEEE-754 operation
+  sequence a per-cell filter would run.
 * the **melt-pool statistics** of ``repro.thermal.features`` — per-cell
   total/peak/melt-fraction grids plus the two plate-level features the
   laser-parameter regressor inverts.  The per-cell grids use the same
   strided-reshape trick as :func:`repro.analysis.cells.cell_means`.
+
+The per-cell reference implementations the property suite holds these
+kernels to live in ``tests/analysis/thermal_oracle.py``.
 
 A measurement of NaN models a dropped sensor sample for that cell: the
 update is skipped and the cell coasts on its prediction with the
@@ -28,11 +28,8 @@ import numpy as np
 
 __all__ = [
     "kalman_predict",
-    "kalman_predict_scalar",
     "kalman_update",
-    "kalman_update_scalar",
     "meltpool_cell_stats",
-    "meltpool_cell_stats_scalar",
     "top_k_mean",
     "laser_feature_vector",
 ]
@@ -63,22 +60,6 @@ def kalman_predict(
     return predicted, predicted_cov
 
 
-def kalman_predict_scalar(
-    state: float,
-    cov: float,
-    energy: float,
-    *,
-    ambient: float,
-    retention: float,
-    coupling: float,
-    process_var: float,
-) -> tuple[float, float]:
-    """Per-cell reference for :func:`kalman_predict` (same op order)."""
-    predicted = ambient + retention * (state - ambient) + coupling * energy
-    predicted_cov = retention * retention * cov + process_var
-    return predicted, predicted_cov
-
-
 def kalman_update(
     predicted: np.ndarray,
     predicted_cov: np.ndarray,
@@ -100,22 +81,6 @@ def kalman_update(
     return state, cov, innovation, valid
 
 
-def kalman_update_scalar(
-    predicted: float,
-    predicted_cov: float,
-    measurement: float,
-    *,
-    sensor_var: float,
-) -> tuple[float, float, float, bool]:
-    """Per-cell reference for :func:`kalman_update` (same op order)."""
-    valid = not math.isnan(measurement)
-    gain = predicted_cov / (predicted_cov + sensor_var)
-    innovation = (measurement - predicted) if valid else 0.0
-    state = predicted + gain * innovation
-    cov = (1.0 - gain) * predicted_cov if valid else predicted_cov
-    return state, cov, innovation, valid
-
-
 def meltpool_cell_stats(
     image: np.ndarray, cell_edge_px: int, melt_threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -123,8 +88,8 @@ def meltpool_cell_stats(
 
     ``image`` is ``(H, W)`` with both dimensions divisible by
     ``cell_edge_px``.  ``melt_fraction`` counts pixels strictly above the
-    threshold — an exact comparison, so scalar and kernel paths agree
-    even for pixels landing on the boundary.
+    threshold — an exact comparison, so a pixel landing on the boundary
+    is counted the same way by any implementation.
     """
     rows, cols = image.shape
     if rows % cell_edge_px or cols % cell_edge_px:
@@ -138,45 +103,6 @@ def meltpool_cell_stats(
     peak = blocks.max(axis=(1, 3))
     melt_fraction = (blocks > melt_threshold).mean(axis=(1, 3))
     return total, peak, melt_fraction
-
-
-def meltpool_cell_stats_scalar(
-    image: np.ndarray, cell_edge_px: int, melt_threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pure-python per-cell reference for :func:`meltpool_cell_stats`.
-
-    Accumulates with python floats, so totals agree with the kernel only
-    to within summation reordering (the suite uses ``allclose``); peak
-    and melt counts are order-free and match exactly.
-    """
-    rows, cols = image.shape
-    if rows % cell_edge_px or cols % cell_edge_px:
-        raise ValueError(
-            f"image {image.shape} not divisible by cell edge {cell_edge_px}"
-        )
-    n_rows = rows // cell_edge_px
-    n_cols = cols // cell_edge_px
-    total = np.zeros((n_rows, n_cols))
-    peak = np.zeros((n_rows, n_cols))
-    melt = np.zeros((n_rows, n_cols))
-    edge = cell_edge_px
-    for i in range(n_rows):
-        for j in range(n_cols):
-            acc = 0.0
-            top = -math.inf
-            hot = 0
-            for r in range(i * edge, (i + 1) * edge):
-                for c in range(j * edge, (j + 1) * edge):
-                    v = float(image[r, c])
-                    acc += v
-                    if v > top:
-                        top = v
-                    if v > melt_threshold:
-                        hot += 1
-            total[i, j] = acc
-            peak[i, j] = top
-            melt[i, j] = hot / (edge * edge)
-    return total, peak, melt
 
 
 def top_k_mean(image: np.ndarray, k: int) -> float:

@@ -22,6 +22,7 @@ from typing import Iterable
 from ..am.dataset import LayerRecord
 from ..core.api import Strata
 from ..core.collectors import OTImageCollector
+from ..core.deploy import DeployConfig
 from ..core.usecase import (
     UseCaseConfig,
     build_use_case,
@@ -151,15 +152,15 @@ def run_latency_experiment(
     config: UseCaseConfig,
     warmup_layers: int = 2,
     engine_mode: str = "threaded",
-    optimize: object | None = None,
+    optimize: DeployConfig | None = None,
     obs: object | None = None,
 ) -> LatencyRun:
     """Lockstep replay of the workload; per-layer latency samples.
 
-    ``optimize`` is forwarded to :meth:`Strata.deploy` (``None``/``False``,
-    ``True``, a :class:`~repro.spe.plan.PlanConfig`, or a full
-    :class:`~repro.core.deploy.DeployConfig`); ``obs`` to :class:`Strata`
-    (the obs-overhead benchmark ablates instrumentation).
+    ``optimize`` is the :class:`~repro.core.deploy.DeployConfig` handed to
+    :meth:`Strata.deploy` (``None``: the graph as declared); ``obs`` goes
+    to :class:`Strata` (the obs-overhead benchmark ablates
+    instrumentation).
     """
     records = workload.records
     strata = Strata(engine_mode=engine_mode, obs=obs)
@@ -234,15 +235,15 @@ def run_throughput_experiment(
     config: UseCaseConfig,
     offered_images_s: float,
     total_images: int,
-    optimize: object | None = None,
+    optimize: DeployConfig | None = None,
     obs: object | None = None,
 ) -> ThroughputRun:
     """Replay ``total_images`` at ``offered_images_s``; measure saturation.
 
-    ``optimize`` is forwarded to :meth:`Strata.deploy` (plan shorthand or
-    a full :class:`~repro.core.deploy.DeployConfig`), so the fig7 sweep
-    can ablate the plan compiler's passes; ``obs`` to :class:`Strata`, so
-    the obs-overhead benchmark can ablate instrumentation.
+    ``optimize`` is the :class:`~repro.core.deploy.DeployConfig` handed to
+    :meth:`Strata.deploy`, so the fig7 sweep can compare the compiled plan
+    with the graph as declared; ``obs`` goes to :class:`Strata`, so the
+    obs-overhead benchmark can ablate instrumentation.
     """
     strata = Strata(engine_mode="threaded", obs=obs)
     ot_records = list(workload.replay(total_images))

@@ -67,14 +67,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--explain", action="store_true",
                         help="print the compiled query plan before running")
     parser.add_argument("--no-optimize", action="store_true",
-                        help="disable the plan compiler entirely")
-    parser.add_argument("--no-fusion", action="store_true",
-                        help="keep operators unfused (one thread per operator)")
+                        help="run the graph as declared: no plan compiler, "
+                             "one thread per operator, tuple at a time")
     parser.add_argument("--batch-size", type=int, default=32,
                         help="tuples per queue entry on threaded edges (1 = unbatched)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="run fused chains tuple-at-a-time instead of "
-                             "array-at-a-time columnar kernels")
     parser.add_argument("--parallelism", type=int, default=1,
                         help="replicate keyed stages N-ways behind a hash router")
     parser.add_argument("--elastic", action="store_true",
@@ -119,10 +115,7 @@ def _plan_of(args: argparse.Namespace) -> PlanConfig | None:
     if args.no_optimize:
         return None
     return PlanConfig(
-        fusion=not args.no_fusion,
-        edge_batch_size=args.batch_size,
-        parallelism=args.parallelism,
-        vectorize=not args.no_vectorize,
+        edge_batch_size=args.batch_size, parallelism=args.parallelism
     )
 
 

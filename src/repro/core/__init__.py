@@ -29,7 +29,6 @@ from .functions import (
     LabelCell,
     LabelSpecimenCells,
     LabelSpecimenCellsAdaptive,
-    make_correlator,
 )
 from .handles import SinkHandle, StreamHandle
 from .operators import (
@@ -80,7 +79,6 @@ __all__ = [
     "StreakPipeline",
     "build_streak_use_case",
     "DBSCANCorrelator",
-    "make_correlator",
     "PartitionOperator",
     "DetectEventOperator",
     "CorrelateEventsOperator",

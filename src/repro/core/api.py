@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from dataclasses import replace as _dc_replace
 from typing import Any, Callable, Hashable
 
@@ -366,51 +365,17 @@ class Strata:
         self._sinks[node] = sink
         return sink
 
-    #: legacy deploy/start keywords, mapped onto DeployConfig fields
-    _LEGACY_KEYS = ("checkpointer", "recover_from", "optimize", "distributed")
-
-    def _coerce_config(self, config: Any, legacy: dict[str, Any]) -> DeployConfig:
-        """Normalize ``deploy``/``start`` arguments into one DeployConfig."""
-        if config is not None and legacy:
-            raise DeployConfigError(
-                "pass either a DeployConfig or the legacy keyword arguments, "
-                f"not both (got config= and {', '.join(sorted(legacy))})"
-            )
-        if config is not None:
-            if isinstance(config, DeployConfig):
-                return config
-            # convenience: the optimize= shorthand values in positional use
-            if isinstance(config, bool) or config.__class__.__name__ == "PlanConfig":
-                return DeployConfig(plan=config)
-            raise DeployConfigError(
-                f"config must be a DeployConfig (or a plan shorthand), "
-                f"got {config!r}"
-            )
-        if not legacy:
+    @staticmethod
+    def _coerce_config(config: DeployConfig | None) -> DeployConfig:
+        """``deploy``/``start`` take a :class:`DeployConfig` or nothing."""
+        if config is None:
             return DeployConfig()
-        unknown = set(legacy) - set(self._LEGACY_KEYS)
-        if unknown:
-            raise TypeError(
-                f"unexpected keyword argument(s): {', '.join(sorted(unknown))}"
+        if not isinstance(config, DeployConfig):
+            raise DeployConfigError(
+                f"config must be a DeployConfig, got {config!r}; e.g. "
+                "deploy(DeployConfig(plan=True, recovery=RecoveryConfig(...)))"
             )
-        warnings.warn(
-            "the checkpointer=/recover_from=/optimize=/distributed= keywords "
-            "are deprecated; pass a DeployConfig instead, e.g. "
-            "deploy(DeployConfig(plan=..., recovery=RecoveryConfig(...)))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        recovery = None
-        if legacy.get("checkpointer") is not None or legacy.get("recover_from") is not None:
-            recovery = RecoveryConfig(
-                checkpointer=legacy.get("checkpointer"),
-                recover_from=legacy.get("recover_from"),
-            )
-        return DeployConfig(
-            plan=legacy.get("optimize"),
-            dist=legacy.get("distributed"),
-            recovery=recovery,
-        )
+        return config
 
     def _materialize_recovery(
         self, recovery: RecoveryConfig | None
@@ -448,7 +413,7 @@ class Strata:
         self._ckpt_periodic = owned
         return checkpointer, hook
 
-    def deploy(self, config: DeployConfig | None = None, **legacy: Any) -> RunReport:
+    def deploy(self, config: DeployConfig | None = None) -> RunReport:
         """Run the composed pipeline to completion (finite sources).
 
         ``config`` is a :class:`~repro.core.deploy.DeployConfig` grouping
@@ -457,16 +422,12 @@ class Strata:
         whole; invalid combinations raise
         :class:`~repro.core.errors.DeployConfigError`.
 
-        The pre-config keywords (``checkpointer=``, ``recover_from=``,
-        ``optimize=``, ``distributed=``) still work, are mapped onto an
-        equivalent config, and emit a ``DeprecationWarning``.
-
         With observability enabled, the run's final metrics snapshot lands
         in ``report.extra["metrics"]``; with elastic rescaling enabled,
         the controller's decision history lands in
         ``report.extra["elastic"]``.
         """
-        cfg = self._coerce_config(config, legacy)
+        cfg = self._coerce_config(config)
         self._obs = cfg.resolved_obs(self._obs)
         dist_config = cfg.resolved_dist()
         if dist_config is not None:
@@ -521,17 +482,15 @@ class Strata:
         finally:
             self._teardown_config_runtime()
 
-    def start(
-        self, config: DeployConfig | None = None, **legacy: Any
-    ) -> dict[str, Sink]:
+    def start(self, config: DeployConfig | None = None) -> dict[str, Sink]:
         """Deploy in the background (threaded engine); returns the sinks.
 
-        Same ``config``/legacy-keyword semantics as :meth:`deploy`, except
+        Same ``config`` semantics as :meth:`deploy`, except
         distributed execution is ``deploy()``-only. With observability
         enabled, :meth:`metrics` can be polled while the deployment runs —
         this is what the ``top`` CLI verb and ``--metrics-out`` build on.
         """
-        cfg = self._coerce_config(config, legacy)
+        cfg = self._coerce_config(config)
         self._obs = cfg.resolved_obs(self._obs)
         if cfg.dist is not None:
             raise DeployConfigError(
@@ -606,7 +565,8 @@ class Strata:
             self._ckpt_periodic = None
 
     def explain(self, optimize: Any | None = True) -> str:
-        """Render the physical plan ``deploy(optimize=...)`` would run.
+        """Render the physical plan ``deploy(DeployConfig(plan=optimize))``
+        would run.
 
         Builds (but does not execute) the pipeline, applies the compiler
         passes, and returns a plan listing — fused chains, routers, and

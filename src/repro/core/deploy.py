@@ -1,9 +1,7 @@
 """The unified deployment surface: one config object for every subsystem.
 
-:class:`DeployConfig` replaces the grown-over-time keyword soup of
-``Strata.deploy(checkpointer=..., recover_from=..., optimize=...,
-distributed=...)`` with one validated dataclass grouping each subsystem's
-knobs::
+:class:`DeployConfig` is the one argument of ``Strata.deploy`` /
+``Strata.start``: a validated dataclass grouping each subsystem's knobs::
 
     config = DeployConfig(
         plan=PlanConfig(parallelism=2),
@@ -15,9 +13,7 @@ knobs::
 Cross-field rules live in one place (``__post_init__``) and every
 violation raises the same typed error,
 :class:`~repro.core.errors.DeployConfigError`, so callers have exactly one
-thing to catch. The legacy keywords still work on ``deploy``/``start``
-but emit a :class:`DeprecationWarning` and are internally mapped onto a
-``DeployConfig``.
+thing to catch.
 
 ``from_dict``/``to_dict`` round-trip the config through plain mappings
 (minus live objects: coordinators, contexts, and scale policies are code,

@@ -27,7 +27,6 @@ one-time :class:`DeprecationWarning` naming the spelling to migrate to.
 from __future__ import annotations
 
 import functools
-import re
 import warnings
 from typing import TYPE_CHECKING, Any
 
@@ -41,11 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs.registry import MetricsSnapshot
     from ..spe.sink import Sink
     from .api import Strata
-
-
-def snake_name(camel: str) -> str:
-    """``detectEvent`` -> ``detect_event``."""
-    return re.sub(r"(?<!^)(?=[A-Z])", "_", camel).lower()
 
 
 def camel_name(snake: str) -> str:
@@ -78,32 +72,6 @@ def _deprecated_alias(cls: type, alias: str, canonical: str, fn: Any) -> Any:
     shim.__name__ = alias
     shim.__qualname__ = f"{cls.__qualname__}.{alias}"
     return shim
-
-
-def install_snake_case_aliases(cls: type, names: tuple[str, ...]) -> None:
-    """Deprecated: add PEP 8 aliases for camelCase-canonical methods.
-
-    This is the legacy direction — it exists for classes still *defined*
-    with camelCase methods. Calling it emits a one-time
-    :class:`DeprecationWarning` advising to define the methods under
-    their snake_case names (and use :func:`install_camelcase_aliases`
-    for paper-parity spellings). The installed snake_case alias is the
-    same function object, since snake_case is the canonical surface.
-    """
-    key = f"install_snake_case_aliases:{cls.__name__}"
-    if key not in _warned_aliases:
-        _warned_aliases.add(key)
-        warnings.warn(
-            f"install_snake_case_aliases({cls.__name__}) is deprecated; "
-            "define methods under their canonical snake_case names and "
-            "install_camelcase_aliases for the paper's spellings",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    for camel in names:
-        alias = snake_name(camel)
-        if alias != camel:
-            setattr(cls, alias, cls.__dict__[camel])
 
 
 def install_camelcase_aliases(cls: type, names: tuple[str, ...]) -> None:

@@ -58,6 +58,9 @@ class PartitionOperator(Operator):
     def __init__(self, name: str, fn: UserFunction | None = None) -> None:
         super().__init__(name)
         self._fn = fn or default_partition
+        # F is a plain callable; an array-at-a-time variant is optional
+        self._fn_block = getattr(self._fn, "process_block", None)
+        self.supports_block = self._fn_block is not None
 
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
         if is_punctuation(t):
@@ -82,11 +85,6 @@ class PartitionOperator(Operator):
 
     # -- columnar execution -------------------------------------------------
 
-    @property
-    def supports_block(self) -> bool:
-        """True when the user function offers an array-at-a-time variant."""
-        return hasattr(self._fn, "process_block")
-
     def block_eligible(self, t: StreamTuple) -> bool:
         """True when ``t`` may join a columnar block through this stage.
 
@@ -103,7 +101,7 @@ class PartitionOperator(Operator):
         portion assigned (both use-case kernels inherit/assign them), so
         the scalar path's defaulting never applies here.
         """
-        return self._fn.process_block(block)
+        return self._fn_block(block)
 
     def snapshot_state(self) -> dict[str, Any] | None:
         fn_state = snapshot_callable(self._fn)
@@ -132,6 +130,11 @@ class DetectEventOperator(Operator):
     def __init__(self, name: str, fn: UserFunction) -> None:
         super().__init__(name)
         self._fn = fn
+        # F is a plain callable; bulk and array-at-a-time variants are
+        # optional (``LabelCell`` offers both)
+        self._fn_many = getattr(fn, "process_many", None)
+        self._fn_block = getattr(fn, "process_block", None)
+        self.supports_block = self._fn_block is not None
         self.events_out = 0
 
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
@@ -159,7 +162,9 @@ class DetectEventOperator(Operator):
             outputs = outputs + [make_punctuation(t, s) for s in specimens]
         return outputs
 
-    def process_many(self, tuples: list[StreamTuple]) -> list[StreamTuple]:
+    def process_many(
+        self, tuples: list[StreamTuple], input_index: int = 0
+    ) -> list[StreamTuple]:
         """Bulk scalar path: one pass over a run of tuples.
 
         Runs of plain event-carrying tuples go through the function's own
@@ -169,17 +174,10 @@ class DetectEventOperator(Operator):
         exact stream position, so ordering and punctuation semantics are
         untouched.
         """
-        fn_many = getattr(self._fn, "process_many", None)
+        fn_many = self._fn_many
         if fn_many is None:
-            out: list[StreamTuple] = []
-            extend = out.extend
-            process = self.process
-            for t in tuples:
-                got = process(0, t)
-                if got:
-                    extend(got)
-            return out
-        out = []
+            return super().process_many(tuples, input_index)
+        out: list[StreamTuple] = []
         extend = out.extend
         run: list[StreamTuple] = []
         events = 0
@@ -204,11 +202,6 @@ class DetectEventOperator(Operator):
 
     # -- columnar execution -------------------------------------------------
 
-    @property
-    def supports_block(self) -> bool:
-        """True when the user function offers an array-at-a-time variant."""
-        return hasattr(self._fn, "process_block")
-
     def block_eligible(self, t: StreamTuple) -> bool:
         """True when ``t`` may join a columnar block through this stage."""
         return t.specimen is not None and PUNCTUATION_KEY not in t.payload
@@ -220,7 +213,7 @@ class DetectEventOperator(Operator):
         specimen-defaulting and punctuation minting never apply; the event
         counter advances exactly as it would tuple-by-tuple.
         """
-        out = self._fn.process_block(block)
+        out = self._fn_block(block)
         self.events_out += len(out)
         return out
 

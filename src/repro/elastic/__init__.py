@@ -11,9 +11,9 @@ mutation share that protocol:
   stage migration — driven by the typed
   :data:`~repro.elastic.actions.AdaptationAction` algebra returned by an
   :class:`~repro.elastic.actions.AdaptationPolicy` (default:
-  :class:`~repro.elastic.replan.CostModelPolicy`). Legacy
-  :class:`~repro.elastic.policy.ScalePolicy` objects still work through
-  a deprecation shim emitting only ``Rescale`` actions.
+  :class:`~repro.elastic.replan.CostModelPolicy`, which takes a
+  3-argument :class:`~repro.elastic.policy.ScalePolicy` for the replica
+  counts: ``CostModelPolicy(scale=...)``).
 """
 
 from .actions import (
@@ -24,10 +24,8 @@ from .actions import (
     Migrate,
     NoOp,
     Rescale,
-    ScalePolicyAdapter,
     Unfuse,
     WorkloadView,
-    is_legacy_scale_policy,
 )
 from .config import ElasticConfig
 from .controller import (
@@ -64,12 +62,10 @@ __all__ = [
     "ReplanConfig",
     "Rescale",
     "ScalePolicy",
-    "ScalePolicyAdapter",
     "Unfuse",
     "WorkloadView",
     "discover_chains",
     "discover_groups",
-    "is_legacy_scale_policy",
     "merge_keyed",
     "plan_migration",
     "split_keyed",

@@ -15,19 +15,16 @@ from workload statistics), so policies now return a sequence of typed
 
 :class:`AdaptationPolicy` is the new protocol: one ``decide(view)`` over a
 :class:`WorkloadView` snapshot of every group's and chain's signals.
-Legacy :class:`~repro.elastic.policy.ScalePolicy` objects keep working
-through :class:`ScalePolicyAdapter`, which emits only :class:`Rescale`
-actions and a :class:`DeprecationWarning`.
+A 3-argument :class:`~repro.elastic.policy.ScalePolicy` decides replica
+counts inside one: ``CostModelPolicy(scale=my_policy)``.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, Sequence, Union, runtime_checkable
 
-from .policy import GroupSignals, ScalePolicy
+from .policy import GroupSignals
 
 
 @dataclass(frozen=True)
@@ -141,63 +138,3 @@ class AdaptationPolicy(Protocol):
     def decide(self, view: WorkloadView) -> Sequence[AdaptationAction]:
         """The actions to apply this tick (may be empty)."""
         ...
-
-
-def is_legacy_scale_policy(policy: Any) -> bool:
-    """True when ``policy.decide`` has the old 3-argument ScalePolicy shape.
-
-    ``AdaptationPolicy.decide`` takes one positional argument (the view);
-    the legacy contract took three (group, signals, current). Signature
-    arity is the only reliable discriminator — both protocols name their
-    method ``decide``, so ``isinstance`` against the runtime-checkable
-    protocols cannot tell them apart.
-    """
-    decide = getattr(policy, "decide", None)
-    if decide is None or not callable(decide):
-        return False
-    try:
-        signature = inspect.signature(decide)
-    except (TypeError, ValueError):  # pragma: no cover - builtins etc.
-        return False
-    positional = [
-        p
-        for p in signature.parameters.values()
-        if p.kind
-        in (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
-        and p.name != "self"
-    ]
-    return len(positional) >= 3
-
-
-class ScalePolicyAdapter:
-    """Bridge a legacy :class:`ScalePolicy` into the action protocol.
-
-    Emits one :class:`Rescale` per group whose legacy target differs from
-    its current parallelism — exactly the decisions the old controller
-    acted on — and nothing else, so a legacy policy deploys unchanged
-    apart from the :class:`DeprecationWarning` raised here.
-    """
-
-    def __init__(self, policy: ScalePolicy) -> None:
-        self._policy = policy
-        warnings.warn(
-            f"{type(policy).__name__} implements the legacy "
-            "ScalePolicy.decide(group, signals, current) -> int contract; "
-            "implement AdaptationPolicy.decide(view) -> "
-            "Sequence[AdaptationAction] to control re-planning too",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @property
-    def wrapped(self) -> ScalePolicy:
-        """The legacy policy this adapter drives."""
-        return self._policy
-
-    def decide(self, view: WorkloadView) -> list[AdaptationAction]:
-        actions: list[AdaptationAction] = []
-        for name, signals in view.groups.items():
-            target = self._policy.decide(name, signals, signals.parallelism)
-            if target != signals.parallelism:
-                actions.append(Rescale(group=name, target=target))
-        return actions

@@ -19,9 +19,9 @@ class ElasticConfig:
     of one group. ``adaptive_batching`` lets the controller retune edge
     batch size between rescales, within ``batch_min``/``batch_max``.
     ``policy`` overrides the default policy (any object implementing
-    :class:`~repro.elastic.actions.AdaptationPolicy`, or a legacy
-    :class:`~repro.elastic.policy.ScalePolicy`, which adapts through a
-    deprecation shim). ``replan`` enables runtime plan adaptation —
+    :class:`~repro.elastic.actions.AdaptationPolicy`; a 3-argument
+    :class:`~repro.elastic.policy.ScalePolicy` is passed as
+    ``CostModelPolicy(scale=...)``). ``replan`` enables runtime plan adaptation —
     ``True`` for defaults or a
     :class:`~repro.elastic.replan.ReplanConfig`; off, the controller
     only rescales replica groups.

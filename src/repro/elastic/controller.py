@@ -59,11 +59,9 @@ from ..spe.barrier import RESCALE_EPOCH_BASE, RescaleBarrier
 from ..spe.errors import PlanError, SPEError
 from ..spe.operators.router import hash_route
 from ..spe.plan import (
-    FusedOperator,
     PlanConfig,
     ReplicaGroupMeta,
-    VectorizedFusedOperator,
-    _FusedPart,
+    build_fused_node,
     build_replicated_group,
     fuse_linear_chains,
 )
@@ -78,10 +76,8 @@ from .actions import (
     Migrate,
     NoOp,
     Rescale,
-    ScalePolicyAdapter,
     Unfuse,
     WorkloadView,
-    is_legacy_scale_policy,
 )
 from .config import ElasticConfig
 from .policy import GroupSignals
@@ -177,7 +173,14 @@ class ElasticController:
         self._obs = obs
         self._checkpointer = checkpointer
         self._replan = config.replan  # ReplanConfig | None (pre-resolved)
-        self._policy = self._resolve_policy(config.policy)
+        # None picks the cost model for either deployment shape: with
+        # replanning off no chains are discovered, so all it ever sees are
+        # replica groups and it decides exactly what its hysteresis scale
+        # policy decides
+        self._policy: AdaptationPolicy = (
+            config.policy if config.policy is not None
+            else CostModelPolicy(self._replan)
+        )
         # live clamp for policy targets; starts at the config bounds but can
         # be moved at runtime (set_bounds) by an external budget owner —
         # this is how the fleet scheduler lends and reclaims replicas
@@ -223,21 +226,6 @@ class ElasticController:
         self._lock = threading.Lock()
         if obs is not None and hasattr(obs, "registry"):
             obs.registry.register_collector("elastic", self._collect_metrics)
-
-    def _resolve_policy(self, policy: Any) -> AdaptationPolicy:
-        """Normalize ``config.policy`` into an AdaptationPolicy.
-
-        ``None`` picks the cost model for either deployment shape: with
-        replanning off no chains are discovered, so all it ever sees are
-        replica groups and it decides exactly what its hysteresis scale
-        policy decides. A user-supplied legacy :class:`ScalePolicy` is
-        wrapped by the shim that raises the :class:`DeprecationWarning`.
-        """
-        if policy is None:
-            return CostModelPolicy(self._replan)
-        if is_legacy_scale_policy(policy):
-            return ScalePolicyAdapter(policy)
-        return policy
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -746,23 +734,9 @@ class ElasticController:
         nodes = chain.nodes
 
         def rebuild(_barrier: RescaleBarrier) -> tuple[list[Node], dict[str, Any]]:
-            parts = [_FusedPart(n.name, n.base_name, n.operator) for n in nodes]
-            vectorize = self._plan is not None and self._plan.vectorize
-            capable = any(
-                bool(getattr(n.operator, "supports_block", False)) for n in nodes
-            )
-            operator: FusedOperator
-            if vectorize and capable:
-                operator = VectorizedFusedOperator(chain.name, parts)
-            else:
-                operator = FusedOperator(chain.name, parts)
-            fused = Node(
-                chain.name, "operator", operator=operator, router=nodes[-1].router
-            )
+            fused = build_fused_node(chain.name, nodes)
             fused.mode_reason = "replan: re-fused at runtime"
-            fused.inputs = list(nodes[0].inputs)
-            fused.outputs = list(nodes[-1].outputs)
-            return [fused], {"mode": operator.execution_mode}
+            return [fused], {"mode": fused.operator.execution_mode}
 
         return self._mutate(
             "fuse", chain, frozenset(n.name for n in nodes), nodes[-1].name, rebuild
@@ -809,10 +783,8 @@ class ElasticController:
                 for i, state in enumerate(new_states):
                     if state is not None:
                         clone_ops[f"{member}::{i}"].restore_state(state)
-            if self._plan is not None and self._plan.fusion:
-                new_nodes = fuse_linear_chains(
-                    new_nodes, vectorize=self._plan.vectorize
-                )
+            if self._plan is not None:
+                new_nodes = fuse_linear_chains(new_nodes)
             return new_nodes, {
                 "from": old_n,
                 "to": new_n,

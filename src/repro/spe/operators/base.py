@@ -37,6 +37,43 @@ class Operator(ABC):
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
         """Consume one tuple from input ``input_index``; return outputs."""
 
+    def process_many(
+        self, tuples: list[StreamTuple], input_index: int = 0
+    ) -> list[StreamTuple]:
+        """Consume one run of tuples from one input, in order.
+
+        What the scheduler and a fused chain call: a lone tuple is a run
+        of one. The default is the per-tuple loop; an operator overrides
+        it when it can do better over a whole run.
+        """
+        out: list[StreamTuple] = []
+        extend = out.extend
+        process = self.process
+        for t in tuples:
+            got = process(input_index, t)
+            if got:
+                extend(got)
+        return out
+
+    # -- columnar execution -------------------------------------------------
+
+    #: True when :meth:`process_block` is an array-at-a-time form of
+    #: :meth:`process`; read once, by the plan compiler, when a fused
+    #: chain is built around this operator
+    supports_block: bool = False
+
+    def block_eligible(self, t: StreamTuple) -> bool:
+        """True when ``t`` may join a columnar block through this stage;
+        an ineligible tuple takes :meth:`process` at its stream position."""
+        return True
+
+    def process_block(self, block: Any) -> Any:
+        """Transform a :class:`~repro.spe.columnar.ColumnarBlock` of
+        eligible rows exactly as :meth:`process` would row by row."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no block variant"
+        )
+
     def on_input_closed(self, input_index: int) -> list[StreamTuple]:
         """One input reached end-of-stream; may release held-back results."""
         return []

@@ -46,23 +46,22 @@ from .tuples import StreamTuple
 class PlanConfig:
     """Knobs for the plan compiler and the batched transport layer.
 
-    ``fusion``           enable the chain-fusion pass.
+    A plan always fuses linear chains, and a fused chain with a
+    block-capable member always runs it array-at-a-time
+    (:func:`build_fused_node`); what a deployment sets is how wide and how
+    batched the compiled plan runs.
+
     ``edge_batch_size``  tuples moved per queue entry on threaded edges
                          (1 = unbatched transport).
     ``parallelism``      replica count for the keyed-replication pass
                          (1 = pass disabled).
     ``linger_s``         max time a partially filled batch may wait before
                          being flushed to its edge.
-    ``vectorize``        emit :class:`VectorizedFusedOperator` for fused
-                         chains with at least one block-capable member, so
-                         kernel-compatible stages run array-at-a-time.
     """
 
-    fusion: bool = True
     edge_batch_size: int = 32
     parallelism: int = 1
     linger_s: float = 0.005
-    vectorize: bool = True
 
     def __post_init__(self) -> None:
         if self.edge_batch_size < 1:
@@ -73,24 +72,18 @@ class PlanConfig:
             raise ValueError("linger_s must be non-negative")
 
     @classmethod
-    def resolve(cls, optimize: "PlanConfig | bool | None") -> "PlanConfig | None":
-        """Normalize the ``optimize=`` argument of user-facing APIs."""
-        if optimize is None or optimize is False:
+    def resolve(cls, plan: "PlanConfig | bool | None") -> "PlanConfig | None":
+        """Normalize the ``plan`` shorthand of user-facing APIs."""
+        if plan is None or plan is False:
             return None
-        if optimize is True:
+        if plan is True:
             return cls()
-        if isinstance(optimize, cls):
-            return optimize
-        raise TypeError(f"optimize must be bool, None or PlanConfig, got {optimize!r}")
+        if isinstance(plan, cls):
+            return plan
+        raise TypeError(f"plan must be bool, None or PlanConfig, got {plan!r}")
 
     def describe(self) -> str:
-        parts = [
-            f"fusion={'on' if self.fusion else 'off'}",
-            f"batch={self.edge_batch_size}",
-            f"parallelism={self.parallelism}",
-            f"vectorize={'on' if self.vectorize else 'off'}",
-        ]
-        return ", ".join(parts)
+        return f"batch={self.edge_batch_size}, parallelism={self.parallelism}"
 
 
 class _FusedPart:
@@ -130,14 +123,10 @@ class FusedOperator(Operator):
                 raise ValueError(
                     f"fused constituent {part.name!r} must be single-input"
                 )
-        # bound process methods, resolved once: _apply runs per stage per
+        # bound member methods, resolved once: _apply runs per stage per
         # run and attribute lookups there are measurable
         self._processes = [part.operator.process for part in self._parts]
-        # bulk per-stage methods where a member offers one (used whenever a
-        # whole run of tuples traverses the chain at once)
-        self._manys = [
-            getattr(part.operator, "process_many", None) for part in self._parts
-        ]
+        self._manys = [part.operator.process_many for part in self._parts]
         # per-constituent (tuples_in, tuples_out), populated only when
         # observability asks for member-level stats
         self._member_counts: list[list[int]] | None = None
@@ -154,22 +143,16 @@ class FusedOperator(Operator):
         """Constituent ``i`` over one run of tuples.
 
         The one place a member meets a run, whichever class or path the
-        run came through: a lone tuple takes ``process``, a longer run the
-        member's bulk method when it has one. Member stats are checked
-        once per stage per run, never per tuple.
+        run came through. A lone tuple skips the run method: every
+        punctuation crosses a block group as a run of one, two dozen per
+        Alg. 1 layer, and ``spe.chain_self_ms_per_item`` reads 8 % higher
+        without the shortcut (EXPERIMENTS.md E19). Member stats are
+        checked once per stage per run, never per tuple.
         """
         if len(tuples) == 1:
             out = self._processes[i](0, tuples[0])
-        elif self._manys[i] is not None:
-            out = self._manys[i](tuples)
         else:
-            process = self._processes[i]
-            out = []
-            extend = out.extend
-            for t in tuples:
-                got = process(0, t)
-                if got:
-                    extend(got)
+            out = self._manys[i](tuples)
         if self._member_counts is not None:
             counts = self._member_counts[i]
             counts[0] += len(tuples)
@@ -187,12 +170,13 @@ class FusedOperator(Operator):
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
         return self._cascade([t], 0)
 
-    def process_many(self, tuples: list[StreamTuple]) -> list[StreamTuple]:
-        """Batch counterpart of :meth:`process`: cascade a whole run.
+    def process_many(
+        self, tuples: list[StreamTuple], input_index: int = 0
+    ) -> list[StreamTuple]:
+        """Cascade a whole run: each member handles it in one call.
 
         Equivalent to processing the run tuple by tuple and concatenating
-        (each stage preserves its input order), but members that offer a
-        bulk method handle the run in one call.
+        (each stage preserves its input order).
         """
         return self._cascade(tuples, 0)
 
@@ -266,10 +250,10 @@ class FusedOperator(Operator):
 #: tuple<->column conversion; anything wider takes the block path. Rows
 #: are not a uniform unit of work, so no larger constant is right for
 #: every chain (EXPERIMENTS.md E15): two cheap columnar members break
-#: even near 16 rows, but a thermal row is a region's whole cell grid and
-#: its block kernel wins 15x at any run length. Blocking a cheap narrow
-#: run wastes microseconds; sending a grid-per-row run down the scalar
-#: cascade wastes milliseconds, so the constant sits at the low end.
+#: even near 16 rows, but one fan-out row is a specimen's whole cell
+#: grid. Blocking a cheap narrow run wastes microseconds; sending a
+#: fan-out run down the scalar cascade wastes milliseconds, so the
+#: constant sits at the low end.
 _BLOCK_MIN_ROWS = 2
 
 
@@ -313,16 +297,9 @@ class VectorizedFusedOperator(FusedOperator):
 
     def __init__(self, name: str, parts: Iterable[_FusedPart]) -> None:
         super().__init__(name, parts)
-        self._block_capable = [
-            bool(getattr(part.operator, "supports_block", False))
-            for part in self._parts
-        ]
-        self._block_processes = [
-            getattr(part.operator, "process_block", None) for part in self._parts
-        ]
-        self._eligibles = [
-            getattr(part.operator, "block_eligible", None) for part in self._parts
-        ]
+        self._block_capable = [part.operator.supports_block for part in self._parts]
+        self._block_processes = [part.operator.process_block for part in self._parts]
+        self._eligibles = [part.operator.block_eligible for part in self._parts]
         # the walk, resolved once: (i, j, is_block_group) over members i..j-1
         self._segments: list[tuple[int, int, bool]] = []
         i, n = 0, len(self._parts)
@@ -355,7 +332,9 @@ class VectorizedFusedOperator(FusedOperator):
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
         return self.process_many([t])
 
-    def process_many(self, tuples: list[StreamTuple]) -> list[StreamTuple]:
+    def process_many(
+        self, tuples: list[StreamTuple], input_index: int = 0
+    ) -> list[StreamTuple]:
         items = list(tuples)
         for i, j, is_block in self._segments:
             if not items:
@@ -370,7 +349,7 @@ class VectorizedFusedOperator(FusedOperator):
         self, items: list[StreamTuple], i: int, j: int
     ) -> list[StreamTuple]:
         """Stages ``i..j-1`` (all block-capable) over one run of tuples."""
-        eligibles = [e for e in self._eligibles[i:j] if e is not None]
+        eligibles = self._eligibles[i:j]
         out: list[StreamTuple] = []
         extend = out.extend
         run: list[StreamTuple] = []
@@ -457,8 +436,37 @@ def _consumer_map(nodes: list[Node]) -> dict[int, Node]:
     return {id(s): n for n in nodes for s in n.inputs}
 
 
-def fuse_linear_chains(nodes: list[Node], vectorize: bool = False) -> list[Node]:
-    """Collapse linear operator chains into :class:`FusedOperator` nodes.
+def build_fused_node(name: str, chain: list[Node]) -> Node:
+    """Wrap a linear run of operator nodes into one fused node.
+
+    The one place a fused chain is built — by the fusion pass at compile
+    time and by the elastic controller when it re-fuses a chain at
+    runtime — and therefore the one place that decides which execution
+    path its runs take: a chain with at least one block-capable member
+    (``Operator.supports_block``) is a :class:`VectorizedFusedOperator`,
+    a chain of scalar-only members a plain :class:`FusedOperator`. The
+    members' *live* operator instances move into the fused node; the
+    decision's reason is recorded on it (``mode_reason``) for ``explain()``.
+    """
+    parts = [_FusedPart(m.name, m.base_name, m.operator) for m in chain]
+    scalar_members = [m.name for m in chain if not m.operator.supports_block]
+    if len(scalar_members) < len(chain):
+        operator: FusedOperator = VectorizedFusedOperator(name, parts)
+        reason = (
+            "scalar members: " + ", ".join(scalar_members) if scalar_members else None
+        )
+    else:
+        operator = FusedOperator(name, parts)
+        reason = "no member provides a block variant"
+    fused = Node(name, "operator", operator=operator, router=chain[-1].router)
+    fused.mode_reason = reason
+    fused.inputs = list(chain[0].inputs)
+    fused.outputs = list(chain[-1].outputs)
+    return fused
+
+
+def fuse_linear_chains(nodes: list[Node]) -> list[Node]:
+    """Collapse linear operator chains into fused nodes.
 
     A chain grows from a single-input operator node across edges that are
     single-producer *and* single-consumer; it extends past a member only
@@ -467,14 +475,8 @@ def fuse_linear_chains(nodes: list[Node], vectorize: bool = False) -> list[Node]
     node keeps its routing table). Sources and sinks never fuse — they are
     the measurement boundaries for ingest/latency accounting. The router
     and merge of a rescalable replica group never fuse either: the elastic
-    controller must be able to retire and resplice them by name.
-
-    With ``vectorize``, a chain containing at least one block-capable
-    member (the operator advertises ``supports_block``) becomes a
-    :class:`VectorizedFusedOperator`; otherwise (or when every member is
-    scalar-only) a plain :class:`FusedOperator` is emitted. The decision
-    and its reason are recorded on the fused node (``execution_mode`` /
-    ``mode_reason``) for ``explain()``.
+    controller must be able to retire and resplice them by name. Each
+    chain found is built by :func:`build_fused_node`.
     """
     protected: set[str] = set()
     for node in nodes:
@@ -511,31 +513,7 @@ def fuse_linear_chains(nodes: list[Node], vectorize: bool = False) -> list[Node]
         for member in chain:
             absorbed.add(id(member))
         name = "fused[" + "+".join(m.name for m in chain) + "]"
-        parts = [_FusedPart(m.name, m.base_name, m.operator) for m in chain]
-        capable = [
-            bool(getattr(m.operator, "supports_block", False)) for m in chain
-        ]
-        if vectorize and any(capable):
-            operator: FusedOperator = VectorizedFusedOperator(name, parts)
-            scalar_members = [m.name for m, c in zip(chain, capable) if not c]
-            reason = (
-                "scalar members: " + ", ".join(scalar_members)
-                if scalar_members
-                else None
-            )
-        else:
-            operator = FusedOperator(name, parts)
-            if not vectorize:
-                reason = "vectorize=off"
-            else:
-                reason = "no member provides a block variant"
-        fused = Node(
-            name, "operator", operator=operator, router=chain[-1].router
-        )
-        fused.mode_reason = reason
-        fused.inputs = list(chain[0].inputs)
-        fused.outputs = list(chain[-1].outputs)
-        fused_for_head[id(chain[0])] = fused
+        fused_for_head[id(chain[0])] = build_fused_node(name, chain)
     out: list[Node] = []
     for node in nodes:
         if id(node) in fused_for_head:
@@ -718,7 +696,7 @@ def _replicate_group(group: list[Node], parallelism: int) -> list[Node]:
 def compile_plan(
     nodes: list[Node], config: PlanConfig | None, force_replication: bool = False
 ) -> list[Node]:
-    """Apply the enabled passes; ``None`` config returns the graph as-is.
+    """Replicate, then fuse; ``None`` config returns the graph as-is.
 
     ``force_replication`` runs the replication pass even at
     ``parallelism == 1`` (wrapping groups in a one-way router/merge) so an
@@ -730,9 +708,7 @@ def compile_plan(
         nodes = replicate_keyed_stages(
             nodes, config.parallelism, wrap_single=force_replication
         )
-    if config.fusion:
-        nodes = fuse_linear_chains(nodes, vectorize=config.vectorize)
-    return nodes
+    return fuse_linear_chains(nodes)
 
 
 def render_plan(

@@ -88,14 +88,6 @@ class NodeExecutor:
         # A retired executor belongs to a replica group that was drained by
         # a rescale barrier; its thread exits without finalizing (no EOS).
         self._retired = False
-        # Bulk fast path: operators that can take a whole TupleBatch in
-        # one call (fused chains, columnar execution). Resolved once — the
-        # operator never changes after construction.
-        self._process_many = (
-            getattr(node.operator, "process_many", None)
-            if node.kind == "operator"
-            else None
-        )
         # Drain hook: a sink that buffers (a batching connector writer) is
         # told when its input has nothing more ready — on the way to
         # blocking, so under load its batches fill instead.
@@ -245,8 +237,8 @@ class NodeExecutor:
         """Run one non-empty run of data tuples through the node.
 
         One path whatever the run's length and whether or not anyone is
-        watching: an operator with a bulk method takes the run in one
-        call, everything else loops inside the same timing envelope.
+        watching: an operator takes the run in one ``process_many`` call,
+        a sink loops inside the same timing envelope.
         Counters advance exactly as a per-tuple loop would advance them;
         processing time is attributed evenly across the run's tuples for
         the per-tuple timing histogram, and the tracer gets one span per
@@ -259,12 +251,8 @@ class NodeExecutor:
         tracer = self._tracer
         started_wall = time.time() if tracer is not None else 0.0
         started = time.perf_counter()
-        if self._process_many is not None:
-            self._run_operator(self._process_many, batch)
-        elif node.kind == "operator":
-            process = node.operator.process
-            for t in batch:
-                self._run_operator(process, input_index, t)
+        if node.kind == "operator":
+            self._run_operator(node.operator.process_many, batch, input_index)
         elif node.kind == "sink":
             accept = node.sink.accept
             for t in batch:

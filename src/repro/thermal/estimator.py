@@ -18,10 +18,9 @@ forecast the next layer from its published plan — and raises a
 :class:`~repro.obs.watchdog.QoSWatchdog` when the forecast crosses the
 overheat threshold, one recoat gap before the breach would materialize.
 
-The scalar ``__call__`` and the columnar ``process_block`` express the
-same per-cell arithmetic (the kernels' scalar twins are bit-identical by
-construction) and reduce summaries with the same numpy calls, so scalar
-and vectorized plans produce identical tuples.
+``__call__`` is ``process_block`` over one row: both advance a region
+through the same grid kernels (``_step_grids``), so a region tuple's
+output does not depend on whether it arrived alone or in a run.
 """
 
 from __future__ import annotations
@@ -30,12 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis.thermal_kernels import (
-    kalman_predict,
-    kalman_predict_scalar,
-    kalman_update,
-    kalman_update_scalar,
-)
+from ..analysis.thermal_kernels import kalman_predict, kalman_update
 from ..am.scanpath import ThermalModelParams
 from ..kvstore.api import KVStore
 from ..obs.watchdog import QoSWatchdog, RECOAT_GAP_SECONDS
@@ -172,81 +166,35 @@ class EstimateThermalState:
         frame: np.ndarray,
         energy: np.ndarray,
         energy_next: np.ndarray,
-        *,
-        scalar: bool,
     ) -> dict[str, Any]:
-        """Advance one region one layer; returns the output payload.
-
-        ``scalar=True`` walks cells in a Python loop through the scalar
-        kernel twins (the paper-faithful per-cell path); ``scalar=False``
-        applies the grid kernels.  Elementwise arithmetic and the final
-        numpy reductions are identical either way, so both paths emit
-        bit-identical payloads.
-        """
+        """Advance one region one layer; returns the output payload."""
         params = self._model(job)
         group = self._group(job, specimen, frame.shape, params.ambient)
         state, cov = group["state"], group["cov"]
-        if scalar:
-            innovation = np.empty_like(state)
-            forecast = np.empty_like(state)
-            rows, cols = state.shape
-            dropped = 0
-            for i in range(rows):
-                for j in range(cols):
-                    pred, pred_cov = kalman_predict_scalar(
-                        state[i, j],
-                        cov[i, j],
-                        energy[i, j],
-                        ambient=params.ambient,
-                        retention=params.retention,
-                        coupling=params.coupling_per_j,
-                        process_var=params.process_var,
-                    )
-                    s, c, innov, valid = kalman_update_scalar(
-                        pred,
-                        pred_cov,
-                        frame[i, j],
-                        sensor_var=params.sensor_var,
-                    )
-                    state[i, j] = s
-                    cov[i, j] = c
-                    innovation[i, j] = innov
-                    if not valid:
-                        dropped += 1
-                    forecast[i, j], _ = kalman_predict_scalar(
-                        s,
-                        c,
-                        energy_next[i, j],
-                        ambient=params.ambient,
-                        retention=params.retention,
-                        coupling=params.coupling_per_j,
-                        process_var=params.process_var,
-                    )
-        else:
-            pred, pred_cov = kalman_predict(
-                state,
-                cov,
-                energy,
-                ambient=params.ambient,
-                retention=params.retention,
-                coupling=params.coupling_per_j,
-                process_var=params.process_var,
-            )
-            new_state, new_cov, innovation, valid = kalman_update(
-                pred, pred_cov, frame, sensor_var=params.sensor_var
-            )
-            state[...] = new_state
-            cov[...] = new_cov
-            dropped = int(state.size - np.count_nonzero(valid))
-            forecast, _ = kalman_predict(
-                state,
-                cov,
-                energy_next,
-                ambient=params.ambient,
-                retention=params.retention,
-                coupling=params.coupling_per_j,
-                process_var=params.process_var,
-            )
+        pred, pred_cov = kalman_predict(
+            state,
+            cov,
+            energy,
+            ambient=params.ambient,
+            retention=params.retention,
+            coupling=params.coupling_per_j,
+            process_var=params.process_var,
+        )
+        new_state, new_cov, innovation, valid = kalman_update(
+            pred, pred_cov, frame, sensor_var=params.sensor_var
+        )
+        state[...] = new_state
+        cov[...] = new_cov
+        dropped = int(state.size - np.count_nonzero(valid))
+        forecast, _ = kalman_predict(
+            state,
+            cov,
+            energy_next,
+            ambient=params.ambient,
+            retention=params.retention,
+            coupling=params.coupling_per_j,
+            process_var=params.process_var,
+        )
         self.cells_filtered += state.size
         overheat_cells = (
             int(np.count_nonzero(forecast > self._overheat))
@@ -282,7 +230,7 @@ class EstimateThermalState:
                 lead_time_s=self._lead_time_s,
             )
 
-    # -- scalar path ---------------------------------------------------------
+    # -- one region tuple ----------------------------------------------------
 
     def __call__(self, t: StreamTuple) -> StreamTuple:
         payload = self._step_grids(
@@ -291,7 +239,6 @@ class EstimateThermalState:
             t.payload["temp_frame"],
             t.payload["energy_plan"],
             t.payload["energy_plan_next"],
-            scalar=True,
         )
         self.frames_processed += 1
         self._maybe_alert(t.job, t.layer, t.specimen, payload)
@@ -300,11 +247,10 @@ class EstimateThermalState:
     # -- columnar path -------------------------------------------------------
 
     def process_block(self, block: ColumnarBlock) -> ColumnarBlock:
-        """Array-at-a-time path: whole-grid kernels, one output per row.
+        """A run of region rows, one output per row.
 
         Rows advance their region's filter in stream order (state is
-        sequential per group), but each advance is a handful of grid
-        kernels instead of a Python loop over cells.
+        sequential per group); summaries land in columns.
         """
         frames = block.columns["temp_frame"]
         plans = block.columns["energy_plan"]
@@ -328,7 +274,6 @@ class EstimateThermalState:
                 frames[i],
                 plans[i],
                 plans_next[i],
-                scalar=False,
             )
             forecasts.append(payload["forecast"])
             measured.append(payload["measured"])

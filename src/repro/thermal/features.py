@@ -2,11 +2,10 @@
 
 Turns each on-axis melt-pool frame into per-cell intensity statistics
 (total / peak / melt-fraction grids — the per-cell features) plus the
-two plate-level log-features the laser-parameter regressor inverts.  The
-scalar ``__call__`` walks cells in Python through the kernel's scalar
-twin; ``process_block`` applies the strided-reshape kernels from
-:mod:`repro.analysis.thermal_kernels`, so the plan compiler's vectorized
-chains pick this stage up.
+two plate-level log-features the laser-parameter regressor inverts.
+``__call__`` and ``process_block`` apply the same strided-reshape kernel
+from :mod:`repro.analysis.thermal_kernels` per frame, so a frame's
+features do not depend on whether it arrived alone or in a run.
 """
 
 from __future__ import annotations
@@ -15,11 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis.thermal_kernels import (
-    laser_feature_vector,
-    meltpool_cell_stats,
-    meltpool_cell_stats_scalar,
-)
+from ..analysis.thermal_kernels import laser_feature_vector, meltpool_cell_stats
 from ..spe.columnar import ColumnarBlock
 from ..spe.tuples import StreamTuple
 
@@ -73,7 +68,7 @@ class ExtractMeltPoolFeatures:
         }
 
     def __call__(self, t: StreamTuple) -> StreamTuple:
-        total, peak, melt = meltpool_cell_stats_scalar(
+        total, peak, melt = meltpool_cell_stats(
             t.payload["melt_image"], self._cell_edge_px, self._melt_threshold
         )
         self.frames_processed += 1

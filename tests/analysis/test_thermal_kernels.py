@@ -1,11 +1,11 @@
-"""Property tests: thermal/melt-pool kernels == their scalar twins.
+"""Property tests: thermal/melt-pool kernels == the per-cell oracle.
 
-The thermal workloads' divergence-0 guarantee across scalar and
-vectorized plans rests on these kernels being bit-identical to the
-per-cell arithmetic the scalar operator path runs — including NaN
-(dropped-out) measurements, cells exactly on the melt threshold, and
-non-contiguous views. Each property pits a grid kernel against its
-scalar twin over randomized inputs.
+The kernels are the only implementation ``src/`` runs, for a lone tuple
+and for a block alike; :mod:`tests.analysis.thermal_oracle` keeps the
+per-cell arithmetic they replaced. Each property pits a grid kernel
+against its oracle over randomized inputs — including NaN (dropped-out)
+measurements, cells exactly on the melt threshold, and non-contiguous
+views.
 """
 
 from __future__ import annotations
@@ -19,13 +19,16 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     kalman_predict,
-    kalman_predict_scalar,
     kalman_update,
-    kalman_update_scalar,
     laser_feature_vector,
     meltpool_cell_stats,
-    meltpool_cell_stats_scalar,
     top_k_mean,
+)
+
+from .thermal_oracle import (
+    kalman_predict_scalar,
+    kalman_update_scalar,
+    meltpool_cell_stats_scalar,
 )
 
 _temps = st.floats(min_value=-50.0, max_value=400.0, allow_nan=False)

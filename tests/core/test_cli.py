@@ -54,16 +54,22 @@ def test_monitor_clean_completes(capsys):
 def test_explain_names_vectorized_chains(capsys):
     assert main(["replay", *SMALL, "--explain"]) == 0
     out = capsys.readouterr().out
-    assert "vectorize=on" in out
+    assert "optimizer: batch=32, parallelism=1" in out
     assert "mode=vectorized" in out
 
 
-def test_no_vectorize_flag_keeps_scalar_chains(capsys):
-    assert main(["replay", *SMALL, "--explain", "--no-vectorize"]) == 0
+def test_no_optimize_runs_the_graph_as_declared(capsys):
+    assert main(["replay", *SMALL, "--explain", "--no-optimize"]) == 0
     out = capsys.readouterr().out
-    assert "vectorize=off" in out
-    assert "mode=scalar (vectorize=off)" in out
-    assert "mode=vectorized" not in out
+    assert "optimizer: off" in out
+    assert "fused" not in out and "mode=" not in out
+
+
+@pytest.mark.parametrize("flag", ["--no-fusion", "--no-vectorize"])
+def test_retired_plan_switches_are_unknown_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        main(["replay", *SMALL, flag])
+    assert flag in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

@@ -1,5 +1,5 @@
-"""DeployConfig: validation catalogue, dict/TOML round-trip, legacy kwargs,
-and the snake_case/camelCase verb surface."""
+"""DeployConfig: validation catalogue, dict/TOML round-trip, the one-argument
+deploy/start surface, and the snake_case/camelCase verb surface."""
 
 import io
 import tomllib
@@ -123,7 +123,7 @@ class TestRoundTrip:
 
     def test_round_trip_is_identity(self):
         config = DeployConfig.from_dict({
-            "plan": {"parallelism": 2, "fusion": True},
+            "plan": {"parallelism": 2, "edge_batch_size": 8},
             "elastic": {"max_parallelism": 8, "cooldown_s": 1.0},
         })
         assert DeployConfig.from_dict(config.to_dict()) == config
@@ -151,6 +151,12 @@ class TestRoundTrip:
             DeployConfig.from_dict({
                 "plan": True, "elastic": {"max_paralelism": 8},
             })
+        # the retired plan switches are unknown keys like any other
+        with pytest.raises(DeployConfigError, match=r"plan\.fusion"):
+            DeployConfig.from_dict({"plan": {"fusion": False}})
+        toml = b"[plan]\nvectorize = false\n"
+        with pytest.raises(DeployConfigError, match=r"plan\.vectorize"):
+            DeployConfig.from_dict(tomllib.load(io.BytesIO(toml)))
 
     def test_live_fields_rejected_in_tables(self):
         with pytest.raises(DeployConfigError, match="non-serializable"):
@@ -168,36 +174,33 @@ class TestRoundTrip:
         assert DeployConfig.from_dict(data) == config
 
 
-# -- legacy keyword mapping ---------------------------------------------------
+# -- deploy()/start() take a DeployConfig or nothing --------------------------
 
 
-class TestLegacyKeywords:
-    def test_optimize_kwarg_warns_but_works(self):
+class TestDeployArgument:
+    def test_no_argument_runs_the_graph_as_declared(self):
         strata, sink = simple_strata()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            strata.deploy(optimize=PlanConfig(parallelism=1))
+        strata.deploy()
         assert len(sink.results) == len(records())
 
-    def test_checkpointer_kwarg_maps_to_recovery_config(self):
-        coordinator = CheckpointCoordinator(MemoryStore())
-        strata = Strata(engine_mode="threaded")
-        sink = CollectingSink("out")
-        strata.add_source(
-            ListSource("src", records()), "raw", checkpointable=True
-        ).deliver(sink)
-        with pytest.warns(DeprecationWarning):
-            strata.deploy(checkpointer=coordinator)
-        assert len(sink.results) == len(records())
-
-    def test_config_plus_legacy_kwargs_rejected(self):
-        strata, _ = simple_strata()
-        with pytest.raises(DeployConfigError, match="not both"):
-            strata.deploy(DeployConfig(), optimize=True)
-
-    def test_unknown_kwarg_is_a_type_error(self):
+    @pytest.mark.parametrize(
+        "keyword", ["optimize", "checkpointer", "recover_from", "distributed"]
+    )
+    def test_retired_keywords_are_a_type_error(self, keyword):
         strata, _ = simple_strata()
         with pytest.raises(TypeError, match="unexpected keyword"):
-            strata.deploy(paralelism=2)
+            strata.deploy(**{keyword: True})
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            strata.start(**{keyword: True})
+
+    @pytest.mark.parametrize("shorthand", [True, PlanConfig(parallelism=1), 2])
+    def test_anything_but_a_deploy_config_is_rejected(self, shorthand):
+        strata, sink = simple_strata()
+        with pytest.raises(DeployConfigError, match="must be a DeployConfig"):
+            strata.deploy(shorthand)
+        with pytest.raises(DeployConfigError, match="must be a DeployConfig"):
+            strata.start(shorthand)
+        assert not sink.results
 
 
 # -- verb surface: snake_case canonical, camelCase alias ----------------------

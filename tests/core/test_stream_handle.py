@@ -6,7 +6,6 @@ import warnings
 import pytest
 
 from repro.core import PipelineDefinitionError, Strata, StreamHandle
-from repro.core.handles import install_snake_case_aliases, snake_name
 from repro.spe import CollectingSink
 from repro.spe.source import ListSource
 from repro.spe.tuples import StreamTuple
@@ -113,12 +112,6 @@ class TestFluentChaining:
 
 
 class TestSnakeCaseAliases:
-    def test_snake_name(self):
-        assert snake_name("addSource") == "add_source"
-        assert snake_name("detectEvent") == "detect_event"
-        assert snake_name("correlateEvents") == "correlate_events"
-        assert snake_name("fuse") == "fuse"
-
     def test_aliases_wrap_the_canonical_function(self):
         strata = Strata()
         assert strata.addSource.__func__.__wrapped__ is strata.add_source.__func__
@@ -153,18 +146,6 @@ class TestSnakeCaseAliases:
         assert isinstance(events, StreamHandle)
         assert h.detectEvent.__func__.__wrapped__ is h.detect_event.__func__
 
-    def test_install_snake_case_aliases_is_deprecated(self):
-        from repro.core.handles import _warned_aliases
-
-        class Thing:
-            def fuse(self):
-                return "ok"
-
-        _warned_aliases.discard("install_snake_case_aliases:Thing")
-        with pytest.warns(DeprecationWarning, match="install_snake_case_aliases"):
-            install_snake_case_aliases(Thing, ("fuse",))
-        assert Thing.fuse is Thing.__dict__["fuse"]
-
 
 class TestHandleMetrics:
     def test_metrics_filtered_to_producing_operator(self):
@@ -172,7 +153,7 @@ class TestHandleMetrics:
         h = strata.addSource(_source(), "raw")
         events = h.detectEvent("events", lambda t: [t.derive()])
         events.deliver()
-        strata.deploy(optimize=None)
+        strata.deploy()
         snap = events.metrics()
         operators = {s.label("operator") for s in snap}
         assert operators == {events.node}

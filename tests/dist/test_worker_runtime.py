@@ -7,6 +7,8 @@ import urllib.request
 import pytest
 
 from repro.core import (
+    DeployConfig,
+    RecoveryConfig,
     Strata,
     UseCaseConfig,
     build_use_case,
@@ -58,7 +60,7 @@ def test_two_worker_deploy_equals_threaded(
     layer_records, reference_images, test_job, baseline
 ):
     strata, pipeline = build(layer_records, reference_images, test_job)
-    report = strata.deploy(distributed=2)
+    report = strata.deploy(DeployConfig(dist=2))
     assert sorted(map(result_key, pipeline.sink.results)) == baseline
     dist = report.extra["dist"]
     assert len(dist["workers"]) == 2
@@ -170,7 +172,7 @@ def test_distributed_requires_pubsub_mode(
         layer_records, reference_images, test_job, connector_mode="direct"
     )
     with pytest.raises(DeploymentError, match="pubsub"):
-        strata.deploy(distributed=2)
+        strata.deploy(DeployConfig(dist=2))
 
 
 def test_distributed_rejects_checkpointer(
@@ -178,7 +180,9 @@ def test_distributed_rejects_checkpointer(
 ):
     strata, _ = build(layer_records, reference_images, test_job)
     with pytest.raises(DeploymentError, match="crash recovery"):
-        strata.deploy(distributed=2, checkpointer=object())
+        strata.deploy(
+            DeployConfig(dist=2, recovery=RecoveryConfig(checkpointer=object()))
+        )
 
 
 def test_dist_config_resolve():

@@ -14,20 +14,17 @@ from repro.elastic import (
     CostModelPolicy,
     ElasticConfig,
     Fuse,
-    HysteresisPolicy,
     Migrate,
     NoOp,
     ReplanConfig,
     Rescale,
-    ScalePolicyAdapter,
     Unfuse,
     WorkloadView,
-    is_legacy_scale_policy,
     plan_migration,
 )
 from repro.elastic.actions import ChainSignals
 from repro.elastic.policy import GroupSignals
-from repro.spe import CollectingSink, PlanConfig, PlanError
+from repro.spe import CollectingSink, PlanError
 from repro.spe.source import Source
 from repro.spe.tuples import StreamTuple
 
@@ -186,50 +183,37 @@ def test_elastic_config_resolves_replan():
         ElasticConfig(replan="yes")
 
 
-# -- legacy ScalePolicy shim --------------------------------------------------
+# -- a 3-argument ScalePolicy decides replica counts inside the cost model ----
 
 
-class LegacyDoubler:
-    """Old-contract policy: always asks for double the replicas."""
+class Doubler:
+    """ScalePolicy contract: always asks for double the replicas."""
 
     def decide(self, group, signals, current):
         return current * 2
 
 
-def test_is_legacy_scale_policy():
-    assert is_legacy_scale_policy(HysteresisPolicy())
-    assert is_legacy_scale_policy(LegacyDoubler())
-    assert not is_legacy_scale_policy(CostModelPolicy())
-    with pytest.warns(DeprecationWarning):
-        assert not is_legacy_scale_policy(ScalePolicyAdapter(LegacyDoubler()))
-    assert not is_legacy_scale_policy(object())
-
-
-def test_adapter_warns_and_emits_only_rescale():
-    with pytest.warns(DeprecationWarning, match="ScalePolicy"):
-        adapter = ScalePolicyAdapter(LegacyDoubler())
-    assert isinstance(adapter.wrapped, LegacyDoubler)
+def test_scale_policy_rides_inside_the_cost_model():
+    policy = CostModelPolicy(scale=Doubler())
     view = WorkloadView(
         groups={"g": GroupSignals(parallelism=2)},
         chains={
             "c": ChainSignals(
                 name="c", mode="scalar", members=("a", "b"), fused=True,
-                queue_fill=1.0, busy_fraction=1.0,
+                queue_fill=0.0, busy_fraction=0.5,
             )
         },
     )
-    actions = adapter.decide(view)
-    assert actions == [Rescale(group="g", target=4)]
+    assert policy.decide(view) == [Rescale(group="g", target=4)]
 
 
-def test_adapter_skips_groups_already_at_target():
+def test_scale_policy_holding_at_target_emits_nothing():
     class Hold:
         def decide(self, group, signals, current):
             return current
 
-    with pytest.warns(DeprecationWarning):
-        adapter = ScalePolicyAdapter(Hold())
-    assert adapter.decide(
+    policy = CostModelPolicy(scale=Hold())
+    assert policy.decide(
         WorkloadView(groups={"g": GroupSignals(parallelism=2)})
     ) == []
 
@@ -385,7 +369,7 @@ def test_no_groups_no_chains_still_raises_plan_error():
     sink = CollectingSink("out")
     strata.add_source(SlowSource("src", records(4), 0.0), "raw").deliver(sink)
     with pytest.raises(PlanError, match="no keyed-replicated operator group"):
-        strata.start(DeployConfig(plan=PlanConfig(fusion=False), elastic=MANUAL))
+        strata.start(DeployConfig(plan=True, elastic=MANUAL))
 
 
 # -- live chain rewrites ------------------------------------------------------
@@ -459,16 +443,15 @@ def block_baseline():
     return payload_counts(sink)
 
 
-@pytest.mark.parametrize("vectorize", [True, False])
-def test_refused_chain_mode_follows_the_plan(block_baseline, vectorize):
+@pytest.mark.parametrize("block", [True, False])
+def test_refused_chain_mode_follows_its_members(block_baseline, block):
     """A chain's mode is whatever its live operator says: re-fusing a
-    block-capable chain builds the class the plan compiler would have."""
-    mode = "vectorized" if vectorize else "scalar"
+    chain builds the class the plan compiler built from the same members
+    (block-capable members: vectorized; none: scalar)."""
+    mode = "vectorized" if block else "scalar"
     strata = Strata(engine_mode="threaded")
-    sink = build_chain(strata, records(), block=True)
-    strata.start(
-        DeployConfig(plan=PlanConfig(vectorize=vectorize), elastic=MANUAL)
-    )
+    sink = build_chain(strata, records(), block=block)
+    strata.start(DeployConfig(plan=True, elastic=MANUAL))
     controller = strata.elastic
     chain = controller.chains[0]
     assert chain.mode == mode

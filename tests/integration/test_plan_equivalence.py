@@ -112,7 +112,7 @@ def _payloads(report):
 @settings(max_examples=25, deadline=None)
 def test_fused_batched_plan_matches_sync_oracle(stages, values, batch):
     oracle = StreamEngine(mode="sync").run(_build(stages, values, False))
-    plan = PlanConfig(fusion=True, edge_batch_size=batch, linger_s=0.0)
+    plan = PlanConfig(edge_batch_size=batch, linger_s=0.0)
     optimized = StreamEngine(mode="threaded").run(_build(stages, values, False), plan=plan)
     # linear plans must preserve the exact output sequence, not just the set
     assert _payloads(optimized) == _payloads(oracle)
@@ -122,7 +122,7 @@ def test_fused_batched_plan_matches_sync_oracle(stages, values, batch):
 @settings(max_examples=15, deadline=None)
 def test_replicated_plan_matches_sync_oracle_as_multiset(stages, values, parallelism):
     oracle = StreamEngine(mode="sync").run(_build(stages, values, False))
-    plan = PlanConfig(fusion=True, edge_batch_size=8, parallelism=parallelism)
+    plan = PlanConfig(edge_batch_size=8, parallelism=parallelism)
     optimized = StreamEngine(mode="threaded").run(
         _build(stages, values, True), plan=plan
     )

@@ -1,15 +1,17 @@
-"""Vectorized plans are observationally equivalent to scalar plans.
+"""The compiled plan is observationally equivalent to the graph as declared.
 
-ISSUE 7's acceptance: with ``vectorize=True`` the plan compiler swaps the
-fused chain's execution to array-at-a-time kernels, and nothing else may
-change — the expert sink sees the identical result multiset, and
-checkpoints written under either plan shape restore into the other
+ISSUE 7's acceptance: the plan compiler swaps a fused chain's execution
+to array-at-a-time kernels, and nothing else may change — the expert
+sink sees the result multiset the unfused, tuple-at-a-time pipeline
+(``plan=None``, the reference every plan is checked against) produces,
+and checkpoints written under either shape restore into the other
 (snapshots are keyed by logical node names, not by execution mode).
 
 ISSUE 12 adds arrival-shape independence: a vectorized chain fed one tuple
 sequence under *any* framing — all singles, arbitrary batch sizes, runs cut
 by punctuation or payload-schema changes — produces the outputs, member
-counters and snapshots the scalar chain produces tuple by tuple.
+counters and snapshots a scalar fused chain (a ``FusedOperator`` built
+directly) produces tuple by tuple.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from hypothesis import strategies as st
 
 from repro.analysis import ThermalThresholds, store_thresholds
 from repro.core import (
+    DeployConfig,
     DetectEventOperator,
     IsolateCells,
     LabelCell,
     PartitionOperator,
+    RecoveryConfig,
     Strata,
     UseCaseConfig,
     build_use_case,
@@ -46,8 +50,9 @@ from tests.recovery.test_crash_recovery import signature
 CELL_EDGE = 5
 WINDOW = 4
 
-SCALAR_PLAN = PlanConfig(fusion=True, edge_batch_size=32, vectorize=False)
-VECTOR_PLAN = PlanConfig(fusion=True, edge_batch_size=32, vectorize=True)
+#: the graph as declared: one thread per operator, tuple at a time
+PLAN_OFF = None
+VECTOR_PLAN = PlanConfig(edge_batch_size=32)
 
 
 def _paced(records, delay):
@@ -75,14 +80,14 @@ def _build(
 
 @pytest.fixture(scope="module")
 def oracle_signature(layer_records, reference_images, test_job):
-    """Sink output of the scalar fused plan, the comparison baseline."""
+    """Sink output with the plan off, the comparison baseline."""
     strata = Strata(engine_mode="threaded")
     pipeline = _build(strata, layer_records, reference_images, test_job)
-    strata.deploy(optimize=SCALAR_PLAN)
+    strata.deploy(DeployConfig(plan=PLAN_OFF))
     return signature(pipeline.sink.results)
 
 
-def test_vectorized_plan_output_matches_scalar_plan(
+def test_vectorized_plan_output_matches_plan_off(
     layer_records, reference_images, test_job, oracle_signature
 ):
     strata = Strata(engine_mode="threaded")
@@ -90,7 +95,7 @@ def test_vectorized_plan_output_matches_scalar_plan(
     # guard against a vacuous pass: the compiled plan must actually
     # contain a vectorized chain before we compare outputs
     assert "mode=vectorized" in strata.explain(VECTOR_PLAN)
-    strata.deploy(optimize=VECTOR_PLAN)
+    strata.deploy(DeployConfig(plan=VECTOR_PLAN))
     assert signature(pipeline.sink.results) == oracle_signature
 
 
@@ -100,7 +105,7 @@ def test_vectorized_single_tuple_batches_match(
     """edge_batch_size=1: every run is a one-row block (worst-case fill)."""
     strata = Strata(engine_mode="threaded")
     pipeline = _build(strata, layer_records, reference_images, test_job)
-    strata.deploy(optimize=PlanConfig(fusion=True, edge_batch_size=1, vectorize=True))
+    strata.deploy(DeployConfig(plan=PlanConfig(edge_batch_size=1)))
     assert signature(pipeline.sink.results) == oracle_signature
 
 
@@ -113,7 +118,9 @@ def _checkpointed_store(layer_records, reference_images, test_job, plan):
         delay=0.05, checkpointable=True,
     )
     coordinator = CheckpointCoordinator(store)
-    strata.start(checkpointer=coordinator, optimize=plan)
+    strata.start(
+        DeployConfig(plan=plan, recovery=RecoveryConfig(checkpointer=coordinator))
+    )
     coordinator.trigger(timeout=15.0)
     strata.wait(timeout=60)
     return store
@@ -124,17 +131,17 @@ def test_checkpoint_manifests_identical_across_execution_modes(
 ):
     """Snapshots are keyed by logical node names: a manifest written under
     the vectorized plan lists the same nodes and source offsets as one
-    written under the scalar plan."""
-    scalar = _checkpointed_store(
-        layer_records, reference_images, test_job, SCALAR_PLAN
+    written with the plan off."""
+    unfused = _checkpointed_store(
+        layer_records, reference_images, test_job, PLAN_OFF
     )
     vectorized = _checkpointed_store(
         layer_records, reference_images, test_job, VECTOR_PLAN
     )
-    manifest_scalar = CheckpointStorage(scalar).load_manifest(0)
+    manifest_unfused = CheckpointStorage(unfused).load_manifest(0)
     manifest_vectorized = CheckpointStorage(vectorized).load_manifest(0)
-    assert sorted(manifest_scalar["nodes"]) == sorted(manifest_vectorized["nodes"])
-    assert manifest_scalar["sources"] == manifest_vectorized["sources"]
+    assert sorted(manifest_unfused["nodes"]) == sorted(manifest_vectorized["nodes"])
+    assert manifest_unfused["sources"] == manifest_vectorized["sources"]
 
 
 def _crash_then_recover(
@@ -148,7 +155,11 @@ def _crash_then_recover(
         delay=0.35, checkpointable=True,
     )
     coordinator = CheckpointCoordinator(ckpt_store)
-    strata.start(checkpointer=coordinator, optimize=crash_plan)
+    strata.start(
+        DeployConfig(
+            plan=crash_plan, recovery=RecoveryConfig(checkpointer=coordinator)
+        )
+    )
     coordinator.trigger(timeout=15.0)
     chaos = ChaosInjector(
         strata._engine, lambda: len(pipeline.sink.results) >= 6, timeout=60.0
@@ -161,17 +172,21 @@ def _crash_then_recover(
         strata2, layer_records, reference_images, test_job, checkpointable=True
     )
     recovery = RecoveryCoordinator(ckpt_store)
-    strata2.deploy(recover_from=recovery, optimize=recover_plan)
+    strata2.deploy(
+        DeployConfig(
+            plan=recover_plan, recovery=RecoveryConfig(recover_from=recovery)
+        )
+    )
     assert recovery.report is not None
     assert recovery.report.sources_restored  # both collectors rewound
     return partial, signature(pipeline2.sink.results)
 
 
-def test_crash_under_scalar_plan_recovers_under_vectorized(
+def test_crash_with_plan_off_recovers_under_vectorized(
     layer_records, reference_images, test_job, oracle_signature
 ):
     partial, recovered = _crash_then_recover(
-        layer_records, reference_images, test_job, SCALAR_PLAN, VECTOR_PLAN
+        layer_records, reference_images, test_job, PLAN_OFF, VECTOR_PLAN
     )
     assert len(partial) < len(oracle_signature), "crash came too late to matter"
     # the vectorized recovery closes the gap exactly: everything the
@@ -180,11 +195,11 @@ def test_crash_under_scalar_plan_recovers_under_vectorized(
     assert len(recovered) == len(set(recovered)), "duplicate results delivered"
 
 
-def test_crash_under_vectorized_plan_recovers_under_scalar(
+def test_crash_under_vectorized_plan_recovers_with_plan_off(
     layer_records, reference_images, test_job, oracle_signature
 ):
     partial, recovered = _crash_then_recover(
-        layer_records, reference_images, test_job, VECTOR_PLAN, SCALAR_PLAN
+        layer_records, reference_images, test_job, VECTOR_PLAN, PLAN_OFF
     )
     assert len(partial) < len(oracle_signature), "crash came too late to matter"
     assert sorted(set(partial) | set(recovered)) == oracle_signature

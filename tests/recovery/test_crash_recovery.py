@@ -11,6 +11,8 @@ import time
 import pytest
 
 from repro.core import (
+    DeployConfig,
+    RecoveryConfig,
     Strata,
     UseCaseConfig,
     build_use_case,
@@ -112,7 +114,7 @@ def test_crash_after_two_checkpoints_recovers_identically(
         strata, layer_records, reference_images, test_job, delay=0.35
     )
     coordinator = CheckpointCoordinator(ckpt_store, retain=3)
-    strata.start(checkpointer=coordinator)
+    strata.start(DeployConfig(recovery=RecoveryConfig(checkpointer=coordinator)))
     epochs = 0
     deadline = time.monotonic() + 60
     while epochs < 2 and time.monotonic() < deadline:
@@ -130,7 +132,7 @@ def test_crash_after_two_checkpoints_recovers_identically(
     strata2 = Strata(engine_mode="threaded")
     pipeline2 = _build(strata2, layer_records, reference_images, test_job)
     recovery = RecoveryCoordinator(ckpt_store)
-    strata2.deploy(recover_from=recovery)
+    strata2.deploy(DeployConfig(recovery=RecoveryConfig(recover_from=recovery)))
     assert recovery.report is not None
     assert recovery.report.epoch == max(coordinator.completed_epochs)
     assert recovery.report.sources_restored  # both collectors rewound
@@ -161,7 +163,7 @@ def test_recovered_run_latency_state_restored(
         strata, layer_records, reference_images, test_job, delay=0.35
     )
     coordinator = CheckpointCoordinator(ckpt_store)
-    strata.start(checkpointer=coordinator)
+    strata.start(DeployConfig(recovery=RecoveryConfig(checkpointer=coordinator)))
     coordinator.trigger(timeout=15.0)
     chaos = ChaosInjector(
         strata._engine, lambda: len(pipeline.sink.results) >= 3, timeout=60.0
@@ -170,7 +172,11 @@ def test_recovered_run_latency_state_restored(
 
     strata2 = Strata(engine_mode="threaded")
     pipeline2 = _build(strata2, layer_records, reference_images, test_job)
-    strata2.deploy(recover_from=RecoveryCoordinator(ckpt_store))
+    strata2.deploy(
+        DeployConfig(
+            recovery=RecoveryConfig(recover_from=RecoveryCoordinator(ckpt_store))
+        )
+    )
     expected = len(layer_records) * len(test_job.specimens)
     assert len(pipeline2.sink.results) == expected
     assert len(pipeline2.sink.latency.samples()) >= len(pipeline2.sink.results)

@@ -150,7 +150,7 @@ def test_unreplicated_checkpoint_restores_into_every_replica():
     recovery = RecoveryCoordinator(store)
     query, sink = keyed_query(n=60)
     StreamEngine(mode="sync").run(
-        query, on_built=recovery, plan=PlanConfig(fusion=False, parallelism=3)
+        query, on_built=recovery, plan=PlanConfig(parallelism=3)
     )
     assert "kc" in recovery.report.nodes_restored
     # every layer's tuple arrives exactly once; per-key sequence numbers

@@ -81,11 +81,11 @@ def test_resolve_off_forms_return_none():
 def test_resolve_true_gives_defaults():
     plan = PlanConfig.resolve(True)
     assert plan == PlanConfig()
-    assert plan.fusion and plan.edge_batch_size > 1 and plan.parallelism == 1
+    assert plan.edge_batch_size > 1 and plan.parallelism == 1
 
 
 def test_resolve_passes_instances_through():
-    plan = PlanConfig(fusion=False, edge_batch_size=4)
+    plan = PlanConfig(edge_batch_size=4)
     assert PlanConfig.resolve(plan) is plan
 
 
@@ -101,6 +101,26 @@ def test_resolve_rejects_other_types():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         PlanConfig(**kwargs)
+
+
+# -- the member protocol on Operator -----------------------------------------
+
+
+def test_default_process_many_is_the_per_tuple_loop_on_the_given_input():
+    join = JoinOperator("join")
+    left = tuples(3)
+    right = [t.derive(payload={"y": t.payload["x"] * 2}) for t in tuples(3)]
+    assert join.process_many(left, 0) == []
+    joined = join.process_many(right, 1)
+    assert [(t.payload["x"], t.payload["y"]) for t in joined] == [(0, 0), (1, 2), (2, 4)]
+
+
+def test_an_operator_is_scalar_only_unless_it_says_otherwise():
+    op = bump()
+    assert op.supports_block is False
+    assert op.block_eligible(tuples(1)[0])
+    with pytest.raises(NotImplementedError, match="no block variant"):
+        op.process_block(object())
 
 
 # -- FusedOperator -----------------------------------------------------------
@@ -237,10 +257,9 @@ def test_compile_plan_none_is_identity():
     assert compile_plan(nodes, None) is nodes
 
 
-def test_compile_plan_can_disable_fusion():
-    nodes = build_chain().build()
-    compiled = compile_plan(nodes, PlanConfig(fusion=False))
-    assert [n.name for n in compiled] == [n.name for n in nodes]
+def test_a_plan_always_fuses():
+    compiled = compile_plan(build_chain().build(), PlanConfig(edge_batch_size=1))
+    assert [n.name for n in compiled] == ["src", "fused[m0+m1+m2]", "out"]
 
 
 # -- replication pass --------------------------------------------------------
@@ -373,8 +392,8 @@ def build_block_chain(scalar_tail=True):
     return q
 
 
-def test_vectorize_selects_vectorized_operator_and_records_fallback():
-    fused = fuse_linear_chains(build_block_chain().build(), vectorize=True)
+def test_block_capable_member_selects_vectorized_operator_and_records_fallback():
+    fused = fuse_linear_chains(build_block_chain().build())
     node = fused[1]
     assert isinstance(node.operator, VectorizedFusedOperator)
     assert node.operator.execution_mode == "vectorized"
@@ -388,61 +407,48 @@ def test_vectorize_selects_vectorized_operator_and_records_fallback():
 
 
 def test_fully_block_capable_chain_has_no_fallback_reason():
-    fused = fuse_linear_chains(
-        build_block_chain(scalar_tail=False).build(), vectorize=True
-    )
+    fused = fuse_linear_chains(build_block_chain(scalar_tail=False).build())
     node = fused[1]
     assert isinstance(node.operator, VectorizedFusedOperator)
     assert node.mode_reason is None
 
 
-def test_vectorize_off_emits_scalar_fusion_with_reason():
-    fused = fuse_linear_chains(build_block_chain().build(), vectorize=False)
-    node = fused[1]
-    assert type(node.operator) is FusedOperator
-    assert node.operator.execution_mode == "scalar"
-    assert node.mode_reason == "vectorize=off"
-
-
 def test_all_scalar_chain_falls_back_with_reason():
-    fused = fuse_linear_chains(build_chain(3).build(), vectorize=True)
+    fused = fuse_linear_chains(build_chain(3).build())
     node = fused[1]
     assert type(node.operator) is FusedOperator
     assert node.mode_reason == "no member provides a block variant"
 
 
 def test_render_plan_names_every_chain_mode():
-    config = PlanConfig(vectorize=True)
+    config = PlanConfig()
     nodes = compile_plan(build_block_chain().build(), config)
     text = render_plan(nodes, title="q", config=config)
     assert "mode=vectorized (scalar members: m2)" in text
     assert "1 fused chain, 1 vectorized" in text
-    assert "vectorize=on" in text  # config.describe() line
 
-    off = PlanConfig(vectorize=False)
-    text_off = render_plan(compile_plan(build_block_chain().build(), off), config=off)
-    assert "mode=scalar (vectorize=off)" in text_off
-    assert "vectorized" not in text_off.replace("vectorize=off", "")
+    scalar = render_plan(compile_plan(build_chain(3).build(), config), config=config)
+    assert "mode=scalar (no member provides a block variant)" in scalar
+    assert "vectorized" not in scalar
 
 
-def test_describe_reports_vectorize_knob():
-    assert "vectorize=on" in PlanConfig().describe()
-    assert "vectorize=off" in PlanConfig(vectorize=False).describe()
+def test_describe_names_only_what_a_deployment_sets():
+    assert PlanConfig(edge_batch_size=8, parallelism=2).describe() == (
+        "batch=8, parallelism=2"
+    )
 
 
-def test_vectorized_chain_matches_scalar_chain_output():
+def test_vectorized_chain_matches_plan_off_output():
     baseline = StreamEngine(mode="sync").run(build_block_chain())
     expected = [t.payload["x"] for t in baseline.sinks["out"].results]
     optimized = StreamEngine(mode="threaded").run(
-        build_block_chain(), plan=PlanConfig(edge_batch_size=4, vectorize=True)
+        build_block_chain(), plan=PlanConfig(edge_batch_size=4)
     )
     assert [t.payload["x"] for t in optimized.sinks["out"].results] == expected
 
 
 def test_vectorized_operator_counts_blocks_and_rows():
-    fused = fuse_linear_chains(
-        build_block_chain(scalar_tail=False).build(), vectorize=True
-    )
+    fused = fuse_linear_chains(build_block_chain(scalar_tail=False).build())
     op = fused[1].operator
     out = op.process_many(tuples(5))
     assert [t.payload["x"] for t in out] == [x + 11 for x in range(5)]
@@ -581,7 +587,7 @@ def test_drain_stops_at_barriers_and_eos():
 
 def test_threaded_batched_run_preserves_order_and_results():
     report = StreamEngine(mode="threaded").run(
-        build_chain(3), plan=PlanConfig(fusion=False, edge_batch_size=2)
+        build_chain(3), plan=PlanConfig(edge_batch_size=2)
     )
     xs = [t.payload["x"] for t in report.sinks["out"].results]
     assert xs == [3, 4, 5]

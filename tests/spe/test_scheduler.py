@@ -256,7 +256,7 @@ def test_source_runs_cross_the_edge_as_one_batch_per_destination():
         def process(self, input_index, t):
             return self.process_many([t])
 
-        def process_many(self, batch):
+        def process_many(self, batch, input_index=0):
             self.lengths.append(len(batch))
             return list(batch)
 

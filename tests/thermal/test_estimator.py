@@ -1,9 +1,11 @@
 """Operator contract of the thermal estimator.
 
 Covers the four promises the forecast pipeline's correctness rests on:
-the scalar ``__call__`` and the columnar ``process_block`` are
-bit-identical; ``snapshot_state``/``restore_state`` round-trip exactly
-(and *merge* on a shared replica function); ``reshard_state`` splits the
+a lone ``__call__`` and a ``process_block`` row are bit-identical to each
+other and to a per-cell Kalman recursion written with the test-only
+oracle (:mod:`tests.analysis.thermal_oracle`);
+``snapshot_state``/``restore_state`` round-trip exactly (and *merge* on
+a shared replica function); ``reshard_state`` splits the
 per-region filters along the routing key; and predictive QoS alerts fire
 through the shared watchdog for the layer about to be affected, deduped
 per (job, layer, source).
@@ -23,6 +25,8 @@ from repro.thermal import (
     PartitionThermalRegions,
     store_thermal_model,
 )
+from repro.thermal.estimator import INITIAL_STATE_VAR
+from tests.analysis.thermal_oracle import kalman_predict_scalar, kalman_update_scalar
 
 PARTITION = PartitionThermalRegions(2, 2)
 SUMMARY_KEYS = (
@@ -81,6 +85,41 @@ class TestScalarBlockParity:
                     assert s.payload[key] == b.payload[key]  # bit-identical
         assert scalar_fn.frames_processed == block_fn.frames_processed
         assert scalar_fn.cells_filtered == block_fn.cells_filtered
+
+    def test_forecast_is_the_per_cell_recursion(self, small_build):
+        """One independent scalar filter per cell, stepped with the oracle:
+        the loop the estimator ran per tuple before it called the grid
+        kernels for a lone tuple too."""
+        params = small_build.config.thermal
+        model = dict(
+            ambient=params.ambient,
+            retention=params.retention,
+            coupling=params.coupling_per_j,
+            process_var=params.process_var,
+        )
+        fn = _estimator(small_build)
+        cells: dict[tuple[str, int, int], tuple[float, float]] = {}
+        for regions in _region_layers(small_build):
+            for t in regions:
+                frame = t.payload["temp_frame"]
+                energy = t.payload["energy_plan"]
+                energy_next = t.payload["energy_plan_next"]
+                expected = np.empty_like(frame)
+                for i, j in np.ndindex(*frame.shape):
+                    state, cov = cells.get(
+                        (t.specimen, i, j), (params.ambient, INITIAL_STATE_VAR)
+                    )
+                    pred, pred_cov = kalman_predict_scalar(
+                        state, cov, energy[i, j], **model
+                    )
+                    state, cov, _, _ = kalman_update_scalar(
+                        pred, pred_cov, frame[i, j], sensor_var=params.sensor_var
+                    )
+                    cells[(t.specimen, i, j)] = (state, cov)
+                    expected[i, j], _ = kalman_predict_scalar(
+                        state, cov, energy_next[i, j], **model
+                    )
+                np.testing.assert_array_equal(fn(t).payload["forecast"], expected)
 
     def test_dropout_cells_are_counted_and_coasted(self):
         from tests.thermal.conftest import small_build_config
