@@ -158,7 +158,7 @@ def _connector_mode_of(deploy_cfg: DeployConfig) -> str:
 
 def _maybe_explain(args: argparse.Namespace, strata: Strata, config) -> None:
     if args.explain:
-        print(strata.explain(optimize=config))
+        print(strata.explain(config))
 
 
 def _prepare(args: argparse.Namespace, streak_rate: float = 0.0):

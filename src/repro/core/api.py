@@ -25,9 +25,8 @@ camelCase spellings (Table 1: ``addSource``, ``detectEvent``,
 
 Deployment is driven by one validated config object
 (:class:`~repro.core.deploy.DeployConfig` — plan compiler, distribution,
-recovery, observability, and elastic rescaling knobs in one place); the
-pre-config keyword arguments of ``deploy``/``start`` still work but emit
-a ``DeprecationWarning``.
+recovery, observability, and elastic rescaling knobs in one place), which
+is the only argument ``deploy``/``start`` take.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import replace as _dc_replace
 from typing import Any, Callable, Hashable
 
 from ..kvstore.api import KVStore
@@ -515,12 +513,10 @@ class Strata:
     ) -> dict[str, Sink]:
         """Start the engine with rescalable groups plus the controller.
 
-        The plan's static ``parallelism`` is replaced by the elastic
-        config's starting point and replication is forced even at
-        parallelism 1, so every replicable keyed stage materializes behind
-        its hash router and stays rescalable at runtime.
+        Compiles what :func:`~repro.elastic.elastic_plan` says; a pipeline
+        with nothing to manage fails here with the controller's PlanError.
         """
-        from ..elastic import ElasticController
+        from ..elastic import ElasticController, elastic_plan
 
         if self._engine_mode != "threaded":
             raise DeployConfigError(
@@ -528,14 +524,14 @@ class Strata:
                 "it requires engine_mode='threaded'"
             )
         ec = cfg.elastic
-        effective_plan = _dc_replace(cfg.plan, parallelism=ec.start_parallelism)
+        effective_plan, forced = elastic_plan(cfg.plan, ec)
         sinks = self._engine.start(
             self._query,
             checkpointer=checkpointer,
             on_built=on_built,
             plan=effective_plan,
             obs=self._obs,
-            force_replication=True,
+            force_replication=forced,
         )
         scheduler, nodes = self._engine.runtime()
         try:
@@ -564,8 +560,8 @@ class Strata:
             self._ckpt_periodic.stop()
             self._ckpt_periodic = None
 
-    def explain(self, optimize: Any | None = True) -> str:
-        """Render the physical plan ``deploy(DeployConfig(plan=optimize))``
+    def explain(self, plan: Any | None = True) -> str:
+        """Render the physical plan ``deploy(DeployConfig(plan=plan))``
         would run.
 
         Builds (but does not execute) the pipeline, applies the compiler
@@ -573,9 +569,9 @@ class Strata:
         replica fan-out included. Accepts a :class:`DeployConfig` too, in
         which case its ``plan`` field is used.
         """
-        if isinstance(optimize, DeployConfig):
-            optimize = optimize.plan
-        return self._engine.explain(self._query, plan=optimize)
+        if isinstance(plan, DeployConfig):
+            plan = plan.plan
+        return self._engine.explain(self._query, plan=plan)
 
     def _recovery_hook(self, recover_from: Any | None):
         if recover_from is None:

@@ -15,11 +15,13 @@ several same-key, same-schema tuples in a row — one
 turns a block back into its rows, so what crosses the connector is the
 same tuple sequence either way; only the number of records differs.
 
-The ``broker`` argument is duck-typed: an in-process
-:class:`~repro.pubsub.broker.Broker` yields local clients, while anything
-exposing ``producer()``/``consumer()`` factories (a
-:class:`~repro.net.client.BrokerClient`) yields remote ones — the same
-connector graph runs in one process or across machines unchanged.
+The ``broker`` argument is anything broker-shaped — ``ensure_topic()`` plus
+the ``producer()``/``consumer()`` factories: an in-process
+:class:`~repro.pubsub.broker.Broker`, a
+:class:`~repro.net.client.BrokerClient` for a broker on another machine, or
+the :class:`~repro.net.server.BrokerServer` itself for code in the serving
+process. The connectors close the clients they open, so the same connector
+graph runs in one process or across machines unchanged.
 
 Connectors require the threaded engine (a reader blocks waiting for
 records); the direct fast path wires modules with plain streams instead.
@@ -30,9 +32,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterator
 
-from ..pubsub.broker import Broker
-from ..pubsub.consumer import Consumer
-from ..pubsub.producer import Producer
 from ..spe.columnar import ColumnarBlock
 from ..spe.sink import Sink
 from ..spe.source import Source
@@ -48,45 +47,6 @@ _uid = itertools.count()
 def topic_for_stream(stream_name: str) -> str:
     """Naming convention for connector topics."""
     return f"strata.{stream_name}"
-
-
-def _producer_for(broker: Any) -> Any:
-    """A producer client for an in-process broker or a network endpoint."""
-    if isinstance(broker, Broker):
-        return Producer(broker)
-    if hasattr(broker, "producer"):
-        return broker.producer()
-    raise TypeError(
-        f"broker must be a Broker or expose producer(), got {type(broker).__name__}"
-    )
-
-
-def _consumer_for(
-    broker: Any,
-    group: str,
-    topics: list[str],
-    auto_offset_reset: str,
-    auto_commit: bool,
-) -> Any:
-    """A consumer client for an in-process broker or a network endpoint."""
-    if isinstance(broker, Broker):
-        return Consumer(
-            broker,
-            group,
-            topics,
-            auto_offset_reset=auto_offset_reset,
-            auto_commit=auto_commit,
-        )
-    if hasattr(broker, "consumer"):
-        return broker.consumer(
-            group,
-            topics,
-            auto_offset_reset=auto_offset_reset,
-            auto_commit=auto_commit,
-        )
-    raise TypeError(
-        f"broker must be a Broker or expose consumer(), got {type(broker).__name__}"
-    )
 
 
 def _content_key(t: StreamTuple) -> tuple:
@@ -107,8 +67,8 @@ class PubSubWriterSink(Sink):
     """Terminates a query branch by publishing its tuples to a topic.
 
     ``batch_size`` is the most tuples one produce frame may carry. Above 1
-    (and with a producer that has ``send_batch``; the distributed runtime
-    turns this on via ``DistConfig.produce_batch``) tuples are buffered
+    (the distributed runtime turns this on via
+    ``DistConfig.produce_batch``) tuples are buffered
     until the frame is full or :meth:`flush` is called — the scheduler
     calls it whenever the sink's input has nothing more ready, so a
     partial frame never waits for the next tuple. Within a frame,
@@ -123,7 +83,7 @@ class PubSubWriterSink(Sink):
         self, name: str, broker: Any, topic: str, batch_size: int = 1
     ) -> None:
         super().__init__(name)
-        self._producer = _producer_for(broker)
+        self._producer = broker.producer()
         self._topic = topic
         self._batch_size = max(1, int(batch_size))
         self._buffer: list[StreamTuple] = []
@@ -142,12 +102,14 @@ class PubSubWriterSink(Sink):
         The distributed runtime uses this after forking a worker: the
         inherited producer references the coordinator's in-process broker,
         which is unreachable from the child — rebinding swaps in a network
-        client without touching the rest of the node graph.
+        client without touching the rest of the node graph. The producer
+        being replaced is closed.
         """
         self.flush()
+        self._producer.close()
         if batch_size is not None:
             self._batch_size = max(1, int(batch_size))
-        self._producer = _producer_for(broker)
+        self._producer = broker.producer()
 
     def flush(self) -> None:
         """Publish whatever is buffered as one produce frame."""
@@ -164,7 +126,7 @@ class PubSubWriterSink(Sink):
         self._producer.send_batch(self._topic, records)
 
     def consume(self, t: StreamTuple) -> None:
-        if self._batch_size > 1 and hasattr(self._producer, "send_batch"):
+        if self._batch_size > 1:
             self._buffer.append(t)
             if len(self._buffer) >= self._batch_size:
                 self.flush()
@@ -178,10 +140,13 @@ class PubSubWriterSink(Sink):
         reader consuming a multi-partition topic would hang waiting on the
         others — so the sentinel is broadcast per partition explicitly.
         Buffered records flush first: a sentinel must never overtake data.
+        The producer is closed after it: nothing follows a sentinel, and a
+        remote producer holds a socket and unused slab leases until then.
         """
         self.flush()
         for partition in range(self._producer.partitions_of(self._topic)):
             self._producer.send(self._topic, EOS_SENTINEL, partition=partition)
+        self._producer.close()
         super().on_close()
 
 
@@ -230,8 +195,7 @@ class PubSubReaderSource(Source):
     def _connect(self) -> None:
         self._broker.ensure_topic(self._topic)
         self._delivered.clear()
-        self._consumer = _consumer_for(
-            self._broker,
+        self._consumer = self._broker.consumer(
             self._group,
             [self._topic],
             auto_offset_reset="earliest",
@@ -241,6 +205,14 @@ class PubSubReaderSource(Source):
     @property
     def consumer(self):
         return self._consumer
+
+    def close(self) -> None:
+        """Close the consumer (a remote one holds a socket).
+
+        Not done at end of stream: a checkpoint taken as the stream ends
+        still commits offsets through it. Whoever ran the query calls this.
+        """
+        self._consumer.close()
 
     @property
     def topic(self) -> str:
@@ -265,8 +237,10 @@ class PubSubReaderSource(Source):
 
         Used by the distributed runtime after a fork (see
         :meth:`PubSubWriterSink.rebind`); ``auto_commit``/``dedup``
-        override the stored settings when given.
+        override the stored settings when given. The consumer being
+        replaced is closed.
         """
+        self.close()
         self._broker = broker
         if auto_commit is not None:
             self._auto_commit = auto_commit

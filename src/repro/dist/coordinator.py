@@ -19,7 +19,6 @@ Prometheus exporter (``scrape_port``).
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import threading
 import time
@@ -28,20 +27,22 @@ from typing import Any
 
 from ..core.connectors import EOS_SENTINEL
 from ..core.errors import DeployConfigError
-from ..elastic import ElasticConfig, ElasticController, discover_groups
-from ..elastic.replan import discover_chains, plan_migration
+from ..elastic import ElasticConfig, elastic_plan, plan_migration, run_elastic
 from ..net.server import BrokerServer
 from ..obs.exporters import snapshot_from_dict, to_prometheus
 from ..obs.registry import MetricsSnapshot, Sample
 from ..pubsub.broker import Broker
 from ..pubsub.producer import Producer
-from ..spe.engine import RunReport
+from ..spe.engine import RunReport, threaded_scheduler
 from ..spe.plan import PlanConfig, compile_plan
 from ..spe.query import Query
 from .stages import StageSpec, assign_stages, cut_stages
-from .worker import WorkerProcess, _scheduler_for
+from .worker import WorkerProcess
 
 logger = logging.getLogger(__name__)
+
+#: how long shutdown waits for a worker to exit before terminating it
+WORKER_JOIN_TIMEOUT_S = 60.0
 
 
 class DistError(Exception):
@@ -78,13 +79,8 @@ class DistConfig:
     host: str = "127.0.0.1"
     port: int = 0
     allow_pickle: bool = True
-    heartbeat_interval: float = 0.25
-    liveness_timeout: float = 5.0
     restart_limit: int = 2
     scrape_port: int | None = None
-    worker_obs: bool = True
-    start_method: str = "fork"
-    worker_join_timeout: float = 60.0
     transport: str = "tcp"
     shm_slots: int = 64
     shm_slab_bytes: int = 40 * 1024 * 1024
@@ -92,13 +88,11 @@ class DistConfig:
 
     @classmethod
     def resolve(cls, value: Any) -> "DistConfig | None":
-        """Normalize the ``distributed=`` argument of user-facing APIs."""
+        """Normalize the ``dist`` field of a ``DeployConfig``."""
         if value is None or value is False:
             return None
         if value is True:
             return cls()
-        if isinstance(value, bool):  # pragma: no cover - covered above
-            return None
         if isinstance(value, int):
             if value < 1:
                 raise ValueError("distributed worker count must be >= 1")
@@ -210,18 +204,13 @@ class DistCoordinator:
         if self._started:
             raise RuntimeError("coordinator already started")
         self._started = True
-        # With elastic enabled, replication is forced (even at parallelism
-        # 1) and starts at the elastic config's starting point, so every
-        # replicable keyed stage materializes rescalable in its worker.
-        compile_cfg = self._plan
-        if self._elastic is not None:
-            compile_cfg = dataclasses.replace(
-                self._plan, parallelism=self._elastic.start_parallelism
-            )
+        # With elastic enabled every replicable keyed stage materializes
+        # rescalable in its worker.
+        compile_cfg, forced = elastic_plan(self._plan, self._elastic)
         nodes = compile_plan(
             self._query.build(capacity=self._capacity),
             compile_cfg,
-            force_replication=self._elastic is not None,
+            force_replication=forced,
         )
         self._stages = cut_stages(nodes)
         groups, self._local_stages = assign_stages(
@@ -241,10 +230,7 @@ class DistCoordinator:
                 group,
                 address,
                 allow_pickle=self._config.allow_pickle,
-                heartbeat_interval=self._config.heartbeat_interval,
-                obs=self._config.worker_obs,
                 plan=self._plan,
-                start_method=self._config.start_method,
                 elastic=self._elastic,
                 produce_batch=self._config.produce_batch,
             )
@@ -274,34 +260,19 @@ class DistCoordinator:
         if self._obs is not None:
             self._obs.bind(local_nodes)
         started = time.monotonic()
-        scheduler = _scheduler_for(self._plan, self._obs)
-        controller = None
-        manageable = self._elastic is not None and (
-            discover_groups(local_nodes)
-            or (
-                self._elastic.replan is not None
-                and discover_chains(local_nodes)
-            )
+        replan = self._elastic.replan if self._elastic is not None else None
+        stats, controller = run_elastic(
+            threaded_scheduler(self._plan, self._obs),
+            local_nodes,
+            self._elastic,
+            plan=self._plan,
+            obs=self._obs,
+            placement=(
+                (self.worker_loads, self.migrate_stage)
+                if replan is not None and replan.migrate
+                else None
+            ),
         )
-        if manageable:
-            scheduler.start(local_nodes)
-            controller = ElasticController(
-                scheduler, local_nodes, self._elastic,
-                plan=self._plan, obs=self._obs,
-            )
-            replan = self._elastic.replan
-            if replan is not None and replan.migrate:
-                controller.set_placement_hooks(
-                    self.worker_loads, self.migrate_stage
-                )
-            controller.start()
-            try:
-                scheduler.join()
-            finally:
-                controller.stop()
-            stats = {ex.node.name: ex.stats for ex in scheduler.executors}
-        else:
-            stats = scheduler.run(local_nodes)
         wall = time.monotonic() - started
         self.shutdown()
         if self._failure is not None:
@@ -330,6 +301,13 @@ class DistCoordinator:
 
     def shutdown(self) -> None:
         """Join/terminate workers, capture final heartbeats, stop serving."""
+        self._finish(abort=False)
+
+    def stop(self) -> None:
+        """Abort: terminate workers immediately and stop serving."""
+        self._finish(abort=True)
+
+    def _finish(self, abort: bool) -> None:
         if self._stopped:
             return
         self._stopped = True
@@ -337,7 +315,10 @@ class DistCoordinator:
         if self._monitor is not None:
             self._monitor.join(timeout=2.0)
         for worker in self._workers:
-            worker.join(self._config.worker_join_timeout)
+            if abort:
+                worker.terminate(timeout=1.0)
+                continue
+            worker.join(WORKER_JOIN_TIMEOUT_S)
             if worker.alive():
                 logger.warning("terminating straggler %s", worker.name)
                 worker.terminate()
@@ -347,24 +328,8 @@ class DistCoordinator:
         if self._scrape_server is not None:
             self._scrape_server.shutdown()
             self._scrape_server.server_close()
-        if self._server.stop():
+        if self._server.stop() and not abort:
             logger.warning("broker server stop() hit its drain deadline")
-
-    def stop(self) -> None:
-        """Abort: terminate workers immediately and stop serving."""
-        if self._stopped:
-            return
-        self._stopped = True
-        self._done.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=2.0)
-        for worker in self._workers:
-            worker.terminate(timeout=1.0)
-        self._final_beats = self._server.workers()
-        if self._scrape_server is not None:
-            self._scrape_server.shutdown()
-            self._scrape_server.server_close()
-        self._server.stop()
 
     # -- supervision ----------------------------------------------------------
 

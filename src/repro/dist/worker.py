@@ -25,23 +25,18 @@ import threading
 import time
 from typing import Any
 
-from ..elastic import ElasticController, discover_chains, discover_groups
+from ..elastic import run_elastic
 from ..net.client import BrokerClient
 from ..obs.context import ObsContext
 from ..obs.exporters import snapshot_to_dict
+from ..spe.engine import threaded_scheduler
 from ..spe.plan import PlanConfig
-from ..spe.scheduler import ThreadedScheduler
 from .stages import StageSpec, cut_stages
 
 logger = logging.getLogger(__name__)
 
-
-def _scheduler_for(plan: PlanConfig | None, obs: ObsContext | None) -> ThreadedScheduler:
-    if plan is None:
-        return ThreadedScheduler(obs=obs)
-    return ThreadedScheduler(
-        edge_batch_size=plan.edge_batch_size, linger_s=plan.linger_s, obs=obs
-    )
+#: seconds between a worker's heartbeats (liveness + an obs snapshot)
+HEARTBEAT_INTERVAL_S = 0.25
 
 
 def run_stage(
@@ -49,8 +44,6 @@ def run_stage(
     address: tuple[str, int],
     worker_name: str,
     allow_pickle: bool = True,
-    heartbeat_interval: float = 0.25,
-    obs: bool = True,
     plan: PlanConfig | None = None,
     incarnation: int = 0,
     elastic: Any | None = None,
@@ -64,7 +57,9 @@ def run_stage(
     keyed-replicated groups get their own rescale controller — each
     worker scales its replicas against its private scheduler; stages
     without such groups run unmanaged, which is the normal case for most
-    stages of a cut pipeline.
+    stages of a cut pipeline. Every client opened here is closed on the
+    way out, so the server is left holding none of this stage's sockets or
+    slab leases.
     """
     host, port = address
     client = BrokerClient(host, port, allow_pickle=allow_pickle)
@@ -78,64 +73,41 @@ def run_stage(
             # must replay from earliest, and replayed records upstream of
             # us must not be processed twice.
             reader.rebind(client, auto_commit=False, dedup=True)
-    obs_ctx = ObsContext() if obs else None
+    obs_ctx = ObsContext()
     nodes = [node for stage in stages for node in stage.nodes]
-    if obs_ctx is not None:
-        obs_ctx.bind(nodes)
+    obs_ctx.bind(nodes)
 
     stop_beat = threading.Event()
     state = {"value": "running"}
 
-    def beat() -> dict:
-        return {
-            "worker": worker_name,
-            "info": {
+    def beat() -> None:
+        client.heartbeat(
+            worker_name,
+            {
                 "stages": stage_names,
                 "pid": os.getpid(),
                 "incarnation": incarnation,
                 "state": state["value"],
             },
-            "metrics": (
-                snapshot_to_dict(obs_ctx.snapshot()) if obs_ctx is not None else None
-            ),
-        }
+            snapshot_to_dict(obs_ctx.snapshot()),
+        )
 
     def heartbeat_loop() -> None:
         while not stop_beat.is_set():
             try:
-                payload = beat()
-                client.heartbeat(
-                    payload["worker"], payload["info"], payload["metrics"]
-                )
+                beat()
             except Exception:  # the server vanished: nothing useful left to do
                 return
-            stop_beat.wait(heartbeat_interval)
+            stop_beat.wait(HEARTBEAT_INTERVAL_S)
 
     beater = threading.Thread(
         target=heartbeat_loop, name=f"{worker_name}-heartbeat", daemon=True
     )
     beater.start()
     try:
-        scheduler = _scheduler_for(plan, obs_ctx)
-        manageable = elastic is not None and (
-            discover_groups(nodes)
-            or (
-                getattr(elastic, "replan", None) is not None
-                and discover_chains(nodes)
-            )
+        run_elastic(
+            threaded_scheduler(plan, obs_ctx), nodes, elastic, plan=plan, obs=obs_ctx
         )
-        if manageable:
-            scheduler.start(nodes)
-            controller = ElasticController(
-                scheduler, nodes, elastic, plan=plan, obs=obs_ctx
-            )
-            controller.start()
-            try:
-                scheduler.join()
-            finally:
-                controller.stop()
-        else:
-            scheduler.run(nodes)
         state["value"] = "done"
     except BaseException:
         state["value"] = "failed"
@@ -144,10 +116,15 @@ def run_stage(
         stop_beat.set()
         beater.join(timeout=2.0)
         try:
-            payload = beat()
-            client.heartbeat(payload["worker"], payload["info"], payload["metrics"])
+            beat()  # the final state, with the final snapshot
         except Exception:
             pass
+        # Not at end of stream: a final checkpoint may still commit offsets
+        # through a reader's consumer. (Writers closed their producers
+        # with their EOS broadcast.)
+        for stage in stages:
+            for reader in stage.readers():
+                reader.close()
         client.close()
 
 
@@ -160,32 +137,22 @@ class WorkerProcess:
         stages: list[StageSpec],
         address: tuple[str, int],
         allow_pickle: bool = True,
-        heartbeat_interval: float = 0.25,
-        obs: bool = True,
         plan: PlanConfig | None = None,
-        start_method: str = "fork",
         elastic: Any | None = None,
         produce_batch: int = 1,
     ) -> None:
-        if start_method != "fork":
-            # Stage nodes carry closures and live generators; only fork can
-            # hand them to a child. Other start methods go through the
-            # `strata-repro worker` CLI, which rebuilds the pipeline.
-            raise ValueError(
-                "in-process stage handoff requires the 'fork' start method; "
-                "use the 'strata-repro worker' CLI for spawn/multi-machine"
-            )
         self.name = name
         self.stages = stages
         self.stage_names = [s.name for s in stages]
         self._address = address
         self._allow_pickle = allow_pickle
-        self._heartbeat_interval = heartbeat_interval
-        self._obs = obs
         self._plan = plan
         self._elastic = elastic
         self._produce_batch = produce_batch
-        self._ctx = multiprocessing.get_context(start_method)
+        # Stage nodes carry closures and live generators; only fork can hand
+        # them to a child. Spawn and other machines go through the
+        # `strata-repro worker` CLI, which rebuilds the pipeline from source.
+        self._ctx = multiprocessing.get_context("fork")
         self._process: multiprocessing.process.BaseProcess | None = None
         self.incarnation = 0
         self.restarts = 0
@@ -201,8 +168,6 @@ class WorkerProcess:
                 "address": self._address,
                 "worker_name": self.name,
                 "allow_pickle": self._allow_pickle,
-                "heartbeat_interval": self._heartbeat_interval,
-                "obs": self._obs,
                 "plan": self._plan,
                 "incarnation": self.incarnation,
                 "elastic": self._elastic,
@@ -215,10 +180,8 @@ class WorkerProcess:
 
     def restart(self) -> None:
         """Terminate any live incarnation and fork a fresh one."""
-        self.terminate()
-        self.incarnation += 1
         self.restarts += 1
-        self.start()
+        self.refork()
 
     def refork(self) -> None:
         """Re-fork with the current stage list, outside the restart budget.

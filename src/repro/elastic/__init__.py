@@ -27,12 +27,13 @@ from .actions import (
     Unfuse,
     WorkloadView,
 )
-from .config import ElasticConfig
+from .config import ElasticConfig, elastic_plan
 from .controller import (
     ElasticController,
     ElasticError,
     ElasticGroup,
     discover_groups,
+    run_elastic,
 )
 from .policy import GroupSignals, HysteresisPolicy, ScalePolicy
 from .replan import (
@@ -66,8 +67,10 @@ __all__ = [
     "WorkloadView",
     "discover_chains",
     "discover_groups",
+    "elastic_plan",
     "merge_keyed",
     "plan_migration",
+    "run_elastic",
     "split_keyed",
     "split_scalar",
 ]

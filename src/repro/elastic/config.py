@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .replan import ReplanConfig
@@ -93,3 +93,16 @@ class ElasticConfig:
         if self.replan is not None:
             text += f", replan({self.replan.describe()})"
         return text
+
+
+def elastic_plan(plan: Any, elastic: ElasticConfig | None) -> tuple[Any, bool]:
+    """What an elastic deployment compiles: ``(plan, force_replication)``.
+
+    The plan's static ``parallelism`` is replaced by the elastic config's
+    starting point and replication is forced even at parallelism 1, so
+    every replicable keyed stage materializes behind its hash router and
+    stays rescalable at runtime. Without ``elastic`` the plan is untouched.
+    """
+    if elastic is None:
+        return plan, False
+    return replace(plan, parallelism=elastic.start_parallelism), True

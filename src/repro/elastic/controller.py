@@ -890,3 +890,42 @@ class ElasticController:
                 )
             )
         return samples
+
+
+def run_elastic(
+    scheduler: ThreadedScheduler,
+    nodes: list[Node],
+    config: ElasticConfig | None,
+    plan: PlanConfig | None = None,
+    obs: Any | None = None,
+    placement: tuple[Callable, Callable] | None = None,
+) -> tuple[dict[str, Any], ElasticController | None]:
+    """Run ``nodes`` on ``scheduler`` to completion, adapted where possible.
+
+    How the distributed runtime runs one stage: under an
+    :class:`ElasticController` when ``config`` is given and the nodes hold
+    something it can manage, plainly otherwise — most stages of a cut
+    pipeline carry no replica group. ``placement`` is the
+    ``(worker_loads, migrator)`` pair of :meth:`~ElasticController.
+    set_placement_hooks`. Returns the per-node stats and the controller
+    (None when the run was unmanaged).
+    """
+    controller = None
+    if config is not None:
+        try:
+            controller = ElasticController(
+                scheduler, nodes, config, plan=plan, obs=obs
+            )
+        except PlanError:
+            pass  # nothing here to rescale or re-plan
+    scheduler.start(nodes)
+    if controller is not None:
+        if placement is not None:
+            controller.set_placement_hooks(*placement)
+        controller.start()
+    try:
+        scheduler.join()
+    finally:
+        if controller is not None:
+            controller.stop()
+    return {ex.node.name: ex.stats for ex in scheduler.executors}, controller

@@ -2,17 +2,17 @@
 
 A length-prefixed binary wire protocol (:mod:`repro.net.frames`) with a
 typed op table shared by both peers (:mod:`repro.net.ops`), an async
-selector-based :class:`BrokerServer` exposing an in-process broker, and
-drop-in :class:`RemoteProducer`/:class:`RemoteConsumer` clients so the
-pub/sub connectors cross machine boundaries unchanged — the decoupling
+selector-based :class:`BrokerServer` exposing an in-process broker, and a
+:class:`BrokerClient` whose producers and consumers let the pub/sub
+connectors cross machine boundaries unchanged — the decoupling
 the paper gets from Kafka, over our own Kafka substitute.
 
-Payloads ride a pluggable transport (:mod:`repro.net.transport`): plain
+Payloads ride one of two transports (:mod:`repro.net.transport`): plain
 tcp everywhere, or a zero-copy shared-memory slab ring
 (:mod:`repro.net.shm`) when the peers share a machine.
 """
 
-from .client import BrokerClient, Connection, RemoteConsumer, RemoteProducer
+from .client import BrokerClient, Connection, RemoteProducer
 from .errors import ConnectionClosedError, NetError, ProtocolError, RpcError
 from .frames import (
     MAGIC,
@@ -29,7 +29,7 @@ from .frames import (
     write_frame,
     write_frames,
 )
-from .ops import OPS, OpSpec, register_op
+from .ops import OPS, OpSpec
 from .server import BrokerServer
 from .shm import (
     ShmProducerPlane,
@@ -42,10 +42,8 @@ from .shm import (
 from .transport import (
     ClientTransport,
     ServerTransport,
-    TransportSpec,
     connect_transport,
     make_server_transport,
-    register_transport,
 )
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "OPS",
     "OpSpec",
     "ProtocolError",
-    "RemoteConsumer",
     "RemoteProducer",
     "RpcError",
     "ServerTransport",
@@ -72,7 +69,6 @@ __all__ = [
     "SlabRing",
     "SlabRingError",
     "StaleSlabError",
-    "TransportSpec",
     "TYPE_ERROR",
     "TYPE_REQUEST",
     "TYPE_RESPONSE",
@@ -82,8 +78,6 @@ __all__ = [
     "frame_iovecs",
     "make_server_transport",
     "read_frame",
-    "register_op",
-    "register_transport",
     "write_frame",
     "write_frames",
 ]

@@ -2,11 +2,11 @@
 
 :class:`BrokerClient` is the connection factory plus the broker-shaped
 admin surface (``ensure_topic``/``topics``/``committed``/...) that the
-pub/sub connectors duck-type against. :class:`RemoteProducer` and
-:class:`RemoteConsumer` mirror the in-process
-:class:`~repro.pubsub.producer.Producer` / :class:`~repro.pubsub.consumer.
-Consumer` interfaces exactly, so ``PubSubWriterSink``/``PubSubReaderSource``
-work unchanged over TCP.
+pub/sub connectors bind to. :class:`RemoteProducer` mirrors the in-process
+:class:`~repro.pubsub.producer.Producer`; a consumer is the in-process
+:class:`~repro.pubsub.consumer.Consumer` itself, reading the served logs
+through the five calls of :class:`_RemoteLogs` — so
+``PubSubWriterSink``/``PubSubReaderSource`` work unchanged over TCP.
 
 Requests are built through the typed op table in :mod:`repro.net.ops`
 (:meth:`Connection.call`), so the client has no hand-rolled meta dicts to
@@ -30,14 +30,16 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
+from ..pubsub.consumer import Consumer
 from ..pubsub.errors import (
     BrokerClosedError,
     InvalidOffsetError,
     TopicExistsError,
     UnknownTopicError,
 )
+from ..pubsub.message import Message
 from ..serde import PickleRefusedError, SerdeContext, SerdeError, decode_wire, encode_wire
 from .errors import ProtocolError, RpcError
 from .frames import (
@@ -156,8 +158,8 @@ class BrokerClient:
 
     Duck-types the slice of :class:`~repro.pubsub.broker.Broker` that the
     connectors and the distributed runtime use; anything record-weight
-    goes through a dedicated :class:`RemoteProducer`/:class:`RemoteConsumer`
-    with its own connection.
+    goes through a dedicated :meth:`producer`/:meth:`consumer` with its
+    own connection.
     """
 
     def __init__(
@@ -363,16 +365,19 @@ class BrokerClient:
         topics: list[str] | None = None,
         auto_offset_reset: str = "earliest",
         auto_commit: bool = True,
-    ) -> "RemoteConsumer":
-        transport = self.transport
-        return RemoteConsumer(
-            self.connect(),
+    ) -> Consumer:
+        """A consumer with a private connection; ``close()`` it when done."""
+        ctx = SerdeContext(
+            self._allow_pickle, options=self.transport.consumer_options()
+        )
+        conn = self.connect()
+        return Consumer(
+            _RemoteLogs(conn, ctx),
             group,
             topics,
-            auto_offset_reset=auto_offset_reset,
-            auto_commit=auto_commit,
-            allow_pickle=self._allow_pickle,
-            serde_options=transport.consumer_options(),
+            auto_offset_reset,
+            auto_commit,
+            on_close=conn.close,
         )
 
 
@@ -396,7 +401,6 @@ class RemoteProducer:
         on_close: Callable[[], None] | None = None,
     ) -> None:
         self._conn = conn
-        self._allow_pickle = allow_pickle
         self._auto_create = auto_create
         self._default_partitions = default_partitions
         self._ctx = SerdeContext(allow_pickle, options=serde_options or {})
@@ -486,130 +490,41 @@ class RemoteProducer:
         self._conn.close()
 
 
-class RemoteConsumer:
-    """Drop-in :class:`~repro.pubsub.consumer.Consumer` over a connection.
+class _RemoteLogs:
+    """The partition logs of a served broker, over one private connection.
 
-    Mirrors the in-process consumer faithfully, including the Kafka-style
-    behaviours the connectors rely on: position resolution from committed
-    offsets, ``auto_offset_reset``, the reset-to-earliest fallback when
-    retention trimmed past a position, and the blocking second pass on the
-    first assigned partition.
+    The :class:`~repro.pubsub.consumer.PartitionLogs` a
+    :meth:`BrokerClient.consumer` reads through: it hides the wire format
+    and, under the shm transport, the slab handles a fetch reply carries.
     """
 
-    def __init__(
-        self,
-        conn: Connection,
-        group: str,
-        topics: list[str] | None = None,
-        auto_offset_reset: str = "earliest",
-        auto_commit: bool = True,
-        allow_pickle: bool = False,
-        serde_options: dict[str, Any] | None = None,
-    ) -> None:
-        if auto_offset_reset not in ("earliest", "latest"):
-            raise ValueError("auto_offset_reset must be 'earliest' or 'latest'")
+    def __init__(self, conn: Connection, ctx: SerdeContext) -> None:
         self._conn = conn
-        self._group = group
-        self._auto_offset_reset = auto_offset_reset
-        self._auto_commit = auto_commit
-        self._allow_pickle = allow_pickle
-        self._ctx = SerdeContext(allow_pickle, options=serde_options or {})
-        self._positions: dict[tuple[str, int], int] = {}
-        self._assignment: list[tuple[str, int]] = []
-        self._subscribed: list[str] = []
-        if topics:
-            self.subscribe(topics)
+        self._ctx = ctx
 
-    @property
-    def group(self) -> str:
-        return self._group
+    def partitions(self, topic: str) -> int:
+        return int(
+            self._conn.request("partitions", {"topic": topic}).meta["partitions"]
+        )
 
-    @property
-    def assignment(self) -> list[tuple[str, int]]:
-        return list(self._assignment)
-
-    def subscribe(self, topics: list[str]) -> None:
-        """Subscribe to all partitions of the given topics."""
-        self._subscribed = list(topics)
-        self._assignment = []
-        for name in topics:
-            partitions = int(
-                self._conn.request("partitions", {"topic": name}).meta["partitions"]
-            )
-            for partition in range(partitions):
-                self._assignment.append((name, partition))
-        self._resolve_positions()
-
-    def assign(self, partitions: list[tuple[str, int]]) -> None:
-        """Manually assign specific (topic, partition) pairs."""
-        self._assignment = [(t, int(p)) for t, p in partitions]
-        self._resolve_positions()
-
-    def _log_offsets(self, topic: str, partition: int) -> tuple[int, int]:
+    def offsets(self, topic: str, partition: int) -> tuple[int, int]:
         meta = self._conn.request(
             "offsets", {"topic": topic, "partition": partition}
         ).meta
         return int(meta["start"]), int(meta["end"])
 
-    def _resolve_positions(self) -> None:
-        for name, partition in self._assignment:
-            if (name, partition) in self._positions:
-                continue
-            committed = self.committed(name, partition)
-            if committed is not None:
-                self._positions[(name, partition)] = committed
-                continue
-            start, end = self._log_offsets(name, partition)
-            self._positions[(name, partition)] = (
-                start if self._auto_offset_reset == "earliest" else end
-            )
-
-    def seek(self, topic: str, partition: int, offset: int) -> None:
-        """Set the next read position for one partition."""
-        if (topic, partition) not in self._assignment:
-            raise InvalidOffsetError(f"{topic}/{partition} is not assigned")
-        self._positions[(topic, partition)] = offset
-
-    def position(self, topic: str, partition: int) -> int:
-        """Next offset this consumer will read for the partition."""
-        return self._positions[(topic, partition)]
-
-    def _fetch_frame(
+    def fetch(
         self, topic: str, partition: int, offset: int, max_records: int, timeout: float
-    ) -> tuple[Any, Frame]:
-        return self._conn.call(
-            "fetch",
-            FetchRequest(
-                topic=topic,
-                partition=partition,
-                offset=offset,
-                max_records=max_records,
-                timeout=timeout,
-            ),
+    ) -> list[Message]:
+        request = FetchRequest(
+            topic=topic,
+            partition=partition,
+            offset=offset,
+            max_records=max_records,
+            timeout=timeout,
         )
-
-    def _fetch(
-        self, topic: str, partition: int, max_records: int, timeout: float
-    ) -> list:
-        from ..pubsub.message import Message
-
-        for attempt in range(_STALE_RETRIES):
-            try:
-                response, frame = self._fetch_frame(
-                    topic,
-                    partition,
-                    self._positions[(topic, partition)],
-                    max_records,
-                    timeout,
-                )
-            except InvalidOffsetError:
-                # Retention trimmed past our position: skip to the oldest
-                # retained record, as Kafka's 'earliest' reset would.
-                start, _end = self._log_offsets(topic, partition)
-                self._positions[(topic, partition)] = start
-                response, frame = self._fetch_frame(
-                    topic, partition, start, max_records, timeout
-                )
+        for _attempt in range(_STALE_RETRIES):
+            response, frame = self._conn.call("fetch", request)
             records = []
             try:
                 for record_meta, blob in zip(response.records, frame.blobs):
@@ -632,89 +547,20 @@ class RemoteConsumer:
                 # record leaves nothing to return: refetch right away.
                 if not records:
                     continue
-            if records:
-                self._positions[(topic, partition)] = records[-1].offset + 1
             return records
         raise StaleSlabError(
             f"fetch of {topic}/{partition} kept racing slab reclamation "
             f"({_STALE_RETRIES} attempts)"
         )
 
-    def poll(self, max_records: int = 1024, timeout: float = 0.0) -> list:
-        """Fetch available records across the assignment.
-
-        Same contract as the in-process consumer: every assigned
-        partition is read without blocking, and — if nothing arrived and a
-        timeout was given — the first partition is waited on.
-        """
-        out: list = []
-        budget = max_records
-        # The first partition is fetched last, so that fetch can double as
-        # the blocking wait when the others had nothing: one round trip
-        # where a non-blocking pass plus a blocking fetch would make two.
-        for name, partition in self._assignment[1:]:
-            if budget <= 0:
-                break
-            records = self._fetch(name, partition, budget, 0.0)
-            out.extend(records)
-            budget -= len(records)
-        if budget > 0 and self._assignment:
-            name, partition = self._assignment[0]
-            out.extend(self._fetch(name, partition, budget, 0.0 if out else timeout))
-        if out and self._auto_commit:
-            self.commit()
-        return out
-
-    def commit(
-        self,
-        topic: str | None = None,
-        partition: int | None = None,
-        offset: int | None = None,
-    ) -> None:
-        """Commit offsets to the broker (whole-assignment or per-partition)."""
-        if topic is None:
-            if partition is not None or offset is not None:
-                raise ValueError("partition/offset require a topic")
-            for (name, part), position in self._positions.items():
-                if (name, part) in self._assignment:
-                    self._commit_one(name, part, position)
-            return
-        if partition is None:
-            raise ValueError("per-partition commit requires a partition")
-        if offset is None:
-            if (topic, partition) not in self._positions:
-                raise InvalidOffsetError(f"{topic}/{partition} has no position")
-            offset = self._positions[(topic, partition)]
-        if offset < 0:
-            raise InvalidOffsetError(f"cannot commit negative offset {offset}")
-        self._commit_one(topic, partition, offset)
-
-    def _commit_one(self, topic: str, partition: int, offset: int) -> None:
+    def commit(self, group: str, topic: str, partition: int, offset: int) -> None:
         self._conn.request(
             "commit",
-            {
-                "group": self._group,
-                "topic": topic,
-                "partition": partition,
-                "offset": offset,
-            },
+            {"group": group, "topic": topic, "partition": partition, "offset": offset},
         )
 
-    def committed(self, topic: str, partition: int) -> int | None:
-        """Offset last committed for this group+partition (None if never)."""
+    def committed(self, group: str, topic: str, partition: int) -> int | None:
         offset = self._conn.request(
-            "committed",
-            {"group": self._group, "topic": topic, "partition": partition},
+            "committed", {"group": group, "topic": topic, "partition": partition}
         ).meta["offset"]
         return None if offset is None else int(offset)
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def __iter__(self) -> Iterator:
-        """Drain everything currently available (non-blocking)."""
-        while True:
-            batch = self.poll()
-            if not batch:
-                return
-            yield from batch

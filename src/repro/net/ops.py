@@ -4,11 +4,12 @@ Historically the server grew an ``_op_<name>`` method per operation and
 the client grew a hand-rolled mirror method, so adding one op meant four
 edits that could drift apart. This module is the single source of truth
 both sides share: every operation is a **request dataclass**, a
-**response dataclass**, and one :class:`OpSpec` row registering them
-under the wire name. The server dispatches requests through the table
-(:func:`parse_request`), the client builds them through it
-(:func:`request_meta`), and adding an operation — the shm payload plane's
-``lease``/``release``, for example — is one entry here plus one handler.
+**response dataclass**, and one :class:`OpSpec` row of the :data:`OPS`
+table naming them under the wire name. The server dispatches requests
+through the table (:func:`parse_request`), the client builds them through
+it (:func:`request_meta`), and adding an operation — the shm payload
+plane's ``lease``/``release``, for example — is one row here plus one
+handler.
 
 The wire format is unchanged: a request's meta is still a flat JSON
 object ``{"op": <name>, ...fields...}`` with exactly the key names the
@@ -247,40 +248,29 @@ class OpSpec:
     may_block: Callable[[Any], bool] | None = None
 
 
-OPS: dict[str, OpSpec] = {}
-
-
-def register_op(
-    name: str,
-    request: type,
-    response: type,
-    may_block: Callable[[Any], bool] | None = None,
-) -> OpSpec:
-    if name in OPS:
-        raise ValueError(f"op {name!r} already registered")
-    spec = OpSpec(name=name, request=request, response=response, may_block=may_block)
-    OPS[name] = spec
-    return spec
-
-
-register_op("ping", PingRequest, PingResponse)
-register_op("produce", ProduceRequest, ProduceResponse)
-register_op("produce_batch", ProduceBatchRequest, ProduceBatchResponse)
-register_op("fetch", FetchRequest, FetchResponse, may_block=lambda r: r.timeout > 0)
-register_op("commit", CommitRequest, CommitResponse)
-register_op("committed", CommittedRequest, CommittedResponse)
-register_op("reset_group", ResetGroupRequest, ResetGroupResponse)
-register_op("create_topic", CreateTopicRequest, TopicResponse)
-register_op("ensure_topic", CreateTopicRequest, TopicResponse)
-register_op("list_topics", ListTopicsRequest, ListTopicsResponse)
-register_op("partitions", PartitionsRequest, TopicResponse)
-register_op("offsets", OffsetsRequest, OffsetsResponse)
-register_op("end_offsets", EndOffsetsRequest, EndOffsetsResponse)
-register_op("heartbeat", HeartbeatRequest, HeartbeatResponse)
-register_op("cluster", ClusterRequest, ClusterResponse)
-register_op("transport", TransportRequest, TransportResponse)
-register_op("lease", LeaseRequest, LeaseResponse)
-register_op("release", ReleaseRequest, ReleaseResponse)
+OPS: dict[str, OpSpec] = {
+    spec.name: spec
+    for spec in (
+        OpSpec("ping", PingRequest, PingResponse),
+        OpSpec("produce", ProduceRequest, ProduceResponse),
+        OpSpec("produce_batch", ProduceBatchRequest, ProduceBatchResponse),
+        OpSpec("fetch", FetchRequest, FetchResponse, may_block=lambda r: r.timeout > 0),
+        OpSpec("commit", CommitRequest, CommitResponse),
+        OpSpec("committed", CommittedRequest, CommittedResponse),
+        OpSpec("reset_group", ResetGroupRequest, ResetGroupResponse),
+        OpSpec("create_topic", CreateTopicRequest, TopicResponse),
+        OpSpec("ensure_topic", CreateTopicRequest, TopicResponse),
+        OpSpec("list_topics", ListTopicsRequest, ListTopicsResponse),
+        OpSpec("partitions", PartitionsRequest, TopicResponse),
+        OpSpec("offsets", OffsetsRequest, OffsetsResponse),
+        OpSpec("end_offsets", EndOffsetsRequest, EndOffsetsResponse),
+        OpSpec("heartbeat", HeartbeatRequest, HeartbeatResponse),
+        OpSpec("cluster", ClusterRequest, ClusterResponse),
+        OpSpec("transport", TransportRequest, TransportResponse),
+        OpSpec("lease", LeaseRequest, LeaseResponse),
+        OpSpec("release", ReleaseRequest, ReleaseResponse),
+    )
+}
 
 
 # -- meta <-> dataclass -------------------------------------------------------

@@ -50,6 +50,7 @@ from ..pubsub.broker import Broker
 from ..pubsub.consumer import Consumer
 from ..pubsub.errors import InvalidOffsetError
 from ..pubsub.message import Message
+from ..pubsub.producer import Producer
 from ..serde import SerdeContext, decode_wire, encode_wire
 from .errors import ProtocolError
 from .frames import (
@@ -107,23 +108,6 @@ class _Conn:
         self.out: deque[bytes] = deque()  # pending outbound buffers
         self.off = 0  # bytes of out[0] already sent
         self.close_after_flush = False
-
-
-class _InPlaceConsumer(Consumer):
-    """A consumer on the served broker whose values went through the transport."""
-
-    def __init__(self, broker: Broker, resolve: Any, *args: Any, **kwargs: Any) -> None:
-        super().__init__(broker, *args, **kwargs)
-        self._resolve = resolve
-
-    def poll(self, max_records: int = 1024, timeout: float = 0.0) -> list[Message]:
-        out = []
-        for message in super().poll(max_records, timeout):
-            value = self._resolve(message.value)
-            if value is not message.value:
-                message = dataclasses.replace(message, value=value)
-            out.append(message)
-        return out
 
 
 class BrokerServer:
@@ -251,14 +235,48 @@ class BrokerServer:
         self.stop()
 
     # -- in-process attachment ----------------------------------------------
-    # The slice of the client surface a pub/sub reader binds to, for code
-    # that lives in the server's process (the dist coordinator's terminal
-    # stage): same records, no socket.
+    # The broker-shaped surface a pub/sub connector binds to, for code that
+    # lives in the server's process (the dist coordinator's terminal
+    # stage): same records, no socket. The five PartitionLogs calls make
+    # the server the place its own consumers read the logs from.
 
     def ensure_topic(
         self, name: str, partitions: int = 1, retention: int | None = None
     ) -> int:
         return self._broker.ensure_topic(name, partitions, retention).num_partitions
+
+    def partitions(self, topic: str) -> int:
+        return self._broker.partitions(topic)
+
+    def offsets(self, topic: str, partition: int) -> tuple[int, int]:
+        return self._broker.offsets(topic, partition)
+
+    def fetch(
+        self, topic: str, partition: int, offset: int, max_records: int, timeout: float
+    ) -> list[Message]:
+        """The stored records, in place: no encode, no decode, no fetch thread.
+
+        Values the transport stored as internal refs (shm slab refs) come
+        back as payloads, in a shallow copy of the stored record.
+        """
+        out = []
+        for message in self._broker.fetch(
+            topic, partition, offset, max_records, timeout
+        ):
+            value = self._transport.resolve(message.value)
+            if value is not message.value:
+                message = dataclasses.replace(message, value=value)
+            out.append(message)
+        return out
+
+    def commit(self, group: str, topic: str, partition: int, offset: int) -> None:
+        self._broker.commit(group, topic, partition, offset)
+
+    def committed(self, group: str, topic: str, partition: int) -> int | None:
+        return self._broker.committed(group, topic, partition)
+
+    def producer(self) -> Producer:
+        return self._broker.producer()
 
     def consumer(
         self,
@@ -267,19 +285,8 @@ class BrokerServer:
         auto_offset_reset: str = "earliest",
         auto_commit: bool = True,
     ) -> Consumer:
-        """A consumer reading the served broker's logs in place.
-
-        Values the transport stored as internal refs (shm slab refs) come
-        back as payloads, in a shallow copy of the stored record.
-        """
-        return _InPlaceConsumer(
-            self._broker,
-            self._transport.resolve,
-            group,
-            topics,
-            auto_offset_reset=auto_offset_reset,
-            auto_commit=auto_commit,
-        )
+        """A consumer reading the served broker's logs in place."""
+        return Consumer(self, group, topics, auto_offset_reset, auto_commit)
 
     # -- worker registry (read by the dist coordinator) --------------------
 
@@ -682,12 +689,11 @@ class BrokerServer:
     def _handle_partitions(
         self, conn: _Conn, req: Any, blobs: tuple
     ) -> tuple[dict, list]:
-        topic = self._broker.topic(req.topic)
-        return response_meta(TopicResponse(topic.num_partitions)), []
+        return response_meta(TopicResponse(self._broker.partitions(req.topic))), []
 
     def _handle_offsets(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
-        log = self._broker.topic(req.topic).log(int(req.partition))
-        return response_meta(OffsetsResponse(log.start_offset, log.end_offset)), []
+        start, end = self._broker.offsets(req.topic, int(req.partition))
+        return response_meta(OffsetsResponse(start, end)), []
 
     def _handle_end_offsets(
         self, conn: _Conn, req: Any, blobs: tuple

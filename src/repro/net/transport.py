@@ -1,8 +1,9 @@
-"""Pluggable payload transports for broker connections.
+"""The two payload transports of a broker connection.
 
 A *transport* decides how record payloads travel between peers; the
-framing, op table, and broker semantics stay identical regardless. Two
-ship in-tree:
+framing, op table, and broker semantics stay identical regardless. There
+are two, and :func:`make_server_transport` / :func:`connect_transport`
+choose between them by name:
 
 ``tcp``
     Payload bytes ride inside the frame blobs. Always works, including
@@ -20,16 +21,11 @@ receives the server's descriptor (``{"name": "shm", "ring": ...}`` or
 side. Old servers answer unknown ops with a :class:`ProtocolError`, which
 the client treats as ``tcp`` — so a new client against an old broker
 degrades instead of breaking.
-
-Third-party transports register the same way the built-ins do::
-
-    register_transport(TransportSpec(name="rdma", make_server=..., connect=...))
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from .shm import (
@@ -121,74 +117,37 @@ class ClientTransport:
     def release_producer(self, options: dict[str, Any]) -> None:
         """Tear down whatever :meth:`producer_options` allocated."""
 
-    def close(self) -> None:
-        pass
-
-
-@dataclass(frozen=True)
-class TransportSpec:
-    """Registry row: how to build each half of a named transport."""
-
-    name: str
-    #: ``make_server(**config) -> ServerTransport``
-    make_server: Callable[..., ServerTransport]
-    #: ``connect(descriptor) -> ClientTransport | None`` (None = can't use
-    #: this transport from here, caller falls back to tcp)
-    connect: Callable[[dict[str, Any]], "ClientTransport | None"]
-
-
-TRANSPORTS: dict[str, TransportSpec] = {}
-
-
-def register_transport(spec: TransportSpec, replace: bool = False) -> TransportSpec:
-    if spec.name in TRANSPORTS and not replace:
-        raise ValueError(f"transport {spec.name!r} already registered")
-    TRANSPORTS[spec.name] = spec
-    return spec
-
 
 def make_server_transport(name: str, **config: Any) -> ServerTransport:
     """Build the server half of the named transport.
 
-    Unknown names raise ``ValueError`` listing what is registered, so a
-    typo in ``[dist] transport`` fails loudly at deploy time rather than
-    silently running tcp.
+    Unknown names raise ``ValueError`` listing the known ones, so a typo in
+    ``[dist] transport`` fails loudly at deploy time rather than silently
+    running tcp. ``config`` is the shm ring's; tcp has nothing to size.
     """
-    spec = TRANSPORTS.get(name)
-    if spec is None:
-        known = ", ".join(sorted(TRANSPORTS))
-        raise ValueError(f"unknown transport {name!r} (registered: {known})")
-    return spec.make_server(**config)
+    if name == "tcp":
+        return ServerTransport()
+    if name == "shm":
+        return ShmServerTransport(**config)
+    raise ValueError(f"unknown transport {name!r} (known: shm, tcp)")
 
 
 def connect_transport(descriptor: dict[str, Any] | None) -> ClientTransport:
     """Build the client half for a server-advertised descriptor.
 
-    Anything unusable — no descriptor, unknown name, or the named
-    transport declining (e.g. an shm ring on another machine) — yields
+    Anything unusable — no descriptor, an unknown name, or an shm ring
+    that cannot be attached from here (it is on another machine) — yields
     the tcp transport. The client can always talk tcp.
     """
     name = (descriptor or {}).get("name", "tcp")
-    spec = TRANSPORTS.get(name)
-    if spec is None:
+    if name == "shm":
+        client = _connect_shm(descriptor or {})
+        if client is not None:
+            return client
+        logger.info("transport 'shm' not usable from this process; using tcp")
+    elif name != "tcp":
         logger.info("unknown transport %r advertised; staying on tcp", name)
-        return ClientTransport()
-    client = spec.connect(descriptor or {})
-    if client is None:
-        logger.info("transport %r not usable from this process; using tcp", name)
-        return ClientTransport()
-    return client
-
-
-# -- tcp ----------------------------------------------------------------------
-
-register_transport(
-    TransportSpec(
-        name="tcp",
-        make_server=lambda **_: ServerTransport(),
-        connect=lambda descriptor: ClientTransport(),
-    )
-)
+    return ClientTransport()
 
 
 # -- shm ----------------------------------------------------------------------
@@ -278,12 +237,3 @@ def _connect_shm(descriptor: dict[str, Any]) -> ClientTransport | None:
         logger.info("cannot attach shm ring %r (%s); using tcp", name, exc)
         return None
     return ShmClientTransport(ring, int(descriptor.get("min_bytes", SHM_MIN_BYTES)))
-
-
-register_transport(
-    TransportSpec(
-        name="shm",
-        make_server=ShmServerTransport,
-        connect=_connect_shm,
-    )
-)

@@ -12,7 +12,10 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
+from .consumer import Consumer
 from .errors import BrokerClosedError, TopicExistsError, UnknownTopicError
+from .message import Message
+from .producer import Producer
 from .topic import Topic
 
 
@@ -73,6 +76,46 @@ class Broker:
         """True when ``name`` exists."""
         with self._lock:
             return name in self._topics
+
+    # -- partition logs, as a consumer reads them -----------------------------
+
+    def partitions(self, topic: str) -> int:
+        """Partition count of an existing topic."""
+        return self.topic(topic).num_partitions
+
+    def offsets(self, topic: str, partition: int) -> tuple[int, int]:
+        """``(start, end)``: oldest retained offset, next offset to be written."""
+        log = self.topic(topic).log(partition)
+        return log.start_offset, log.end_offset
+
+    def fetch(
+        self,
+        topic: str,
+        partition: int,
+        offset: int,
+        max_records: int = 1024,
+        timeout: float = 0.0,
+    ) -> list[Message]:
+        """Records from ``offset`` on, waiting up to ``timeout`` s for the first."""
+        log = self.topic(topic).log(partition)
+        records = log.read(offset, max_records)
+        if not records and timeout > 0:
+            records = log.read_blocking(offset, max_records, timeout)
+        return records
+
+    # -- clients ---------------------------------------------------------------
+
+    def producer(self) -> Producer:
+        return Producer(self)
+
+    def consumer(
+        self,
+        group: str,
+        topics: list[str] | None = None,
+        auto_offset_reset: str = "earliest",
+        auto_commit: bool = True,
+    ) -> Consumer:
+        return Consumer(self, group, topics, auto_offset_reset, auto_commit)
 
     # -- consumer-group offsets ---------------------------------------------
 

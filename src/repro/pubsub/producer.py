@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .broker import Broker
+if TYPE_CHECKING:
+    from .broker import Broker
 
 
 class Producer:
@@ -50,3 +51,12 @@ class Producer:
             topic_obj = self._broker.topic(topic)
         self._sent += 1
         return topic_obj.append(key, value, timestamp, headers, partition)
+
+    def send_batch(
+        self, topic: str, records: list[dict[str, Any]]
+    ) -> list[tuple[int, int]]:
+        """Publish many records to one topic (``value`` plus ``send``'s keywords)."""
+        return [self.send(topic, **record) for record in records]
+
+    def close(self) -> None:
+        """Nothing to release: the broker owns everything this client touched."""

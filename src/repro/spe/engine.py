@@ -80,6 +80,20 @@ class RunReport:
         return "\n".join(lines)
 
 
+def threaded_scheduler(
+    plan: PlanConfig | None, obs: Any | None = None, checkpoint_listener=None
+) -> ThreadedScheduler:
+    """The threaded scheduler a compiled ``plan`` runs on (None: as declared)."""
+    if plan is None:
+        return ThreadedScheduler(checkpoint_listener=checkpoint_listener, obs=obs)
+    return ThreadedScheduler(
+        checkpoint_listener=checkpoint_listener,
+        edge_batch_size=plan.edge_batch_size,
+        linger_s=plan.linger_s,
+        obs=obs,
+    )
+
+
 class StreamEngine:
     """Runs continuous queries with a chosen scheduling strategy."""
 
@@ -154,7 +168,7 @@ class StreamEngine:
                 **({} if batch_size is None else {"batch_size": batch_size}),
             )
         else:
-            scheduler = self._threaded_scheduler(listener, plan, obs)
+            scheduler = threaded_scheduler(plan, obs, listener)
         stats = scheduler.run(nodes)
         wall = time.monotonic() - started
         report = RunReport(
@@ -194,7 +208,7 @@ class StreamEngine:
             query, checkpointer, on_built, capacity=self._capacity, plan=plan,
             obs=obs, force_replication=force_replication,
         )
-        self._active = self._threaded_scheduler(listener, plan, obs)
+        self._active = threaded_scheduler(plan, obs, listener)
         self._active_nodes = nodes
         self._active.start(nodes)
         return _sinks_of(nodes)
@@ -214,19 +228,6 @@ class StreamEngine:
     def sinks_of(nodes: list[Node]) -> dict[str, Sink]:
         """Public helper: the sink objects of a materialized node list."""
         return _sinks_of(nodes)
-
-    @staticmethod
-    def _threaded_scheduler(
-        listener, plan: PlanConfig | None, obs: Any | None = None
-    ) -> ThreadedScheduler:
-        if plan is None:
-            return ThreadedScheduler(checkpoint_listener=listener, obs=obs)
-        return ThreadedScheduler(
-            checkpoint_listener=listener,
-            edge_batch_size=plan.edge_batch_size,
-            linger_s=plan.linger_s,
-            obs=obs,
-        )
 
     def stop(self, timeout: float = 10.0) -> None:
         """Request shutdown of the background query and wait for it."""

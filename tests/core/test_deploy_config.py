@@ -157,6 +157,10 @@ class TestRoundTrip:
         toml = b"[plan]\nvectorize = false\n"
         with pytest.raises(DeployConfigError, match=r"plan\.vectorize"):
             DeployConfig.from_dict(tomllib.load(io.BytesIO(toml)))
+        # ... and so are the five retired [dist] fields
+        toml = b'[dist]\nworkers = 2\nstart_method = "fork"\n'
+        with pytest.raises(DeployConfigError, match=r"dist\.start_method"):
+            DeployConfig.from_dict(tomllib.load(io.BytesIO(toml)))
 
     def test_live_fields_rejected_in_tables(self):
         with pytest.raises(DeployConfigError, match="non-serializable"):

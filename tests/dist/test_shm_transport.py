@@ -245,14 +245,16 @@ def test_producer_lapping_the_ring_inside_every_fetch_loses_nothing(monkeypatch)
             monkeypatch.setattr(client_module, "decode_wire", racing_decode)
             produce(slots + 2)
             consumer = client.consumer("g", ["t"], auto_commit=False)
-            real_fetch_frame = consumer._fetch_frame
+            conn = consumer._logs._conn
+            real_call = conn.call
 
-            def fetch_frame(*args):
+            def call(name, *args):
                 nonlocal decoded_in_fetch
-                decoded_in_fetch = 0  # the race repeats on every fetch attempt
-                return real_fetch_frame(*args)
+                if name == "fetch":
+                    decoded_in_fetch = 0  # the race repeats on every fetch attempt
+                return real_call(name, *args)
 
-            monkeypatch.setattr(consumer, "_fetch_frame", fetch_frame)
+            monkeypatch.setattr(conn, "call", call)
             seen = []
             for _ in range(4 * count):
                 for message in consumer.poll(max_records=64):

@@ -198,8 +198,42 @@ def test_dist_config_resolve():
         DistConfig.resolve("two")
 
 
-def test_worker_process_requires_fork():
-    from repro.dist import WorkerProcess
+def test_in_thread_run_stage_leaves_the_server_nothing_to_hold():
+    """The ``strata-repro worker`` verb runs ``run_stage`` in its own
+    thread and then returns: every producer and consumer connection the
+    stage opened must be closed by then, and the slab leases charged to
+    them returned — a forked worker hides a leak by dying, this one cannot."""
+    import numpy as np
 
-    with pytest.raises(ValueError, match="fork"):
-        WorkerProcess("w", [], ("127.0.0.1", 0), start_method="spawn")
+    from repro.core.connectors import PubSubReaderSource, PubSubWriterSink
+    from repro.dist import cut_stages, run_stage
+    from repro.net import BrokerServer
+    from repro.pubsub import Broker
+    from repro.spe import ListSource, Query, StreamTuple
+
+    broker = Broker()
+    image = np.ones((128, 128), dtype=np.float64)
+    layers = [
+        StreamTuple(tau=float(i), job="J", layer=i, payload={"image": image})
+        for i in range(3)
+    ]
+    query = Query("q")
+    query.add_source("src", ListSource("src", layers))
+    query.add_sink("mid", PubSubWriterSink("w-mid", broker, "strata.mid"), ["src"])
+    query.add_source("hop", PubSubReaderSource("r-mid", broker, "strata.mid"))
+    query.add_sink("out", PubSubWriterSink("w-out", broker, "strata.out"), ["hop"])
+    stages = cut_stages(query.build())
+    assert len(stages) == 2 and not any(stage.terminal for stage in stages)
+    with BrokerServer(
+        broker, allow_pickle=True, transport="shm",
+        transport_options={"slots": 16, "slab_bytes": 256 * 1024},
+    ) as server:
+        run_stage(stages, server.address, worker_name="in-thread", produce_batch=2)
+        deadline = time.monotonic() + 5.0
+        while server._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._conns
+        stats = server.transport.stats()
+        assert stats["leased"] == 0 and stats["leases_reclaimed"] == 0
+        got = [m.value for m in server.consumer("probe", ["strata.out"]).poll()]
+    assert [t.layer for t in got[:-1]] == [0, 1, 2]  # then the sentinel

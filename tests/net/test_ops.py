@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.net import OPS, OpSpec, register_op
+from repro.net import OPS
 from repro.net.errors import ProtocolError
 from repro.net.ops import (
     FetchRequest,
@@ -123,28 +123,3 @@ def test_fetch_blocking_hint():
 def test_lease_defaults():
     spec, request = parse_request({"op": "lease"})
     assert request == LeaseRequest(count=1)
-
-
-def test_register_op_refuses_duplicates():
-    with pytest.raises(ValueError, match="already registered"):
-        register_op("ping", PingRequest, OPS["ping"].response)
-
-
-def test_register_op_extends_the_table():
-    from dataclasses import dataclass
-
-    @dataclass(frozen=True)
-    class EchoRequest:
-        text: str = ""
-
-    @dataclass(frozen=True)
-    class EchoResponse:
-        text: str = ""
-
-    try:
-        spec = register_op("test-echo", EchoRequest, EchoResponse)
-        assert isinstance(spec, OpSpec)
-        parsed_spec, request = parse_request({"op": "test-echo", "text": "hi"})
-        assert parsed_spec is spec and request.text == "hi"
-    finally:
-        OPS.pop("test-echo", None)

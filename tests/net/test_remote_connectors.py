@@ -203,3 +203,59 @@ def test_in_process_reader_on_a_served_broker(transport):
     assert isinstance(got[0].payload["image"], np.ndarray)
     np.testing.assert_array_equal(got[0].payload["image"], image)
     assert [t.portion for t in got[1:]] == ["0", "1", "2", "3"]
+
+
+# -- connectors close the clients they open -----------------------------------
+
+
+def _settles(server, connections, timeout=5.0):
+    """True once the server is down to ``connections`` sockets and no lease."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if (
+            len(server._conns) == connections
+            and server.transport.stats()["leased"] == 0
+        ):
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def test_connectors_close_the_clients_they_open():
+    """A writer's producer goes at its EOS broadcast and whatever a rebind
+    replaces goes at the rebind: the server is left holding neither their
+    sockets nor the slab leases charged to them (returned, not reclaimed
+    from a dead connection)."""
+    import numpy as np
+
+    options = {"slots": 8, "slab_bytes": 256 * 1024}
+    image = np.ones((128, 128), dtype=np.float64)
+    with BrokerServer(
+        Broker(), allow_pickle=True, transport="shm", transport_options=options
+    ) as server:
+        with BrokerClient(*server.address, allow_pickle=True) as remote:
+            remote.ensure_topic("strata.s")
+            assert _settles(server, connections=1)  # the admin connection
+            writer = PubSubWriterSink("w", remote, "strata.s")
+            reader = PubSubReaderSource("r", remote, "strata.s", poll_timeout=0.02)
+            writer.accept(
+                StreamTuple(tau=0.0, job="J", layer=0, payload={"image": image})
+            )
+            assert server.transport.stats()["leased"] > 0  # pooled client-side
+            writer.rebind(remote)
+            reader.rebind(remote)
+            assert _settles(server, connections=3)  # admin + one of each, again
+            # returned by the replaced producer's close(), not taken back from
+            # a socket the garbage collector happened to close
+            assert server.transport.stats()["leases_reclaimed"] == 0
+            writer.accept(
+                StreamTuple(tau=1.0, job="J", layer=1, payload={"image": image})
+            )
+            writer.on_close()
+            assert _settles(server, connections=2)  # the producer is gone
+            assert [t.layer for t in reader] == [0, 1]
+            reader.close()
+            assert _settles(server, connections=1)
+            assert server.transport.stats()["leases_reclaimed"] == 0

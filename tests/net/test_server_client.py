@@ -1,7 +1,5 @@
 """BrokerServer + BrokerClient: the full RPC surface over real sockets."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -115,49 +113,6 @@ def test_offsets_surface(served):
     for i in range(3):
         producer.send("t", {"i": i})
     assert client.end_offsets("t") == {0: 3}
-
-
-def test_consumer_seek_position_and_manual_commit(served):
-    _, _, client = served
-    producer = client.producer()
-    for i in range(5):
-        producer.send("t", {"i": i})
-    consumer = client.consumer("g", ["t"], auto_commit=False)
-    consumer.poll()
-    assert consumer.position("t", 0) == 5
-    consumer.seek("t", 0, 2)
-    assert [m.value["i"] for m in consumer.poll()] == [2, 3, 4]
-    consumer.commit()
-    assert consumer.committed("t", 0) == 5
-    with pytest.raises(InvalidOffsetError):
-        consumer.seek("nope", 0, 0)
-
-
-def test_consumer_latest_reset_sees_only_new_records(served):
-    _, _, client = served
-    producer = client.producer()
-    producer.send("t", {"old": True})
-    consumer = client.consumer("g", ["t"], auto_offset_reset="latest")
-    assert consumer.poll() == []
-    producer.send("t", {"new": True})
-    assert [m.value for m in consumer.poll()] == [{"new": True}]
-
-
-def test_blocking_fetch_wakes_on_produce(served):
-    _, _, client = served
-    client.ensure_topic("t")
-    consumer = client.consumer("g", ["t"])
-    got = []
-
-    def drain():
-        got.extend(consumer.poll(timeout=5.0))
-
-    thread = threading.Thread(target=drain)
-    thread.start()
-    client.producer().send("t", {"x": 1})
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert [m.value for m in got] == [{"x": 1}]
 
 
 def test_pickle_refused_at_sender_and_server(served):

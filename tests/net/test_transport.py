@@ -1,4 +1,4 @@
-"""The pluggable transport layer: registry, negotiation, slab lifecycle."""
+"""The two payload transports: choosing one, negotiation, slab lifecycle."""
 
 import socket
 import time
@@ -10,11 +10,8 @@ from repro.net import (
     BrokerClient,
     BrokerServer,
     ClientTransport,
-    ServerTransport,
-    TransportSpec,
     connect_transport,
     make_server_transport,
-    register_transport,
 )
 from repro.net.ops import LeaseRequest, ReleaseRequest
 from repro.pubsub import Broker
@@ -32,24 +29,25 @@ def shm_served():
             yield broker, server, client
 
 
-# -- registry -----------------------------------------------------------------
+# -- choosing a transport ------------------------------------------------------
 
 
 def test_unknown_server_transport_fails_loudly():
     with pytest.raises(ValueError, match=r"unknown transport 'spm'.*shm.*tcp"):
         make_server_transport("spm")
+    with pytest.raises(ValueError, match="unknown transport 'spm'"):
+        BrokerServer(Broker(), transport="spm")
 
 
-def test_duplicate_registration_refused():
-    spec = TransportSpec(
-        name="tcp",
-        make_server=lambda **_: ServerTransport(),
-        connect=lambda d: ClientTransport(),
-    )
-    with pytest.raises(ValueError, match="already registered"):
-        register_transport(spec)
-    # replace=True is the escape hatch (and restores the original here)
-    register_transport(spec, replace=True)
+def test_server_transport_by_name():
+    assert make_server_transport("tcp").describe() == {"name": "tcp"}
+    # the dist coordinator hands the ring's sizes to whichever it names
+    assert make_server_transport("tcp", **SHM_OPTS).describe() == {"name": "tcp"}
+    shm = make_server_transport("shm", **SHM_OPTS)
+    try:
+        assert shm.describe()["slots"] == SHM_OPTS["slots"]
+    finally:
+        shm.close()
 
 
 def test_connect_transport_always_lands_somewhere():

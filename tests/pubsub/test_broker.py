@@ -67,3 +67,22 @@ def test_closed_broker_rejects_operations():
     broker.close()
     with pytest.raises(BrokerClosedError):
         broker.create_topic("t")
+
+
+def test_committed_offsets_survive_broker_close():
+    from repro.pubsub import Consumer, Producer
+
+    broker = Broker()
+    broker.create_topic("t")
+    producer = Producer(broker)
+    for i in range(3):
+        producer.send("t", {"i": i})
+    consumer = Consumer(broker, "g", ["t"])
+    consumer.poll()
+    broker.close()
+    # offset state stays readable after close; data-plane calls are refused
+    assert broker.committed("g", "t", 0) == 3
+    with pytest.raises(BrokerClosedError):
+        Consumer(broker, "g2", ["t"])
+    with pytest.raises(BrokerClosedError):
+        broker.commit("g", "t", 0, 4)
