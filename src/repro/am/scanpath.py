@@ -19,7 +19,8 @@ actually went.  This module synthesizes, per layer:
   observed through additive sensor noise and optional NaN dropout;
 * a **melt-pool frame**: each track painted as a Gaussian cross-section
   whose amplitude scales as ``P/sqrt(v)`` and width as ``sqrt(P/v)`` (the
-  melt-pool scaling the laser-parameter regressor inverts).
+  melt-pool scaling the laser-parameter regressor inverts), rendered when
+  a reader first asks for it.
 
 Everything is seeded and deterministic, so accuracy gates can compare
 pipeline output against exact ground truth.
@@ -28,6 +29,7 @@ pipeline output against exact ground truth.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -212,20 +214,43 @@ def deposit_energy(
     the track energy into the cell under it.  Summing the grid therefore
     reproduces ``Σ e·length`` exactly (up to float addition) — energy is
     conserved by construction, not by normalization.
+
+    All tracks' samples are placed and accumulated in one pass:
+    ``np.repeat`` spreads each track's parameters over its samples, and
+    one ``np.bincount`` adds them into the cells in input order — track
+    after track, sample after sample — so every cell's sum is the one
+    that adding the tracks one at a time gives, bit for bit.
     """
-    grid = np.zeros((grid_cells, grid_cells), dtype=np.float64)
-    for track in tracks:
-        length = track.length_mm
-        if length <= 0.0:
-            continue
-        n = max(1, math.ceil(length / sample_step_mm))
-        ts = (np.arange(n, dtype=np.float64) + 0.5) / n
-        xs = track.x0_mm + ts * (track.x1_mm - track.x0_mm)
-        ys = track.y0_mm + ts * (track.y1_mm - track.y0_mm)
-        cols = np.clip((xs / cell_mm).astype(np.int64), 0, grid_cells - 1)
-        rows = np.clip((ys / cell_mm).astype(np.int64), 0, grid_cells - 1)
-        np.add.at(grid, (rows, cols), track.energy_j / n)
-    return grid
+    # math.hypot per track, as ScanTrack.length_mm: np.hypot may round differently
+    spans = [(track, track.length_mm) for track in tracks]
+    spans = [(track, length) for track, length in spans if length > 0.0]
+    if not spans:  # bincount would hand back int64 zeros
+        return np.zeros((grid_cells, grid_cells), dtype=np.float64)
+    n = np.array(
+        [max(1, math.ceil(length / sample_step_mm)) for _, length in spans],
+        dtype=np.int64,
+    )
+    x0, y0, x1, y1, energy = np.array(
+        [
+            (t.x0_mm, t.y0_mm, t.x1_mm, t.y1_mm, t.line_energy_j_mm * length)
+            for t, length in spans
+        ],
+        dtype=np.float64,
+    ).T
+    # sample k of a track of n sits at (k + 0.5) / n along it
+    per_sample = np.repeat(n, n)
+    k = np.arange(per_sample.size) - np.repeat(np.cumsum(n) - n, n)
+    ts = (k + 0.5) / per_sample
+    xs = np.repeat(x0, n) + ts * np.repeat(x1 - x0, n)
+    ys = np.repeat(y0, n) + ts * np.repeat(y1 - y0, n)
+    cols = np.clip((xs / cell_mm).astype(np.int64), 0, grid_cells - 1)
+    rows = np.clip((ys / cell_mm).astype(np.int64), 0, grid_cells - 1)
+    grid = np.bincount(
+        rows * grid_cells + cols,
+        weights=np.repeat(energy / n, n),
+        minlength=grid_cells * grid_cells,
+    )
+    return grid.reshape(grid_cells, grid_cells)
 
 
 @dataclass(frozen=True)
@@ -330,6 +355,41 @@ class ThermalModelParams:
         )
 
 
+class _MeltPoolFrame:
+    """One layer's melt-pool frame, rendered on first read and only once.
+
+    The sensor noise is drawn when the build is synthesized, because every
+    later draw of the build's generator depends on it; the noise-free
+    render waits for a reader and is then added into the noise array,
+    which becomes the frame (``noise + frame`` is ``frame + noise`` bit for
+    bit).  A forecast pipeline never reads the frame and never pays for it.
+    """
+
+    __slots__ = ("_pending", "_image", "_lock")
+
+    def __init__(
+        self,
+        tracks: list[ScanTrack],
+        config: ThermalBuildConfig,
+        noise: np.ndarray | None,
+    ) -> None:
+        self._pending: tuple | None = (tracks, config, noise)
+        self._image: np.ndarray | None = None
+        self._lock = threading.Lock()
+
+    def image(self) -> np.ndarray:
+        with self._lock:  # two racing readers render once
+            if self._pending is not None:
+                tracks, config, noise = self._pending
+                image = render_meltpool_frame(
+                    tracks, config.image_px, config.px_per_mm, config.optics
+                )
+                if noise is not None:
+                    image = np.add(noise, image, out=noise)
+                self._image, self._pending = image, None
+            return self._image
+
+
 @dataclass(frozen=True)
 class ThermalLayerRecord:
     """Everything one layer publishes, plus its hidden ground truth."""
@@ -350,8 +410,13 @@ class ThermalLayerRecord:
     true_temp_cells: np.ndarray
     #: what the sensor reports: truth + noise, NaN where samples dropped
     measured_temp_cells: np.ndarray
-    #: on-axis melt-pool frame (actual values + sensor noise)
-    meltpool_image: np.ndarray
+    _meltpool: _MeltPoolFrame = field(repr=False, compare=False)
+
+    @property
+    def meltpool_image(self) -> np.ndarray:
+        """On-axis melt-pool frame (actual values + sensor noise), rendered
+        on first read."""
+        return self._meltpool.image()
 
 
 def _default_parts() -> tuple[Rect, ...]:
@@ -471,12 +536,10 @@ def synthesize_thermal_build(config: ThermalBuildConfig) -> ThermalBuild:
         if config.dropout_rate > 0.0:
             dropped = rng.random((cells, cells)) < config.dropout_rate
             measured = np.where(dropped, np.nan, measured)
-        meltpool = render_meltpool_frame(
-            tracks, config.image_px, config.px_per_mm, config.optics
-        )
+        noise = None
         if config.optics.noise_std > 0.0:
-            meltpool = meltpool + config.optics.noise_std * rng.standard_normal(
-                meltpool.shape
+            noise = config.optics.noise_std * rng.standard_normal(
+                (config.image_px, config.image_px)
             )
         records.append(
             ThermalLayerRecord(
@@ -492,7 +555,7 @@ def synthesize_thermal_build(config: ThermalBuildConfig) -> ThermalBuild:
                 energy_next_cells=planned[layer + 1],
                 true_temp_cells=truth.copy(),
                 measured_temp_cells=measured,
-                meltpool_image=meltpool,
+                _meltpool=_MeltPoolFrame(tracks, config, noise),
             )
         )
     return ThermalBuild(config=config, records=records)

@@ -29,7 +29,7 @@ from ..core.connectors import EOS_SENTINEL
 from ..core.errors import DeployConfigError
 from ..elastic import ElasticConfig, elastic_plan, plan_migration, run_elastic
 from ..net.server import BrokerServer
-from ..obs.exporters import snapshot_from_dict, to_prometheus
+from ..obs.exporters import snapshot_from_dict, to_prometheus, write_http_response
 from ..obs.registry import MetricsSnapshot, Sample
 from ..pubsub.broker import Broker
 from ..pubsub.producer import Producer
@@ -529,18 +529,16 @@ class DistCoordinator:
         coordinator = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # keep-alive for a polling scraper
+
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 if self.path.split("?")[0] not in ("/", "/metrics"):
                     self.send_error(404)
                     return
                 body = to_prometheus(coordinator.cluster_snapshot()).encode("utf-8")
-                self.send_response(200)
-                self.send_header(
-                    "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+                write_http_response(
+                    self, 200, "text/plain; version=0.0.4; charset=utf-8", body
                 )
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
 
             def log_message(self, *args: Any) -> None:  # silence per-request spam
                 pass

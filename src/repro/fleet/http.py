@@ -33,6 +33,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlparse
 
 from ..core.errors import DeployConfigError
+from ..obs.exporters import write_http_response
 from .errors import AdmissionError, FleetError, UnknownJobError
 from .service import FleetService
 
@@ -57,19 +58,7 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, payload: Any) -> None:
         body = (json.dumps(payload, indent=2) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        write_http_response(self, status, "application/json", body)
 
     def _error(self, status: int, code: str, message: str, detail: Any = None) -> None:
         self._send_json(
@@ -108,8 +97,9 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
             if parts == ["healthz"]:
                 self._send_json(200, self.service.health())
             elif parts == ["metrics"]:
-                self._send_text(
-                    200, self.service.prometheus(), "text/plain; version=0.0.4"
+                write_http_response(
+                    self, 200, "text/plain; version=0.0.4",
+                    self.service.prometheus().encode(),
                 )
             elif parts == ["jobs"]:
                 query = parse_qs(url.query)

@@ -239,7 +239,7 @@ class JobRunner:
         self._workload = workload
         self._deploy_dict = deploy
         self._on_done = on_done
-        self.obs = ObsContext()
+        self.obs: ObsContext | None = ObsContext()
         self._lock = threading.Lock()
         self._cancel = False
         self._started_engine = False
@@ -269,9 +269,10 @@ class JobRunner:
 
     def snapshot(self) -> MetricsSnapshot:
         """The job's metrics right now (final snapshot once terminal)."""
-        if self.final_snapshot is not None:
+        obs = self.obs  # read once: _finish sets final_snapshot, then drops obs
+        if obs is None:
             return self.final_snapshot
-        return self.obs.snapshot()
+        return obs.snapshot()
 
     def cancel(self) -> None:
         """Request cancellation: stop the engine and drain its threads."""
@@ -352,6 +353,12 @@ class JobRunner:
         self, outcome: str, reason: str | None, summary: dict[str, Any] | None
     ) -> None:
         self.final_snapshot = self.obs.snapshot()
+        # what a finished job keeps is its record and this snapshot; the
+        # engine, KV store, build and sink results go with these two refs
+        # (the obs collectors close over the engine). No self._lock here:
+        # the cancelled-before-launch path calls _finish holding it.
+        self._strata = None
+        self.obs = None
         try:
             self._registry.transition(self.job_id, outcome, reason=reason, result=summary)
         except Exception:

@@ -55,7 +55,8 @@ class FleetService:
         self.started_at = time.time()
         self._lock = threading.Lock()
         self._runners: dict[str, JobRunner] = {}
-        self._finished_runners: dict[str, JobRunner] = {}
+        #: job id -> final snapshot, job/tenant-labelled once when it ended
+        self._finished: dict[str, MetricsSnapshot] = {}
         self.metrics = MetricsRegistry()
         for name, help_text in _OBS_HELP.items():
             self.metrics.set_help(name, help_text)
@@ -157,12 +158,13 @@ class FleetService:
 
     def _runner_done(self, runner: JobRunner) -> None:
         self.scheduler.detach(runner.job_id)
+        final = self._labelled(runner.job_id, runner.final_snapshot)
         with self._lock:
             self._runners.pop(runner.job_id, None)
-            self._finished_runners[runner.job_id] = runner
+            self._finished[runner.job_id] = final
             # keep a bounded window of finished jobs' final snapshots
-            while len(self._finished_runners) > 256:
-                self._finished_runners.pop(next(iter(self._finished_runners)))
+            while len(self._finished) > 256:
+                self._finished.pop(next(iter(self._finished)))
 
     # -- job control --------------------------------------------------------
 
@@ -197,8 +199,9 @@ class FleetService:
         while time.monotonic() < deadline:
             record = self.registry.get(job_id)
             if not record.active:
+                # still listed while it hands its final snapshot over
                 with self._lock:
-                    runner = self._finished_runners.get(job_id)
+                    runner = self._runners.get(job_id)
                 if runner is not None:
                     runner.join(timeout=max(0.0, deadline - time.monotonic()))
                 return record
@@ -211,15 +214,21 @@ class FleetService:
         """One fleet-wide scrape: every job's metrics, job/tenant-labelled."""
         merged = self.metrics.snapshot()
         with self._lock:
-            runners = {**self._finished_runners, **self._runners}
-        for job_id, runner in runners.items():
-            try:
-                tenant = self.registry.get(job_id).tenant
-            except UnknownJobError:  # pragma: no cover - registry is append-only
-                tenant = "unknown"
-            job_snap = runner.snapshot().with_labels(job=job_id, tenant=tenant)
+            finished = list(self._finished.values())
+            running = list(self._runners.values())
+        for job_snap in finished:
+            merged.samples.extend(job_snap.samples)
+        for runner in running:
+            job_snap = self._labelled(runner.job_id, runner.snapshot())
             merged.samples.extend(job_snap.samples)
         return merged
+
+    def _labelled(self, job_id: str, snapshot: MetricsSnapshot) -> MetricsSnapshot:
+        try:
+            tenant = self.registry.get(job_id).tenant
+        except UnknownJobError:  # pragma: no cover - registry is append-only
+            tenant = "unknown"
+        return snapshot.with_labels(job=job_id, tenant=tenant)
 
     def prometheus(self) -> str:
         """The fleet-wide snapshot in Prometheus text exposition format."""

@@ -7,16 +7,21 @@ code via ``Strata.metrics()``. The Prometheus renderer follows the text
 exposition format (HELP/TYPE headers, escaped label values, cumulative
 ``_bucket`` series) so the output scrapes cleanly; the JSON-lines form is
 one self-contained object per snapshot, append-friendly for long runs and
-trivially round-trippable.
+trivially round-trippable. :func:`write_http_response` is how both HTTP
+endpoints that serve a scrape (the fleet API, the dist coordinator) put
+a response on the wire.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from .registry import MetricsRegistry, MetricsSnapshot, Sample
+
+if TYPE_CHECKING:  # http.server is only imported by the servers themselves
+    from http.server import BaseHTTPRequestHandler
 
 _PROM_KIND = {
     "counter": "counter",
@@ -73,6 +78,27 @@ def to_prometheus(
         else:
             lines.append(f"{sample.name} {_format_value(sample.value)}")
     return "\n".join(lines) + "\n"
+
+
+def write_http_response(
+    handler: BaseHTTPRequestHandler, status: int, content_type: str, body: bytes
+) -> None:
+    """Send the status line, headers and ``body`` in one write.
+
+    ``end_headers`` sends the headers on their own, and a body written
+    after them is a second small segment that Nagle's algorithm holds
+    until the client's delayed ACK (~40 ms on Linux) on a keep-alive
+    connection. Appending the body to the handler's header buffer puts the
+    whole response in the one ``flush_headers`` write.
+    """
+    handler.send_response(status)
+    handler.send_header("Content-Type", content_type)
+    handler.send_header("Content-Length", str(len(body)))
+    if handler.request_version == "HTTP/0.9":  # no status line, no headers
+        handler.wfile.write(body)
+        return
+    handler._headers_buffer.append(b"\r\n" + body)
+    handler.flush_headers()
 
 
 # -- JSON lines -------------------------------------------------------------

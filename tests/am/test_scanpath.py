@@ -11,13 +11,15 @@ whole synthesis must be a pure function of its config.
 from __future__ import annotations
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.am import Rect
+from repro.am import Rect, scanpath
 from repro.am.scanpath import (
     MeltPoolOptics,
     ThermalBuildConfig,
@@ -29,6 +31,8 @@ from repro.am.scanpath import (
     synthesize_laser_calibration,
     synthesize_thermal_build,
 )
+from repro.core import DeployConfig, Strata
+from repro.fleet.runner import build_pipeline, resolve_workload, run_standalone
 
 RECT = Rect(5.0, 5.0, 55.0, 55.0)
 
@@ -134,6 +138,68 @@ class TestMeltPoolRendering:
         # Gaussian units), so the observed ratio lands slightly above 2
         assert 2.0 <= ratio < 2.2
         assert float(hi.max()) <= optics.amplitude(560.0, 1200.0)
+
+
+@pytest.fixture()
+def renders(monkeypatch):
+    """The track list of every melt-pool frame rendered while the test runs."""
+    calls = []
+    real = scanpath.render_meltpool_frame
+
+    def counting(tracks, *args):
+        calls.append(tracks)
+        return real(tracks, *args)
+
+    monkeypatch.setattr(scanpath, "render_meltpool_frame", counting)
+    return calls
+
+
+class TestFramesRenderedWhenRead:
+    """A layer's melt-pool frame is rendered by its first reader, once."""
+
+    WORKLOAD = {"layers": 4, "image_px": 96}
+
+    def test_a_forecast_job_renders_no_frame(self, renders):
+        results = run_standalone({**self.WORKLOAD, "kind": "forecast"})
+        assert len(results) == 4 * self.WORKLOAD["layers"]  # 2 x 2 regions a layer
+        assert renders == []
+
+    def test_a_reconstruct_job_renders_each_frame_once(self, renders):
+        workload = resolve_workload({**self.WORKLOAD, "kind": "reconstruct"})
+        strata = Strata(engine_mode="threaded")
+        sink = build_pipeline(strata, workload)
+        # building renders the calibration sweep (3 angles x 3 x 3), no layer
+        assert len(renders) == 27
+        strata.deploy(DeployConfig(plan=True))
+        assert len(sink.results) == workload["layers"]
+        assert len(renders) == 27 + workload["layers"]
+
+    def test_racing_readers_render_a_frame_once(self, renders, monkeypatch):
+        record = synthesize_thermal_build(ThermalBuildConfig(layers=1, seed=4)).records[0]
+        counting = scanpath.render_meltpool_frame
+
+        def slow_render(*args):
+            time.sleep(0.05)  # hold the first reader inside the render
+            return counting(*args)
+
+        monkeypatch.setattr(scanpath, "render_meltpool_frame", slow_render)
+        readers = 8
+        start = threading.Barrier(readers)
+        frames = []
+
+        def read():
+            start.wait(timeout=10)
+            frames.append(record.meltpool_image)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(frames) == readers
+        assert len(renders) == 1
+        assert all(frame is frames[0] for frame in frames)
 
 
 class TestSynthesizeBuild:

@@ -1,0 +1,144 @@
+"""The shipped scan-path twin against its per-track, eager oracle, bit for bit.
+
+``deposit_energy`` places every track's samples in one pass and adds
+them with one ``bincount``; ``synthesize_thermal_build`` draws each
+frame's sensor noise where it always did but renders the frame on first
+read. Neither may change a bit of what a build publishes: energy grids,
+temperatures, measurements and frames are compared as raw bytes against
+``tests/am/scanpath_oracle.py`` (``repeat``/``bincount`` and int64 →
+float64 division must agree on every supported numpy).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.am import Rect
+from repro.am.scanpath import (
+    MeltPoolOptics,
+    ScanTrack,
+    ThermalBuildConfig,
+    deposit_energy,
+    raster_tracks,
+    synthesize_laser_calibration,
+    synthesize_thermal_build,
+)
+
+from . import scanpath_oracle as oracle
+
+GRID_CELLS = 40
+CELL_MM = 1.5
+
+
+def assert_bits_equal(shipped, expected, what: str) -> None:
+    if isinstance(expected, np.ndarray):
+        assert shipped.dtype == expected.dtype, what
+        assert shipped.shape == expected.shape, what
+        assert shipped.tobytes() == expected.tobytes(), what
+    else:
+        assert shipped == expected, what
+
+
+def mixed_tracks(angle: float) -> list[ScanTrack]:
+    """Raster tracks at ``angle`` plus the awkward ones.
+
+    Two parts, one hanging over the grid's far edge and one over the
+    origin (their samples clip into the border cells), a zero-length
+    track, and per-part power/speed so the per-track energies differ.
+    """
+    inside = raster_tracks(Rect(8.0, 6.0, 30.0, 40.0), angle, 1.7, 280.0, 1200.0)
+    over_edge = raster_tracks(Rect(45.0, 50.0, 66.0, 64.0), angle, 2.3, 410.0, 900.0)
+    over_origin = raster_tracks(Rect(-4.0, -3.0, 6.0, 9.0), angle, 1.1, 150.0, 1500.0)
+    point = ScanTrack(12.0, 12.0, 12.0, 12.0, 280.0, 1200.0)
+    return [*inside, point, *over_edge, *over_origin, point]
+
+
+@pytest.mark.parametrize("angle", [float(a) for a in range(0, 180, 15)])
+@pytest.mark.parametrize("step", [0.5, 0.23])
+def test_energy_grid_matches_the_per_track_loop(angle, step):
+    tracks = mixed_tracks(angle)
+    assert_bits_equal(
+        deposit_energy(tracks, GRID_CELLS, CELL_MM, sample_step_mm=step),
+        oracle.deposit_energy(tracks, GRID_CELLS, CELL_MM, sample_step_mm=step),
+        f"angle {angle}",
+    )
+
+
+@pytest.mark.parametrize(
+    "tracks",
+    [
+        [],
+        [ScanTrack(3.0, 4.0, 3.0, 4.0, 280.0, 1200.0)],
+        [ScanTrack(0.0, 0.0, 0.1, 0.0, 280.0, 1200.0)],
+    ],
+    ids=["empty", "zero-length-only", "one-sample"],
+)
+def test_degenerate_track_lists_match(tracks):
+    assert_bits_equal(
+        deposit_energy(tracks, GRID_CELLS, CELL_MM),
+        oracle.deposit_energy(tracks, GRID_CELLS, CELL_MM),
+        "degenerate",
+    )
+
+
+BUILDS = {
+    "noisy": ThermalBuildConfig(layers=5, seed=9),
+    "noise-free": ThermalBuildConfig(
+        layers=4, seed=3, optics=MeltPoolOptics(noise_std=0.0)
+    ),
+    "dropout-and-spike": ThermalBuildConfig(
+        layers=7, seed=21, dropout_rate=0.08, spike_layers=(3, 5)
+    ),
+    "fleet-plate": ThermalBuildConfig(
+        job_id="fleet",
+        layers=3,
+        region_mm=79.5,
+        parts=(Rect(6.625, 6.625, 35.775, 72.875), Rect(43.725, 6.625, 72.875, 72.875)),
+        seed=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDS))
+def test_every_build_field_matches_the_eager_build(name):
+    config = BUILDS[name]
+    shipped = synthesize_thermal_build(config)
+    expected = oracle.synthesize_thermal_build(config)
+    assert shipped.config is config
+    assert len(shipped.records) == len(expected) == config.layers
+    for record, reference in zip(shipped.records, expected):
+        for f in dataclasses.fields(oracle.EagerLayerRecord):
+            assert_bits_equal(
+                getattr(record, f.name),
+                getattr(reference, f.name),
+                f"{name} layer {reference.layer} {f.name}",
+            )
+
+
+def test_frames_read_out_of_order_still_match():
+    """A frame's noise was drawn at build time, so read order cannot matter."""
+    config = BUILDS["dropout-and-spike"]
+    shipped = synthesize_thermal_build(config).records
+    expected = oracle.synthesize_thermal_build(config)
+    for layer in (5, 0, 6, 2):
+        assert_bits_equal(
+            shipped[layer].meltpool_image,
+            expected[layer].meltpool_image,
+            f"layer {layer}",
+        )
+
+
+@pytest.mark.parametrize("name", ["noisy", "noise-free"])
+def test_calibration_sweep_matches(name):
+    config = BUILDS[name]
+    shipped = synthesize_laser_calibration(config)
+    expected = oracle.synthesize_laser_calibration(config)
+    assert len(shipped) == len(expected) == 27
+    for sample, reference in zip(shipped, expected):
+        for f in dataclasses.fields(reference):
+            assert_bits_equal(
+                getattr(sample, f.name), getattr(reference, f.name), f.name
+            )

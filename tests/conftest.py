@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
+import statistics
+import time
+
 import pytest
 
 from repro.am import BuildDataset, OTImageRenderer, make_job
@@ -10,6 +14,30 @@ from repro.kvstore import MemoryStore
 # Small-but-real geometry: full 12-specimen plate at a coarse sensor
 # resolution keeps a layer render around a millisecond.
 TEST_IMAGE_PX = 250
+
+
+def keepalive_median_ms(host: str, port: int, path: str, rounds: int = 20) -> float:
+    """Median wall time of ``rounds`` GETs over one kept-alive connection.
+
+    A response sent as headers, then body, in two writes waits ~40 ms on
+    each round trip (Nagle's algorithm against the client's delayed ACK);
+    one write answers in about a millisecond on loopback.
+    """
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    times, local_ends = [], set()
+    try:
+        for _ in range(rounds):
+            started = time.perf_counter()
+            conn.request("GET", path)
+            local_ends.add(conn.sock.getsockname())
+            response = conn.getresponse()
+            response.read()
+            times.append(1e3 * (time.perf_counter() - started))
+            assert response.status == 200, response.status
+    finally:
+        conn.close()
+    assert len(local_ends) == 1, "the server closed the keep-alive connection"
+    return statistics.median(times)
 
 
 @pytest.fixture(scope="session")

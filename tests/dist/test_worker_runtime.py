@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.errors import DeploymentError
 from repro.dist import DistConfig, DistCoordinator, DistError
-from tests.conftest import TEST_IMAGE_PX
+from tests.conftest import TEST_IMAGE_PX, keepalive_median_ms
 
 CELL_EDGE = 5
 
@@ -134,6 +134,9 @@ def test_prometheus_scrape_endpoint(layer_records, reference_images, test_job):
                 break
             time.sleep(0.1)
         assert 'worker="worker-0"' in body
+        # headers and body leave in one write, so a scraper that keeps its
+        # connection open is not held ~40 ms per scrape by Nagle
+        assert keepalive_median_ms(host, port, "/metrics") < 15.0
     finally:
         coordinator.run()
 

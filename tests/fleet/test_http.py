@@ -16,6 +16,7 @@ import urllib.request
 import pytest
 
 from repro.fleet import FleetConfig, FleetHTTPServer, FleetService, run_standalone
+from tests.conftest import keepalive_median_ms
 
 SMALL = {"layers": 3, "image_px": 96, "cell_edge": 8, "window": 3}
 LONG = {"layers": 60, "image_px": 200, "cell_edge": 8, "window": 3}
@@ -191,6 +192,16 @@ class TestRoutes:
         )
         assert status == 400
         assert "elastic.max_par" in body["message"]
+
+    def test_keepalive_round_trips_take_no_nagle_delay(self, server):
+        status, body = request(
+            server, "POST", "/jobs", {"workload": {**SMALL, "layers": 2}}
+        )
+        assert status == 201
+        job_id = body["job_id"]
+        wait_terminal(server, job_id)
+        for path in (f"/jobs/{job_id}", "/metrics"):
+            assert keepalive_median_ms(server.host, server.port, path) < 15.0, path
 
     def test_cancel_completed_job_409(self, server):
         status, body = request(

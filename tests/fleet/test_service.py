@@ -5,6 +5,10 @@ completes in about a second; determinism of the am simulator makes the
 in-fleet vs standalone divergence check exact.
 """
 
+import gc
+import threading
+import weakref
+
 import pytest
 
 from repro.core.errors import DeployConfigError
@@ -18,6 +22,7 @@ from repro.fleet import (
     JobRegistry,
     run_standalone,
 )
+from repro.fleet import runner as runner_module
 from repro.fleet.runner import resolve_workload
 from repro.kvstore import MemoryStore
 
@@ -131,6 +136,34 @@ class TestObservability:
             assert all(s.label("tenant") == record.tenant for s in job_series)
         assert snap.value("fleet_jobs_submitted_total") == 2.0
         assert snap.value("fleet_worker_budget") == 6.0
+
+    def test_a_finished_job_keeps_its_snapshot_not_its_pipeline(
+        self, service, monkeypatch
+    ):
+        """A finished job keeps its record and its labelled final snapshot;
+        its Strata (KV store, build records and images, sink results) and
+        its ObsContext (whose collectors close over the engine) are garbage,
+        however many finished jobs the service remembers."""
+        pinned = []
+        real_build = runner_module.build_pipeline
+
+        def build_pipeline(strata, workload):
+            pinned.append((weakref.ref(strata), weakref.ref(strata.obs)))
+            return real_build(strata, workload)
+
+        monkeypatch.setattr(runner_module, "build_pipeline", build_pipeline)
+        record = service.submit({"tenant": "acme", "workload": SMALL})
+        assert service.wait(record.job_id, timeout=90).state == COMPLETED
+        for thread in threading.enumerate():
+            if thread.name == f"fleet-job-{record.job_id}":
+                thread.join(timeout=10)
+        gc.collect()
+        [(strata, obs)] = pinned
+        assert strata() is None, "a finished job still pins its Strata"
+        assert obs() is None, "a finished job still pins its ObsContext"
+        job_series = service.snapshot().filter(job=record.job_id)
+        assert any(s.name.startswith("strata_") for s in job_series)
+        assert all(s.label("tenant") == "acme" for s in job_series)
 
     def test_health_reports_counts_and_version(self, service):
         health = service.health()
