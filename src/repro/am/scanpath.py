@@ -282,31 +282,90 @@ def render_meltpool_frame(
     px_per_mm: float,
     optics: MeltPoolOptics,
 ) -> np.ndarray:
-    """Noise-free melt-pool frame: max-composed Gaussian track profiles."""
-    image = np.zeros((image_px, image_px), dtype=np.float64)
+    """Noise-free melt-pool frame: max-composed Gaussian track profiles,
+    each track at its own power and speed."""
+    return _meltpool_frames(tracks, None, image_px, px_per_mm, optics)[0]
+
+
+def _meltpool_frames(
+    tracks: list[ScanTrack],
+    commands: list[tuple[float, float]] | None,
+    image_px: int,
+    px_per_mm: float,
+    optics: MeltPoolOptics,
+) -> list[np.ndarray]:
+    """One noise-free frame of one track geometry per ``(power_w,
+    speed_mm_s)`` command; ``None`` is one frame at each track's own.
+
+    Each track's squared-distance field is computed once, over the union
+    of the commands' boxes (the widest command's: a larger sigma reaches
+    farther), and each command's profile is computed on its slice of it.
+    The field is element-wise, so a slice holds the floats a field over
+    the narrower box holds, and every frame equals a render of its command
+    alone bit for bit. Each profile is formed in one contiguous buffer,
+    ``amplitude * exp(-d2 / (2·sigma²))`` in the order a one-command render
+    forms it, so ``exp`` sees the same inputs in the same layout.
+    """
+    shared = None
+    if commands is not None:
+        shared = [(optics.sigma_mm(p, v), optics.amplitude(p, v)) for p, v in commands]
+    frames = [
+        np.zeros((image_px, image_px), dtype=np.float64)
+        for _ in range(1 if shared is None else len(shared))
+    ]
     coords = (np.arange(image_px, dtype=np.float64) + 0.5) / px_per_mm
     for track in tracks:
-        sigma = optics.sigma_mm(track.power_w, track.speed_mm_s)
-        amplitude = optics.amplitude(track.power_w, track.speed_mm_s)
-        reach = 4.0 * sigma
-        x_lo = min(track.x0_mm, track.x1_mm) - reach
-        x_hi = max(track.x0_mm, track.x1_mm) + reach
-        y_lo = min(track.y0_mm, track.y1_mm) - reach
-        y_hi = max(track.y0_mm, track.y1_mm) + reach
-        c0 = max(0, int(x_lo * px_per_mm))
-        c1 = min(image_px, int(math.ceil(x_hi * px_per_mm)) + 1)
-        r0 = max(0, int(y_lo * px_per_mm))
-        r1 = min(image_px, int(math.ceil(y_hi * px_per_mm)) + 1)
-        if c0 >= c1 or r0 >= r1:
+        profiles = shared or [
+            (
+                optics.sigma_mm(track.power_w, track.speed_mm_s),
+                optics.amplitude(track.power_w, track.speed_mm_s),
+            )
+        ]
+        boxes = [
+            _track_box(track, 4.0 * sigma, image_px, px_per_mm)
+            for sigma, _ in profiles
+        ]
+        drawn = [box for box in boxes if box[0] < box[1] and box[2] < box[3]]
+        if not drawn:
             continue
-        xs = coords[c0:c1][None, :]
-        ys = coords[r0:r1][:, None]
+        r0 = min(box[0] for box in drawn)
+        r1 = max(box[1] for box in drawn)
+        c0 = min(box[2] for box in drawn)
+        c1 = max(box[3] for box in drawn)
         d2 = _segment_distance_sq(
-            xs, ys, track.x0_mm, track.y0_mm, track.x1_mm, track.y1_mm
+            coords[c0:c1][None, :],
+            coords[r0:r1][:, None],
+            track.x0_mm, track.y0_mm, track.x1_mm, track.y1_mm,
         )
-        profile = amplitude * np.exp(-d2 / (2.0 * sigma * sigma))
-        np.maximum(image[r0:r1, c0:c1], profile, out=image[r0:r1, c0:c1])
-    return image
+        for frame, (sigma, amplitude), (br0, br1, bc0, bc1) in zip(
+            frames, profiles, boxes
+        ):
+            if br0 >= br1 or bc0 >= bc1:
+                continue
+            profile = np.negative(d2[br0 - r0 : br1 - r0, bc0 - c0 : bc1 - c0])
+            profile /= 2.0 * sigma * sigma
+            np.exp(profile, out=profile)
+            profile *= amplitude
+            window = frame[br0:br1, bc0:bc1]
+            np.maximum(window, profile, out=window)
+    return frames
+
+
+def _track_box(
+    track: ScanTrack, reach: float, image_px: int, px_per_mm: float
+) -> tuple[int, int, int, int]:
+    """Pixel rows ``[r0, r1)`` and columns ``[c0, c1)`` within ``reach`` mm
+    of the track's bounding box, clipped to the image (empty when off it)."""
+    x_lo = min(track.x0_mm, track.x1_mm) - reach
+    x_hi = max(track.x0_mm, track.x1_mm) + reach
+    y_lo = min(track.y0_mm, track.y1_mm) - reach
+    y_hi = max(track.y0_mm, track.y1_mm) + reach
+    return (
+        max(0, int(y_lo * px_per_mm)),
+        min(image_px, int(math.ceil(y_hi * px_per_mm)) + 1),
+        max(0, int(x_lo * px_per_mm)),
+        min(image_px, int(math.ceil(x_hi * px_per_mm)) + 1),
+    )
 
 
 def _segment_distance_sq(xs, ys, x0, y0, x1, y1):
@@ -583,35 +642,38 @@ def synthesize_laser_calibration(
 
     A ``steps × steps`` grid over ``±spread`` of nominal power and speed,
     rendered at several scan angles with the production optics and noise —
-    the labelled data the recursive least-squares calibrator consumes.
+    the labelled data the recursive least-squares calibrator consumes. An
+    angle's tracks do not depend on the setpoints, so each angle's grid is
+    rendered in one pass over its geometry.
     """
     rng = np.random.default_rng(config.seed + 101 if seed is None else seed)
     factors = np.linspace(1.0 - spread, 1.0 + spread, steps)
+    commands = [
+        (config.power_w * float(pf), config.speed_mm_s * float(vf))
+        for pf in factors
+        for vf in factors
+    ]
     samples: list[LaserCalibrationSample] = []
     for angle in angles:
         layer_config = replace(
             config, scan_start_deg=angle, scan_increment_deg=0.0
         )
-        for pf in factors:
-            for vf in factors:
-                power = config.power_w * float(pf)
-                speed = config.speed_mm_s * float(vf)
-                tracks = layer_config.layer_tracks(0, power, speed)
-                image = render_meltpool_frame(
-                    tracks, config.image_px, config.px_per_mm, config.optics
+        tracks = layer_config.layer_tracks(0, config.power_w, config.speed_mm_s)
+        track_length_mm = sum(t.length_mm for t in tracks)
+        frames = _meltpool_frames(
+            tracks, commands, config.image_px, config.px_per_mm, config.optics
+        )
+        for (power, speed), image in zip(commands, frames):
+            if config.optics.noise_std > 0.0:
+                image += config.optics.noise_std * rng.standard_normal(image.shape)
+            samples.append(
+                LaserCalibrationSample(
+                    power_w=power,
+                    speed_mm_s=speed,
+                    track_length_mm=track_length_mm,
+                    image=image,
                 )
-                if config.optics.noise_std > 0.0:
-                    image = image + config.optics.noise_std * rng.standard_normal(
-                        image.shape
-                    )
-                samples.append(
-                    LaserCalibrationSample(
-                        power_w=power,
-                        speed_mm_s=speed,
-                        track_length_mm=sum(t.length_mm for t in tracks),
-                        image=image,
-                    )
-                )
+            )
     return samples
 
 

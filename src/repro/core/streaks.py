@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..am.dataset import LayerRecord
 from ..clustering.dbscan import dbscan
@@ -90,16 +91,26 @@ class DetectStreakRows:
 
 
 def _windowed_median(values: np.ndarray, valid: np.ndarray, window: int) -> np.ndarray:
-    """Median of valid entries in a centered window, per position."""
+    """Median of valid entries in a centered window, per position (0.0
+    where a window holds none).
+
+    One sort for all positions: row ``i`` of an ``(n, 2·half + 1)`` matrix
+    is the window around ``i``, with invalid and off-the-end entries set
+    to ``inf`` so sorting pushes them past the ``k`` valid ones. The
+    median is then the mean of sorted entries ``(k - 1) // 2`` and
+    ``k // 2``, formed as ``np.median`` forms it — ``(lo + hi) / 2.0`` —
+    so every (finite-valued) row equals a per-position ``np.median``.
+    """
     half = max(1, window // 2)
     n = len(values)
-    baseline = np.zeros(n)
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + half + 1)
-        segment = values[lo:hi][valid[lo:hi]]
-        baseline[i] = np.median(segment) if len(segment) else 0.0
-    return baseline
+    padded = np.full(n + 2 * half, np.inf)
+    padded[half : half + n] = np.where(valid, values, np.inf)
+    windows = np.sort(sliding_window_view(padded, 2 * half + 1), axis=1)
+    counts = sliding_window_view(np.pad(valid, half), 2 * half + 1).sum(axis=1)
+    rows = np.arange(n)
+    lo = windows[rows, np.maximum(counts - 1, 0) // 2]
+    hi = windows[rows, counts // 2]
+    return np.where(counts > 0, (lo + hi) / 2.0, 0.0)
 
 
 def _contiguous_bands(mask: np.ndarray) -> list[tuple[int, int]]:

@@ -4,7 +4,7 @@
 the benchmark) drive: ``submit`` validates the deploy config through the
 :meth:`~repro.core.deploy.DeployConfig.from_dict` path, runs admission,
 registers the job and launches a :class:`~repro.fleet.runner.JobRunner`;
-``cancel`` drains a running job; ``snapshot`` merges every job's metrics
+``cancel`` drains a running job; ``prometheus`` merges every job's metrics
 into one fleet-wide scrape with ``job``/``tenant`` labels stamped on every
 sample, so a single Prometheus endpoint serves the whole fleet.
 """
@@ -19,7 +19,7 @@ from ..core import DeployConfig
 from ..kvstore.api import KVStore
 from ..kvstore.memory import MemoryStore
 from ..obs.context import _HELP as _OBS_HELP
-from ..obs.exporters import to_prometheus
+from ..obs.exporters import render_families, to_prometheus
 from ..obs.registry import MetricsRegistry, MetricsSnapshot
 from .admission import AdmissionController, requested_parallelism
 from .config import FleetConfig
@@ -55,8 +55,9 @@ class FleetService:
         self.started_at = time.time()
         self._lock = threading.Lock()
         self._runners: dict[str, JobRunner] = {}
-        #: job id -> final snapshot, job/tenant-labelled once when it ended
-        self._finished: dict[str, MetricsSnapshot] = {}
+        #: job id -> final series, job/tenant-labelled and rendered into
+        #: exposition lines per family once, when the job ended
+        self._finished: dict[str, dict[str, tuple[str, str]]] = {}
         self.metrics = MetricsRegistry()
         for name, help_text in _OBS_HELP.items():
             self.metrics.set_help(name, help_text)
@@ -158,11 +159,14 @@ class FleetService:
 
     def _runner_done(self, runner: JobRunner) -> None:
         self.scheduler.detach(runner.job_id)
-        final = self._labelled(runner.job_id, runner.final_snapshot)
+        # a finished job's series no longer change: render them once, here
+        final = render_families(
+            self._labelled(runner.job_id, runner.final_snapshot).samples
+        )
         with self._lock:
             self._runners.pop(runner.job_id, None)
             self._finished[runner.job_id] = final
-            # keep a bounded window of finished jobs' final snapshots
+            # keep a bounded window of finished jobs' final series
             while len(self._finished) > 256:
                 self._finished.pop(next(iter(self._finished)))
 
@@ -211,17 +215,21 @@ class FleetService:
     # -- observability ------------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:
-        """One fleet-wide scrape: every job's metrics, job/tenant-labelled."""
+        """The live series: the fleet's own and every running job's,
+        job/tenant-labelled. Finished jobs' series are in :meth:`prometheus`."""
+        return self._scrape()[0]
+
+    def _scrape(self) -> tuple[MetricsSnapshot, list[dict[str, tuple[str, str]]]]:
+        """The live snapshot and the finished jobs' rendered series, read
+        under one lock so a job ending mid-scrape is in exactly one of them."""
         merged = self.metrics.snapshot()
         with self._lock:
             finished = list(self._finished.values())
             running = list(self._runners.values())
-        for job_snap in finished:
-            merged.samples.extend(job_snap.samples)
         for runner in running:
             job_snap = self._labelled(runner.job_id, runner.snapshot())
             merged.samples.extend(job_snap.samples)
-        return merged
+        return merged, finished
 
     def _labelled(self, job_id: str, snapshot: MetricsSnapshot) -> MetricsSnapshot:
         try:
@@ -231,8 +239,10 @@ class FleetService:
         return snapshot.with_labels(job=job_id, tenant=tenant)
 
     def prometheus(self) -> str:
-        """The fleet-wide snapshot in Prometheus text exposition format."""
-        return to_prometheus(self.snapshot(), self.metrics)
+        """One fleet-wide scrape in Prometheus text exposition format: the
+        live series rendered now, each finished job's lines as kept."""
+        live, finished = self._scrape()
+        return to_prometheus(live, self.metrics, finished)
 
     def health(self) -> dict[str, Any]:
         return {

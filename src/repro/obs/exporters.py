@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Iterable, Mapping
 
 from .registry import MetricsRegistry, MetricsSnapshot, Sample
 
@@ -56,28 +56,61 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def to_prometheus(
-    snapshot: MetricsSnapshot, registry: MetricsRegistry | None = None
-) -> str:
-    """Render a snapshot in the Prometheus text exposition format."""
-    lines: list[str] = []
-    seen_families: set[str] = set()
-    for sample in snapshot.samples:
+def _sample_line(sample: Sample) -> str:
+    if sample.labels:
+        rendered = ",".join(
+            f'{key}="{escape_label_value(value)}"' for key, value in sample.labels
+        )
+        return f"{sample.name}{{{rendered}}} {_format_value(sample.value)}"
+    return f"{sample.name} {_format_value(sample.value)}"
+
+
+def render_families(samples: Iterable[Sample]) -> dict[str, tuple[str, str]]:
+    """Samples rendered into exposition lines, per metric family.
+
+    Maps each family (first-seen order) to its Prometheus type (its first
+    sample's) and its sample lines joined by newlines — the form in which
+    a series that no longer changes (a finished fleet job's) is kept and
+    handed to :func:`to_prometheus` at every scrape, not rendered again.
+    """
+    families: dict[str, tuple[str, list[str]]] = {}
+    for sample in samples:
         family = _family_of(sample)
-        if family not in seen_families:
-            seen_families.add(family)
-            help_text = registry.help_for(family) if registry is not None else ""
-            if help_text:
-                lines.append(f"# HELP {family} {escape_help(help_text)}")
-            lines.append(f"# TYPE {family} {_PROM_KIND.get(sample.kind, 'untyped')}")
-        if sample.labels:
-            rendered = ",".join(
-                f'{key}="{escape_label_value(value)}"' for key, value in sample.labels
-            )
-            lines.append(f"{sample.name}{{{rendered}}} {_format_value(sample.value)}")
-        else:
-            lines.append(f"{sample.name} {_format_value(sample.value)}")
-    return "\n".join(lines) + "\n"
+        group = families.get(family)
+        if group is None:
+            group = families[family] = (_PROM_KIND.get(sample.kind, "untyped"), [])
+        group[1].append(_sample_line(sample))
+    return {family: (kind, "\n".join(lines)) for family, (kind, lines) in families.items()}
+
+
+def to_prometheus(
+    snapshot: MetricsSnapshot,
+    registry: MetricsRegistry | None = None,
+    rendered: Iterable[Mapping[str, tuple[str, str]]] = (),
+) -> str:
+    """Render a snapshot in the Prometheus text exposition format.
+
+    All lines of one metric family form one group under one ``# TYPE``
+    line, as the format requires, however the snapshot interleaves them.
+    ``rendered`` holds :func:`render_families` outputs; each family's
+    lines follow the snapshot's own samples of that family.
+    """
+    groups: dict[str, tuple[str, list[str]]] = {}
+    for families in (render_families(snapshot.samples), *rendered):
+        for family, (kind, block) in families.items():
+            group = groups.get(family)
+            if group is None:
+                group = groups[family] = (kind, [])
+            group[1].append(block)
+    lines: list[str] = []
+    for family, (kind, chunks) in groups.items():
+        help_text = registry.help_for(family) if registry is not None else ""
+        if help_text:
+            lines.append(f"# HELP {family} {escape_help(help_text)}")
+        lines.append(f"# TYPE {family} {kind}")
+        lines.extend(chunks)
+    lines.append("")  # the trailing newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def write_http_response(
@@ -97,7 +130,8 @@ def write_http_response(
     if handler.request_version == "HTTP/0.9":  # no status line, no headers
         handler.wfile.write(body)
         return
-    handler._headers_buffer.append(b"\r\n" + body)
+    # two entries, not b"\r\n" + body: flush_headers' join is the one copy
+    handler._headers_buffer.extend((b"\r\n", body))
     handler.flush_headers()
 
 

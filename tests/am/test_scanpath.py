@@ -141,46 +141,50 @@ class TestMeltPoolRendering:
 
 
 @pytest.fixture()
-def renders(monkeypatch):
-    """The track list of every melt-pool frame rendered while the test runs."""
+def passes(monkeypatch):
+    """The commands of every distance-field pass (one render-kernel call
+    over one track geometry) made while the test runs; ``None`` is a frame
+    at the tracks' own setpoints."""
     calls = []
-    real = scanpath.render_meltpool_frame
+    real = scanpath._meltpool_frames
 
-    def counting(tracks, *args):
-        calls.append(tracks)
-        return real(tracks, *args)
+    def counting(tracks, commands, *args):
+        calls.append(commands)
+        return real(tracks, commands, *args)
 
-    monkeypatch.setattr(scanpath, "render_meltpool_frame", counting)
+    monkeypatch.setattr(scanpath, "_meltpool_frames", counting)
     return calls
 
 
 class TestFramesRenderedWhenRead:
-    """A layer's melt-pool frame is rendered by its first reader, once."""
+    """A layer's melt-pool frame is rendered by its first reader, once, and
+    a calibration angle's frames share one distance field per track."""
 
     WORKLOAD = {"layers": 4, "image_px": 96}
 
-    def test_a_forecast_job_renders_no_frame(self, renders):
+    def test_a_forecast_job_renders_no_frame(self, passes):
         results = run_standalone({**self.WORKLOAD, "kind": "forecast"})
         assert len(results) == 4 * self.WORKLOAD["layers"]  # 2 x 2 regions a layer
-        assert renders == []
+        assert passes == []
 
-    def test_a_reconstruct_job_renders_each_frame_once(self, renders):
+    def test_a_reconstruct_job_renders_each_frame_once(self, passes):
         workload = resolve_workload({**self.WORKLOAD, "kind": "reconstruct"})
         strata = Strata(engine_mode="threaded")
         sink = build_pipeline(strata, workload)
-        # building renders the calibration sweep (3 angles x 3 x 3), no layer
-        assert len(renders) == 27
+        # building renders the calibration sweep: one pass per scan angle,
+        # each for the 3 x 3 power/speed grid; no layer frame yet
+        assert [len(commands) for commands in passes] == [9, 9, 9]
         strata.deploy(DeployConfig(plan=True))
         assert len(sink.results) == workload["layers"]
-        assert len(renders) == 27 + workload["layers"]
+        assert passes[3:] == [None] * workload["layers"]
 
-    def test_racing_readers_render_a_frame_once(self, renders, monkeypatch):
+    def test_racing_readers_render_a_frame_once(self, passes, monkeypatch):
         record = synthesize_thermal_build(ThermalBuildConfig(layers=1, seed=4)).records[0]
-        counting = scanpath.render_meltpool_frame
+        real = scanpath.render_meltpool_frame
 
         def slow_render(*args):
             time.sleep(0.05)  # hold the first reader inside the render
-            return counting(*args)
+            return real(*args)
 
         monkeypatch.setattr(scanpath, "render_meltpool_frame", slow_render)
         readers = 8
@@ -198,7 +202,7 @@ class TestFramesRenderedWhenRead:
             thread.join(timeout=10)
         assert not any(thread.is_alive() for thread in threads)
         assert len(frames) == readers
-        assert len(renders) == 1
+        assert len(passes) == 1
         assert all(frame is frames[0] for frame in frames)
 
 

@@ -3,10 +3,12 @@
 ``deposit_energy`` places every track's samples in one pass and adds
 them with one ``bincount``; ``synthesize_thermal_build`` draws each
 frame's sensor noise where it always did but renders the frame on first
-read. Neither may change a bit of what a build publishes: energy grids,
+read; the melt-pool kernel computes each track's distance field once for
+all the commands it renders (the calibration sweep's 3 × 3 grid per
+angle). None may change a bit of what a build publishes: energy grids,
 temperatures, measurements and frames are compared as raw bytes against
-``tests/am/scanpath_oracle.py`` (``repeat``/``bincount`` and int64 →
-float64 division must agree on every supported numpy).
+``tests/am/scanpath_oracle.py`` (``repeat``/``bincount``, int64 →
+float64 division and ``exp`` must agree on every supported numpy).
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.am import Rect
+from repro.am import Rect, scanpath
 from repro.am.scanpath import (
     MeltPoolOptics,
     ScanTrack,
     ThermalBuildConfig,
     deposit_energy,
     raster_tracks,
+    render_meltpool_frame,
     synthesize_laser_calibration,
     synthesize_thermal_build,
 )
@@ -81,6 +84,62 @@ def test_degenerate_track_lists_match(tracks):
         deposit_energy(tracks, GRID_CELLS, CELL_MM),
         oracle.deposit_energy(tracks, GRID_CELLS, CELL_MM),
         "degenerate",
+    )
+
+
+IMAGE_PX = 120
+PX_PER_MM = 2.0
+NOISE_FREE = MeltPoolOptics(noise_std=0.0)
+
+#: (power_w, speed_mm_s) command sets for one geometry. ``edge-clipping``
+#: spans sigma 0.28-1.77 mm: the widest boxes run off the image where the
+#: narrowest stay inside, and a track just off the image is drawn by the
+#: wide commands only
+COMMAND_SETS = {
+    "calibration-grid": [
+        (280.0 * pf, 1200.0 * vf) for pf in (0.88, 1.0, 1.12) for vf in (0.88, 1.0, 1.12)
+    ],
+    "edge-clipping": [(60.0, 1200.0), (900.0, 450.0), (280.0, 1200.0), (1200.0, 800.0)],
+    "single": [(410.0, 900.0)],
+}
+
+
+def tracks_at(tracks: list[ScanTrack], power_w: float, speed_mm_s: float):
+    return [
+        dataclasses.replace(t, power_w=power_w, speed_mm_s=speed_mm_s) for t in tracks
+    ]
+
+
+@pytest.mark.parametrize("angle", [0.0, 45.0, 105.0])
+@pytest.mark.parametrize("commands", sorted(COMMAND_SETS))
+def test_one_field_many_commands_matches_a_render_per_command(angle, commands):
+    """Every frame of a multi-command pass is the per-track render of the
+    geometry at that command, bit for bit: edge-clipped boxes, zero-length
+    tracks and a track the narrow commands never reach included."""
+    just_off = ScanTrack(-3.0, 10.0, -3.0, 30.0, 280.0, 1200.0)
+    tracks = [*mixed_tracks(angle), just_off]
+    settings = COMMAND_SETS[commands]
+    frames = scanpath._meltpool_frames(tracks, settings, IMAGE_PX, PX_PER_MM, NOISE_FREE)
+    assert len(frames) == len(settings)
+    for (power, speed), frame in zip(settings, frames):
+        assert_bits_equal(
+            frame,
+            oracle.render_meltpool_frame(
+                tracks_at(tracks, power, speed), IMAGE_PX, PX_PER_MM, NOISE_FREE
+            ),
+            f"{commands} at ({power}, {speed})",
+        )
+
+
+@pytest.mark.parametrize("angle", [0.0, 30.0, 90.0, 165.0])
+def test_a_frame_at_each_tracks_own_setpoints_matches(angle):
+    """``render_meltpool_frame`` renders each track at its own power and
+    speed (the parts of ``mixed_tracks`` differ) through the same kernel."""
+    tracks = mixed_tracks(angle)
+    assert_bits_equal(
+        render_meltpool_frame(tracks, IMAGE_PX, PX_PER_MM, NOISE_FREE),
+        oracle.render_meltpool_frame(tracks, IMAGE_PX, PX_PER_MM, NOISE_FREE),
+        f"angle {angle}",
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import http.client
 import statistics
 import time
@@ -38,6 +39,33 @@ def keepalive_median_ms(host: str, port: int, path: str, rounds: int = 20) -> fl
         conn.close()
     assert len(local_ends) == 1, "the server closed the keep-alive connection"
     return statistics.median(times)
+
+
+def assert_families_grouped(text: str) -> None:
+    """Prometheus text exposition: all lines of one metric family form one
+    group, under the family's one ``# TYPE`` line.
+
+    Every sample line must belong to the family of the last ``# TYPE``
+    line above it (a histogram family owns its ``_bucket``/``_sum``/
+    ``_count`` series), and no family may be typed twice.
+    """
+    typed: collections.Counter[str] = collections.Counter()
+    family = kind = None
+    samples = 0
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split(" ", 3)
+            typed[family] += 1
+        elif line and not line.startswith("#"):
+            name = line.partition("{")[0].partition(" ")[0]
+            suffixes = ("", "_bucket", "_sum", "_count") if kind == "histogram" else ("",)
+            assert family is not None and name in {family + s for s in suffixes}, (
+                f"{line!r} sits in the group of {family!r}"
+            )
+            samples += 1
+    assert samples, "no sample lines"
+    split = sorted(f for f, n in typed.items() if n > 1)
+    assert not split, f"families typed more than once: {split}"
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,8 @@ from repro.core import (
 )
 from repro.core.errors import DeploymentError
 from repro.dist import DistConfig, DistCoordinator, DistError
-from tests.conftest import TEST_IMAGE_PX, keepalive_median_ms
+from repro.obs import to_prometheus
+from tests.conftest import TEST_IMAGE_PX, assert_families_grouped, keepalive_median_ms
 
 CELL_EDGE = 5
 
@@ -110,6 +111,9 @@ def test_worker_metrics_aggregated(layer_records, reference_images, test_job):
     merged = coordinator.cluster_snapshot()
     workers_seen = {s.label("worker") for s in merged.samples}
     assert {"worker-0", "worker-1"} <= workers_seen
+    # two workers export the same families: the scrape must still hold each
+    # family in one group
+    assert_families_grouped(to_prometheus(merged))
 
 
 def test_prometheus_scrape_endpoint(layer_records, reference_images, test_job):

@@ -17,6 +17,7 @@ from repro.obs import (
     to_prometheus,
     write_jsonl,
 )
+from repro.obs.exporters import render_families
 
 GOLDEN = """\
 # HELP spe_tuples_in_total tuples consumed per scheduler node
@@ -128,6 +129,35 @@ class TestPrometheus:
         assert buckets[-1][0] == "+Inf"
         count = next(v for n, _, v in samples if n == "lat_count")
         assert buckets[-1][1] == count
+
+    def test_interleaved_families_render_as_one_group_each(self):
+        """A merged snapshot interleaves families (one job's samples after
+        another's); each family still renders as one group."""
+        registry = MetricsRegistry()
+        registry.set_help("spe_tuples_in_total", "tuples consumed per scheduler node")
+        samples = _golden_snapshot().samples
+        interleaved = [samples[0], samples[2], samples[3], samples[1], *samples[4:]]
+        text = to_prometheus(MetricsSnapshot(0.0, interleaved), registry)
+        assert text == GOLDEN
+
+    def test_rendered_families_merge_as_their_samples_would(self):
+        """Lines rendered once by render_families and merged at scrape time
+        are the exposition their samples would render to, line for line."""
+        registry = MetricsRegistry()
+        registry.set_help("spe_tuples_in_total", "tuples consumed per scheduler node")
+        live = _golden_snapshot().with_labels(job="running")
+        finished = [
+            _golden_snapshot().with_labels(job=f"done-{k}").samples for k in range(2)
+        ]
+        finished.append([Sample("only_finished", (("job", "done-2"),), 1.0, "counter")])
+        merged = to_prometheus(
+            live, registry, [render_families(samples) for samples in finished]
+        )
+        everything = MetricsSnapshot(
+            0.0, live.samples + [s for samples in finished for s in samples]
+        )
+        assert merged == to_prometheus(everything, registry)
+        assert "# TYPE only_finished counter" in merged
 
     def test_type_header_precedes_family_samples_once(self):
         text = to_prometheus(_golden_snapshot())
