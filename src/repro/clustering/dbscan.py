@@ -9,9 +9,11 @@ The work is split in two. *Edge producers* turn points into the list of
 unordered pairs ``(lo, hi)``, ``lo < hi``, that lie within ``eps`` of each
 other (a point is its own neighbour implicitly):
 
-* :func:`dense_edges` — all pairs from one broadcast per row block; the
-  right tool up to :data:`DENSE_CUTOFF` points, and the one the sliding
-  window uses for "new rows against everything" (``start``);
+* :func:`dense_edges` — every row against the rows before it, candidate
+  pairs laid out flat and tested a few thousand at a time; the right
+  tool up to :data:`DENSE_CUTOFF` points, and the one the sliding windows
+  use for "new rows against everything" (``start``), for one window or
+  for many laid back to back (segments);
 * :func:`grid_edges` — a uniform grid with bucket edge ``eps``: every
   neighbour of a point lies in the 3^d adjacent buckets, so candidates
   are enumerated per *pair of adjacent buckets*, all buckets at once;
@@ -47,8 +49,10 @@ NOISE = -1
 #: (measured crossover 160-224 points, sparse blobs to packed lattice; E17)
 DENSE_CUTOFF = 192
 
-#: elements of the (rows, cols, d) difference tensor one dense block may hold
-_BLOCK_ELEMS = 1 << 21
+#: differences one dense pass may hold (candidate pairs x d): past a few
+#: thousand pairs the pass's temporaries leave cache and every fresh
+#: array page-faults, so a pass is cut well below that
+_BLOCK_ELEMS = 1 << 13
 #: candidate pairs the grid producer tests in one pass
 _PAIR_CHUNK = 1 << 18
 
@@ -80,30 +84,56 @@ def _check_eps(eps: float) -> None:
 # -- edge producers ------------------------------------------------------------
 
 
-def dense_edges(points: np.ndarray, eps: float, start: int = 0) -> Edges:
+def dense_edges(
+    points: np.ndarray,
+    eps: float,
+    start: int | np.ndarray = 0,
+    stop: int | np.ndarray | None = None,
+    first: int | np.ndarray = 0,
+) -> Edges:
     """Pairs within ``eps`` whose higher index is ``>= start``.
 
-    Row block ``[s, e)`` is compared against columns ``[0, e)`` in one
-    broadcast; blocks are sized so the difference tensor stays a few MB
-    however many points there are. With ``start`` at the old point count
-    this is the sliding window's increment: k new rows against n columns.
+    Every row of ``[start, stop)`` (``stop`` defaults to all points) is
+    tested against each row of ``[first, row)``. With ``start`` at the old
+    point count this is the sliding window's increment: k new rows
+    against the n before them. ``start``, ``stop`` and ``first`` may also
+    be arrays with one entry per *segment*: windows laid back to back are
+    segments, and one call finds each window's new pairs and none across
+    windows.
+
+    Pairs come out segment by segment, row by row, lower index ascending.
+    The candidate pairs of consecutive rows are laid out as one flat array
+    and tested in one pass; a pass holds at most :data:`_BLOCK_ELEMS`
+    differences, which keeps its temporaries in cache.
     """
     _check_eps(eps)
     n, dim = points.shape
+    starts = np.atleast_1d(np.asarray(start, dtype=np.int64))
+    sizes = np.atleast_1d(np.asarray(n if stop is None else stop, dtype=np.int64)) - starts
+    ends = np.cumsum(sizes)
+    rows = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - sizes), sizes)
+    lefts = np.repeat(np.broadcast_to(np.asarray(first, dtype=np.int64), sizes.shape), sizes)
+    widths = rows - lefts
+    done = np.cumsum(widths)  # candidates up to and including each row
+    budget = max(1, _BLOCK_ELEMS // max(1, dim))
     limit = eps * eps
     lows: list[np.ndarray] = []
     highs: list[np.ndarray] = []
-    rows = max(1, _BLOCK_ELEMS // max(1, n * dim))
-    s = start
-    while s < n:
-        e = min(n, s + rows)
-        diffs = points[s:e, None, :] - points[None, :e, :]
-        row, col = np.nonzero(np.einsum("ijk,ijk->ij", diffs, diffs) <= limit)
-        row += s
-        below = col < row
-        lows.append(col[below])
-        highs.append(row[below])
-        s = e
+    begin = 0
+    while begin < len(rows):
+        before = done[begin] - widths[begin]
+        end = max(begin + 1, int(np.searchsorted(done, before + budget, side="right")))
+        width = widths[begin:end]
+        high = np.repeat(rows[begin:end], width)
+        low = np.arange(done[end - 1] - before) + np.repeat(
+            lefts[begin:end] - (done[begin:end] - width - before), width
+        )
+        diffs = points.take(high, axis=0)
+        diffs -= points.take(low, axis=0)
+        near = np.einsum("ij,ij->i", diffs, diffs) <= limit
+        lows.append(low[near])
+        highs.append(high[near])
+        begin = end
     return _join(lows, highs)
 
 

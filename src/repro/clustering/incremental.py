@@ -8,8 +8,9 @@ how many layers a cluster can expand through — Figure 6 sweeps it).
 
 :class:`LayerWindowClusterer` owns that window. Consecutive windows share
 all but one layer, so it keeps the window's points *and their
-eps-neighbour pairs* from call to call: a new layer costs one distance
-block (its k points against the n in the window), an expired layer is a
+eps-neighbour pairs* from call to call: a new layer costs its k points
+against the n before them (and several windows advance in one such pair
+pass, :meth:`LayerWindowClusterer.append_many`), an expired layer is a
 prefix drop plus an index shift of the pair list, and every evaluation is
 one run of the array-at-a-time labeller over the pairs. The result is
 by construction "DBSCAN over the last L layers" — the pairs are the ones a
@@ -24,6 +25,7 @@ across layers.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,9 +130,10 @@ class LayerWindowClusterer:
     :meth:`observe_layer` is the paper's ``correlateEvents(L, DBSCAN)`` in
     one call: append a completed layer, retire what falls out of the last
     ``window_layers`` observed layers, cluster. A caller that is *told* its
-    window (``DBSCANCorrelator`` gets it from the operator) uses the two
-    steps underneath, :meth:`expire_layers` and :meth:`append_layer`, and
-    :attr:`layer_counts` to see what the window holds; for it
+    window (``DBSCANCorrelator`` gets it from the operator) uses the steps
+    underneath, :meth:`expire_layers` and :meth:`append_layer` (or
+    :meth:`append_many` for several windows), and :attr:`layer_counts` to
+    see what the window holds; for it
     ``window_layers`` may be ``None`` (``observe_layer`` then never
     retires anything).
     """
@@ -193,22 +196,74 @@ class LayerWindowClusterer:
             self._point_layers = self._point_layers[drop:]
 
     def append_layer(self, layer: int, xy_points: np.ndarray) -> None:
-        """Add one layer's points: one block of its k points against the
-        n + k now in the window; pairs among older points are kept."""
+        """Add one layer's points: its k points against the n before them;
+        pairs among older points are kept."""
         xy_points = np.asarray(xy_points, dtype=float).reshape(-1, 2)
         count = len(xy_points)
-        self._layers.append((layer, count))
         if not count:
+            self._layers.append((layer, 0))
             return
-        retained = len(self._points)
-        z = np.full((count, 1), layer * self._thickness)
-        self._points = np.concatenate((self._points, np.hstack((xy_points, z))))
-        self._point_layers = np.concatenate(
-            (self._point_layers, np.full(count, layer, dtype=np.int64))
+        self.append_many([self], np.full(count, layer, dtype=np.int64), xy_points, [count])
+
+    @staticmethod
+    def append_many(
+        windows: Sequence[LayerWindowClusterer],
+        layers: np.ndarray,
+        xy_points: np.ndarray,
+        counts: Sequence[int],
+    ) -> None:
+        """Append new points to several windows with one pair pass.
+
+        ``layers`` / ``xy_points`` hold the new points of every window back
+        to back, ``counts[w]`` of them for ``windows[w]``, each window's in
+        ascending layer order; the windows share ``eps`` and the layer
+        thickness. Each window ends as :meth:`append_layer` per layer run
+        would leave it — the same points, runs and pairs in the same order:
+        the windows are laid back to back as segments of one
+        :func:`dense_edges` call, new rows against the earlier rows of
+        their own window.
+        """
+        head = windows[0]
+        new_points = np.column_stack((xy_points, layers * head._thickness))
+        counts = np.asarray(counts, dtype=np.int64)
+        offsets = np.cumsum(counts) - counts
+        # a layer run starts where the layer changes or a window's points
+        # begin
+        opens = np.diff(layers, prepend=layers[:1] - 1) != 0
+        opens[offsets[counts > 0]] = True
+        bounds = np.flatnonzero(opens)
+        run_layers = layers[bounds].tolist()
+        run_counts = np.diff(bounds, append=len(layers)).tolist()
+        run_cuts = np.searchsorted(bounds, offsets + counts).tolist()
+        retained = np.array([len(window._points) for window in windows], dtype=np.int64)
+        for window, offset, count in zip(windows, offsets.tolist(), counts.tolist()):
+            window._points = np.concatenate(
+                (window._points, new_points[offset : offset + count])
+            )
+            window._point_layers = np.concatenate(
+                (window._point_layers, layers[offset : offset + count])
+            )
+        sizes = retained + counts
+        ends = np.cumsum(sizes)
+        firsts = ends - sizes
+        lo, hi = dense_edges(
+            np.concatenate([window._points for window in windows]),
+            head._eps,
+            start=firsts + retained,
+            stop=ends,
+            first=firsts,
         )
-        lo, hi = dense_edges(self._points, self._eps, start=retained)
-        self._lo = np.concatenate((self._lo, lo))
-        self._hi = np.concatenate((self._hi, hi))
+        pair_cuts = np.searchsorted(hi, ends).tolist()
+        run_start = pair_start = 0
+        for window, first, run_end, pair_end in zip(
+            windows, firsts.tolist(), run_cuts, pair_cuts
+        ):
+            window._layers.extend(
+                zip(run_layers[run_start:run_end], run_counts[run_start:run_end])
+            )
+            window._lo = np.concatenate((window._lo, lo[pair_start:pair_end] - first))
+            window._hi = np.concatenate((window._hi, hi[pair_start:pair_end] - first))
+            run_start, pair_start = run_end, pair_end
 
     def labels(self) -> np.ndarray:
         """DBSCAN labels of the window's points (noise = -1)."""

@@ -33,7 +33,10 @@ from .punctuation import PUNCTUATION_KEY, is_punctuation, make_punctuation
 #: partition / detectEvent user function: one tuple in, any number out
 UserFunction = Callable[[StreamTuple], StreamTuple | Iterable[StreamTuple] | None]
 #: correlateEvents user function:
-#:   (job, layer, specimen, window_events) -> payload dict(s)
+#:   (job, layer, specimen, window_events) -> payload dict(s);
+#: it may also offer ``correlate_many(requests)``: one result per
+#: (job, layer, specimen, window_events) request, for requests of
+#: distinct groups
 CorrelateFunction = Callable[
     [str, int, str, list[StreamTuple]], dict[str, Any] | list[dict[str, Any]] | None
 ]
@@ -260,7 +263,9 @@ class CorrelateEventsOperator(Operator):
     automatically grouped by STRATA based on the specimen they refer to"
     (§4) — and keeps the last ``L`` layers per group. A punctuation for
     (job, layer, specimen) triggers the user function over that group's
-    current window; layers older than the window are evicted.
+    current window; layers older than the window are evicted. The windows
+    a run of tuples triggers are evaluated together (see
+    :meth:`process_many`); a lone tuple is a run of one.
     """
 
     num_inputs = 1
@@ -271,6 +276,9 @@ class CorrelateEventsOperator(Operator):
             raise ValueError("L must be >= 1 layer")
         self._window = window_layers
         self._fn = fn
+        # F is a plain callable; a batch variant over several windows is
+        # optional (``DBSCANCorrelator`` offers one)
+        self._fn_many = getattr(fn, "correlate_many", None) or self._call_each
         # (job, specimen) -> {layer -> [events]}, layers in ascending order
         self._events: dict[tuple[str, str], dict[int, list[StreamTuple]]] = {}
         # (job, specimen) -> {layer -> latest ingest_time among its events}
@@ -280,12 +288,41 @@ class CorrelateEventsOperator(Operator):
         self.triggers = 0
 
     def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
-        group = (t.job, t.specimen)
-        if not is_punctuation(t):
-            self._insert(group, t)
-            return []
-        self._last_punct[group] = t
-        return self._trigger(group, t)
+        return self.process_many([t], input_index)
+
+    def process_many(
+        self, tuples: list[StreamTuple], input_index: int = 0
+    ) -> list[StreamTuple]:
+        """Insert a run's events and evaluate its punctuations' windows.
+
+        Each punctuation fixes its window (and the result's ingest time)
+        at its own stream position, so an event that arrives after it is
+        not in it, exactly as tuple by tuple. The fixed windows are then
+        evaluated in one call of the function's ``correlate_many`` when it
+        has one (one call per window otherwise), in stream order. A second
+        punctuation for a group already waiting evaluates the waiting ones
+        first, so a group's windows are evaluated in order; nothing waits
+        past the run, so a checkpoint barrier never finds a half-evaluated
+        run.
+        """
+        out: list[StreamTuple] = []
+        pending: list[tuple[StreamTuple, list[StreamTuple], float]] = []
+        waiting: set[tuple[str, str]] = set()
+        for t in tuples:
+            group = (t.job, t.specimen)
+            if not is_punctuation(t):
+                self._insert(group, t)
+                continue
+            if group in waiting:
+                self._evaluate(pending, out)
+                pending = []
+                waiting.clear()
+            self._last_punct[group] = t
+            pending.append(self._fix_window(group, t))
+            waiting.add(group)
+        if pending:
+            self._evaluate(pending, out)
+        return out
 
     def _insert(self, group: tuple[str, str], t: StreamTuple) -> None:
         per_layer = self._events.get(group)
@@ -304,7 +341,10 @@ class CorrelateEventsOperator(Operator):
             latest[t.layer] = t.ingest_time
         events.append(t)
 
-    def _trigger(self, group: tuple[str, str], punct: StreamTuple) -> list[StreamTuple]:
+    def _fix_window(
+        self, group: tuple[str, str], punct: StreamTuple
+    ) -> tuple[StreamTuple, list[StreamTuple], float]:
+        """The punctuation's window events and result ingest time, as of now."""
         layer = punct.layer
         per_layer = self._events.get(group, {})
         latest = self._latest_ingest.get(group, {})
@@ -327,21 +367,37 @@ class CorrelateEventsOperator(Operator):
             chain.from_iterable(per_layer[event_layer] for event_layer in in_window)
         )
         self.triggers += 1
-        payloads = self._fn(punct.job, layer, punct.specimen, window_events)
-        if payloads is None:
-            return []
-        if isinstance(payloads, dict):
-            payloads = [payloads]
         ingest_time = max(
             [punct.ingest_time, *(latest[event_layer] for event_layer in in_window)]
         )
-        outputs: list[StreamTuple] = []
-        for payload in payloads:
-            out = punct.derive(payload=payload, portion=None)
-            out.portion = None  # output schema of Table 1 has no portion
-            out.ingest_time = ingest_time
-            outputs.append(out)
-        return outputs
+        return punct, window_events, ingest_time
+
+    def _evaluate(
+        self,
+        pending: list[tuple[StreamTuple, list[StreamTuple], float]],
+        out: list[StreamTuple],
+    ) -> None:
+        """Evaluate fixed windows in one function call; results onto ``out``."""
+        results = self._fn_many(
+            [(punct.job, punct.layer, punct.specimen, events) for punct, events, _ in pending]
+        )
+        for (punct, _, ingest_time), payloads in zip(pending, results):
+            if payloads is None:
+                continue
+            if isinstance(payloads, dict):
+                payloads = [payloads]
+            for payload in payloads:
+                result = punct.derive(payload=payload, portion=None)
+                result.portion = None  # output schema of Table 1 has no portion
+                result.ingest_time = ingest_time
+                out.append(result)
+
+    def _call_each(
+        self, requests: list[tuple[str, int, str, list[StreamTuple]]]
+    ) -> list[Any]:
+        """``correlate_many`` for a plain function: one call per window."""
+        fn = self._fn
+        return [fn(*request) for request in requests]
 
     def snapshot_state(self) -> dict[str, Any]:
         """The full L-layer event window per (job, specimen) group.

@@ -183,36 +183,60 @@ actions = st.lists(
 )
 
 
-@given(actions=actions, window_layers=st.integers(1, 4))
+class RecordingCorrelator(DBSCANCorrelator):
+    """Notes every window it is asked to evaluate, batch path included."""
+
+    def __init__(self, seen, **settings):
+        super().__init__(**settings)
+        self.seen = seen
+
+    def correlate_many(self, requests):
+        self.seen.extend(list(events) for _, _, _, events in requests)
+        return super().correlate_many(requests)
+
+
+@given(actions=actions, window_layers=st.integers(1, 4), data=st.data())
 @settings(max_examples=120, deadline=None)
-def test_any_arrival_order_through_the_operator(actions, window_layers):
+def test_any_arrival_order_through_the_operator(actions, window_layers, data):
     """Drive the real operator with one long-lived correlator: whatever
     window it assembles, the payload equals the oracle's for that window —
-    across late events, backward punctuations and mid-stream restores."""
+    across late events, backward punctuations, mid-stream restores, and
+    however the stream is cut into runs."""
     seen = []
-    warm = DBSCANCorrelator(**SETTINGS)
-
-    def recording(job, layer, specimen, events):
-        seen.append(list(events))
-        return warm(job, layer, specimen, events)
-
-    op = CorrelateEventsOperator("c", window_layers, recording)
+    warm = RecordingCorrelator(seen, **SETTINGS)
+    # the stream, with a restore marker before a punctuation that asks for one
+    items = []
     newest = 5
     for action in actions:
         if action[0] == "events":
             _, offset, cells = action
             layer = max(0, newest + offset)
             newest = max(newest, layer)
-            for x, y in cells:
-                op.process(0, event(layer, 2 * x, 2 * y))
+            items.extend(event(layer, 2 * x, 2 * y) for x, y in cells)
             continue
         _, offset, restore = action
         layer = max(0, newest + offset)
         newest = max(newest, layer)
         if restore:
-            state = op.snapshot_state()
-            op = CorrelateEventsOperator("c", window_layers, recording)
-            op.restore_state(state)
-        punct = make_punctuation(StreamTuple(tau=0.0, job="J", layer=layer), "S")
-        (out,) = op.process(0, punct)
-        assert comparable(out.payload) == comparable(oracle_payload(seen[-1]))
+            items.append("restore")
+        items.append(make_punctuation(StreamTuple(tau=0.0, job="J", layer=layer), "S"))
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    op = CorrelateEventsOperator("c", window_layers, warm)
+    outputs = []
+    run = []
+    for item, cut in zip(items + ["end"], cuts + [True]):
+        if isinstance(item, str):
+            outputs.extend(op.process_many(run))
+            run = []
+            if item == "restore":
+                state = op.snapshot_state()
+                op = CorrelateEventsOperator("c", window_layers, warm)
+                op.restore_state(state)
+            continue
+        run.append(item)
+        if cut:
+            outputs.extend(op.process_many(run))
+            run = []
+    assert len(outputs) == len(seen) == sum(1 for a in actions if a[0] == "punctuation")
+    for out, window in zip(outputs, seen):
+        assert comparable(out.payload) == comparable(oracle_payload(window))
