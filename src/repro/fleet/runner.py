@@ -14,24 +14,33 @@ thermal state estimation) and ``reconstruct`` (laser-parameter
 reconstruction) — all fully deterministic in their ``seed``, which is
 what makes the fleet's divergence gate (same spec in-fleet and
 standalone must yield identical results) checkable.
+
+A ``thermal`` job's Alg. 1 thresholds and a ``reconstruct`` job's laser
+fit are pure functions of a few spec fields: the service computes each
+once per key in its own store, and every job gets a copy in its own.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Callable
 
 from ..am import BuildDataset, OTImageRenderer, make_job
+from ..analysis.thresholds import calibrate_thresholds, threshold_key
 from ..core import (
     DeployConfig,
     Strata,
     UseCaseConfig,
     build_streak_use_case,
     build_use_case,
-    calibrate_job,
     specimen_regions_px,
 )
+from ..kvstore.api import KVStore
+from ..kvstore.memory import MemoryStore
 from ..obs.context import ObsContext
 from ..obs.registry import MetricsSnapshot
 from ..spe.errors import EngineStateError
@@ -54,9 +63,24 @@ WORKLOAD_DEFAULTS: dict[str, Any] = {
 
 WORKLOAD_KINDS = ("thermal", "streaks", "forecast", "reconstruct")
 
+#: numeric spec fields: (type, least valid value)
+_NUMERIC_FIELDS: dict[str, tuple[type, float]] = {
+    "image_px": (int, 16), "layers": (int, 1), "cell_edge": (int, 1),
+    "window": (int, 1), "seed": (int, 0),
+    "defect_rate": (float, 0.0), "streak_rate": (float, 0.0),
+}
+
+#: where the fleet keeps calibrations; bump the version whenever the code
+#: that computes one changes, or a kept ``--state-dir`` serves stale ones
+CALIBRATION_PREFIX = "fleet/calibration/v1"
+
 
 def resolve_workload(spec: dict[str, Any] | None) -> dict[str, Any]:
-    """Validate a submitted workload spec and fill in the defaults."""
+    """Validate a submitted workload spec and fill in the defaults.
+
+    Numeric fields come back as ``int``/``float``, so ``"7"`` and ``7``
+    name the same job and the same calibration key.
+    """
     spec = dict(spec or {})
     unknown = set(spec) - set(WORKLOAD_DEFAULTS)
     if unknown:
@@ -70,25 +94,59 @@ def resolve_workload(spec: dict[str, Any] | None) -> dict[str, Any]:
             f"workload kind must be one of {', '.join(WORKLOAD_KINDS)}, "
             f"got {resolved['kind']!r}"
         )
-    if int(resolved["layers"]) < 1:
-        raise ValueError("workload.layers must be >= 1")
-    if int(resolved["image_px"]) < 16:
-        raise ValueError("workload.image_px must be >= 16")
+    for key, (kind, least) in _NUMERIC_FIELDS.items():
+        value = resolved[key]
+        try:
+            number = kind(value)
+            valid = (
+                not isinstance(value, bool)
+                and (number == value or not isinstance(value, float))  # not 7.5
+                and least <= number < math.inf
+            )
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            expected = "an integer" if kind is int else "a number"
+            raise ValueError(f"workload.{key} must be {expected} >= {least}, got {value!r}")
+        resolved[key] = number
     return resolved
+
+
+def _calibrated(
+    calibrations: KVStore,
+    on_calibration: Callable[[str], None] | None,
+    name: str,
+    compute: Callable[..., dict[str, Any]],
+    *inputs: Any,
+) -> dict[str, Any]:
+    """``compute(*inputs)``, stored under a key of ``inputs`` on first use.
+
+    ``compute`` sees nothing but the key's inputs, so the stored payload is
+    what any job with equal inputs would compute; two jobs that miss at
+    once both compute it and store byte-equal payloads.
+    """
+    digest = hashlib.sha256(repr(inputs).encode()).hexdigest()
+    key = f"{CALIBRATION_PREFIX}/{name}/{digest}"
+    payload = calibrations.get(key)
+    outcome = "reused"
+    if payload is None:
+        payload, outcome = compute(*inputs), "computed"
+        calibrations.put(key, payload)
+    if on_calibration is not None:
+        on_calibration(outcome)
+    return payload
 
 
 def _records(workload: dict[str, Any], streaks: bool):
     job = make_job(
         workload["name"],
-        seed=int(workload["seed"]),
-        defect_rate_per_stack=float(workload["defect_rate"]),
-        streak_rate_per_100_layers=float(workload["streak_rate"]) if streaks else 0.0,
+        seed=workload["seed"],
+        defect_rate_per_stack=workload["defect_rate"],
+        streak_rate_per_100_layers=workload["streak_rate"] if streaks else 0.0,
     )
-    renderer = OTImageRenderer(
-        image_px=int(workload["image_px"]), seed=int(workload["seed"])
-    )
-    records = list(BuildDataset(job, renderer).records(0, int(workload["layers"])))
-    return job, renderer, records
+    renderer = OTImageRenderer(image_px=workload["image_px"], seed=workload["seed"])
+    records = list(BuildDataset(job, renderer).records(0, workload["layers"]))
+    return job, records
 
 
 def _thermal_build(workload: dict[str, Any]):
@@ -99,77 +157,110 @@ def _thermal_build(workload: dict[str, Any]):
     # region must be a multiple of cell_mm for integer cells, and the
     # melt image (2 px/mm) is then a multiple of the 3-px cell edge
     cell_mm = 1.5
-    region_mm = max(18.0, cell_mm * round(int(workload["image_px"]) / 2.0 / cell_mm))
+    region_mm = max(18.0, cell_mm * round(workload["image_px"] / 2.0 / cell_mm))
     s = region_mm / 60.0
     config = ThermalBuildConfig(
         job_id=workload["name"],
-        layers=int(workload["layers"]),
+        layers=workload["layers"],
         region_mm=region_mm,
         cell_mm=cell_mm,
         parts=(
             Rect(5.0 * s, 5.0 * s, 27.0 * s, 55.0 * s),
             Rect(33.0 * s, 5.0 * s, 55.0 * s, 55.0 * s),
         ),
-        seed=int(workload["seed"]),
+        seed=workload["seed"],
     )
     return synthesize_thermal_build(config)
 
 
-def _build_thermal_pipeline(strata: Strata, workload: dict[str, Any]):
+def _build_thermal_pipeline(
+    strata: Strata,
+    workload: dict[str, Any],
+    calibrations: KVStore,
+    on_calibration: Callable[[str], None] | None,
+):
     from ..thermal import (
         ThermalPipelineConfig,
         build_forecast_pipeline,
         build_reconstruction_pipeline,
         calibrate_thermal_job,
     )
+    from ..thermal.model import laser_calibration_key
 
     build = _thermal_build(workload)
-    config = ThermalPipelineConfig(window_layers=int(workload["window"]))
+    config = ThermalPipelineConfig(window_layers=workload["window"])
+    calibrate_thermal_job(strata.kv, build, laser=False)
     if workload["kind"] == "forecast":
         pipeline = build_forecast_pipeline(
             iter(build.records), iter(build.records), build.config, config,
             strata=strata,
         )
-        calibrate_thermal_job(strata.kv, build, laser=False)
-    else:
-        pipeline = build_reconstruction_pipeline(
-            iter(build.records), build.config, config, strata=strata
-        )
-        calibrate_thermal_job(strata.kv, build)
+        return pipeline.sink
+    pipeline = build_reconstruction_pipeline(
+        iter(build.records), build.config, config, strata=strata
+    )
+    laser = _calibrated(
+        calibrations, on_calibration, "laser", _laser_fit,
+        replace(build.config, job_id="", layers=0),
+    )
+    strata.kv.put(laser_calibration_key(build.config.job_id), laser)
     return pipeline.sink
 
 
-def build_pipeline(strata: Strata, workload: dict[str, Any]):
-    """Compose the workload's pipeline on ``strata``; returns its sink."""
+def _laser_fit(machine) -> dict[str, Any]:
+    """The laser inverse regression fitted on the machine's reference sweep."""
+    from ..am.scanpath import synthesize_laser_calibration
+    from ..thermal import fit_laser_calibration
+
+    samples = synthesize_laser_calibration(machine)
+    return fit_laser_calibration(
+        samples, px_per_mm=machine.px_per_mm, top_k=machine.optics.top_k
+    ).as_payload()
+
+
+def _reference_thresholds(image_px: int, seed: int, cell_edge: int) -> dict[str, Any]:
+    """Alg. 1 thresholds fitted on three layers of a defect-free build."""
+    reference = make_job("reference", seed=1, defect_rate_per_stack=0.0)
+    renderer = OTImageRenderer(image_px=image_px, seed=seed)
+    images = [r.image for r in BuildDataset(reference, renderer).records(0, 3)]
+    regions = specimen_regions_px(reference.specimens, image_px)
+    return calibrate_thresholds(images, cell_edge, regions=regions).as_payload()
+
+
+def build_pipeline(
+    strata: Strata,
+    workload: dict[str, Any],
+    calibrations: KVStore,
+    on_calibration: Callable[[str], None] | None = None,
+):
+    """Compose the workload's pipeline on ``strata``; returns its sink.
+
+    Calibrations come from ``calibrations`` (computed there on first use;
+    ``on_calibration`` hears ``"computed"`` or ``"reused"``).
+    """
     if workload["kind"] in ("forecast", "reconstruct"):
-        return _build_thermal_pipeline(strata, workload)
+        return _build_thermal_pipeline(strata, workload, calibrations, on_calibration)
     if workload["kind"] == "streaks":
-        _, _, records = _records(workload, streaks=True)
+        _, records = _records(workload, streaks=True)
         pipeline = build_streak_use_case(
             iter(records),
             iter(records),
-            image_px=int(workload["image_px"]),
-            window_layers=int(workload["window"]),
+            image_px=workload["image_px"],
+            window_layers=workload["window"],
             strata=strata,
         )
         return pipeline.sink
-    job, renderer, records = _records(workload, streaks=False)
+    job, records = _records(workload, streaks=False)
     config = UseCaseConfig(
-        image_px=int(workload["image_px"]),
-        cell_edge_px=int(workload["cell_edge"]),
-        window_layers=int(workload["window"]),
+        image_px=workload["image_px"],
+        cell_edge_px=workload["cell_edge"],
+        window_layers=workload["window"],
     )
-    reference = make_job(f"{workload['name']}-ref", seed=1, defect_rate_per_stack=0.0)
-    reference_images = [
-        r.image for r in BuildDataset(reference, renderer).records(0, 3)
-    ]
-    calibrate_job(
-        strata.kv,
-        job.job_id,
-        reference_images,
-        config.cell_edge_px,
-        regions=specimen_regions_px(job.specimens, config.image_px),
+    thresholds = _calibrated(
+        calibrations, on_calibration, "thresholds", _reference_thresholds,
+        config.image_px, workload["seed"], config.cell_edge_px,
     )
+    strata.kv.put(threshold_key(job.job_id), thresholds)
     pipeline = build_use_case(iter(records), iter(records), config, strata=strata)
     return pipeline.sink
 
@@ -214,11 +305,12 @@ def run_standalone(workload: dict[str, Any] | None = None) -> list[list[Any]]:
     """One job's expected results, computed outside the fleet.
 
     The oracle the fleet's divergence gate compares against: same spec,
-    fresh single-tenant Strata, default deployment.
+    fresh single-tenant Strata, default deployment, and an empty
+    calibration store, so every calibration is computed anew.
     """
     workload = resolve_workload(workload)
     strata = Strata(engine_mode="threaded")
-    sink = build_pipeline(strata, workload)
+    sink = build_pipeline(strata, workload, MemoryStore())
     strata.deploy()
     return result_ids(workload, sink.results)
 
@@ -232,12 +324,16 @@ class JobRunner:
         registry: JobRegistry,
         workload: dict[str, Any],
         deploy: dict[str, Any],
+        calibrations: KVStore,
+        on_calibration: Callable[[str], None] | None = None,
         on_done: Callable[["JobRunner"], None] | None = None,
     ) -> None:
         self.job_id = record_id
         self._registry = registry
         self._workload = workload
         self._deploy_dict = deploy
+        self._calibrations = calibrations
+        self._on_calibration = on_calibration
         self._on_done = on_done
         self.obs: ObsContext | None = ObsContext()
         self._lock = threading.Lock()
@@ -256,10 +352,6 @@ class JobRunner:
 
     def join(self, timeout: float | None = None) -> None:
         self._thread.join(timeout)
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive()
 
     @property
     def controller(self) -> Any | None:
@@ -290,26 +382,22 @@ class JobRunner:
 
     # -- the run ------------------------------------------------------------
 
-    def _config(self) -> DeployConfig:
-        cfg = DeployConfig.from_dict(self._deploy_dict)
-        # every fleet job is observable under its own context, unless the
-        # submission explicitly configured its own obs knobs
-        return cfg
-
     def _run(self) -> None:
         started = time.monotonic()
         summary: dict[str, Any] | None = None
         outcome = states.COMPLETED
         reason: str | None = None
         try:
-            cfg = self._config()
+            cfg = DeployConfig.from_dict(self._deploy_dict)
             distributed = cfg.dist is not None
             strata = Strata(
                 engine_mode="threaded",
                 connector_mode="pubsub" if distributed else "direct",
                 obs=self.obs,
             )
-            sink = build_pipeline(strata, self._workload)
+            sink = build_pipeline(
+                strata, self._workload, self._calibrations, self._on_calibration
+            )
             with self._lock:
                 if self._cancel:
                     self._finish(states.CANCELLED, "cancelled before launch", None)
@@ -332,7 +420,7 @@ class JobRunner:
                     pass  # a concurrent cancel already reaped the engine
             wall = time.monotonic() - started
             ids = result_ids(self._workload, list(sink.results))
-            layers = int(self._workload["layers"])
+            layers = self._workload["layers"]
             summary = {
                 "results": len(ids),
                 "result_ids": ids,

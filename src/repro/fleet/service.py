@@ -64,6 +64,14 @@ class FleetService:
         self._submitted = self.metrics.counter(
             "fleet_jobs_submitted_total", "jobs accepted by admission control"
         )
+        self._calibrations = {
+            outcome: self.metrics.counter(
+                "fleet_calibrations_total",
+                "job calibrations computed, or reused from an earlier job",
+                labels={"outcome": outcome},
+            )
+            for outcome in ("computed", "reused")
+        }
         self._rejections: dict[str, Any] = {}
         self.metrics.gauge(
             "fleet_jobs_running", "jobs currently in the RUNNING state",
@@ -139,6 +147,8 @@ class FleetService:
             self.registry,
             workload=record.workload,
             deploy=record.deploy,
+            calibrations=self.store,
+            on_calibration=lambda outcome: self._calibrations[outcome].inc(),
             on_done=self._runner_done,
         )
         elastic = record.deploy.get("elastic")

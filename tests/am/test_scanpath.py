@@ -33,6 +33,7 @@ from repro.am.scanpath import (
 )
 from repro.core import DeployConfig, Strata
 from repro.fleet.runner import build_pipeline, resolve_workload, run_standalone
+from repro.kvstore import MemoryStore
 
 RECT = Rect(5.0, 5.0, 55.0, 55.0)
 
@@ -170,7 +171,7 @@ class TestFramesRenderedWhenRead:
     def test_a_reconstruct_job_renders_each_frame_once(self, passes):
         workload = resolve_workload({**self.WORKLOAD, "kind": "reconstruct"})
         strata = Strata(engine_mode="threaded")
-        sink = build_pipeline(strata, workload)
+        sink = build_pipeline(strata, workload, MemoryStore())
         # building renders the calibration sweep: one pass per scan angle,
         # each for the 3 x 3 power/speed grid; no layer frame yet
         assert [len(commands) for commands in passes] == [9, 9, 9]

@@ -193,6 +193,28 @@ class TestRoutes:
         assert status == 400
         assert "elastic.max_par" in body["message"]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"cell_edge": 0},
+            {"window": 0},
+            {"seed": -1},
+            {"seed": "abc"},
+            {"defect_rate": -1},
+        ],
+    )
+    def test_values_a_job_would_fail_on_are_rejected_at_submit(self, server, bad):
+        """Each of these used to be admitted, given a runner thread, and
+        then end FAILED; now it is a 400 and registers nothing."""
+        registered = len(server.service.registry)
+        status, body = request(
+            server, "POST", "/jobs", {"workload": {**SMALL, **bad}}
+        )
+        assert status == 400, body
+        assert body["code"] == "invalid-submission"
+        assert f"workload.{next(iter(bad))}" in body["message"]
+        assert len(server.service.registry) == registered
+
     def test_keepalive_round_trips_take_no_nagle_delay(self, server):
         status, body = request(
             server, "POST", "/jobs", {"workload": {**SMALL, "layers": 2}}

@@ -54,6 +54,34 @@ class TestWorkloadSpec:
         with pytest.raises(ValueError, match="layers"):
             resolve_workload({"layers": 0})
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"layers": 2.5},
+            {"layers": True},
+            {"seed": None},
+            {"image_px": "160px"},
+            {"defect_rate": float("nan")},
+            {"streak_rate": "inf"},
+            {"streak_rate": -0.5},
+        ],
+    )
+    def test_numbers_must_be_numbers_in_range(self, bad):
+        with pytest.raises(ValueError, match=f"workload.{next(iter(bad))}"):
+            resolve_workload(bad)
+
+    def test_numeric_fields_are_coerced(self):
+        sent = resolve_workload(
+            {"seed": "7", "layers": 3.0, "defect_rate": "0.5", "streak_rate": 1}
+        )
+        typed = resolve_workload(
+            {"seed": 7, "layers": 3, "defect_rate": 0.5, "streak_rate": 1.0}
+        )
+        assert sent == typed
+        assert [type(sent[k]) for k in ("seed", "layers", "defect_rate", "streak_rate")] == [
+            int, int, float, float,
+        ]
+
 
 class TestSubmission:
     def test_job_completes_with_zero_divergence(self, service):
@@ -212,9 +240,9 @@ class TestObservability:
         pinned = []
         real_build = runner_module.build_pipeline
 
-        def build_pipeline(strata, workload):
+        def build_pipeline(strata, *args):
             pinned.append((weakref.ref(strata), weakref.ref(strata.obs)))
-            return real_build(strata, workload)
+            return real_build(strata, *args)
 
         monkeypatch.setattr(runner_module, "build_pipeline", build_pipeline)
         record = service.submit({"tenant": "acme", "workload": SMALL})
