@@ -63,6 +63,7 @@ class OTImageRenderer:
         self._hatch_mm = hatch_period_mm
         self._seed = seed
         self._drift = drift_per_layer
+        self._patterns: tuple[float | None, dict] = (None, {})
 
     @property
     def image_px(self) -> int:
@@ -140,35 +141,55 @@ class OTImageRenderer:
         r0, r1, c0, c1 = specimen.footprint.to_pixels(self._px, self._plate)
         if r1 <= r0 or c1 <= c0:
             return
-        rows = np.arange(r0, r1, dtype=np.float32)[:, None]
-        cols = np.arange(c0, c1, dtype=np.float32)[None, :]
-        region = np.full((r1 - r0, c1 - c0), melt, dtype=np.float32)
-        # Hatch texture: stripes perpendicular to the scan vector.
-        theta = np.radians(scan.angle_deg)
-        period_px = max(2.0, self._hatch_mm * self._scale)
-        phase = (cols * np.cos(theta) + rows * np.sin(theta)) * (2 * np.pi / period_px)
-        region += self._texture * np.sin(phase).astype(np.float32)
+        texture, rings = self._stack_pattern(scan.angle_deg, specimen)
+        window = image[r0:r1, c0:c1]
+        region = window if specimen.shape is None else np.empty_like(window)
+        np.add(texture, np.float32(melt), out=region)  # = np.full(melt) + texture
         region += rng.normal(0.0, self._noise, size=region.shape).astype(np.float32)
-        # Witness cylinders ring slightly brighter (different contour scan).
-        for cylinder in specimen.cylinders:
-            cy = cylinder.center_y * self._scale - r0
-            cx = cylinder.center_x * self._scale - c0
-            radius_px = cylinder.radius * self._scale
-            dist_sq = (rows - r0 - cy) ** 2 + (cols - c0 - cx) ** 2
-            # Contour scans emit slightly differently; keep the highlight
-            # subtle (< the 3-sigma labeling band) so healthy cylinders do
-            # not register as thermal anomalies.
-            ring = np.abs(np.sqrt(dist_sq) - radius_px) < max(1.0, self._scale * 0.12)
+        for ring in rings:  # a pixel in two rings gets two adds
             region[ring] += 0.015
-        if specimen.shape is None:
-            image[r0:r1, c0:c1] = region
-        else:
+        if specimen.shape is not None:
             # Shaped part: melt only the slice; outside stays powder.
             from .shapes import shape_mask_px
 
             mask = shape_mask_px(specimen.shape, z_mm, r0, r1, c0, c1, self._scale)
-            window = image[r0:r1, c0:c1]
-            image[r0:r1, c0:c1] = np.where(mask, region, window)
+            np.copyto(window, region, where=mask)
+
+    def _stack_pattern(
+        self, angle_deg: float, specimen: Specimen
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """A footprint's hatch texture and witness-ring masks (one per ring
+        depth) at one stack angle; the memo holds one stack's, a new angle
+        replaces it."""
+        angle, patterns = self._patterns
+        if angle != angle_deg:
+            patterns = {}
+            self._patterns = (angle_deg, patterns)
+        r0, r1, c0, c1 = specimen.footprint.to_pixels(self._px, self._plate)
+        cylinders = specimen.cylinders
+        key = (cylinders, r0, r1, c0, c1)
+        if key not in patterns:
+            rows = np.arange(r0, r1, dtype=np.float32)[:, None]
+            cols = np.arange(c0, c1, dtype=np.float32)[None, :]
+            # Hatch texture: stripes perpendicular to the scan vector.
+            theta = np.radians(angle_deg)
+            period_px = max(2.0, self._hatch_mm * self._scale)
+            phase = (cols * np.cos(theta) + rows * np.sin(theta)) * (2 * np.pi / period_px)
+            texture = self._texture * np.sin(phase).astype(np.float32)
+            # Witness cylinders ring slightly brighter (different contour
+            # scan); depth counts the rings a pixel lies in.
+            depth = np.zeros(texture.shape, dtype=np.uint8)
+            for cylinder in cylinders:
+                cy = cylinder.center_y * self._scale - r0
+                cx = cylinder.center_x * self._scale - c0
+                radius_px = cylinder.radius * self._scale
+                dist_sq = (rows - r0 - cy) ** 2 + (cols - c0 - cx) ** 2
+                # Contour scans emit slightly differently; keep the
+                # highlight subtle (< the 3-sigma labeling band) so healthy
+                # cylinders do not register as thermal anomalies.
+                depth += np.abs(np.sqrt(dist_sq) - radius_px) < max(1.0, self._scale * 0.12)
+            patterns[key] = texture, [depth >= d for d in range(1, int(depth.max()) + 1)]
+        return patterns[key]
 
     def _paint_defect(self, image: np.ndarray, defect: DefectRegion, z_mm: float) -> None:
         radius_mm = defect.radius_at(z_mm)

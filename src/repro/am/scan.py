@@ -62,8 +62,3 @@ def defect_risk(scan: StackScan) -> float:
     alignment = scan.angle_to_gas_flow_deg  # 0 = parallel to flow, 90 = perpendicular
     return 0.5 * (1.0 + math.cos(math.radians(alignment * 2)))
 
-
-def scan_texture_phase(scan: StackScan, hatch_mm: float = 0.1) -> tuple[float, float]:
-    """Direction vector of the hatch pattern, used to texture OT images."""
-    radians = math.radians(scan.angle_deg)
-    return math.cos(radians), math.sin(radians)

@@ -221,21 +221,23 @@ def deposit_energy(
     after track, sample after sample — so every cell's sum is the one
     that adding the tracks one at a time gives, bit for bit.
     """
+    return _deposit(tracks, grid_cells, cell_mm, sample_step_mm, [None])[0]
+
+
+def _deposit(tracks, grid_cells, cell_mm, sample_step_mm, line_energies) -> list[np.ndarray]:
+    """One grid per line energy (J/mm, every track at it; ``None`` is each
+    track at its own), all added over one placement of the samples."""
     # math.hypot per track, as ScanTrack.length_mm: np.hypot may round differently
     spans = [(track, track.length_mm) for track in tracks]
     spans = [(track, length) for track, length in spans if length > 0.0]
     if not spans:  # bincount would hand back int64 zeros
-        return np.zeros((grid_cells, grid_cells), dtype=np.float64)
+        return [np.zeros((grid_cells, grid_cells), dtype=np.float64) for _ in line_energies]
     n = np.array(
         [max(1, math.ceil(length / sample_step_mm)) for _, length in spans],
         dtype=np.int64,
     )
-    x0, y0, x1, y1, energy = np.array(
-        [
-            (t.x0_mm, t.y0_mm, t.x1_mm, t.y1_mm, t.line_energy_j_mm * length)
-            for t, length in spans
-        ],
-        dtype=np.float64,
+    x0, y0, x1, y1 = np.array(
+        [(t.x0_mm, t.y0_mm, t.x1_mm, t.y1_mm) for t, _ in spans], dtype=np.float64
     ).T
     # sample k of a track of n sits at (k + 0.5) / n along it
     per_sample = np.repeat(n, n)
@@ -245,12 +247,17 @@ def deposit_energy(
     ys = np.repeat(y0, n) + ts * np.repeat(y1 - y0, n)
     cols = np.clip((xs / cell_mm).astype(np.int64), 0, grid_cells - 1)
     rows = np.clip((ys / cell_mm).astype(np.int64), 0, grid_cells - 1)
-    grid = np.bincount(
-        rows * grid_cells + cols,
-        weights=np.repeat(energy / n, n),
-        minlength=grid_cells * grid_cells,
-    )
-    return grid.reshape(grid_cells, grid_cells)
+    cells = rows * grid_cells + cols
+    grids = []
+    for line in line_energies:
+        energy = np.array(
+            [(t.line_energy_j_mm if line is None else line) * length for t, length in spans]
+        )
+        grid = np.bincount(
+            cells, weights=np.repeat(energy / n, n), minlength=grid_cells * grid_cells
+        )
+        grids.append(grid.reshape(grid_cells, grid_cells))
+    return grids
 
 
 @dataclass(frozen=True)
@@ -297,14 +304,15 @@ def _meltpool_frames(
     """One noise-free frame of one track geometry per ``(power_w,
     speed_mm_s)`` command; ``None`` is one frame at each track's own.
 
-    Each track's squared-distance field is computed once, over the union
-    of the commands' boxes (the widest command's: a larger sigma reaches
-    farther), and each command's profile is computed on its slice of it.
-    The field is element-wise, so a slice holds the floats a field over
-    the narrower box holds, and every frame equals a render of its command
-    alone bit for bit. Each profile is formed in one contiguous buffer,
-    ``amplitude * exp(-d2 / (2·sigma²))`` in the order a one-command render
-    forms it, so ``exp`` sees the same inputs in the same layout.
+    A track's squared-distance field covers the union of the commands'
+    boxes (a larger sigma reaches farther). Tracks are sorted by that box's
+    shape and cut into blocks (:func:`_blocks`); a block's fields are one
+    stacked ``(k, H, W)`` pass, padded to its largest box, and each frame's
+    profiles ``amplitude * exp(-d2 / (2·sigma²))`` one more, in one
+    contiguous buffer. Every step is element-wise, so a track's true box
+    holds the floats a render of it alone holds (``exp`` sees the same
+    inputs in the same layout), and one ``np.maximum`` per track composes
+    that box: every frame equals a per-track render bit for bit.
     """
     shared = None
     if commands is not None:
@@ -313,7 +321,7 @@ def _meltpool_frames(
         np.zeros((image_px, image_px), dtype=np.float64)
         for _ in range(1 if shared is None else len(shared))
     ]
-    coords = (np.arange(image_px, dtype=np.float64) + 0.5) / px_per_mm
+    drawn = []
     for track in tracks:
         profiles = shared or [
             (
@@ -325,30 +333,66 @@ def _meltpool_frames(
             _track_box(track, 4.0 * sigma, image_px, px_per_mm)
             for sigma, _ in profiles
         ]
-        drawn = [box for box in boxes if box[0] < box[1] and box[2] < box[3]]
-        if not drawn:
+        inside = [box for box in boxes if box[0] < box[1] and box[2] < box[3]]
+        if not inside:
             continue
-        r0 = min(box[0] for box in drawn)
-        r1 = max(box[1] for box in drawn)
-        c0 = min(box[2] for box in drawn)
-        c1 = max(box[3] for box in drawn)
+        r0, c0 = min(box[0] for box in inside), min(box[2] for box in inside)
+        shape = (max(box[1] for box in inside) - r0, max(box[3] for box in inside) - c0)
+        vx, vy = track.x1_mm - track.x0_mm, track.y1_mm - track.y0_mm
+        point = vx * vx + vy * vy < 1e-18  # _segment_distance_sq's point form
+        drawn.append(((point, *shape), r0, c0, track, profiles, boxes))
+    drawn.sort(key=lambda entry: entry[0])
+    # a padded box starts inside the image and is no wider than it
+    coords = (np.arange(2 * image_px, dtype=np.float64) + 0.5) / px_per_mm
+    for block in _blocks(drawn):
+        height = max(entry[0][1] for entry in block)
+        width = max(entry[0][2] for entry in block)
+        r0s = np.array([entry[1] for entry in block])
+        c0s = np.array([entry[2] for entry in block])
+        x0, y0, x1, y1 = np.array(
+            [(t.x0_mm, t.y0_mm, t.x1_mm, t.y1_mm) for _, _, _, t, _, _ in block]
+        ).T[:, :, None, None]
         d2 = _segment_distance_sq(
-            coords[c0:c1][None, :],
-            coords[r0:r1][:, None],
-            track.x0_mm, track.y0_mm, track.x1_mm, track.y1_mm,
+            coords[c0s[:, None] + np.arange(width)][:, None, :],
+            coords[r0s[:, None] + np.arange(height)][:, :, None],
+            x0, y0, x1, y1,
+            point=block[0][0][0],
         )
-        for frame, (sigma, amplitude), (br0, br1, bc0, bc1) in zip(
-            frames, profiles, boxes
-        ):
-            if br0 >= br1 or bc0 >= bc1:
-                continue
-            profile = np.negative(d2[br0 - r0 : br1 - r0, bc0 - c0 : bc1 - c0])
+        profile = d2 if len(frames) == 1 else np.empty_like(d2)
+        for index, frame in enumerate(frames):
+            sigma, amplitude = np.array([e[4][index] for e in block]).T[..., None, None]
+            np.negative(d2, out=profile)
             profile /= 2.0 * sigma * sigma
             np.exp(profile, out=profile)
             profile *= amplitude
-            window = frame[br0:br1, bc0:bc1]
-            np.maximum(window, profile, out=window)
+            for (_, r0, c0, _, _, boxes), track_profile in zip(block, profile):
+                br0, br1, bc0, bc1 = boxes[index]
+                if br0 >= br1 or bc0 >= bc1:
+                    continue
+                box = track_profile[br0 - r0 : br1 - r0, bc0 - c0 : bc1 - c0]
+                np.maximum(frame[br0:br1, bc0:bc1], box, out=frame[br0:br1, bc0:bc1])
     return frames
+
+
+#: padded elements of one stacked distance-field block: bounded, so its temporaries
+#: do not grow with a frame's track count; larger blocks make fewer calls
+_BLOCK_ELEMENTS = 16_384
+
+
+def _blocks(drawn: list) -> list[list]:
+    """Cut shape-sorted tracks into blocks of at most ``_BLOCK_ELEMENTS`` padded
+    elements (a larger track is one block); zero-length tracks keep to their own."""
+    blocks: list[list] = []
+    for entry in drawn:
+        point, h, w = entry[0]
+        if blocks and blocks[-1][0][0][0] == point:
+            height, width = max(height, h), max(width, w)
+            if (len(blocks[-1]) + 1) * height * width <= _BLOCK_ELEMENTS:
+                blocks[-1].append(entry)
+                continue
+        blocks.append([entry])
+        height, width = h, w
+    return blocks
 
 
 def _track_box(
@@ -368,16 +412,27 @@ def _track_box(
     )
 
 
-def _segment_distance_sq(xs, ys, x0, y0, x1, y1):
-    """Squared distance from each (ys, xs) grid point to a segment."""
+def _segment_distance_sq(xs, ys, x0, y0, x1, y1, point: bool):
+    """Squared distance from each (ys, xs) grid point to each stacked
+    segment; ``point`` says every segment has zero length."""
     vx, vy = x1 - x0, y1 - y0
     norm = vx * vx + vy * vy
-    if norm < 1e-18:
+    if point:
         return (xs - x0) ** 2 + (ys - y0) ** 2
-    t = np.clip(((xs - x0) * vx + (ys - y0) * vy) / norm, 0.0, 1.0)
-    px = x0 + t * vx
-    py = y0 + t * vy
-    return (xs - px) ** 2 + (ys - py) ** 2
+    # (xs - x0)·vx + (ys - y0)·vy, x0 + t·vx, ... formed in two buffers
+    t = np.add((xs - x0) * vx, (ys - y0) * vy)
+    t /= norm
+    np.clip(t, 0.0, 1.0, out=t)
+    dx = np.multiply(t, vx)
+    dx += x0
+    np.subtract(xs, dx, out=dx)
+    np.square(dx, out=dx)
+    np.multiply(t, vy, out=t)
+    t += y0
+    np.subtract(ys, t, out=t)
+    np.square(t, out=t)
+    dx += t
+    return dx
 
 
 @dataclass(frozen=True)
@@ -560,26 +615,26 @@ def synthesize_thermal_build(config: ThermalBuildConfig) -> ThermalBuild:
         spike_factor=config.spike_factor,
     )
     cells = config.grid_cells
-    # pass 1: planned (commanded) deposition per layer, so layer k can
-    # publish layer k+1's plan — the g-code is known ahead of the scan
+    # pass 1: every layer's deposition, so layer k can publish layer k+1's plan
+    # (the g-code is known ahead of the scan). A layer's samples are placed once:
+    # its planned (commanded) and actual grids are two bincounts over them
     planned: list[np.ndarray] = []
-    for layer, (commanded, _actual) in enumerate(schedule):
-        tracks = config.layer_tracks(layer, commanded.power_w, commanded.speed_mm_s)
-        planned.append(
-            deposit_energy(
-                tracks, cells, config.cell_mm, sample_step_mm=config.sample_step_mm
-            )
+    deposited: list[tuple[list[ScanTrack], np.ndarray]] = []
+    for layer, (commanded, actual) in enumerate(schedule):
+        tracks = config.layer_tracks(layer, actual.power_w, actual.speed_mm_s)
+        plan, energy = _deposit(
+            tracks, cells, config.cell_mm, config.sample_step_mm,
+            [commanded.power_w / commanded.speed_mm_s, None],  # None: the actual
         )
+        planned.append(plan)
+        deposited.append((tracks, energy))
     planned.append(np.zeros((cells, cells), dtype=np.float64))
 
     params = config.thermal
     truth = np.full((cells, cells), params.ambient, dtype=np.float64)
     records: list[ThermalLayerRecord] = []
     for layer, (commanded, actual) in enumerate(schedule):
-        tracks = config.layer_tracks(layer, actual.power_w, actual.speed_mm_s)
-        energy_actual = deposit_energy(
-            tracks, cells, config.cell_mm, sample_step_mm=config.sample_step_mm
-        )
+        tracks, energy_actual = deposited[layer]
         process_noise = math.sqrt(params.process_var) * rng.standard_normal(
             (cells, cells)
         )

@@ -106,10 +106,17 @@ class JobRegistry:
         self._prefix = prefix
         self._lock = threading.Lock()
         self._jobs: dict[str, JobRecord] = {}
+        #: the active subset of ``_jobs``: admission never scans finished records
+        self._active: dict[str, JobRecord] = {}
 
     # -- persistence --------------------------------------------------------
 
     def _persist(self, record: JobRecord) -> None:
+        """Keep the active index in step with the record, and store it."""
+        if record.active:
+            self._active[record.job_id] = record
+        else:
+            self._active.pop(record.job_id, None)
         self._store.put(self._prefix + record.job_id, record.to_dict())
 
     def load(self) -> int:
@@ -203,7 +210,7 @@ class JobRegistry:
     def active(self, tenant: str | None = None) -> list[JobRecord]:
         """Jobs still holding (or about to hold) fleet resources."""
         with self._lock:
-            records = [r for r in self._jobs.values() if r.active]
+            records = list(self._active.values())
         if tenant is not None:
             records = [r for r in records if r.tenant == tenant]
         return records

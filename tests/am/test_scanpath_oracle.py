@@ -14,9 +14,12 @@ float64 division and ``exp`` must agree on every supported numpy).
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.am import Rect, scanpath
 from repro.am.scanpath import (
@@ -141,6 +144,79 @@ def test_a_frame_at_each_tracks_own_setpoints_matches(angle):
         oracle.render_meltpool_frame(tracks, IMAGE_PX, PX_PER_MM, NOISE_FREE),
         f"angle {angle}",
     )
+
+
+def block_shapes(tracks, commands=None):
+    """The ``(point, h, w)`` keys of each block the kernel stacks."""
+    seen = []
+    real = scanpath._blocks
+
+    def recording(drawn):
+        blocks = real(drawn)
+        seen.extend([entry[0] for entry in block] for block in blocks)
+        return blocks
+
+    with mock.patch.object(scanpath, "_blocks", recording):
+        frames = scanpath._meltpool_frames(tracks, commands, IMAGE_PX, PX_PER_MM, NOISE_FREE)
+    return seen, frames
+
+
+@pytest.mark.parametrize("angle", [0.0, 45.0, 105.0])
+def test_tracks_split_across_mixed_shape_blocks_match(angle):
+    """A frame whose tracks fill several blocks, each padded to its largest
+    box over tracks of different shapes, with a zero-length track (its own
+    block) and tracks clipped at the image edge."""
+    tracks = [
+        *mixed_tracks(angle),
+        *raster_tracks(Rect(30.0, 2.0, 58.0, 58.0), angle, 0.9, 330.0, 1000.0),
+    ]
+    blocks, frames = block_shapes(tracks)
+    assert len(blocks) > 2
+    assert any(len(set(block)) > 1 for block in blocks)  # padded
+    assert [block for block in blocks if block[0][0]] == [[(True, 11, 11)] * 2]
+    assert_bits_equal(
+        frames[0],
+        oracle.render_meltpool_frame(tracks, IMAGE_PX, PX_PER_MM, NOISE_FREE),
+        f"angle {angle}",
+    )
+
+
+coordinate = st.floats(-12.0, 72.0, allow_nan=False)
+setpoint = st.tuples(st.floats(40.0, 1200.0), st.floats(300.0, 2500.0))
+
+
+@st.composite
+def frame_tracks(draw):
+    """Segments anywhere on or off a 60 mm region, zero-length ones
+    included, each at its own power and speed."""
+    tracks = []
+    for x0, y0, x1, y1, (power, speed) in draw(
+        st.lists(st.tuples(*[coordinate] * 4, setpoint), max_size=30)
+    ):
+        if draw(st.booleans()) and draw(st.booleans()):
+            x1, y1 = x0, y0
+        tracks.append(ScanTrack(x0, y0, x1, y1, power, speed))
+    return tracks
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tracks=frame_tracks(),
+    block=st.sampled_from([1, 600, 4096, scanpath._BLOCK_ELEMENTS]),
+    commands=st.one_of(st.none(), st.lists(setpoint, min_size=1, max_size=4)),
+)
+def test_any_tracks_any_block_size_match(tracks, block, commands):
+    """Per-track setpoints that differ within one frame, and command sets,
+    under block sizes from one track per block to the shipped one."""
+    with mock.patch.object(scanpath, "_BLOCK_ELEMENTS", block):
+        frames = scanpath._meltpool_frames(tracks, commands, IMAGE_PX, PX_PER_MM, NOISE_FREE)
+    for index, frame in enumerate(frames):
+        reference = tracks if commands is None else tracks_at(tracks, *commands[index])
+        assert_bits_equal(
+            frame,
+            oracle.render_meltpool_frame(reference, IMAGE_PX, PX_PER_MM, NOISE_FREE),
+            f"frame {index}",
+        )
 
 
 BUILDS = {

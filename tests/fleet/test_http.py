@@ -75,10 +75,12 @@ class TestFleetSmoke:
     def test_three_tenant_jobs_quota_cancel_and_metrics(self, server):
         # -- three concurrent jobs from two tenants -------------------------
         elastic = {"plan": True, "elastic": {"max_parallelism": 2}}
+        # acme's two jobs must both still be active when its 4th request
+        # lands: a warm server can finish a 3- or 4-layer job in between
         specs = [
-            ("acme", {**SMALL, "seed": 11}, elastic),
+            ("acme", {**SMALL, "layers": 24, "seed": 11}, elastic),
             # the streak pipeline has no keyed replica group — runs static
-            ("acme", {**SMALL, "kind": "streaks", "layers": 4, "seed": 12},
+            ("acme", {**SMALL, "kind": "streaks", "layers": 24, "seed": 12},
              {"plan": True}),
             ("zenith", {**SMALL, "seed": 13}, elastic),
         ]

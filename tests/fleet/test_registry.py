@@ -152,6 +152,44 @@ class TestQueries:
         assert counts[RUNNING] == 0
         assert len(registry) == 2
 
+    def test_active_reads_only_active_records(self):
+        """Admission asks for a tenant's active jobs on every submit; with
+        2 000 finished records beside them it must not read one of them."""
+        reads = []
+
+        class Watched(JobRecord):
+            def __getattribute__(self, name):
+                reads.append(object.__getattribute__(self, "job_id"))
+                return object.__getattribute__(self, name)
+
+        _, registry = make_registry()
+        for _ in range(2_000):
+            done = Watched(job_id=new_job_id(), tenant="a")
+            registry.register(done)
+            registry.transition(done.job_id, CANCELLED)
+        live = {}
+        for tenant in ("a", "a", "b"):
+            record = Watched(job_id=new_job_id(), tenant=tenant)
+            live[registry.register(record).job_id] = tenant
+        registry.transition(next(iter(live)), ADMITTED)
+        reads.clear()
+        active = registry.active(tenant="a")
+        assert {r.job_id for r in active} == {j for j, t in live.items() if t == "a"}
+        assert set(reads) <= set(live)
+        assert len(registry.active()) == 3
+
+    def test_a_loaded_registry_indexes_no_orphan(self):
+        store, registry = make_registry()
+        running = register_one(registry, tenant="a")
+        registry.transition(running.job_id, ADMITTED)
+        reborn = JobRegistry(store)
+        reborn.load()
+        assert reborn.active() == []
+        fresh = register_one(reborn, tenant="a")
+        assert [r.job_id for r in reborn.active("a")] == [fresh.job_id]
+        reborn.transition(fresh.job_id, FAILED)
+        assert reborn.active() == []
+
     def test_record_dict_round_trip(self):
         record = JobRecord(
             job_id="job-x", tenant="t", deploy={"plan": True},
