@@ -121,9 +121,8 @@ class Strata:
         self._uid = itertools.count()
         self._sinks: dict[str, Sink] = {}
         self._deployed = False
-        # set by config-driven deployments: the live rescale controller and
-        # a periodic checkpointer Strata itself materialized (and thus owns)
-        self._elastic: Any | None = None
+        # set by config-driven deployments: a periodic checkpointer Strata
+        # itself materialized (and thus owns)
         self._ckpt_periodic: Any | None = None
 
     # -- Key-Value Store module (Table 1: store/get) -----------------------
@@ -423,13 +422,14 @@ class Strata:
         With observability enabled, the run's final metrics snapshot lands
         in ``report.extra["metrics"]``; with elastic rescaling enabled,
         the controller's decision history lands in
-        ``report.extra["elastic"]``.
+        ``report.extra["elastic"]``. The threaded engine runs the pipeline
+        as :meth:`start` + :meth:`wait` do.
         """
         cfg = self._coerce_config(config)
         self._obs = cfg.resolved_obs(self._obs)
         dist_config = cfg.resolved_dist()
         if dist_config is not None:
-            from ..dist import run_distributed
+            from ..dist import DistCoordinator
 
             if self._connector_mode != "pubsub":
                 raise DeployConfigError(
@@ -437,46 +437,16 @@ class Strata:
                     "(stages are cut at the pub/sub connector edges)"
                 )
             self._deployed = True
-            return run_distributed(
-                self._query,
-                self._broker,
-                dist_config,
-                obs=self._obs,
-                capacity=self._capacity,
-                plan=cfg.plan,
-                elastic=cfg.elastic,
-            )
-        checkpointer, on_built = self._materialize_recovery(cfg.recovery)
-        self._deployed = True
-        self._attach_checkpoint_metrics(checkpointer)
-        if cfg.elastic is not None:
-            started = time.monotonic()
-            self._launch_elastic(cfg, checkpointer, on_built)
-            scheduler, nodes = self._engine.runtime()
-            controller = self._elastic
-            try:
-                self._engine.wait()
-            finally:
-                self._teardown_config_runtime()
-            report = RunReport(
-                query_name=self._query.name,
-                operator_stats={ex.node.name: ex.stats for ex in scheduler.executors},
-                sinks=StreamEngine.sinks_of(nodes),
-                wall_seconds=time.monotonic() - started,
-            )
-            report.extra["plan"] = cfg.plan.describe()
-            report.extra["elastic"] = controller.summary()
-            if self._obs is not None:
-                report.extra["metrics"] = self._obs.snapshot()
-            return report
+            return DistCoordinator(
+                self._query, self._broker, dist_config, obs=self._obs,
+                capacity=self._capacity, plan=cfg.plan, elastic=cfg.elastic,
+            ).run()
+        launch = self._launch_args(cfg)
         try:
-            return self._engine.run(
-                self._query,
-                checkpointer=checkpointer,
-                on_built=on_built,
-                plan=cfg.plan,
-                obs=self._obs,
-            )
+            if self._engine_mode == "sync":
+                return self._engine.run(self._query, **launch)
+            self._engine.start(self._query, **launch)
+            return self._engine.wait()
         finally:
             self._teardown_config_runtime()
 
@@ -495,67 +465,39 @@ class Strata:
                 "distributed deployment runs to completion and is deploy()-"
                 "only; start() backgrounds the in-process engine"
             )
-        checkpointer, on_built = self._materialize_recovery(cfg.recovery)
-        self._deployed = True
-        self._attach_checkpoint_metrics(checkpointer)
-        if cfg.elastic is not None:
-            return self._launch_elastic(cfg, checkpointer, on_built)
-        return self._engine.start(
-            self._query,
-            checkpointer=checkpointer,
-            on_built=on_built,
-            plan=cfg.plan,
-            obs=self._obs,
-        )
+        launch = self._launch_args(cfg)
+        try:
+            return self._engine.start(self._query, **launch)
+        except BaseException:
+            self._teardown_config_runtime()
+            raise
 
-    def _launch_elastic(
-        self, cfg: DeployConfig, checkpointer: Any | None, on_built: Callable | None
-    ) -> dict[str, Sink]:
-        """Start the engine with rescalable groups plus the controller.
-
-        Compiles what :func:`~repro.elastic.elastic_plan` says; a pipeline
-        with nothing to manage fails here with the controller's PlanError.
-        """
-        from ..elastic import ElasticController, elastic_plan
-
-        if self._engine_mode != "threaded":
+    def _launch_args(self, cfg: DeployConfig) -> dict[str, Any]:
+        """Engine arguments of an in-process deployment: recovery, plan and,
+        with elastic rescaling, what :func:`~repro.elastic.elastic_plan`
+        compiles plus the controller supervising it."""
+        if cfg.elastic is not None and self._engine_mode != "threaded":
             raise DeployConfigError(
                 "elastic rescaling drains and re-splices live node threads; "
                 "it requires engine_mode='threaded'"
             )
-        ec = cfg.elastic
-        effective_plan, forced = elastic_plan(cfg.plan, ec)
-        sinks = self._engine.start(
-            self._query,
-            checkpointer=checkpointer,
-            on_built=on_built,
-            plan=effective_plan,
-            obs=self._obs,
-            force_replication=forced,
-        )
-        scheduler, nodes = self._engine.runtime()
-        try:
-            controller = ElasticController(
-                scheduler,
-                nodes,
-                ec,
-                plan=effective_plan,
-                obs=self._obs,
-                checkpointer=checkpointer,
-            )
-        except Exception:
-            self._engine.stop()
-            self._teardown_config_runtime()
-            raise
-        controller.start()
-        self._elastic = controller
-        return sinks
+        checkpointer, on_built = self._materialize_recovery(cfg.recovery)
+        self._deployed = True
+        if self._obs is not None and hasattr(checkpointer, "attach_metrics"):
+            # checkpoint duration/size metrics land in the obs registry
+            checkpointer.attach_metrics(self._obs.registry)
+        args = dict(checkpointer=checkpointer, on_built=on_built, plan=cfg.plan, obs=self._obs)
+        if cfg.elastic is not None:
+            from ..elastic import elastic_plan, elastic_supervisor
+
+            plan, args["force_replication"] = elastic_plan(cfg.plan, cfg.elastic)
+            args.update(plan=plan, supervise=elastic_supervisor(
+                cfg.elastic, plan, obs=self._obs, checkpointer=checkpointer
+            ))
+        return args
 
     def _teardown_config_runtime(self) -> None:
-        """Stop runtime helpers owned by a config-driven deployment."""
-        if self._elastic is not None:
-            self._elastic.stop()
-            self._elastic = None
+        """Stop the periodic checkpointer this Strata materialized, if any."""
         if self._ckpt_periodic is not None:
             self._ckpt_periodic.stop()
             self._ckpt_periodic = None
@@ -598,16 +540,21 @@ class Strata:
         return self._engine.running()
 
     def wait(self, timeout: float | None = None) -> None:
-        """Wait for a background deployment to finish naturally."""
+        """Wait for a background deployment to finish naturally.
+
+        When ``timeout`` expires first the deployment keeps running, with
+        its elastic controller and periodic checkpointer.
+        """
         try:
             self._engine.wait(timeout=timeout)
         finally:
-            self._teardown_config_runtime()
+            if not self._engine.running():
+                self._teardown_config_runtime()
 
     @property
     def elastic(self) -> Any | None:
         """The live rescale controller of an elastic deployment, if any."""
-        return self._elastic
+        return self._engine.supervisor
 
     # -- observability -------------------------------------------------------
 
@@ -627,15 +574,6 @@ class Strata:
         if self._obs is None:
             return MetricsSnapshot(wall_time=time.time(), samples=[])
         return self._obs.snapshot()
-
-    def _attach_checkpoint_metrics(self, checkpointer: Any | None) -> None:
-        """Feed checkpoint duration/size metrics into the obs registry."""
-        if (
-            self._obs is not None
-            and checkpointer is not None
-            and hasattr(checkpointer, "attach_metrics")
-        ):
-            checkpointer.attach_metrics(self._obs.registry)
 
     # -- internals -------------------------------------------------------------
 

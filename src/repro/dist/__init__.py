@@ -6,7 +6,7 @@ each stage in a forked worker process wired through a networked broker
 bounded restarts, and aggregated per-worker metrics.
 """
 
-from .coordinator import DistConfig, DistCoordinator, DistError, run_distributed
+from .coordinator import DistConfig, DistCoordinator, DistError
 from .stages import StageSpec, assign_stages, cut_stages, render_stages
 from .worker import WorkerProcess, load_pipeline, run_stage, run_worker_from_ref
 
@@ -20,7 +20,6 @@ __all__ = [
     "cut_stages",
     "load_pipeline",
     "render_stages",
-    "run_distributed",
     "run_stage",
     "run_worker_from_ref",
 ]

@@ -27,13 +27,13 @@ from typing import Any
 
 from ..core.connectors import EOS_SENTINEL
 from ..core.errors import DeployConfigError
-from ..elastic import ElasticConfig, elastic_plan, plan_migration, run_elastic
+from ..elastic import ElasticConfig, elastic_plan, elastic_supervisor, plan_migration
 from ..net.server import BrokerServer
 from ..obs.exporters import snapshot_from_dict, to_prometheus, write_http_response
 from ..obs.registry import MetricsSnapshot, Sample
 from ..pubsub.broker import Broker
 from ..pubsub.producer import Producer
-from ..spe.engine import RunReport, threaded_scheduler
+from ..spe.engine import RunReport, join, launch, run_report
 from ..spe.plan import PlanConfig, compile_plan
 from ..spe.query import Query
 from .stages import StageSpec, assign_stages, cut_stages
@@ -251,49 +251,35 @@ class DistCoordinator:
         return address
 
     def run(self) -> RunReport:
-        """Start (if needed), run the terminal stage to completion, report."""
-        if not self._started:
-            self.start()
-        local_nodes = [
-            node for stage in self._local_stages for node in stage.nodes
-        ]
-        if self._obs is not None:
-            self._obs.bind(local_nodes)
-        started = time.monotonic()
-        replan = self._elastic.replan if self._elastic is not None else None
-        stats, controller = run_elastic(
-            threaded_scheduler(self._plan, self._obs),
-            local_nodes,
-            self._elastic,
-            plan=self._plan,
-            obs=self._obs,
-            placement=(
-                (self.worker_loads, self.migrate_stage)
-                if replan is not None and replan.migrate
-                else None
-            ),
-        )
-        wall = time.monotonic() - started
+        """Start (if needed), run the terminal stage to completion, report.
+
+        A failed start or a raising terminal stage stops the workers, the
+        server (and its shm ring) and the monitor before the error
+        propagates.
+        """
+        try:
+            if not self._started:
+                self.start()
+            nodes = [node for stage in self._local_stages for node in stage.nodes]
+            supervise = elastic_supervisor(
+                self._elastic, self._plan, obs=self._obs, required=False,
+                placement=(self.worker_loads, self.migrate_stage),
+            )
+            started = time.monotonic()
+            scheduler, controller = launch(nodes, self._plan, self._obs, supervise=supervise)
+            join(scheduler, controller)
+            wall = time.monotonic() - started
+        except BaseException:
+            self.stop()
+            raise
         self.shutdown()
         if self._failure is not None:
             raise DistError(self._failure)
-        report = RunReport(
-            query_name=self._query.name,
-            operator_stats=stats,
-            sinks={
-                node.name: node.sink
-                for node in local_nodes
-                if node.kind == "sink"
-            },
-            wall_seconds=wall,
+        report = run_report(
+            self._query.name, scheduler.stats(), nodes, wall,
+            self._plan, self._obs, controller,
         )
         report.extra["dist"] = self.status()
-        if controller is not None:
-            report.extra["elastic"] = controller.summary()
-        if self._plan is not None:
-            report.extra["plan"] = self._plan.describe()
-        if self._obs is not None:
-            report.extra["metrics"] = self._obs.snapshot()
         worker_metrics = self.worker_metrics()
         if worker_metrics:
             report.extra["worker_metrics"] = worker_metrics
@@ -549,19 +535,3 @@ class DistCoordinator:
             name="dist-scrape",
             daemon=True,
         ).start()
-
-
-def run_distributed(
-    query: Query,
-    broker: Broker,
-    config: DistConfig | None = None,
-    obs: Any | None = None,
-    capacity: int | None = None,
-    plan: Any | None = None,
-    elastic: Any | None = None,
-) -> RunReport:
-    """Deploy ``query`` distributed and run it to completion; blocking."""
-    return DistCoordinator(
-        query, broker, config, obs=obs, capacity=capacity, plan=plan,
-        elastic=elastic,
-    ).run()

@@ -25,11 +25,11 @@ import threading
 import time
 from typing import Any
 
-from ..elastic import run_elastic
+from ..elastic import elastic_supervisor
 from ..net.client import BrokerClient
 from ..obs.context import ObsContext
 from ..obs.exporters import snapshot_to_dict
-from ..spe.engine import threaded_scheduler
+from ..spe.engine import join, launch
 from ..spe.plan import PlanConfig
 from .stages import StageSpec, cut_stages
 
@@ -75,7 +75,6 @@ def run_stage(
             reader.rebind(client, auto_commit=False, dedup=True)
     obs_ctx = ObsContext()
     nodes = [node for stage in stages for node in stage.nodes]
-    obs_ctx.bind(nodes)
 
     stop_beat = threading.Event()
     state = {"value": "running"}
@@ -103,18 +102,19 @@ def run_stage(
     beater = threading.Thread(
         target=heartbeat_loop, name=f"{worker_name}-heartbeat", daemon=True
     )
-    beater.start()
     try:
-        run_elastic(
-            threaded_scheduler(plan, obs_ctx), nodes, elastic, plan=plan, obs=obs_ctx
-        )
+        supervise = elastic_supervisor(elastic, plan, obs=obs_ctx, required=False)
+        scheduler, controller = launch(nodes, plan, obs_ctx, supervise=supervise)
+        beater.start()  # after launch: every beat carries the bound graph
+        join(scheduler, controller)
         state["value"] = "done"
     except BaseException:
         state["value"] = "failed"
         raise
     finally:
         stop_beat.set()
-        beater.join(timeout=2.0)
+        if beater.is_alive():
+            beater.join(timeout=2.0)
         try:
             beat()  # the final state, with the final snapshot
         except Exception:

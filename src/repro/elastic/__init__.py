@@ -33,7 +33,7 @@ from .controller import (
     ElasticError,
     ElasticGroup,
     discover_groups,
-    run_elastic,
+    elastic_supervisor,
 )
 from .policy import GroupSignals, HysteresisPolicy, ScalePolicy
 from .replan import (
@@ -68,9 +68,9 @@ __all__ = [
     "discover_chains",
     "discover_groups",
     "elastic_plan",
+    "elastic_supervisor",
     "merge_keyed",
     "plan_migration",
-    "run_elastic",
     "split_keyed",
     "split_scalar",
 ]

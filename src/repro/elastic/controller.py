@@ -892,40 +892,40 @@ class ElasticController:
         return samples
 
 
-def run_elastic(
-    scheduler: ThreadedScheduler,
-    nodes: list[Node],
+def elastic_supervisor(
     config: ElasticConfig | None,
-    plan: PlanConfig | None = None,
+    plan: PlanConfig | None,
     obs: Any | None = None,
+    checkpointer: Any | None = None,
     placement: tuple[Callable, Callable] | None = None,
-) -> tuple[dict[str, Any], ElasticController | None]:
-    """Run ``nodes`` on ``scheduler`` to completion, adapted where possible.
+    required: bool = True,
+) -> Callable[[ThreadedScheduler, list[Node]], ElasticController | None] | None:
+    """The ``supervise`` hook of :func:`repro.spe.engine.launch` for
+    ``config`` (None without one): it builds the graph's controller.
 
-    How the distributed runtime runs one stage: under an
-    :class:`ElasticController` when ``config`` is given and the nodes hold
-    something it can manage, plainly otherwise — most stages of a cut
-    pipeline carry no replica group. ``placement`` is the
-    ``(worker_loads, migrator)`` pair of :meth:`~ElasticController.
-    set_placement_hooks`. Returns the per-node stats and the controller
-    (None when the run was unmanaged).
+    A graph with nothing to rescale or re-plan raises :class:`PlanError`
+    when the controller is ``required`` and runs unmanaged otherwise (most
+    stages of a cut pipeline carry no replica group). ``placement`` is the
+    coordinator's ``(worker_loads, migrator)`` pair, wired when the
+    config's re-planning migrates stages.
     """
-    controller = None
-    if config is not None:
+    if config is None:
+        return None
+    migrates = config.replan is not None and config.replan.migrate
+
+    def supervise(
+        scheduler: ThreadedScheduler, nodes: list[Node]
+    ) -> ElasticController | None:
         try:
             controller = ElasticController(
-                scheduler, nodes, config, plan=plan, obs=obs
+                scheduler, nodes, config, plan=plan, obs=obs, checkpointer=checkpointer
             )
         except PlanError:
-            pass  # nothing here to rescale or re-plan
-    scheduler.start(nodes)
-    if controller is not None:
-        if placement is not None:
+            if required:
+                raise
+            return None
+        if placement is not None and migrates:
             controller.set_placement_hooks(*placement)
-        controller.start()
-    try:
-        scheduler.join()
-    finally:
-        if controller is not None:
-            controller.stop()
-    return {ex.node.name: ex.stats for ex in scheduler.executors}, controller
+        return controller
+
+    return supervise

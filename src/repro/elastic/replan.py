@@ -63,7 +63,6 @@ class ReplanConfig:
     docstring for how each one is read.
     """
 
-    enabled: bool = True
     cooldown_s: float = 1.0
     max_actions_per_tick: int = 1
     streak_ticks: int = 2
@@ -106,7 +105,7 @@ class ReplanConfig:
         if replan is True:
             return cls()
         if isinstance(replan, cls):
-            return replan if replan.enabled else None
+            return replan
         raise TypeError(
             f"replan must be bool, None or ReplanConfig, got {replan!r}"
         )

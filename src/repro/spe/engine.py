@@ -7,6 +7,7 @@ finite replays, and a ``start``/``stop`` pair for open-ended deployments
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -20,6 +21,11 @@ from .sink import Sink
 # Hook invoked with the materialized nodes after build, before execution.
 # Recovery uses it to restore operator state and seek sources.
 BuildHook = Callable[[list[Node]], None]
+
+# Builds the supervisor (the elastic controller) of a graph about to start
+# from its scheduler and node list; raises to refuse the graph, None leaves
+# it unmanaged. Duck-typed so repro.spe never imports repro.elastic.
+Supervise = Callable[[ThreadedScheduler, list[Node]], Any]
 
 
 @dataclass
@@ -80,18 +86,59 @@ class RunReport:
         return "\n".join(lines)
 
 
-def threaded_scheduler(
-    plan: PlanConfig | None, obs: Any | None = None, checkpoint_listener=None
-) -> ThreadedScheduler:
-    """The threaded scheduler a compiled ``plan`` runs on (None: as declared)."""
-    if plan is None:
-        return ThreadedScheduler(checkpoint_listener=checkpoint_listener, obs=obs)
-    return ThreadedScheduler(
-        checkpoint_listener=checkpoint_listener,
-        edge_batch_size=plan.edge_batch_size,
-        linger_s=plan.linger_s,
-        obs=obs,
+def run_report(
+    query_name: str, stats: dict[str, OperatorStats], nodes: list[Node],
+    wall_seconds: float, plan: PlanConfig | None = None, obs: Any | None = None,
+    supervisor: Any | None = None,
+) -> RunReport:
+    """The one assembly of a run's report, whatever route ran the graph."""
+    report = RunReport(query_name, stats, _sinks_of(nodes), wall_seconds)
+    if plan is not None:
+        report.extra["plan"] = plan.describe()
+    if supervisor is not None:
+        report.extra["elastic"] = supervisor.summary()
+    if obs is not None:
+        report.extra["metrics"] = obs.snapshot()
+    return report
+
+
+def launch(
+    nodes: list[Node], plan: PlanConfig | None, obs: Any | None = None,
+    checkpoint_listener: Any | None = None, supervise: Supervise | None = None,
+) -> tuple[ThreadedScheduler, Any | None]:
+    """Start compiled ``nodes`` on a threaded scheduler: the one launch path.
+
+    Binds ``obs`` (duck-typed :class:`repro.obs.ObsContext`) to the graph,
+    builds the supervisor before any node runs (a graph it refuses leaves
+    nothing running) and starts it with the nodes. End it with :func:`join`.
+    """
+    if obs is not None:
+        obs.bind(nodes)
+    batching = {} if plan is None else {
+        "edge_batch_size": plan.edge_batch_size, "linger_s": plan.linger_s
+    }
+    scheduler = ThreadedScheduler(
+        checkpoint_listener=checkpoint_listener, obs=obs, **batching
     )
+    supervisor = None if supervise is None else supervise(scheduler, nodes)
+    scheduler.start(nodes)
+    if supervisor is not None:
+        supervisor.start()
+    return scheduler, supervisor
+
+
+def join(
+    scheduler: ThreadedScheduler, supervisor: Any | None, timeout: float | None = None
+) -> bool:
+    """Wait for a launched graph, then stop its supervisor; re-raises the
+    first node error. False when ``timeout`` expires first: both still run."""
+    try:
+        scheduler.join(timeout=timeout)
+    finally:
+        done = not scheduler.alive()
+        if done and supervisor is not None:
+            supervisor.stop()
+    return done
 
 
 class StreamEngine:
@@ -102,20 +149,19 @@ class StreamEngine:
             raise ValueError("mode must be 'threaded' or 'sync'")
         self._mode = mode
         self._capacity = capacity
-        self._active: ThreadedScheduler | None = None
-        self._active_nodes: list[Node] | None = None
+        # the background query: scheduler, supervisor, report of its run
+        self._active: tuple[ThreadedScheduler, Any, Callable[[], RunReport]] | None = None
 
     def _prepare(
         self,
         query: Query,
         checkpointer: Any | None,
         on_built: BuildHook | None,
-        capacity: int | None,
-        plan: PlanConfig | None = None,
-        obs: Any | None = None,
+        plan: PlanConfig | None,
         force_replication: bool = False,
     ):
-        """Build the query, compile the plan, bind checkpointer and obs."""
+        """Build the query, compile the plan, bind the checkpointer."""
+        capacity = None if self._mode == "sync" else self._capacity
         nodes = query.build(capacity=capacity)
         nodes = compile_plan(nodes, plan, force_replication=force_replication)
         listener = None
@@ -124,10 +170,6 @@ class StreamEngine:
             # object with bind(nodes) + on_node_snapshot(name, epoch, state).
             checkpointer.bind(nodes)
             listener = checkpointer.on_node_snapshot
-        if obs is not None:
-            # Also duck-typed (repro.obs.ObsContext): indexes streams and
-            # sinks for scrape-time collection, installs the QoS watchdog.
-            obs.bind(nodes)
         if on_built is not None:
             on_built(nodes)
         return nodes, listener
@@ -137,7 +179,6 @@ class StreamEngine:
         query: Query,
         checkpointer: Any | None = None,
         on_built: BuildHook | None = None,
-        batch_size: int | None = None,
         plan: PlanConfig | bool | None = None,
         obs: Any | None = None,
     ) -> RunReport:
@@ -149,39 +190,16 @@ class StreamEngine:
         scheduler always uses unbatched transport (it is the deterministic
         oracle), but still honours fusion/replication rewrites.
         """
-        import time
-
+        if self._mode == "threaded":
+            self.start(query, checkpointer, on_built, plan, obs)
+            return self.wait()
         plan = PlanConfig.resolve(plan)
-        nodes, listener = self._prepare(
-            query,
-            checkpointer,
-            on_built,
-            capacity=None if self._mode == "sync" else self._capacity,
-            plan=plan,
-            obs=obs,
-        )
-        started = time.monotonic()
-        if self._mode == "sync":
-            scheduler = SynchronousScheduler(
-                checkpoint_listener=listener,
-                obs=obs,
-                **({} if batch_size is None else {"batch_size": batch_size}),
-            )
-        else:
-            scheduler = threaded_scheduler(plan, obs, listener)
-        stats = scheduler.run(nodes)
-        wall = time.monotonic() - started
-        report = RunReport(
-            query_name=query.name,
-            operator_stats=stats,
-            sinks=_sinks_of(nodes),
-            wall_seconds=wall,
-        )
-        if plan is not None:
-            report.extra["plan"] = plan.describe()
+        nodes, listener = self._prepare(query, checkpointer, on_built, plan)
         if obs is not None:
-            report.extra["metrics"] = obs.snapshot()
-        return report
+            obs.bind(nodes)
+        started = time.monotonic()
+        stats = SynchronousScheduler(checkpoint_listener=listener, obs=obs).run(nodes)
+        return run_report(query.name, stats, nodes, time.monotonic() - started, plan, obs)
 
     def explain(self, query: Query, plan: PlanConfig | bool | None = True) -> str:
         """Render the compiled plan without executing it."""
@@ -197,58 +215,60 @@ class StreamEngine:
         plan: PlanConfig | bool | None = None,
         obs: Any | None = None,
         force_replication: bool = False,
+        supervise: Supervise | None = None,
     ) -> dict[str, Sink]:
-        """Deploy a query in the background (threaded only)."""
+        """Deploy a query in the background (threaded only); its sinks."""
         if self._mode != "threaded":
             raise EngineStateError("background deployment requires threaded mode")
         if self._active is not None:
             raise EngineStateError("a query is already running; stop() it first")
         plan = PlanConfig.resolve(plan)
-        nodes, listener = self._prepare(
-            query, checkpointer, on_built, capacity=self._capacity, plan=plan,
-            obs=obs, force_replication=force_replication,
-        )
-        self._active = threaded_scheduler(plan, obs, listener)
-        self._active_nodes = nodes
-        self._active.start(nodes)
-        return _sinks_of(nodes)
-
-    def runtime(self) -> tuple[ThreadedScheduler, list[Node]]:
-        """The live scheduler and node list of a started deployment.
-
-        The returned node list is the engine's own mutable list: a rescale
-        splices replacement nodes into it in place, so reports assembled
-        after the run see the final plan shape.
-        """
-        if self._active is None or self._active_nodes is None:
-            raise EngineStateError("no query is running")
-        return self._active, self._active_nodes
-
-    @staticmethod
-    def sinks_of(nodes: list[Node]) -> dict[str, Sink]:
-        """Public helper: the sink objects of a materialized node list."""
+        nodes, listener = self._prepare(query, checkpointer, on_built, plan, force_replication)
+        started = time.monotonic()
+        scheduler, supervisor = launch(nodes, plan, obs, listener, supervise)
+        # The node list is the graph's own: a rescale splices replacement
+        # nodes into it in place, so the report sees the final plan shape.
+        self._active = (scheduler, supervisor, lambda: run_report(
+            query.name, scheduler.stats(), nodes, time.monotonic() - started,
+            plan, obs, supervisor,
+        ))
         return _sinks_of(nodes)
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Request shutdown of the background query and wait for it."""
+        """Stop the background query's supervisor, then its node threads."""
         if self._active is None:
             return
-        self._active.stop()
-        self._active.join(timeout=timeout)
+        scheduler, supervisor, _ = self._active
         self._active = None
-        self._active_nodes = None
+        if supervisor is not None:
+            supervisor.stop()
+        scheduler.stop()
+        scheduler.join(timeout=timeout)
+
+    @property
+    def supervisor(self) -> Any | None:
+        """The background query's supervisor (the elastic controller), if any."""
+        return None if self._active is None else self._active[1]
 
     def running(self) -> bool:
         """True while a background query still has live node threads."""
-        return self._active is not None and self._active.alive()
+        return self._active is not None and self._active[0].alive()
 
-    def wait(self, timeout: float | None = None) -> None:
-        """Wait for a background query to finish naturally."""
-        if self._active is None:
+    def wait(self, timeout: float | None = None) -> RunReport | None:
+        """Wait for the background query to finish naturally; its report.
+
+        None when ``timeout`` expires first: the query keeps running, owned.
+        """
+        active = self._active
+        if active is None:
             raise EngineStateError("no query is running")
-        self._active.join(timeout=timeout)
-        self._active = None
-        self._active_nodes = None
+        scheduler, supervisor, report = active
+        try:
+            finished = join(scheduler, supervisor, timeout)
+        finally:
+            if not scheduler.alive() and self._active is active:
+                self._active = None
+        return report() if finished else None
 
 
 def _sinks_of(nodes: list[Node]) -> dict[str, Sink]:

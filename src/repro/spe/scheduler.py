@@ -506,6 +506,10 @@ class ThreadedScheduler:
         """Run to completion (all sources exhausted, all sinks closed)."""
         self.start(nodes)
         self.join()
+        return self.stats()
+
+    def stats(self) -> dict[str, OperatorStats]:
+        """Per-node stats of every executor, retired ones included."""
         return {ex.node.name: ex.stats for ex in self.executors}
 
     def start(self, nodes: list[Node]) -> list[NodeExecutor]:

@@ -366,3 +366,42 @@ def test_spill_stays_bounded_under_topic_retention(tmp_path):
             for m in kept:
                 assert m.value.tobytes() == _slab_array(m.offset, kb).tobytes()
             producer.close()
+
+
+def test_failed_run_releases_everything_it_started():
+    """A terminal stage that raises must not strand the server loop, the
+    supervision thread or the slab ring: the error surfaces once
+    everything the coordinator started is gone."""
+    from multiprocessing import shared_memory
+
+    from repro.core import Strata
+    from repro.spe import CallbackSink, ListSource, StreamTuple
+
+    def explode(_t):
+        raise RuntimeError("sink exploded")
+
+    strata = Strata(connector_mode="pubsub")
+    (
+        strata.add_source(
+            ListSource("src", [
+                StreamTuple(tau=float(i), job="j", layer=i, payload={"v": i})
+                for i in range(8)
+            ]),
+            "raw",
+        )
+        .partition("parts", lambda t: [t.derive(specimen="s0", portion="p0")])
+        .deliver(CallbackSink("out", explode))
+    )
+    coordinator = DistCoordinator(
+        strata.query, strata.broker, DistConfig(workers=1, **SHM_CONFIG),
+        capacity=strata.capacity,
+    )
+    ring_name = coordinator.server.transport.describe()["ring"]
+    with pytest.raises(Exception, match="sink exploded"):
+        coordinator.run()
+    names = {thread.name for thread in threading.enumerate()}
+    assert "broker-server-loop" not in names
+    assert "dist-monitor" not in names
+    assert not any(worker.alive() for worker in coordinator.workers)
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=ring_name)

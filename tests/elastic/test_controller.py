@@ -111,6 +111,33 @@ def test_elastic_without_groups_raises_plan_error():
     assert not strata.running()
 
 
+def test_timed_out_wait_keeps_controller_and_checkpointer_running(baseline):
+    """Strata.wait returning on its timeout must leave the deployment's
+    helpers with the nodes they serve; the wait that sees the nodes
+    finish stops them."""
+
+    def helpers():
+        names = {t.name for t in threading.enumerate()}
+        return {"elastic-controller", "checkpoint-coordinator"} & names
+
+    strata = Strata(engine_mode="threaded")
+    sink = build(strata, records(), delay=0.01, checkpointable=True)
+    strata.start(
+        DeployConfig(
+            plan=True, elastic=MANUAL, recovery=RecoveryConfig(interval_s=0.2)
+        )
+    )
+    controller = strata.elastic
+    strata.wait(timeout=0.05)
+    assert strata.running()
+    assert strata.elastic is controller
+    assert helpers() == {"elastic-controller", "checkpoint-coordinator"}
+    strata.wait(timeout=120)
+    assert not strata.running() and strata.elastic is None
+    assert helpers() == set()
+    assert payload_counts(sink) == baseline
+
+
 def test_keyless_replicable_head_raises_plan_error():
     from repro.core.operators import PartitionOperator
 

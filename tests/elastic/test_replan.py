@@ -168,7 +168,6 @@ def test_replan_config_resolve():
     assert ReplanConfig.resolve(True) == ReplanConfig()
     config = ReplanConfig(cooldown_s=3.0)
     assert ReplanConfig.resolve(config) is config
-    assert ReplanConfig.resolve(ReplanConfig(enabled=False)) is None
     with pytest.raises(TypeError):
         ReplanConfig.resolve("yes")
 

@@ -164,6 +164,31 @@ def test_background_wait_for_natural_end():
     assert len(sink.results) == 5
 
 
+def test_timed_out_wait_keeps_the_running_query():
+    """A wait whose timeout expires first leaves the query running and
+    owned: running() stays true, a second wait joins it and stop() ends
+    every node thread."""
+    import threading
+
+    def slow_source():
+        for i in range(10_000):
+            time.sleep(0.001)
+            yield StreamTuple(tau=float(i), job="j", layer=i, payload={})
+
+    q = Query("bg3")
+    q.add_source("src", IterableSource("src", slow_source()))
+    q.add_sink("out", CollectingSink(), "src")
+    engine = StreamEngine(mode="threaded")
+    engine.start(q)
+    assert engine.wait(timeout=0.05) is None
+    assert engine.running()
+    assert engine.wait(timeout=0.05) is None
+    engine.stop(timeout=5.0)
+    assert not engine.running()
+    alive = {t.name for t in threading.enumerate()}
+    assert not alive & {"spe-src", "spe-out"}
+
+
 def test_sync_mode_cannot_background():
     from repro.spe import EngineStateError
 
