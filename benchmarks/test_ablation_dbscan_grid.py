@@ -3,9 +3,9 @@
 A from-scratch DBSCAN (a cold correlate window, a restore, an offline
 analysis) spends its time finding eps-neighbour pairs; labelling them is
 one array pass either way. This ablation scales the number of event points
-and compares the two pair producers behind ``dbscan()``: the uniform grid
-(candidates per pair of adjacent buckets, all buckets at once) against one
-O(n) scan per point.
+and compares two pair producers under the same labeller: the uniform grid
+``dbscan()`` uses (candidates per pair of adjacent buckets, all buckets at
+once) against ``naive_edges``, one O(n) scan per point.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.bench import format_table, save_json
-from repro.clustering import dbscan
+from repro.clustering import dbscan, label_edges, naive_edges
 
 SIZES = [500, 2000, 8000]
 
@@ -45,10 +45,10 @@ def test_ablation_grid_vs_naive(benchmark, n):
 
     def run_both():
         t0 = time.perf_counter()
-        grid = dbscan(points, eps=2.0, min_samples=4, use_grid=True)
+        grid = dbscan(points, eps=2.0, min_samples=4)
         grid_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        naive = dbscan(points, eps=2.0, min_samples=4, use_grid=False)
+        naive = label_edges(len(points), *naive_edges(points, 2.0), 4)
         naive_time = time.perf_counter() - t0
         return grid, grid_time, naive, naive_time
 

@@ -61,7 +61,7 @@ def _obs_for(variant: str) -> ObsContext | None:
     if VARIANTS[variant] is None:
         return None
     # everything on: timing histograms, tracer, watchdog
-    return ObsContext(ObsConfig(trace_sample_every=64, timing_histograms=True))
+    return ObsContext(ObsConfig(trace_sample_every=64))
 
 
 @pytest.fixture(scope="module")

@@ -319,9 +319,7 @@ def label_edges(n: int, lo: np.ndarray, hi: np.ndarray, min_samples: int) -> np.
     return labels
 
 
-def _edges(points: np.ndarray, eps: float, use_grid: bool) -> Edges:
-    if not use_grid:
-        return naive_edges(points, eps)
+def _edges(points: np.ndarray, eps: float) -> Edges:
     if len(points) <= DENSE_CUTOFF:
         return dense_edges(points, eps)
     return grid_edges(points, eps)
@@ -331,24 +329,22 @@ def dbscan(
     points: np.ndarray | Iterable[Iterable[float]],
     eps: float,
     min_samples: int,
-    use_grid: bool = True,
 ) -> np.ndarray:
     """Cluster ``points``; returns an (n,) label array (noise = -1).
 
     ``min_samples`` counts the point itself, matching the common
     convention: a point is *core* when its eps-neighborhood (inclusive)
-    holds at least ``min_samples`` points. ``use_grid=False`` selects the
-    naive neighbour search (ablation A3); the labels are the same.
+    holds at least ``min_samples`` points.
     """
     points = _as_points(points)
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
-    lo, hi = _edges(points, eps, use_grid)
+    lo, hi = _edges(points, eps)
     return label_edges(len(points), lo, hi, min_samples)
 
 
 def core_point_mask(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     """Boolean mask of core points (used by property tests)."""
     points = _as_points(points)
-    lo, hi = _edges(points, eps, use_grid=True)
+    lo, hi = _edges(points, eps)
     return _core_mask(len(points), lo, hi, min_samples)

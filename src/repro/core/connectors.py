@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterator
 
+from ..recovery.dedup import result_identity
 from ..spe.columnar import ColumnarBlock
 from ..spe.sink import Sink
 from ..spe.source import Source
@@ -41,17 +42,15 @@ from ..spe.tuples import StreamTuple
 #: value published when the writing query side has no more tuples
 EOS_SENTINEL = "__strata_topic_eos__"
 
+#: how long a reader's poll blocks when no partition has a record ready
+POLL_TIMEOUT = 0.05
+
 _uid = itertools.count()
 
 
 def topic_for_stream(stream_name: str) -> str:
     """Naming convention for connector topics."""
     return f"strata.{stream_name}"
-
-
-def _content_key(t: StreamTuple) -> tuple:
-    """Identity of one logical record, stable across replays."""
-    return (t.tau, t.job, t.layer, t.specimen, t.portion)
 
 
 def _record_key(t: StreamTuple) -> str:
@@ -173,7 +172,6 @@ class PubSubReaderSource(Source):
         broker: Any,
         topic: str,
         group: str | None = None,
-        poll_timeout: float = 0.05,
         auto_commit: bool = True,
         dedup: bool = False,
     ) -> None:
@@ -181,7 +179,6 @@ class PubSubReaderSource(Source):
         self._broker = broker
         self._topic = topic
         self._group = group or f"strata-reader-{next(_uid)}"
-        self._poll_timeout = poll_timeout
         self._auto_commit = auto_commit
         self._dedup = dedup
         self._duplicates = 0
@@ -281,7 +278,7 @@ class PubSubReaderSource(Source):
         pending = set(self._consumer.assignment)
         seen: set[tuple] = set()
         while pending:
-            for message in self._consumer.poll(timeout=self._poll_timeout):
+            for message in self._consumer.poll(timeout=POLL_TIMEOUT):
                 # Moves before the hand-over: a checkpoint barrier taken
                 # while this generator rests at a yield below must not
                 # replay the record just delivered.
@@ -309,7 +306,7 @@ class PubSubReaderSource(Source):
                     yield run[0]
 
     def _first_sight(self, t: StreamTuple, seen: set[tuple]) -> bool:
-        key = _content_key(t)
+        key = result_identity(t)
         if key in seen:
             self._duplicates += 1
             return False

@@ -276,8 +276,6 @@ def _sub_from_dict(key: str, table: dict[str, Any]) -> Any:
                     f"deploy config key {key}.{name} does not take a table"
                 )
             coerced[name] = _nested_from_dict(key, name, nested[name], value)
-        elif isinstance(value, list):
-            coerced[name] = tuple(value)
         else:
             coerced[name] = value
     try:
@@ -317,5 +315,5 @@ def _sub_to_dict(key: str, value: Any) -> dict[str, Any]:
         if dataclasses.is_dataclass(item) and not isinstance(item, type):
             out[f.name] = _sub_to_dict(f"{key}.{f.name}", item)
         else:
-            out[f.name] = list(item) if isinstance(item, tuple) else item
+            out[f.name] = item
     return out

@@ -357,7 +357,7 @@ class DistCoordinator:
         if time.monotonic() - self._last_migration < max(replan.cooldown_s, 1.0):
             return
         loads = self.worker_loads()
-        action = plan_migration(loads, replan)
+        action = plan_migration(loads)
         if action is not None:
             self.migrate_stage(action.stage, action.to_worker)
 

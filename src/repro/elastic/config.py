@@ -13,11 +13,10 @@ class ElasticConfig:
     """Knobs for :class:`~repro.elastic.controller.ElasticController`.
 
     ``min_parallelism``/``max_parallelism`` bound the replica count of
-    every keyed-replicated group; ``initial_parallelism`` (default: the
-    minimum) is where a deployment starts. ``tick_s`` is the signal
-    sampling period, ``cooldown_s`` the minimum spacing between rescales
-    of one group. ``adaptive_batching`` lets the controller retune edge
-    batch size between rescales, within ``batch_min``/``batch_max``.
+    every keyed-replicated group; a deployment starts at the minimum.
+    ``tick_s`` is the signal sampling period, ``cooldown_s`` the minimum
+    spacing between rescales of one group. Between rescales the controller
+    retunes each group's edge batch size.
     ``policy`` overrides the default policy (any object implementing
     :class:`~repro.elastic.actions.AdaptationPolicy`; a 3-argument
     :class:`~repro.elastic.policy.ScalePolicy` is passed as
@@ -29,12 +28,8 @@ class ElasticConfig:
 
     min_parallelism: int = 1
     max_parallelism: int = 4
-    initial_parallelism: int | None = None
     tick_s: float = 0.25
     cooldown_s: float = 2.0
-    adaptive_batching: bool = True
-    batch_min: int = 1
-    batch_max: int = 256
     policy: Any | None = None
     replan: Any | None = None
 
@@ -47,28 +42,10 @@ class ElasticConfig:
             raise ValueError("min_parallelism must be >= 1")
         if self.max_parallelism < self.min_parallelism:
             raise ValueError("max_parallelism must be >= min_parallelism")
-        if self.initial_parallelism is not None and not (
-            self.min_parallelism <= self.initial_parallelism <= self.max_parallelism
-        ):
-            raise ValueError(
-                "initial_parallelism must fall within [min_parallelism, "
-                "max_parallelism]"
-            )
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
         if self.cooldown_s < 0:
             raise ValueError("cooldown_s must be non-negative")
-        if self.batch_min < 1:
-            raise ValueError("batch_min must be >= 1")
-        if self.batch_max < self.batch_min:
-            raise ValueError("batch_max must be >= batch_min")
-
-    @property
-    def start_parallelism(self) -> int:
-        """The replica count a fresh elastic deployment starts at."""
-        if self.initial_parallelism is not None:
-            return self.initial_parallelism
-        return self.min_parallelism
 
     @classmethod
     def resolve(cls, elastic: "ElasticConfig | bool | None") -> "ElasticConfig | None":
@@ -85,10 +62,8 @@ class ElasticConfig:
 
     def describe(self) -> str:
         text = (
-            f"parallelism {self.min_parallelism}..{self.max_parallelism} "
-            f"(start {self.start_parallelism}), tick {self.tick_s}s, "
-            f"cooldown {self.cooldown_s}s, "
-            f"batching {'adaptive' if self.adaptive_batching else 'fixed'}"
+            f"parallelism {self.min_parallelism}..{self.max_parallelism}, "
+            f"tick {self.tick_s}s, cooldown {self.cooldown_s}s"
         )
         if self.replan is not None:
             text += f", replan({self.replan.describe()})"
@@ -99,10 +74,10 @@ def elastic_plan(plan: Any, elastic: ElasticConfig | None) -> tuple[Any, bool]:
     """What an elastic deployment compiles: ``(plan, force_replication)``.
 
     The plan's static ``parallelism`` is replaced by the elastic config's
-    starting point and replication is forced even at parallelism 1, so
+    ``min_parallelism`` and replication is forced even at parallelism 1, so
     every replicable keyed stage materializes behind its hash router and
     stays rescalable at runtime. Without ``elastic`` the plan is untouched.
     """
     if elastic is None:
         return plan, False
-    return replace(plan, parallelism=elastic.start_parallelism), True
+    return replace(plan, parallelism=elastic.min_parallelism), True

@@ -38,7 +38,7 @@ step:
    re-bound, then the new nodes are handed to the live
    :class:`~repro.spe.scheduler.ThreadedScheduler`.
 
-Between mutations the controller optionally retunes edge batching on
+Between mutations the controller retunes edge batching on
 group executors. Every decision is recorded as a structured event and
 exported through the metrics registry (``elastic_*`` /
 ``elastic_replan_*`` series).
@@ -81,9 +81,13 @@ from .actions import (
 )
 from .config import ElasticConfig
 from .policy import GroupSignals
-from .replan import AdaptiveChain, CostModelPolicy, discover_chains
+from .replan import MAX_ACTIONS_PER_TICK, AdaptiveChain, CostModelPolicy, discover_chains
 
 logger = logging.getLogger("repro.elastic")
+
+#: the range adaptive edge batching moves a group's batch size within
+BATCH_MIN = 1
+BATCH_MAX = 256
 
 
 class ElasticError(SPEError):
@@ -365,9 +369,7 @@ class ElasticController:
         view = self.workload_view(executors)
         actions = list(self._policy.decide(view) or ())
         rescaled: set[str] = set()
-        budget = (
-            self._replan.max_actions_per_tick if self._replan is not None else 0
-        )
+        budget = MAX_ACTIONS_PER_TICK
         now = time.monotonic()
         for action in actions:
             if isinstance(action, NoOp):
@@ -411,10 +413,9 @@ class ElasticController:
             ):
                 if self.rescale(group, clamped, signals=view.groups.get(group.name)):
                     rescaled.add(group.name)
-        if self._config.adaptive_batching:
-            for group in self.groups:
-                if group.name not in rescaled and group.name in view.groups:
-                    self._adapt_batching(group, view.groups[group.name], executors)
+        for group in self.groups:
+            if group.name not in rescaled and group.name in view.groups:
+                self._adapt_batching(group, view.groups[group.name], executors)
 
     def _clamp(self, target: int) -> int:
         """``target`` moved inside the live parallelism bounds."""
@@ -524,9 +525,9 @@ class ElasticController:
         """
         current = group.batch_size
         if signals.queue_fill >= 0.5:
-            target = min(self._config.batch_max, max(2, current * 2))
+            target = min(BATCH_MAX, max(2, current * 2))
         elif signals.queue_fill <= 0.05 and signals.busy_fraction <= 0.2:
-            target = max(self._config.batch_min, current // 2)
+            target = max(BATCH_MIN, current // 2)
         else:
             return
         if target == current:
@@ -803,7 +804,7 @@ class ElasticController:
                 self._rescales_up += 1
             elif new_n < old_n:
                 self._rescales_down += 1
-        if self._config.adaptive_batching and group.batch_size > 1:
+        if group.batch_size > 1:
             for ex in self._live_executors(group, self._scheduler.executors):
                 if ex.node.kind != "source":
                     ex.set_batching(group.batch_size)

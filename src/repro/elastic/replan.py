@@ -49,14 +49,20 @@ from .actions import (
 )
 from .policy import HysteresisPolicy, ScalePolicy
 
+#: plan mutations one controller tick may apply (rescales are budgeted
+#: separately, by the group cooldown)
+MAX_ACTIONS_PER_TICK = 1
+#: how many times busier than the idlest worker the busiest one must be
+#: before :func:`plan_migration` moves a stage off it
+MIGRATE_BUSY_RATIO = 2.0
+
 
 @dataclass(frozen=True)
 class ReplanConfig:
     """Knobs for runtime plan adaptation (``ElasticConfig.replan``).
 
     ``cooldown_s`` is the minimum spacing between adaptations of one
-    chain; ``max_actions_per_tick`` caps how many plan mutations one tick
-    may apply (rescales are budgeted separately by the group cooldown).
+    chain; one tick applies at most ``MAX_ACTIONS_PER_TICK`` of them.
     ``streak_ticks`` is the hysteresis: a threshold must hold for that
     many consecutive ticks before the matching action fires. The
     remaining thresholds parameterize the cost model — see the module
@@ -64,20 +70,16 @@ class ReplanConfig:
     """
 
     cooldown_s: float = 1.0
-    max_actions_per_tick: int = 1
     streak_ticks: int = 2
     unfuse_queue_fill: float = 0.5
     unfuse_busy: float = 0.8
     refuse_queue_fill: float = 0.05
     refuse_busy: float = 0.2
     migrate: bool = False
-    migrate_busy_ratio: float = 2.0
 
     def __post_init__(self) -> None:
         if self.cooldown_s < 0:
             raise ValueError("replan.cooldown_s must be non-negative")
-        if self.max_actions_per_tick < 1:
-            raise ValueError("replan.max_actions_per_tick must be >= 1")
         if self.streak_ticks < 1:
             raise ValueError("replan.streak_ticks must be >= 1")
         for name in (
@@ -94,8 +96,6 @@ class ReplanConfig:
                 "replan.refuse_queue_fill must not exceed unfuse_queue_fill "
                 "(the fuse/unfuse thresholds would oscillate)"
             )
-        if self.migrate_busy_ratio < 1.0:
-            raise ValueError("replan.migrate_busy_ratio must be >= 1.0")
 
     @classmethod
     def resolve(cls, replan: "ReplanConfig | bool | None") -> "ReplanConfig | None":
@@ -111,13 +111,8 @@ class ReplanConfig:
         )
 
     def describe(self) -> str:
-        parts = [
-            f"cooldown {self.cooldown_s}s",
-            f"<= {self.max_actions_per_tick} action/tick",
-        ]
-        if self.migrate:
-            parts.append("migration on")
-        return ", ".join(parts)
+        text = f"cooldown {self.cooldown_s}s"
+        return text + ", migration on" if self.migrate else text
 
 
 @dataclass
@@ -216,7 +211,7 @@ class CostModelPolicy:
             if action is not None:
                 actions.append(action)
         if self._cfg.migrate and view.workers:
-            migration = plan_migration(view.workers, self._cfg)
+            migration = plan_migration(view.workers)
             if migration is not None:
                 actions.append(migration)
         return actions
@@ -265,16 +260,14 @@ class CostModelPolicy:
         return None
 
 
-def plan_migration(
-    workers: Mapping[str, Mapping[str, Any]], cfg: ReplanConfig
-) -> Migrate | None:
+def plan_migration(workers: Mapping[str, Mapping[str, Any]]) -> Migrate | None:
     """Pick one stage to move off the busiest dist worker, or ``None``.
 
     ``workers`` maps worker name to a load summary with ``busy_fraction``
     and ``stages`` (the stage names it currently runs). The rule fires
     only when the busiest worker runs more than one stage (moving its
     only stage just relocates the hot spot) and is at least
-    ``migrate_busy_ratio`` times as busy as the idlest one.
+    ``MIGRATE_BUSY_RATIO`` times as busy as the idlest one.
     """
     loads = {
         name: float(info.get("busy_fraction", 0.0)) for name, info in workers.items()
@@ -288,7 +281,7 @@ def plan_migration(
     hot_stages = list(workers[hot].get("stages", ()))
     if len(hot_stages) < 2:
         return None
-    if loads[hot] < max(loads[cold], 1e-9) * cfg.migrate_busy_ratio:
+    if loads[hot] < max(loads[cold], 1e-9) * MIGRATE_BUSY_RATIO:
         return None
     # move the hot worker's last stage: downstream stages are the ones a
     # backlogged pipeline starves, and the choice is deterministic

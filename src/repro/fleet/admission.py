@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..elastic.config import ElasticConfig
 from .config import FleetConfig
 from .errors import AdmissionError
 from .registry import JobRegistry
@@ -25,10 +26,11 @@ def requested_parallelism(deploy: dict[str, Any]) -> int:
     default deployment is one pipeline, charged 1.
     """
     elastic = deploy.get("elastic")
+    default = ElasticConfig.max_parallelism
     if isinstance(elastic, dict):
-        return int(elastic.get("max_parallelism", 4))
+        return int(elastic.get("max_parallelism", default))
     if elastic is True:
-        return 4  # ElasticConfig().max_parallelism default
+        return default
     plan = deploy.get("plan")
     if isinstance(plan, dict):
         return max(1, int(plan.get("parallelism", 1)))

@@ -43,14 +43,13 @@ class ObsConfig:
 
     ``qos_deadline_s``      per-layer latency deadline (None = no watchdog).
     ``trace_sample_every``  stamp one tuple in N per source (0 = no tracer).
-    ``timing_histograms``   per-operator processing-time bucket counters.
+
+    Every operator always keeps its processing-time histogram
+    (``DEFAULT_TIME_BUCKETS``).
     """
 
     qos_deadline_s: float | None = RECOAT_GAP_SECONDS
     trace_sample_every: int = 64
-    max_traces: int = 256
-    timing_histograms: bool = True
-    time_buckets: tuple[float, ...] = DEFAULT_TIME_BUCKETS
 
     def __post_init__(self) -> None:
         if self.qos_deadline_s is not None and self.qos_deadline_s <= 0:
@@ -66,7 +65,7 @@ class ObsContext:
         self.config = config if config is not None else ObsConfig()
         self.registry = MetricsRegistry()
         self.tracer: Tracer | None = (
-            Tracer(self.config.trace_sample_every, self.config.max_traces)
+            Tracer(self.config.trace_sample_every)
             if self.config.trace_sample_every
             else None
         )
@@ -148,8 +147,7 @@ class ObsContext:
 
     def attach_executor(self, executor) -> None:
         """Register one node executor (called by the schedulers)."""
-        if self.config.timing_histograms:
-            executor.stats.enable_timing(self.config.time_buckets)
+        executor.stats.enable_timing(DEFAULT_TIME_BUCKETS)
         with self._lock:
             self._executors.append(executor)
 

@@ -25,6 +25,9 @@ from typing import Iterable
 
 from ..spe.tuples import StreamTuple
 
+#: traces kept before the oldest is evicted
+MAX_TRACES = 256
+
 
 @dataclass(frozen=True)
 class Span:
@@ -76,19 +79,16 @@ class Trace:
 class Tracer:
     """Bounded, sampling span recorder.
 
-    ``sample_every=N`` stamps one tuple in N per source; ``max_traces``
+    ``sample_every=N`` stamps one tuple in N per source; ``MAX_TRACES``
     bounds memory by evicting the oldest complete trace (FIFO), so a
     multi-hour monitoring run keeps a constant-size window of recent
     journeys.
     """
 
-    def __init__(self, sample_every: int = 64, max_traces: int = 256) -> None:
+    def __init__(self, sample_every: int = 64) -> None:
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
-        if max_traces < 1:
-            raise ValueError("max_traces must be >= 1")
         self.sample_every = sample_every
-        self.max_traces = max_traces
         self._lock = threading.Lock()
         self._traces: OrderedDict[str, Trace] = OrderedDict()
         self._source_seq: dict[str, int] = {}
@@ -186,7 +186,7 @@ class Tracer:
         if trace is None:
             trace = Trace(span.trace_id)
             self._traces[span.trace_id] = trace
-            while len(self._traces) > self.max_traces:
+            while len(self._traces) > MAX_TRACES:
                 self._traces.popitem(last=False)
         trace.spans.append(span)
 

@@ -114,11 +114,10 @@ def launch(
     """
     if obs is not None:
         obs.bind(nodes)
-    batching = {} if plan is None else {
-        "edge_batch_size": plan.edge_batch_size, "linger_s": plan.linger_s
-    }
     scheduler = ThreadedScheduler(
-        checkpoint_listener=checkpoint_listener, obs=obs, **batching
+        checkpoint_listener=checkpoint_listener,
+        edge_batch_size=1 if plan is None else plan.edge_batch_size,
+        obs=obs,
     )
     supervisor = None if supervise is None else supervise(scheduler, nodes)
     scheduler.start(nodes)

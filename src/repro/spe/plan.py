@@ -55,21 +55,16 @@ class PlanConfig:
                          (1 = unbatched transport).
     ``parallelism``      replica count for the keyed-replication pass
                          (1 = pass disabled).
-    ``linger_s``         max time a partially filled batch may wait before
-                         being flushed to its edge.
     """
 
     edge_batch_size: int = 32
     parallelism: int = 1
-    linger_s: float = 0.005
 
     def __post_init__(self) -> None:
         if self.edge_batch_size < 1:
             raise ValueError("edge_batch_size must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.linger_s < 0:
-            raise ValueError("linger_s must be non-negative")
 
     @classmethod
     def resolve(cls, plan: "PlanConfig | bool | None") -> "PlanConfig | None":

@@ -18,7 +18,6 @@ from typing import Callable, Hashable
 from .errors import QueryValidationError
 from .operators.base import Operator
 from .operators.router import HashRouter, partition_key
-from .operators.union import UnionOperator
 from .sink import Sink
 from .source import Source
 from .stream import Stream
@@ -290,54 +289,31 @@ class Query:
             nodes.append(node)
             self._connect(decl.upstreams, node, producers, capacity)
             return [node]
-        # parallel: router -> N replicas -> union merge. The explicit Union
+        # parallel: router -> N replicas -> union merge, from the same
+        # recipe the plan compiler's replication pass records, so
+        # declaration-parallel groups are rescalable too. The explicit Union
         # keeps every replica edge single-producer, so checkpoint barriers
         # align exactly downstream of the replicated stage.
-        effective_key_fn = decl.key_fn or partition_key
-        router = Node(
-            f"{decl.name}::router",
-            "operator",
-            operator=_RouterOperator(f"{decl.name}::router"),
-            router=HashRouter(decl.parallelism, effective_key_fn),
-        )
-        # Same recipe shape the plan compiler's replication pass records,
-        # so declaration-parallel groups are rescalable too.
-        from .plan import ReplicaGroupMeta  # local import: plan imports query
+        from .plan import ReplicaGroupMeta, build_replicated_group  # plan imports query
 
-        router.rescale_meta = ReplicaGroupMeta(
+        if len(decl.upstreams) != 1:
+            raise QueryValidationError(
+                f"parallel operator {decl.name!r} must be single-input "
+                f"(got {len(decl.upstreams)} upstreams)"
+            )
+        meta = ReplicaGroupMeta(
             members=[decl.name],
             factories=[decl.factory],
-            key_fn=effective_key_fn,
-            router_name=router.name,
+            key_fn=decl.key_fn or partition_key,
+            router_name=f"{decl.name}::router",
             merge_name=f"{decl.name}::merge",
             member_capacities=[_cap(capacity)],
             out_capacity=_cap(capacity),
         )
-        nodes.append(router)
-        self._connect(decl.upstreams, router, producers, capacity)
-        merge_name = f"{decl.name}::merge"
-        merge = Node(
-            merge_name,
-            "operator",
-            operator=UnionOperator(merge_name, num_inputs=decl.parallelism),
-        )
-        for i in range(decl.parallelism):
-            op = decl.factory()
-            if op.num_inputs != 1:
-                raise QueryValidationError(
-                    f"parallel operator {decl.name!r} must be single-input "
-                    f"(got num_inputs={op.num_inputs})"
-                )
-            replica = Node(f"{decl.name}::{i}", "operator", operator=op, base_name=decl.name)
-            stream = Stream(f"{router.name}->{replica.name}", _cap(capacity))
-            router.outputs.append(stream)
-            replica.inputs.append(stream)
-            merge_stream = Stream(f"{replica.name}->{merge.name}", _cap(capacity))
-            replica.outputs.append(merge_stream)
-            merge.inputs.append(merge_stream)
-            nodes.append(replica)
-        nodes.append(merge)
-        return [merge]
+        built, _ = build_replicated_group(meta, decl.parallelism, [], [])
+        self._connect(decl.upstreams, built[0], producers, capacity)
+        nodes.extend(built)
+        return [built[-1]]
 
     @staticmethod
     def _connect(

@@ -32,6 +32,13 @@ from .tuples import StreamTuple
 # aligned barrier. ``None`` state means the node is stateless but did align.
 CheckpointListener = Callable[[str, int, "dict | None"], None]
 
+#: max time a partially filled output batch may wait before it is flushed
+LINGER_S = 0.005
+#: how long an idle consumer blocks on one input before it looks again
+POLL_TIMEOUT = 0.02
+#: queued entries one consumer wake-up takes under one lock acquisition
+DRAIN_BATCH = 64
+
 
 class NodeExecutor:
     """Uniform execution wrapper around one query node."""
@@ -42,7 +49,6 @@ class NodeExecutor:
         stop_event: threading.Event | None = None,
         checkpoint_listener: CheckpointListener | None = None,
         edge_batch_size: int = 1,
-        linger_s: float = 0.005,
         obs=None,
         blocking_puts: bool = True,
     ) -> None:
@@ -69,7 +75,6 @@ class NodeExecutor:
         # driving this executor, so they need no locking; control items
         # (barriers, EOS) always flush first, preserving in-band ordering.
         self._edge_batch = max(1, edge_batch_size)
-        self._linger_s = linger_s
         # Buffers are always allocated so batching can be switched on at
         # runtime (adaptive tuning); _emit fast-paths on _edge_batch <= 1.
         self._buffers: dict[int, tuple[Stream, list]] = {
@@ -107,16 +112,14 @@ class NodeExecutor:
     def edge_batch_size(self) -> int:
         return self._edge_batch
 
-    def set_batching(self, batch_size: int, linger_s: float | None = None) -> None:
+    def set_batching(self, batch_size: int) -> None:
         """Retune edge batching at runtime (adaptive controller hook).
 
-        Safe to call from any thread: both knobs are atomic scalar writes;
-        the buffers themselves stay owner-thread-only. Leftover tuples in a
-        shrunken buffer ship on the owner's next flush or linger expiry.
+        Safe to call from any thread: the batch size is an atomic scalar
+        write; the buffers themselves stay owner-thread-only. Leftover tuples
+        in a shrunken buffer ship on the owner's next flush or linger expiry.
         """
         self._edge_batch = max(1, int(batch_size))
-        if linger_s is not None:
-            self._linger_s = max(0.0, float(linger_s))
 
     @property
     def open_inputs(self) -> list[int]:
@@ -183,7 +186,7 @@ class NodeExecutor:
 
     def maybe_flush(self, now: float) -> None:
         """Flush buffered batches older than the linger deadline."""
-        if now - self._last_flush >= self._linger_s:
+        if now - self._last_flush >= LINGER_S:
             self.flush_outputs()
 
     def _put(self, stream: Stream, item: object) -> None:
@@ -474,20 +477,12 @@ class ThreadedScheduler:
 
     def __init__(
         self,
-        poll_timeout: float = 0.02,
         checkpoint_listener: CheckpointListener | None = None,
         edge_batch_size: int = 1,
-        drain_batch: int = 64,
-        linger_s: float = 0.005,
         obs=None,
     ) -> None:
-        if drain_batch < 1:
-            raise ValueError("drain_batch must be positive")
-        self._poll_timeout = poll_timeout
         self._checkpoint_listener = checkpoint_listener
         self._edge_batch_size = max(1, edge_batch_size)
-        self._drain_batch = drain_batch
-        self._linger_s = linger_s
         self._obs = obs
         self._threads: list[threading.Thread] = []
         self._threads_lock = threading.Lock()
@@ -526,7 +521,6 @@ class ThreadedScheduler:
             stop_event=self._stop,
             checkpoint_listener=self._checkpoint_listener,
             edge_batch_size=self._edge_batch_size if node.kind != "source" else 1,
-            linger_s=self._linger_s,
             obs=self._obs,
         )
 
@@ -623,7 +617,7 @@ class ThreadedScheduler:
                 # Bulk-drain queued data entries under one lock acquisition;
                 # drain() stops before control items (EOS, barriers), which
                 # the try_get fallback then delivers one at a time.
-                items = stream.drain(self._drain_batch)
+                items = stream.drain(DRAIN_BATCH)
                 if not items:
                     item = stream.try_get()
                     if item is None:
@@ -661,12 +655,12 @@ class ThreadedScheduler:
             # Every open input is barrier-blocked: wait for the laggards'
             # barriers to arrive (delivered by other node threads).
             if ex.open_inputs:
-                time.sleep(self._poll_timeout)
+                time.sleep(POLL_TIMEOUT)
             return
         # Block briefly on the first ready input; the timeout bounds how
         # long we ignore the other inputs and the stop flag.
         stream = ex.node.inputs[ready[0]]
-        item = stream.get(timeout=self._poll_timeout)
+        item = stream.get(timeout=POLL_TIMEOUT)
         if item is None:
             return
         ex.handle(ready[0], item)
@@ -675,7 +669,7 @@ class ThreadedScheduler:
         # Opportunistic drain: whatever queued up behind the item we just
         # waited for is consumed in the same wake-up, one lock acquisition
         # for the whole run instead of one per item.
-        for extra in stream.drain(self._drain_batch):
+        for extra in stream.drain(DRAIN_BATCH):
             ex.handle(ready[0], extra)
             if ex.retired:
                 return

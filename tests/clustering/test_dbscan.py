@@ -77,8 +77,8 @@ def test_empty_and_single():
 def test_grid_equals_naive():
     rng = np.random.default_rng(7)
     points = rng.uniform(0, 20, size=(300, 2))
-    grid = dbscan(points, eps=1.5, min_samples=4, use_grid=True)
-    naive = dbscan(points, eps=1.5, min_samples=4, use_grid=False)
+    grid = dbscan(points, eps=1.5, min_samples=4)
+    naive = label_edges(len(points), *naive_edges(points, 1.5), 4)
     assert np.array_equal(grid, naive)
 
 
@@ -188,7 +188,6 @@ def test_labels_equal_the_bfs_on_both_sides_of_the_dense_cutoff(n):
     )[:n]
     want = bfs_dbscan(points, eps=0.7, min_samples=4)
     assert np.array_equal(dbscan(points, eps=0.7, min_samples=4), want)
-    assert np.array_equal(dbscan(points, eps=0.7, min_samples=4, use_grid=False), want)
     for producer in (dense_edges, grid_edges, naive_edges):
         lo, hi = producer(points, 0.7)
         assert np.array_equal(label_edges(n, lo, hi, 4), want)

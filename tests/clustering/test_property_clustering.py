@@ -4,7 +4,7 @@ import numpy as np
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.clustering import core_point_mask, dbscan, rand_index
+from repro.clustering import core_point_mask, dbscan, label_edges, naive_edges, rand_index
 
 point_arrays = st.lists(
     st.tuples(
@@ -19,8 +19,8 @@ point_arrays = st.lists(
 @given(points=point_arrays, eps=st.sampled_from([0.5, 1.0, 2.0]), k=st.integers(2, 5))
 @settings(max_examples=60, deadline=None)
 def test_grid_and_naive_agree(points, eps, k):
-    grid = dbscan(points, eps=eps, min_samples=k, use_grid=True)
-    naive = dbscan(points, eps=eps, min_samples=k, use_grid=False)
+    grid = dbscan(points, eps=eps, min_samples=k)
+    naive = label_edges(len(points), *naive_edges(points, eps), k)
     assert np.array_equal(grid, naive)
 
 

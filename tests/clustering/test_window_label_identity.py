@@ -97,7 +97,6 @@ def test_window_labels_equal_a_from_scratch_bfs(
 def test_every_producer_and_the_labeller_equal_the_bfs(points, eps, min_samples):
     want = bfs_dbscan(points, eps, min_samples) if len(points) else np.empty(0, dtype=np.int64)
     assert np.array_equal(dbscan(points, eps, min_samples), want)
-    assert np.array_equal(dbscan(points, eps, min_samples, use_grid=False), want)
     edge_sets = []
     for producer in (dense_edges, grid_edges, naive_edges):
         lo, hi = producer(points, eps)

@@ -46,7 +46,7 @@ def test_reader_stops_at_sentinel():
 def test_reader_blocks_until_data_arrives():
     broker = Broker()
     broker.ensure_topic("strata.s")
-    reader = PubSubReaderSource("r", broker, "strata.s", poll_timeout=0.02)
+    reader = PubSubReaderSource("r", broker, "strata.s")
     got = []
 
     def drain():
@@ -117,7 +117,7 @@ def test_reader_waits_for_eos_on_every_partition():
     producer = Producer(broker)
     producer.send("strata.s", make_tuple(0), partition=0)
     producer.send("strata.s", EOS_SENTINEL, partition=0)
-    reader = PubSubReaderSource("r", broker, "strata.s", poll_timeout=0.01)
+    reader = PubSubReaderSource("r", broker, "strata.s")
     got = []
 
     def drain():

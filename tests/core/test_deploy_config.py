@@ -37,6 +37,24 @@ def simple_strata():
     return strata, sink
 
 
+#: settings fixed at their one value in use, each with a TOML snippet that
+#: sets it: a config file naming one must fail to parse, not at deploy
+RETIRED_KEYS = [
+    ("plan.linger_s", b"[plan]\nlinger_s = 0.01\n"),
+    ("obs.max_traces", b"[obs]\nmax_traces = 0\n"),
+    ("obs.time_buckets", b"[obs]\ntime_buckets = []\n"),
+    ("obs.timing_histograms", b"[obs]\ntiming_histograms = true\n"),
+    ("elastic.initial_parallelism", b"[plan]\n[elastic]\ninitial_parallelism = 2\n"),
+    ("elastic.adaptive_batching", b"[plan]\n[elastic]\nadaptive_batching = false\n"),
+    ("elastic.batch_min", b"[plan]\n[elastic]\nbatch_min = 2\n"),
+    ("elastic.batch_max", b"[plan]\n[elastic]\nbatch_max = 64\n"),
+    ("elastic.replan.max_actions_per_tick",
+     b"[plan]\n[elastic.replan]\nmax_actions_per_tick = 2\n"),
+    ("elastic.replan.migrate_busy_ratio",
+     b"[plan]\n[elastic.replan]\nmigrate_busy_ratio = 3.0\n"),
+]
+
+
 # -- cross-field validation ---------------------------------------------------
 
 
@@ -135,11 +153,11 @@ class TestRoundTrip:
 
         [elastic]
         max_parallelism = 8
-        adaptive_batching = false
+        cooldown_s = 0.5
         """
         config = DeployConfig.from_dict(tomllib.load(io.BytesIO(text)))
         assert config.plan.parallelism == 2
-        assert config.elastic.adaptive_batching is False
+        assert config.elastic.cooldown_s == 0.5
         assert DeployConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_top_level_key_rejected(self):
@@ -160,6 +178,13 @@ class TestRoundTrip:
         # ... and so are the five retired [dist] fields
         toml = b'[dist]\nworkers = 2\nstart_method = "fork"\n'
         with pytest.raises(DeployConfigError, match=r"dist\.start_method"):
+            DeployConfig.from_dict(tomllib.load(io.BytesIO(toml)))
+
+    @pytest.mark.parametrize(
+        "path, toml", RETIRED_KEYS, ids=[path for path, _ in RETIRED_KEYS]
+    )
+    def test_retired_keys_rejected_at_parse_time(self, path, toml):
+        with pytest.raises(DeployConfigError, match=path.replace(".", r"\.")):
             DeployConfig.from_dict(tomllib.load(io.BytesIO(toml)))
 
     def test_live_fields_rejected_in_tables(self):

@@ -26,8 +26,7 @@ CELL_EDGE = 5
 
 #: fast controller: decisions every 50 ms so short test runs exercise it
 FAST = ElasticConfig(
-    min_parallelism=1, max_parallelism=2, initial_parallelism=2,
-    tick_s=0.05, cooldown_s=0.1,
+    min_parallelism=1, max_parallelism=2, tick_s=0.05, cooldown_s=0.1,
 )
 
 

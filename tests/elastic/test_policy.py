@@ -58,21 +58,14 @@ class TestHysteresisPolicy:
 class TestElasticConfig:
     def test_defaults_are_valid(self):
         config = ElasticConfig()
-        assert config.start_parallelism == config.min_parallelism
-
-    def test_initial_parallelism_wins_when_set(self):
-        config = ElasticConfig(min_parallelism=1, max_parallelism=8,
-                               initial_parallelism=2)
-        assert config.start_parallelism == 2
+        assert 1 == config.min_parallelism <= config.max_parallelism
 
     @pytest.mark.parametrize("kwargs", [
         {"min_parallelism": 0},
         {"min_parallelism": 4, "max_parallelism": 2},
-        {"initial_parallelism": 9},
+        {"replan": 3},
         {"tick_s": 0.0},
         {"cooldown_s": -1.0},
-        {"batch_min": 0},
-        {"batch_min": 8, "batch_max": 4},
     ])
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -150,16 +150,12 @@ def test_actions_are_frozen():
 def test_replan_config_validation():
     with pytest.raises(ValueError, match="cooldown_s"):
         ReplanConfig(cooldown_s=-1.0)
-    with pytest.raises(ValueError, match="max_actions_per_tick"):
-        ReplanConfig(max_actions_per_tick=0)
     with pytest.raises(ValueError, match="streak_ticks"):
         ReplanConfig(streak_ticks=0)
     with pytest.raises(ValueError, match="unfuse_busy"):
         ReplanConfig(unfuse_busy=1.5)
     with pytest.raises(ValueError, match="oscillate"):
         ReplanConfig(refuse_queue_fill=0.6, unfuse_queue_fill=0.5)
-    with pytest.raises(ValueError, match="migrate_busy_ratio"):
-        ReplanConfig(migrate_busy_ratio=0.5)
 
 
 def test_replan_config_resolve():
@@ -281,7 +277,7 @@ def test_cost_model_delegates_groups_to_scale_policy():
 
 def test_cost_model_emits_migration_when_enabled():
     policy = CostModelPolicy(
-        ReplanConfig(streak_ticks=1, migrate=True, migrate_busy_ratio=2.0)
+        ReplanConfig(streak_ticks=1, migrate=True)
     )
     view = WorkloadView(
         workers={
@@ -296,16 +292,14 @@ def test_cost_model_emits_migration_when_enabled():
 
 
 def test_plan_migration_rules():
-    cfg = ReplanConfig(migrate=True, migrate_busy_ratio=2.0)
     # fewer than two workers: nowhere to go
-    assert plan_migration({"w0": {"busy_fraction": 1.0, "stages": ["a", "b"]}}, cfg) is None
+    assert plan_migration({"w0": {"busy_fraction": 1.0, "stages": ["a", "b"]}}) is None
     # hot worker with a single stage: moving it just relocates the hot spot
     assert plan_migration(
         {
             "w0": {"busy_fraction": 1.0, "stages": ["a"]},
             "w1": {"busy_fraction": 0.1, "stages": ["b"]},
         },
-        cfg,
     ) is None
     # imbalance below the ratio: leave placement alone
     assert plan_migration(
@@ -313,7 +307,6 @@ def test_plan_migration_rules():
             "w0": {"busy_fraction": 0.5, "stages": ["a", "b"]},
             "w1": {"busy_fraction": 0.4, "stages": ["c"]},
         },
-        cfg,
     ) is None
     # hot, multi-stage, imbalanced: move the hot worker's last stage
     action = plan_migration(
@@ -321,7 +314,6 @@ def test_plan_migration_rules():
             "w0": {"busy_fraction": 0.9, "stages": ["a", "b"]},
             "w1": {"busy_fraction": 0.1, "stages": ["c"]},
         },
-        cfg,
     )
     assert action == Migrate(stage="b", to_worker="w1")
 
@@ -480,7 +472,7 @@ def test_tick_respects_the_per_tick_action_budget():
     build_chain(strata, records())
     chain_cfg = ElasticConfig(
         tick_s=60.0, cooldown_s=0.0,
-        replan=ReplanConfig(cooldown_s=0.0, max_actions_per_tick=1),
+        replan=ReplanConfig(cooldown_s=0.0),
     )
     strata.start(DeployConfig(plan=True, elastic=chain_cfg))
     controller = strata.elastic

@@ -112,7 +112,7 @@ def _payloads(report):
 @settings(max_examples=25, deadline=None)
 def test_fused_batched_plan_matches_sync_oracle(stages, values, batch):
     oracle = StreamEngine(mode="sync").run(_build(stages, values, False))
-    plan = PlanConfig(edge_batch_size=batch, linger_s=0.0)
+    plan = PlanConfig(edge_batch_size=batch)
     optimized = StreamEngine(mode="threaded").run(_build(stages, values, False), plan=plan)
     # linear plans must preserve the exact output sequence, not just the set
     assert _payloads(optimized) == _payloads(oracle)

@@ -24,7 +24,7 @@ def make_tuple(i):
 
 def test_writer_reader_over_the_network(client):
     writer = PubSubWriterSink("w", client, "strata.s")
-    reader = PubSubReaderSource("r", client, "strata.s", poll_timeout=0.02)
+    reader = PubSubReaderSource("r", client, "strata.s")
     got = []
     thread = threading.Thread(target=lambda: got.extend(reader))
     thread.start()
@@ -239,7 +239,7 @@ def test_connectors_close_the_clients_they_open():
             remote.ensure_topic("strata.s")
             assert _settles(server, connections=1)  # the admin connection
             writer = PubSubWriterSink("w", remote, "strata.s")
-            reader = PubSubReaderSource("r", remote, "strata.s", poll_timeout=0.02)
+            reader = PubSubReaderSource("r", remote, "strata.s")
             writer.accept(
                 StreamTuple(tau=0.0, job="J", layer=0, payload={"image": image})
             )

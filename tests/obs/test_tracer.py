@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.obs import ObsConfig, ObsContext, Tracer
+from repro.obs.tracer import MAX_TRACES
 from repro.spe import CollectingSink, ListSource, MapOperator, Query, StreamEngine
 from repro.spe.tuples import StreamTuple
 
@@ -41,8 +42,6 @@ class TestSampling:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             Tracer(sample_every=0)
-        with pytest.raises(ValueError):
-            Tracer(max_traces=0)
 
 
 class TestSpans:
@@ -141,27 +140,27 @@ class TestRuns:
         assert len(tracer) == 0
 
     def test_run_spans_respect_eviction(self):
-        tracer = Tracer(sample_every=1, max_traces=2)
-        ts = [_tuple(i) for i in range(3)]
+        tracer = Tracer(sample_every=1)
+        ts = [_tuple(i) for i in range(MAX_TRACES + 1)]
         for i, t in enumerate(ts):
             t.trace_id = f"t{i}"
         tracer.record_run("n", "operator", 1.0, 0.3, ts)
-        assert tracer.trace_ids() == ["t1", "t2"]
+        assert tracer.trace_ids() == [f"t{i}" for i in range(1, MAX_TRACES + 1)]
 
 
 class TestEviction:
     def test_oldest_trace_evicted_first(self):
-        tracer = Tracer(sample_every=1, max_traces=2)
-        for i in range(3):
+        tracer = Tracer(sample_every=1)
+        for i in range(MAX_TRACES + 1):
             tracer.record(f"t{i}", "n", "operator", 0.0)
-        assert tracer.trace_ids() == ["t1", "t2"]
+        assert tracer.trace_ids() == [f"t{i}" for i in range(1, MAX_TRACES + 1)]
         assert tracer.trace("t0") is None
-        assert len(tracer) == 2
+        assert len(tracer) == MAX_TRACES
 
     def test_recording_into_live_trace_does_not_evict(self):
-        tracer = Tracer(sample_every=1, max_traces=2)
-        tracer.record("a", "n1", "operator", 0.0)
-        tracer.record("b", "n1", "operator", 0.0)
-        tracer.record("a", "n2", "operator", 0.0)
-        assert sorted(tracer.trace_ids()) == ["a", "b"]
-        assert tracer.trace("a").nodes == ["n1", "n2"]
+        tracer = Tracer(sample_every=1)
+        for i in range(MAX_TRACES):
+            tracer.record(f"t{i}", "n1", "operator", 0.0)
+        tracer.record("t0", "n2", "operator", 0.0)
+        assert len(tracer) == MAX_TRACES
+        assert tracer.trace("t0").nodes == ["n1", "n2"]

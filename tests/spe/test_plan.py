@@ -96,7 +96,7 @@ def test_resolve_rejects_other_types():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"edge_batch_size": 0}, {"parallelism": 0}, {"linger_s": -0.1}],
+    [{"edge_batch_size": 0}, {"parallelism": 0}],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):

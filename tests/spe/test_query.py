@@ -105,12 +105,68 @@ def test_parallel_build_creates_router_and_replicas():
             assert replica.base_name == "m"
 
 
+def test_declared_parallel_stage_builds_the_replica_group_contract():
+    """A ``parallelism=3`` stage materializes the rescalable group recipe."""
+
+    def key_fn(t):
+        return t.layer
+
+    def factory():
+        return identity()
+
+    q = Query()
+    q.add_source("src", ListSource("src", tuples()))
+    q.add_operator("m", factory, "src", parallelism=3, key_fn=key_fn)
+    q.add_sink("out", CollectingSink(), "m")
+    nodes = q.build(capacity=7)
+    assert [n.name for n in nodes] == [
+        "src", "m::router", "m::0", "m::1", "m::2", "m::merge", "out",
+    ]
+    streams = {}
+    for node in nodes:
+        for stream in node.inputs + node.outputs:
+            streams[stream.name] = (stream.capacity, stream.num_producers)
+    assert streams == {
+        "src->m::router": (7, 1),
+        "m::router->m::0": (7, 1),
+        "m::router->m::1": (7, 1),
+        "m::router->m::2": (7, 1),
+        "m::0->m::merge": (7, 1),
+        "m::1->m::merge": (7, 1),
+        "m::2->m::merge": (7, 1),
+        "m->out": (7, 1),
+    }
+    router = nodes[1]
+    assert router.router.num_shards == 3
+    assert [s.name for s in router.outputs] == [
+        "m::router->m::0", "m::router->m::1", "m::router->m::2",
+    ]
+    meta = router.rescale_meta
+    assert meta.members == ["m"]
+    assert meta.factories == [factory]
+    assert meta.key_fn is key_fn
+    assert (meta.router_name, meta.merge_name) == ("m::router", "m::merge")
+    assert meta.member_capacities == [7]
+    assert meta.out_capacity == 7
+    merge = nodes[5]
+    assert merge.operator.num_inputs == 3
+    assert [n.base_name for n in nodes[2:5]] == ["m", "m", "m"]
+
+
 def test_parallel_multi_input_rejected():
     q = Query()
     q.add_source("a", ListSource("a", []))
     q.add_operator("j", lambda: JoinOperator("j"), ["a"], parallelism=2)
     q.add_sink("out", CollectingSink(), "j")
     with pytest.raises(QueryValidationError):
+        q.build()
+    # arity satisfied, but a replica group takes exactly one upstream
+    q = Query()
+    q.add_source("a", ListSource("a", []))
+    q.add_source("b", ListSource("b", []))
+    q.add_operator("j", lambda: JoinOperator("j"), ["a", "b"], parallelism=2)
+    q.add_sink("out", CollectingSink(), "j")
+    with pytest.raises(QueryValidationError, match="single-input"):
         q.build()
 
 
