@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.bench import format_table, save_json
-from repro.clustering import dbscan, label_edges, naive_edges
+from repro.clustering import dbscan, label_edges, naive_edges, pair_degree
 
 SIZES = [500, 2000, 8000]
 
@@ -48,7 +48,8 @@ def test_ablation_grid_vs_naive(benchmark, n):
         grid = dbscan(points, eps=2.0, min_samples=4)
         grid_time = time.perf_counter() - t0
         t0 = time.perf_counter()
-        naive = label_edges(len(points), *naive_edges(points, 2.0), 4)
+        lo, hi = naive_edges(points, 2.0)
+        naive = label_edges(pair_degree(len(points), lo, hi), lo, hi, 4)
         naive_time = time.perf_counter() - t0
         return grid, grid_time, naive, naive_time
 

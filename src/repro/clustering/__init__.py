@@ -15,6 +15,7 @@ from .dbscan import (
     grid_edges,
     label_edges,
     naive_edges,
+    pair_degree,
 )
 from .incremental import (
     ClusteringResult,
@@ -31,6 +32,7 @@ __all__ = [
     "grid_edges",
     "naive_edges",
     "label_edges",
+    "pair_degree",
     "core_point_mask",
     "NOISE",
     "LayerWindowClusterer",

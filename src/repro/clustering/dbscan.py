@@ -21,14 +21,21 @@ other (a point is its own neighbour implicitly):
   benchmark (A3) and as a cross-check in tests.
 
 All three use the same subtract-square-sum arithmetic, so they agree to
-the bit on which pairs are within ``eps``.
+the bit on which pairs are within ``eps``, and all three return each pair
+once, strictly ascending in ``(hi, lo)``, the order the labeller's first
+hook round relies on.
 
-One *labeller*, :func:`label_edges`, turns an edge list into labels
-without visiting points one by one: degree gives the core mask, the core
-graph's connected components are found by min-label hooking and pointer
-jumping, clusters are numbered by their lowest core index, and a border
-point takes the lowest cluster id among its core neighbours. That is what
-the textbook seed-order BFS produces (a cluster is born at its lowest
+One *labeller*, :func:`label_edges`, turns an edge list and each point's
+degree (:func:`pair_degree`) into labels without visiting points one by
+one: the degree gives the core mask, the core graph's connected
+components are found by min-label hooking and pointer jumping, clusters
+are numbered by their lowest core index, and a border point takes the
+lowest cluster id among its core neighbours. In the first hook round each
+point hooks under its lowest lower neighbour, which the ``(hi, lo)`` order
+puts first in its run of pairs, so that round is one assignment with
+unique indices; only the later rounds a chain with zig-zagging indices
+needs scatter with ``np.minimum.at``. The labels are what the textbook
+seed-order BFS produces (a cluster is born at its lowest
 unvisited core point and is grown to completion before the next one
 starts, so an earlier cluster always claims a shared border point first),
 hence the labels are identical to it, ids included.
@@ -217,7 +224,8 @@ def grid_edges(points: np.ndarray, eps: float) -> Edges:
     Points are sorted by bucket; for the bucket itself and each forward
     neighbour offset, the candidate pairs of *all* occupied buckets are
     laid out as one flat array and tested in one pass. Cost follows local
-    density (candidates per point), not n.
+    density (candidates per point), not n. One ``lexsort`` puts the pairs
+    in the ``(hi, lo)`` order the other producers emit them in.
     """
     _check_eps(eps)
     n, dim = points.shape
@@ -253,58 +261,99 @@ def grid_edges(points: np.ndarray, eps: float) -> Edges:
         there = slot[here]
         for a, b in _ragged_product(first[here], size[here], first[there], size[there]):
             emit(a, b)
-    return _join(lows, highs)
+    lo, hi = _join(lows, highs)
+    order = np.lexsort((lo, hi))
+    return lo[order], hi[order]
 
 
 # -- the labeller --------------------------------------------------------------
 
 
-def _core_mask(n: int, lo: np.ndarray, hi: np.ndarray, min_samples: int) -> np.ndarray:
-    """Core points: eps-neighbourhood (the point included) >= min_samples."""
-    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n) + 1
-    return degree >= min_samples
+def pair_degree(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each of ``n`` points' eps-neighbours among the pairs (itself not
+    counted): the degree :func:`label_edges` takes."""
+    return np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
 
 
-def label_edges(n: int, lo: np.ndarray, hi: np.ndarray, min_samples: int) -> np.ndarray:
-    """DBSCAN labels of ``n`` points from their eps-neighbour pairs.
+def _flatten(root: np.ndarray) -> np.ndarray:
+    """Pointer jumping: follow every chain of hooks to its end."""
+    while True:
+        jumped = root[root]
+        if (jumped == root).all():
+            return root
+        root = jumped
 
-    Identical, ids included, to growing clusters one seed at a time in
-    index order (see the module docstring for why).
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``root[p]``: the lowest index of p's component in the graph of the
+    pairs ``(a, b)``, which are strictly ascending in ``(b, a)``.
+
+    Min-label hooking and pointer jumping: ``root[p]`` only ever moves to a
+    lower index of p's own component, so it ends at the component's lowest
+    index.
     """
-    if min_samples < 1:
-        raise ValueError("min_samples must be >= 1")
-    labels = np.full(n, NOISE, dtype=np.int64)
-    if n == 0:
-        return labels
-    core = _core_mask(n, lo, hi, min_samples)
-    lo_core = core[lo]
-    hi_core = core[hi]
-
-    # Connected components of the core graph. ``root[p]`` only ever moves
-    # to a lower index of p's own component, so it ends at the component's
-    # lowest core index.
-    both = lo_core & hi_core
-    a, b = lo[both], hi[both]
-    index = np.arange(n)
-    root = index.copy()
-    while len(a):
+    root = np.arange(n)
+    if not len(a):
+        return root
+    key = np.multiply(b, n, dtype=np.int64)
+    key += a
+    if (key[1:] <= key[:-1]).any():
+        raise ValueError("label_edges needs its pairs strictly ascending in (hi, lo)")
+    # First round: ``root`` is the identity, so every ``b`` hooks under its
+    # lowest neighbour, the ``a`` of the first pair of its run — one
+    # assignment with unique indices.
+    first = np.flatnonzero(b[1:] != b[:-1]) + 1
+    root[b[0]] = a[0]
+    root[b[first]] = a[first]
+    root = _flatten(root)
+    while True:
         root_a, root_b = root[a], root[b]
         apart = root_a != root_b
         if not apart.any():
-            break
+            return root
         a, b, root_a, root_b = a[apart], b[apart], root_a[apart], root_b[apart]
-        # hook the higher root of every still-split edge under the lower
+        # a chain whose indices zig-zag needs more rounds: hook the higher
+        # root of every still-split pair under the lower
         np.minimum.at(root, np.maximum(root_a, root_b), np.minimum(root_a, root_b))
-        while True:  # pointer jumping: flatten every chain of hooks
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+        root = _flatten(root)
+
+
+def label_edges(
+    degree: np.ndarray, lo: np.ndarray, hi: np.ndarray, min_samples: int
+) -> np.ndarray:
+    """DBSCAN labels of ``len(degree)`` points from their eps-neighbour pairs.
+
+    ``degree`` is :func:`pair_degree` of the pairs (the sliding window
+    keeps it beside its pairs rather than recounting). The pairs must be
+    strictly ascending in ``(hi, lo)``, as every producer emits them;
+    core-core pairs out of that order raise ``ValueError``. Identical, ids
+    included, to growing clusters one seed at a time in index order (see
+    the module docstring for why).
+    """
+    if min_samples < 1:
+        raise ValueError("min_samples must be >= 1")
+    n = len(degree)
+    labels = np.full(n, NOISE, dtype=np.int64)
+    core = degree >= min_samples - 1  # the point itself makes up the rest
+    if not core.any():  # no cluster, so no border point: all noise (or n = 0)
+        return labels
+    # A point is in a pair exactly when its degree is positive, so when no
+    # non-core point has one, every pair is core-core — the usual case in a
+    # dense window — and telling the pairs apart needs no pass over them.
+    mixed = np.count_nonzero(degree[~core])
+    if mixed:
+        lo_core, hi_core = core[lo], core[hi]
+        both = lo_core & hi_core
+        root = _components(n, lo[both], hi[both])
+    else:
+        root = _components(n, lo, hi)
 
     # number clusters by ascending lowest core index
-    is_seed = core & (root == index)
+    is_seed = core & (root == np.arange(n))
     cluster_of_seed = np.cumsum(is_seed) - 1
     labels[core] = cluster_of_seed[root[core]]
+    if not mixed:
+        return labels
 
     # a border point joins the first-born cluster among its core neighbours
     lo_border = hi_core & ~lo_core
@@ -340,11 +389,11 @@ def dbscan(
     if min_samples < 1:
         raise ValueError("min_samples must be >= 1")
     lo, hi = _edges(points, eps)
-    return label_edges(len(points), lo, hi, min_samples)
+    return label_edges(pair_degree(len(points), lo, hi), lo, hi, min_samples)
 
 
 def core_point_mask(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     """Boolean mask of core points (used by property tests)."""
     points = _as_points(points)
     lo, hi = _edges(points, eps)
-    return _core_mask(len(points), lo, hi, min_samples)
+    return pair_degree(len(points), lo, hi) >= min_samples - 1

@@ -7,12 +7,16 @@ height shows up as one three-dimensional cluster (parameter ``L`` bounds
 how many layers a cluster can expand through — Figure 6 sweeps it).
 
 :class:`LayerWindowClusterer` owns that window. Consecutive windows share
-all but one layer, so it keeps the window's points *and their
-eps-neighbour pairs* from call to call: a new layer costs its k points
-against the n before them (and several windows advance in one such pair
-pass, :meth:`LayerWindowClusterer.append_many`), an expired layer is a
-prefix drop plus an index shift of the pair list, and every evaluation is
-one run of the array-at-a-time labeller over the pairs. The result is
+all but one layer, so it keeps the window's points, *their eps-neighbour
+pairs* and each point's degree from call to call: a new layer costs its k
+points against the n before them (and several windows advance in one such
+pair pass, :meth:`LayerWindowClusterer.append_many`) plus a count of the
+new pairs' ends, an expired layer is a prefix drop plus an index shift of
+the pair list and a count of the dropped pairs' ends, and every evaluation
+is one run of the array-at-a-time labeller over the pairs and the kept
+degree. Pairs stay strictly ascending in ``(hi, lo)``, the order the
+labeller requires: an append only adds pairs whose ``hi`` is new, an
+expiry only filters. The result is
 by construction "DBSCAN over the last L layers" — the pairs are the ones a
 from-scratch run would find (same arithmetic) and the labeller is the one
 ``dbscan()`` uses.
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dbscan import dense_edges, label_edges
+from .dbscan import dense_edges, label_edges, pair_degree
 
 
 @dataclass(frozen=True)
@@ -180,18 +184,27 @@ class LayerWindowClusterer:
         self._layers: deque[tuple[int, int]] = deque()
         self._points = np.empty((0, 3))
         self._point_layers = np.empty(0, dtype=np.int64)
-        # eps-neighbour pairs of the window's points, lo < hi
+        # eps-neighbour pairs of the window's points, lo < hi, ascending
+        # in (hi, lo), and each point's count of them
         self._lo = np.empty(0, dtype=np.int64)
         self._hi = np.empty(0, dtype=np.int64)
+        self._degree = np.empty(0, dtype=np.int64)
 
     def expire_layers(self, count: int) -> None:
         """Retire the ``count`` oldest layers: a prefix drop of the points
-        and an index shift of the pairs that survive."""
+        and an index shift of the pairs that survive; a survivor's degree
+        loses the pairs it shared with the dropped points."""
         drop = sum(self._layers.popleft()[1] for _ in range(count))
         if drop:
             kept = self._lo >= drop  # lo < hi: a pair lives as long as its lo
-            self._lo = self._lo[kept] - drop
-            self._hi = self._hi[kept] - drop
+            if np.count_nonzero(kept) < len(kept):
+                # a dropped pair's lo goes with it; its hi loses a neighbour
+                lost = np.bincount(self._hi[~kept], minlength=len(self._degree))
+                self._degree = self._degree - lost
+                self._lo, self._hi = self._lo[kept], self._hi[kept]
+            self._degree = self._degree[drop:]
+            self._lo = self._lo - drop
+            self._hi = self._hi - drop
             self._points = self._points[drop:]
             self._point_layers = self._point_layers[drop:]
 
@@ -218,10 +231,12 @@ class LayerWindowClusterer:
         to back, ``counts[w]`` of them for ``windows[w]``, each window's in
         ascending layer order; the windows share ``eps`` and the layer
         thickness. Each window ends as :meth:`append_layer` per layer run
-        would leave it — the same points, runs and pairs in the same order:
-        the windows are laid back to back as segments of one
+        would leave it — the same points, runs, pairs in the same order and
+        degrees: the windows are laid back to back as segments of one
         :func:`dense_edges` call, new rows against the earlier rows of
-        their own window.
+        their own window, and one :func:`pair_degree` over that call's
+        pairs, with the windows' old degrees added in one scatter, gives
+        every window its degree.
         """
         head = windows[0]
         new_points = np.column_stack((xy_points, layers * head._thickness))
@@ -254,20 +269,26 @@ class LayerWindowClusterer:
             first=firsts,
         )
         pair_cuts = np.searchsorted(hi, ends).tolist()
+        # the new pairs' counts, plus each window's old degree at the rows
+        # its retained points hold in the concatenation
+        old = np.concatenate([window._degree for window in windows])
+        degree = pair_degree(int(ends[-1]), lo, hi)
+        degree[np.arange(len(old)) + np.repeat(offsets, retained)] += old
         run_start = pair_start = 0
-        for window, first, run_end, pair_end in zip(
-            windows, firsts.tolist(), run_cuts, pair_cuts
+        for window, first, end, run_end, pair_end in zip(
+            windows, firsts.tolist(), ends.tolist(), run_cuts, pair_cuts
         ):
             window._layers.extend(
                 zip(run_layers[run_start:run_end], run_counts[run_start:run_end])
             )
+            window._degree = degree[first:end]
             window._lo = np.concatenate((window._lo, lo[pair_start:pair_end] - first))
             window._hi = np.concatenate((window._hi, hi[pair_start:pair_end] - first))
             run_start, pair_start = run_end, pair_end
 
     def labels(self) -> np.ndarray:
         """DBSCAN labels of the window's points (noise = -1)."""
-        return label_edges(len(self._points), self._lo, self._hi, self._min_samples)
+        return label_edges(self._degree, self._lo, self._hi, self._min_samples)
 
     def cluster(self) -> ClusteringResult:
         """Labels and per-cluster summaries of the current window."""
@@ -294,8 +315,9 @@ class LayerWindowClusterer:
         return {"layers": layers}
 
     def restore_state(self, state: dict[str, object]) -> None:
-        """Refill the window layer by layer: the pairs are recomputed from
-        the restored points, the same way they were first found."""
+        """Refill the window layer by layer: the pairs and degrees are
+        recomputed from the restored points, the same way they were first
+        found, never read from the snapshot."""
         self.reset()
         for layer, xy_points in state["layers"]:
             self.append_layer(int(layer), xy_points)

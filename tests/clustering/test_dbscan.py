@@ -13,6 +13,7 @@ from repro.clustering import (
     grid_edges,
     label_edges,
     naive_edges,
+    pair_degree,
 )
 from repro.clustering.dbscan import DENSE_CUTOFF
 
@@ -78,7 +79,8 @@ def test_grid_equals_naive():
     rng = np.random.default_rng(7)
     points = rng.uniform(0, 20, size=(300, 2))
     grid = dbscan(points, eps=1.5, min_samples=4)
-    naive = label_edges(len(points), *naive_edges(points, 1.5), 4)
+    lo, hi = naive_edges(points, 1.5)
+    naive = label_edges(pair_degree(len(points), lo, hi), lo, hi, 4)
     assert np.array_equal(grid, naive)
 
 
@@ -190,7 +192,7 @@ def test_labels_equal_the_bfs_on_both_sides_of_the_dense_cutoff(n):
     assert np.array_equal(dbscan(points, eps=0.7, min_samples=4), want)
     for producer in (dense_edges, grid_edges, naive_edges):
         lo, hi = producer(points, 0.7)
-        assert np.array_equal(label_edges(n, lo, hi, 4), want)
+        assert np.array_equal(label_edges(pair_degree(n, lo, hi), lo, hi, 4), want)
 
 
 def test_border_point_joins_the_first_born_cluster():

@@ -1,10 +1,17 @@
 """Property-based DBSCAN invariants."""
 
-import numpy as np
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given, settings
 
-from repro.clustering import core_point_mask, dbscan, label_edges, naive_edges, rand_index
+from repro.clustering import (
+    core_point_mask,
+    dbscan,
+    label_edges,
+    naive_edges,
+    pair_degree,
+    rand_index,
+)
 
 point_arrays = st.lists(
     st.tuples(
@@ -20,7 +27,8 @@ point_arrays = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_grid_and_naive_agree(points, eps, k):
     grid = dbscan(points, eps=eps, min_samples=k)
-    naive = label_edges(len(points), *naive_edges(points, eps), k)
+    lo, hi = naive_edges(points, eps)
+    naive = label_edges(pair_degree(len(points), lo, hi), lo, hi, k)
     assert np.array_equal(grid, naive)
 
 
@@ -41,7 +49,12 @@ def test_noise_points_are_not_core(points, eps, k):
     assert not (noise & core).any()
 
 
-@given(points=point_arrays, eps=st.sampled_from([0.5, 1.0]), k=st.integers(2, 4), seed=st.integers(0, 5))
+@given(
+    points=point_arrays,
+    eps=st.sampled_from([0.5, 1.0]),
+    k=st.integers(2, 4),
+    seed=st.integers(0, 5),
+)
 @settings(max_examples=40, deadline=None)
 def test_permutation_invariance_of_partition(points, eps, k, seed):
     rng = np.random.default_rng(seed)

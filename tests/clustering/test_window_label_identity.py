@@ -18,6 +18,7 @@ from repro.clustering import (
     grid_edges,
     label_edges,
     naive_edges,
+    pair_degree,
 )
 
 from .bfs_oracle import bfs_dbscan, loop_summaries
@@ -100,9 +101,13 @@ def test_every_producer_and_the_labeller_equal_the_bfs(points, eps, min_samples)
     edge_sets = []
     for producer in (dense_edges, grid_edges, naive_edges):
         lo, hi = producer(points, eps)
-        assert np.array_equal(label_edges(len(points), lo, hi, min_samples), want)
-        edge_sets.append(sorted(zip(lo.tolist(), hi.tolist())))
+        degree = pair_degree(len(points), lo, hi)
+        assert np.array_equal(label_edges(degree, lo, hi, min_samples), want)
+        edge_sets.append(list(zip(lo.tolist(), hi.tolist())))
+    # not merely the same pairs: the same (hi, lo) order, which the
+    # labeller's first hook round relies on
     assert edge_sets[0] == edge_sets[1] == edge_sets[2]
+    assert edge_sets[0] == sorted(edge_sets[0], key=lambda pair: pair[::-1])
 
 
 @given(
@@ -119,4 +124,4 @@ def test_off_lattice_points_equal_the_bfs_too(seed, n, eps, min_samples):
     want = bfs_dbscan(points, eps, min_samples)
     for producer in (dense_edges, grid_edges, naive_edges):
         lo, hi = producer(points, eps)
-        assert np.array_equal(label_edges(n, lo, hi, min_samples), want)
+        assert np.array_equal(label_edges(pair_degree(n, lo, hi), lo, hi, min_samples), want)

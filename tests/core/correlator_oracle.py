@@ -4,9 +4,11 @@ before ``correlate_many`` took a run's windows in one batch.
 Kept verbatim: the correlator's ``__call__`` and ``_window_over`` (its own
 window advance, conversion, labeller call and summary per trigger), the
 window's ``append_layer`` (one pair block per layer) and the broadcast
-``dense_edges`` it called (row blocks against all earlier columns). The
+``dense_edges`` it called (row blocks against all earlier columns). Since
+the window keeps each point's degree beside its pairs, that
+``append_layer`` also recounts the degrees from the whole pair list. The
 batch is held to equal payloads *and* equal kept windows — points, pair
-arrays in order, layer runs — not merely to the same clusters.
+arrays in order, degrees, layer runs — not merely to the same clusters.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.clustering import incremental, summarize_clusters
+from repro.clustering import incremental, pair_degree, summarize_clusters
 from repro.clustering.dbscan import Edges, _check_eps, _join
 from repro.core.functions import DBSCANCorrelator
 from repro.spe import StreamTuple
@@ -72,6 +74,7 @@ class LayerWindowClusterer(incremental.LayerWindowClusterer):
         lo, hi = dense_edges(self._points, self._eps, start=retained)
         self._lo = np.concatenate((self._lo, lo))
         self._hi = np.concatenate((self._hi, hi))
+        self._degree = pair_degree(len(self._points), self._lo, self._hi)
 
 
 class PerTriggerCorrelator(DBSCANCorrelator):
@@ -139,7 +142,8 @@ class PerTriggerCorrelator(DBSCANCorrelator):
 
 
 def window_state(correlator: DBSCANCorrelator) -> dict:
-    """Every kept window as comparable bytes: points, layers, pairs, runs."""
+    """Every kept window as comparable bytes: points, layers, pairs,
+    degrees, runs."""
     return {
         group: (
             window.points.dtype.str,
@@ -148,6 +152,7 @@ def window_state(correlator: DBSCANCorrelator) -> dict:
             window._lo.dtype.str,
             window._lo.tobytes(),
             window._hi.tobytes(),
+            window._degree.tobytes(),
             window.layer_counts,
             len(held),
         )
