@@ -30,14 +30,17 @@ import sys
 import time
 import urllib.request
 
-from repro.am.scanpath import ThermalBuildConfig, synthesize_thermal_build
+from repro.am.scanpath import (
+    ThermalBuildConfig,
+    suggest_overheat_threshold,
+    synthesize_thermal_build,
+)
 from repro.core import Strata
 from repro.obs.watchdog import QoSWatchdog
 from repro.thermal import (
     ThermalPipelineConfig,
     build_forecast_pipeline,
     calibrate_thermal_job,
-    resolve_overheat_threshold,
 )
 
 LAYERS = 24
@@ -54,7 +57,7 @@ def run_local() -> int:
     )
     build = synthesize_thermal_build(config)
     pipe_cfg = ThermalPipelineConfig()
-    pipe_cfg.overheat_threshold = resolve_overheat_threshold(build, pipe_cfg)
+    pipe_cfg.overheat_threshold = suggest_overheat_threshold(build)
 
     watchdog = QoSWatchdog()
     strata = Strata(engine_mode="threaded")

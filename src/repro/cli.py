@@ -16,6 +16,14 @@ writing any code:
 * ``worker``     — run pipeline stages against a remote broker;
 * ``serve``      — resident multi-tenant fleet control plane (HTTP API).
 
+The workload verbs (``quickstart``, ``replay``, ``streaks``, ``forecast``,
+``reconstruct``) turn their flags into the workload spec and deploy dict
+a fleet job is submitted with, and build through
+:func:`repro.fleet.runner.build_pipeline`; ``monitor``, ``top`` and
+``recover`` bring their own sources but take the job, renderer and
+calibrated Alg. 1 config from the same code. A deploy config a verb
+cannot run is one ``error:`` line and exit code 2.
+
 Every verb accepts ``--metrics-out FILE`` to enable the observability
 layer and append JSON-lines metric snapshots (one line per scrape; the
 final scrape is always written). The resident verbs (``broker``,
@@ -27,29 +35,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Sequence
 
-from .am import (
-    BuildDataset,
-    ControlHandle,
-    OTImageRenderer,
-    PBFLBMachine,
-    make_job,
-)
+from .am import BuildDataset, ControlHandle, PBFLBMachine, synthesize_thermal_build
 from .core import (
     DeployConfig,
+    DeployConfigError,
     LiveLayerFeed,
     RecoveryConfig,
-    Strata,
     UseCaseConfig,
-    build_streak_use_case,
     build_use_case,
-    calibrate_job,
-    specimen_regions_px,
 )
-from .elastic import ElasticConfig
+from .fleet.runner import (
+    alg1_config,
+    build_pipeline,
+    resolve_workload,
+    strata_for,
+    workload_job,
+)
+from .kvstore.memory import MemoryStore
 from .obs import ObsContext, to_json_line
-from .spe import CallbackSink, PlanConfig
+from .spe import CallbackSink
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -110,97 +117,87 @@ def _dump_metrics(args: argparse.Namespace, obs: ObsContext | None) -> None:
         fh.write(to_json_line(obs.snapshot()) + "\n")
 
 
-def _plan_of(args: argparse.Namespace) -> PlanConfig | None:
-    """Plan compiler configuration from the common CLI knobs."""
-    if args.no_optimize:
-        return None
-    return PlanConfig(
-        edge_batch_size=args.batch_size, parallelism=args.parallelism
-    )
+def _read_toml(path: str) -> dict:
+    import tomllib
 
-
-def _elastic_of(args: argparse.Namespace) -> ElasticConfig | None:
-    """Elastic rescaling configuration from the common CLI knobs."""
-    replan = getattr(args, "replan", False) and not getattr(args, "no_replan", False)
-    if not (getattr(args, "elastic", False) or replan):
-        return None
-    return ElasticConfig(
-        min_parallelism=args.min_parallelism,
-        max_parallelism=args.max_parallelism,
-        replan=replan or None,
-    )
+    with open(path, "rb") as fh:
+        return tomllib.load(fh)
 
 
 def _deploy_of(args: argparse.Namespace) -> DeployConfig:
-    """One DeployConfig per verb: ``--config file.toml`` or the flags.
+    """The verb's DeployConfig, parsed as a fleet job's ``deploy`` dict is.
 
-    A config file is the whole deployment description
-    (:meth:`DeployConfig.from_dict` — unknown keys are rejected); without
-    one, the individual plan/elastic flags are assembled into the
-    equivalent config.
+    ``--config FILE`` is that dict as TOML (unknown keys are rejected);
+    without one, the plan/elastic flags make it. ``--replan`` implies
+    ``--elastic``; ``--no-replan`` wins over both and over the file.
     """
-    if getattr(args, "config", None):
-        import tomllib
+    if args.config:
+        deploy = _read_toml(args.config)
+        if args.no_replan and isinstance(deploy.get("elastic"), dict):
+            deploy["elastic"].pop("replan", None)
+        return DeployConfig.from_dict(deploy)
+    replan = args.replan and not args.no_replan
+    deploy = {"plan": not args.no_optimize and {
+        "edge_batch_size": args.batch_size, "parallelism": args.parallelism,
+    }}
+    if args.elastic or replan:
+        deploy["elastic"] = {
+            "min_parallelism": args.min_parallelism,
+            "max_parallelism": args.max_parallelism,
+            "replan": replan,
+        }
+    return DeployConfig.from_dict(deploy)
 
-        with open(args.config, "rb") as fh:
-            data = tomllib.load(fh)
-        if getattr(args, "no_replan", False) and isinstance(data.get("elastic"), dict):
-            data["elastic"].pop("replan", None)
-        return DeployConfig.from_dict(data)
-    return DeployConfig(plan=_plan_of(args), elastic=_elastic_of(args))
+
+def _workload_of(args: argparse.Namespace, kind: str, **fields) -> dict:
+    """The validated fleet workload spec the verb's flags describe."""
+    try:
+        return resolve_workload({
+            "kind": kind, "name": "cli-job", "image_px": args.image_px,
+            "layers": args.layers, "cell_edge": args.cell_edge,
+            "window": args.window, "seed": args.seed,
+            "defect_rate": args.defect_rate, **fields,
+        })
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
-def _connector_mode_of(deploy_cfg: DeployConfig) -> str:
-    """A ``[dist]`` table needs the pipeline built on pub/sub connectors
-    so the stage cutter has edges to cut at."""
-    return "pubsub" if deploy_cfg.dist is not None else "direct"
-
-
-def _maybe_explain(args: argparse.Namespace, strata: Strata, config) -> None:
+def _maybe_explain(args: argparse.Namespace, strata, config) -> None:
     if args.explain:
         print(strata.explain(config))
 
 
-def _prepare(args: argparse.Namespace, streak_rate: float = 0.0):
-    job = make_job(
-        "cli-job", seed=args.seed, defect_rate_per_stack=args.defect_rate,
-        streak_rate_per_100_layers=streak_rate,
-    )
-    renderer = OTImageRenderer(image_px=args.image_px, seed=args.seed)
-    records = list(BuildDataset(job, renderer).records(0, args.layers))
-    reference = make_job("cli-ref", seed=1, defect_rate_per_stack=0.0)
-    reference_images = [
-        r.image for r in BuildDataset(reference, renderer).records(0, 3)
-    ]
-    return job, renderer, records, reference_images
+def _run_workload(args: argparse.Namespace, workload: dict, obs: ObsContext | None):
+    """Build ``workload`` as a fleet job is built and deploy it to the end.
+
+    Returns the pipeline, the run report, the deploy's wall seconds and
+    whether the pipeline ran in this process: under a ``[dist]`` config
+    the operators run in forked workers, and their counters
+    (``cells_evaluated``, ``frames_processed``, watchdog alerts) stay there.
+    """
+    deploy = _deploy_of(args)
+    strata = strata_for(deploy, obs=obs)
+    pipeline = build_pipeline(strata, workload, MemoryStore())
+    _maybe_explain(args, strata, deploy)
+    started = time.monotonic()
+    report = strata.deploy(deploy)
+    wall = time.monotonic() - started
+    _dump_metrics(args, obs)
+    return pipeline, report, wall, deploy.dist is None
 
 
 def cmd_quickstart(args: argparse.Namespace) -> int:
     """Run the thermal use case over a batch replay and summarize."""
-    job, _, records, reference_images = _prepare(args)
-    config = UseCaseConfig(
-        image_px=args.image_px, cell_edge_px=args.cell_edge,
-        window_layers=args.window,
+    pipeline, report, _, in_process = _run_workload(
+        args, _workload_of(args, "thermal"), _obs_of(args)
     )
-    obs = _obs_of(args)
-    deploy_cfg = _deploy_of(args)
-    strata = Strata(
-        engine_mode="threaded",
-        connector_mode=_connector_mode_of(deploy_cfg),
-        obs=obs,
-    )
-    calibrate_job(
-        strata.kv, job.job_id, reference_images, args.cell_edge,
-        regions=specimen_regions_px(job.specimens, args.image_px),
-    )
-    pipeline = build_use_case(iter(records), iter(records), config, strata=strata)
-    _maybe_explain(args, strata, deploy_cfg)
-    report = strata.deploy(deploy_cfg)
-    _dump_metrics(args, obs)
-    flagged = [t for t in pipeline.sink.results if t.payload["num_clusters"] > 0]
+    results = pipeline.sink.results
+    flagged = [t for t in results if t.payload["num_clusters"] > 0]
+    cells = f" cells={pipeline.cells_evaluated}" if in_process else ""
     latency = report.latency_summary()
-    print(f"layers={args.layers} reports={len(pipeline.sink.results)} "
-          f"flagged={len(flagged)} cells={pipeline.cells_evaluated}")
+    print(f"layers={args.layers} reports={len(results)} "
+          f"flagged={len(flagged)}{cells}")
     print(f"latency: median {latency.median * 1e3:.1f} ms, "
           f"max {latency.maximum * 1e3:.1f} ms")
     for t in flagged[-3:]:
@@ -212,17 +209,12 @@ def cmd_quickstart(args: argparse.Namespace) -> int:
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Run a live build with an automatic termination policy."""
-    job, renderer, _, reference_images = _prepare(args)
-    config = UseCaseConfig(
-        image_px=args.image_px, cell_edge_px=args.cell_edge,
-        window_layers=args.window,
-    )
+    workload = _workload_of(args, "thermal")
     obs = _obs_of(args)
-    strata = Strata(engine_mode="threaded", obs=obs)
-    calibrate_job(
-        strata.kv, job.job_id, reference_images, args.cell_edge,
-        regions=specimen_regions_px(job.specimens, args.image_px),
-    )
+    deploy = _deploy_of(args)
+    strata = strata_for(deploy, obs=obs)
+    job, renderer = workload_job(workload)
+    config = alg1_config(strata, workload, job, MemoryStore())
     control = ControlHandle()
     feed = LiveLayerFeed()
 
@@ -238,9 +230,8 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         feed.records(), feed.records(), config, strata=strata,
         sink=CallbackSink("policy", policy),
     )
-    deploy_cfg = _deploy_of(args)
-    _maybe_explain(args, strata, deploy_cfg)
-    strata.start(deploy_cfg)
+    _maybe_explain(args, strata, deploy)
+    strata.start(deploy)
     machine = PBFLBMachine(
         renderer=renderer, time_scale=max(args.time_scale, 1e-6)
     )
@@ -261,52 +252,25 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Reprocess a historic build as fast as possible."""
-    import time
-
-    job, _, records, reference_images = _prepare(args)
-    config = UseCaseConfig(
-        image_px=args.image_px, cell_edge_px=args.cell_edge,
-        window_layers=args.window,
+    pipeline, _, wall, in_process = _run_workload(
+        args, _workload_of(args, "thermal"), _obs_of(args)
     )
-    obs = _obs_of(args)
-    deploy_cfg = _deploy_of(args)
-    strata = Strata(
-        engine_mode="threaded",
-        connector_mode=_connector_mode_of(deploy_cfg),
-        obs=obs,
-    )
-    calibrate_job(
-        strata.kv, job.job_id, reference_images, args.cell_edge,
-        regions=specimen_regions_px(job.specimens, args.image_px),
-    )
-    pipeline = build_use_case(iter(records), iter(records), config, strata=strata)
-    _maybe_explain(args, strata, deploy_cfg)
-    started = time.monotonic()
-    strata.deploy(deploy_cfg)
-    wall = time.monotonic() - started
-    _dump_metrics(args, obs)
-    print(f"replayed {len(records)} layers in {wall:.2f}s "
-          f"({len(records) / wall:.1f} img/s, "
-          f"{pipeline.cells_evaluated / wall / 1e3:.1f} kcells/s)")
+    rate = f"{args.layers / wall:.1f} img/s"
+    if in_process:
+        rate += f", {pipeline.cells_evaluated / wall / 1e3:.1f} kcells/s"
+    print(f"replayed {args.layers} layers in {wall:.2f}s ({rate})")
     return 0
 
 
 def cmd_streaks(args: argparse.Namespace) -> int:
     """Run the recoater-streak use case and list found streaks."""
-    job, renderer, records, _ = _prepare(args, streak_rate=args.streak_rate)
-    obs = _obs_of(args)
-    pipeline = build_streak_use_case(
-        iter(records), iter(records), image_px=args.image_px,
-        window_layers=args.window, strata=Strata(engine_mode="threaded", obs=obs),
-    )
-    deploy_cfg = _deploy_of(args)
-    _maybe_explain(args, pipeline.strata, deploy_cfg)
-    pipeline.strata.deploy(deploy_cfg)
-    _dump_metrics(args, obs)
+    workload = _workload_of(args, "streaks", streak_rate=args.streak_rate)
+    pipeline, *_ = _run_workload(args, workload, _obs_of(args))
     reported: dict[int, dict] = {}
     for t in pipeline.sink.results:
         for streak in t.payload["streaks"]:
             reported.setdefault(round(streak["y_mm"]), streak)
+    job, _ = workload_job(workload)
     seeded = [s for s in job.streaks if s.first_layer < args.layers]
     print(f"seeded {len(seeded)} streak(s); reported {len(reported)}")
     for streak in reported.values():
@@ -315,61 +279,22 @@ def cmd_streaks(args: argparse.Namespace) -> int:
     return 0
 
 
-def _thermal_build_of(args: argparse.Namespace):
-    from .am.scanpath import ThermalBuildConfig, synthesize_thermal_build
-
-    spike = None
-    if args.spike_layer is not None:
-        spike = (args.spike_layer, min(args.spike_layer + 1, args.layers - 1))
-    config = ThermalBuildConfig(
-        job_id="cli-thermal-build",
-        layers=args.layers,
-        spike_layers=spike,
-        dropout_rate=args.dropout_rate,
-        seed=args.seed,
-    )
-    return synthesize_thermal_build(config)
-
-
 def cmd_forecast(args: argparse.Namespace) -> int:
     """Stream thermal frames through the Kalman estimator; print alerts."""
-    from .obs.watchdog import QoSWatchdog
-    from .thermal import (
-        ThermalPipelineConfig,
-        build_forecast_pipeline,
-        calibrate_thermal_job,
-        resolve_overheat_threshold,
-    )
-
-    build = _thermal_build_of(args)
-    pipe_cfg = ThermalPipelineConfig(window_layers=args.window)
-    threshold = resolve_overheat_threshold(build, pipe_cfg)
-    pipe_cfg.overheat_threshold = threshold
-    obs = _obs_of(args)
-    deploy_cfg = _deploy_of(args)
-    watchdog = QoSWatchdog()
-    strata = Strata(
-        engine_mode="threaded",
-        connector_mode=_connector_mode_of(deploy_cfg),
-        obs=obs,
-    )
-    pipeline = build_forecast_pipeline(
-        iter(build.records), iter(build.records), build.config, pipe_cfg,
-        strata=strata, watchdog=watchdog,
-    )
-    calibrate_thermal_job(strata.kv, build, laser=False)
-    _maybe_explain(args, strata, deploy_cfg)
-    strata.deploy(deploy_cfg)
-    _dump_metrics(args, obs)
+    # observed, so the estimator has the Strata's watchdog to alert through
+    obs = _obs_of(args, force=True)
+    pipeline, _, _, in_process = _run_workload(args, _workload_of(args, "forecast"), obs)
     results = pipeline.sink.results
     realized = [t.payload["realized_rmse"] for t in results
                 if t.payload["realized_rmse"] >= 0]
     mean_rmse = sum(realized) / len(realized) if realized else float("nan")
-    print(f"layers={args.layers} forecasts={len(results)} "
-          f"frames={pipeline.frames_processed} "
-          f"overheat_threshold={threshold:.1f}")
+    frames = f" frames={pipeline.frames_processed}" if in_process else ""
+    print(f"layers={args.layers} forecasts={len(results)}{frames} "
+          f"overheat_threshold={pipeline.config.overheat_threshold:.1f}")
     print(f"realized forecast RMSE vs measurement: {mean_rmse:.2f}")
-    alerts = watchdog.predictive_alerts()
+    if not in_process:
+        return 0
+    alerts = obs.watchdog.predictive_alerts()
     print(f"predictive alerts: {len(alerts)}")
     for alert in alerts:
         print(f"  layer {alert.layer} {alert.specimen}: forecast "
@@ -380,31 +305,10 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     """Recover laser power/speed per layer from melt-pool frames."""
-    from .thermal import (
-        ThermalPipelineConfig,
-        build_reconstruction_pipeline,
-        calibrate_thermal_job,
-    )
-
-    build = _thermal_build_of(args)
-    obs = _obs_of(args)
-    deploy_cfg = _deploy_of(args)
-    strata = Strata(
-        engine_mode="threaded",
-        connector_mode=_connector_mode_of(deploy_cfg),
-        obs=obs,
-    )
-    pipeline = build_reconstruction_pipeline(
-        iter(build.records), build.config,
-        ThermalPipelineConfig(window_layers=args.window), strata=strata,
-    )
-    calibrate_thermal_job(strata.kv, build)
-    _maybe_explain(args, strata, deploy_cfg)
-    strata.deploy(deploy_cfg)
-    _dump_metrics(args, obs)
+    pipeline, *_ = _run_workload(args, _workload_of(args, "reconstruct"), _obs_of(args))
     results = sorted(pipeline.sink.results, key=lambda t: t.layer)
     actual = {r.layer: (r.actual_power_w, r.actual_speed_mm_s)
-              for r in build.records}
+              for r in synthesize_thermal_build(pipeline.build_config).records}
     print(f"layers={args.layers} reconstructions={len(results)}")
     print(f"{'layer':>5} {'P_hat':>8} {'P_true':>8} {'v_hat':>8} {'v_true':>8}")
     errors = []
@@ -469,6 +373,23 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+def _paced_alg1_sources(args: argparse.Namespace, strata):
+    """The thermal workload's OT and parameter records, ``--pace`` seconds
+    apart, and its Alg. 1 config (thresholds stored on ``strata``)."""
+    workload = _workload_of(args, "thermal")
+    job, renderer = workload_job(workload)
+    config = alg1_config(strata, workload, job, MemoryStore())
+    records = list(BuildDataset(job, renderer).records(0, args.layers))
+
+    def paced():
+        for record in records:
+            if args.pace > 0:
+                time.sleep(args.pace)
+            yield record
+
+    return paced(), paced(), config
+
+
 def cmd_recover(args: argparse.Namespace) -> int:
     """Checkpointed monitoring run that survives crashes across processes.
 
@@ -479,53 +400,34 @@ def cmd_recover(args: argparse.Namespace) -> int:
     checkpoint, replays from the checkpointed source offsets, and
     completes the build; duplicate results are suppressed at the sink.
     """
-    import time
+    from dataclasses import replace
 
     from .kvstore.lsm import LSMStore
     from .recovery import CheckpointCoordinator, RecoveryCoordinator
 
-    job, _, records, reference_images = _prepare(args)
-    config = UseCaseConfig(
-        image_px=args.image_px, cell_edge_px=args.cell_edge,
-        window_layers=args.window,
-    )
     store = LSMStore(args.state_dir)
     obs = _obs_of(args)
     try:
-        strata = Strata(engine_mode="threaded", store=store, obs=obs)
-        calibrate_job(
-            strata.kv, job.job_id, reference_images, args.cell_edge,
-            regions=specimen_regions_px(job.specimens, args.image_px),
-        )
-
-        def paced(recs):
-            for record in recs:
-                if args.pace > 0:
-                    time.sleep(args.pace)
-                yield record
-
+        deploy = _deploy_of(args)
+        strata = strata_for(deploy, store=store, obs=obs)
         pipeline = build_use_case(
-            paced(records), paced(records), config, strata=strata,
-            checkpointable=True,
+            *_paced_alg1_sources(args, strata), strata=strata, checkpointable=True,
         )
         coordinator = CheckpointCoordinator(
             store, interval=args.checkpoint_interval, retain=args.retain
         )
         recovery = RecoveryCoordinator(store)
-        from dataclasses import replace as _replace
-
-        deploy_cfg = _replace(
-            _deploy_of(args),
+        deploy = replace(
+            deploy,
             recovery=RecoveryConfig(checkpointer=coordinator, recover_from=recovery),
         )
-        _maybe_explain(args, strata, deploy_cfg)
+        _maybe_explain(args, strata, deploy)
         crashed = False
+        strata.start(deploy)
         if args.crash_after is None:
-            strata.start(deploy_cfg)
             coordinator.start_periodic()
             strata.wait(timeout=600)
         else:
-            strata.start(deploy_cfg)
             deadline = time.monotonic() + 600
             while time.monotonic() < deadline:
                 try:
@@ -635,32 +537,12 @@ def _render_top(snap) -> str:
 
 def cmd_top(args: argparse.Namespace) -> int:
     """Run the thermal use case and print a live per-operator table."""
-    import time
-
-    job, _, records, reference_images = _prepare(args)
-    config = UseCaseConfig(
-        image_px=args.image_px, cell_edge_px=args.cell_edge,
-        window_layers=args.window,
-    )
     obs = _obs_of(args, force=True)
-    strata = Strata(engine_mode="threaded", obs=obs)
-    calibrate_job(
-        strata.kv, job.job_id, reference_images, args.cell_edge,
-        regions=specimen_regions_px(job.specimens, args.image_px),
-    )
-
-    def paced(recs):
-        for record in recs:
-            if args.pace > 0:
-                time.sleep(args.pace)
-            yield record
-
-    pipeline = build_use_case(
-        paced(records), paced(records), config, strata=strata
-    )
-    deploy_cfg = _deploy_of(args)
-    _maybe_explain(args, strata, deploy_cfg)
-    strata.start(deploy_cfg)
+    deploy = _deploy_of(args)
+    strata = strata_for(deploy, obs=obs)
+    pipeline = build_use_case(*_paced_alg1_sources(args, strata), strata=strata)
+    _maybe_explain(args, strata, deploy)
+    strata.start(deploy)
     scrapes = 0
     while strata.running():
         time.sleep(args.refresh)
@@ -791,11 +673,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     fleet_cfg = None
     if args.config:
-        import tomllib
-
-        with open(args.config, "rb") as fh:
-            data = tomllib.load(fh)
-        fleet_cfg = DeployConfig.from_dict(data).fleet
+        fleet_cfg = DeployConfig.from_dict(_read_toml(args.config)).fleet
     if fleet_cfg is None:
         fleet_cfg = FleetConfig()
     overrides = {}
@@ -870,21 +748,13 @@ def build_parser() -> argparse.ArgumentParser:
         "forecast", help="streaming thermal state estimation + predictive QoS"
     )
     _add_common(sp)
-    sp.add_argument("--spike-layer", type=int, default=None,
-                    help="seed an overheat spike starting at this layer")
-    sp.add_argument("--dropout-rate", type=float, default=0.0,
-                    help="fraction of thermal cells dropped (NaN) per layer")
-    sp.set_defaults(fn=cmd_forecast)
+    sp.set_defaults(fn=cmd_forecast, image_px=120)
 
     sp = subparsers.add_parser(
         "reconstruct", help="laser power/speed reconstruction from melt pools"
     )
     _add_common(sp)
-    sp.add_argument("--spike-layer", type=int, default=None,
-                    help="seed an overheat spike starting at this layer")
-    sp.add_argument("--dropout-rate", type=float, default=0.0,
-                    help="fraction of thermal cells dropped (NaN) per layer")
-    sp.set_defaults(fn=cmd_reconstruct)
+    sp.set_defaults(fn=cmd_reconstruct, image_px=120)
 
     sp = subparsers.add_parser("figures", help="compact Figure 5/6/7 sweeps")
     _add_common(sp)
@@ -972,7 +842,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except DeployConfigError as exc:  # a config the verb cannot run
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,6 +18,10 @@ standalone must yield identical results) checkable.
 A ``thermal`` job's Alg. 1 thresholds and a ``reconstruct`` job's laser
 fit are pure functions of a few spec fields: the service computes each
 once per key in its own store, and every job gets a copy in its own.
+
+The CLI's workload verbs build through :func:`build_pipeline` too; its
+live and paced verbs take their job, renderer and Alg. 1 config from
+:func:`workload_job` and :func:`alg1_config`.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import time
 from dataclasses import replace
 from typing import Any, Callable
 
-from ..am import BuildDataset, OTImageRenderer, make_job
+from ..am import BuildDataset, OTImageRenderer, make_job, suggest_overheat_threshold
 from ..analysis.thresholds import calibrate_thresholds, threshold_key
 from ..core import (
     DeployConfig,
@@ -137,16 +141,47 @@ def _calibrated(
     return payload
 
 
-def _records(workload: dict[str, Any], streaks: bool):
+def strata_for(deploy: DeployConfig, **kwargs: Any) -> Strata:
+    """A threaded Strata (``kwargs``: ``obs``, ``store``) for ``deploy``: the
+    one place that picks connectors, pub/sub where ``dist`` cuts stages."""
+    mode = "pubsub" if deploy.dist is not None else "direct"
+    return Strata(engine_mode="threaded", connector_mode=mode, **kwargs)
+
+
+def workload_job(workload: dict[str, Any]):
+    """The simulated print job a ``thermal``/``streaks`` workload monitors,
+    and the OT renderer that images its layers."""
     job = make_job(
         workload["name"],
         seed=workload["seed"],
         defect_rate_per_stack=workload["defect_rate"],
-        streak_rate_per_100_layers=workload["streak_rate"] if streaks else 0.0,
+        streak_rate_per_100_layers=(
+            workload["streak_rate"] if workload["kind"] == "streaks" else 0.0
+        ),
     )
-    renderer = OTImageRenderer(image_px=workload["image_px"], seed=workload["seed"])
-    records = list(BuildDataset(job, renderer).records(0, workload["layers"]))
-    return job, records
+    return job, OTImageRenderer(image_px=workload["image_px"], seed=workload["seed"])
+
+
+def alg1_config(
+    strata: Strata,
+    workload: dict[str, Any],
+    job,
+    calibrations: KVStore,
+    on_calibration: Callable[[str], None] | None = None,
+) -> UseCaseConfig:
+    """A ``thermal`` workload's Alg. 1 config, with ``job``'s thresholds
+    stored in ``strata.kv`` (taken from ``calibrations``)."""
+    config = UseCaseConfig(
+        image_px=workload["image_px"],
+        cell_edge_px=workload["cell_edge"],
+        window_layers=workload["window"],
+    )
+    thresholds = _calibrated(
+        calibrations, on_calibration, "thresholds", _reference_thresholds,
+        config.image_px, workload["seed"], config.cell_edge_px,
+    )
+    strata.kv.put(threshold_key(job.job_id), thresholds)
+    return config
 
 
 def _thermal_build(workload: dict[str, Any]):
@@ -191,11 +226,14 @@ def _build_thermal_pipeline(
     config = ThermalPipelineConfig(window_layers=workload["window"])
     calibrate_thermal_job(strata.kv, build, laser=False)
     if workload["kind"] == "forecast":
-        pipeline = build_forecast_pipeline(
+        # alert on what this build's calm layers never reach, through the
+        # Strata's own watchdog (none when the Strata runs unobserved)
+        config.overheat_threshold = suggest_overheat_threshold(build)
+        obs = strata.obs
+        return build_forecast_pipeline(
             iter(build.records), iter(build.records), build.config, config,
-            strata=strata,
+            strata=strata, watchdog=None if obs is None else obs.watchdog,
         )
-        return pipeline.sink
     pipeline = build_reconstruction_pipeline(
         iter(build.records), build.config, config, strata=strata
     )
@@ -204,7 +242,7 @@ def _build_thermal_pipeline(
         replace(build.config, job_id="", layers=0),
     )
     strata.kv.put(laser_calibration_key(build.config.job_id), laser)
-    return pipeline.sink
+    return pipeline
 
 
 def _laser_fit(machine) -> dict[str, Any]:
@@ -233,36 +271,28 @@ def build_pipeline(
     calibrations: KVStore,
     on_calibration: Callable[[str], None] | None = None,
 ):
-    """Compose the workload's pipeline on ``strata``; returns its sink.
+    """Compose the resolved ``workload``'s pipeline on ``strata``; returns
+    the pipeline (its ``sink`` holds the results).
 
+    Every fleet job and every CLI workload verb (``quickstart``,
+    ``replay``, ``streaks``, ``forecast``, ``reconstruct``) builds here.
     Calibrations come from ``calibrations`` (computed there on first use;
     ``on_calibration`` hears ``"computed"`` or ``"reused"``).
     """
     if workload["kind"] in ("forecast", "reconstruct"):
         return _build_thermal_pipeline(strata, workload, calibrations, on_calibration)
+    job, renderer = workload_job(workload)
+    records = list(BuildDataset(job, renderer).records(0, workload["layers"]))
     if workload["kind"] == "streaks":
-        _, records = _records(workload, streaks=True)
-        pipeline = build_streak_use_case(
+        return build_streak_use_case(
             iter(records),
             iter(records),
             image_px=workload["image_px"],
             window_layers=workload["window"],
             strata=strata,
         )
-        return pipeline.sink
-    job, records = _records(workload, streaks=False)
-    config = UseCaseConfig(
-        image_px=workload["image_px"],
-        cell_edge_px=workload["cell_edge"],
-        window_layers=workload["window"],
-    )
-    thresholds = _calibrated(
-        calibrations, on_calibration, "thresholds", _reference_thresholds,
-        config.image_px, workload["seed"], config.cell_edge_px,
-    )
-    strata.kv.put(threshold_key(job.job_id), thresholds)
-    pipeline = build_use_case(iter(records), iter(records), config, strata=strata)
-    return pipeline.sink
+    config = alg1_config(strata, workload, job, calibrations, on_calibration)
+    return build_use_case(iter(records), iter(records), config, strata=strata)
 
 
 def result_ids(workload: dict[str, Any], results: list) -> list[list[Any]]:
@@ -310,9 +340,9 @@ def run_standalone(workload: dict[str, Any] | None = None) -> list[list[Any]]:
     """
     workload = resolve_workload(workload)
     strata = Strata(engine_mode="threaded")
-    sink = build_pipeline(strata, workload, MemoryStore())
+    pipeline = build_pipeline(strata, workload, MemoryStore())
     strata.deploy()
-    return result_ids(workload, sink.results)
+    return result_ids(workload, pipeline.sink.results)
 
 
 class JobRunner:
@@ -390,14 +420,10 @@ class JobRunner:
         try:
             cfg = DeployConfig.from_dict(self._deploy_dict)
             distributed = cfg.dist is not None
-            strata = Strata(
-                engine_mode="threaded",
-                connector_mode="pubsub" if distributed else "direct",
-                obs=self.obs,
-            )
+            strata = strata_for(cfg, obs=self.obs)
             sink = build_pipeline(
                 strata, self._workload, self._calibrations, self._on_calibration
-            )
+            ).sink
             with self._lock:
                 if self._cancel:
                     self._finish(states.CANCELLED, "cancelled before launch", None)

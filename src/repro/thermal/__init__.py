@@ -41,7 +41,6 @@ from .pipelines import (
     build_forecast_pipeline,
     build_reconstruction_pipeline,
     calibrate_thermal_job,
-    resolve_overheat_threshold,
 )
 from .reconstruct import (
     ReconstructLaserParameters,
@@ -72,7 +71,6 @@ __all__ = [
     "ThermalPipelineConfig",
     "ThermalPipeline",
     "calibrate_thermal_job",
-    "resolve_overheat_threshold",
     "build_forecast_pipeline",
     "build_reconstruction_pipeline",
 ]

@@ -18,7 +18,6 @@ from ..am.scanpath import (
     ThermalBuild,
     ThermalBuildConfig,
     ThermalLayerRecord,
-    suggest_overheat_threshold,
     synthesize_laser_calibration,
 )
 from ..kvstore.api import KVStore
@@ -38,7 +37,6 @@ __all__ = [
     "ThermalPipelineConfig",
     "ThermalPipeline",
     "calibrate_thermal_job",
-    "resolve_overheat_threshold",
     "build_forecast_pipeline",
     "build_reconstruction_pipeline",
 ]
@@ -97,15 +95,6 @@ def calibrate_thermal_job(
             px_per_mm=config.px_per_mm,
             top_k=config.optics.top_k,
         )
-
-
-def resolve_overheat_threshold(
-    build: ThermalBuild, config: ThermalPipelineConfig
-) -> float:
-    """The configured threshold, or one derived from the build's truth."""
-    if config.overheat_threshold is not None:
-        return config.overheat_threshold
-    return suggest_overheat_threshold(build)
 
 
 def build_forecast_pipeline(

@@ -171,7 +171,7 @@ class TestFramesRenderedWhenRead:
     def test_a_reconstruct_job_renders_each_frame_once(self, passes):
         workload = resolve_workload({**self.WORKLOAD, "kind": "reconstruct"})
         strata = Strata(engine_mode="threaded")
-        sink = build_pipeline(strata, workload, MemoryStore())
+        sink = build_pipeline(strata, workload, MemoryStore()).sink
         # building renders the calibration sweep: one pass per scan angle,
         # each for the 3 x 3 power/speed grid; no layer frame yet
         assert [len(commands) for commands in passes] == [9, 9, 9]

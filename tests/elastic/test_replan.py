@@ -679,21 +679,22 @@ def test_deploy_config_rejects_table_under_scalar_key():
 def test_cli_elastic_of_replan_flags():
     import argparse
 
-    from repro.cli import _elastic_of
+    from repro.cli import _deploy_of
 
-    def ns(**kw):
+    def elastic_of(**kw):
         base = dict(
+            config=None, no_optimize=False, batch_size=32, parallelism=1,
             elastic=False, replan=False, no_replan=False,
             min_parallelism=1, max_parallelism=4,
         )
         base.update(kw)
-        return argparse.Namespace(**base)
+        return _deploy_of(argparse.Namespace(**base)).elastic
 
-    assert _elastic_of(ns()) is None
-    assert _elastic_of(ns(elastic=True)).replan is None
-    config = _elastic_of(ns(replan=True))  # --replan implies --elastic
+    assert elastic_of() is None
+    assert elastic_of(elastic=True).replan is None
+    config = elastic_of(replan=True)  # --replan implies --elastic
     assert isinstance(config.replan, ReplanConfig)
-    assert _elastic_of(ns(elastic=True, replan=True, no_replan=True)).replan is None
+    assert elastic_of(elastic=True, replan=True, no_replan=True).replan is None
 
 
 def test_cli_no_replan_overrides_config_file(tmp_path):

@@ -9,6 +9,7 @@ latency budget, and one ``/metrics`` scrape exposes every job's
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -16,6 +17,7 @@ import urllib.request
 import pytest
 
 from repro.fleet import FleetConfig, FleetHTTPServer, FleetService, run_standalone
+from repro.fleet import runner as runner_module
 from tests.conftest import keepalive_median_ms
 
 SMALL = {"layers": 3, "image_px": 96, "cell_edge": 8, "window": 3}
@@ -71,8 +73,33 @@ def wait_terminal(server, job_id, timeout=90.0):
     raise AssertionError(f"job {job_id} still {body['state']} after {timeout}s")
 
 
+def hold_last_layer_until_cancel(monkeypatch):
+    """Make every ``thermal`` job built from now on hold its last layer back
+    until a cancel reaches its runner: however fast it runs, the job is
+    still RUNNING when a DELETE lands, and it ends once the cancel stops it."""
+    cancelled = threading.Event()
+    real_cancel = runner_module.JobRunner.cancel
+    real_build = runner_module.build_use_case
+
+    def cancel(runner):
+        cancelled.set()
+        real_cancel(runner)
+
+    def held(records):
+        *head, last = records
+        yield from head
+        cancelled.wait(timeout=60)
+        yield last
+
+    def build_use_case(ot_records, pp_records, config, **kwargs):
+        return real_build(held(ot_records), held(pp_records), config, **kwargs)
+
+    monkeypatch.setattr(runner_module.JobRunner, "cancel", cancel)
+    monkeypatch.setattr(runner_module, "build_use_case", build_use_case)
+
+
 class TestFleetSmoke:
-    def test_three_tenant_jobs_quota_cancel_and_metrics(self, server):
+    def test_three_tenant_jobs_quota_cancel_and_metrics(self, server, monkeypatch):
         # -- three concurrent jobs from two tenants -------------------------
         elastic = {"plan": True, "elastic": {"max_parallelism": 2}}
         # acme's two jobs must both still be active when its 4th request
@@ -110,6 +137,7 @@ class TestFleetSmoke:
             assert final["result"]["result_ids"] == run_standalone(workload)
 
         # -- DELETE cancels a running job within the 2s budget --------------
+        hold_last_layer_until_cancel(monkeypatch)
         status, body = request(
             server, "POST", "/jobs", {"tenant": "acme", "workload": LONG}
         )

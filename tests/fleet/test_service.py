@@ -11,6 +11,7 @@ import weakref
 
 import pytest
 
+from repro.core import DeployConfig
 from repro.core.errors import DeployConfigError
 from repro.fleet import (
     CANCELLED,
@@ -23,9 +24,9 @@ from repro.fleet import (
     run_standalone,
 )
 from repro.fleet import runner as runner_module
-from repro.fleet.runner import resolve_workload
+from repro.fleet.runner import build_pipeline, resolve_workload, strata_for
 from repro.kvstore import MemoryStore
-from repro.obs import exporters
+from repro.obs import ObsContext, exporters
 from tests.conftest import assert_families_grouped
 
 SMALL = {"layers": 3, "image_px": 96, "cell_edge": 8, "window": 3}
@@ -189,6 +190,23 @@ class TestObservability:
         snap = service.snapshot()
         assert snap.value("fleet_jobs_submitted_total") == 2.0
         assert snap.value("fleet_worker_budget") == 6.0
+
+    def test_a_forecast_job_counts_its_predictive_alerts(self, service):
+        """A forecast job alerts at the threshold its build suggests, through
+        its own watchdog: its series count what an observed standalone
+        build of the same spec raises."""
+        spec = {**SMALL, "kind": "forecast"}
+        record = service.submit({"tenant": "acme", "workload": spec})
+        assert service.wait(record.job_id, timeout=90).state == COMPLETED
+        [line] = [
+            line for line in job_lines(service.prometheus(), record.job_id)
+            if line.startswith("strata_qos_predictive_alerts_total{")
+        ]
+        strata = strata_for(DeployConfig(), obs=ObsContext())
+        build_pipeline(strata, resolve_workload(spec), MemoryStore())
+        strata.deploy()
+        expected = strata.obs.watchdog.predictive_events
+        assert float(line.rsplit(" ", 1)[1]) == expected > 0
 
     def test_a_scrape_groups_every_metric_family(self, service, monkeypatch):
         """Two finished jobs and a running one export the same families; the

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.am.scanpath import suggest_overheat_threshold
 from repro.analysis import meltpool_cell_stats
 from repro.core import DeployConfig, Strata
 from repro.obs.watchdog import PREDICTIVE_CATEGORY, QoSWatchdog
@@ -25,7 +26,6 @@ from repro.thermal import (
     build_forecast_pipeline,
     build_reconstruction_pipeline,
     calibrate_thermal_job,
-    resolve_overheat_threshold,
 )
 
 from .conftest import small_build_config
@@ -111,9 +111,7 @@ class TestForecastPipeline:
 class TestPredictiveAlerts:
     def test_spike_raises_alerts_before_the_breach(self, spike_build):
         dog = QoSWatchdog()
-        threshold = resolve_overheat_threshold(
-            spike_build, ThermalPipelineConfig()
-        )
+        threshold = suggest_overheat_threshold(spike_build)
         pipeline = _run_forecast(spike_build, watchdog=dog, threshold=threshold)
         assert len(pipeline.sink.results) == spike_build.config.layers * REGIONS
 
