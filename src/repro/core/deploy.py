@@ -16,9 +16,9 @@ violation raises the same typed error,
 thing to catch.
 
 ``from_dict``/``to_dict`` round-trip the config through plain mappings
-(minus live objects: coordinators, contexts, and scale policies are code,
-not configuration), which is what the CLI's ``--config file.toml``
-support builds on.
+(minus live objects: coordinators and contexts are code, not
+configuration), which is what the CLI's ``--config file.toml`` support
+builds on.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ _SUB_CONFIGS: dict[str, type] = {
 #: sub-config fields that hold live objects, not serializable data.
 _LIVE_FIELDS: dict[str, tuple[str, ...]] = {
     "recovery": ("checkpointer", "recover_from"),
-    "elastic": ("policy",),
 }
 
 #: sub-config fields that are themselves dataclass tables, one nesting
@@ -204,9 +203,9 @@ class DeployConfig:
     def to_dict(self) -> dict[str, Any]:
         """The inverse of :meth:`from_dict`; omits unset (None) fields.
 
-        Live objects (a handed-over checkpointer, an ``ObsContext``, a
-        custom scale policy) are code, not configuration — attempting to
-        serialize a config holding one raises :class:`DeployConfigError`.
+        Live objects (a handed-over checkpointer, an ``ObsContext``) are
+        code, not configuration — attempting to serialize a config holding
+        one raises :class:`DeployConfigError`.
         """
         out: dict[str, Any] = {}
         for f in fields(self):

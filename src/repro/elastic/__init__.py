@@ -8,21 +8,19 @@ mutation share that protocol:
 * **rescaling** keyed-replicated operator groups (state re-sharded
   across the new replica count);
 * **re-planning** fused linear chains — unfuse/fuse, and dist-worker
-  stage migration — driven by the typed
-  :data:`~repro.elastic.actions.AdaptationAction` algebra returned by an
-  :class:`~repro.elastic.actions.AdaptationPolicy` (default:
-  :class:`~repro.elastic.replan.CostModelPolicy`, which takes a
-  3-argument :class:`~repro.elastic.policy.ScalePolicy` for the replica
-  counts: ``CostModelPolicy(scale=...)``).
+  stage migration.
+
+One policy, :class:`~repro.elastic.replan.CostModelPolicy`, decides both:
+it returns the typed :data:`~repro.elastic.actions.AdaptationAction`
+algebra the controller applies.
 """
 
 from .actions import (
     AdaptationAction,
-    AdaptationPolicy,
     ChainSignals,
     Fuse,
+    GroupSignals,
     Migrate,
-    NoOp,
     Rescale,
     Unfuse,
     WorkloadView,
@@ -35,7 +33,6 @@ from .controller import (
     discover_groups,
     elastic_supervisor,
 )
-from .policy import GroupSignals, HysteresisPolicy, ScalePolicy
 from .replan import (
     AdaptiveChain,
     CostModelPolicy,
@@ -43,11 +40,9 @@ from .replan import (
     discover_chains,
     plan_migration,
 )
-from .reshard import merge_keyed, split_keyed, split_scalar
 
 __all__ = [
     "AdaptationAction",
-    "AdaptationPolicy",
     "AdaptiveChain",
     "ChainSignals",
     "CostModelPolicy",
@@ -57,20 +52,14 @@ __all__ = [
     "ElasticGroup",
     "Fuse",
     "GroupSignals",
-    "HysteresisPolicy",
     "Migrate",
-    "NoOp",
     "ReplanConfig",
     "Rescale",
-    "ScalePolicy",
     "Unfuse",
     "WorkloadView",
     "discover_chains",
     "discover_groups",
     "elastic_plan",
     "elastic_supervisor",
-    "merge_keyed",
     "plan_migration",
-    "split_keyed",
-    "split_scalar",
 ]

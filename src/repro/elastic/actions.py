@@ -1,30 +1,25 @@
 """The typed adaptation-action algebra consumed by the elastic controller.
 
-The original elastic API spoke only one word: ``ScalePolicy.decide(group,
-signals, current) -> int`` — a replica count. Runtime re-planning needs a
-richer vocabulary (Strider, arXiv 1705.05688: switch the *logical plan*
-from workload statistics), so policies now return a sequence of typed
-:data:`AdaptationAction` values:
+Each tick the controller snapshots every replica group's
+:class:`GroupSignals` and every adaptable chain's :class:`ChainSignals`
+into one :class:`WorkloadView`, and
+:class:`~repro.elastic.replan.CostModelPolicy` turns it into a list of
+typed :data:`AdaptationAction` values (Strider, arXiv 1705.05688: switch
+the *logical plan* from workload statistics):
 
 * :class:`Rescale`       — change a keyed replica group's parallelism;
 * :class:`Unfuse`        — break a fused linear chain into per-operator
                            nodes (pipeline parallelism across threads);
 * :class:`Fuse`          — re-fuse a previously unfused chain;
-* :class:`Migrate`       — move a pipeline stage to another dist worker;
-* :class:`NoOp`          — explicitly decide nothing (with a reason).
+* :class:`Migrate`       — move a pipeline stage to another dist worker.
 
-:class:`AdaptationPolicy` is the new protocol: one ``decide(view)`` over a
-:class:`WorkloadView` snapshot of every group's and chain's signals.
-A 3-argument :class:`~repro.elastic.policy.ScalePolicy` decides replica
-counts inside one: ``CostModelPolicy(scale=my_policy)``.
+An empty list decides nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Protocol, Sequence, Union, runtime_checkable
-
-from .policy import GroupSignals
+from typing import Any, Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -73,19 +68,27 @@ class Migrate:
         return f"migrate {self.stage} -> {self.to_worker}"
 
 
+#: The closed set of decisions the policy may return.
+AdaptationAction = Union[Rescale, Fuse, Unfuse, Migrate]
+
+
 @dataclass(frozen=True)
-class NoOp:
-    """An explicit decision to change nothing this tick."""
+class GroupSignals:
+    """One tick's worth of load evidence for one replica group.
 
-    reason: str = ""
-    kind = "noop"
+    ``queue_fill``          boundary-queue depth as a fraction of capacity;
+    ``busy_fraction``       mean fraction of the tick the group's replicas
+                            spent processing (0..~1 per replica);
+    ``watermark_lag_s``     event-time distance between sources and sinks;
+    ``qos_violation_delta`` QoS watchdog violations since the last tick;
+    ``parallelism``         the group's current replica count.
+    """
 
-    def describe(self) -> str:
-        return f"noop({self.reason})" if self.reason else "noop"
-
-
-#: The closed set of decisions an AdaptationPolicy may return.
-AdaptationAction = Union[Rescale, Fuse, Unfuse, Migrate, NoOp]
+    queue_fill: float = 0.0
+    busy_fraction: float = 0.0
+    watermark_lag_s: float = 0.0
+    qos_violation_delta: int = 0
+    parallelism: int = 1
 
 
 @dataclass(frozen=True)
@@ -114,27 +117,14 @@ class ChainSignals:
 
 @dataclass(frozen=True)
 class WorkloadView:
-    """Everything a policy may look at for one decision round.
+    """Everything the policy looks at for one decision round.
 
     ``groups``  per-replica-group :class:`GroupSignals`;
     ``chains``  per-adaptable-chain :class:`ChainSignals`;
     ``workers`` per-dist-worker load summaries (busy fraction and stage
-                names), present only under a distributed coordinator;
-    ``bounds``  the live (min, max) parallelism clamp;
-    ``tick_s``  the sampling period the deltas were measured over.
+                names), present only under a distributed coordinator.
     """
 
     groups: Mapping[str, GroupSignals] = field(default_factory=dict)
     chains: Mapping[str, ChainSignals] = field(default_factory=dict)
     workers: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
-    bounds: tuple[int, int] = (1, 4)
-    tick_s: float = 0.25
-
-
-@runtime_checkable
-class AdaptationPolicy(Protocol):
-    """Pluggable decision logic over the full workload view."""
-
-    def decide(self, view: WorkloadView) -> Sequence[AdaptationAction]:
-        """The actions to apply this tick (may be empty)."""
-        ...

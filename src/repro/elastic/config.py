@@ -16,12 +16,9 @@ class ElasticConfig:
     every keyed-replicated group; a deployment starts at the minimum.
     ``tick_s`` is the signal sampling period, ``cooldown_s`` the minimum
     spacing between rescales of one group. Between rescales the controller
-    retunes each group's edge batch size.
-    ``policy`` overrides the default policy (any object implementing
-    :class:`~repro.elastic.actions.AdaptationPolicy`; a 3-argument
-    :class:`~repro.elastic.policy.ScalePolicy` is passed as
-    ``CostModelPolicy(scale=...)``). ``replan`` enables runtime plan adaptation —
-    ``True`` for defaults or a
+    retunes each group's edge batch size. What to rescale, and when, is
+    :class:`~repro.elastic.replan.CostModelPolicy`'s call.
+    ``replan`` enables runtime plan adaptation — ``True`` for defaults or a
     :class:`~repro.elastic.replan.ReplanConfig`; off, the controller
     only rescales replica groups.
     """
@@ -30,7 +27,6 @@ class ElasticConfig:
     max_parallelism: int = 4
     tick_s: float = 0.25
     cooldown_s: float = 2.0
-    policy: Any | None = None
     replan: Any | None = None
 
     def __post_init__(self) -> None:

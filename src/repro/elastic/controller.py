@@ -3,9 +3,10 @@
 The controller watches the same signals an operator reads off the
 ``strata-repro top`` table — boundary-queue fill, per-replica busy
 fraction, watermark lag, QoS watchdog violations — assembles them into
-one :class:`~repro.elastic.actions.WorkloadView` per tick, and asks its
-:class:`~repro.elastic.actions.AdaptationPolicy` for a sequence of typed
-actions. It can apply three plan mutations *while the query runs*:
+one :class:`~repro.elastic.actions.WorkloadView` per tick, and asks
+:class:`~repro.elastic.replan.CostModelPolicy` for a list of typed
+actions; clamping, cooldowns and the per-tick budget stay here. It can
+apply three plan mutations *while the query runs*:
 
 * **Rescale** a keyed-replicated group to a new replica count (the
   original elastic capability);
@@ -70,17 +71,15 @@ from ..spe.scheduler import NodeExecutor, ThreadedScheduler
 from ..spe.stream import Stream
 from .actions import (
     AdaptationAction,
-    AdaptationPolicy,
     ChainSignals,
     Fuse,
+    GroupSignals,
     Migrate,
-    NoOp,
     Rescale,
     Unfuse,
     WorkloadView,
 )
 from .config import ElasticConfig
-from .policy import GroupSignals
 from .replan import MAX_ACTIONS_PER_TICK, AdaptiveChain, CostModelPolicy, discover_chains
 
 logger = logging.getLogger("repro.elastic")
@@ -177,14 +176,9 @@ class ElasticController:
         self._obs = obs
         self._checkpointer = checkpointer
         self._replan = config.replan  # ReplanConfig | None (pre-resolved)
-        # None picks the cost model for either deployment shape: with
-        # replanning off no chains are discovered, so all it ever sees are
-        # replica groups and it decides exactly what its hysteresis scale
-        # policy decides
-        self._policy: AdaptationPolicy = (
-            config.policy if config.policy is not None
-            else CostModelPolicy(self._replan)
-        )
+        # one policy for either deployment shape: with replanning off no
+        # chains are discovered, so all it ever sees are replica groups
+        self._policy = CostModelPolicy(self._replan)
         # live clamp for policy targets; starts at the config bounds but can
         # be moved at runtime (set_bounds) by an external budget owner —
         # this is how the fleet scheduler lends and reclaims replicas
@@ -336,12 +330,13 @@ class ElasticController:
             except Exception:  # pragma: no cover - defensive: keep monitoring
                 logger.exception("elastic tick failed")
 
-    def workload_view(
-        self, executors: list[NodeExecutor] | None = None
-    ) -> WorkloadView:
-        """One decision round's signals (public for tests and policies)."""
-        if executors is None:
-            executors = self._scheduler.executors
+    def _workload_view(self, executors: list[NodeExecutor]) -> WorkloadView:
+        """One decision round's signals.
+
+        Not a pure read: the QoS violation delta and each target's busy
+        delta are taken since the previous call, so only :meth:`tick`
+        may call it.
+        """
         qos_delta = self._qos_violation_delta()
         groups = {
             g.name: self._signals(g, executors, qos_delta) for g in self.groups
@@ -355,25 +350,17 @@ class ElasticController:
                 workers = dict(self._worker_loads())
             except Exception:  # pragma: no cover - heartbeat races
                 logger.exception("worker load snapshot failed")
-        return WorkloadView(
-            groups=groups,
-            chains=chains,
-            workers=workers,
-            bounds=self.bounds,
-            tick_s=self._config.tick_s,
-        )
+        return WorkloadView(groups=groups, chains=chains, workers=workers)
 
     def tick(self) -> None:
         """One sampling + decision round (public for deterministic tests)."""
         executors = self._scheduler.executors
-        view = self.workload_view(executors)
-        actions = list(self._policy.decide(view) or ())
+        view = self._workload_view(executors)
+        actions = self._policy.decide(view)
         rescaled: set[str] = set()
         budget = MAX_ACTIONS_PER_TICK
         now = time.monotonic()
         for action in actions:
-            if isinstance(action, NoOp):
-                continue
             if isinstance(action, Rescale):
                 group = self._group_named(action.group)
                 if group is None:
@@ -550,8 +537,6 @@ class ElasticController:
         (targets are still clamped to the live bounds — see
         :meth:`rescale`).
         """
-        if isinstance(action, NoOp):
-            return False
         if isinstance(action, Rescale):
             group = self._group_named(action.group)
             if group is None:

@@ -1,7 +1,7 @@
-"""Runtime re-planning: the cost model and the adaptive-chain registry.
+"""The elastic policy and the adaptive-chain registry.
 
-This module holds the pieces of PR "adaptive re-planning" that are pure
-decision logic or bookkeeping — no drain/splice mechanics (those live in
+This module holds the pure decision logic and bookkeeping of runtime
+adaptation — no drain/splice mechanics (those live in
 :class:`~repro.elastic.controller.ElasticController`):
 
 * :class:`ReplanConfig`    — validated knobs, resolved into
@@ -12,12 +12,18 @@ decision logic or bookkeeping — no drain/splice mechanics (those live in
 * :func:`discover_chains`  — find every adaptable chain in a compiled
                              plan (fused, single-input, outside every
                              keyed replica group);
-* :class:`CostModelPolicy` — the default :class:`AdaptationPolicy`: the
-                             classic hysteresis policy for replica
-                             counts plus a chain cost model over the
-                             observed busy/queue statistics;
+* :class:`CostModelPolicy` — the one policy: a hysteresis rule for
+                             replica counts plus a chain cost model over
+                             the observed busy/queue statistics;
 * :func:`plan_migration`   — the placement rule the dist coordinator
                              applies to heartbeat load summaries.
+
+A replica group doubles after ``UP_TICKS`` overloaded ticks in a row (at
+or over either ``UP_*`` threshold) and at once on a QoS watchdog
+violation: a missed recoat-gap deadline means the build is already
+printing over unassessed layers. It steps down one replica at a time
+after ``DOWN_TICKS`` idle ticks (at or under both ``DOWN_*`` thresholds,
+no violation), so lulls between layer bursts do not thrash it.
 
 The cost model is deliberately simple and explainable. For a fused chain,
 fusion saves one queue hop per edge but serializes the members onto one
@@ -42,12 +48,12 @@ from .actions import (
     AdaptationAction,
     ChainSignals,
     Fuse,
+    GroupSignals,
     Migrate,
     Rescale,
     Unfuse,
     WorkloadView,
 )
-from .policy import HysteresisPolicy, ScalePolicy
 
 #: plan mutations one controller tick may apply (rescales are budgeted
 #: separately, by the group cooldown)
@@ -55,6 +61,16 @@ MAX_ACTIONS_PER_TICK = 1
 #: how many times busier than the idlest worker the busiest one must be
 #: before :func:`plan_migration` moves a stage off it
 MIGRATE_BUSY_RATIO = 2.0
+#: a replica group is overloaded at this boundary-queue fill or busy
+#: fraction, and doubles after UP_TICKS such ticks in a row
+UP_QUEUE_FILL = 0.5
+UP_BUSY = 0.85
+UP_TICKS = 2
+#: a replica group is idle at or under both, and sheds one replica after
+#: DOWN_TICKS such ticks in a row
+DOWN_QUEUE_FILL = 0.10
+DOWN_BUSY = 0.35
+DOWN_TICKS = 6
 
 
 @dataclass(frozen=True)
@@ -182,28 +198,22 @@ def discover_chains(
 
 
 class CostModelPolicy:
-    """Default :class:`~repro.elastic.actions.AdaptationPolicy`.
+    """The elastic controller's policy: one ``decide(view)`` per tick.
 
-    Replica-count decisions delegate to a classic
-    :class:`~repro.elastic.policy.ScalePolicy` (hysteresis by default);
-    chain decisions come from the cost model described in the module
-    docstring, with the same streak-based hysteresis the scale policy
-    uses so one noisy tick never rewrites the plan.
+    Replica counts come from the hysteresis rule and chain decisions from
+    the cost model, both described in the module docstring; every rule
+    must hold for a streak of ticks, so one noisy tick never rescales a
+    group or rewrites the plan.
     """
 
-    def __init__(
-        self,
-        replan: ReplanConfig | None = None,
-        scale: ScalePolicy | None = None,
-    ) -> None:
+    def __init__(self, replan: ReplanConfig | None = None) -> None:
         self._cfg = replan if replan is not None else ReplanConfig()
-        self._scale = scale if scale is not None else HysteresisPolicy()
         self._streaks: dict[tuple[str, str], int] = {}
 
     def decide(self, view: WorkloadView) -> list[AdaptationAction]:
         actions: list[AdaptationAction] = []
         for name, signals in view.groups.items():
-            target = self._scale.decide(name, signals, signals.parallelism)
+            target = self._rescale_target(name, signals)
             if target != signals.parallelism:
                 actions.append(Rescale(group=name, target=target))
         for name, chain in view.chains.items():
@@ -216,23 +226,45 @@ class CostModelPolicy:
                 actions.append(migration)
         return actions
 
-    def _streak(self, chain: str, rule: str, active: bool) -> bool:
-        """Advance the (chain, rule) streak; True once it reaches the bar.
+    def _streak(self, name: str, rule: str, active: bool, bar: int) -> bool:
+        """Advance the (name, rule) streak; True once it reaches ``bar``.
 
-        The two rules are mutually exclusive (one needs a fused chain, the
-        other an unfused one), and an inactive rule drops its streak, so
-        a chain never carries more than one ripening streak.
+        Each target's two rules are mutually exclusive (up needs an
+        overloaded group, down an idle one; unfuse needs a fused chain,
+        fuse an unfused one), and an inactive rule drops its streak, so a
+        target never carries more than one ripening streak.
         """
-        key = (chain, rule)
+        key = (name, rule)
         if not active:
             self._streaks.pop(key, None)
             return False
         streak = self._streaks.get(key, 0) + 1
-        if streak >= self._cfg.streak_ticks:
+        if streak >= bar:
             self._streaks.pop(key, None)
             return True
         self._streaks[key] = streak
         return False
+
+    def _rescale_target(self, group: str, signals: GroupSignals) -> int:
+        current = signals.parallelism
+        violated = signals.qos_violation_delta > 0
+        overloaded = (
+            signals.queue_fill >= UP_QUEUE_FILL
+            or signals.busy_fraction >= UP_BUSY
+            or violated
+        )
+        idle = (
+            signals.queue_fill <= DOWN_QUEUE_FILL
+            and signals.busy_fraction <= DOWN_BUSY
+            and not violated
+        )
+        # both streaks advance every tick: a firing rule still clears the
+        # other one's streak
+        up = self._streak(group, "up", overloaded, 1 if violated else UP_TICKS)
+        down = self._streak(group, "down", idle and current > 1, DOWN_TICKS)
+        if up:
+            return current * 2
+        return current - 1 if down else current
 
     def _chain_action(self, chain: ChainSignals) -> AdaptationAction | None:
         cfg = self._cfg
@@ -246,7 +278,7 @@ class CostModelPolicy:
             and chain.queue_fill >= cfg.unfuse_queue_fill
             and chain.busy_fraction >= cfg.unfuse_busy
         )
-        if self._streak(chain.name, "unfuse", saturated):
+        if self._streak(chain.name, "unfuse", saturated, cfg.streak_ticks):
             return Unfuse(chain=chain.name)
         # Rule 2 — idle unfused chain: the queue hops now dominate the
         # (absent) pipeline-parallelism gain; collapse back to one node.
@@ -255,7 +287,7 @@ class CostModelPolicy:
             and chain.queue_fill <= cfg.refuse_queue_fill
             and chain.busy_fraction <= cfg.refuse_busy
         )
-        if self._streak(chain.name, "fuse", idle):
+        if self._streak(chain.name, "fuse", idle, cfg.streak_ticks):
             return Fuse(chain=chain.name)
         return None
 

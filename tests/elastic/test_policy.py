@@ -1,9 +1,15 @@
-"""Scale policy and ElasticConfig: hysteresis streaks, bounds, validation."""
+"""The rescale rule and ElasticConfig: hysteresis streaks, bounds,
+validation."""
 
 import pytest
 
-from repro.elastic import ElasticConfig
-from repro.elastic.policy import GroupSignals, HysteresisPolicy, ScalePolicy
+from repro.elastic import (
+    CostModelPolicy,
+    ElasticConfig,
+    GroupSignals,
+    Rescale,
+    WorkloadView,
+)
 
 
 def overloaded(parallelism=1):
@@ -18,41 +24,50 @@ def steady(parallelism=2):
     return GroupSignals(queue_fill=0.3, busy_fraction=0.6, parallelism=parallelism)
 
 
+def target(policy, group, signals):
+    """``group``'s replica count after one decision round."""
+    actions = policy.decide(WorkloadView(groups={group: signals}))
+    rescales = [a.target for a in actions if isinstance(a, Rescale)]
+    return rescales[0] if rescales else signals.parallelism
+
+
 class TestHysteresisPolicy:
+    """``CostModelPolicy``'s rescale rule at its fixed thresholds: double
+    after 2 overloaded ticks or on a QoS violation, shed one replica after
+    6 idle ticks."""
+
     def test_up_needs_consecutive_overloaded_ticks(self):
-        policy = HysteresisPolicy(up_ticks=2, qos_boost=False)
-        assert policy.decide("g", overloaded(), 1) == 1
-        assert policy.decide("g", overloaded(), 1) == 2  # doubling
+        policy = CostModelPolicy()
+        assert target(policy, "g", overloaded()) == 1
+        assert target(policy, "g", overloaded()) == 2  # doubling
 
     def test_steady_tick_resets_up_streak(self):
-        policy = HysteresisPolicy(up_ticks=2, qos_boost=False)
-        assert policy.decide("g", overloaded(), 1) == 1
-        assert policy.decide("g", steady(1), 1) == 1
-        assert policy.decide("g", overloaded(), 1) == 1  # streak restarted
+        policy = CostModelPolicy()
+        assert target(policy, "g", overloaded()) == 1
+        assert target(policy, "g", steady(1)) == 1
+        assert target(policy, "g", overloaded()) == 1  # streak restarted
 
     def test_qos_violation_scales_up_immediately(self):
-        policy = HysteresisPolicy(up_ticks=4, qos_boost=True)
+        policy = CostModelPolicy()
         signals = GroupSignals(qos_violation_delta=1, parallelism=2)
-        assert policy.decide("g", signals, 2) == 4
+        assert target(policy, "g", signals) == 4
 
     def test_down_needs_long_idle_streak(self):
-        policy = HysteresisPolicy(down_ticks=3)
-        assert policy.decide("g", idle(), 2) == 2
-        assert policy.decide("g", idle(), 2) == 2
-        assert policy.decide("g", idle(), 2) == 1  # one replica at a time
+        policy = CostModelPolicy()
+        for _ in range(5):
+            assert target(policy, "g", idle()) == 2
+        assert target(policy, "g", idle()) == 1  # one replica at a time
 
     def test_no_down_below_one(self):
-        policy = HysteresisPolicy(down_ticks=1)
-        assert policy.decide("g", idle(1), 1) == 1
+        policy = CostModelPolicy()
+        for _ in range(12):
+            assert target(policy, "g", idle(1)) == 1
 
     def test_streaks_are_per_group(self):
-        policy = HysteresisPolicy(up_ticks=2, qos_boost=False)
-        assert policy.decide("a", overloaded(), 1) == 1
-        assert policy.decide("b", overloaded(), 1) == 1
-        assert policy.decide("a", overloaded(), 1) == 2
-
-    def test_satisfies_scale_policy_protocol(self):
-        assert isinstance(HysteresisPolicy(), ScalePolicy)
+        policy = CostModelPolicy()
+        assert target(policy, "a", overloaded()) == 1
+        assert target(policy, "b", overloaded()) == 1
+        assert target(policy, "a", overloaded()) == 2
 
 
 class TestElasticConfig:

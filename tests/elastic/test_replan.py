@@ -14,8 +14,8 @@ from repro.elastic import (
     CostModelPolicy,
     ElasticConfig,
     Fuse,
+    GroupSignals,
     Migrate,
-    NoOp,
     ReplanConfig,
     Rescale,
     Unfuse,
@@ -23,7 +23,6 @@ from repro.elastic import (
     plan_migration,
 )
 from repro.elastic.actions import ChainSignals
-from repro.elastic.policy import GroupSignals
 from repro.spe import CollectingSink, PlanError
 from repro.spe.source import Source
 from repro.spe.tuples import StreamTuple
@@ -131,10 +130,8 @@ def test_action_kinds_and_describe():
     assert Migrate("stage-1", "worker-2").describe() == (
         "migrate stage-1 -> worker-2"
     )
-    assert NoOp().describe() == "noop"
-    assert "idle" in NoOp("idle").describe()
     assert set(typing.get_args(AdaptationAction)) == {
-        Rescale, Fuse, Unfuse, Migrate, NoOp
+        Rescale, Fuse, Unfuse, Migrate
     }
 
 
@@ -176,41 +173,6 @@ def test_elastic_config_resolves_replan():
     assert ElasticConfig(replan=False).replan is None
     with pytest.raises(ValueError, match="replan"):
         ElasticConfig(replan="yes")
-
-
-# -- a 3-argument ScalePolicy decides replica counts inside the cost model ----
-
-
-class Doubler:
-    """ScalePolicy contract: always asks for double the replicas."""
-
-    def decide(self, group, signals, current):
-        return current * 2
-
-
-def test_scale_policy_rides_inside_the_cost_model():
-    policy = CostModelPolicy(scale=Doubler())
-    view = WorkloadView(
-        groups={"g": GroupSignals(parallelism=2)},
-        chains={
-            "c": ChainSignals(
-                name="c", mode="scalar", members=("a", "b"), fused=True,
-                queue_fill=0.0, busy_fraction=0.5,
-            )
-        },
-    )
-    assert policy.decide(view) == [Rescale(group="g", target=4)]
-
-
-def test_scale_policy_holding_at_target_emits_nothing():
-    class Hold:
-        def decide(self, group, signals, current):
-            return current
-
-    policy = CostModelPolicy(scale=Hold())
-    assert policy.decide(
-        WorkloadView(groups={"g": GroupSignals(parallelism=2)})
-    ) == []
 
 
 # -- the cost model -----------------------------------------------------------
@@ -478,7 +440,7 @@ def test_tick_respects_the_per_tick_action_budget():
     controller = strata.elastic
     chain = controller.chains[0]
     controller._policy = ScriptedPolicy(
-        [Unfuse(chain=chain.name), Fuse(chain=chain.name), NoOp()]
+        [Unfuse(chain=chain.name), Fuse(chain=chain.name)]
     )
     controller.tick()
     # budget of one: the unfuse landed, the fuse must wait for a later tick

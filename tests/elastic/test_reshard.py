@@ -1,81 +1,15 @@
-"""Shard arithmetic: merge/split helpers and operator reshard_state."""
-
-import pytest
+"""Operator reshard_state: state drained from N shards, split across M."""
 
 from repro.core.operators import (
     CorrelateEventsOperator,
     DetectEventOperator,
     PartitionOperator,
 )
-from repro.elastic.reshard import merge_keyed, split_keyed, split_scalar
 from repro.spe.operators.router import hash_route
 
 
 def route_for(shards):
     return lambda key: hash_route(key, shards)
-
-
-# -- merge_keyed -------------------------------------------------------------
-
-
-def test_merge_unions_disjoint_shards():
-    merged = merge_keyed([{"a": 1}, {"b": 2}, None, {}])
-    assert merged == {"a": 1, "b": 2}
-
-
-def test_merge_rejects_duplicate_keys():
-    with pytest.raises(ValueError, match="more than one shard"):
-        merge_keyed([{"a": 1}, {"a": 2}])
-
-
-# -- split_keyed -------------------------------------------------------------
-
-
-def test_split_routes_every_key():
-    merged = {f"k{i}": i for i in range(20)}
-    shards = split_keyed(merged, 3, route_for(3))
-    assert len(shards) == 3
-    assert merge_keyed(shards) == merged
-    for index, shard in enumerate(shards):
-        for key in shard:
-            assert hash_route(key, 3) == index
-
-
-def test_split_rejects_out_of_range_route():
-    with pytest.raises(ValueError, match="outside"):
-        split_keyed({"a": 1}, 2, lambda key: 5)
-
-
-def test_split_rejects_zero_shards():
-    with pytest.raises(ValueError):
-        split_keyed({"a": 1}, 0, route_for(1))
-
-
-def test_merge_split_round_trips_across_widths():
-    merged = {(("j", f"s{i}")): [i, i + 1] for i in range(17)}
-    for old_n, new_n in [(1, 4), (4, 1), (3, 2), (2, 3)]:
-        shards = split_keyed(merged, old_n, route_for(old_n))
-        again = split_keyed(merge_keyed(shards), new_n, route_for(new_n))
-        assert merge_keyed(again) == merged
-
-
-# -- split_scalar ------------------------------------------------------------
-
-
-def test_scalar_total_lands_in_shard_zero():
-    assert split_scalar(7, 3) == [7, 0, 0]
-    assert split_scalar(2.5, 2) == [2.5, 0.0]
-
-
-def test_scalar_sum_invariant_over_cycles():
-    total = 42
-    for _ in range(5):
-        parts = split_scalar(total, 4)
-        total = sum(parts)
-    assert total == 42
-
-
-# -- operator reshard_state --------------------------------------------------
 
 
 def count_events(t):
@@ -120,7 +54,10 @@ def test_correlate_windows_split_along_group_key():
         for group in state["events"]:
             assert hash_route(group, 3) == index
     # nothing lost: the union of shards is the union of inputs
-    merged = merge_keyed([s["events"] for s in out])
+    merged = {}
+    for state in out:
+        assert not merged.keys() & state["events"].keys()  # disjoint shards
+        merged.update(state["events"])
     assert merged == {
         keys[0]: {1: ["a"]}, keys[1]: {2: ["b"]},
         keys[2]: {1: ["c"]}, keys[3]: {2: ["d"]},
