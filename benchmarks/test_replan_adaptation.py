@@ -170,12 +170,10 @@ def build(records, delay, first, second, burst=1):
     strata = Strata(engine_mode="threaded")
     source = PacedSource("src", records, delay, burst=burst)
     sink = TimedSink("out")
-    (
-        strata.add_source(source, "raw")
-        .detect_event("m1", first)
-        .detect_event("m2", second, replicable=False)
-        .deliver(sink)
-    )
+    strata.add_source(source, "raw")
+    strata.detect_event("raw", "m1", first)
+    strata.detect_event("m1", "m2", second, replicable=False)
+    strata.deliver("m2", sink)
     return strata, source, sink
 
 
@@ -189,14 +187,12 @@ def build_trickle(records, delay, burst):
     strata = Strata(engine_mode="threaded")
     source = PacedSource("src", records, delay, burst=burst)
     sink = TimedSink("out")
-    (
-        strata.add_source(source, "raw")
-        .partition("parts", assign, replicable=False)
-        .partition("cells", mark)
-        .detect_event("v1", vscrub, replicable=False)
-        .detect_event("v2", venrich, replicable=False)
-        .deliver(sink)
-    )
+    strata.add_source(source, "raw")
+    strata.partition("raw", "parts", assign, replicable=False)
+    strata.partition("parts", "cells", mark)
+    strata.detect_event("cells", "v1", vscrub, replicable=False)
+    strata.detect_event("v1", "v2", venrich, replicable=False)
+    strata.deliver("v2", sink)
     return strata, source, sink
 
 

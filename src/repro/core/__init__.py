@@ -30,7 +30,6 @@ from .functions import (
     LabelSpecimenCells,
     LabelSpecimenCellsAdaptive,
 )
-from .handles import SinkHandle, StreamHandle
 from .operators import (
     CorrelateEventsOperator,
     DetectEventOperator,
@@ -54,8 +53,6 @@ from .usecase import (
 
 __all__ = [
     "Strata",
-    "StreamHandle",
-    "SinkHandle",
     "DeployConfig",
     "RecoveryConfig",
     "DeployConfigError",

@@ -19,9 +19,10 @@ compose pipelines by chaining the API methods over named streams::
 Every method compiles to native operators of the underlying SPE, so
 pipelines inherit parallel execution (``parallelism=`` on the Event
 Monitor methods shards work by ``(job, specimen)``) and stay portable
-across engines. snake_case is the canonical method surface; the paper's
-camelCase spellings (Table 1: ``addSource``, ``detectEvent``,
-``correlateEvents``) are installed as exact aliases.
+across engines. Every stream-producing verb returns its ``s_out`` name,
+and ``deliver`` returns the sink. snake_case is the canonical method
+surface; the paper's camelCase spellings (Table 1: ``addSource``,
+``detectEvent``, ``correlateEvents``) are exact aliases.
 
 Deployment is driven by one validated config object
 (:class:`~repro.core.deploy.DeployConfig` — plan compiler, distribution,
@@ -57,7 +58,6 @@ from .errors import (
     PipelineDefinitionError,
     UnknownStreamError,
 )
-from .handles import StreamHandle, install_camelcase_aliases
 from .operators import (
     CorrelateEventsOperator,
     CorrelateFunction,
@@ -72,13 +72,6 @@ MODULE_RAW = "raw-data-collector"
 MODULE_MONITOR = "event-monitor"
 MODULE_AGGREGATOR = "event-aggregator"
 MODULE_EXPERT = "expert"
-
-#: per-verb output schema hints (Table 1), carried on stream handles
-SCHEMA_SOURCE = "<tau, job, layer, [k1:v1, k2:v2, ...]>"
-SCHEMA_FUSE = "<tau, job, layer, [payload1 ++ payload2]>"
-SCHEMA_PARTITION = "<tau, job, layer, specimen, portion, [k1:v1, ...]>"
-SCHEMA_DETECT = "<tau, job, layer, specimen, portion, [event attrs]>"
-SCHEMA_CORRELATE = "<tau, job, layer, specimen, [result attrs]>"
 
 
 def _specimen_key(t: StreamTuple) -> Hashable:
@@ -157,19 +150,14 @@ class Strata:
 
     # -- Raw Data Collector module -----------------------------------------
 
-    def add_source(
-        self, src: Source, s_out: str, checkpointable: bool = False
-    ) -> StreamHandle:
+    def add_source(self, src: Source, s_out: str, checkpointable: bool = False) -> str:
         """Register a collector whose stream ``s_out`` feeds pipelines.
 
         Output schema: ``<tau, job, layer, [k1:v1, k2:v2, ...]>``.
         ``checkpointable=True`` wraps the source so checkpoint barriers can
         be injected into its stream (required to ``deploy``/``start`` with
         a checkpoint coordinator); already-wrapped sources pass through.
-
-        Returns a :class:`~repro.core.handles.StreamHandle` for ``s_out``
-        (as every stream-producing verb does) — usable both as the plain
-        stream name and as a fluent chaining/metrics handle.
+        Returns ``s_out``, as every stream-producing verb does.
         """
         self._check_mutable()
         self._check_new_stream(s_out)
@@ -178,7 +166,7 @@ class Strata:
         node = f"source:{s_out}"
         self._query.add_source(node, src)
         self._streams[s_out] = (node, MODULE_RAW)
-        return self._handle(s_out, SCHEMA_SOURCE)
+        return s_out
 
     # -- Event Monitor module ----------------------------------------------
 
@@ -190,7 +178,7 @@ class Strata:
         ws: float | None = None,
         wa: float | None = None,
         gb: list[str] | None = None,
-    ) -> StreamHandle:
+    ) -> str:
         """Fuse tuples of two streams sharing ``job`` and ``layer``.
 
         Without ``ws``/``wa`` only tuples that also share ``tau`` fuse;
@@ -235,7 +223,7 @@ class Strata:
         self._streams[s_out] = (node, MODULE_MONITOR)
         if s_in1 in self._keyed_streams or s_in2 in self._keyed_streams:
             self._keyed_streams.add(s_out)
-        return self._handle(s_out, SCHEMA_FUSE)
+        return s_out
 
     def partition(
         self,
@@ -244,7 +232,7 @@ class Strata:
         f: UserFunction | None = None,
         parallelism: int = 1,
         replicable: bool | None = None,
-    ) -> StreamHandle:
+    ) -> str:
         """Split tuples into independently processable specimen portions.
 
         ``f`` maps each input tuple to output tuples tagged with
@@ -273,7 +261,7 @@ class Strata:
         )
         self._streams[s_out] = (node, MODULE_MONITOR)
         self._keyed_streams.add(s_out)
-        return self._handle(s_out, SCHEMA_PARTITION)
+        return s_out
 
     def detect_event(
         self,
@@ -282,7 +270,7 @@ class Strata:
         f: UserFunction,
         parallelism: int = 1,
         replicable: bool | None = None,
-    ) -> StreamHandle:
+    ) -> str:
         """Transform tuples into event tuples via the user function ``f``.
 
         ``replicable=False`` keeps the stage out of keyed replica groups
@@ -304,7 +292,7 @@ class Strata:
         )
         self._streams[s_out] = (node, MODULE_MONITOR)
         self._keyed_streams.add(s_out)
-        return self._handle(s_out, SCHEMA_DETECT)
+        return s_out
 
     # -- Event Aggregator module --------------------------------------------
 
@@ -316,7 +304,7 @@ class Strata:
         f: CorrelateFunction,
         parallelism: int = 1,
         replicable: bool | None = None,
-    ) -> StreamHandle:
+    ) -> str:
         """Aggregate events per (layer, specimen) plus the previous ``l-1``
         layers; events are grouped by specimen automatically (§4).
         ``replicable=False`` keeps the stage out of keyed replica groups."""
@@ -336,7 +324,12 @@ class Strata:
         )
         self._streams[s_out] = (node, MODULE_AGGREGATOR)
         self._keyed_streams.add(s_out)
-        return self._handle(s_out, SCHEMA_CORRELATE)
+        return s_out
+
+    # the paper's Table 1 spellings: the same function objects
+    addSource = add_source
+    detectEvent = detect_event
+    correlateEvents = correlate_events
 
     # -- delivery & deployment ----------------------------------------------
 
@@ -577,10 +570,6 @@ class Strata:
 
     # -- internals -------------------------------------------------------------
 
-    def _handle(self, stream: str, schema: str | None = None) -> StreamHandle:
-        node, module = self._streams[stream]
-        return StreamHandle(stream, strata=self, node=node, module=module, schema=schema)
-
     def _check_mutable(self) -> None:
         if self._deployed:
             raise DeploymentError("pipeline already deployed; create a new Strata")
@@ -622,8 +611,3 @@ class Strata:
         self._query.add_source(bridged, reader)
         self._streams[f"{stream}@{consumer_module}"] = (bridged, consumer_module)
         return bridged
-
-
-# Paper-parity aliases (addSource, detectEvent, correlateEvents): installed
-# as the same function objects, so identity checks and overrides stay exact.
-install_camelcase_aliases(Strata, ("add_source", "detect_event", "correlate_events"))

@@ -164,13 +164,17 @@ class JobLease:
         self.elastic = elastic
         self._controller_fn = controller_fn
         self.granted: int | None = None
+        # the share a live controller last received: a grant made while the
+        # job is still deploying is lent again on every tick until one has
+        self._lent: int | None = None
 
     def lend(self, share: int) -> None:
         """Grant this job ``share`` replicas (clamped to its own bounds)."""
         share = max(self.floor, min(self.cap, share))
-        if share == self.granted:
-            return
         self.granted = share
+        if share == self._lent:
+            return
         controller = self._controller_fn() if self._controller_fn else None
         if controller is not None and hasattr(controller, "set_bounds"):
             controller.set_bounds(min(self.floor, share), share)
+            self._lent = share

@@ -53,7 +53,7 @@ from .plan import (
 )
 from .query import Node, Query
 from .scheduler import NodeExecutor, SynchronousScheduler, ThreadedScheduler
-from .sink import CallbackSink, CollectingSink, DeadlineSink, NullSink, Sink
+from .sink import CallbackSink, CollectingSink, NullSink, Sink
 from .source import (
     CallbackSource,
     IterableSource,
@@ -100,7 +100,6 @@ __all__ = [
     "CollectingSink",
     "CallbackSink",
     "NullSink",
-    "DeadlineSink",
     "Query",
     "Node",
     "StreamEngine",

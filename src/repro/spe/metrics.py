@@ -8,6 +8,7 @@ per-result latency samples; counters track throughput over the run.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import threading
@@ -262,35 +263,14 @@ class OperatorStats:
             self.timing_counts = [0] * (len(ordered) + 1)  # +1: overflow
             self.timing_total = 0
 
-    def record_time(self, seconds: float) -> None:
-        """Bucket one per-tuple processing duration (call only if enabled)."""
-        lo, hi = 0, len(self.timing_bounds)
-        bounds = self.timing_bounds
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] < seconds:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.timing_counts[lo] += 1
-        self.timing_total += 1
+    def record_time(self, seconds_each: float, n: int = 1) -> None:
+        """Bucket ``n`` equal per-tuple durations (call only if enabled).
 
-    def record_time_bulk(self, seconds_each: float, n: int) -> None:
-        """Bucket ``n`` equal per-tuple durations in one update.
-
-        Used by the batched fast path, where one operator call covers a
-        whole run: the run's wall time is attributed evenly, so the
-        histogram stays comparable with per-tuple recording.
+        The batched fast path covers a whole run with one operator call and
+        attributes its wall time evenly, so the histogram stays comparable
+        with per-tuple recording.
         """
-        lo, hi = 0, len(self.timing_bounds)
-        bounds = self.timing_bounds
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] < seconds_each:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.timing_counts[lo] += n
+        self.timing_counts[bisect.bisect_left(self.timing_bounds, seconds_each)] += n
         self.timing_total += n
 
     def as_dict(self) -> dict[str, float]:

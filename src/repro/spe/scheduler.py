@@ -265,7 +265,7 @@ class NodeExecutor:
         if self._obs is not None:
             stats.last_tau = batch[-1].tau
             if stats.timing_counts is not None:
-                stats.record_time_bulk(duration / n, n)
+                stats.record_time(duration / n, n)
             if tracer is not None:
                 tracer.record_run(node.name, node.kind, started_wall, duration, batch)
 

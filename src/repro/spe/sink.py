@@ -120,68 +120,3 @@ class NullSink(Sink):
 
     def consume(self, t: StreamTuple) -> None:
         return None
-
-
-class DeadlineSink(Sink):
-    """Decorates another sink with a QoS deadline check.
-
-    §3 notes that "there might be strict QoS deadlines indicating the
-    maximum latency tolerated in producing a certain result" — for PBF-LB,
-    the ~3 s recoat gap. Every result whose end-to-end latency exceeds
-    ``qos_seconds`` is counted and reported to ``on_violation`` (with the
-    offending tuple and its latency) before being forwarded to the inner
-    sink, so an operator console can alarm on missed deadlines.
-    """
-
-    def __init__(
-        self,
-        inner: Sink,
-        qos_seconds: float,
-        on_violation: Callable[[StreamTuple, float], None] | None = None,
-        latency_capacity: int | None = None,
-    ) -> None:
-        if qos_seconds <= 0:
-            raise ValueError("qos_seconds must be positive")
-        super().__init__(f"qos[{inner.name}]", latency_capacity=latency_capacity)
-        self._inner = inner
-        self._qos = qos_seconds
-        self._on_violation = on_violation
-        self.violations = 0
-        self.delivered = 0
-
-    @property
-    def inner(self) -> Sink:
-        return self._inner
-
-    @property
-    def violation_rate(self) -> float:
-        return self.violations / self.delivered if self.delivered else 0.0
-
-    def consume(self, t: StreamTuple) -> None:
-        latency = t.latency_from(time.monotonic())
-        self.delivered += 1
-        if latency > self._qos:
-            self.violations += 1
-            if self._on_violation is not None:
-                self._on_violation(t, latency)
-        self._inner.accept(t)
-
-    def snapshot_state(self) -> dict[str, object]:
-        base = super().snapshot_state() or {}
-        base["violations"] = self.violations
-        base["delivered"] = self.delivered
-        inner_state = self._inner.snapshot_state()
-        if inner_state is not None:
-            base["inner"] = inner_state
-        return base
-
-    def restore_state(self, state: dict[str, object]) -> None:
-        super().restore_state(state)
-        self.violations = int(state["violations"])
-        self.delivered = int(state["delivered"])
-        if "inner" in state:
-            self._inner.restore_state(state["inner"])
-
-    def on_close(self) -> None:
-        self._inner.on_close()
-        super().on_close()

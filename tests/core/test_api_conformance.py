@@ -43,13 +43,9 @@ class TestAPISurface:
         assert signature.parameters["f"].default is None
 
     def test_snake_case_aliases(self):
-        strata = make_strata()
-        assert strata.addSource.__func__.__wrapped__ is strata.add_source.__func__
-        assert strata.detectEvent.__func__.__wrapped__ is strata.detect_event.__func__
-        assert (
-            strata.correlateEvents.__func__.__wrapped__
-            is strata.correlate_events.__func__
-        )
+        assert Strata.addSource is Strata.add_source
+        assert Strata.detectEvent is Strata.detect_event
+        assert Strata.correlateEvents is Strata.correlate_events
 
 
 class TestStoreGet:

@@ -10,12 +10,9 @@ from repro.core import (
     DeployConfig,
     DeployConfigError,
     RecoveryConfig,
-    SinkHandle,
     Strata,
-    StreamHandle,
 )
 from repro.core.errors import DeploymentError
-from repro.core.handles import camel_name, install_camelcase_aliases
 from repro.elastic import ElasticConfig
 from repro.kvstore.memory import MemoryStore
 from repro.recovery import CheckpointCoordinator
@@ -33,7 +30,8 @@ def records(n=6):
 def simple_strata():
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
-    strata.add_source(ListSource("src", records()), "raw").deliver(sink)
+    strata.add_source(ListSource("src", records()), "raw")
+    strata.deliver("raw", sink)
     return strata, sink
 
 
@@ -114,7 +112,8 @@ class TestValidation:
     def test_elastic_requires_threaded_engine(self):
         strata = Strata(engine_mode="sync")
         sink = CollectingSink("out")
-        strata.add_source(ListSource("src", records()), "raw").deliver(sink)
+        strata.add_source(ListSource("src", records()), "raw")
+        strata.deliver("raw", sink)
         with pytest.raises(DeployConfigError, match="threaded"):
             strata.deploy(DeployConfig(plan=True, elastic=True))
 
@@ -236,65 +235,27 @@ class TestDeployArgument:
 
 
 class TestVerbAliases:
-    def test_camel_name_mapping(self):
-        assert camel_name("add_source") == "addSource"
-        assert camel_name("correlate_events") == "correlateEvents"
-        assert camel_name("deliver") == "deliver"
-
-    def test_strata_aliases_wrap_canonical_functions(self):
-        assert Strata.addSource.__wrapped__ is Strata.add_source
-        assert Strata.detectEvent.__wrapped__ is Strata.detect_event
-        assert Strata.correlateEvents.__wrapped__ is Strata.correlate_events
-
-    def test_stream_handle_aliases_wrap_canonical_functions(self):
-        assert StreamHandle.detectEvent.__wrapped__ is StreamHandle.detect_event
-        assert StreamHandle.correlateEvents.__wrapped__ is StreamHandle.correlate_events
-
-    def test_install_aliases_helper(self):
-        class Thing:
-            def do_work(self):
-                return "done"
-
-        install_camelcase_aliases(Thing, ("do_work",))
-        assert Thing.doWork.__wrapped__ is Thing.do_work
-        with pytest.warns(DeprecationWarning, match="Thing.do_work"):
-            assert Thing().doWork() == "done"
-
     def test_both_spellings_build_the_same_pipeline(self):
         snake, snake_sink = simple_strata()
         snake.deploy()
         camel = Strata(engine_mode="threaded")
         camel_sink = CollectingSink("out")
-        camel.addSource(ListSource("src", records()), "raw").deliver(camel_sink)
+        camel.addSource(ListSource("src", records()), "raw")
+        camel.deliver("raw", camel_sink)
         camel.deploy()
         assert [t.payload for t in camel_sink.results] == [
             t.payload for t in snake_sink.results
         ]
 
-
-class TestSinkHandle:
-    def test_deliver_returns_sink_handle(self):
-        strata = Strata(engine_mode="threaded")
-        handle = (
-            strata.add_source(ListSource("src", records()), "raw")
-            .detect_event("events", lambda t: [t.derive()])
-            .deliver()
-        )
-        assert isinstance(handle, SinkHandle)
-        assert isinstance(handle, StreamHandle)  # still chains/str-compares
-        strata.deploy()
-        assert len(handle.results) == len(records())
-        assert handle.latency is not None
-
-    def test_sink_handle_wraps_explicit_sink(self):
-        strata = Strata(engine_mode="threaded")
-        sink = CollectingSink("mine")
-        handle = strata.add_source(
-            ListSource("src", records()), "raw"
-        ).deliver(sink)
-        strata.deploy()
-        assert handle.sink is sink
-        assert handle.results == sink.results
+    def test_strata_aliases_wrap_canonical_functions(self):
+        # The aliases are the canonical functions themselves, not wrappers.
+        for alias, canonical in (
+            ("addSource", "add_source"),
+            ("detectEvent", "detect_event"),
+            ("correlateEvents", "correlate_events"),
+        ):
+            assert getattr(Strata, alias) is getattr(Strata, canonical)
+            assert not hasattr(getattr(Strata, alias), "__wrapped__")
 
 
 # -- the [fleet] section ------------------------------------------------------

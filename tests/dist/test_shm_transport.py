@@ -381,17 +381,15 @@ def test_failed_run_releases_everything_it_started():
         raise RuntimeError("sink exploded")
 
     strata = Strata(connector_mode="pubsub")
-    (
-        strata.add_source(
-            ListSource("src", [
-                StreamTuple(tau=float(i), job="j", layer=i, payload={"v": i})
-                for i in range(8)
-            ]),
-            "raw",
-        )
-        .partition("parts", lambda t: [t.derive(specimen="s0", portion="p0")])
-        .deliver(CallbackSink("out", explode))
+    strata.add_source(
+        ListSource("src", [
+            StreamTuple(tau=float(i), job="j", layer=i, payload={"v": i})
+            for i in range(8)
+        ]),
+        "raw",
     )
+    strata.partition("raw", "parts", lambda t: [t.derive(specimen="s0", portion="p0")])
+    strata.deliver("parts", CallbackSink("out", explode))
     coordinator = DistCoordinator(
         strata.query, strata.broker, DistConfig(workers=1, **SHM_CONFIG),
         capacity=strata.capacity,

@@ -69,14 +69,12 @@ def build(strata, recs, delay=0.002, checkpointable=False):
     the replicable stage the elastic controller manages.
     """
     sink = CollectingSink("out")
-    (
-        strata.add_source(
-            SlowSource("src", recs, delay), "raw", checkpointable=checkpointable
-        )
-        .partition("parts", assign)
-        .partition("cells", mark)
-        .deliver(sink)
+    strata.add_source(
+        SlowSource("src", recs, delay), "raw", checkpointable=checkpointable
     )
+    strata.partition("raw", "parts", assign)
+    strata.partition("parts", "cells", mark)
+    strata.deliver("cells", sink)
     return sink
 
 
@@ -105,7 +103,8 @@ def test_elastic_without_groups_raises_plan_error():
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
     # source -> deliver: nothing keyed, nothing replicable
-    strata.add_source(ListSource("src", records(4)), "raw").deliver(sink)
+    strata.add_source(ListSource("src", records(4)), "raw")
+    strata.deliver("raw", sink)
     with pytest.raises(PlanError, match="no keyed-replicated operator group"):
         strata.start(DeployConfig(plan=True, elastic=MANUAL))
     assert not strata.running()
@@ -195,17 +194,15 @@ def test_mutation_after_end_of_stream_aborts_cleanly(mutation):
     coordinator.rebind = lambda nodes: (rebinds.append(len(nodes)), rebind(nodes))
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
-    (
-        strata.add_source(
-            SlowSource("src", records(48), 0.005), "raw", checkpointable=True
-        )
-        # an adaptable two-member chain in front of the rescalable group
-        .detect_event("m1", mark)
-        .detect_event("m2", mark, replicable=False)
-        .partition("parts", assign)
-        .partition("cells", mark)
-        .deliver(sink)
+    strata.add_source(
+        SlowSource("src", records(48), 0.005), "raw", checkpointable=True
     )
+    # an adaptable two-member chain in front of the rescalable group
+    strata.detect_event("raw", "m1", mark)
+    strata.detect_event("m1", "m2", mark, replicable=False)
+    strata.partition("m2", "parts", assign)
+    strata.partition("parts", "cells", mark)
+    strata.deliver("cells", sink)
     strata.start(
         DeployConfig(
             plan=True,

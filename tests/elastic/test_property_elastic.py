@@ -56,12 +56,10 @@ def mark(t):
 
 def build(strata, delay):
     sink = CollectingSink("out")
-    (
-        strata.add_source(SlowSource("src", records(), delay), "raw")
-        .partition("parts", assign)
-        .partition("cells", mark)
-        .deliver(sink)
-    )
+    strata.add_source(SlowSource("src", records(), delay), "raw")
+    strata.partition("raw", "parts", assign)
+    strata.partition("parts", "cells", mark)
+    strata.deliver("cells", sink)
     return sink
 
 

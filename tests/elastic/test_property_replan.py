@@ -91,17 +91,15 @@ def mark(t):
 def build(strata, delay, checkpointable=False):
     """chain (scrub+enrich, block-capable) feeding a keyed replica group."""
     sink = CollectingSink("out")
-    (
-        strata.add_source(
-            SlowSource("src", records(), delay), "raw",
-            checkpointable=checkpointable,
-        )
-        .detect_event("m1", scrub)
-        .detect_event("m2", enrich, replicable=False)
-        .partition("parts", assign, replicable=False)
-        .partition("cells", mark)
-        .deliver(sink)
+    strata.add_source(
+        SlowSource("src", records(), delay), "raw",
+        checkpointable=checkpointable,
     )
+    strata.detect_event("raw", "m1", scrub)
+    strata.detect_event("m1", "m2", enrich, replicable=False)
+    strata.partition("m2", "parts", assign, replicable=False)
+    strata.partition("parts", "cells", mark)
+    strata.deliver("cells", sink)
     return sink
 
 

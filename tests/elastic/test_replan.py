@@ -98,12 +98,10 @@ def build_chain(strata, recs, delay=0.002, block=False):
     """
     sink = CollectingSink("out")
     f1, f2 = (block_a, block_b) if block else (mark_a, mark_b)
-    (
-        strata.add_source(SlowSource("src", recs, delay), "raw")
-        .detect_event("m1", f1)
-        .detect_event("m2", f2, replicable=False)
-        .deliver(sink)
-    )
+    strata.add_source(SlowSource("src", recs, delay), "raw")
+    strata.detect_event("raw", "m1", f1)
+    strata.detect_event("m1", "m2", f2, replicable=False)
+    strata.deliver("m2", sink)
     return sink
 
 
@@ -301,12 +299,10 @@ def test_chains_only_deployment_discovers_the_chain():
 def test_replan_off_discovers_no_chains():
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
-    (
-        strata.add_source(SlowSource("src", records(24), 0.0), "raw")
-        .partition("parts", lambda t: [t.derive(specimen="s0", portion="p0")])
-        .partition("cells", mark_a)
-        .deliver(sink)
-    )
+    strata.add_source(SlowSource("src", records(24), 0.0), "raw")
+    strata.partition("raw", "parts", lambda t: [t.derive(specimen="s0", portion="p0")])
+    strata.partition("parts", "cells", mark_a)
+    strata.deliver("cells", sink)
     strata.start(
         DeployConfig(
             plan=True,
@@ -320,7 +316,8 @@ def test_replan_off_discovers_no_chains():
 def test_no_groups_no_chains_still_raises_plan_error():
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
-    strata.add_source(SlowSource("src", records(4), 0.0), "raw").deliver(sink)
+    strata.add_source(SlowSource("src", records(4), 0.0), "raw")
+    strata.deliver("raw", sink)
     with pytest.raises(PlanError, match="no keyed-replicated operator group"):
         strata.start(DeployConfig(plan=True, elastic=MANUAL))
 
@@ -461,12 +458,10 @@ def test_tick_applies_cost_model_under_induced_backlog(baseline):
     sink = CollectingSink("out")
     # the source must outlive the first ticks (a finished source wins the
     # drain race by design), while the chain falls behind it 2:1
-    (
-        strata.add_source(SlowSource("src", records(), 0.002), "raw")
-        .detect_event("m1", slow_mark)
-        .detect_event("m2", mark_b, replicable=False)
-        .deliver(sink)
-    )
+    strata.add_source(SlowSource("src", records(), 0.002), "raw")
+    strata.detect_event("raw", "m1", slow_mark)
+    strata.detect_event("m1", "m2", mark_b, replicable=False)
+    strata.deliver("m2", sink)
     # batched edges keep queue_fill tiny (a 240-tuple run is 8 batch
     # entries), so gate the unfuse rule on busy_fraction alone here
     config = ElasticConfig(
@@ -534,12 +529,10 @@ def test_single_arrivals_behind_a_fan_out_form_full_blocks():
     the kernels amortize over."""
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
-    (
-        strata.add_source(SlowSource("src", records(), 0.004), "raw")
-        .partition("cells", fan_out, replicable=False)
-        .detect_event("m2", block_b, replicable=False)
-        .deliver(sink)
-    )
+    strata.add_source(SlowSource("src", records(), 0.004), "raw")
+    strata.partition("raw", "cells", fan_out, replicable=False)
+    strata.detect_event("cells", "m2", block_b, replicable=False)
+    strata.deliver("m2", sink)
     strata.start(DeployConfig(plan=True, elastic=TICKED_BY_HAND))
     operator = _tick_mid_stream(strata, sink, at_least=5 * FAN_OUT)
     strata.wait(timeout=120)
@@ -571,12 +564,13 @@ def test_rescale_clamps_to_live_bounds():
     lent maximum: targets re-clamp against live bounds at entry."""
     strata = Strata(engine_mode="threaded")
     sink = CollectingSink("out")
-    (
-        strata.add_source(SlowSource("src", records(), 0.002), "raw")
-        .partition("parts", lambda t: [t.derive(specimen=f"s{t.payload['v'] % 3}", portion="p0")])
-        .partition("cells", mark_a)
-        .deliver(sink)
+    strata.add_source(SlowSource("src", records(), 0.002), "raw")
+    strata.partition(
+        "raw", "parts",
+        lambda t: [t.derive(specimen=f"s{t.payload['v'] % 3}", portion="p0")],
     )
+    strata.partition("parts", "cells", mark_a)
+    strata.deliver("cells", sink)
     strata.start(
         DeployConfig(
             plan=True,

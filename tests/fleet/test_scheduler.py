@@ -96,6 +96,17 @@ class TestFleetScheduler:
         assert sched.shares() == {"j1": 8}
         assert c1.bounds == (1, 8)
 
+    def test_share_granted_before_the_controller_exists_is_lent_later(self):
+        sched = self.make()
+        c1, c2 = FakeController(), FakeController()
+        live = {}
+        sched.attach(JobLease("j1", cap=8, controller_fn=lambda: c1))
+        sched.attach(JobLease("j2", cap=8, controller_fn=lambda: live.get("c2")))
+        live["c2"] = c2  # j2's deployment comes up after the attach-time grant
+        sched.tick()
+        assert c1.bounds == (1, 4)
+        assert c2.bounds == (1, 4)
+
     def test_static_jobs_hold_their_parallelism(self):
         sched = self.make()
         elastic = FakeController()

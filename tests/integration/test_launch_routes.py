@@ -53,12 +53,10 @@ def build(**strata_kwargs):
     partition is keyed downstream of the first, so it is replicable."""
     strata = Strata(**strata_kwargs)
     sink = CollectingSink("out")
-    (
-        strata.add_source(ListSource("src", records()), "raw")
-        .partition("parts", assign)
-        .partition("cells", mark)
-        .deliver(sink)
-    )
+    strata.add_source(ListSource("src", records()), "raw")
+    strata.partition("raw", "parts", assign)
+    strata.partition("parts", "cells", mark)
+    strata.deliver("cells", sink)
     return strata, sink
 
 
@@ -126,7 +124,8 @@ def test_start_then_wait_delivers_everything(elastic):
 def test_elastic_with_nothing_to_manage_raises_and_leaves_nothing_running():
     strata = Strata()
     sink = CollectingSink("out")
-    strata.add_source(ListSource("src", records(4)), "raw").deliver(sink)
+    strata.add_source(ListSource("src", records(4)), "raw")
+    strata.deliver("raw", sink)
     with pytest.raises(PlanError, match="no keyed-replicated operator group"):
         strata.deploy(DeployConfig(plan=True, elastic=ELASTIC))
     assert not strata.running()

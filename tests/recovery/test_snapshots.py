@@ -10,7 +10,6 @@ from repro.spe import CollectingSink, StreamTuple
 from repro.spe.metrics import LatencyRecorder
 from repro.spe.operators.aggregate import AggregateOperator
 from repro.spe.operators.join import JoinOperator
-from repro.spe.sink import DeadlineSink
 
 
 def t(tau, layer=0, specimen="s1", payload=None):
@@ -143,17 +142,6 @@ def test_collecting_sink_roundtrip():
     b.restore_state(state)
     assert [x.tau for x in b.results] == [0.0, 1.0, 2.0]
     assert b.latency.samples() == a.latency.samples()
-
-
-def test_deadline_sink_roundtrip():
-    a = DeadlineSink(CollectingSink("inner"), qos_seconds=1000.0)
-    for i in range(4):
-        a.accept(t(i))
-    b = DeadlineSink(CollectingSink("inner"), qos_seconds=1000.0)
-    b.restore_state(a.snapshot_state())
-    assert b.delivered == 4
-    assert b.violations == a.violations
-    assert len(b.inner.results) == 4
 
 
 def test_stateless_operator_snapshots_none():

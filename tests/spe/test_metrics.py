@@ -127,3 +127,33 @@ def test_operator_stats_timing_histogram():
     assert stats.timing_total == 3
     with pytest.raises(Exception):
         stats.enable_timing(())
+
+
+def _loop_bucket(bounds, seconds):
+    """The hand-written binary search the timing histogram used to run."""
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bounds[mid] < seconds:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_timing_buckets_match_the_binary_search_at_every_bound():
+    import math
+
+    from repro.obs import DEFAULT_TIME_BUCKETS
+    from repro.spe.metrics import OperatorStats
+
+    stats = OperatorStats(name="op")
+    stats.enable_timing(DEFAULT_TIME_BUCKETS)
+    bounds = stats.timing_bounds
+    expected = [0] * (len(bounds) + 1)
+    for bound in bounds:
+        for value in (math.nextafter(bound, 0.0), bound, math.nextafter(bound, math.inf)):
+            stats.record_time(value, 3)
+            expected[_loop_bucket(bounds, value)] += 3
+    assert stats.timing_counts == expected
+    assert stats.timing_total == 9 * len(bounds)
