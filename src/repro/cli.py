@@ -89,7 +89,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="elastic upper bound on replicas per group")
     parser.add_argument("--replan", action="store_true",
                         help="let the elastic controller rewrite the running "
-                             "plan (fuse/unfuse, migration) from load signals; "
+                             "plan (fuse/unfuse) from load signals; "
                              "implies --elastic")
     parser.add_argument("--no-replan", action="store_true",
                         help="force re-planning off even when --elastic is set "

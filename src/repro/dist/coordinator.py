@@ -27,7 +27,7 @@ from typing import Any
 
 from ..core.connectors import EOS_SENTINEL
 from ..core.errors import DeployConfigError
-from ..elastic import ElasticConfig, elastic_plan, elastic_supervisor, plan_migration
+from ..elastic import ElasticConfig, elastic_plan, elastic_supervisor
 from ..net.server import BrokerServer
 from ..obs.exporters import snapshot_from_dict, to_prometheus, write_http_response
 from ..obs.registry import MetricsSnapshot, Sample
@@ -152,10 +152,6 @@ class DistCoordinator:
         self._scrape_server: Any | None = None
         self._started = False
         self._stopped = False
-        self._migrate_lock = threading.Lock()
-        self._load_prev: dict[str, tuple[float, float]] = {}
-        self._last_migration = time.monotonic()
-        self.migrations: list[dict[str, Any]] = []
 
     # -- introspection ------------------------------------------------------
 
@@ -194,7 +190,6 @@ class DistCoordinator:
             "restarts": sum(worker.restarts for worker in self._workers),
             "failure": self._failure,
             "duplicates_suppressed_local": local_dupes,
-            "migrations": list(self.migrations),
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -262,8 +257,7 @@ class DistCoordinator:
                 self.start()
             nodes = [node for stage in self._local_stages for node in stage.nodes]
             supervise = elastic_supervisor(
-                self._elastic, self._plan, obs=self._obs, required=False,
-                placement=(self.worker_loads, self.migrate_stage),
+                self._elastic, self._plan, obs=self._obs, required=False
             )
             started = time.monotonic()
             scheduler, controller = launch(nodes, self._plan, self._obs, supervise=supervise)
@@ -341,25 +335,6 @@ class DistCoordinator:
                         f"worker {worker.name} exited with code {code} after "
                         f"{worker.restarts} restart(s)"
                     )
-            self._check_placement()
-
-    def _check_placement(self) -> None:
-        """Autonomous placement pass: move a stage off an overloaded worker.
-
-        Active only when the deployment's elastic config enables replan
-        migration. Heartbeat busy deltas feed the same
-        :func:`~repro.elastic.replan.plan_migration` rule the cost-model
-        policy uses, throttled by the replan cooldown.
-        """
-        replan = self._elastic.replan if self._elastic is not None else None
-        if replan is None or not replan.migrate or self._failure is not None:
-            return
-        if time.monotonic() - self._last_migration < max(replan.cooldown_s, 1.0):
-            return
-        loads = self.worker_loads()
-        action = plan_migration(loads)
-        if action is not None:
-            self.migrate_stage(action.stage, action.to_worker)
 
     def _fail(self, reason: str) -> None:
         """Record the first failure and unwedge every blocked reader."""
@@ -378,104 +353,6 @@ class DistCoordinator:
         for topic in sorted(topics):
             for partition in range(producer.partitions_of(topic)):
                 producer.send(topic, EOS_SENTINEL, partition=partition)
-
-    # -- stage migration -------------------------------------------------------
-
-    def worker_loads(self) -> dict[str, dict[str, Any]]:
-        """Per-worker load summaries for placement decisions.
-
-        ``busy_fraction`` is the delta of the worker's aggregated
-        ``spe_busy_seconds_total`` over wall time since the previous call
-        (0.0 on the first sight of a worker), ``stages`` its current
-        assignment. This is the mapping
-        :class:`~repro.elastic.actions.WorkloadView` carries in
-        ``workers`` and :func:`~repro.elastic.replan.plan_migration`
-        consumes.
-        """
-        now = time.monotonic()
-        metrics = self.worker_metrics()
-        out: dict[str, dict[str, Any]] = {}
-        for worker in self._workers:
-            if worker.finished:
-                continue
-            busy_total = 0.0
-            snapshot = metrics.get(worker.name)
-            if snapshot is not None:
-                busy_total = sum(
-                    s.value
-                    for s in snapshot.samples
-                    if s.name == "spe_busy_seconds_total"
-                )
-            prev_total, prev_t = self._load_prev.get(worker.name, (busy_total, now))
-            dt = now - prev_t
-            fraction = (
-                max(0.0, busy_total - prev_total) / dt if dt > 1e-9 else 0.0
-            )
-            self._load_prev[worker.name] = (busy_total, now)
-            out[worker.name] = {
-                "busy_fraction": min(1.0, fraction),
-                "stages": list(worker.stage_names),
-            }
-        return out
-
-    def migrate_stage(self, stage_name: str, to_worker: str) -> bool:
-        """Move one pipeline stage onto another worker while the query runs.
-
-        The stage spec is re-assigned between the coordinator's pristine
-        worker groups, the source is stopped first (so the stage never
-        runs twice concurrently), then both workers are re-forked with
-        their new assignments. Each replacement replays its input topics
-        from the earliest offset and downstream content-key dedup absorbs
-        the replay — the same mechanism that makes crash restarts
-        invisible — so the final output is unchanged by a migration.
-        Returns True when the stage actually moved.
-        """
-        with self._migrate_lock:
-            source = next(
-                (
-                    w
-                    for w in self._workers
-                    if stage_name in w.stage_names and not w.finished
-                ),
-                None,
-            )
-            dest = next(
-                (w for w in self._workers if w.name == to_worker), None
-            )
-            if (
-                source is None
-                or dest is None
-                or source is dest
-                or dest.finished
-            ):
-                return False
-            spec = next(s for s in source.stages if s.name == stage_name)
-            started = time.monotonic()
-            # stop the source before the destination picks the stage up
-            source.terminate()
-            source.set_stages([s for s in source.stages if s.name != stage_name])
-            dest.set_stages(dest.stages + [spec])
-            if source.stages:
-                source.refork()
-            else:
-                source.finished = True
-            dest.refork()
-            self._last_migration = time.monotonic()
-            self._load_prev.pop(source.name, None)
-            self._load_prev.pop(dest.name, None)
-            event = {
-                "stage": stage_name,
-                "from_worker": source.name,
-                "to_worker": dest.name,
-                "duration_s": round(time.monotonic() - started, 6),
-                "wall_time": time.time(),
-            }
-            self.migrations.append(event)
-            logger.info(
-                "migrated stage %s: %s -> %s in %.3fs",
-                stage_name, source.name, dest.name, event["duration_s"],
-            )
-            return True
 
     # -- metrics aggregation ---------------------------------------------------
 

@@ -181,23 +181,9 @@ class WorkerProcess:
     def restart(self) -> None:
         """Terminate any live incarnation and fork a fresh one."""
         self.restarts += 1
-        self.refork()
-
-    def refork(self) -> None:
-        """Re-fork with the current stage list, outside the restart budget.
-
-        Used by planned operations (stage migration): the child picks up
-        ``self.stages`` as it stands now, and the supervision loop's
-        ``restart_limit`` — a crash budget — is not charged.
-        """
         self.terminate()
         self.incarnation += 1
         self.start()
-
-    def set_stages(self, stages: list[StageSpec]) -> None:
-        """Replace the stage assignment (takes effect at the next fork)."""
-        self.stages = list(stages)
-        self.stage_names = [s.name for s in self.stages]
 
     def alive(self) -> bool:
         return self._process is not None and self._process.is_alive()

@@ -7,8 +7,7 @@ mutation share that protocol:
 
 * **rescaling** keyed-replicated operator groups (state re-sharded
   across the new replica count);
-* **re-planning** fused linear chains — unfuse/fuse, and dist-worker
-  stage migration.
+* **re-planning** fused linear chains — unfuse and fuse.
 
 One policy, :class:`~repro.elastic.replan.CostModelPolicy`, decides both:
 it returns the typed :data:`~repro.elastic.actions.AdaptationAction`
@@ -20,7 +19,6 @@ from .actions import (
     ChainSignals,
     Fuse,
     GroupSignals,
-    Migrate,
     Rescale,
     Unfuse,
     WorkloadView,
@@ -38,7 +36,6 @@ from .replan import (
     CostModelPolicy,
     ReplanConfig,
     discover_chains,
-    plan_migration,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "ElasticGroup",
     "Fuse",
     "GroupSignals",
-    "Migrate",
     "ReplanConfig",
     "Rescale",
     "Unfuse",
@@ -61,5 +57,4 @@ __all__ = [
     "discover_groups",
     "elastic_plan",
     "elastic_supervisor",
-    "plan_migration",
 ]

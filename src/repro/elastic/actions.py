@@ -10,8 +10,7 @@ the *logical plan* from workload statistics):
 * :class:`Rescale`       — change a keyed replica group's parallelism;
 * :class:`Unfuse`        — break a fused linear chain into per-operator
                            nodes (pipeline parallelism across threads);
-* :class:`Fuse`          — re-fuse a previously unfused chain;
-* :class:`Migrate`       — move a pipeline stage to another dist worker.
+* :class:`Fuse`          — re-fuse a previously unfused chain.
 
 An empty list decides nothing.
 """
@@ -19,7 +18,7 @@ An empty list decides nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Union
+from typing import Mapping, Union
 
 
 @dataclass(frozen=True)
@@ -56,20 +55,8 @@ class Unfuse:
         return f"unfuse {self.chain}"
 
 
-@dataclass(frozen=True)
-class Migrate:
-    """Move pipeline stage ``stage`` onto dist worker ``to_worker``."""
-
-    stage: str
-    to_worker: str
-    kind = "migrate"
-
-    def describe(self) -> str:
-        return f"migrate {self.stage} -> {self.to_worker}"
-
-
 #: The closed set of decisions the policy may return.
-AdaptationAction = Union[Rescale, Fuse, Unfuse, Migrate]
+AdaptationAction = Union[Rescale, Fuse, Unfuse]
 
 
 @dataclass(frozen=True)
@@ -119,12 +106,9 @@ class ChainSignals:
 class WorkloadView:
     """Everything the policy looks at for one decision round.
 
-    ``groups``  per-replica-group :class:`GroupSignals`;
-    ``chains``  per-adaptable-chain :class:`ChainSignals`;
-    ``workers`` per-dist-worker load summaries (busy fraction and stage
-                names), present only under a distributed coordinator.
+    ``groups`` per-replica-group :class:`GroupSignals`;
+    ``chains`` per-adaptable-chain :class:`ChainSignals`.
     """
 
     groups: Mapping[str, GroupSignals] = field(default_factory=dict)
     chains: Mapping[str, ChainSignals] = field(default_factory=dict)
-    workers: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)

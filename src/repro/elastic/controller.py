@@ -14,11 +14,9 @@ apply three plan mutations *while the query runs*:
   pipeline parallelism when one thread becomes the bottleneck;
 * **Fuse** an idle unfused chain back into a single node.
 
-**Migrate** is delegated to the distributed coordinator via a placement
-hook (moving a stage between forked workers is a process operation, not
-a thread-level splice). Whether a fused chain's rows run scalar or
-columnar is not a plan mutation at all: the vectorized operator picks
-per run (:mod:`repro.spe.plan`).
+Whether a fused chain's rows run scalar or columnar is not a plan
+mutation at all: the vectorized operator picks per run
+(:mod:`repro.spe.plan`).
 
 Every mutation is one call of :meth:`ElasticController._mutate`, which
 owns the drain/splice protocol; an action only supplies its rebuild
@@ -72,9 +70,7 @@ from ..spe.stream import Stream
 from .actions import (
     AdaptationAction,
     ChainSignals,
-    Fuse,
     GroupSignals,
-    Migrate,
     Rescale,
     Unfuse,
     WorkloadView,
@@ -213,12 +209,6 @@ class ElasticController:
         self._adapted: dict[str, tuple[str, float]] = {}
         self._started = time.monotonic()
         self._prev_qos_violations = 0
-        self._last_migration = 0.0
-        # distributed placement hooks, wired by the coordinator: a loads
-        # snapshot feeding WorkloadView.workers and a migrator callable
-        # that actually moves a stage between forked workers
-        self._worker_loads: Callable[[], dict[str, dict[str, Any]]] | None = None
-        self._migrator: Callable[[str, str], bool] | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -286,20 +276,6 @@ class ElasticController:
             }
         )
 
-    def set_placement_hooks(
-        self,
-        worker_loads: Callable[[], dict[str, dict[str, Any]]] | None = None,
-        migrator: Callable[[str, str], bool] | None = None,
-    ) -> None:
-        """Wire the distributed coordinator's placement surface.
-
-        ``worker_loads`` feeds ``WorkloadView.workers`` each tick;
-        ``migrator(stage, to_worker)`` performs a :class:`Migrate` action
-        and returns whether the stage actually moved.
-        """
-        self._worker_loads = worker_loads
-        self._migrator = migrator
-
     def summary(self) -> dict[str, Any]:
         """Decision history and final shape, for run reports and the CLI."""
         return {
@@ -344,13 +320,7 @@ class ElasticController:
         chains = {
             c.name: self._chain_signals(c, executors) for c in self.chains
         }
-        workers: dict[str, dict[str, Any]] = {}
-        if self._worker_loads is not None:
-            try:
-                workers = dict(self._worker_loads())
-            except Exception:  # pragma: no cover - heartbeat races
-                logger.exception("worker load snapshot failed")
-        return WorkloadView(groups=groups, chains=chains, workers=workers)
+        return WorkloadView(groups=groups, chains=chains)
 
     def tick(self) -> None:
         """One sampling + decision round (public for deterministic tests)."""
@@ -376,12 +346,7 @@ class ElasticController:
                 continue
             if self._replan is None or budget <= 0:
                 continue
-            if isinstance(action, Migrate):
-                if now - self._last_migration >= self._replan.cooldown_s:
-                    if self.apply_action(action):
-                        budget -= 1
-                continue
-            chain = self._chain_named(getattr(action, "chain", ""))
+            chain = self._chain_named(action.chain)
             if chain is None:
                 continue
             if not self._cooled(chain.name, now, self._replan.cooldown_s):
@@ -542,46 +507,12 @@ class ElasticController:
             if group is None:
                 return False
             return self.rescale(group, action.target)
-        if isinstance(action, Migrate):
-            return self._migrate(action)
-        chain = self._chain_named(getattr(action, "chain", ""))
+        chain = self._chain_named(action.chain)
         if chain is None:
             return False
         if isinstance(action, Unfuse):
             return self._unfuse_chain(chain)
-        if isinstance(action, Fuse):
-            return self._fuse_chain(chain)
-        return False
-
-    def _migrate(self, action: Migrate) -> bool:
-        """Delegate a Migrate action to the coordinator's placement hook."""
-        if self._migrator is None:
-            self.events.append(
-                {
-                    "kind": "migrate_skipped",
-                    "stage": action.stage,
-                    "to_worker": action.to_worker,
-                    "reason": "no distributed coordinator attached",
-                    "wall_time": time.time(),
-                }
-            )
-            return False
-        started = time.monotonic()
-        moved = bool(self._migrator(action.stage, action.to_worker))
-        if moved:
-            self._last_migration = time.monotonic()
-            with self._lock:
-                self._count_action("migrate", time.monotonic() - started)
-            self.events.append(
-                {
-                    "kind": "migrate",
-                    "stage": action.stage,
-                    "to_worker": action.to_worker,
-                    "duration_s": round(time.monotonic() - started, 6),
-                    "wall_time": time.time(),
-                }
-            )
-        return moved
+        return self._fuse_chain(chain)
 
     def _count_action(self, kind: str, duration_s: float) -> None:
         """Update action counters (caller holds ``self._lock``)."""
@@ -883,7 +814,6 @@ def elastic_supervisor(
     plan: PlanConfig | None,
     obs: Any | None = None,
     checkpointer: Any | None = None,
-    placement: tuple[Callable, Callable] | None = None,
     required: bool = True,
 ) -> Callable[[ThreadedScheduler, list[Node]], ElasticController | None] | None:
     """The ``supervise`` hook of :func:`repro.spe.engine.launch` for
@@ -891,27 +821,21 @@ def elastic_supervisor(
 
     A graph with nothing to rescale or re-plan raises :class:`PlanError`
     when the controller is ``required`` and runs unmanaged otherwise (most
-    stages of a cut pipeline carry no replica group). ``placement`` is the
-    coordinator's ``(worker_loads, migrator)`` pair, wired when the
-    config's re-planning migrates stages.
+    stages of a cut pipeline carry no replica group).
     """
     if config is None:
         return None
-    migrates = config.replan is not None and config.replan.migrate
 
     def supervise(
         scheduler: ThreadedScheduler, nodes: list[Node]
     ) -> ElasticController | None:
         try:
-            controller = ElasticController(
+            return ElasticController(
                 scheduler, nodes, config, plan=plan, obs=obs, checkpointer=checkpointer
             )
         except PlanError:
             if required:
                 raise
             return None
-        if placement is not None and migrates:
-            controller.set_placement_hooks(*placement)
-        return controller
 
     return supervise

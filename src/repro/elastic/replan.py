@@ -14,9 +14,7 @@ adaptation — no drain/splice mechanics (those live in
                              keyed replica group);
 * :class:`CostModelPolicy` — the one policy: a hysteresis rule for
                              replica counts plus a chain cost model over
-                             the observed busy/queue statistics;
-* :func:`plan_migration`   — the placement rule the dist coordinator
-                             applies to heartbeat load summaries.
+                             the observed busy/queue statistics.
 
 A replica group doubles after ``UP_TICKS`` overloaded ticks in a row (at
 or over either ``UP_*`` threshold) and at once on a QoS watchdog
@@ -39,8 +37,6 @@ row expansion it measures, with no drain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
-
 from ..spe.plan import FusedOperator
 from ..spe.query import Node
 from ..spe.stream import Stream
@@ -49,7 +45,6 @@ from .actions import (
     ChainSignals,
     Fuse,
     GroupSignals,
-    Migrate,
     Rescale,
     Unfuse,
     WorkloadView,
@@ -58,9 +53,6 @@ from .actions import (
 #: plan mutations one controller tick may apply (rescales are budgeted
 #: separately, by the group cooldown)
 MAX_ACTIONS_PER_TICK = 1
-#: how many times busier than the idlest worker the busiest one must be
-#: before :func:`plan_migration` moves a stage off it
-MIGRATE_BUSY_RATIO = 2.0
 #: a replica group is overloaded at this boundary-queue fill or busy
 #: fraction, and doubles after UP_TICKS such ticks in a row
 UP_QUEUE_FILL = 0.5
@@ -91,7 +83,6 @@ class ReplanConfig:
     unfuse_busy: float = 0.8
     refuse_queue_fill: float = 0.05
     refuse_busy: float = 0.2
-    migrate: bool = False
 
     def __post_init__(self) -> None:
         if self.cooldown_s < 0:
@@ -127,8 +118,7 @@ class ReplanConfig:
         )
 
     def describe(self) -> str:
-        text = f"cooldown {self.cooldown_s}s"
-        return text + ", migration on" if self.migrate else text
+        return f"cooldown {self.cooldown_s}s"
 
 
 @dataclass
@@ -220,10 +210,6 @@ class CostModelPolicy:
             action = self._chain_action(chain)
             if action is not None:
                 actions.append(action)
-        if self._cfg.migrate and view.workers:
-            migration = plan_migration(view.workers)
-            if migration is not None:
-                actions.append(migration)
         return actions
 
     def _streak(self, name: str, rule: str, active: bool, bar: int) -> bool:
@@ -292,38 +278,9 @@ class CostModelPolicy:
         return None
 
 
-def plan_migration(workers: Mapping[str, Mapping[str, Any]]) -> Migrate | None:
-    """Pick one stage to move off the busiest dist worker, or ``None``.
-
-    ``workers`` maps worker name to a load summary with ``busy_fraction``
-    and ``stages`` (the stage names it currently runs). The rule fires
-    only when the busiest worker runs more than one stage (moving its
-    only stage just relocates the hot spot) and is at least
-    ``MIGRATE_BUSY_RATIO`` times as busy as the idlest one.
-    """
-    loads = {
-        name: float(info.get("busy_fraction", 0.0)) for name, info in workers.items()
-    }
-    if len(loads) < 2:
-        return None
-    hot = max(loads, key=lambda n: loads[n])
-    cold = min(loads, key=lambda n: loads[n])
-    if hot == cold:
-        return None
-    hot_stages = list(workers[hot].get("stages", ()))
-    if len(hot_stages) < 2:
-        return None
-    if loads[hot] < max(loads[cold], 1e-9) * MIGRATE_BUSY_RATIO:
-        return None
-    # move the hot worker's last stage: downstream stages are the ones a
-    # backlogged pipeline starves, and the choice is deterministic
-    return Migrate(stage=hot_stages[-1], to_worker=cold)
-
-
 __all__ = [
     "AdaptiveChain",
     "CostModelPolicy",
     "ReplanConfig",
     "discover_chains",
-    "plan_migration",
 ]

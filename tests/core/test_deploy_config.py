@@ -50,6 +50,7 @@ RETIRED_KEYS = [
      b"[plan]\n[elastic.replan]\nmax_actions_per_tick = 2\n"),
     ("elastic.replan.migrate_busy_ratio",
      b"[plan]\n[elastic.replan]\nmigrate_busy_ratio = 3.0\n"),
+    ("elastic.replan.migrate", b"[plan]\n[elastic.replan]\nmigrate = true\n"),
 ]
 
 

@@ -19,7 +19,6 @@ from repro.elastic import (
     Rescale,
     Unfuse,
     WorkloadView,
-    plan_migration,
 )
 
 
@@ -118,10 +117,6 @@ class CostModelPolicy:
             action = self._chain_action(chain)
             if action is not None:
                 actions.append(action)
-        if self._cfg.migrate and view.workers:
-            migration = plan_migration(view.workers)
-            if migration is not None:
-                actions.append(migration)
         return actions
 
     def _streak(self, chain: str, rule: str, active: bool) -> bool:

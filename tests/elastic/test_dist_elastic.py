@@ -5,6 +5,7 @@ a worker restart mid-run replays its input topics and must stay invisible
 in the final output even while controllers are rescaling replicas.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -19,7 +20,7 @@ from repro.core import (
     specimen_regions_px,
 )
 from repro.dist import DistConfig, DistCoordinator
-from repro.elastic import ElasticConfig
+from repro.elastic import ElasticConfig, ReplanConfig
 from tests.conftest import TEST_IMAGE_PX
 
 CELL_EDGE = 5
@@ -27,6 +28,10 @@ CELL_EDGE = 5
 #: fast controller: decisions every 50 ms so short test runs exercise it
 FAST = ElasticConfig(
     min_parallelism=1, max_parallelism=2, tick_s=0.05, cooldown_s=0.1,
+)
+#: the same controller also re-planning fused chains, on a hair trigger
+FAST_REPLAN = dataclasses.replace(
+    FAST, replan=ReplanConfig(cooldown_s=0.1, streak_ticks=1)
 )
 
 
@@ -57,12 +62,13 @@ def baseline(layer_records, reference_images, test_job):
     return sorted(map(result_key, pipeline.sink.results))
 
 
+@pytest.mark.parametrize("elastic", [FAST, FAST_REPLAN], ids=["rescale", "replan"])
 def test_elastic_dist_deploy_equals_threaded(
-    layer_records, reference_images, test_job, baseline
+    layer_records, reference_images, test_job, baseline, elastic
 ):
     strata, pipeline = build(layer_records, reference_images, test_job)
     report = strata.deploy(
-        DeployConfig(plan=True, dist=DistConfig(workers=2), elastic=FAST)
+        DeployConfig(plan=True, dist=DistConfig(workers=2), elastic=elastic)
     )
     assert sorted(map(result_key, pipeline.sink.results)) == baseline
     dist = report.extra["dist"]

@@ -68,33 +68,22 @@ chain_signals = st.builds(
     busy_fraction=busies,
 )
 
-workers = st.sampled_from((
-    {},
-    {
-        "w0": {"busy_fraction": 0.9, "stages": ["stage-0", "stage-1"]},
-        "w1": {"busy_fraction": 0.1, "stages": ["stage-2"]},
-    },
-))
-
-
 @st.composite
 def views(draw):
     names = draw(st.lists(st.sampled_from(GROUPS), min_size=2, max_size=3, unique=True))
     return WorkloadView(
         groups={name: draw(group_signals) for name in names},
         chains={"c": draw(chain_signals)},
-        workers=draw(workers),
     )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     streak_ticks=st.integers(1, 3),
-    migrate=st.booleans(),
     sequence=st.lists(views(), min_size=1, max_size=40),
 )
-def test_decisions_equal_the_two_class_policy(streak_ticks, migrate, sequence):
-    replan = ReplanConfig(streak_ticks=streak_ticks, migrate=migrate)
+def test_decisions_equal_the_two_class_policy(streak_ticks, sequence):
+    replan = ReplanConfig(streak_ticks=streak_ticks)
     policy = CostModelPolicy(replan)
     oracle = policy_oracle.CostModelPolicy(replan)
     for tick, view in enumerate(sequence):

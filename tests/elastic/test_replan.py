@@ -15,12 +15,10 @@ from repro.elastic import (
     ElasticConfig,
     Fuse,
     GroupSignals,
-    Migrate,
     ReplanConfig,
     Rescale,
     Unfuse,
     WorkloadView,
-    plan_migration,
 )
 from repro.elastic.actions import ChainSignals
 from repro.spe import CollectingSink, PlanError
@@ -125,12 +123,7 @@ def test_action_kinds_and_describe():
     assert "x3" in Rescale("g", 3).describe()
     assert Unfuse("c").kind == "unfuse"
     assert Fuse("c").kind == "fuse"
-    assert Migrate("stage-1", "worker-2").describe() == (
-        "migrate stage-1 -> worker-2"
-    )
-    assert set(typing.get_args(AdaptationAction)) == {
-        Rescale, Fuse, Unfuse, Migrate
-    }
+    assert set(typing.get_args(AdaptationAction)) == {Rescale, Fuse, Unfuse}
 
 
 def test_actions_are_frozen():
@@ -233,49 +226,6 @@ def test_cost_model_delegates_groups_to_scale_policy():
         groups={"g": GroupSignals(parallelism=2, qos_violation_delta=3)}
     )
     assert policy.decide(view) == [Rescale(group="g", target=4)]
-
-
-def test_cost_model_emits_migration_when_enabled():
-    policy = CostModelPolicy(
-        ReplanConfig(streak_ticks=1, migrate=True)
-    )
-    view = WorkloadView(
-        workers={
-            "w0": {"busy_fraction": 0.9, "stages": ["stage-0", "stage-1"]},
-            "w1": {"busy_fraction": 0.1, "stages": ["stage-2"]},
-        }
-    )
-    assert policy.decide(view) == [Migrate(stage="stage-1", to_worker="w1")]
-
-
-# -- plan_migration -----------------------------------------------------------
-
-
-def test_plan_migration_rules():
-    # fewer than two workers: nowhere to go
-    assert plan_migration({"w0": {"busy_fraction": 1.0, "stages": ["a", "b"]}}) is None
-    # hot worker with a single stage: moving it just relocates the hot spot
-    assert plan_migration(
-        {
-            "w0": {"busy_fraction": 1.0, "stages": ["a"]},
-            "w1": {"busy_fraction": 0.1, "stages": ["b"]},
-        },
-    ) is None
-    # imbalance below the ratio: leave placement alone
-    assert plan_migration(
-        {
-            "w0": {"busy_fraction": 0.5, "stages": ["a", "b"]},
-            "w1": {"busy_fraction": 0.4, "stages": ["c"]},
-        },
-    ) is None
-    # hot, multi-stage, imbalanced: move the hot worker's last stage
-    action = plan_migration(
-        {
-            "w0": {"busy_fraction": 0.9, "stages": ["a", "b"]},
-            "w1": {"busy_fraction": 0.1, "stages": ["c"]},
-        },
-    )
-    assert action == Migrate(stage="b", to_worker="w1")
 
 
 # -- chain discovery and deployment shapes ------------------------------------
@@ -594,13 +544,13 @@ def test_deploy_config_replan_round_trip():
         "plan": True,
         "elastic": {
             "max_parallelism": 8,
-            "replan": {"cooldown_s": 2.5, "migrate": True},
+            "replan": {"cooldown_s": 2.5, "streak_ticks": 3},
         },
     }
     config = DeployConfig.from_dict(data)
     assert isinstance(config.elastic.replan, ReplanConfig)
     assert config.elastic.replan.cooldown_s == 2.5
-    assert config.elastic.replan.migrate is True
+    assert config.elastic.replan.streak_ticks == 3
     round_tripped = DeployConfig.from_dict(config.to_dict())
     assert round_tripped.elastic.replan == config.elastic.replan
 
