@@ -86,6 +86,23 @@ class DistConfig:
     shm_slab_bytes: int = 40 * 1024 * 1024
     produce_batch: int = 1
 
+    def __post_init__(self) -> None:
+        if self.transport not in ("tcp", "shm"):
+            raise ValueError(
+                f"unknown transport {self.transport!r} (known: shm, tcp)"
+            )
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        if self.restart_limit < 0:
+            raise ValueError("restart_limit must be >= 0")
+        for name in ("shm_slots", "shm_slab_bytes", "produce_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("port", "scrape_port"):
+            port = getattr(self, name)
+            if port is not None and not 0 <= port <= 65535:
+                raise ValueError(f"{name} must be in 0-65535")
+
     @classmethod
     def resolve(cls, value: Any) -> "DistConfig | None":
         """Normalize the ``dist`` field of a ``DeployConfig``."""

@@ -7,9 +7,12 @@ selector-based :class:`BrokerServer` exposing an in-process broker, and a
 connectors cross machine boundaries unchanged — the decoupling
 the paper gets from Kafka, over our own Kafka substitute.
 
-Payloads ride one of two transports (:mod:`repro.net.transport`): plain
-tcp everywhere, or a zero-copy shared-memory slab ring
-(:mod:`repro.net.shm`) when the peers share a machine.
+Every record value crosses the wire through :mod:`repro.serde`'s one wire
+codec. Payloads ride one of two transports (:mod:`repro.net.transport`):
+plain tcp everywhere, or a zero-copy shared-memory slab ring
+(:mod:`repro.net.shm`) when the peers share a machine — its server half is
+the :class:`ShmServerPlane` itself, and frames carry slab handles under
+serde's ``S`` tag.
 """
 
 from .client import BrokerClient, Connection, RemoteProducer

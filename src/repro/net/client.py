@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import socket
 import threading
-from typing import Any, Callable
+from typing import Any
 
 from ..pubsub.consumer import Consumer
 from ..pubsub.errors import (
@@ -60,7 +60,7 @@ from .ops import (
     parse_response,
     request_meta,
 )
-from .shm import SlabRingError, StaleSlabError
+from .shm import ShmProducerPlane, SlabRingError, StaleSlabError
 from .transport import ClientTransport, connect_transport
 
 #: server-side exception names mapped back to local exception types
@@ -349,14 +349,12 @@ class BrokerClient:
             )
             return int(response.released)
 
-        options = transport.producer_options(lease_fn, release_fn)
         return RemoteProducer(
             conn,
             allow_pickle=self._allow_pickle,
             auto_create=auto_create,
             default_partitions=default_partitions,
-            serde_options=options,
-            on_close=lambda: transport.release_producer(options),
+            producer_plane=transport.producer_plane(lease_fn, release_fn),
         )
 
     def consumer(
@@ -367,9 +365,7 @@ class BrokerClient:
         auto_commit: bool = True,
     ) -> Consumer:
         """A consumer with a private connection; ``close()`` it when done."""
-        ctx = SerdeContext(
-            self._allow_pickle, options=self.transport.consumer_options()
-        )
+        ctx = SerdeContext(self._allow_pickle, ring=self.transport.ring)
         conn = self.connect()
         return Consumer(
             _RemoteLogs(conn, ctx),
@@ -397,14 +393,12 @@ class RemoteProducer:
         allow_pickle: bool = False,
         auto_create: bool = True,
         default_partitions: int = 1,
-        serde_options: dict[str, Any] | None = None,
-        on_close: Callable[[], None] | None = None,
+        producer_plane: ShmProducerPlane | None = None,
     ) -> None:
         self._conn = conn
         self._auto_create = auto_create
         self._default_partitions = default_partitions
-        self._ctx = SerdeContext(allow_pickle, options=serde_options or {})
-        self._on_close = on_close
+        self._ctx = SerdeContext(allow_pickle, producer_plane=producer_plane)
         self._sent = 0
 
     @property
@@ -481,12 +475,9 @@ class RemoteProducer:
         )
 
     def close(self) -> None:
-        if self._on_close is not None:
-            try:
-                self._on_close()  # returns unused slab leases over the conn
-            except (OSError, BrokerClosedError, RpcError):  # pragma: no cover
-                pass
-            self._on_close = None
+        plane, self._ctx.producer_plane = self._ctx.producer_plane, None
+        if plane is not None:
+            plane.close()  # returns unused slab leases over the conn
         self._conn.close()
 
 

@@ -79,6 +79,7 @@ from .ops import (
     parse_request,
     response_meta,
 )
+from .shm import ShmServerPlane
 from .transport import ServerTransport, make_server_transport
 
 logger = logging.getLogger(__name__)
@@ -120,7 +121,7 @@ class BrokerServer:
         port: int = 0,
         allow_pickle: bool = False,
         max_frame: int = MAX_FRAME_BYTES,
-        transport: "str | ServerTransport" = "tcp",
+        transport: "str | ServerTransport | ShmServerPlane" = "tcp",
         transport_options: dict[str, Any] | None = None,
     ) -> None:
         self._broker = broker
@@ -131,11 +132,10 @@ class BrokerServer:
         if isinstance(transport, str):
             transport = make_server_transport(transport, **(transport_options or {}))
         self._transport = transport
-        self._decode_ctx = SerdeContext(
-            allow_pickle, options=transport.decode_options()
-        )
-        self._encode_ctx = SerdeContext(
-            allow_pickle, options=transport.encode_options()
+        # one context both ways: only a produce's decode uses the plane
+        self._ctx = SerdeContext(
+            allow_pickle,
+            server_plane=transport if isinstance(transport, ShmServerPlane) else None,
         )
         self._listener: socket.socket | None = None
         self._loop_thread: threading.Thread | None = None
@@ -178,7 +178,7 @@ class BrokerServer:
         return self._broker
 
     @property
-    def transport(self) -> ServerTransport:
+    def transport(self) -> ServerTransport | ShmServerPlane:
         return self._transport
 
     @property
@@ -586,7 +586,7 @@ class BrokerServer:
     def _handle_produce(
         self, conn: _Conn, req: Any, blobs: tuple
     ) -> tuple[dict, list]:
-        value = decode_wire(blobs[0], context=self._decode_ctx)
+        value = decode_wire(blobs[0], context=self._ctx)
         topic = self._resolve_topic(req.topic, req.auto_create, req.partitions)
         partition, offset = self._append_one(
             topic, req.key, value, req.timestamp, req.headers, req.partition
@@ -604,7 +604,7 @@ class BrokerServer:
         topic = self._resolve_topic(req.topic, req.auto_create, req.partitions)
         results = []
         for entry, blob in zip(req.entries, blobs):
-            value = decode_wire(blob, context=self._decode_ctx)
+            value = decode_wire(blob, context=self._ctx)
             partition, offset = self._append_one(
                 topic,
                 entry.get("key"),
@@ -631,7 +631,7 @@ class BrokerServer:
         out_blobs = []
         budget = FETCH_REPLY_SOFT_BYTES
         for record in records:
-            blob = encode_wire(record.value, context=self._encode_ctx)
+            blob = encode_wire(record.value, context=self._ctx)
             if out_blobs and budget - len(blob) < 0:
                 break  # reply full; the client's next fetch resumes here
             budget -= len(blob)

@@ -3,7 +3,7 @@
 On a multi-core box every stage boundary of a distributed deployment is a
 loopback socket, so a 2000×2000 OT image pays serialization plus four
 memory copies per hop for data that never leaves the machine. This module
-gives the wire codec an ``ndarray-shm`` escape hatch: payload arrays are
+gives the wire codec its ``S`` tag: payload arrays are
 written once into a slab of a :class:`SlabRing` (one
 ``multiprocessing.shared_memory`` block shared by the whole deployment)
 and the frames crossing sockets carry ~100-byte **slab handles** instead
@@ -53,16 +53,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..serde import (
+    TAG_SHM,
     SerdeContext,
     SerdeError,
     encode_ndarray_body,
     ndarray_frame,
-    register_codec,
 )
 
 logger = logging.getLogger(__name__)
-
-TAG_NDARRAY_SHM = b"S"
 
 #: arrays smaller than this are cheaper inline than through a lease
 SHM_MIN_BYTES = 32 * 1024
@@ -113,7 +111,7 @@ class SlabHandle:
             },
             separators=(",", ":"),
         ).encode("utf-8")
-        return TAG_NDARRAY_SHM + header
+        return TAG_SHM + header
 
     @classmethod
     def decode(cls, body: bytes) -> "SlabHandle":
@@ -127,7 +125,7 @@ class SlabHandle:
                 shape=tuple(int(n) for n in meta["shape"]),
             )
         except (ValueError, KeyError, TypeError) as exc:
-            raise SerdeError(f"malformed ndarray-shm handle: {exc}") from exc
+            raise SerdeError(f"malformed slab handle: {exc}") from exc
 
     @property
     def nbytes(self) -> int:
@@ -295,13 +293,6 @@ def attach_ring(name: str) -> SlabRing:
             ring = SlabRing.attach(name)
             _ATTACHED[name] = ring
         return ring
-
-
-def detach_ring(name: str) -> None:
-    with _ATTACH_LOCK:
-        ring = _ATTACHED.pop(name, None)
-    if ring is not None:
-        ring.close()
 
 
 # -- server side ---------------------------------------------------------------
@@ -481,10 +472,17 @@ class _Lease:
 class ShmServerPlane:
     """Server-side slab bookkeeping: lease, bind, reclaim, account.
 
-    One instance per :class:`~repro.net.server.BrokerServer` running the
-    shm transport. All state transitions happen under one lock; the slot
-    population is fixed, so every operation is O(1) amortized.
+    The server half of the shm transport: one instance per
+    :class:`~repro.net.server.BrokerServer` running it, which talks to it
+    through the seam the tcp :class:`~repro.net.transport.ServerTransport`
+    defines as no-ops (``describe``, ``resolve``, ``lease``, ``release``,
+    ``on_disconnect``, ``stats``, ``close``). All state transitions happen
+    under one lock; the slot population is fixed, so every operation is
+    O(1) amortized.
     """
+
+    #: a stored record value as an in-process reader sees it
+    resolve = staticmethod(resolve_refs)
 
     def __init__(
         self,
@@ -556,7 +554,7 @@ class ShmServerPlane:
                 released += 1
         return released
 
-    def reclaim_owner(self, owner: int) -> int:
+    def on_disconnect(self, owner: int) -> None:
         """Free every unbound lease charged to ``owner`` (connection died)."""
         with self._lock:
             dead = [s for s, lease in self._leased.items() if lease.owner == owner]
@@ -564,7 +562,12 @@ class ShmServerPlane:
                 del self._leased[slot]
                 self._retire_locked(slot)
             self.leases_reclaimed += len(dead)
-        return len(dead)
+        if dead:
+            logger.info(
+                "reclaimed %d unbound slab lease(s) from dead connection %d",
+                len(dead),
+                owner,
+            )
 
     # -- bind (produce) / encode hooks ---------------------------------------
 
@@ -721,50 +724,26 @@ class ShmProducerPlane:
                 pass
 
 
-# -- the ndarray-shm wire codec ------------------------------------------------
+# -- the ``S`` wire tag ---------------------------------------------------------
 
 
-def _matches_shm(value: Any, ctx: SerdeContext) -> bool:
-    if isinstance(value, SlabRef):
-        return True
-    plane = ctx.options.get("shm_producer")
-    if plane is None:
-        return False
-    import numpy as np
-
-    return (
-        isinstance(value, np.ndarray)
-        and not value.dtype.hasobject
-        and plane.eligible(value)
-    )
-
-
-def _encode_shm(value: Any, ctx: SerdeContext) -> bytes:
+def encode_shm(value: Any, plane: ShmProducerPlane | None) -> bytes:
+    """The wire frame of a stored :class:`SlabRef`, or of an array ``plane`` takes."""
     if isinstance(value, SlabRef):
         return value.encode()
-    plane = ctx.options["shm_producer"]
     handle = plane.put(value)
     if handle is None:  # ring full (or lease path gone): inline fallback
         return encode_ndarray_body(value)
     return handle.encode()
 
 
-def _decode_shm(body: bytes, ctx: SerdeContext) -> Any:
+def decode_shm(body: bytes, ctx: SerdeContext) -> Any:
+    """A handle the broker stores as a :class:`SlabRef`, anyone else as pixels."""
     handle = SlabHandle.decode(body)
-    plane = ctx.options.get("shm_server")
+    plane = ctx.server_plane
     if plane is not None and handle.ring == plane.ring.name:
         return plane.bind(handle)
-    ring = ctx.options.get("shm_ring")
+    ring = ctx.ring
     if ring is None or ring.name != handle.ring:
         ring = attach_ring(handle.ring)
     return ring.read(handle)
-
-
-register_codec(
-    TAG_NDARRAY_SHM,
-    _encode_shm,
-    _decode_shm,
-    matches=_matches_shm,
-    priority=90,  # above the plain ndarray codec: claims eligible arrays
-    name="ndarray-shm",
-)

@@ -13,7 +13,9 @@ choose between them by name:
     Payload ndarrays ride a shared-memory :class:`~repro.net.shm.SlabRing`
     and frames carry slab handles (see :mod:`repro.net.shm`). Only
     meaningful when every peer shares a kernel; peers that cannot attach
-    the ring silently stay on tcp.
+    the ring silently stay on tcp. Its server half is the
+    :class:`~repro.net.shm.ShmServerPlane` itself, which fills in the
+    seam :class:`ServerTransport` leaves as tcp no-ops.
 
 Negotiation is server-advertised: the client issues the ``transport`` op,
 receives the server's descriptor (``{"name": "shm", "ring": ...}`` or
@@ -35,7 +37,6 @@ from .shm import (
     SlabRing,
     SlabRingError,
     attach_ring,
-    resolve_refs,
 )
 
 logger = logging.getLogger(__name__)
@@ -47,10 +48,10 @@ DEFAULT_SHM_SLAB_BYTES = 40 * 1024 * 1024
 
 
 class ServerTransport:
-    """Server half of a transport: advertised to clients, hooks the codec.
+    """Server half of the tcp transport: the seam, all no-ops.
 
-    The tcp base class is deliberately all no-ops — a transport only
-    overrides what it changes.
+    :class:`~repro.net.shm.ShmServerPlane` implements the same methods
+    for the shm transport.
     """
 
     name = "tcp"
@@ -59,18 +60,10 @@ class ServerTransport:
         """The descriptor sent back from the ``transport`` op."""
         return {"name": self.name}
 
-    def decode_options(self) -> dict[str, Any]:
-        """Extra :class:`~repro.serde.SerdeContext` options for produces."""
-        return {}
-
-    def encode_options(self) -> dict[str, Any]:
-        """Extra context options when the server re-encodes for a fetch."""
-        return {}
-
     def resolve(self, value: Any) -> Any:
         """A stored record value as an in-process reader should see it.
 
-        Whatever ``decode_options`` made the server store in place of a
+        Whatever the transport made the server store in place of a
         payload is turned back into the payload here (identity on tcp).
         """
         return value
@@ -94,41 +87,43 @@ class ServerTransport:
 
 
 class ClientTransport:
-    """Client half: per-connection encode/decode context hooks."""
+    """Client half: what a connection's serde context carries (nothing on tcp)."""
 
     name = "tcp"
+    #: the attached ring consumers read slab handles from
+    ring: SlabRing | None = None
 
-    def producer_options(
+    def producer_plane(
         self,
         lease_fn: Callable[[int], list[tuple[int, int]]],
         release_fn: Callable[[list[tuple[int, int]]], int],
-    ) -> dict[str, Any]:
-        """Encode-context options for one producer connection.
+    ) -> ShmProducerPlane | None:
+        """The slab writer for one producer connection, if this transport has one.
 
         ``lease_fn``/``release_fn`` are bound to that connection's typed
         ops so the server charges leases to the right socket.
         """
-        return {}
-
-    def consumer_options(self) -> dict[str, Any]:
-        """Decode-context options for one consumer connection."""
-        return {}
-
-    def release_producer(self, options: dict[str, Any]) -> None:
-        """Tear down whatever :meth:`producer_options` allocated."""
+        return None
 
 
-def make_server_transport(name: str, **config: Any) -> ServerTransport:
+def make_server_transport(
+    name: str,
+    slots: int = DEFAULT_SHM_SLOTS,
+    slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
+    min_bytes: int = SHM_MIN_BYTES,
+    spill_dir: str | None = None,
+) -> ServerTransport | ShmServerPlane:
     """Build the server half of the named transport.
 
-    Unknown names raise ``ValueError`` listing the known ones, so a typo in
-    ``[dist] transport`` fails loudly at deploy time rather than silently
-    running tcp. ``config`` is the shm ring's; tcp has nothing to size.
+    Unknown names raise ``ValueError`` listing the known ones (a bad
+    ``[dist] transport`` is already refused when the config is parsed).
+    The other arguments size the shm ring; tcp has nothing to size.
     """
     if name == "tcp":
         return ServerTransport()
     if name == "shm":
-        return ShmServerTransport(**config)
+        ring = SlabRing.create(slots=slots, slab_bytes=slab_bytes)
+        return ShmServerPlane(ring, min_bytes=min_bytes, spill_dir=spill_dir)
     raise ValueError(f"unknown transport {name!r} (known: shm, tcp)")
 
 
@@ -153,78 +148,23 @@ def connect_transport(descriptor: dict[str, Any] | None) -> ClientTransport:
 # -- shm ----------------------------------------------------------------------
 
 
-class ShmServerTransport(ServerTransport):
-    """Server side of the shared-memory payload plane."""
-
-    name = "shm"
-
-    def __init__(
-        self,
-        slots: int = DEFAULT_SHM_SLOTS,
-        slab_bytes: int = DEFAULT_SHM_SLAB_BYTES,
-        min_bytes: int = SHM_MIN_BYTES,
-        spill_dir: str | None = None,
-    ) -> None:
-        ring = SlabRing.create(slots=slots, slab_bytes=slab_bytes)
-        self.plane = ShmServerPlane(ring, min_bytes=min_bytes, spill_dir=spill_dir)
-
-    def describe(self) -> dict[str, Any]:
-        return self.plane.describe()
-
-    def decode_options(self) -> dict[str, Any]:
-        return {"shm_server": self.plane}
-
-    def resolve(self, value: Any) -> Any:
-        return resolve_refs(value)
-
-    def lease(self, conn_token: int, count: int) -> list[tuple[int, int]]:
-        return self.plane.lease(conn_token, count)
-
-    def release(self, conn_token: int, pairs: list[tuple[int, int]]) -> int:
-        return self.plane.release(conn_token, pairs)
-
-    def on_disconnect(self, conn_token: int) -> None:
-        reclaimed = self.plane.reclaim_owner(conn_token)
-        if reclaimed:
-            logger.info(
-                "reclaimed %d unbound slab lease(s) from dead connection %d",
-                reclaimed,
-                conn_token,
-            )
-
-    def stats(self) -> dict[str, Any]:
-        return self.plane.stats()
-
-    def close(self) -> None:
-        self.plane.close()
-
-
 class ShmClientTransport(ClientTransport):
     """Client side: producer planes over an attached ring."""
 
     name = "shm"
 
     def __init__(self, ring: SlabRing, min_bytes: int) -> None:
-        self._ring = ring
+        self.ring = ring
         self._min_bytes = min_bytes
 
-    def producer_options(
+    def producer_plane(
         self,
         lease_fn: Callable[[int], list[tuple[int, int]]],
         release_fn: Callable[[list[tuple[int, int]]], int],
-    ) -> dict[str, Any]:
-        plane = ShmProducerPlane(
-            self._ring, lease_fn, release_fn, min_bytes=self._min_bytes
+    ) -> ShmProducerPlane:
+        return ShmProducerPlane(
+            self.ring, lease_fn, release_fn, min_bytes=self._min_bytes
         )
-        return {"shm_producer": plane}
-
-    def consumer_options(self) -> dict[str, Any]:
-        return {"shm_ring": self._ring}
-
-    def release_producer(self, options: dict[str, Any]) -> None:
-        plane = options.get("shm_producer")
-        if plane is not None:
-            plane.close()
 
 
 def _connect_shm(descriptor: dict[str, Any]) -> ClientTransport | None:

@@ -7,22 +7,17 @@ Two codecs live here, layered on the same one-byte tag scheme:
   stored as JSON (``j``), everything else pickles (``p``). The kvstore
   keeps its historical behaviour: pickle is always accepted on decode.
 * the **wire codec** (``encode_wire``/``decode_wire``), used by
-  ``repro.net`` — a **registry of tagged codecs** (see
-  :func:`register_codec`). The built-in entries cover numpy arrays
-  (``n``: dtype/shape header + raw buffer, no pickle) and
-  :class:`~repro.spe.tuples.StreamTuple` (``t``: JSON metadata +
-  recursively encoded payload entries) and
+  ``repro.net`` — one fixed dispatch over the storage tags plus four of
+  its own: :class:`~repro.spe.tuples.StreamTuple` (``t``: JSON metadata +
+  recursively encoded payload entries),
   :class:`~repro.spe.columnar.ColumnarBlock` (``c``: a run of same-schema
-  tuples as one record, one array body per numeric column) on top of the
-  storage tags.
-  Transports add their own: the shared-memory payload plane registers an
-  ``ndarray-shm`` codec (:mod:`repro.net.shm`) whose frames carry slab
-  handles instead of pixels.
+  tuples as one record, one array body per numeric column), numpy arrays
+  (``n``: dtype/shape header + raw buffer, no pickle) and the shm
+  transport's slab handles (``S``, :mod:`repro.net.shm`), whose frames
+  carry a slot of a shared-memory ring instead of pixels.
 
-Pickle on the wire is a *registry flag*, not a special case: any codec
-registered ``trusted_only=True`` (the built-in pickle fallback is the only
-one) is refused in both directions unless the caller opts in
-(``allow_pickle=True``), because a networked broker must not execute
+Pickle is refused on the wire in both directions unless the caller opts
+in (``allow_pickle=True``), because a networked broker must not execute
 arbitrary bytecode from a peer. Unknown tags raise a structured
 :class:`SerdeError` whose ``tag`` attribute names the offending byte.
 
@@ -35,8 +30,8 @@ from __future__ import annotations
 import json
 import pickle
 import struct
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 TAG_BYTES = b"b"
 TAG_JSON = b"j"
@@ -44,10 +39,7 @@ TAG_PICKLE = b"p"
 TAG_NDARRAY = b"n"
 TAG_TUPLE = b"t"
 TAG_BLOCK = b"c"
-
-#: bumped whenever a built-in tag's byte layout changes; registered codecs
-#: carry their own semantic versions via the ``version=`` registry field
-WIRE_CODEC_VERSION = 3
+TAG_SHM = b"S"
 
 _U32 = struct.Struct("!I")
 
@@ -93,18 +85,25 @@ def _json_roundtrips(value: Any) -> bool:
 # -- storage codec (kvstore) -------------------------------------------------
 
 
-def encode_value(value: Any) -> bytes:
+def encode_value(value: Any, allow_pickle: bool = True) -> bytes:
     """Serialize an arbitrary Python value for storage.
 
     Values that are already ``bytes`` pass through untouched; values that
     JSON reproduces exactly are stored as JSON (portable, inspectable);
-    everything else — tuples, sets, NaN, arbitrary objects — is pickled.
-    A one-byte tag records the codec used.
+    everything else — tuples, sets, NaN, arbitrary objects — is pickled,
+    or refused with :class:`PickleRefusedError` when ``allow_pickle`` is
+    off. A one-byte tag records the codec used.
     """
     if isinstance(value, bytes):
         return TAG_BYTES + value
     if _json_roundtrips(value):
         return TAG_JSON + json.dumps(value).encode("utf-8")
+    if not allow_pickle:
+        raise PickleRefusedError(
+            f"value of type {type(value).__name__} needs pickle, which is "
+            "disabled on the network path (pass allow_pickle=True on a "
+            "trusted link to enable it)"
+        )
     return TAG_PICKLE + pickle.dumps(value)
 
 
@@ -124,108 +123,26 @@ def decode_value(data: bytes, allow_pickle: bool = True) -> Any:
     raise SerdeError(f"unknown value codec tag {tag!r}", tag=tag)
 
 
-# -- wire codec registry (repro.net) -----------------------------------------
+# -- wire codec (repro.net) ---------------------------------------------------
 
 
 @dataclass
 class SerdeContext:
-    """Per-call state threaded through codec encode/decode hooks.
+    """Per-call state threaded through the wire codec.
 
-    ``allow_pickle`` gates every ``trusted_only`` codec; ``options`` is a
-    scratch mapping transports use to hand their payload planes to the
-    codecs they registered (e.g. the shm plane and its role on this side
-    of the link).
+    ``allow_pickle`` opens the pickle gate. The other three fields hand the
+    shm transport's payload plane (:mod:`repro.net.shm`) to the ``S`` tag,
+    one per role on this side of the link: ``producer_plane`` writes
+    eligible arrays into leased slabs (a producer's encode),
+    ``server_plane`` binds produced handles to the stored record (the
+    broker's decode) and ``ring`` is the attached ring a consumer reads
+    handles from.
     """
 
     allow_pickle: bool = False
-    options: dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class WireCodec:
-    """One registered wire codec.
-
-    ``encode(value, ctx)`` returns the complete tagged byte string — it
-    normally starts with ``tag`` but may *delegate* to another codec's
-    encoding (the shm codec falls back to the plain ndarray layout when
-    its ring is full). ``decode(body, ctx)`` receives everything after the
-    tag byte. ``matches(value, ctx)`` decides whether this codec claims a
-    value on encode; codecs with ``matches=None`` are decode-only.
-    """
-
-    tag: bytes
-    encode: Callable[[Any, SerdeContext], bytes]
-    decode: Callable[[bytes, SerdeContext], Any]
-    matches: Callable[[Any, SerdeContext], bool] | None = None
-    priority: int = 0
-    trusted_only: bool = False
-    version: int = 1
-    name: str = ""
-
-
-_CODECS: dict[bytes, WireCodec] = {}
-_ENCODE_ORDER: list[WireCodec] = []
-
-
-def register_codec(
-    tag: bytes,
-    encode: Callable[[Any, SerdeContext], bytes],
-    decode: Callable[[bytes, SerdeContext], Any],
-    *,
-    matches: Callable[[Any, SerdeContext], bool] | None = None,
-    priority: int = 0,
-    trusted_only: bool = False,
-    version: int = 1,
-    name: str = "",
-    replace: bool = False,
-) -> WireCodec:
-    """Register a wire codec under a one-byte ``tag``.
-
-    Encode candidates are tried in descending ``priority`` (ties: first
-    registered wins); the first whose ``matches`` claims the value encodes
-    it. ``trusted_only=True`` puts the codec behind the pickle gate: both
-    encoding to and decoding from it require ``allow_pickle=True``.
-    Re-registering a live tag raises unless ``replace=True``.
-    """
-    if not isinstance(tag, bytes) or len(tag) != 1:
-        raise SerdeError(f"codec tag must be a single byte, got {tag!r}")
-    if tag in _CODECS and not replace:
-        raise SerdeError(
-            f"wire codec tag {tag!r} already registered "
-            f"({_CODECS[tag].name or 'unnamed'}); pass replace=True to override",
-            tag=tag,
-        )
-    codec = WireCodec(
-        tag=tag,
-        encode=encode,
-        decode=decode,
-        matches=matches,
-        priority=priority,
-        trusted_only=trusted_only,
-        version=version,
-        name=name or tag.decode("latin-1"),
-    )
-    if tag in _CODECS:
-        _ENCODE_ORDER[:] = [c for c in _ENCODE_ORDER if c.tag != tag]
-    _CODECS[tag] = codec
-    if codec.matches is not None:
-        _ENCODE_ORDER.append(codec)
-        _ENCODE_ORDER.sort(key=lambda c: -c.priority)
-    return codec
-
-
-def registered_codecs() -> dict[str, dict[str, Any]]:
-    """Public view of the registry: name, tag, version, trust, priority."""
-    return {
-        codec.name: {
-            "tag": codec.tag.decode("latin-1"),
-            "version": codec.version,
-            "trusted_only": codec.trusted_only,
-            "priority": codec.priority,
-            "encodes": codec.matches is not None,
-        }
-        for codec in _CODECS.values()
-    }
+    producer_plane: Any = None
+    server_plane: Any = None
+    ring: Any = None
 
 
 def encode_wire(
@@ -233,26 +150,32 @@ def encode_wire(
 ) -> bytes:
     """Serialize a value for the network, avoiding pickle where possible.
 
-    Walks the codec registry by priority; the first codec claiming the
-    value encodes it. Anything that would fall back to a ``trusted_only``
-    codec (pickle) raises :class:`PickleRefusedError` at the *sender*
-    unless ``allow_pickle`` is set, so misconfiguration fails fast and
-    loudly.
+    Kinds are tried in a fixed order: stream tuple (``t``), columnar block
+    (``c``), slab ref or slab-eligible array under a producer plane
+    (``S``), numeric ndarray (``n``); anything else takes the storage
+    codec's ``b``/``j``/``p``. A value that needs pickle raises
+    :class:`PickleRefusedError` at the *sender* unless ``allow_pickle`` is
+    set, so misconfiguration fails fast and loudly.
     """
+    import numpy as np
+
+    from .net import shm
+    from .spe.tuples import StreamTuple
+
     ctx = context if context is not None else SerdeContext(allow_pickle)
-    for codec in _ENCODE_ORDER:
-        if not codec.matches(value, ctx):
-            continue
-        if codec.trusted_only and not ctx.allow_pickle:
-            raise PickleRefusedError(
-                f"value of type {type(value).__name__} needs {codec.name}, "
-                "which is disabled on the network path (pass "
-                "allow_pickle=True on a trusted link to enable it)"
-            )
-        return codec.encode(value, ctx)
-    raise SerdeError(
-        f"no wire codec claims value of type {type(value).__name__}"
-    )  # pragma: no cover - the pickle fallback matches everything
+    if isinstance(value, StreamTuple):
+        return _encode_tuple(value, ctx)
+    if getattr(value, "_is_columnar_block", False):
+        return _encode_block(value, ctx)
+    array = isinstance(value, np.ndarray) and not value.dtype.hasobject
+    plane = ctx.producer_plane
+    if isinstance(value, shm.SlabRef) or (
+        array and plane is not None and plane.eligible(value)
+    ):
+        return shm.encode_shm(value, plane)
+    if array:
+        return encode_ndarray_body(value)
+    return encode_value(value, ctx.allow_pickle)
 
 
 def decode_wire(
@@ -260,19 +183,10 @@ def decode_wire(
 ) -> Any:
     """Inverse of :func:`encode_wire`; the pickle gate applies symmetrically."""
     ctx = context if context is not None else SerdeContext(allow_pickle)
-    tag = data[:1]
-    codec = _CODECS.get(tag)
-    if codec is None:
-        raise SerdeError(f"unknown wire codec tag {tag!r}", tag=tag)
-    if codec.trusted_only and not ctx.allow_pickle:
-        raise PickleRefusedError(
-            f"refusing to decode a {codec.name} frame: {codec.name} is "
-            "disabled on this path"
-        )
-    return codec.decode(data[1:], ctx)
-
-
-# -- built-in codecs ----------------------------------------------------------
+    decode = _WIRE_DECODERS.get(data[:1])
+    if decode is None:  # b/j/p, or an unknown tag
+        return decode_value(data, ctx.allow_pickle)
+    return decode(data[1:], ctx)
 
 
 def _encode_tuple(value: Any, ctx: SerdeContext) -> bytes:
@@ -322,12 +236,6 @@ def _decode_tuple(body: bytes, ctx: SerdeContext) -> Any:
     return t
 
 
-def _matches_tuple(value: Any, ctx: SerdeContext) -> bool:
-    from .spe.tuples import StreamTuple
-
-    return isinstance(value, StreamTuple)
-
-
 # A block record is a run of same-schema tuples shipped as one value:
 #
 #   c | u32 meta_len | meta JSON | (u32 blob_len | blob)*
@@ -343,7 +251,7 @@ def _matches_tuple(value: Any, ctx: SerdeContext) -> bool:
 # tau, layer, ingest_time, then the payload columns that have any —
 # kind "a" (a numeric column) is one blob, kind "l" (a list column JSON
 # cannot reproduce) is one blob per row, kind "j" (a JSON-exact list) has
-# none. Every blob goes through the codec walk, so an array column of
+# none. Every blob goes through encode_wire, so an array column of
 # SHM_MIN_BYTES or more takes a slab by itself and a list element pickles
 # exactly where the tuple codec would have pickled it as a payload value.
 
@@ -438,10 +346,6 @@ def encode_ndarray_body(array: Any) -> bytes:
     return ndarray_frame(array.dtype.str, array.shape, array.tobytes())
 
 
-def _encode_ndarray(value: Any, ctx: SerdeContext) -> bytes:
-    return encode_ndarray_body(value)
-
-
 def _decode_ndarray(body: bytes, ctx: SerdeContext) -> Any:
     import numpy as np
 
@@ -452,58 +356,16 @@ def _decode_ndarray(body: bytes, ctx: SerdeContext) -> Any:
     return array.reshape(header["shape"]).copy()
 
 
-def _matches_ndarray(value: Any, ctx: SerdeContext) -> bool:
-    import numpy as np
+def _decode_shm(body: bytes, ctx: SerdeContext) -> Any:
+    from .net import shm
 
-    return isinstance(value, np.ndarray) and not value.dtype.hasobject
+    return shm.decode_shm(body, ctx)
 
 
-register_codec(
-    TAG_TUPLE,
-    _encode_tuple,
-    _decode_tuple,
-    matches=_matches_tuple,
-    priority=100,
-    name="stream-tuple",
-)
-register_codec(
-    TAG_BLOCK,
-    _encode_block,
-    _decode_block,
-    matches=lambda value, ctx: getattr(value, "_is_columnar_block", False),
-    priority=95,
-    name="columnar-block",
-)
-register_codec(
-    TAG_NDARRAY,
-    _encode_ndarray,
-    _decode_ndarray,
-    matches=_matches_ndarray,
-    priority=80,
-    name="ndarray",
-)
-register_codec(
-    TAG_BYTES,
-    lambda value, ctx: TAG_BYTES + value,
-    lambda body, ctx: body,
-    matches=lambda value, ctx: isinstance(value, bytes),
-    priority=60,
-    name="bytes",
-)
-register_codec(
-    TAG_JSON,
-    lambda value, ctx: TAG_JSON + json.dumps(value).encode("utf-8"),
-    lambda body, ctx: json.loads(body.decode("utf-8")),
-    matches=lambda value, ctx: _json_roundtrips(value),
-    priority=40,
-    name="json",
-)
-register_codec(
-    TAG_PICKLE,
-    lambda value, ctx: TAG_PICKLE + pickle.dumps(value),
-    lambda body, ctx: pickle.loads(body),
-    matches=lambda value, ctx: True,
-    priority=-100,
-    trusted_only=True,
-    name="pickle",
-)
+#: the wire tags beyond the storage codec's b/j/p
+_WIRE_DECODERS = {
+    TAG_TUPLE: _decode_tuple,
+    TAG_BLOCK: _decode_block,
+    TAG_SHM: _decode_shm,
+    TAG_NDARRAY: _decode_ndarray,
+}

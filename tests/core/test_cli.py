@@ -154,6 +154,21 @@ def test_in_process_verbs_refuse_dist_in_one_line(
     assert line.startswith("error: ") and reason in line
 
 
+@pytest.mark.parametrize("setting", [
+    'transport = "spm"', "shm_slots = 0", "produce_batch = 0", "workers = 0",
+    "restart_limit = -1", "shm_slab_bytes = 0", "port = 70000",
+])
+def test_bad_dist_values_are_one_error_line(setting, tmp_path, capsys):
+    path = tmp_path / "bad.toml"
+    path.write_text(f"[dist]\n{setting}\n")
+    assert main(["replay", *SMALL, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: invalid [dist] config: ")
+    assert setting.split()[0] in line
+
+
 def test_golden_monitor_termination_reason(capsys):
     # the layer the machine stops after depends on thread timing at
     # --time-scale 0; the reason the policy gave does not

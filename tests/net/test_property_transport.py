@@ -149,8 +149,6 @@ def test_frame_one_byte_over_cap_is_refused_by_writer_and_reader():
     with pytest.raises(ProtocolError, match="exceeds"):
         frame_iovecs(frame)
     # a hostile peer that writes it anyway is refused at the header
-    import struct
-
     from repro.net.frames import HEADER, MAGIC, VERSION
 
     decoder = FrameDecoder()
@@ -253,7 +251,7 @@ def test_starved_ring_degrades_to_inline(n_arrays):
             release_fn=lambda pairs: plane.release(1, pairs),
             min_bytes=0,
         )
-        ctx = SerdeContext(allow_pickle=False, options={"shm_producer": producer})
+        ctx = SerdeContext(allow_pickle=False, producer_plane=producer)
         arrays = [
             np.full((16, 16), i, dtype=np.float64) for i in range(n_arrays)
         ]
@@ -281,10 +279,8 @@ def test_ring_recycles_through_reclamation(n_arrays):
             min_bytes=0,
             lease_batch=2,
         )
-        encode_ctx = SerdeContext(
-            allow_pickle=False, options={"shm_producer": producer}
-        )
-        decode_ctx = SerdeContext(allow_pickle=False, options={"shm_server": plane})
+        encode_ctx = SerdeContext(allow_pickle=False, producer_plane=producer)
+        decode_ctx = SerdeContext(allow_pickle=False, server_plane=plane)
         arrays = [np.full((8, 8), i, dtype=np.int32) for i in range(n_arrays)]
         stored = [
             decode_wire(encode_wire(a, context=encode_ctx), context=decode_ctx)

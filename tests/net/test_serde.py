@@ -222,8 +222,8 @@ def test_wire_block_column_takes_a_slab_and_survives_spill():
             min_bytes=4096,
             lease_batch=1,
         )
-        produce = SerdeContext(options={"shm_producer": producer})
-        store = SerdeContext(options={"shm_server": plane})
+        produce = SerdeContext(producer_plane=producer)
+        store = SerdeContext(server_plane=plane)
         blob = encode_wire(ColumnarBlock.from_tuples(run), context=produce)
         stored = decode_wire(blob, context=store)
         assert isinstance(stored.columns["v"], SlabRef) and stored.columns["v"].live
@@ -249,3 +249,103 @@ def test_wire_block_column_takes_a_slab_and_survives_spill():
             assert [t.ingest_time for t in got] == [t.ingest_time for t in run]
     finally:
         plane.close()
+
+
+# -- the wire bytes, pinned ----------------------------------------------------
+
+
+def _pin_tuple(i, payload):
+    t = StreamTuple(
+        tau=1.5 + i, job="J7", layer=3, payload=payload,
+        specimen="S02", portion="p", ingest_time=10.25 + i,
+    )
+    t.trace_id = "tr" if i == 0 else None
+    return t
+
+
+#: (kind, value, expected) per wire case. ``exact``: the frame byte for
+#: byte, and re-encoding its decode gives the same frame. ``pickle``: the
+#: tag, the gate both ways and the round trip — pickle's own bytes differ
+#: across numpy lines. ``slab``: a SlabRef ships its handle even with no
+#: producer plane. ``unknown``: decoding an unknown tag names it.
+WIRE_PINS = {
+    "tuple": ("exact", lambda: _pin_tuple(
+        0, {"f": 0.5, "np": np.float64(2.25), "s": "hot", "a": np.array([1.0, -2.0])}
+    ), b't\x00\x00\x00\x8f{"tau": 1.5, "job": "J7", "layer": 3, "specimen": "S02", '
+       b'"portion": "p", "ingest_time": 10.25, "trace_id": "tr", "keys": ["f", "np", '
+       b'"s", "a"]}\x00\x00\x00\x04j0.5\x00\x00\x00\x05j2.25\x00\x00\x00\x06j"hot"'
+       b'\x00\x00\x003n\x00\x00\x00\x1e{"dtype": "<f8", "shape": [2]}'
+       b'\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\x00\xc0'),
+    "block": ("exact", lambda: ColumnarBlock.from_tuples([
+        _pin_tuple(i, {"x": 0.5 * i, "tag": ["a", i],
+                       "img": np.array([i, i + 1], dtype=np.uint8)})
+        for i in range(2)
+    ]), b'c\x00\x00\x00\xb2{"n": 2, "job": ["J7", "J7"], "specimen": ["S02", "S02"], '
+        b'"portion": ["p", "p"], "trace_id": ["tr", null], "cols": [["x", "a"], '
+        b'["tag", "j", [["a", 0], ["a", 1]]], ["img", "l"]]}'
+        b'\x00\x00\x003n\x00\x00\x00\x1e{"dtype": "<f8", "shape": [2]}'
+        b'\x00\x00\x00\x00\x00\x00\xf8?\x00\x00\x00\x00\x00\x00\x04@'
+        b'\x00\x00\x003n\x00\x00\x00\x1e{"dtype": "<i8", "shape": [2]}'
+        b'\x03\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00'
+        b'\x00\x00\x003n\x00\x00\x00\x1e{"dtype": "<f8", "shape": [2]}'
+        b'\x00\x00\x00\x00\x00\x80$@\x00\x00\x00\x00\x00\x80&@'
+        b'\x00\x00\x003n\x00\x00\x00\x1e{"dtype": "<f8", "shape": [2]}'
+        b'\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\xe0?'
+        b'\x00\x00\x00%n\x00\x00\x00\x1e{"dtype": "|u1", "shape": [2]}\x00\x01'
+        b'\x00\x00\x00%n\x00\x00\x00\x1e{"dtype": "|u1", "shape": [2]}\x01\x02'),
+    "c-order": ("exact", lambda: np.arange(6, dtype="<i4").reshape(2, 3),
+                b'n\x00\x00\x00!{"dtype": "<i4", "shape": [2, 3]}'
+                b'\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00'
+                b'\x03\x00\x00\x00\x04\x00\x00\x00\x05\x00\x00\x00'),
+    "f-order": ("exact", lambda: np.asfortranarray(
+        np.arange(6, dtype="<f4").reshape(2, 3)
+    ), b'n\x00\x00\x00!{"dtype": "<f4", "shape": [2, 3]}'
+       b'\x00\x00\x00\x00\x00\x00\x80?\x00\x00\x00@\x00\x00@@\x00\x00\x80@\x00\x00\xa0@'),
+    "np.float64": ("exact", lambda: np.float64(2.25), b"j2.25"),
+    "bytes": ("exact", lambda: b"\x00\xffraw", b"b\x00\xffraw"),
+    "dict": ("exact", lambda: {"k": [1, 2.5, None, True], "s": "x"},
+             b'j{"k": [1, 2.5, null, true], "s": "x"}'),
+    "none": ("exact", lambda: None, b"jnull"),
+    "np.int64": ("pickle", lambda: np.int64(7), b"p"),
+    "np.bool_": ("pickle", lambda: np.bool_(True), b"p"),
+    "tuple-value": ("pickle", lambda: (1, "a"), b"p"),
+    "nan": ("pickle", lambda: float("nan"), b"p"),
+    "object-array": ("pickle", lambda: np.array([1, "a"], dtype=object), b"p"),
+    "slab-ref": ("slab", None, b"S"),
+    "unknown-tag": ("unknown", lambda: b"zoops", b"z"),
+}
+
+
+@pytest.mark.parametrize("case", WIRE_PINS)
+def test_wire_bytes_are_pinned(case):
+    kind, make, expected = WIRE_PINS[case]
+    if kind == "exact":
+        blob = encode_wire(make())
+        assert blob == expected
+        assert encode_wire(decode_wire(blob)) == blob
+    elif kind == "pickle":
+        value = make()
+        with pytest.raises(PickleRefusedError):
+            encode_wire(value)
+        blob = encode_wire(value, allow_pickle=True)
+        assert blob[:1] == expected
+        with pytest.raises(PickleRefusedError):
+            decode_wire(blob)
+        back = decode_wire(blob, allow_pickle=True)
+        assert type(back) is type(value)
+        assert encode_wire(back, allow_pickle=True) == blob
+    elif kind == "slab":
+        from repro.net.shm import SlabHandle, SlabRef, SlabRing
+
+        ring = SlabRing.create(slots=1, slab_bytes=64)
+        try:
+            handle = SlabHandle(ring.name, slot=0, gen=0, dtype="<f8", shape=(2,))
+            blob = encode_wire(SlabRef(handle, ring))
+            assert blob[:1] == expected and blob == handle.encode()
+        finally:
+            ring.close()
+            ring.unlink()
+    else:
+        with pytest.raises(SerdeError) as err:
+            decode_wire(make())
+        assert err.value.tag == expected
