@@ -20,10 +20,16 @@ other (a point is its own neighbour implicitly):
 * :func:`naive_edges` — one full scan per point, kept for the ablation
   benchmark (A3) and as a cross-check in tests.
 
-All three use the same subtract-square-sum arithmetic, so they agree to
-the bit on which pairs are within ``eps``, and all three return each pair
-once, strictly ascending in ``(hi, lo)``, the order the labeller's first
-hook round relies on.
+All three use the same subtract-scale-square-sum arithmetic, so they
+agree to the bit on which pairs are within ``eps``, and all three return
+each pair once, strictly ascending in ``(hi, lo)``, the order the
+labeller's first hook round relies on. Each takes an optional per-axis
+``scale``: the points are then lattice coordinates (a cell centre in
+pixels, a layer index) and a pair's distance is that of its lattice
+deltas times the scale (mm per pixel, layer thickness). The delta of two
+lattice points is exact, so whether a pair is within ``eps`` depends on
+how far apart the points are, never on where they are: a window of
+layers has the same pairs at every height of the build.
 
 One *labeller*, :func:`label_edges`, turns an edge list and each point's
 degree (:func:`pair_degree`) into labels without visiting points one by
@@ -88,6 +94,25 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must be positive")
 
 
+def _factors(scale: np.ndarray | None, rows: int) -> np.ndarray | None:
+    """The per-axis ``scale`` repeated for ``rows`` rows of differences,
+    flat (``None``: unscaled)."""
+    return None if scale is None else np.tile(np.asarray(scale, dtype=float), rows)
+
+
+def _near(diffs: np.ndarray, factors: np.ndarray | None, limit: float) -> np.ndarray:
+    """Which rows of ``diffs`` (point deltas, scaled in place by the
+    :func:`_factors` of at least as many rows) are within ``sqrt(limit)``.
+
+    The scale is one flat multiply: broadcasting a 3-wide row over the
+    differences runs an inner loop per row and costs several times more.
+    """
+    if factors is not None:
+        flat = diffs.reshape(-1)
+        flat *= factors[: len(flat)]
+    return np.einsum("ij,ij->i", diffs, diffs) <= limit
+
+
 # -- edge producers ------------------------------------------------------------
 
 
@@ -97,6 +122,7 @@ def dense_edges(
     start: int | np.ndarray = 0,
     stop: int | np.ndarray | None = None,
     first: int | np.ndarray = 0,
+    scale: np.ndarray | None = None,
 ) -> Edges:
     """Pairs within ``eps`` whose higher index is ``>= start``.
 
@@ -111,7 +137,8 @@ def dense_edges(
     Pairs come out segment by segment, row by row, lower index ascending.
     The candidate pairs of consecutive rows are laid out as one flat array
     and tested in one pass; a pass holds at most :data:`_BLOCK_ELEMS`
-    differences, which keeps its temporaries in cache.
+    differences, which keeps its temporaries in cache. With ``scale`` the
+    points are lattice coordinates (see the module docstring).
     """
     _check_eps(eps)
     n, dim = points.shape
@@ -123,6 +150,9 @@ def dense_edges(
     widths = rows - lefts
     done = np.cumsum(widths)  # candidates up to and including each row
     budget = max(1, _BLOCK_ELEMS // max(1, dim))
+    # a pass holds at most a budget's candidates, or one wider row's
+    total = int(done[-1]) if len(done) else 0
+    factors = _factors(scale, min(total, max(budget, int(widths.max(initial=0)))))
     limit = eps * eps
     lows: list[np.ndarray] = []
     highs: list[np.ndarray] = []
@@ -137,22 +167,23 @@ def dense_edges(
         )
         diffs = points.take(high, axis=0)
         diffs -= points.take(low, axis=0)
-        near = np.einsum("ij,ij->i", diffs, diffs) <= limit
+        near = _near(diffs, factors, limit)
         lows.append(low[near])
         highs.append(high[near])
         begin = end
     return _join(lows, highs)
 
 
-def naive_edges(points: np.ndarray, eps: float) -> Edges:
+def naive_edges(points: np.ndarray, eps: float, scale: np.ndarray | None = None) -> Edges:
     """One scan of all points per point (the O(n^2) reference search)."""
     _check_eps(eps)
+    factors = _factors(scale, len(points))
     limit = eps * eps
     lows: list[np.ndarray] = []
     highs: list[np.ndarray] = []
     for index in range(len(points)):
         diffs = points[:index] - points[index]
-        found = np.nonzero(np.einsum("ij,ij->i", diffs, diffs) <= limit)[0]
+        found = np.nonzero(_near(diffs, factors, limit))[0]
         lows.append(found)
         highs.append(np.full(len(found), index, dtype=np.int64))
     return _join(lows, highs)
@@ -169,17 +200,22 @@ def _forward_offsets(dim: int) -> np.ndarray:
     return offsets[len(offsets) // 2 + 1 :]
 
 
-def _bucket_keys(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _bucket_keys(
+    points: np.ndarray, eps: float, scale: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Per-point integer bucket key and the key stride of each axis.
 
-    Bucket coordinates are compacted per axis first — a run of empty
-    buckets shrinks to one — so the key space is bounded by the point
-    count, not by the coordinate range; adjacency (|delta| <= 1 on every
-    axis) is unchanged by that. ``None`` when even the compacted key space
-    overflows int64 (many dimensions), which the caller answers with the
-    dense producer.
+    A bucket spans ``eps`` (``eps / scale`` lattice units) on every axis,
+    widened by one part in 10^9 so that rounding in the division never
+    puts a pair within ``eps`` two buckets apart. Bucket coordinates are
+    compacted per axis first — a run of empty buckets shrinks to one — so
+    the key space is bounded by the point count, not by the coordinate
+    range; adjacency (|delta| <= 1 on every axis) is unchanged by that.
+    ``None`` when even the compacted key space overflows int64 (many
+    dimensions), which the caller answers with the dense producer.
     """
-    cells = np.floor(points / eps).astype(np.int64)
+    edge = eps if scale is None else eps / np.asarray(scale, dtype=float)
+    cells = np.floor(points / (edge * (1 + 1e-9))).astype(np.int64)
     dim = cells.shape[1]
     compact = np.empty_like(cells)
     extents: list[int] = []
@@ -218,7 +254,7 @@ def _ragged_product(
         yield start_a[pair] + within // width, start_b[pair] + within % width
 
 
-def grid_edges(points: np.ndarray, eps: float) -> Edges:
+def grid_edges(points: np.ndarray, eps: float, scale: np.ndarray | None = None) -> Edges:
     """Pairs within ``eps`` via a uniform grid, one bucket pair at a time.
 
     Points are sorted by bucket; for the bucket itself and each forward
@@ -230,10 +266,10 @@ def grid_edges(points: np.ndarray, eps: float) -> Edges:
     _check_eps(eps)
     n, dim = points.shape
     if n < 2 or dim == 0:
-        return dense_edges(points, eps)
-    keyed = _bucket_keys(points, eps)
+        return dense_edges(points, eps, scale=scale)
+    keyed = _bucket_keys(points, eps, scale)
     if keyed is None:
-        return dense_edges(points, eps)
+        return dense_edges(points, eps, scale=scale)
     keys, strides = keyed
     order = np.argsort(keys, kind="stable")
     buckets, first, size = np.unique(keys[order], return_index=True, return_counts=True)
@@ -243,8 +279,7 @@ def grid_edges(points: np.ndarray, eps: float) -> Edges:
     highs: list[np.ndarray] = []
 
     def emit(a: np.ndarray, b: np.ndarray) -> None:
-        diffs = sorted_points[a] - sorted_points[b]
-        near = np.einsum("ij,ij->i", diffs, diffs) <= limit
+        near = _near(sorted_points[a] - sorted_points[b], _factors(scale, len(a)), limit)
         a, b = order[a[near]], order[b[near]]
         lows.append(np.minimum(a, b))
         highs.append(np.maximum(a, b))

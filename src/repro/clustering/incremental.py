@@ -23,7 +23,11 @@ from-scratch run would find (same arithmetic) and the labeller is the one
 
 Points are 3-D: (x_mm, y_mm, z_mm), where z encodes the layer index times
 the layer thickness, so ``eps`` has one spatial meaning in-plane and
-across layers.
+across layers. Pairs are not measured on those mm points, though: the
+window also keeps each point on its lattice (cell centre in pixels, layer
+index) and measures the lattice deltas times the per-axis scale (mm per
+pixel, layer thickness), so a verdict never depends on how high in the
+build its layers are (see :mod:`repro.clustering.dbscan`).
 """
 
 from __future__ import annotations
@@ -133,9 +137,11 @@ class LayerWindowClusterer:
 
     :meth:`observe_layer` is the paper's ``correlateEvents(L, DBSCAN)`` in
     one call: append a completed layer, retire what falls out of the last
-    ``window_layers`` observed layers, cluster. A caller that is *told* its
-    window (``DBSCANCorrelator`` gets it from the operator) uses the steps
-    underneath, :meth:`expire_layers` and :meth:`append_layer` (or
+    ``window_layers`` observed layers, cluster. A layer's ``xy_points`` are
+    on the sensor's pixel lattice and ``px_per_mm`` turns them into plate
+    mm (the default 1.0 takes them as mm already). A caller that is *told*
+    its window (``DBSCANCorrelator`` gets it from the operator) uses the
+    steps underneath, :meth:`expire_layers` and :meth:`append_layer` (or
     :meth:`append_many` for several windows), and :attr:`layer_counts` to
     see what the window holds; for it
     ``window_layers`` may be ``None`` (``observe_layer`` then never
@@ -150,6 +156,7 @@ class LayerWindowClusterer:
         layer_thickness_mm: float,
         cell_volume_mm3: float = 1.0,
         min_volume_mm3: float = 0.0,
+        px_per_mm: float = 1.0,
     ) -> None:
         if window_layers is not None and window_layers < 1:
             raise ValueError("window must cover at least one layer")
@@ -157,6 +164,9 @@ class LayerWindowClusterer:
         self._eps = eps
         self._min_samples = min_samples
         self._thickness = layer_thickness_mm
+        self._px_per_mm = px_per_mm
+        # mm per lattice unit: per pixel in-plane, per layer across layers
+        self._scale = np.array([1 / px_per_mm, 1 / px_per_mm, layer_thickness_mm])
         self._cell_volume = cell_volume_mm3
         self._min_volume = min_volume_mm3
         self.reset()
@@ -183,6 +193,8 @@ class LayerWindowClusterer:
         """Empty the window."""
         self._layers: deque[tuple[int, int]] = deque()
         self._points = np.empty((0, 3))
+        # the same points on the lattice: (x_px, y_px, layer)
+        self._lattice = np.empty((0, 3))
         self._point_layers = np.empty(0, dtype=np.int64)
         # eps-neighbour pairs of the window's points, lo < hi, ascending
         # in (hi, lo), and each point's count of them
@@ -206,6 +218,7 @@ class LayerWindowClusterer:
             self._lo = self._lo - drop
             self._hi = self._hi - drop
             self._points = self._points[drop:]
+            self._lattice = self._lattice[drop:]
             self._point_layers = self._point_layers[drop:]
 
     def append_layer(self, layer: int, xy_points: np.ndarray) -> None:
@@ -229,17 +242,18 @@ class LayerWindowClusterer:
 
         ``layers`` / ``xy_points`` hold the new points of every window back
         to back, ``counts[w]`` of them for ``windows[w]``, each window's in
-        ascending layer order; the windows share ``eps`` and the layer
-        thickness. Each window ends as :meth:`append_layer` per layer run
-        would leave it — the same points, runs, pairs in the same order and
-        degrees: the windows are laid back to back as segments of one
+        ascending layer order; the windows share ``eps`` and the scale.
+        Each window ends as :meth:`append_layer` per layer run would leave
+        it — the same points, runs, pairs in the same order and degrees:
+        the windows are laid back to back as segments of one
         :func:`dense_edges` call, new rows against the earlier rows of
         their own window, and one :func:`pair_degree` over that call's
         pairs, with the windows' old degrees added in one scatter, gives
         every window its degree.
         """
         head = windows[0]
-        new_points = np.column_stack((xy_points, layers * head._thickness))
+        new_points = np.column_stack((xy_points / head._px_per_mm, layers * head._thickness))
+        new_lattice = np.column_stack((xy_points, layers))
         counts = np.asarray(counts, dtype=np.int64)
         offsets = np.cumsum(counts) - counts
         # a layer run starts where the layer changes or a window's points
@@ -255,6 +269,9 @@ class LayerWindowClusterer:
             window._points = np.concatenate(
                 (window._points, new_points[offset : offset + count])
             )
+            window._lattice = np.concatenate(
+                (window._lattice, new_lattice[offset : offset + count])
+            )
             window._point_layers = np.concatenate(
                 (window._point_layers, layers[offset : offset + count])
             )
@@ -262,11 +279,12 @@ class LayerWindowClusterer:
         ends = np.cumsum(sizes)
         firsts = ends - sizes
         lo, hi = dense_edges(
-            np.concatenate([window._points for window in windows]),
+            np.concatenate([window._lattice for window in windows]),
             head._eps,
             start=firsts + retained,
             stop=ends,
             first=firsts,
+            scale=head._scale,
         )
         pair_cuts = np.searchsorted(hi, ends).tolist()
         # the new pairs' counts, plus each window's old degree at the rows
@@ -310,7 +328,7 @@ class LayerWindowClusterer:
         layers = []
         start = 0
         for layer, count in self._layers:
-            layers.append((layer, self._points[start : start + count, :2].copy()))
+            layers.append((layer, self._lattice[start : start + count, :2].copy()))
             start += count
         return {"layers": layers}
 

@@ -66,14 +66,12 @@ class GroupSignals:
     ``queue_fill``          boundary-queue depth as a fraction of capacity;
     ``busy_fraction``       mean fraction of the tick the group's replicas
                             spent processing (0..~1 per replica);
-    ``watermark_lag_s``     event-time distance between sources and sinks;
     ``qos_violation_delta`` QoS watchdog violations since the last tick;
     ``parallelism``         the group's current replica count.
     """
 
     queue_fill: float = 0.0
     busy_fraction: float = 0.0
-    watermark_lag_s: float = 0.0
     qos_violation_delta: int = 0
     parallelism: int = 1
 

@@ -2,7 +2,7 @@
 
 The controller watches the same signals an operator reads off the
 ``strata-repro top`` table — boundary-queue fill, per-replica busy
-fraction, watermark lag, QoS watchdog violations — assembles them into
+fraction, QoS watchdog violations — assembles them into
 one :class:`~repro.elastic.actions.WorkloadView` per tick, and asks
 :class:`~repro.elastic.replan.CostModelPolicy` for a list of typed
 actions; clamping, cooldowns and the per-tick budget stay here. It can
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 import threading
 import time
 from collections import deque
@@ -428,23 +427,9 @@ class ElasticController:
         qos_delta: int,
     ) -> GroupSignals:
         fill, busy_fraction = self._load(group, executors, group.parallelism)
-        source_taus = [
-            ex.stats.last_tau
-            for ex in executors
-            if ex.node.kind == "source" and not math.isnan(ex.stats.last_tau)
-        ]
-        sink_taus = [
-            ex.stats.last_tau
-            for ex in executors
-            if ex.node.kind == "sink" and not math.isnan(ex.stats.last_tau)
-        ]
-        lag = 0.0
-        if source_taus and sink_taus:
-            lag = max(0.0, max(source_taus) - min(sink_taus))
         return GroupSignals(
             queue_fill=fill,
             busy_fraction=busy_fraction,
-            watermark_lag_s=lag,
             qos_violation_delta=qos_delta,
             parallelism=group.parallelism,
         )

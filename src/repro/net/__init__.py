@@ -1,7 +1,8 @@
 """repro.net — networked broker transport.
 
-A length-prefixed binary wire protocol (:mod:`repro.net.frames`) with a
-typed op table shared by both peers (:mod:`repro.net.ops`), an async
+A length-prefixed binary wire protocol (:mod:`repro.net.frames`) whose
+requests and replies are frame meta dicts checked against one op table
+both peers read (:mod:`repro.net.ops`), an async
 selector-based :class:`BrokerServer` exposing an in-process broker, and a
 :class:`BrokerClient` whose producers and consumers let the pub/sub
 connectors cross machine boundaries unchanged — the decoupling
@@ -32,7 +33,7 @@ from .frames import (
     write_frame,
     write_frames,
 )
-from .ops import OPS, OpSpec
+from .ops import OPS
 from .server import BrokerServer
 from .shm import (
     ShmProducerPlane,
@@ -61,7 +62,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "NetError",
     "OPS",
-    "OpSpec",
     "ProtocolError",
     "RemoteProducer",
     "RpcError",

@@ -8,15 +8,14 @@ pub/sub connectors bind to. :class:`RemoteProducer` mirrors the in-process
 through the five calls of :class:`_RemoteLogs` — so
 ``PubSubWriterSink``/``PubSubReaderSource`` work unchanged over TCP.
 
-Requests are built through the typed op table in :mod:`repro.net.ops`
-(:meth:`Connection.call`), so the client has no hand-rolled meta dicts to
-drift from the server; the string :meth:`Connection.request` survives for
-raw protocol poking. On first use the client negotiates the payload
-transport (``transport`` op): a server running the shm plane advertises
-its slab ring, and a client on the same machine attaches it so ndarray
-payloads stop riding TCP. Old servers answer the negotiation with an
-unknown-op error, new clients treat that as tcp — both directions of
-version skew degrade instead of breaking.
+Every op goes through :meth:`Connection.request`: the request is its
+frame's meta dict, checked against the one op table in
+:mod:`repro.net.ops` before it is sent, and a reply missing a key the
+table lists raises :class:`ProtocolError`. On first use the client
+negotiates the payload transport (``transport`` op): a server running the
+shm plane advertises its slab ring, and a client on the same machine
+attaches it so ndarray payloads stop riding TCP; a ring that cannot be
+attached from here leaves the client on tcp.
 
 Each producer/consumer owns a private connection: a consumer's blocking
 fetch parks its connection server-side, and sharing that socket with a
@@ -50,16 +49,7 @@ from .frames import (
     read_frame,
     write_frame,
 )
-from .ops import (
-    OPS,
-    FetchRequest,
-    LeaseRequest,
-    ProduceBatchRequest,
-    ProduceRequest,
-    ReleaseRequest,
-    parse_response,
-    request_meta,
-)
+from .ops import check_reply, check_request
 from .shm import ShmProducerPlane, SlabRingError, StaleSlabError
 from .transport import ClientTransport, connect_transport
 
@@ -114,10 +104,14 @@ class Connection:
     def request(
         self, op: str, meta: dict | None = None, blobs: tuple[bytes, ...] = ()
     ) -> Frame:
-        """Send one request and return its (validated) response frame."""
-        payload = {"op": op}
-        if meta:
-            payload.update(meta)
+        """Send one request and return its response frame.
+
+        ``meta`` holds the request's fields; both it and the reply are
+        checked against the op's row of the table.
+        """
+        meta = meta or {}
+        check_request(op, meta)
+        payload = {"op": op, **meta}
         with self._lock:
             if self._closed:
                 raise BrokerClosedError("connection is closed")
@@ -130,17 +124,8 @@ class Connection:
             )
         if reply.type == TYPE_ERROR:
             _raise_remote(reply.meta)
+        check_reply(op, reply.meta)
         return reply
-
-    def call(
-        self, name: str, request: Any, blobs: tuple[bytes, ...] = ()
-    ) -> tuple[Any, Frame]:
-        """Issue a typed request; returns ``(typed response, raw frame)``."""
-        spec = OPS[name]
-        meta = request_meta(name, request)
-        del meta["op"]  # request() re-adds it
-        frame = self.request(name, meta, blobs)
-        return parse_response(spec, frame.meta), frame
 
     def close(self) -> None:
         with self._lock:
@@ -213,22 +198,14 @@ class BrokerClient:
     def transport(self) -> ClientTransport:
         """The negotiated payload transport (lazily resolved, cached).
 
-        Any failure to negotiate or attach — an old server that has never
-        heard of the ``transport`` op, an shm ring on another machine —
-        resolves to plain tcp.
+        An shm ring that cannot be attached from here (it is on another
+        machine) resolves to plain tcp.
         """
         with self._lock:
             if self._transport is not None:
                 return self._transport
-        descriptor: dict[str, Any] = {"name": "tcp"}
-        try:
-            reply = self._admin_conn().request("transport")
-            advertised = reply.meta.get("transport")
-            if isinstance(advertised, dict):
-                descriptor = advertised
-        except (ProtocolError, RpcError):
-            pass  # pre-transport server: tcp it is
-        transport = connect_transport(descriptor)
+        reply = self._admin_conn().request("transport")
+        transport = connect_transport(reply.meta["transport"])
         with self._lock:
             if self._transport is None:
                 self._transport = transport
@@ -237,7 +214,7 @@ class BrokerClient:
     # -- readiness ----------------------------------------------------------
 
     def ping(self) -> bool:
-        return bool(self._admin_conn().request("ping").meta.get("ok"))
+        return bool(self._admin_conn().request("ping").meta["ok"])
 
     def wait_ready(self, timeout: float = 10.0, interval: float = 0.05) -> None:
         """Block until the server answers a ping (connection retries)."""
@@ -340,14 +317,12 @@ class BrokerClient:
         conn = self.connect()
 
         def lease_fn(count: int) -> list[tuple[int, int]]:
-            response, _ = conn.call("lease", LeaseRequest(count=count))
-            return [(int(s), int(g)) for s, g in response.slots]
+            slots = conn.request("lease", {"count": count}).meta["slots"]
+            return [(int(s), int(g)) for s, g in slots]
 
         def release_fn(pairs: list[tuple[int, int]]) -> int:
-            response, _ = conn.call(
-                "release", ReleaseRequest(slots=[list(p) for p in pairs])
-            )
-            return int(response.released)
+            reply = conn.request("release", {"slots": [list(p) for p in pairs]})
+            return int(reply.meta["released"])
 
         return RemoteProducer(
             conn,
@@ -416,21 +391,21 @@ class RemoteProducer:
     ) -> tuple[int, int]:
         """Publish one record; returns its ``(partition, offset)``."""
         blob = encode_wire(value, context=self._ctx)
-        response, _ = self._conn.call(
+        reply = self._conn.request(
             "produce",
-            ProduceRequest(
-                topic=topic,
-                key=key,
-                timestamp=timestamp,
-                headers=headers,
-                partition=partition,
-                auto_create=self._auto_create,
-                partitions=self._default_partitions,
-            ),
+            {
+                "topic": topic,
+                "key": key,
+                "timestamp": timestamp,
+                "headers": headers,
+                "partition": partition,
+                "auto_create": self._auto_create,
+                "partitions": self._default_partitions,
+            },
             (blob,),
-        )
+        ).meta
         self._sent += 1
-        return int(response.partition), int(response.offset)
+        return int(reply["partition"]), int(reply["offset"])
 
     def send_batch(
         self, topic: str, records: list[dict[str, Any]]
@@ -455,18 +430,18 @@ class RemoteProducer:
             }
             for record in records
         ]
-        response, _ = self._conn.call(
+        results = self._conn.request(
             "produce_batch",
-            ProduceBatchRequest(
-                topic=topic,
-                entries=entries,
-                auto_create=self._auto_create,
-                partitions=self._default_partitions,
-            ),
+            {
+                "topic": topic,
+                "entries": entries,
+                "auto_create": self._auto_create,
+                "partitions": self._default_partitions,
+            },
             blobs,
-        )
+        ).meta["results"]
         self._sent += len(records)
-        return [(int(p), int(o)) for p, o in response.results]
+        return [(int(p), int(o)) for p, o in results]
 
     def partitions_of(self, topic: str) -> int:
         """Partition count of ``topic`` (for per-partition broadcasts)."""
@@ -507,18 +482,18 @@ class _RemoteLogs:
     def fetch(
         self, topic: str, partition: int, offset: int, max_records: int, timeout: float
     ) -> list[Message]:
-        request = FetchRequest(
-            topic=topic,
-            partition=partition,
-            offset=offset,
-            max_records=max_records,
-            timeout=timeout,
-        )
+        request = {
+            "topic": topic,
+            "partition": partition,
+            "offset": offset,
+            "max_records": max_records,
+            "timeout": timeout,
+        }
         for _attempt in range(_STALE_RETRIES):
-            response, frame = self._conn.call("fetch", request)
+            frame = self._conn.request("fetch", request)
             records = []
             try:
-                for record_meta, blob in zip(response.records, frame.blobs):
+                for record_meta, blob in zip(frame.meta["records"], frame.blobs):
                     records.append(
                         Message(
                             topic=topic,

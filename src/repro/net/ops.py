@@ -1,315 +1,121 @@
-"""The broker RPC surface as one typed op table.
+"""The broker RPC surface as one table both peers read.
 
-Historically the server grew an ``_op_<name>`` method per operation and
-the client grew a hand-rolled mirror method, so adding one op meant four
-edits that could drift apart. This module is the single source of truth
-both sides share: every operation is a **request dataclass**, a
-**response dataclass**, and one :class:`OpSpec` row of the :data:`OPS`
-table naming them under the wire name. The server dispatches requests
-through the table (:func:`parse_request`), the client builds them through
-it (:func:`request_meta`), and adding an operation — the shm payload
-plane's ``lease``/``release``, for example — is one row here plus one
-handler.
-
-The wire format is unchanged: a request's meta is still a flat JSON
-object ``{"op": <name>, ...fields...}`` with exactly the key names the
-v2 frame protocol always used, so old and new peers interoperate.
+Every operation is one row of :data:`OPS`: its wire name, the request
+fields with their defaults (or :data:`REQUIRED`), and the keys its reply
+carries. A request and a reply are nothing but their frame's meta dict —
+``{"op": <name>, ...fields...}`` one way, ``{...reply keys...}`` the
+other — so the table is also the wire format's definition. The server
+parses a request against the table (:func:`parse_request`: unknown op or
+missing required field raise :class:`ProtocolError`, unknown extra keys
+are ignored so newer peers may add fields); the client checks what it
+sends and what comes back (:func:`check_request`, :func:`check_reply`).
+Adding an operation is one row here plus one server handler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable
+from typing import Any
 
 from .errors import ProtocolError
 
-# -- request/response dataclasses --------------------------------------------
-# Field names ARE the wire meta keys; do not rename without a protocol bump.
-
-
-@dataclass(frozen=True)
-class PingRequest:
-    pass
-
-
-@dataclass(frozen=True)
-class PingResponse:
-    ok: bool = True
-
-
-@dataclass(frozen=True)
-class ProduceRequest:
-    topic: str
-    key: str | None = None
-    timestamp: float | None = None
-    headers: dict[str, Any] | None = None
-    partition: int | None = None
-    auto_create: bool = True
-    partitions: int = 1
-
-
-@dataclass(frozen=True)
-class ProduceResponse:
-    partition: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class ProduceBatchRequest:
-    """Many records for one topic in a single frame (one blob each).
-
-    ``entries`` carries the per-record scalars positionally aligned with
-    the frame's blobs; the response returns one ``[partition, offset]``
-    pair per record in the same order.
-    """
-
-    topic: str
-    entries: list[dict[str, Any]] = field(default_factory=list)
-    auto_create: bool = True
-    partitions: int = 1
-
-
-@dataclass(frozen=True)
-class ProduceBatchResponse:
-    results: list[list[int]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class FetchRequest:
-    topic: str
-    partition: int
-    offset: int
-    max_records: int = 1024
-    timeout: float = 0.0
-
-
-@dataclass(frozen=True)
-class FetchResponse:
-    records: list[dict[str, Any]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CommitRequest:
-    group: str
-    topic: str
-    partition: int
-    offset: int
-
-
-@dataclass(frozen=True)
-class CommitResponse:
-    pass
-
-
-@dataclass(frozen=True)
-class CommittedRequest:
-    group: str
-    topic: str
-    partition: int
-
-
-@dataclass(frozen=True)
-class CommittedResponse:
-    offset: int | None = None
-
-
-@dataclass(frozen=True)
-class ResetGroupRequest:
-    group: str
-    topics: list[str] | None = None
-
-
-@dataclass(frozen=True)
-class ResetGroupResponse:
-    pass
-
-
-@dataclass(frozen=True)
-class CreateTopicRequest:
-    topic: str
-    partitions: int = 1
-    retention: int | None = None
-
-
-@dataclass(frozen=True)
-class TopicResponse:
-    partitions: int = 1
-
-
-@dataclass(frozen=True)
-class ListTopicsRequest:
-    pass
-
-
-@dataclass(frozen=True)
-class ListTopicsResponse:
-    topics: list[str] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class PartitionsRequest:
-    topic: str
-
-
-@dataclass(frozen=True)
-class OffsetsRequest:
-    topic: str
-    partition: int
-
-
-@dataclass(frozen=True)
-class OffsetsResponse:
-    start: int = 0
-    end: int = 0
-
-
-@dataclass(frozen=True)
-class EndOffsetsRequest:
-    topic: str
-
-
-@dataclass(frozen=True)
-class EndOffsetsResponse:
-    offsets: dict[str, int] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class HeartbeatRequest:
-    worker: str
-    info: dict[str, Any] = field(default_factory=dict)
-    metrics: dict[str, Any] | None = None
-
-
-@dataclass(frozen=True)
-class HeartbeatResponse:
-    pass
-
-
-@dataclass(frozen=True)
-class ClusterRequest:
-    include_metrics: bool = False
-
-
-@dataclass(frozen=True)
-class ClusterResponse:
-    workers: dict[str, dict[str, Any]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class TransportRequest:
-    """Ask the server which payload transport this broker speaks."""
-
-    pass
-
-
-@dataclass(frozen=True)
-class TransportResponse:
-    transport: dict[str, Any] = field(default_factory=lambda: {"name": "tcp"})
-
-
-@dataclass(frozen=True)
-class LeaseRequest:
-    """Lease up to ``count`` payload slabs for this connection."""
-
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class LeaseResponse:
-    #: granted ``[slot, generation]`` pairs; may be shorter than requested
-    #: (empty = ring full, caller falls back to inline payloads)
-    slots: list[list[int]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ReleaseRequest:
-    """Return unused leased slabs (``[slot, generation]`` pairs)."""
-
-    slots: list[list[int]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class ReleaseResponse:
-    released: int = 0
-
-
-# -- the table ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OpSpec:
-    """One operation: wire name, typed shapes, server dispatch hints."""
-
-    name: str
-    request: type
-    response: type
-    #: given the parsed request, may the handler park its thread? (the
-    #: async server runs such requests off the event loop)
-    may_block: Callable[[Any], bool] | None = None
-
-
-OPS: dict[str, OpSpec] = {
-    spec.name: spec
-    for spec in (
-        OpSpec("ping", PingRequest, PingResponse),
-        OpSpec("produce", ProduceRequest, ProduceResponse),
-        OpSpec("produce_batch", ProduceBatchRequest, ProduceBatchResponse),
-        OpSpec("fetch", FetchRequest, FetchResponse, may_block=lambda r: r.timeout > 0),
-        OpSpec("commit", CommitRequest, CommitResponse),
-        OpSpec("committed", CommittedRequest, CommittedResponse),
-        OpSpec("reset_group", ResetGroupRequest, ResetGroupResponse),
-        OpSpec("create_topic", CreateTopicRequest, TopicResponse),
-        OpSpec("ensure_topic", CreateTopicRequest, TopicResponse),
-        OpSpec("list_topics", ListTopicsRequest, ListTopicsResponse),
-        OpSpec("partitions", PartitionsRequest, TopicResponse),
-        OpSpec("offsets", OffsetsRequest, OffsetsResponse),
-        OpSpec("end_offsets", EndOffsetsRequest, EndOffsetsResponse),
-        OpSpec("heartbeat", HeartbeatRequest, HeartbeatResponse),
-        OpSpec("cluster", ClusterRequest, ClusterResponse),
-        OpSpec("transport", TransportRequest, TransportResponse),
-        OpSpec("lease", LeaseRequest, LeaseResponse),
-        OpSpec("release", ReleaseRequest, ReleaseResponse),
-    )
+#: marks a request field the sender must supply
+REQUIRED: Any = object()
+
+#: op -> (request fields with defaults or REQUIRED, reply keys). Field and
+#: key names ARE the wire meta keys; do not rename without a protocol
+#: bump. Defaults are shared between requests and never mutated.
+OPS: dict[str, tuple[dict[str, Any], tuple[str, ...]]] = {
+    "ping": ({}, ("ok",)),
+    "produce": (
+        {
+            "topic": REQUIRED,
+            "key": None,
+            "timestamp": None,
+            "headers": None,
+            "partition": None,
+            "auto_create": True,
+            "partitions": 1,
+        },
+        ("partition", "offset"),
+    ),
+    # many records for one topic in one frame: ``entries`` carries each
+    # record's key/timestamp/headers/partition aligned with the frame's
+    # blobs; ``results`` one [partition, offset] pair per record, in order
+    "produce_batch": (
+        {"topic": REQUIRED, "entries": (), "auto_create": True, "partitions": 1},
+        ("results",),
+    ),
+    "fetch": (
+        {
+            "topic": REQUIRED,
+            "partition": REQUIRED,
+            "offset": REQUIRED,
+            "max_records": 1024,
+            "timeout": 0.0,
+        },
+        ("records",),
+    ),
+    "commit": (
+        {"group": REQUIRED, "topic": REQUIRED, "partition": REQUIRED, "offset": REQUIRED},
+        (),
+    ),
+    "committed": (
+        {"group": REQUIRED, "topic": REQUIRED, "partition": REQUIRED},
+        ("offset",),
+    ),
+    "reset_group": ({"group": REQUIRED, "topics": None}, ()),
+    "create_topic": (
+        {"topic": REQUIRED, "partitions": 1, "retention": None},
+        ("partitions",),
+    ),
+    "ensure_topic": (
+        {"topic": REQUIRED, "partitions": 1, "retention": None},
+        ("partitions",),
+    ),
+    "list_topics": ({}, ("topics",)),
+    "partitions": ({"topic": REQUIRED}, ("partitions",)),
+    "offsets": ({"topic": REQUIRED, "partition": REQUIRED}, ("start", "end")),
+    "end_offsets": ({"topic": REQUIRED}, ("offsets",)),
+    "heartbeat": ({"worker": REQUIRED, "info": None, "metrics": None}, ()),
+    "cluster": ({"include_metrics": False}, ("workers",)),
+    # the payload transport this broker speaks ({"name": "tcp"} or shm's)
+    "transport": ({}, ("transport",)),
+    # lease up to ``count`` payload slabs for this connection: granted
+    # [slot, generation] pairs, possibly fewer (none = ring full, inline)
+    "lease": ({"count": 1}, ("slots",)),
+    # return unused leased slabs
+    "release": ({"slots": ()}, ("released",)),
 }
 
 
-# -- meta <-> dataclass -------------------------------------------------------
-
-
-def request_meta(name: str, request: Any) -> dict[str, Any]:
-    """The wire meta object for a typed request (shallow, field = key)."""
-    meta: dict[str, Any] = {"op": name}
-    for f in fields(request):
-        meta[f.name] = getattr(request, f.name)
-    return meta
-
-
-def parse_request(meta: dict[str, Any]) -> tuple[OpSpec, Any]:
-    """Typed request from a frame's meta; unknown op raises ProtocolError."""
-    op = meta.get("op")
-    spec = OPS.get(op)
-    if spec is None:
+def _fields(op: Any, meta: dict[str, Any]) -> dict[str, Any]:
+    """The op's request fields, once ``meta`` is known to hold the required ones."""
+    row = OPS.get(op)
+    if row is None:
         raise ProtocolError(f"unknown operation {op!r}")
-    known = {f.name for f in fields(spec.request)}
-    kwargs = {k: v for k, v in meta.items() if k in known}
-    try:
-        return spec, spec.request(**kwargs)
-    except TypeError as exc:
-        raise ProtocolError(f"malformed {op!r} request: {exc}") from exc
+    missing = [name for name, v in row[0].items() if v is REQUIRED and name not in meta]
+    if missing:
+        raise ProtocolError(f"malformed {op!r} request: missing {', '.join(missing)}")
+    return row[0]
 
 
-def response_meta(response: Any) -> dict[str, Any]:
-    """The wire meta object for a typed response."""
-    return {f.name: getattr(response, f.name) for f in fields(response)}
+def parse_request(meta: dict[str, Any]) -> tuple[str, dict[str, Any]]:
+    """``(op, request)`` from a frame's meta: every field of the op, given
+    or defaulted; keys the table does not list are dropped."""
+    op = meta.get("op")
+    fields = _fields(op, meta)
+    return op, {name: meta.get(name, default) for name, default in fields.items()}
 
 
-def parse_response(spec: OpSpec, meta: dict[str, Any]) -> Any:
-    """Typed response from a reply frame's meta (lenient to extra keys)."""
-    known = {f.name for f in fields(spec.response)}
-    kwargs = {k: v for k, v in meta.items() if k in known}
-    try:
-        return spec.response(**kwargs)
-    except TypeError as exc:
-        raise ProtocolError(
-            f"malformed {spec.name!r} response: {exc}"
-        ) from exc
+def check_request(op: str, meta: dict[str, Any]) -> None:
+    """Refuse a request the table does not describe before it is sent."""
+    unknown = meta.keys() - _fields(op, meta).keys()
+    if unknown:
+        raise ProtocolError(f"{op!r} request has no field(s) {sorted(unknown)}")
+
+
+def check_reply(op: str, meta: dict[str, Any]) -> None:
+    """Refuse a reply that lacks a key the table lists for ``op``."""
+    missing = [key for key in OPS[op][1] if key not in meta]
+    if missing:
+        raise ProtocolError(f"{op!r} reply lacks {', '.join(missing)}")

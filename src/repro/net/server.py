@@ -11,12 +11,12 @@ connection: sockets are non-blocking, reads go through an incremental
 :class:`~repro.net.frames.FrameDecoder`, and replies leave through
 per-connection write queues flushed with vectored I/O. Fast operations
 run inline on the loop thread (the broker is thread-safe and every
-handler is a dict lookup plus an append or read); only operations the op
-table marks ``may_block`` — blocking fetches — that really have to wait
-are handed to short-lived daemon threads so a quiet partition never
-stalls the loop. Requests are
-parsed through the typed op table in :mod:`repro.net.ops`, so the server
-has no string-dispatch surface of its own.
+handler is a dict lookup plus an append or read); only a fetch with a
+timeout whose partition has nothing to return yet is handed to a
+short-lived daemon thread, so a quiet partition never stalls the loop.
+A request is its frame's meta dict, parsed against the one op table in
+:mod:`repro.net.ops` (unknown op or missing field: ``ProtocolError``),
+and a handler returns its reply meta as a plain dict.
 
 Record values cross the wire through the serde wire codec and are stored
 *decoded*, which keeps in-process producers/consumers attached to the
@@ -62,23 +62,7 @@ from .frames import (
     FrameDecoder,
     frame_iovecs,
 )
-from .ops import (
-    ClusterResponse,
-    CommittedResponse,
-    EndOffsetsResponse,
-    FetchResponse,
-    LeaseResponse,
-    ListTopicsResponse,
-    OffsetsResponse,
-    PingResponse,
-    ProduceBatchResponse,
-    ProduceResponse,
-    ReleaseResponse,
-    TopicResponse,
-    TransportResponse,
-    parse_request,
-    response_meta,
-)
+from .ops import parse_request
 from .shm import ShmServerPlane
 from .transport import ServerTransport, make_server_transport
 
@@ -460,44 +444,36 @@ class BrokerServer:
             conn.close_after_flush = True
             return
         try:
-            spec, request = parse_request(frame.meta)
+            op, request = parse_request(frame.meta)
         except Exception as exc:
             self._enqueue(conn, Frame(TYPE_ERROR, frame.corr_id, _error_meta(exc)))
             return
         try:
-            if (
-                spec.may_block is not None
-                and spec.may_block(request)
-                and self._fetch_must_wait(request)
-            ):
+            # only a fetch with a timeout may park its thread, and only one
+            # with nothing to return yet is worth a thread off the loop
+            if op == "fetch" and request["timeout"] > 0 and self._fetch_must_wait(request):
                 threading.Thread(
                     target=self._run_blocking,
-                    args=(conn, frame, spec.name, request),
-                    name=f"broker-server-{spec.name}",
+                    args=(conn, frame, request),
+                    name="broker-server-fetch",
                     daemon=True,
                 ).start()
                 return
-            meta, blobs = self._handlers[spec.name](conn, request, frame.blobs)
+            meta, blobs = self._handlers[op](conn, request, frame.blobs)
             reply = Frame(TYPE_RESPONSE, frame.corr_id, meta, tuple(blobs))
         except Exception as exc:  # typed error travels to the client
             reply = Frame(TYPE_ERROR, frame.corr_id, _error_meta(exc))
         self._enqueue(conn, reply)
 
-    def _fetch_must_wait(self, req: Any) -> bool:
-        """True when a blocking fetch has nothing to return yet.
+    def _fetch_must_wait(self, req: dict) -> bool:
+        """True when a blocking fetch has nothing to return yet."""
+        log = self._broker.topic(req["topic"]).log(int(req["partition"]))
+        return int(req["offset"]) >= log.end_offset
 
-        Only then is it worth a thread: with records already in the log the
-        loop answers it like any other request.
-        """
-        log = self._broker.topic(req.topic).log(int(req.partition))
-        return int(req.offset) >= log.end_offset
-
-    def _run_blocking(
-        self, conn: _Conn, frame: Frame, op: str, request: Any
-    ) -> None:
-        """Execute a may-block op off the loop, then hand the reply back."""
+    def _run_blocking(self, conn: _Conn, frame: Frame, request: dict) -> None:
+        """Execute a blocking fetch off the loop, then hand the reply back."""
         try:
-            meta, blobs = self._handlers[op](conn, request, frame.blobs)
+            meta, blobs = self._handle_fetch(conn, request, frame.blobs)
             reply = Frame(TYPE_RESPONSE, frame.corr_id, meta, tuple(blobs))
         except Exception as exc:
             reply = Frame(TYPE_ERROR, frame.corr_id, _error_meta(exc))
@@ -563,50 +539,37 @@ class BrokerServer:
         self._want_write(conn)
 
     # -- operations ----------------------------------------------------------
+    # Each handler takes the parsed request (every field of its OPS row) and
+    # returns the reply meta, holding exactly the row's reply keys, and blobs.
 
-    def _handle_ping(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
-        return response_meta(PingResponse()), []
+    def _handle_ping(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
+        return {"ok": True}, []
 
-    def _append_one(
-        self,
-        topic: Any,
-        key: Any,
-        value: Any,
-        timestamp: Any,
-        headers: Any,
-        partition: Any,
-    ) -> tuple[int, int]:
-        return topic.append(key, value, timestamp, headers, partition)
+    def _resolve_topic(self, req: dict) -> Any:
+        if req["auto_create"]:
+            return self._broker.ensure_topic(req["topic"], int(req["partitions"]))
+        return self._broker.topic(req["topic"])
 
-    def _resolve_topic(self, name: str, auto_create: bool, partitions: int) -> Any:
-        if auto_create:
-            return self._broker.ensure_topic(name, int(partitions))
-        return self._broker.topic(name)
-
-    def _handle_produce(
-        self, conn: _Conn, req: Any, blobs: tuple
-    ) -> tuple[dict, list]:
+    def _handle_produce(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
         value = decode_wire(blobs[0], context=self._ctx)
-        topic = self._resolve_topic(req.topic, req.auto_create, req.partitions)
-        partition, offset = self._append_one(
-            topic, req.key, value, req.timestamp, req.headers, req.partition
+        partition, offset = self._resolve_topic(req).append(
+            req["key"], value, req["timestamp"], req["headers"], req["partition"]
         )
-        return response_meta(ProduceResponse(partition, offset)), []
+        return {"partition": partition, "offset": offset}, []
 
     def _handle_produce_batch(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
-        if len(req.entries) != len(blobs):
+        entries = req["entries"]
+        if len(entries) != len(blobs):
             raise ProtocolError(
-                f"produce_batch carries {len(blobs)} blob(s) for "
-                f"{len(req.entries)} entries"
+                f"produce_batch carries {len(blobs)} blob(s) for {len(entries)} entries"
             )
-        topic = self._resolve_topic(req.topic, req.auto_create, req.partitions)
+        topic = self._resolve_topic(req)
         results = []
-        for entry, blob in zip(req.entries, blobs):
+        for entry, blob in zip(entries, blobs):
             value = decode_wire(blob, context=self._ctx)
-            partition, offset = self._append_one(
-                topic,
+            partition, offset = topic.append(
                 entry.get("key"),
                 value,
                 entry.get("timestamp"),
@@ -614,13 +577,13 @@ class BrokerServer:
                 entry.get("partition"),
             )
             results.append([partition, offset])
-        return response_meta(ProduceBatchResponse(results)), []
+        return {"results": results}, []
 
-    def _handle_fetch(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
-        log = self._broker.topic(req.topic).log(int(req.partition))
-        offset = int(req.offset)
-        max_records = int(req.max_records)
-        timeout = float(req.timeout)
+    def _handle_fetch(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
+        log = self._broker.topic(req["topic"]).log(int(req["partition"]))
+        offset = int(req["offset"])
+        max_records = int(req["max_records"])
+        timeout = float(req["timeout"])
         if timeout > 0:
             records = log.read_blocking(
                 offset, max_records, min(timeout, MAX_FETCH_BLOCK_S)
@@ -644,97 +607,93 @@ class BrokerServer:
                 }
             )
             out_blobs.append(blob)
-        return response_meta(FetchResponse(out_records)), out_blobs
+        return {"records": out_records}, out_blobs
 
-    def _handle_commit(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
-        offset = int(req.offset)
+    def _handle_commit(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
+        offset = int(req["offset"])
         if offset < 0:
             raise InvalidOffsetError(f"cannot commit negative offset {offset}")
-        self._broker.commit(req.group, req.topic, int(req.partition), offset)
+        self._broker.commit(req["group"], req["topic"], int(req["partition"]), offset)
         return {}, []
 
-    def _handle_committed(
-        self, conn: _Conn, req: Any, blobs: tuple
-    ) -> tuple[dict, list]:
-        offset = self._broker.committed(req.group, req.topic, int(req.partition))
-        return response_meta(CommittedResponse(offset)), []
+    def _handle_committed(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
+        offset = self._broker.committed(req["group"], req["topic"], int(req["partition"]))
+        return {"offset": offset}, []
 
     def _handle_reset_group(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
-        self._broker.reset_group(req.group, req.topics)
+        self._broker.reset_group(req["group"], req["topics"])
         return {}, []
 
     def _handle_create_topic(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
         topic = self._broker.create_topic(
-            req.topic, int(req.partitions), req.retention
+            req["topic"], int(req["partitions"]), req["retention"]
         )
-        return response_meta(TopicResponse(topic.num_partitions)), []
+        return {"partitions": topic.num_partitions}, []
 
     def _handle_ensure_topic(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
         topic = self._broker.ensure_topic(
-            req.topic, int(req.partitions), req.retention
+            req["topic"], int(req["partitions"]), req["retention"]
         )
-        return response_meta(TopicResponse(topic.num_partitions)), []
+        return {"partitions": topic.num_partitions}, []
 
     def _handle_list_topics(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
-        return response_meta(ListTopicsResponse(self._broker.topics())), []
+        return {"topics": self._broker.topics()}, []
 
     def _handle_partitions(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
-        return response_meta(TopicResponse(self._broker.partitions(req.topic))), []
+        return {"partitions": self._broker.partitions(req["topic"])}, []
 
-    def _handle_offsets(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
-        start, end = self._broker.offsets(req.topic, int(req.partition))
-        return response_meta(OffsetsResponse(start, end)), []
+    def _handle_offsets(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
+        start, end = self._broker.offsets(req["topic"], int(req["partition"]))
+        return {"start": start, "end": end}, []
 
     def _handle_end_offsets(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
-        topic = self._broker.topic(req.topic)
-        offsets = {str(p): end for p, end in topic.end_offsets().items()}
-        return response_meta(EndOffsetsResponse(offsets)), []
+        topic = self._broker.topic(req["topic"])
+        return {"offsets": {str(p): end for p, end in topic.end_offsets().items()}}, []
 
     def _handle_heartbeat(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
         with self._lock:
-            self._heartbeats[req.worker] = {
-                "info": req.info,
-                "metrics": req.metrics,
+            self._heartbeats[req["worker"]] = {
+                "info": req["info"] or {},
+                "metrics": req["metrics"],
                 "last_seen": time.monotonic(),
             }
         return {}, []
 
-    def _handle_cluster(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
+    def _handle_cluster(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
         workers = self.workers()
-        if not req.include_metrics:
+        if not req["include_metrics"]:
             workers = {
                 name: {"info": w["info"], "age_s": w["age_s"]}
                 for name, w in workers.items()
             }
-        return response_meta(ClusterResponse(workers)), []
+        return {"workers": workers}, []
 
     def _handle_transport(
-        self, conn: _Conn, req: Any, blobs: tuple
+        self, conn: _Conn, req: dict, blobs: tuple
     ) -> tuple[dict, list]:
-        return response_meta(TransportResponse(self._transport.describe())), []
+        return {"transport": self._transport.describe()}, []
 
-    def _handle_lease(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
-        pairs = self._transport.lease(conn.token, int(req.count))
-        return response_meta(LeaseResponse([list(p) for p in pairs])), []
+    def _handle_lease(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
+        pairs = self._transport.lease(conn.token, int(req["count"]))
+        return {"slots": [list(p) for p in pairs]}, []
 
-    def _handle_release(self, conn: _Conn, req: Any, blobs: tuple) -> tuple[dict, list]:
-        pairs = [(int(s), int(g)) for s, g in req.slots]
-        released = self._transport.release(conn.token, pairs)
-        return response_meta(ReleaseResponse(released)), []
+    def _handle_release(self, conn: _Conn, req: dict, blobs: tuple) -> tuple[dict, list]:
+        pairs = [(int(s), int(g)) for s, g in req["slots"]]
+        return {"released": self._transport.release(conn.token, pairs)}, []
 
 
 def _error_meta(exc: Exception) -> dict:

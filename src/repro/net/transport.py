@@ -1,7 +1,7 @@
 """The two payload transports of a broker connection.
 
 A *transport* decides how record payloads travel between peers; the
-framing, op table, and broker semantics stay identical regardless. There
+framing, the op table and broker semantics stay identical regardless. There
 are two, and :func:`make_server_transport` / :func:`connect_transport`
 choose between them by name:
 
@@ -20,9 +20,7 @@ choose between them by name:
 Negotiation is server-advertised: the client issues the ``transport`` op,
 receives the server's descriptor (``{"name": "shm", "ring": ...}`` or
 ``{"name": "tcp"}``), and calls :func:`connect_transport` to build its
-side. Old servers answer unknown ops with a :class:`ProtocolError`, which
-the client treats as ``tcp`` — so a new client against an old broker
-degrades instead of breaking.
+side.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ class ClientTransport:
     ) -> ShmProducerPlane | None:
         """The slab writer for one producer connection, if this transport has one.
 
-        ``lease_fn``/``release_fn`` are bound to that connection's typed
-        ops so the server charges leases to the right socket.
+        ``lease_fn``/``release_fn`` issue that connection's ``lease`` and
+        ``release`` ops, so the server charges leases to the right socket.
         """
         return None
 

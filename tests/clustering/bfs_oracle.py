@@ -6,6 +6,10 @@ naive scan, the ``absorb`` BFS) so the property suites can demand *equal*
 labels, ids included, from ``repro.clustering`` — not merely the same
 partition. ``loop_summaries`` is the mask-per-cluster summary loop that
 ``summarize_clusters`` replaced, kept for the same reason.
+
+One change on purpose: ``bfs_dbscan`` takes the producers' optional
+per-axis ``scale`` (points on a lattice, each difference scaled before it
+is squared), so the window's lattice-delta distances have an oracle too.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ class GridIndex:
     that removes almost all per-point Python overhead.
     """
 
-    def __init__(self, points: np.ndarray, eps: float) -> None:
+    def __init__(self, points: np.ndarray, eps: float, scale=None) -> None:
         if eps <= 0:
             raise ValueError("eps must be positive")
         points = np.asarray(points, dtype=float)
@@ -39,10 +43,12 @@ class GridIndex:
             raise ValueError("points must be a (n, d) array")
         self._points = points
         self._eps = eps
+        self._scale = scale
         self._buckets: dict[tuple[int, ...], list[int]] = {}
         self._point_cells: list[tuple[int, ...]] = []
         if len(points):
-            cells = np.floor(points / eps).astype(np.int64)
+            edge = eps if scale is None else eps / np.asarray(scale) * (1 + 1e-9)
+            cells = np.floor(points / edge).astype(np.int64)
             self._point_cells = list(map(tuple, cells))
             for index, cell in enumerate(self._point_cells):
                 self._buckets.setdefault(cell, []).append(index)
@@ -70,6 +76,8 @@ class GridIndex:
         if len(cand) == 0:
             return cand
         diffs = self._points[cand] - self._points[index]
+        if self._scale is not None:
+            diffs *= self._scale
         mask = np.einsum("ij,ij->i", diffs, diffs) <= self._eps * self._eps
         return cand[mask]
 
@@ -83,8 +91,10 @@ def _neighbor_offsets(dim: int) -> list[tuple[int, ...]]:
     return offsets
 
 
-def _naive_neighbors(points: np.ndarray, index: int, eps: float) -> np.ndarray:
+def _naive_neighbors(points: np.ndarray, index: int, eps: float, scale) -> np.ndarray:
     diffs = points - points[index]
+    if scale is not None:
+        diffs *= scale
     mask = np.einsum("ij,ij->i", diffs, diffs) <= eps * eps
     return np.nonzero(mask)[0]
 
@@ -94,6 +104,7 @@ def bfs_dbscan(
     eps: float,
     min_samples: int,
     use_grid: bool = True,
+    scale=None,
 ) -> np.ndarray:
     """Cluster ``points``; returns an (n,) label array (noise = -1).
 
@@ -118,6 +129,8 @@ def bfs_dbscan(
         # eps-neighborhood at once. Same subtract-square-sum arithmetic as
         # the per-point searches, so the masks are bit-identical.
         diffs = points[:, None, :] - points[None, :, :]
+        if scale is not None:
+            diffs *= scale
         within = np.einsum("ijk,ijk->ij", diffs, diffs) <= eps * eps
         # one nonzero over the whole matrix, split into per-row views
         # (every row is non-empty: a point neighbors itself)
@@ -126,10 +139,10 @@ def bfs_dbscan(
         rows = np.split(j_idx, np.cumsum(counts)[:-1])
         neighbors = rows.__getitem__
     elif use_grid:
-        index = GridIndex(points, eps)
+        index = GridIndex(points, eps, scale)
         neighbors = index.neighbors
     else:
-        neighbors = lambda i: _naive_neighbors(points, i, eps)  # noqa: E731
+        neighbors = lambda i: _naive_neighbors(points, i, eps, scale)  # noqa: E731
 
     def absorb(found: np.ndarray, cluster: int, queue: deque) -> None:
         """Claim unvisited/noise neighbors for ``cluster``.

@@ -127,6 +127,7 @@ def walk(operations, eps, min_samples, thickness):
 
 
 def stack(runs, thickness):
+    """The runs' points with z = layer x ``thickness`` (1: the lattice)."""
     blocks = [np.column_stack((xy, np.full(len(xy), layer * thickness))) for layer, xy in runs]
     return np.vstack(blocks) if blocks else np.empty((0, 3))
 
@@ -144,7 +145,10 @@ def test_window_labels_equal_the_replaced_labeller_and_the_bfs(drawn):
             labels,
             label_oracle.label_edges(len(points), window._lo, window._hi, min_samples),
         )
-        assert np.array_equal(labels, bfs_dbscan(points, eps, min_samples))
+        scale = (1.0, 1.0, drawn["thickness"])
+        assert np.array_equal(
+            labels, bfs_dbscan(stack(runs, 1), eps, min_samples, scale=scale)
+        )
 
 
 @given(walks)

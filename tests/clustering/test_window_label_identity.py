@@ -36,7 +36,8 @@ steps = st.lists(
 
 
 def stack(window, thickness):
-    """The window's points the way a from-scratch caller would build them."""
+    """The window's points the way a from-scratch caller would build them
+    (thickness 1: on the lattice)."""
     blocks = [
         np.hstack([xy, np.full((len(xy), 1), layer * thickness)]) for layer, xy in window
     ]
@@ -77,7 +78,7 @@ def test_window_labels_equal_a_from_scratch_bfs(
             result.point_layers,
             np.concatenate([np.full(len(xy), l, dtype=np.int64) for l, xy in window]),
         )
-        want = bfs_dbscan(points, eps, min_samples)
+        want = bfs_dbscan(stack(window, 1), eps, min_samples, scale=(1.0, 1.0, thickness))
         assert np.array_equal(result.labels, want)
         assert [tuple(s.__dict__.values()) for s in result.summaries] == loop_summaries(
             points, want, result.point_layers, 0.5

@@ -1,6 +1,12 @@
 """Test-only oracle: ``DBSCANCorrelator`` as it evaluated one window per call,
 before ``correlate_many`` took a run's windows in one batch.
 
+Since pairs are measured on lattice deltas (cell-centre pixels, layer
+index) times the per-axis scale, the oracle measures them the same way:
+its window keeps the lattice beside the mm points, and its ``dense_edges``
+scales each broadcast difference before squaring. Apart from that
+arithmetic, deliberately the shipped one, the code is as it was.
+
 Kept verbatim: the correlator's ``__call__`` and ``_window_over`` (its own
 window advance, conversion, labeller call and summary per trigger), the
 window's ``append_layer`` (one pair block per layer) and the broadcast
@@ -27,7 +33,7 @@ from repro.spe import StreamTuple
 _BLOCK_ELEMS = 1 << 21
 
 
-def dense_edges(points: np.ndarray, eps: float, start: int = 0) -> Edges:
+def dense_edges(points: np.ndarray, eps: float, scale: np.ndarray, start: int = 0) -> Edges:
     """Pairs within ``eps`` whose higher index is ``>= start``.
 
     Row block ``[s, e)`` is compared against columns ``[0, e)`` in one
@@ -45,6 +51,7 @@ def dense_edges(points: np.ndarray, eps: float, start: int = 0) -> Edges:
     while s < n:
         e = min(n, s + rows)
         diffs = points[s:e, None, :] - points[None, :e, :]
+        diffs *= scale
         row, col = np.nonzero(np.einsum("ijk,ijk->ij", diffs, diffs) <= limit)
         row += s
         below = col < row
@@ -67,11 +74,15 @@ class LayerWindowClusterer(incremental.LayerWindowClusterer):
             return
         retained = len(self._points)
         z = np.full((count, 1), layer * self._thickness)
-        self._points = np.concatenate((self._points, np.hstack((xy_points, z))))
+        xy_mm = xy_points / self._px_per_mm
+        self._points = np.concatenate((self._points, np.hstack((xy_mm, z))))
+        self._lattice = np.concatenate(
+            (self._lattice, np.hstack((xy_points, np.full((count, 1), layer))))
+        )
         self._point_layers = np.concatenate(
             (self._point_layers, np.full(count, layer, dtype=np.int64))
         )
-        lo, hi = dense_edges(self._points, self._eps, start=retained)
+        lo, hi = dense_edges(self._lattice, self._eps, self._scale, start=retained)
         self._lo = np.concatenate((self._lo, lo))
         self._hi = np.concatenate((self._hi, hi))
         self._degree = pair_degree(len(self._points), self._lo, self._hi)
@@ -109,7 +120,9 @@ class PerTriggerCorrelator(DBSCANCorrelator):
     ) -> LayerWindowClusterer:
         """The group's window, advanced to hold exactly ``events``."""
         window, held = self._windows.get(group) or (
-            LayerWindowClusterer(None, self._eps, self._min_samples, self._thickness),
+            LayerWindowClusterer(
+                None, self._eps, self._min_samples, self._thickness, px_per_mm=self._px_per_mm
+            ),
             (),
         )
         # how many of the oldest layers must go for the window to start
@@ -130,24 +143,25 @@ class PerTriggerCorrelator(DBSCANCorrelator):
         new = events[retained:]
         if new:
             layers = np.array([e.layer for e in new], dtype=np.int64)
-            xy_mm = np.array(
+            xy_px = np.array(
                 [(e.payload["center_x_px"], e.payload["center_y_px"]) for e in new],
                 dtype=float,
-            ) / self._px_per_mm
+            )
             bounds = [0, *(np.flatnonzero(np.diff(layers)) + 1).tolist(), len(new)]
             for low, high in zip(bounds, bounds[1:]):
-                window.append_layer(int(layers[low]), xy_mm[low:high])
+                window.append_layer(int(layers[low]), xy_px[low:high])
         self._windows[group] = (window, tuple(events))
         return window
 
 
 def window_state(correlator: DBSCANCorrelator) -> dict:
-    """Every kept window as comparable bytes: points, layers, pairs,
-    degrees, runs."""
+    """Every kept window as comparable bytes: points, lattice, layers,
+    pairs, degrees, runs."""
     return {
         group: (
             window.points.dtype.str,
             window.points.tobytes(),
+            window._lattice.tobytes(),
             window.point_layers.tobytes(),
             window._lo.dtype.str,
             window._lo.tobytes(),

@@ -246,15 +246,15 @@ def test_producer_lapping_the_ring_inside_every_fetch_loses_nothing(monkeypatch)
             produce(slots + 2)
             consumer = client.consumer("g", ["t"], auto_commit=False)
             conn = consumer._logs._conn
-            real_call = conn.call
+            real_request = conn.request
 
-            def call(name, *args):
+            def request(op, *args):
                 nonlocal decoded_in_fetch
-                if name == "fetch":
+                if op == "fetch":
                     decoded_in_fetch = 0  # the race repeats on every fetch attempt
-                return real_call(name, *args)
+                return real_request(op, *args)
 
-            monkeypatch.setattr(conn, "call", call)
+            monkeypatch.setattr(conn, "request", request)
             seen = []
             for _ in range(4 * count):
                 for message in consumer.poll(max_records=64):

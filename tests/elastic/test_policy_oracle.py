@@ -52,7 +52,6 @@ group_signals = st.one_of(
         GroupSignals,
         queue_fill=fills,
         busy_fraction=busies,
-        watermark_lag_s=st.sampled_from((0.0, 1.5)),
         qos_violation_delta=qos,
         parallelism=st.integers(1, 8),
     ),

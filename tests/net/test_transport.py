@@ -13,7 +13,6 @@ from repro.net import (
     connect_transport,
     make_server_transport,
 )
-from repro.net.ops import LeaseRequest, ReleaseRequest
 from repro.pubsub import Broker
 
 #: small ring so tests exercise reclamation without big allocations
@@ -160,8 +159,8 @@ def test_producer_close_returns_pooled_leases(shm_served):
 def test_dead_connection_leases_are_reclaimed(shm_served):
     _, server, client = shm_served
     conn = client.connect()
-    granted, _ = conn.call("lease", LeaseRequest(count=4))
-    assert len(granted.slots) == 4
+    granted = conn.request("lease", {"count": 4}).meta["slots"]
+    assert len(granted) == 4
     assert server._transport.stats()["leased"] == 4
     conn._sock.shutdown(socket.SHUT_RDWR)  # die without releasing
     conn.close()
@@ -179,16 +178,12 @@ def test_release_ignores_foreign_and_stale_pairs(shm_served):
     _, server, client = shm_served
     conn_a = client.connect()
     conn_b = client.connect()
-    granted, _ = conn_a.call("lease", LeaseRequest(count=2))
-    pairs = [list(p) for p in granted.slots]
+    pairs = conn_a.request("lease", {"count": 2}).meta["slots"]
     # another connection cannot release slots it does not own
-    released_b, _ = conn_b.call("release", ReleaseRequest(slots=pairs))
-    assert released_b.released == 0
-    released_a, _ = conn_a.call("release", ReleaseRequest(slots=pairs))
-    assert released_a.released == 2
+    assert conn_b.request("release", {"slots": pairs}).meta["released"] == 0
+    assert conn_a.request("release", {"slots": pairs}).meta["released"] == 2
     # double release is a no-op, not an error
-    released_again, _ = conn_a.call("release", ReleaseRequest(slots=pairs))
-    assert released_again.released == 0
+    assert conn_a.request("release", {"slots": pairs}).meta["released"] == 0
     conn_a.close()
     conn_b.close()
 
@@ -198,8 +193,7 @@ def test_lease_against_tcp_server_grants_nothing():
         host, port = server.address
         with BrokerClient(host, port) as client:
             conn = client.connect()
-            granted, _ = conn.call("lease", LeaseRequest(count=4))
-            assert granted.slots == []
+            assert conn.request("lease", {"count": 4}).meta["slots"] == []
             conn.close()
 
 
