@@ -3,11 +3,12 @@
 The paper's API methods compile to native operators precisely so that the
 underlying SPE can run them "in a distributed, parallel, elastic fashion"
 (§4): on the JVM, sharding detectEvent by (job, specimen) buys real
-multi-core speedup. This reproduction implements the same sharding
-(hash router + replicas), and this ablation measures what it is worth
-under CPython's GIL — the honest answer being "correctness yes,
-CPU-parallel speedup no" for the pure-Python per-cell path. The numbers
-document the substrate difference rather than assert a win.
+multi-core speedup. This reproduction implements the same sharding in
+the plan compiler's replication pass (hash router + fused replica chains,
+``PlanConfig(parallelism=N)``), and this ablation measures what it is
+worth under CPython's GIL — the honest answer being "correctness yes,
+CPU-parallel speedup no". The numbers document the substrate difference
+rather than assert a win.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import format_table, run_throughput_experiment, save_json
-from repro.core import UseCaseConfig
+from repro.core import DeployConfig, UseCaseConfig
+from repro.spe import PlanConfig
 
 PARALLELISM = [1, 2, 4]
 
@@ -28,12 +30,12 @@ def test_ablation_parallel_detect(benchmark, profile, workload, workers):
         image_px=profile.image_px,
         cell_edge_px=profile.scale_cell_edge(10),
         window_layers=10,
-        parallelism=workers,
     )
     run = benchmark.pedantic(
         lambda: run_throughput_experiment(
             workload, config, offered_images_s=1000.0,
             total_images=min(len(workload) * 2, 48),
+            optimize=DeployConfig(plan=PlanConfig(parallelism=workers)),
         ),
         rounds=1,
         iterations=1,

@@ -78,7 +78,6 @@ def main() -> int:
     coordinator = DistCoordinator(
         strata.query, strata.broker,
         DistConfig(workers=args.workers),
-        capacity=strata.capacity,
     )
     host, port = coordinator.start()
     print(f"broker serving at {host}:{port}")

@@ -5,8 +5,8 @@
 sensing data at a different time granularity and producing varying data
 volumes." Here three simulated machines run different jobs concurrently;
 their layer streams merge into one pipeline, and STRATA's (job, specimen)
-grouping keeps every build's analysis separate while the detect stage is
-sharded 4-way for throughput.
+grouping keeps every build's analysis separate while the deployment's
+plan shards the keyed stages 4-way for throughput.
 
 Run:  python examples/multi_machine.py
 """
@@ -17,6 +17,7 @@ import threading
 
 from repro.am import BuildDataset, OTImageRenderer, PBFLBMachine, make_job
 from repro.core import (
+    DeployConfig,
     LiveLayerFeed,
     Strata,
     UseCaseConfig,
@@ -24,6 +25,7 @@ from repro.core import (
     calibrate_job,
     specimen_regions_px,
 )
+from repro.spe import PlanConfig
 
 IMAGE_PX = 400
 CELL_EDGE_PX = 4
@@ -47,7 +49,6 @@ def main() -> None:
         image_px=IMAGE_PX,
         cell_edge_px=CELL_EDGE_PX,
         window_layers=8,
-        parallelism=4,  # shard detectEvent by (job, specimen)
     )
     strata = Strata(engine_mode="threaded")
     reference = make_job("reference", seed=1, defect_rate_per_stack=0.0)
@@ -63,7 +64,8 @@ def main() -> None:
     # one merged feed: every machine pushes its completed layers here
     feed = LiveLayerFeed()
     pipeline = build_use_case(feed.records(), feed.records(), config, strata=strata)
-    strata.start()
+    # shard the keyed stages by (job, specimen), 4 replicas each
+    strata.start(DeployConfig(plan=PlanConfig(parallelism=4)))
 
     def run_machine(machine_id: str) -> None:
         machine = PBFLBMachine(machine_id=machine_id, renderer=renderer)

@@ -17,12 +17,14 @@ compose pipelines by chaining the API methods over named streams::
     report = strata.deploy(DeployConfig(plan=True))
 
 Every method compiles to native operators of the underlying SPE, so
-pipelines inherit parallel execution (``parallelism=`` on the Event
-Monitor methods shards work by ``(job, specimen)``) and stay portable
-across engines. Every stream-producing verb returns its ``s_out`` name,
-and ``deliver`` returns the sink. snake_case is the canonical method
-surface; the paper's camelCase spellings (Table 1: ``addSource``,
-``detectEvent``, ``correlateEvents``) are exact aliases.
+pipelines inherit parallel execution and stay portable across engines.
+The verbs declare the logical pipeline only; how many replicas a stage
+keyed by ``(job, specimen)`` runs with is the deployment's decision
+(``DeployConfig(plan=PlanConfig(parallelism=N))``). Every
+stream-producing verb returns its ``s_out`` name, and ``deliver`` returns
+the sink. snake_case is the canonical method surface; the paper's
+camelCase spellings (Table 1: ``addSource``, ``detectEvent``,
+``correlateEvents``) are exact aliases.
 
 Deployment is driven by one validated config object
 (:class:`~repro.core.deploy.DeployConfig` — plan compiler, distribution,
@@ -88,7 +90,7 @@ class Strata:
         broker: Broker | None = None,
         engine_mode: str = "threaded",
         connector_mode: str = "direct",
-        capacity: int | None = 10_000,
+        capacity: int = 10_000,
         name: str = "strata",
         obs: ObsContext | ObsConfig | bool | None = None,
     ) -> None:
@@ -98,14 +100,14 @@ class Strata:
             raise ValueError("pub/sub connectors require the threaded engine")
         self._store = store if store is not None else MemoryStore()
         self._broker = broker if broker is not None else Broker()
-        self._engine = StreamEngine(mode=engine_mode, capacity=capacity)
+        self._engine = StreamEngine(mode=engine_mode)
         self._engine_mode = engine_mode
         self._connector_mode = connector_mode
         # observability: True for defaults, an ObsConfig/ObsContext for
         # explicit knobs, None/False to run unobserved (zero overhead)
         self._obs = ObsContext.resolve(obs)
+        # the query owns stream capacity, whichever engine runs it
         self._query = Query(name, default_capacity=capacity)
-        self._capacity = capacity
         # stream name -> (producing node name, producing module)
         self._streams: dict[str, tuple[str, str]] = {}
         # streams whose tuples carry a specimen assignment: stages keyed by
@@ -134,11 +136,6 @@ class Strata:
     def query(self) -> Query:
         """The logical query being composed (used by the distributed CLI)."""
         return self._query
-
-    @property
-    def capacity(self) -> int | None:
-        """Default stream capacity passed to the engine."""
-        return self._capacity
 
     def store(self, key: str, value: Any) -> None:
         """Persist data-at-rest (Table 1 ``store(k, v)``)."""
@@ -230,7 +227,6 @@ class Strata:
         s_in: str,
         s_out: str,
         f: UserFunction | None = None,
-        parallelism: int = 1,
         replicable: bool | None = None,
     ) -> str:
         """Split tuples into independently processable specimen portions.
@@ -253,7 +249,6 @@ class Strata:
             node,
             lambda: PartitionOperator(node, f),
             [upstream],
-            parallelism=parallelism,
             key_fn=_specimen_key,
             replicable=(
                 s_in in self._keyed_streams if replicable is None else replicable
@@ -268,7 +263,6 @@ class Strata:
         s_in: str,
         s_out: str,
         f: UserFunction,
-        parallelism: int = 1,
         replicable: bool | None = None,
     ) -> str:
         """Transform tuples into event tuples via the user function ``f``.
@@ -284,7 +278,6 @@ class Strata:
             node,
             lambda: DetectEventOperator(node, f),
             [upstream],
-            parallelism=parallelism,
             key_fn=_specimen_key,
             replicable=(
                 s_in in self._keyed_streams if replicable is None else replicable
@@ -302,7 +295,6 @@ class Strata:
         s_out: str,
         l: int,
         f: CorrelateFunction,
-        parallelism: int = 1,
         replicable: bool | None = None,
     ) -> str:
         """Aggregate events per (layer, specimen) plus the previous ``l-1``
@@ -316,7 +308,6 @@ class Strata:
             node,
             lambda: CorrelateEventsOperator(node, l, f),
             [upstream],
-            parallelism=parallelism,
             key_fn=_specimen_key,
             replicable=(
                 s_in in self._keyed_streams if replicable is None else replicable
@@ -432,7 +423,7 @@ class Strata:
             self._deployed = True
             return DistCoordinator(
                 self._query, self._broker, dist_config, obs=self._obs,
-                capacity=self._capacity, plan=cfg.plan, elastic=cfg.elastic,
+                plan=cfg.plan, elastic=cfg.elastic,
             ).run()
         launch = self._launch_args(cfg)
         try:

@@ -44,7 +44,9 @@ class UseCaseConfig:
     selects the fused isolate+label detect function instead of per-cell
     tuples (see :mod:`repro.core.functions`); outputs are identical, but
     the default (False) keeps the paper's exact operator chain, whose
-    per-cell cost structure the evaluation figures depend on.
+    per-cell cost structure the evaluation figures depend on. How many
+    replicas the keyed stages run with is set by the deployment's plan
+    (:class:`~repro.spe.plan.PlanConfig`), not by the pipeline.
     """
 
     image_px: int = 2000
@@ -56,7 +58,6 @@ class UseCaseConfig:
     eps_mm: float | None = None  # default: 1.6 x cell edge in mm
     min_volume_mm3: float = 0.0
     vectorized: bool = False
-    parallelism: int = 1
     render_cluster_image: bool = False
 
     @property
@@ -184,27 +185,16 @@ def build_use_case(
     detect_fn: LabelSpecimenCells | LabelCell
     if detect_override is not None:
         detect_fn = detect_override
-        strata.detect_event(
-            "spec", "cellLabel", detect_fn, parallelism=config.parallelism
-        )
+        strata.detect_event("spec", "cellLabel", detect_fn)
     elif config.vectorized:
         # Alg. 1 L5+L6 fused: per-cell isolation and labeling in one pass.
         detect_fn = LabelSpecimenCells(strata.kv, config.cell_edge_px)
-        strata.detect_event(
-            "spec", "cellLabel", detect_fn, parallelism=config.parallelism
-        )
+        strata.detect_event("spec", "cellLabel", detect_fn)
     else:
         # Alg. 1 L5: isolate cells; L6: label each cell.
-        strata.partition(
-            "spec",
-            "cell",
-            IsolateCells(config.cell_edge_px),
-            parallelism=config.parallelism,
-        )
+        strata.partition("spec", "cell", IsolateCells(config.cell_edge_px))
         detect_fn = LabelCell(strata.kv)
-        strata.detect_event(
-            "cell", "cellLabel", detect_fn, parallelism=config.parallelism
-        )
+        strata.detect_event("cell", "cellLabel", detect_fn)
     # Alg. 1 L7: cluster events within and across the last L layers.
     strata.correlate_events("cellLabel", "out", config.window_layers, correlator)
     strata.deliver("out", sink)

@@ -130,7 +130,6 @@ class DistCoordinator:
         broker: Broker,
         config: DistConfig | None = None,
         obs: Any | None = None,
-        capacity: int | None = None,
         plan: Any | None = None,
         elastic: Any | None = None,
     ) -> None:
@@ -138,7 +137,6 @@ class DistCoordinator:
         self._broker = broker
         self._config = config if config is not None else DistConfig()
         self._obs = obs
-        self._capacity = capacity
         self._plan = PlanConfig.resolve(plan)
         self._elastic = ElasticConfig.resolve(elastic)
         if self._elastic is not None and self._plan is None:
@@ -219,11 +217,7 @@ class DistCoordinator:
         # With elastic enabled every replicable keyed stage materializes
         # rescalable in its worker.
         compile_cfg, forced = elastic_plan(self._plan, self._elastic)
-        nodes = compile_plan(
-            self._query.build(capacity=self._capacity),
-            compile_cfg,
-            force_replication=forced,
-        )
+        nodes = compile_plan(self._query.build(), compile_cfg, force_replication=forced)
         self._stages = cut_stages(nodes)
         groups, self._local_stages = assign_stages(
             self._stages, self._config.workers

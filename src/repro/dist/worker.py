@@ -244,9 +244,7 @@ def load_pipeline(ref: str):
         raise ValueError(f"pipeline reference must be 'module:callable', got {ref!r}")
     factory = getattr(importlib.import_module(module_name), attr)
     built = factory()
-    query = getattr(built, "query", built)
-    capacity = getattr(built, "capacity", None)
-    return query.build(capacity=capacity)
+    return getattr(built, "query", built).build()
 
 
 def run_worker_from_ref(

@@ -13,7 +13,8 @@ class ElasticConfig:
     """Knobs for :class:`~repro.elastic.controller.ElasticController`.
 
     ``min_parallelism``/``max_parallelism`` bound the replica count of
-    every keyed-replicated group; a deployment starts at the minimum.
+    every keyed-replicated group; a deployment starts at the plan's
+    ``parallelism`` clamped into those bounds.
     ``tick_s`` is the signal sampling period, ``cooldown_s`` the minimum
     spacing between rescales of one group. Between rescales the controller
     retunes each group's edge batch size. What to rescale, and when, is
@@ -69,11 +70,13 @@ class ElasticConfig:
 def elastic_plan(plan: Any, elastic: ElasticConfig | None) -> tuple[Any, bool]:
     """What an elastic deployment compiles: ``(plan, force_replication)``.
 
-    The plan's static ``parallelism`` is replaced by the elastic config's
-    ``min_parallelism`` and replication is forced even at parallelism 1, so
-    every replicable keyed stage materializes behind its hash router and
-    stays rescalable at runtime. Without ``elastic`` the plan is untouched.
+    The plan's ``parallelism`` is clamped into the elastic bounds, which is
+    where every group starts, and replication is forced even at parallelism
+    1, so every replicable keyed stage materializes behind its hash router
+    and stays rescalable at runtime. Without ``elastic`` the plan is
+    untouched.
     """
     if elastic is None:
         return plan, False
-    return replace(plan, parallelism=elastic.min_parallelism), True
+    start = min(max(plan.parallelism, elastic.min_parallelism), elastic.max_parallelism)
+    return replace(plan, parallelism=start), True

@@ -12,28 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..elastic.config import ElasticConfig
+from ..core.deploy import DeployConfig
 from .config import FleetConfig
 from .errors import AdmissionError
 from .registry import JobRegistry
 
 
-def requested_parallelism(deploy: dict[str, Any]) -> int:
-    """Replica demand a deploy-config dict asks for, for quota accounting.
+def requested_parallelism(deploy: DeployConfig) -> int:
+    """Replica demand of a validated deploy config, for quota accounting.
 
     An elastic job is charged its upper bound (the fleet may lend it that
-    many workers); a static plan is charged its declared parallelism; a
-    default deployment is one pipeline, charged 1.
+    many workers); a plan is charged its parallelism; a deployment without
+    a plan is one pipeline, charged 1.
     """
-    elastic = deploy.get("elastic")
-    default = ElasticConfig.max_parallelism
-    if isinstance(elastic, dict):
-        return int(elastic.get("max_parallelism", default))
-    if elastic is True:
-        return default
-    plan = deploy.get("plan")
-    if isinstance(plan, dict):
-        return max(1, int(plan.get("parallelism", 1)))
+    if deploy.elastic is not None:
+        return deploy.elastic.max_parallelism
+    if deploy.plan is not None:
+        return deploy.plan.parallelism
     return 1
 
 

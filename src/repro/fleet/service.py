@@ -111,7 +111,7 @@ class FleetService:
                 "a job submission cannot carry a [fleet] section; fleet "
                 "config belongs to the service, not to one job"
             )
-        parallelism = requested_parallelism(deploy)
+        parallelism = requested_parallelism(cfg)
         with self._lock:
             decision = self.admission.decide(tenant, parallelism)
             if not decision.admitted:
@@ -127,7 +127,7 @@ class FleetService:
             self.registry.register(record)
             self._submitted.inc()
         self.registry.transition(record.job_id, ADMITTED)
-        self._launch(record)
+        self._launch(record, cfg)
         return self.registry.get(record.job_id)
 
     def _count_rejection(self, code: str) -> None:
@@ -141,7 +141,7 @@ class FleetService:
             self._rejections[code] = counter
         counter.inc()
 
-    def _launch(self, record: JobRecord) -> None:
+    def _launch(self, record: JobRecord, cfg: DeployConfig) -> None:
         runner = JobRunner(
             record.job_id,
             self.registry,
@@ -151,15 +151,12 @@ class FleetService:
             on_calibration=lambda outcome: self._calibrations[outcome].inc(),
             on_done=self._runner_done,
         )
-        elastic = record.deploy.get("elastic")
-        floor = 1
-        if isinstance(elastic, dict):
-            floor = int(elastic.get("min_parallelism", 1))
+        elastic = cfg.elastic
         lease = JobLease(
             record.job_id,
             cap=record.parallelism,
-            floor=floor,
-            elastic=elastic is not None and elastic is not False,
+            floor=1 if elastic is None else elastic.min_parallelism,
+            elastic=elastic is not None,
             controller_fn=lambda: runner.controller,
         )
         with self._lock:

@@ -12,13 +12,11 @@ Protocol (Chandy–Lamport with aligned barriers, the Flink ABS variant):
    its offsets, the epoch's *manifest* is committed — strictly last, so a
    crash mid-checkpoint leaves the epoch invisible to recovery.
 
-With multi-producer merged streams (operator ``parallelism > 1``) barrier
-*counting* aligns replicas but post-barrier tuples of one replica may
-interleave before another replica's barrier arrives, so replicated
-operator state is at-least-once; sink-side dedup
-(:class:`~repro.recovery.dedup.DedupSink`) restores effectively-exactly-
-once delivery. Single-replica chains (all tests and the default use case)
-get exact cuts.
+The plan's replica groups merge through an explicit Union with one input
+stream per replica, so every stream has a single producer and alignment
+across a node's inputs gives exact cuts; sink-side dedup
+(:class:`~repro.recovery.dedup.DedupSink`) drops what a replay delivers
+twice.
 """
 
 from __future__ import annotations

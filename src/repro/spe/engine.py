@@ -143,11 +143,10 @@ def join(
 class StreamEngine:
     """Runs continuous queries with a chosen scheduling strategy."""
 
-    def __init__(self, mode: str = "threaded", capacity: int | None = 10_000) -> None:
+    def __init__(self, mode: str = "threaded") -> None:
         if mode not in ("threaded", "sync"):
             raise ValueError("mode must be 'threaded' or 'sync'")
         self._mode = mode
-        self._capacity = capacity
         # the background query: scheduler, supervisor, report of its run
         self._active: tuple[ThreadedScheduler, Any, Callable[[], RunReport]] | None = None
 
@@ -160,9 +159,7 @@ class StreamEngine:
         force_replication: bool = False,
     ):
         """Build the query, compile the plan, bind the checkpointer."""
-        capacity = None if self._mode == "sync" else self._capacity
-        nodes = query.build(capacity=capacity)
-        nodes = compile_plan(nodes, plan, force_replication=force_replication)
+        nodes = compile_plan(query.build(), plan, force_replication=force_replication)
         listener = None
         if checkpointer is not None:
             # Duck-typed so repro.spe never imports repro.recovery: any
@@ -203,7 +200,7 @@ class StreamEngine:
     def explain(self, query: Query, plan: PlanConfig | bool | None = True) -> str:
         """Render the compiled plan without executing it."""
         resolved = PlanConfig.resolve(plan)
-        nodes = compile_plan(query.build(capacity=self._capacity), resolved)
+        nodes = compile_plan(query.build(), resolved)
         return render_plan(nodes, title=query.name, config=resolved)
 
     def start(

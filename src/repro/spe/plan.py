@@ -30,14 +30,14 @@ under either plan shape restores into the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .errors import PlanError
 from .operators.base import Operator
 from .operators.router import HashRouter
 from .operators.union import UnionOperator
-from .query import KeyFunction, Node, _RouterOperator
+from .query import KeyFunction, Node
 from .stream import Stream
 from .tuples import StreamTuple
 
@@ -521,6 +521,15 @@ def fuse_linear_chains(nodes: list[Node]) -> list[Node]:
 # -- replication pass ------------------------------------------------------
 
 
+class _RouterOperator(Operator):
+    """Identity operator whose node routes outputs by key hash."""
+
+    num_inputs = 1
+
+    def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
+        return [t]
+
+
 @dataclass
 class ReplicaGroupMeta:
     """Recipe for (re)building one keyed-replicated operator group.
@@ -536,8 +545,8 @@ class ReplicaGroupMeta:
     key_fn: KeyFunction
     router_name: str
     merge_name: str
-    member_capacities: list[int | None] = field(default_factory=list)
-    out_capacity: int | None = None
+    member_capacities: list[int]
+    out_capacity: int
 
 
 def build_replicated_group(

@@ -2,13 +2,14 @@
 
 A :class:`Query` is assembled declaratively (``add_source`` /
 ``add_operator`` / ``add_sink`` naming upstream nodes), validated, and then
-*built*: building materializes one :class:`~repro.spe.stream.Stream` per
-(upstream node, downstream input) edge and resolves operator parallelism.
+*built*: building materializes exactly the declared graph, one node per
+declared vertex and one :class:`~repro.spe.stream.Stream` of the query's
+capacity per (upstream node, downstream input) edge.
 
-Parallelism follows the paper's disjoint-analysis design (§4): an operator
-declared with ``parallelism=N`` becomes a hash router plus N independent
-replicas keyed by ``key_fn`` (default: ``(job, specimen, portion)``), whose
-outputs merge into each downstream input stream.
+A query is logical. How many replicas a keyed stage runs with is the
+physical plan's decision (:func:`repro.spe.plan.compile_plan`); a stage
+declared with a factory, a ``key_fn`` and ``replicable=True`` is what that
+pass may clone behind a hash router.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Hashable
 
 from .errors import QueryValidationError
 from .operators.base import Operator
-from .operators.router import HashRouter, partition_key
+from .operators.router import HashRouter
 from .sink import Sink
 from .source import Source
 from .stream import Stream
@@ -25,18 +26,6 @@ from .tuples import StreamTuple
 
 KeyFunction = Callable[[StreamTuple], Hashable]
 OperatorFactory = Callable[[], Operator]
-
-
-class _RouterOperator(Operator):
-    """Identity operator whose node routes outputs by key hash."""
-
-    num_inputs = 1
-
-    def __init__(self, name: str) -> None:
-        super().__init__(name)
-
-    def process(self, input_index: int, t: StreamTuple) -> list[StreamTuple]:
-        return [t]
 
 
 class Node:
@@ -126,7 +115,6 @@ class _Declared:
         operator: Operator | None = None,
         factory: OperatorFactory | None = None,
         sink: Sink | None = None,
-        parallelism: int = 1,
         key_fn: KeyFunction | None = None,
         replicable: bool = False,
     ) -> None:
@@ -137,7 +125,6 @@ class _Declared:
         self.operator = operator
         self.factory = factory
         self.sink = sink
-        self.parallelism = parallelism
         self.key_fn = key_fn
         self.replicable = replicable
 
@@ -145,7 +132,7 @@ class _Declared:
 class Query:
     """Declarative builder for one continuous query."""
 
-    def __init__(self, name: str = "query", default_capacity: int | None = 10_000) -> None:
+    def __init__(self, name: str = "query", default_capacity: int = 10_000) -> None:
         self.name = name
         self._default_capacity = default_capacity
         self._declared: dict[str, _Declared] = {}
@@ -174,27 +161,20 @@ class Query:
         name: str,
         operator: Operator | OperatorFactory,
         upstreams: list[str] | str,
-        parallelism: int = 1,
         key_fn: KeyFunction | None = None,
         replicable: bool = False,
     ) -> "Query":
         """Register an operator consuming from ``upstreams``.
 
-        With ``parallelism > 1`` pass a zero-argument *factory* so each
-        replica gets independent state; a bare instance is accepted only
-        for ``parallelism == 1``. ``replicable=True`` (requires a factory)
-        marks the stage as safe for the plan compiler's replication pass:
-        its state is keyed by ``key_fn`` so disjoint key ranges can be
-        processed by independent replicas behind a hash router.
+        ``operator`` is an instance or a zero-argument factory.
+        ``replicable=True`` (requires a factory, so each replica gets
+        independent state) marks the stage as safe for the plan compiler's
+        replication pass: its state is keyed by ``key_fn`` so disjoint key
+        ranges can be processed by independent replicas behind a hash
+        router.
         """
         if isinstance(upstreams, str):
             upstreams = [upstreams]
-        if parallelism < 1:
-            raise QueryValidationError("parallelism must be >= 1")
-        if parallelism > 1 and isinstance(operator, Operator):
-            raise QueryValidationError(
-                "parallel operators need a factory (each replica needs its own state)"
-            )
         if replicable and isinstance(operator, Operator):
             raise QueryValidationError(
                 "replicable operators need a factory (each replica needs its own state)"
@@ -205,7 +185,6 @@ class Query:
             list(upstreams),
             operator=operator if isinstance(operator, Operator) else None,
             factory=None if isinstance(operator, Operator) else operator,
-            parallelism=parallelism,
             key_fn=key_fn,
             replicable=replicable,
         )
@@ -249,90 +228,28 @@ class Query:
 
     # -- materialization -----------------------------------------------------
 
-    def build(self, capacity: int | None = None) -> list[Node]:
+    def build(self) -> list[Node]:
         """Materialize nodes and streams; returns nodes in topological order."""
         self.validate()
-        if capacity is None:
-            capacity = self._default_capacity
         nodes: list[Node] = []
-        # declared name -> list of terminal nodes whose outputs carry its stream
-        producers: dict[str, list[Node]] = {}
+        by_name: dict[str, Node] = {}
         for name in self._order:
             decl = self._declared[name]
             if decl.kind == "source":
                 node = Node(name, "source", source=decl.source)
-                nodes.append(node)
-                producers[name] = [node]
             elif decl.kind == "operator":
-                built = self._build_operator(decl, producers, nodes, capacity)
-                producers[name] = built
+                op = decl.operator if decl.operator is not None else decl.factory()
+                node = Node(name, "operator", operator=op)
+                if decl.factory is not None:
+                    node.factory = decl.factory
+                    node.key_fn = decl.key_fn
+                    node.replicable = decl.replicable
             else:
                 node = Node(name, "sink", sink=decl.sink)
-                nodes.append(node)
-                self._connect(decl.upstreams, node, producers, capacity)
-        return nodes
-
-    def _build_operator(
-        self,
-        decl: _Declared,
-        producers: dict[str, list[Node]],
-        nodes: list[Node],
-        capacity: int | None,
-    ) -> list[Node]:
-        if decl.parallelism == 1:
-            op = decl.operator if decl.operator is not None else decl.factory()
-            node = Node(decl.name, "operator", operator=op)
-            if decl.factory is not None:
-                node.factory = decl.factory
-                node.key_fn = decl.key_fn
-                node.replicable = decl.replicable
+            for upstream in decl.upstreams:
+                stream = Stream(f"{upstream}->{name}", self._default_capacity)
+                by_name[upstream].outputs.append(stream)
+                node.inputs.append(stream)
             nodes.append(node)
-            self._connect(decl.upstreams, node, producers, capacity)
-            return [node]
-        # parallel: router -> N replicas -> union merge, from the same
-        # recipe the plan compiler's replication pass records, so
-        # declaration-parallel groups are rescalable too. The explicit Union
-        # keeps every replica edge single-producer, so checkpoint barriers
-        # align exactly downstream of the replicated stage.
-        from .plan import ReplicaGroupMeta, build_replicated_group  # plan imports query
-
-        if len(decl.upstreams) != 1:
-            raise QueryValidationError(
-                f"parallel operator {decl.name!r} must be single-input "
-                f"(got {len(decl.upstreams)} upstreams)"
-            )
-        meta = ReplicaGroupMeta(
-            members=[decl.name],
-            factories=[decl.factory],
-            key_fn=decl.key_fn or partition_key,
-            router_name=f"{decl.name}::router",
-            merge_name=f"{decl.name}::merge",
-            member_capacities=[_cap(capacity)],
-            out_capacity=_cap(capacity),
-        )
-        built, _ = build_replicated_group(meta, decl.parallelism, [], [])
-        self._connect(decl.upstreams, built[0], producers, capacity)
-        nodes.extend(built)
-        return [built[-1]]
-
-    @staticmethod
-    def _connect(
-        upstreams: list[str],
-        node: Node,
-        producers: dict[str, list[Node]],
-        capacity: int | None,
-    ) -> None:
-        for upstream_name in upstreams:
-            ups = producers[upstream_name]
-            stream = Stream(f"{upstream_name}->{node.name}", _cap(capacity))
-            stream.set_num_producers(len(ups))
-            for up in ups:
-                up.outputs.append(stream)
-            node.inputs.append(stream)
-
-
-def _cap(capacity: int | None) -> int:
-    # "Unbounded" capacity for the synchronous scheduler: a single-threaded
-    # drain can never block on put, so use a huge bound instead of a real
-    # infinity to keep the Stream invariants simple.
-    return capacity if capacity is not None else 2**31
+            by_name[name] = node
+        return nodes

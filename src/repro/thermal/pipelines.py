@@ -44,14 +44,17 @@ __all__ = [
 
 @dataclass
 class ThermalPipelineConfig:
-    """Tunables shared by the two thermal pipelines."""
+    """Tunables shared by the two thermal pipelines.
+
+    Replica counts are not among them: the deployment's plan
+    (:class:`~repro.spe.plan.PlanConfig`) replicates the keyed stages.
+    """
 
     window_layers: int = 4
     region_rows: int = 2
     region_cols: int = 2
     overheat_threshold: float | None = None
     lead_time_s: float = RECOAT_GAP_SECONDS
-    parallelism: int = 1
     top_k: int = 64
 
 
@@ -143,9 +146,7 @@ def build_forecast_pipeline(
         watchdog=watchdog,
         lead_time_s=config.lead_time_s,
     )
-    strata.detect_event(
-        "region", "forecast", estimator, parallelism=config.parallelism
-    )
+    strata.detect_event("region", "forecast", estimator)
     correlator = ThermalForecastCorrelator(config.overheat_threshold)
     strata.correlate_events(
         "forecast", "forecast-out", config.window_layers, correlator
@@ -197,9 +198,7 @@ def build_reconstruction_pipeline(
         melt_threshold=build_config.optics.melt_threshold,
         top_k=build_config.optics.top_k,
     )
-    strata.detect_event(
-        "plate", "melt-features", extractor, parallelism=config.parallelism
-    )
+    strata.detect_event("plate", "melt-features", extractor)
     correlator = ReconstructLaserParameters(strata.kv)
     strata.correlate_events(
         "melt-features", "laser-out", config.window_layers, correlator

@@ -5,6 +5,7 @@ Table 1: method names, optional parameters, and the output tuple schemas
 each method promises.
 """
 
+import dataclasses
 import inspect
 
 import pytest
@@ -41,6 +42,18 @@ class TestAPISurface:
     def test_partition_function_optional(self):
         signature = inspect.signature(Strata.partition)
         assert signature.parameters["f"].default is None
+
+    def test_verbs_declare_no_replica_count(self):
+        """Table 1 takes (s_in, s_out[, L], F): replicas are the plan's."""
+        from repro.core import UseCaseConfig
+        from repro.spe import Query
+        from repro.thermal import ThermalPipelineConfig
+
+        for verb in (Strata.partition, Strata.detect_event, Strata.correlate_events,
+                     Strata.detectEvent, Strata.correlateEvents, Query.add_operator):
+            assert "parallelism" not in inspect.signature(verb).parameters, verb
+        for config in (UseCaseConfig, ThermalPipelineConfig):
+            assert "parallelism" not in {f.name for f in dataclasses.fields(config)}
 
     def test_snake_case_aliases(self):
         assert Strata.addSource is Strata.add_source

@@ -40,7 +40,6 @@ def test_shm_deploy_equals_threaded(
     coordinator = DistCoordinator(
         strata.query, strata.broker,
         DistConfig(workers=2, **SHM_CONFIG),
-        capacity=strata.capacity,
     )
     coordinator.start()
     stats_mid = _ring_stats(coordinator)
@@ -75,7 +74,6 @@ def test_worker_kill_under_shm_reclaims_leases_and_converges(
     coordinator = DistCoordinator(
         strata.query, strata.broker,
         DistConfig(workers=2, **SHM_CONFIG),
-        capacity=strata.capacity,
     )
     coordinator.start()
 
@@ -105,7 +103,6 @@ def test_shm_ring_is_unlinked_after_shutdown(
     coordinator = DistCoordinator(
         strata.query, strata.broker,
         DistConfig(workers=2, **SHM_CONFIG),
-        capacity=strata.capacity,
     )
     coordinator.start()
     ring_name = coordinator._server._transport.describe()["ring"]
@@ -158,7 +155,6 @@ def test_worker_kill_with_block_records_dedups_per_row(
     coordinator = DistCoordinator(
         strata.query, strata.broker,
         DistConfig(workers=2, produce_batch=8, **SHM_CONFIG),
-        capacity=strata.capacity,
     )
     coordinator.start()
     cells = strata.broker.ensure_topic("strata.cellLabel").log(0)
@@ -392,7 +388,6 @@ def test_failed_run_releases_everything_it_started():
     strata.deliver("parts", CallbackSink("out", explode))
     coordinator = DistCoordinator(
         strata.query, strata.broker, DistConfig(workers=1, **SHM_CONFIG),
-        capacity=strata.capacity,
     )
     ring_name = coordinator.server.transport.describe()["ring"]
     with pytest.raises(Exception, match="sink exploded"):

@@ -28,7 +28,7 @@ def build(layer_records, reference_images, test_job, connector_mode="pubsub"):
     build_use_case(
         iter(layer_records), iter(layer_records), config, strata=strata
     )
-    return strata.query.build(capacity=strata.capacity)
+    return strata.query.build()
 
 
 def test_use_case_cuts_into_four_stages(layer_records, reference_images, test_job):

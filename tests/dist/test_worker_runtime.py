@@ -75,7 +75,6 @@ def test_survives_worker_kill(
     strata, pipeline = build(layer_records, reference_images, test_job)
     coordinator = DistCoordinator(
         strata.query, strata.broker, DistConfig(workers=2),
-        capacity=strata.capacity,
     )
     coordinator.start()
 
@@ -98,7 +97,6 @@ def test_worker_metrics_aggregated(layer_records, reference_images, test_job):
     strata, _ = build(layer_records, reference_images, test_job)
     coordinator = DistCoordinator(
         strata.query, strata.broker, DistConfig(workers=2),
-        capacity=strata.capacity,
     )
     report = coordinator.run()
     metrics = report.extra["worker_metrics"]
@@ -121,7 +119,6 @@ def test_prometheus_scrape_endpoint(layer_records, reference_images, test_job):
     coordinator = DistCoordinator(
         strata.query, strata.broker,
         DistConfig(workers=2, scrape_port=0),
-        capacity=strata.capacity,
     )
     coordinator.start()
     try:
@@ -152,7 +149,6 @@ def test_permanent_worker_failure_raises(
     coordinator = DistCoordinator(
         strata.query, strata.broker,
         DistConfig(workers=2, restart_limit=0),
-        capacity=strata.capacity,
     )
     coordinator.start()
 

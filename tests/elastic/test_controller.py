@@ -15,10 +15,11 @@ from repro.elastic import (
     Rescale,
     Unfuse,
     discover_groups,
+    elastic_plan,
 )
 from repro.kvstore.memory import MemoryStore
 from repro.recovery import CheckpointCoordinator
-from repro.spe import CollectingSink, ListSource, PlanError, Query
+from repro.spe import CollectingSink, ListSource, PlanConfig, PlanError, Query
 from repro.spe.plan import replicate_keyed_stages
 from repro.spe.source import Source
 from repro.spe.tuples import StreamTuple
@@ -146,6 +147,26 @@ def test_keyless_replicable_head_raises_plan_error():
     q.add_sink("out", CollectingSink(), "op")
     with pytest.raises(PlanError, match="declares no key"):
         replicate_keyed_stages(q.build(), 2)
+
+
+@pytest.mark.parametrize(
+    "plan_parallelism, bounds, start",
+    [(1, (1, 4), 1), (2, (1, 4), 2), (1, (3, 4), 3), (6, (1, 4), 4)],
+)
+def test_elastic_plan_starts_at_the_plans_parallelism_clamped(
+    plan_parallelism, bounds, start
+):
+    elastic = ElasticConfig(min_parallelism=bounds[0], max_parallelism=bounds[1])
+    plan, forced = elastic_plan(PlanConfig(parallelism=plan_parallelism), elastic)
+    assert (plan.parallelism, forced) == (start, True)
+
+
+def test_elastic_deployment_starts_at_the_plans_parallelism(baseline):
+    strata = Strata(engine_mode="threaded")
+    sink = build(strata, records(), delay=0.0)
+    report = strata.deploy(DeployConfig(plan=PlanConfig(parallelism=2), elastic=MANUAL))
+    assert report.extra["elastic"]["groups"] == {"partition:cells": 2}
+    assert payload_counts(sink) == baseline
 
 
 # -- live rescale equivalence ------------------------------------------------

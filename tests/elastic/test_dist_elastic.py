@@ -81,7 +81,7 @@ def test_elastic_survives_worker_restart(
     strata, pipeline = build(layer_records, reference_images, test_job)
     coordinator = DistCoordinator(
         strata.query, strata.broker, DistConfig(workers=2),
-        capacity=strata.capacity, plan=True, elastic=FAST,
+        plan=True, elastic=FAST,
     )
     coordinator.start()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import DeployConfig
 from repro.fleet import (
     AdmissionController,
     AdmissionError,
@@ -15,18 +16,23 @@ from repro.fleet.registry import CANCELLED, PENDING  # noqa: F401
 from repro.kvstore import MemoryStore
 
 
+def charged(deploy):
+    return requested_parallelism(DeployConfig.from_dict(deploy))
+
+
 class TestRequestedParallelism:
     def test_default_deployment_is_one(self):
-        assert requested_parallelism({}) == 1
-        assert requested_parallelism({"plan": True}) == 1
+        assert charged({}) == 1
+        assert charged({"plan": True}) == 1
 
     def test_static_plan_charged_declared_parallelism(self):
-        assert requested_parallelism({"plan": {"parallelism": 3}}) == 3
+        assert charged({"plan": {"parallelism": 3}}) == 3
 
     def test_elastic_charged_upper_bound(self):
-        assert requested_parallelism({"elastic": {"max_parallelism": 6}}) == 6
-        assert requested_parallelism({"elastic": True}) == 4  # config default
-        assert requested_parallelism({"elastic": {}}) == 4
+        elastic = {"plan": {"parallelism": 2}, "elastic": {"max_parallelism": 6}}
+        assert charged(elastic) == 6
+        assert charged({"plan": True, "elastic": True}) == 4  # config default
+        assert charged({"plan": True, "elastic": {}}) == 4
 
 
 def make_controller(**cfg):

@@ -4,25 +4,26 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    DeployConfig,
     Strata,
     UseCaseConfig,
     build_use_case,
     calibrate_job,
     specimen_regions_px,
 )
+from repro.spe import PlanConfig
 from tests.conftest import TEST_IMAGE_PX
 
 CELL_EDGE = 5  # 5 px at 250 px/plate = 5 mm cells
 
 
 def run_pipeline(layer_records, reference_images, test_job, engine_mode="sync",
-                 vectorized=False, parallelism=1, window_layers=4):
+                 vectorized=False, window_layers=4, deploy=None):
     config = UseCaseConfig(
         image_px=TEST_IMAGE_PX,
         cell_edge_px=CELL_EDGE,
         window_layers=window_layers,
         vectorized=vectorized,
-        parallelism=parallelism,
     )
     strata = Strata(engine_mode=engine_mode)
     calibrate_job(
@@ -32,7 +33,7 @@ def run_pipeline(layer_records, reference_images, test_job, engine_mode="sync",
     pipeline = build_use_case(
         iter(layer_records), iter(layer_records), config, strata=strata
     )
-    report = strata.deploy()
+    report = strata.deploy(deploy)
     return pipeline, report
 
 
@@ -105,15 +106,20 @@ def test_scalar_and_vectorized_agree(layer_records, reference_images, test_job):
 
 
 def test_parallel_detect_agrees_with_serial(layer_records, reference_images, test_job):
-    serial, _ = run_pipeline(
-        layer_records, reference_images, test_job, "threaded", parallelism=1
-    )
-    parallel, _ = run_pipeline(
-        layer_records, reference_images, test_job, "threaded", parallelism=4
-    )
-    assert sorted(map(result_key, serial.sink.results)) == sorted(
-        map(result_key, parallel.sink.results)
-    )
+    # both detect paths: the per-cell chain and the vectorized detect
+    for vectorized in (False, True):
+        serial, _ = run_pipeline(
+            layer_records, reference_images, test_job, "threaded", vectorized
+        )
+        parallel, report = run_pipeline(
+            layer_records, reference_images, test_job, "threaded", vectorized,
+            deploy=DeployConfig(plan=PlanConfig(parallelism=4)),
+        )
+        replicas = [name for name in report.operator_stats if name.startswith("fused[")]
+        assert len(replicas) == 4, sorted(report.operator_stats)
+        assert sorted(map(result_key, serial.sink.results)) == sorted(
+            map(result_key, parallel.sink.results)
+        )
 
 
 def test_window_layers_bounds_cluster_span(layer_records, reference_images, test_job):

@@ -83,7 +83,7 @@ def two_stage_query(n=40, delay=0.0):
     return q, sink
 
 
-def keyed_query(n=40, delay=0.0, parallelism_decl=1):
+def keyed_query(n=40, delay=0.0):
     q = Query("keyed")
     source = CheckpointableSource(IterableSource("src", paced(make_tuples(n), delay)))
     q.add_source("src", source)

@@ -304,6 +304,59 @@ def test_replication_builds_router_clones_and_merge():
             assert node.base_name == "k0"
 
 
+def test_replication_records_the_rescale_recipe():
+    """The plan pass builds the group the elastic controller rescales."""
+
+    def factory():
+        return bump("m")
+
+    q = Query(default_capacity=7)
+    q.add_source("src", ListSource("src", tuples()))
+    q.add_operator("m", factory, "src", key_fn=by_layer, replicable=True)
+    q.add_sink("out", CollectingSink(), "m")
+    nodes = replicate_keyed_stages(q.build(), 3)
+    assert [n.name for n in nodes] == [
+        "src", "m::router", "m::0", "m::1", "m::2", "m::merge", "out",
+    ]
+    streams = {}
+    for node in nodes:
+        for stream in node.inputs + node.outputs:
+            streams[stream.name] = (stream.capacity, stream.num_producers)
+    assert streams == {
+        "src->m": (7, 1),
+        "m::router->m::0": (7, 1),
+        "m::router->m::1": (7, 1),
+        "m::router->m::2": (7, 1),
+        "m::0->m::merge": (7, 1),
+        "m::1->m::merge": (7, 1),
+        "m::2->m::merge": (7, 1),
+        "m->out": (7, 1),
+    }
+    router = nodes[1]
+    assert router.router.num_shards == 3
+    meta = router.rescale_meta
+    assert meta.members == ["m"]
+    assert meta.factories == [factory]
+    assert meta.key_fn is by_layer
+    assert (meta.router_name, meta.merge_name) == ("m::router", "m::merge")
+    assert meta.member_capacities == [7]
+    assert meta.out_capacity == 7
+    assert nodes[5].operator.num_inputs == 3
+    assert [n.base_name for n in nodes[2:5]] == ["m", "m", "m"]
+
+
+def test_replication_leaves_multi_input_stages_alone():
+    q = Query()
+    q.add_source("a", ListSource("a", tuples()))
+    q.add_source("b", ListSource("b", tuples()))
+    q.add_operator(
+        "j", lambda: JoinOperator("j"), ["a", "b"], key_fn=by_layer, replicable=True
+    )
+    q.add_sink("out", CollectingSink(), "j")
+    nodes = q.build()
+    assert replicate_keyed_stages(nodes, 2) == nodes
+
+
 def test_replication_requires_shared_key_fn():
     q = Query()
     q.add_source("src", ListSource("src", tuples(6)))

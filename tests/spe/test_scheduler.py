@@ -13,6 +13,7 @@ from repro.spe import (
     ListSource,
     MapOperator,
     OperatorError,
+    PlanConfig,
     Query,
     StreamEngine,
     StreamTuple,
@@ -87,8 +88,12 @@ def test_operator_error_propagates(mode):
         StreamEngine(mode=mode).run(q)
 
 
+def _specimen(t):
+    return t.specimen
+
+
 def test_parallel_results_match_serial():
-    def build(parallelism):
+    def build():
         q = Query("par")
         data = [
             StreamTuple(
@@ -102,16 +107,18 @@ def test_parallel_results_match_serial():
             "m",
             lambda: MapOperator("m", lambda t: t.derive(payload={"x": t.payload["x"] + 1})),
             "src",
-            parallelism=parallelism,
+            key_fn=_specimen,
+            replicable=True,
         )
         sink = CollectingSink()
         q.add_sink("out", sink, "m")
         return q, sink
 
-    q1, s1 = build(1)
-    q4, s4 = build(4)
-    StreamEngine(mode="threaded").run(q1)
-    StreamEngine(mode="threaded").run(q4)
+    q1, s1 = build()
+    q4, s4 = build()
+    StreamEngine(mode="threaded").run(q1, plan=PlanConfig(parallelism=1))
+    report = StreamEngine(mode="threaded").run(q4, plan=PlanConfig(parallelism=4))
+    assert {"m::0", "m::1", "m::2", "m::3"} <= set(report.operator_stats)
     assert sorted(t.payload["x"] for t in s1.results) == sorted(
         t.payload["x"] for t in s4.results
     )
@@ -125,10 +132,14 @@ def test_parallel_preserves_per_key_order():
     ]
     q = Query("order")
     q.add_source("src", ListSource("src", data))
-    q.add_operator("m", lambda: MapOperator("m", lambda t: t), "src", parallelism=3)
+    q.add_operator(
+        "m", lambda: MapOperator("m", lambda t: t), "src", key_fn=_specimen,
+        replicable=True,
+    )
     sink = CollectingSink()
     q.add_sink("out", sink, "m")
-    StreamEngine(mode="threaded").run(q)
+    report = StreamEngine(mode="threaded").run(q, plan=PlanConfig(parallelism=3))
+    assert {"m::0", "m::1", "m::2"} <= set(report.operator_stats)
     per_key: dict[str, list[int]] = {}
     for t in sink.results:
         per_key.setdefault(t.specimen, []).append(t.payload["seq"])

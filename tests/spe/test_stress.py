@@ -41,7 +41,7 @@ def test_tiny_capacity_does_not_deadlock():
     )
     sink = CollectingSink()
     q.add_sink("out", sink, "expand")
-    report = StreamEngine(mode="threaded", capacity=2).run(q)
+    report = StreamEngine(mode="threaded").run(q)
     assert len(sink.results) == 40 * 50
     assert report.operator_stats["expand"].tuples_out == 2000
 
@@ -60,7 +60,7 @@ def test_deep_chain_under_pressure():
         upstream = name
     sink = CollectingSink()
     q.add_sink("out", sink, upstream)
-    StreamEngine(mode="threaded", capacity=4).run(q)
+    StreamEngine(mode="threaded").run(q)
     assert sorted(t.payload["x"] for t in sink.results) == [x + 12 for x in range(200)]
 
 
@@ -155,7 +155,7 @@ def test_slow_consumer_throttles_fast_source():
     q = Query("slow", default_capacity=8)
     q.add_source("src", ListSource("src", tuples(100)))
     q.add_sink("out", CallbackSink("out", slow), "src")
-    StreamEngine(mode="threaded", capacity=8).run(q)
+    StreamEngine(mode="threaded").run(q)
     assert len(consumed) == 100
 
 
@@ -198,7 +198,7 @@ def test_stop_releases_blocked_source():
         "slow", MapOperator("slow", lambda t: (time.sleep(0.01), t)[1]), "src"
     )
     q.add_sink("out", NullSink(), "slow")
-    engine = StreamEngine(mode="threaded", capacity=2)
+    engine = StreamEngine(mode="threaded")
     engine.start(q)
     time.sleep(0.2)
     started = time.monotonic()

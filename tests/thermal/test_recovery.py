@@ -56,10 +56,8 @@ def _paced(records, delay):
         yield record
 
 
-def _build_pipeline(strata, build, *, delay=0.0, checkpointable=False,
-                    parallelism=1):
+def _build_pipeline(strata, build, *, delay=0.0, checkpointable=False):
     config = ThermalPipelineConfig()
-    config.parallelism = parallelism
     frames = _paced(build.records, delay) if delay else iter(build.records)
     plans = _paced(build.records, delay) if delay else iter(build.records)
     pipeline = build_forecast_pipeline(
@@ -132,9 +130,7 @@ def test_elastic_rescale_matches_threaded_oracle(
     recovery_build, oracle_signature
 ):
     strata = Strata(engine_mode="threaded", connector_mode="pubsub")
-    pipeline = _build_pipeline(
-        strata, recovery_build, delay=0.05, parallelism=1
-    )
+    pipeline = _build_pipeline(strata, recovery_build, delay=0.05)
     strata.deploy(
         DeployConfig(
             plan=True,
