@@ -11,12 +11,14 @@ runtime, and holds every distributed variant to three promises:
 * **honest accounting** — throughput, latency, and the per-variant
   speedup ratios land in ``BENCH_dist.json`` at the repository root so CI
   can archive them and the dist-smoke job can flag regressions;
-* **flat memory** — the coordinator keeps every record replayable (it
-  never trims a connector log), but a reclaimed shm slab goes to the
-  transport's spill file, not to the heap: a coordinator that ran 3N
-  layers through a ring of a few slots may end with next to nothing more
-  resident per extra layer than one that ran N
-  (``shm_coordinator_rss_mb_per_layer``, gated in CI).
+* **flat memory** — the coordinator trims each connector topic to what
+  the workers reading it committed, and a slab reclaimed before its record
+  was trimmed goes to the transport's spill file, not to the heap: a
+  coordinator that ran 3N layers through a ring of a few slots may end
+  with next to nothing more resident per extra layer than one that ran N
+  (``shm_coordinator_rss_mb_per_layer``, gated in CI — once as is, and
+  once with ``--rss-gate`` under a file-size cap that makes every spill
+  fail, where only the trim keeps the payloads off the heap).
 
 Crossing process boundaries costs serialization and socket hops; the shm
 transport exists to strip the payload bytes out of that cost. On a
@@ -77,6 +79,10 @@ def _shm_workers() -> int:
 
 #: the RSS leg runs this many layers, then three times as many
 RSS_LAYERS = 40
+
+#: the most the coordinator's RSS may grow per extra layer of the RSS leg:
+#: 20x under what one image held per layer would cost (2 MB at 500 px)
+RSS_GATE_MB_PER_LAYER = 0.1
 
 #: ring of the RSS leg: far fewer slots than layers, so nearly every slab
 #: is reclaimed while its record is still in the log — but more than one
@@ -372,7 +378,30 @@ def test_dist_throughput_report(benchmark, profile):
         )
 
 
+def _rss_gate_main() -> None:
+    """The RSS leg on its own, gated: exits non-zero above the bound.
+
+    CI runs it under ``ulimit -f``, where the spill file cannot grow and a
+    reclaimed payload whose record is still in a log stays on the heap.
+    """
+    short = _coordinator_rss_mb(RSS_LAYERS)
+    long = _coordinator_rss_mb(3 * RSS_LAYERS)
+    growth = (long - short) / (2 * RSS_LAYERS)
+    print(
+        f"shm coordinator RSS: [{short:.2f}, {long:.2f}] MB after "
+        f"[{RSS_LAYERS}, {3 * RSS_LAYERS}] layers = {growth:.4f} MB per extra layer "
+        f"(<= {RSS_GATE_MB_PER_LAYER})"
+    )
+    if growth > RSS_GATE_MB_PER_LAYER:
+        sys.exit(f"shm coordinator RSS grows {growth:.3f} MB per layer")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or sys.argv[1] != "--coordinator-rss":
-        sys.exit("usage: test_dist_throughput.py --coordinator-rss LAYERS")
-    _coordinator_rss_main(int(sys.argv[2]))
+    if sys.argv[1:] == ["--rss-gate"]:
+        _rss_gate_main()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--coordinator-rss":
+        _coordinator_rss_main(int(sys.argv[2]))
+    else:
+        sys.exit(
+            "usage: test_dist_throughput.py --coordinator-rss LAYERS | --rss-gate"
+        )

@@ -12,10 +12,11 @@ stage — the one delivering results to the expert — stays in the
 coordinator, so ``pipeline.sink.results`` fills exactly as in the
 single-process run.
 
-Worker crash recovery is built in: workers replay their input topics
-from the earliest offset and content-key dedup filters drop the
-replayed records, so a killed worker is re-forked and the final output
-is unchanged. Pass ``--chaos`` to see it happen.
+Worker crash recovery is built in: each worker commits a checkpoint of
+its stages every 0.1 s, a killed worker is re-forked and resumes from
+its last commit, and content-key dedup filters drop what it published
+twice, so the final output is unchanged. Pass ``--chaos`` to see it
+happen.
 
 Run:  python examples/distributed_monitoring.py
       python examples/distributed_monitoring.py --chaos --workers 3

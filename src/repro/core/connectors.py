@@ -30,6 +30,7 @@ records); the direct fast path wires modules with plain streams instead.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Any, Iterator
 
 from ..recovery.dedup import result_identity
@@ -76,6 +77,11 @@ class PubSubWriterSink(Sink):
     such neighbour stays a tuple record. Order is preserved exactly.
     The buffer is always flushed before the EOS broadcast and before a
     rebind, so batching never reorders a record after its sentinel.
+
+    The sink's checkpoint state is its acked end offset per partition (the
+    offset after the last record the broker confirmed): taken at a barrier,
+    after the flush, it is the stage's committed output position, below
+    which a restarted incarnation never publishes again.
     """
 
     def __init__(
@@ -86,6 +92,7 @@ class PubSubWriterSink(Sink):
         self._topic = topic
         self._batch_size = max(1, int(batch_size))
         self._buffer: list[StreamTuple] = []
+        self._acked: dict[int, int] = {}  # partition -> offset after the last ack
 
     @property
     def topic(self) -> str:
@@ -122,7 +129,8 @@ class PubSubWriterSink(Sink):
                 run = [ColumnarBlock.from_tuples(run)]
             records.extend({"value": v, "key": key, "timestamp": tau} for v in run)
         self._buffer.clear()
-        self._producer.send_batch(self._topic, records)
+        for partition, offset in self._producer.send_batch(self._topic, records):
+            self._acked[partition] = offset + 1
 
     def consume(self, t: StreamTuple) -> None:
         if self._batch_size > 1:
@@ -130,7 +138,17 @@ class PubSubWriterSink(Sink):
             if len(self._buffer) >= self._batch_size:
                 self.flush()
             return
-        self._producer.send(self._topic, t, key=_record_key(t), timestamp=t.tau)
+        partition, offset = self._producer.send(
+            self._topic, t, key=_record_key(t), timestamp=t.tau
+        )
+        self._acked[partition] = offset + 1
+
+    def snapshot_state(self) -> dict[str, object]:
+        """``{"acked": [[partition, end offset], ...]}``: what the broker holds."""
+        return {"acked": [[p, offset] for p, offset in sorted(self._acked.items())]}
+
+    def restore_state(self, state: dict[str, object]) -> None:
+        self._acked = {int(p): int(offset) for p, offset in state["acked"]}
 
     def on_close(self) -> None:
         """Publish one end-of-stream sentinel to *every* partition.
@@ -155,9 +173,11 @@ class PubSubReaderSource(Source):
     ``dedup=True`` suppresses tuples whose content key
     ``(tau, job, layer, specimen, portion)`` was already delivered — the
     at-least-once replay filter the distributed runtime relies on when a
-    restarted upstream worker republishes its output. The filter works per
-    row, not per record: a replay may frame the same tuples into blocks
-    with different boundaries.
+    restarted upstream worker republishes what it produced after its last
+    commit. The filter works per row, not per record: a replay may frame
+    the same tuples into blocks with different boundaries. A key is kept
+    until :meth:`forget_below` reports its record below the producer's
+    committed output offset, which no restart republishes.
 
     Iterating yields tuples. :meth:`runs` yields the same sequence but
     hands a multi-row record over whole, as a
@@ -182,6 +202,11 @@ class PubSubReaderSource(Source):
         self._auto_commit = auto_commit
         self._dedup = dedup
         self._duplicates = 0
+        self._seen: set[tuple] = set()
+        # (topic, partition) -> (offset, keys first seen in that record), in
+        # read order; forget_below() hands over the horizon, runs() applies it
+        self._seen_at: dict[tuple[str, int], deque] = {}
+        self._horizon: dict[tuple[str, int], int] = {}
         self._consumer = None
         # (topic, partition) -> offset after the last record handed over.
         # The consumer's own position runs ahead of it by whatever one poll
@@ -192,6 +217,8 @@ class PubSubReaderSource(Source):
     def _connect(self) -> None:
         self._broker.ensure_topic(self._topic)
         self._delivered.clear()
+        self._seen.clear()
+        self._seen_at.clear()
         self._consumer = self._broker.consumer(
             self._group,
             [self._topic],
@@ -223,6 +250,25 @@ class PubSubReaderSource(Source):
     def duplicates_suppressed(self) -> int:
         """Replayed tuples dropped by the dedup filter so far."""
         return self._duplicates
+
+    @property
+    def dedup_keys(self) -> int:
+        """Content keys the dedup filter holds now."""
+        return len(self._seen)
+
+    def forget_below(self, horizon: list[list]) -> None:
+        """Let dedup drop keys whose record lies below its producer's commit.
+
+        ``horizon`` holds ``[topic, partition, offset]`` triples, each the
+        committed output offset of the stage writing that partition; other
+        topics' entries are ignored. Thread-safe: the reading thread applies
+        it at its next poll.
+        """
+        self._horizon = {
+            (topic, int(partition)): int(offset)
+            for topic, partition, offset in horizon
+            if topic == self._topic
+        }
 
     def rebind(
         self,
@@ -269,15 +315,25 @@ class PubSubReaderSource(Source):
             self._delivered[(topic, int(partition))] = int(offset)
 
     def commit_offsets(self, offsets: list[list]) -> None:
-        """Pin captured positions on the broker (per-partition commits)."""
+        """Pin captured positions on the broker (per-partition commits).
+
+        A reader that never commits its group (``auto_commit=False``, as
+        the dist runtime runs every reader: a worker's epoch record is its
+        one commit) pins nothing here either.
+        """
+        if not self._auto_commit:
+            return
         for topic, partition, offset in offsets:
             self._consumer.commit(topic, int(partition), int(offset))
 
     def runs(self) -> Iterator[Any]:
         """Yield each record's tuples: one tuple, or a ``TupleBatch`` of rows."""
         pending = set(self._consumer.assignment)
-        seen: set[tuple] = set()
+        applied: dict[tuple[str, int], int] = {}
         while pending:
+            if self._horizon is not applied:
+                applied = self._horizon
+                self._forget(applied)
             for message in self._consumer.poll(timeout=POLL_TIMEOUT):
                 # Moves before the hand-over: a checkpoint barrier taken
                 # while this generator rests at a yield below must not
@@ -297,7 +353,7 @@ class PubSubReaderSource(Source):
                     yield value
                     continue
                 if self._dedup:
-                    run = TupleBatch(t for t in run if self._first_sight(t, seen))
+                    run = self._first_sights(message, run)
                 # Do NOT restamp ingest_time: latency spans the connector
                 # hop too (data was available when the writer received it).
                 if len(run) > 1:
@@ -305,13 +361,27 @@ class PubSubReaderSource(Source):
                 elif run:
                     yield run[0]
 
-    def _first_sight(self, t: StreamTuple, seen: set[tuple]) -> bool:
-        key = result_identity(t)
-        if key in seen:
-            self._duplicates += 1
-            return False
-        seen.add(key)
-        return True
+    def _first_sights(self, message: Any, run: list[StreamTuple]) -> TupleBatch:
+        """The rows of ``run`` not delivered before; remembers their keys."""
+        fresh, keys = TupleBatch(), []
+        for t in run:
+            key = result_identity(t)
+            if key in self._seen:
+                self._duplicates += 1
+                continue
+            self._seen.add(key)
+            keys.append(key)
+            fresh.append(t)
+        if keys:
+            where = (message.topic, message.partition)
+            self._seen_at.setdefault(where, deque()).append((message.offset, keys))
+        return fresh
+
+    def _forget(self, horizon: dict[tuple[str, int], int]) -> None:
+        for where, below in horizon.items():
+            sightings = self._seen_at.get(where)
+            while sightings and sightings[0][0] < below:
+                self._seen.difference_update(sightings.popleft()[1])
 
     def __iter__(self) -> Iterator[StreamTuple]:
         return flatten_runs(self.runs())

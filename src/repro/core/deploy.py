@@ -145,8 +145,10 @@ class DeployConfig:
             )
         if self.dist is not None and self.recovery is not None and self.recovery.active:
             raise DeployConfigError(
-                "distributed deployment has its own crash recovery (replay + "
-                "dedup); recovery= does not apply — drop one of the two"
+                "distributed deployment has its own crash recovery (each "
+                "worker resumes from its last committed epoch; the "
+                "coordinator's terminal stage is not checkpointed); "
+                "recovery= does not apply — drop one of the two"
             )
         if self.elastic is not None and self.plan is None:
             raise DeployConfigError(

@@ -3,7 +3,9 @@
 Cuts a built query DAG at its pub/sub connector edges into stages, runs
 each stage in a forked worker process wired through a networked broker
 (:mod:`repro.net`), and supervises the fleet: heartbeats, liveness,
-bounded restarts, and aggregated per-worker metrics.
+bounded restarts that resume from each worker's last committed epoch
+(:mod:`repro.dist.commits`), logs trimmed to those commits, and
+aggregated per-worker metrics.
 """
 
 from .coordinator import DistConfig, DistCoordinator, DistError

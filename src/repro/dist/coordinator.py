@@ -10,11 +10,20 @@ records never leave the address space they already sit in.
 
 Supervision is process-first: a worker that dies with a non-zero exit
 code is re-forked from the coordinator's pristine copy of its stage (up
-to ``restart_limit`` times); the replacement replays its input topics
-from the earliest offset and the content-key dedup filters downstream
-keep the final output identical. Heartbeats carry per-worker liveness and
-an observability snapshot, aggregated here and exposed through the
-Prometheus exporter (``scrape_port``).
+to ``restart_limit`` times); the replacement resumes from the worker's
+last committed epoch (:mod:`repro.dist.commits`) and the content-key
+dedup filters downstream keep the final output identical. Heartbeats
+carry per-worker liveness and an observability snapshot, aggregated here
+and exposed through the Prometheus exporter (``scrape_port``).
+
+The coordinator also keeps the logs short. Every supervision tick it
+reads each worker's newest epoch record and trims each connector topic a
+worker reads below the lowest position any of its readers committed; the
+terminal stage is never re-forked, so what its readers have delivered
+counts as their commit. A trimmed record takes its shm slab reference
+with it, so its slot is reclaimed for free instead of spilled. A topic
+only the terminal stage reads is not trimmed. The records' horizons tell
+the terminal readers which content keys no restart can republish.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from ..pubsub.producer import Producer
 from ..spe.engine import RunReport, join, launch, run_report
 from ..spe.plan import PlanConfig, compile_plan
 from ..spe.query import Query
+from .commits import CommitLog, commit_topic, record_positions
 from .stages import StageSpec, assign_stages, cut_stages
 from .worker import WorkerProcess
 
@@ -156,6 +166,7 @@ class DistCoordinator:
                 "slab_bytes": self._config.shm_slab_bytes,
             },
         )
+        self._commits = CommitLog(broker, self._config.allow_pickle)
         self._stages: list[StageSpec] = []
         self._local_stages: list[StageSpec] = []
         self._workers: list[WorkerProcess] = []
@@ -193,19 +204,29 @@ class DistCoordinator:
         return self._scrape_server.server_address[:2]
 
     def status(self) -> dict[str, Any]:
-        """Cluster status: stages, per-worker state, restarts, failures."""
-        local_dupes = sum(
-            reader.duplicates_suppressed
-            for stage in self._local_stages
-            for reader in stage.readers()
-        )
+        """Cluster status: stages, workers, restarts, failures, the slab ring."""
+        readers = self._local_readers()
+        transport = self._server.transport.stats()
         return {
             "stages": [stage.describe() for stage in self._stages],
             "workers": {worker.name: worker.status() for worker in self._workers},
             "restarts": sum(worker.restarts for worker in self._workers),
             "failure": self._failure,
-            "duplicates_suppressed_local": local_dupes,
+            "duplicates_suppressed_local": sum(
+                reader.duplicates_suppressed for reader in readers
+            ),
+            "dedup_keys_local": sum(reader.dedup_keys for reader in readers),
+            "transport": {
+                key: transport.get(key, 0)
+                for key in (
+                    "slabs_spilled", "slabs_materialized", "spill_bytes",
+                    "spill_file_bytes",
+                )
+            },
         }
+
+    def _local_readers(self) -> list:
+        return [reader for stage in self._local_stages for reader in stage.readers()]
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -223,13 +244,12 @@ class DistCoordinator:
             self._stages, self._config.workers
         )
         address = self._server.start()
-        # The terminal stage replays alongside restarted workers: it must
-        # never resume from commits and must drop replayed records. It
-        # attaches to the server in-process, which reads the logs in place
-        # and resolves transport-internal payload refs (shm SlabRefs).
-        for stage in self._local_stages:
-            for reader in stage.readers():
-                reader.rebind(self._server, auto_commit=False, dedup=True)
+        # The terminal stage is never re-forked, so it commits nothing; it
+        # drops what a restarted worker republishes. It attaches to the
+        # server in-process, which reads the logs in place and resolves
+        # transport-internal payload refs (shm SlabRefs).
+        for reader in self._local_readers():
+            reader.rebind(self._server, auto_commit=False, dedup=True)
         self._workers = [
             WorkerProcess(
                 f"worker-{i}",
@@ -315,6 +335,8 @@ class DistCoordinator:
                 worker.terminate()
             elif worker.exitcode == 0:
                 worker.finished = True
+        self._trim()
+        self._commits.close()
         self._final_beats = self._server.workers()
         if self._scrape_server is not None:
             self._scrape_server.shutdown()
@@ -326,6 +348,10 @@ class DistCoordinator:
 
     def _monitor_loop(self) -> None:
         while not self._done.wait(0.1):
+            try:
+                self._trim()
+            except Exception:  # never let the log upkeep stop supervision
+                logger.exception("trimming the connector logs failed")
             for worker in self._workers:
                 if worker.finished or worker.alive():
                     continue
@@ -346,6 +372,38 @@ class DistCoordinator:
                         f"worker {worker.name} exited with code {code} after "
                         f"{worker.restarts} restart(s)"
                     )
+
+    def _trim(self) -> None:
+        """Trim the logs to the workers' commits; pass the horizons on.
+
+        A worker that exited cleanly read its inputs to the end and is
+        never re-forked; one that has not committed yet holds its inputs
+        from offset 0.
+        """
+        records = self._commits.poll()
+        floor: dict[tuple[str, int], int] = {}
+        for worker in self._workers:
+            record = records.get(commit_topic(worker.stages))
+            committed = {} if record is None else record_positions(record)
+            for topic in {t for stage in worker.stages for t in stage.input_topics}:
+                for partition in range(self._broker.partitions(topic)):
+                    key = (topic, partition)
+                    if worker.finished:
+                        position = self._broker.offsets(topic, partition)[1]
+                    else:
+                        position = committed.get(key, 0)
+                    floor[key] = min(floor.get(key, position), position)
+        readers = self._local_readers()
+        for reader in readers:
+            for topic, partition, delivered in reader.offsets():
+                key = (topic, partition)
+                if key in floor:
+                    floor[key] = min(floor[key], delivered)
+        for (topic, partition), before in floor.items():
+            self._broker.trim(topic, partition, before)
+        horizon = self._commits.horizon()
+        for reader in readers:
+            reader.forget_below(horizon)
 
     def _fail(self, reason: str) -> None:
         """Record the first failure and unwedge every blocked reader."""

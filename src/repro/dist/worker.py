@@ -1,18 +1,19 @@
 """Stage workers: the child-process runtime and its parent-side handle.
 
 :func:`run_stage` is a worker process's main: it reconnects the stage's
-pub/sub connectors to the coordinator's broker server, runs the stage
-nodes on a private :class:`~repro.spe.scheduler.ThreadedScheduler`, and
-heartbeats liveness plus an observability snapshot back to the server
-while it runs.
+pub/sub connectors to the coordinator's broker server, restores its stages
+from its newest epoch record, runs the stage nodes on a private
+:class:`~repro.spe.scheduler.ThreadedScheduler` that commits an epoch every
+:data:`EPOCH_INTERVAL_S` (:mod:`repro.dist.commits`), and heartbeats
+liveness plus an observability snapshot back to the server while it runs.
 
 :class:`WorkerProcess` is the coordinator-side handle. Workers are forked:
 the coordinator's copies of the stage nodes never execute locally, so they
-stay pristine in its memory, and a *restart* simply re-forks them — the
-replacement replays its input topics from the earliest retained offset
-(workers never auto-commit) and downstream dedup filters absorb the
-replayed records, which is what makes one worker restart invisible in the
-final output.
+stay pristine in its memory, and a *restart* re-forks them — the
+replacement restores node state and reader positions from the worker's
+last committed epoch and resumes there; downstream dedup filters absorb
+what the dead incarnation published after that commit, which is what
+makes one worker restart invisible in the final output.
 """
 
 from __future__ import annotations
@@ -29,14 +30,23 @@ from ..elastic import elastic_supervisor
 from ..net.client import BrokerClient
 from ..obs.context import ObsContext
 from ..obs.exporters import snapshot_to_dict
+from ..recovery.source import CheckpointableSource
 from ..spe.engine import join, launch
 from ..spe.plan import PlanConfig
+from .commits import CommitLog, StageCommitter, commit_topic
 from .stages import StageSpec, cut_stages
 
 logger = logging.getLogger(__name__)
 
 #: seconds between a worker's heartbeats (liveness + an obs snapshot)
 HEARTBEAT_INTERVAL_S = 0.25
+
+#: seconds between a worker's checkpoint epochs. The coordinator trims an
+#: input topic only up to the last commit, so a topic retains about one
+#: interval of layers plus the ones in flight: on a 2-core Xeon the
+#: ``dist_shm_replay`` benchmark (~160 layers/s, 16 in flight) outgrew its
+#: 64-slot ring at 0.25 s and spilled ~13 images/s; at 0.1 s it spills none.
+EPOCH_INTERVAL_S = 0.1
 
 
 def run_stage(
@@ -60,21 +70,33 @@ def run_stage(
     stages of a cut pipeline. Every client opened here is closed on the
     way out, so the server is left holding none of this stage's sockets or
     slab leases.
+
+    The stages resume from the newest record on their commit topic when
+    there is one (a re-forked worker, or a hand-run one started again),
+    and commit an epoch every :data:`EPOCH_INTERVAL_S`.
     """
     host, port = address
     client = BrokerClient(host, port, allow_pickle=allow_pickle)
     client.wait_ready(timeout=15.0)
     stage_names = [s.name for s in stages]
+    readers = [reader for stage in stages for reader in stage.readers()]
     for stage in stages:
         for writer in stage.writers():
             writer.rebind(client, batch_size=produce_batch)
-        for reader in stage.readers():
-            # Never auto-commit and always dedup: a restarted incarnation
-            # must replay from earliest, and replayed records upstream of
-            # us must not be processed twice.
-            reader.rebind(client, auto_commit=False, dedup=True)
+    for reader in readers:
+        # The epoch record is the one commit; what an upstream incarnation
+        # republished after its own commit is dropped here.
+        reader.rebind(client, auto_commit=False, dedup=True)
     obs_ctx = ObsContext()
     nodes = [node for stage in stages for node in stage.nodes]
+    for node in nodes:
+        if node.kind == "source" and not hasattr(node.source, "request_barrier"):
+            node.source = CheckpointableSource(node.source)
+    commits = CommitLog(client, allow_pickle)
+    committer = StageCommitter(
+        stages, nodes, client, commits.poll().get(commit_topic(stages)),
+        EPOCH_INTERVAL_S, allow_pickle,
+    )
 
     stop_beat = threading.Event()
     state = {"value": "running"}
@@ -87,6 +109,7 @@ def run_stage(
                 "pid": os.getpid(),
                 "incarnation": incarnation,
                 "state": state["value"],
+                "resumed": committer.resumed,
             },
             snapshot_to_dict(obs_ctx.snapshot()),
         )
@@ -95,16 +118,26 @@ def run_stage(
         while not stop_beat.is_set():
             try:
                 beat()
+                commits.poll()
             except Exception:  # the server vanished: nothing useful left to do
                 return
+            horizon = commits.horizon()
+            for reader in readers:
+                reader.forget_below(horizon)
             stop_beat.wait(HEARTBEAT_INTERVAL_S)
 
     beater = threading.Thread(
         target=heartbeat_loop, name=f"{worker_name}-heartbeat", daemon=True
     )
     try:
-        supervise = elastic_supervisor(elastic, plan, obs=obs_ctx, required=False)
-        scheduler, controller = launch(nodes, plan, obs_ctx, supervise=supervise)
+        supervise = elastic_supervisor(
+            elastic, plan, obs=obs_ctx, checkpointer=committer.checkpointer,
+            required=False,
+        )
+        scheduler, controller = launch(
+            nodes, plan, obs_ctx, committer.checkpointer.on_node_snapshot, supervise
+        )
+        committer.checkpointer.start_periodic()
         beater.start()  # after launch: every beat carries the bound graph
         join(scheduler, controller)
         state["value"] = "done"
@@ -113,18 +146,19 @@ def run_stage(
         raise
     finally:
         stop_beat.set()
+        committer.checkpointer.stop()
         if beater.is_alive():
             beater.join(timeout=2.0)
         try:
             beat()  # the final state, with the final snapshot
         except Exception:
             pass
-        # Not at end of stream: a final checkpoint may still commit offsets
-        # through a reader's consumer. (Writers closed their producers
-        # with their EOS broadcast.)
-        for stage in stages:
-            for reader in stage.readers():
-                reader.close()
+        # Not at end of stream: a reader's consumer outlives its last
+        # record. (Writers closed their producers with their EOS broadcast.)
+        for reader in readers:
+            reader.close()
+        committer.close()
+        commits.close()
         client.close()
 
 

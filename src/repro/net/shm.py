@@ -19,16 +19,19 @@ Ownership is explicit and server-authoritative:
   :class:`SlabRef` — a lazy reference the broker keeps *instead of* the
   array. Fetches re-encode the handle (tiny frame); replay re-reads the
   same slab;
-* when the ring is full, the server **reclaims** the oldest bound slot by
-  **spilling** its pixels to an unlinked temp file (one ``pwrite``
-  straight out of the ring, into an extent that is reused once the
-  record it held is trimmed) — or for free, if the record was
-  already trimmed — so the ring recycles without ever losing replayable
-  data and without the broker's heap growing with the stream. A fetch,
-  a replay from the earliest offset or an in-process read of a spilled
-  record ``pread``s it back. Producers whose lease request still comes
-  back empty fall back to inline payloads; remote peers that cannot
-  attach the ring never negotiate shm at all.
+* when the ring is full, the server **reclaims** the oldest bound slot —
+  for free if its record was already trimmed from the log (the dist
+  coordinator trims each topic to what its readers committed, so in a
+  steady run that is every slot), else by **spilling** its pixels to an
+  unlinked temp file (one ``pwrite`` straight out of the ring, into an
+  extent that is reused once the record it held is trimmed) — so the
+  ring recycles without ever losing a retained record and without the
+  broker's heap growing with the stream. A fetch or an in-process read
+  of a spilled record ``pread``s it back; where the spill cannot be
+  written the payload stays on the heap, counted, and
+  :meth:`ShmServerPlane.close` says so once. Producers whose lease
+  request still comes back empty fall back to inline payloads; remote
+  peers that cannot attach the ring never negotiate shm at all.
 
 Staleness is detected with a per-slot generation seqlock: readers check
 the generation before and after copying out, and a mismatch raises
@@ -505,6 +508,7 @@ class ShmServerPlane:
         self.slabs_spilled = 0
         self.slabs_materialized = 0
         self.slabs_trimmed = 0
+        self._spill_error: str | None = None  # the first failed spill's error
 
     def describe(self) -> dict[str, Any]:
         """The transport descriptor the server advertises to clients."""
@@ -622,7 +626,8 @@ class ShmServerPlane:
                 self.slabs_spilled += 1
             except OSError as exc:
                 # no room to spill: keep the record replayable from the heap
-                logger.warning("slab spill failed (%s); keeping payload in memory", exc)
+                # (counted here, logged once at close())
+                self._spill_error = self._spill_error or str(exc)
                 ref._home = bytes(self.ring.view(slot, ref.handle.nbytes))
                 self.slabs_materialized += 1
             self._retire_locked(slot)
@@ -646,6 +651,11 @@ class ShmServerPlane:
             }
 
     def close(self) -> None:
+        if self.slabs_materialized:
+            logger.warning(
+                "slab spill failed %d time(s) (first: %s); those payloads were "
+                "kept in memory", self.slabs_materialized, self._spill_error,
+            )
         self._spill.close()
         self.ring.close()
         if self.ring._owner:

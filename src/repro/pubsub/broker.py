@@ -103,6 +103,15 @@ class Broker:
             records = log.read_blocking(offset, max_records, timeout)
         return records
 
+    def trim(self, topic: str, partition: int, before: int) -> int:
+        """Drop one partition's records below offset ``before``; how many went.
+
+        Not one of the consumer's calls: the owner of the log decides when
+        every reader is past a record (the dist coordinator, from its
+        workers' epoch records).
+        """
+        return self.topic(topic).log(partition).trim(before)
+
     # -- clients ---------------------------------------------------------------
 
     def producer(self) -> Producer:

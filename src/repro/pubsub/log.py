@@ -3,8 +3,9 @@
 Each partition is an ordered sequence of :class:`Message` records addressed
 by monotonically increasing offsets. Readers poll from an offset; a
 condition variable lets blocking readers wake as soon as new records land.
-Retention trims the head of the log (oldest records) while preserving
-offset numbering, as Kafka does.
+Retention — a record count, or an explicit :meth:`PartitionLog.trim` below
+what every reader has committed — drops the head of the log (oldest
+records) while preserving offset numbering, as Kafka does.
 """
 
 from __future__ import annotations
@@ -82,6 +83,21 @@ class PartitionLog:
                 self._base_offset += excess
             self._not_empty.notify_all()
             return offset
+
+    def trim(self, before: int) -> int:
+        """Drop every retained record below offset ``before``; how many went.
+
+        The head moves as under retention, offsets keep their numbering,
+        and a reader positioned below the new start is answered with
+        :class:`InvalidOffsetError`. Offsets at or past the end drop all.
+        """
+        with self._lock:
+            excess = min(before - self._base_offset, len(self._records))
+            if excess <= 0:
+                return 0
+            del self._records[:excess]
+            self._base_offset += excess
+            return excess
 
     def read(self, offset: int, max_records: int = 1024) -> list[Message]:
         """Return up to ``max_records`` records starting at ``offset``.

@@ -260,6 +260,9 @@ class CheckpointCoordinator:
         if ep.pending_nodes or ep.pending_sources:
             return
         del self._inflight[epoch]
+        # a waiter already holds the event; a later wait_for reads
+        # completed_epochs, so the map only holds epochs in flight
+        del self._events[epoch]
         duration = time.monotonic() - ep.started
         manifest = {
             "epoch": epoch,

@@ -223,3 +223,52 @@ def test_barrier_falls_on_a_record_boundary_and_restore_loses_nothing():
     restored = CheckpointableSource(PubSubReaderSource("r2", broker, "strata.s"))
     restored.restore_position(captured)
     assert [t.tau for t in restored if not is_barrier(t)] == [t.tau for t in rows[5:]]
+
+
+# -- commits: acked offsets, the dedup horizon -----------------------------------
+
+
+def test_writer_state_is_its_acked_end_offsets():
+    broker = Broker()
+    writer = PubSubWriterSink("w", broker, "strata.s", batch_size=4)
+    assert writer.snapshot_state() == {"acked": []}
+    for i in range(3):
+        writer.accept(make_tuple(i))
+    assert writer.snapshot_state() == {"acked": []}  # still buffered
+    writer.flush()
+    state = writer.snapshot_state()
+    assert state == {"acked": [[0, broker.offsets("strata.s", 0)[1]]]}
+    restored = PubSubWriterSink("w2", broker, "strata.s")
+    restored.restore_state(state)
+    assert restored.snapshot_state() == state
+
+
+def test_dedup_forgets_keys_below_the_horizon_only():
+    """A key is dropped as a duplicate while its first record lies at or
+    above the producer's committed offset, and forgotten once below it."""
+    broker = Broker()
+    producer = Producer(broker)
+    for i in range(4):  # offsets 0-3: layers 0-3
+        producer.send("strata.s", make_tuple(i))
+    reader = PubSubReaderSource("r", broker, "strata.s", dedup=True)
+    runs = reader.runs()
+    assert [next(runs).layer for _ in range(4)] == [0, 1, 2, 3]
+    assert reader.dedup_keys == 4
+    reader.forget_below([["strata.s", 0, 2], ["strata.other", 0, 99]])
+    for i in range(4):  # a republish of all four: offsets 4-7
+        producer.send("strata.s", make_tuple(i))
+    producer.send("strata.s", EOS_SENTINEL, partition=0)
+    # layers 0 and 1 lay below the horizon: forgotten, so delivered again
+    assert [t.layer for t in runs] == [0, 1]
+    assert reader.duplicates_suppressed == 2
+
+
+def test_a_reader_that_does_not_commit_pins_no_checkpoint_offsets():
+    broker = Broker()
+    Producer(broker).send("strata.s", make_tuple(0))
+    quiet = PubSubReaderSource("r", broker, "strata.s", group="g", auto_commit=False)
+    quiet.commit_offsets([["strata.s", 0, 1]])
+    assert broker.committed("g", "strata.s", 0) is None
+    pinning = PubSubReaderSource("r2", broker, "strata.s", group="g2")
+    pinning.commit_offsets([["strata.s", 0, 1]])
+    assert broker.committed("g2", "strata.s", 0) == 1

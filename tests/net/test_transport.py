@@ -313,3 +313,28 @@ def test_spill_extents_survive_refs_dying_on_other_threads(tmp_path):
     assert stats["spill_bytes"] == 0
     assert stats["spill_file_bytes"] <= threads * (keep + 2) * extent
     spill.close()
+
+
+def test_failed_spills_log_once_with_a_count(tmp_path, caplog):
+    """Where the spill file cannot be written, each reclaimed payload stays
+    in memory and is counted; the plane says so in one warning, at close,
+    not once per slab."""
+    import logging
+
+    broker = Broker()
+    options = {**SHM_OPTS, "spill_dir": str(tmp_path / "missing")}
+    with caplog.at_level(logging.WARNING, logger="repro.net.shm"):
+        with BrokerServer(broker, transport="shm", transport_options=options) as server:
+            with BrokerClient(*server.address) as client:
+                producer = client.producer()
+                for i in range(3 * SHM_OPTS["slots"]):
+                    producer.send("t", np.full(64 * 1024, float(i)))
+                producer.close()
+            stats = server.transport.stats()
+            assert stats["slabs_spilled"] == 0 and stats["slabs_materialized"] > 0
+            got = server.consumer("c", ["t"]).poll(10**6)
+            assert [m.value[0] for m in got] == [float(i) for i in range(len(got))]
+            assert not caplog.records  # nothing per slab
+    warnings = [r.getMessage() for r in caplog.records if r.name == "repro.net.shm"]
+    assert len(warnings) == 1
+    assert f"failed {stats['slabs_materialized']} time(s)" in warnings[0]

@@ -82,3 +82,31 @@ def test_read_blocking_times_out():
     started = time.monotonic()
     assert log.read_blocking(0, timeout=0.05) == []
     assert time.monotonic() - started < 1.0
+
+
+def test_trim_drops_the_head_and_keeps_numbering():
+    log = PartitionLog("t", 0)
+    for i in range(6):
+        log.append(None, i)
+    assert log.trim(4) == 4
+    assert (log.start_offset, log.end_offset) == (4, 6)
+    assert [m.offset for m in log.read(4)] == [4, 5]
+    with pytest.raises(InvalidOffsetError):
+        log.read(3)
+    assert log.trim(2) == 0  # below the start: nothing left to drop
+    assert log.trim(99) == 2  # past the end: everything goes, numbering stays
+    assert log.append(None, "next") == 6 and log.start_offset == 6
+
+
+def test_broker_trim_reaches_one_partition():
+    from repro.pubsub import Broker
+
+    broker = Broker()
+    broker.create_topic("t", partitions=2)
+    producer = broker.producer()
+    for i in range(3):
+        producer.send("t", i, partition=0)
+        producer.send("t", i, partition=1)
+    assert broker.trim("t", 1, 2) == 2
+    assert broker.offsets("t", 0) == (0, 3)
+    assert broker.offsets("t", 1) == (2, 3)
