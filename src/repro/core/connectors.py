@@ -46,6 +46,11 @@ EOS_SENTINEL = "__strata_topic_eos__"
 #: how long a reader's poll blocks when no partition has a record ready
 POLL_TIMEOUT = 0.05
 
+#: latency samples a writer keeps (a reservoir; ``len`` stays the exact
+#: count): a stage that publishes every tuple of a long run keeps a
+#: sample of them, not one float per tuple
+WRITER_LATENCY_SAMPLES = 1024
+
 _uid = itertools.count()
 
 
@@ -87,7 +92,7 @@ class PubSubWriterSink(Sink):
     def __init__(
         self, name: str, broker: Any, topic: str, batch_size: int = 1
     ) -> None:
-        super().__init__(name)
+        super().__init__(name, latency_capacity=WRITER_LATENCY_SAMPLES)
         self._producer = broker.producer()
         self._topic = topic
         self._batch_size = max(1, int(batch_size))

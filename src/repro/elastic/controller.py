@@ -517,9 +517,8 @@ class ElasticController:
         """Drain ``target``, rebuild it, splice the replacement in.
 
         The one copy of the protocol every plan mutation runs. One barrier
-        copy per boundary producer is injected at the target's boundary
-        (so the head node's alignment count matches the stream's producer
-        arithmetic); every ``scope`` node retires at alignment and the
+        is injected at the target's boundary (the head's one input stream);
+        every ``scope`` node retires at alignment and the
         ``absorb_at`` node — the target's last live node — absorbs the
         barrier, which is the fully-drained signal. Edges inside the scope
         drain by FIFO order: the barrier only reaches node *i+1* after
@@ -540,12 +539,10 @@ class ElasticController:
         retiring = [ex for ex in self._scheduler.executors if id(ex.node) in ids]
         epoch = RESCALE_EPOCH_BASE + next(self._epoch_counter)
         barrier = RescaleBarrier(epoch, scope, absorb_at=absorb_at)
-        boundary = target.boundary
-        for _ in range(boundary.num_producers):
-            while not boundary.put(barrier, timeout=0.2):
-                if self._drain_aborted(retiring):
-                    self._record_event("abort", target, {"phase": "inject"})
-                    return False
+        while not target.boundary.put(barrier, timeout=0.2):
+            if self._drain_aborted(retiring):
+                self._record_event("abort", target, {"phase": "inject"})
+                return False
         while not barrier.wait_absorbed(timeout=0.2):
             if self._drain_aborted(retiring):
                 self._record_event("abort", target, {"phase": "drain"})

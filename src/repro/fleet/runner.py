@@ -353,7 +353,7 @@ class JobRunner:
         record_id: str,
         registry: JobRegistry,
         workload: dict[str, Any],
-        deploy: dict[str, Any],
+        deploy: DeployConfig,
         calibrations: KVStore,
         on_calibration: Callable[[str], None] | None = None,
         on_done: Callable[["JobRunner"], None] | None = None,
@@ -361,7 +361,7 @@ class JobRunner:
         self.job_id = record_id
         self._registry = registry
         self._workload = workload
-        self._deploy_dict = deploy
+        self._cfg = deploy
         self._calibrations = calibrations
         self._on_calibration = on_calibration
         self._on_done = on_done
@@ -402,7 +402,7 @@ class JobRunner:
             self._cancel = True
             started = self._started_engine
             strata = self._strata
-        if self._deploy_dict.get("dist") and started:
+        if self._cfg.dist is not None and started:
             raise FleetError(
                 f"job {self.job_id!r} deployed distributed and runs to "
                 "completion; cancel applies to in-process jobs"
@@ -418,8 +418,7 @@ class JobRunner:
         outcome = states.COMPLETED
         reason: str | None = None
         try:
-            cfg = DeployConfig.from_dict(self._deploy_dict)
-            distributed = cfg.dist is not None
+            cfg = self._cfg
             strata = strata_for(cfg, obs=self.obs)
             sink = build_pipeline(
                 strata, self._workload, self._calibrations, self._on_calibration
@@ -430,7 +429,7 @@ class JobRunner:
                     return
                 self._strata = strata
             self._registry.transition(self.job_id, states.RUNNING)
-            if distributed:
+            if cfg.dist is not None:
                 with self._lock:
                     self._started_engine = True
                 strata.deploy(cfg)

@@ -146,7 +146,7 @@ class FleetService:
             record.job_id,
             self.registry,
             workload=record.workload,
-            deploy=record.deploy,
+            deploy=cfg,
             calibrations=self.store,
             on_calibration=lambda outcome: self._calibrations[outcome].inc(),
             on_done=self._runner_done,

@@ -494,10 +494,7 @@ def fuse_linear_chains(nodes: list[Node]) -> list[Node]:
             last = chain[-1]
             if last.router is not None or len(last.outputs) != 1:
                 break
-            stream = last.outputs[0]
-            if stream.num_producers != 1:
-                break
-            nxt = consumer_of.get(id(stream))
+            nxt = consumer_of.get(id(last.outputs[0]))
             if nxt is None or nxt.kind != "operator" or len(nxt.inputs) != 1:
                 break
             if id(nxt) in absorbed or nxt.name in protected:
@@ -642,10 +639,7 @@ def replicate_keyed_stages(
             last = group[-1]
             if last.router is not None or len(last.outputs) != 1:
                 break
-            stream = last.outputs[0]
-            if stream.num_producers != 1:
-                break
-            nxt = consumer_of.get(id(stream))
+            nxt = consumer_of.get(id(last.outputs[0]))
             if (
                 nxt is None
                 or id(nxt) in grouped

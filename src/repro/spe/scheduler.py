@@ -81,11 +81,11 @@ class NodeExecutor:
             id(s): (s, []) for s in node.outputs
         }
         self._last_flush = time.monotonic()
-        # Chandy–Lamport alignment: epoch -> input_index -> barriers seen.
-        # An input is aligned for an epoch once it delivered one barrier per
-        # producer feeding it (or closed); while aligned-but-waiting it is
-        # *blocked* so no post-barrier tuple sneaks into the snapshot.
-        self._barrier_seen: dict[int, dict[int, int]] = {}
+        # Chandy–Lamport alignment: epoch -> inputs whose barrier arrived.
+        # An input is aligned for an epoch once its barrier arrived (or it
+        # closed); while aligned-but-waiting it is *blocked* so no
+        # post-barrier tuple sneaks into the snapshot.
+        self._barrier_seen: dict[int, set[int]] = {}
         # epoch -> the barrier object that opened it. Needed because rescale
         # barriers carry identity (scope, snapshot sink) and must be
         # forwarded as the same object, unlike plain checkpoint barriers.
@@ -150,8 +150,7 @@ class NodeExecutor:
     def _input_aligned(self, epoch: int, input_index: int) -> bool:
         if input_index in self._closed_inputs:
             return True
-        seen = self._barrier_seen.get(epoch, {}).get(input_index, 0)
-        return seen >= self.node.inputs[input_index].num_producers
+        return input_index in self._barrier_seen.get(epoch, ())
 
     def _emit(self, tuples: list[StreamTuple]) -> None:
         buffers = self._buffers
@@ -278,8 +277,7 @@ class NodeExecutor:
             self._emit(outputs)
 
     def _on_barrier(self, input_index: int, barrier: CheckpointBarrier) -> None:
-        counts = self._barrier_seen.setdefault(barrier.epoch, {})
-        counts[input_index] = counts.get(input_index, 0) + 1
+        self._barrier_seen.setdefault(barrier.epoch, set()).add(input_index)
         self._barriers.setdefault(barrier.epoch, barrier)
         self._check_alignment(barrier.epoch)
 

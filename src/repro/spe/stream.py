@@ -2,9 +2,10 @@
 
 Liebre connects operators through bounded in-memory queues; a full queue
 blocks the producer, which is how back-pressure propagates upstream to the
-sources. ``END_OF_STREAM`` is a control marker a producer appends when it
-will emit nothing more; multi-producer streams count markers until all
-producers are done.
+sources. Every stream has one producer and one consumer; fan-in is an
+operator with several input streams (union, join), never a queue with
+several writers. ``END_OF_STREAM`` is the control marker the producer
+appends when it will emit nothing more.
 
 Queue entries are either single tuples, control items (barriers, EOS), or
 a :class:`TupleBatch` — a contiguous run of data tuples a producer moved
@@ -23,7 +24,7 @@ from .barrier import is_barrier
 
 
 class EndOfStream:
-    """Sentinel marking that one producer of a stream has finished."""
+    """Sentinel marking that the producer of a stream has finished."""
 
     __slots__ = ()
 
@@ -85,8 +86,6 @@ class Stream:
         self._lock = threading.Lock()
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
-        self._producers_done = 0
-        self._num_producers = 1
         self._size = 0
         self.produced = 0
         self.consumed = 0
@@ -96,17 +95,6 @@ class Stream:
     @property
     def capacity(self) -> int:
         return self._capacity
-
-    @property
-    def num_producers(self) -> int:
-        """How many producers feed this stream (= barriers/EOS to align)."""
-        return self._num_producers
-
-    def set_num_producers(self, count: int) -> None:
-        """Declare how many EOS markers close the stream (default 1)."""
-        if count < 1:
-            raise ValueError("a stream needs at least one producer")
-        self._num_producers = count
 
     def put(self, item: Any, timeout: float | None = None) -> bool:
         """Append one item, blocking while full (back-pressure).
@@ -118,22 +106,11 @@ class Stream:
         never deadlocks against a capacity smaller than the batch size.
         """
         with self._not_full:
-            if item is END_OF_STREAM:
-                self._producers_done += 1
-                if self._producers_done >= self._num_producers:
-                    self._items.append(END_OF_STREAM)
-                    self._not_empty.notify_all()
-                return True
-            while self._size >= self._capacity:
-                if not self._not_full.wait(timeout):
-                    return False
-            weight = item_weight(item)
-            self._items.append(item)
-            self._size += weight
-            self.produced += weight
-            if self._size > self.high_watermark:
-                self.high_watermark = self._size
-            self._not_empty.notify()
+            if item is not END_OF_STREAM:
+                while self._size >= self._capacity:
+                    if not self._not_full.wait(timeout):
+                        return False
+            self._append(item)
             return True
 
     def put_unbounded(self, item: Any) -> bool:
@@ -147,26 +124,27 @@ class Stream:
         overshoot its capacity; ``high_watermark`` still records it.
         """
         with self._not_full:
-            if item is END_OF_STREAM:
-                self._producers_done += 1
-                if self._producers_done >= self._num_producers:
-                    self._items.append(END_OF_STREAM)
-                    self._not_empty.notify_all()
-                return True
-            weight = item_weight(item)
-            self._items.append(item)
-            self._size += weight
-            self.produced += weight
-            if self._size > self.high_watermark:
-                self.high_watermark = self._size
-            self._not_empty.notify()
+            self._append(item)
             return True
+
+    def _append(self, item: Any) -> None:
+        """Enqueue ``item`` and wake its waiters; the caller holds the lock."""
+        self._items.append(item)
+        if item is END_OF_STREAM:
+            self._not_empty.notify_all()
+            return
+        weight = item_weight(item)
+        self._size += weight
+        self.produced += weight
+        if self._size > self.high_watermark:
+            self.high_watermark = self._size
+        self._not_empty.notify()
 
     def get(self, timeout: float | None = None) -> Any | None:
         """Pop one item, blocking while empty; ``None`` on timeout.
 
-        The EOS marker is returned (once) when all producers finished, and
-        left visible to subsequent calls so multiple pollers see it.
+        The EOS marker is returned once the producer finished, and left
+        visible to subsequent calls so multiple pollers see it.
         """
         with self._not_empty:
             while not self._items:
@@ -207,14 +185,6 @@ class Stream:
             if out:
                 self._not_full.notify_all()
         return out
-
-    def _closed(self) -> bool:
-        return bool(self._items) and self._items[0] is END_OF_STREAM
-
-    def at_eos(self) -> bool:
-        """True when the next visible item is the end-of-stream marker."""
-        with self._lock:
-            return self._closed()
 
     def __len__(self) -> int:
         """Tuples currently queued (batches count their contents)."""

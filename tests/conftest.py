@@ -41,6 +41,24 @@ def keepalive_median_ms(host: str, port: int, path: str, rounds: int = 20) -> fl
     return statistics.median(times)
 
 
+def assert_one_producer_one_consumer(nodes) -> None:
+    """Every stream between ``nodes`` is written by one node and read by one.
+
+    Fan-in is an operator with several input streams, never a stream with
+    several writers; the scheduler's EOS and barrier handling rely on it.
+    """
+    producers = collections.Counter(id(s) for n in nodes for s in n.outputs)
+    consumers = collections.Counter(id(s) for n in nodes for s in n.inputs)
+    names = {id(s): s.name for n in nodes for s in n.inputs + n.outputs}
+    assert names, "a graph without streams"
+    wrong = {
+        names[key]: (producers[key], consumers[key])
+        for key in names
+        if (producers[key], consumers[key]) != (1, 1)
+    }
+    assert not wrong, f"(producers, consumers) per stream: {wrong}"
+
+
 def assert_families_grouped(text: str) -> None:
     """Prometheus text exposition: all lines of one metric family form one
     group, under the family's one ``# TYPE`` line.

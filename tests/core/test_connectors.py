@@ -4,6 +4,7 @@ import threading
 
 from repro.core.connectors import (
     EOS_SENTINEL,
+    WRITER_LATENCY_SAMPLES,
     PubSubReaderSource,
     PubSubWriterSink,
     topic_for_stream,
@@ -30,6 +31,17 @@ def test_writer_publishes_tuples_and_sentinel():
     values = [m.value for m in consumer.poll()]
     assert [v.layer for v in values[:3]] == [0, 1, 2]
     assert values[3] == EOS_SENTINEL
+
+
+def test_writer_latency_samples_stay_bounded():
+    # a stage writer publishes every tuple of the run: it keeps the exact
+    # count but only a reservoir of samples, not one float per tuple
+    writer = PubSubWriterSink("w", Broker(), "strata.s", batch_size=64)
+    for i in range(5000):
+        writer.accept(make_tuple(i))
+    writer.on_close()
+    assert len(writer.latency) == 5000
+    assert len(writer.latency.samples()) <= WRITER_LATENCY_SAMPLES < 5000
 
 
 def test_reader_stops_at_sentinel():

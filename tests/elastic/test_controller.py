@@ -23,6 +23,7 @@ from repro.spe import CollectingSink, ListSource, PlanConfig, PlanError, Query
 from repro.spe.plan import replicate_keyed_stages
 from repro.spe.source import Source
 from repro.spe.tuples import StreamTuple
+from tests.conftest import assert_one_producer_one_consumer
 
 N_RECORDS = 240
 SPECIMENS = 5
@@ -185,6 +186,23 @@ def test_rescale_up_preserves_output(baseline):
     strata.wait(timeout=120)
     assert payload_counts(sink) == baseline
     assert controller.summary()["rescales_up"] == 1
+
+
+def test_a_rescale_splice_keeps_one_producer_and_one_consumer_per_stream(
+    baseline,
+):
+    """The splice builds new streams around the group's boundary; none of
+    them, and none the group kept, gains a second writer or reader."""
+    strata = Strata(engine_mode="threaded")
+    sink = build(strata, records())
+    strata.start(DeployConfig(plan=True, elastic=MANUAL))
+    controller = strata.elastic
+    live = controller._nodes  # the engine's node list, spliced in place
+    assert_one_producer_one_consumer(live)
+    assert controller.rescale(controller.groups[0], 3)
+    assert_one_producer_one_consumer(live)
+    strata.wait(timeout=120)
+    assert payload_counts(sink) == baseline
 
 
 def test_rescale_up_then_down_preserves_output(baseline):

@@ -106,6 +106,19 @@ class TestSubmission:
             {**SMALL, "kind": "streaks", "layers": 4}
         )
 
+    def test_a_job_parses_its_deploy_config_once(self, service, monkeypatch):
+        calls = []
+        parse = DeployConfig.from_dict.__func__
+
+        def counting(cls, data):
+            calls.append(data)
+            return parse(cls, data)
+
+        monkeypatch.setattr(DeployConfig, "from_dict", classmethod(counting))
+        record = service.submit({"workload": SMALL, "deploy": {"plan": True}})
+        assert service.wait(record.job_id, timeout=90).state == COMPLETED
+        assert calls == [{"plan": True}]
+
     def test_invalid_deploy_config_rejected_before_admission(self, service):
         with pytest.raises(DeployConfigError, match="unknown deploy config key"):
             service.submit({"workload": SMALL, "deploy": {"plam": True}})

@@ -162,3 +162,45 @@ def test_buffering_sink_is_flushed_before_it_acknowledges_the_epoch():
     assert len(sink.buffer) == 3  # nothing told it to publish yet
     ex.handle(0, CheckpointBarrier(0))
     assert events == [("out", 0, 0, 3)]
+
+
+def test_an_input_closing_mid_epoch_counts_as_aligned():
+    """Input 0 delivered epoch 5's barrier and is blocked; input 1 then
+    closes before its barrier arrives. A closed input can never deliver
+    it, so the epoch completes there, with exactly one snapshot."""
+    from repro.spe import END_OF_STREAM
+    from repro.spe.barrier import CheckpointBarrier, is_barrier
+    from repro.spe.scheduler import NodeExecutor
+
+    snapshots = []
+    q = Query("closing")
+    q.add_source("L", IterableSource("L", iter(())))
+    q.add_source("R", IterableSource("R", iter(())))
+    q.add_operator("merge", UnionOperator("merge", num_inputs=2), ["L", "R"])
+    q.add_sink("out", CollectingSink("out"), "merge")
+    node = next(n for n in q.build() if n.name == "merge")
+    ex = NodeExecutor(
+        node,
+        checkpoint_listener=lambda name, epoch, state: snapshots.append(
+            (name, epoch)
+        ),
+    )
+    left, right = make_tuples(2)
+    ex.handle(0, CheckpointBarrier(5))
+    assert ex.input_blocked(0) and ex.ready_inputs == [1]
+    ex.handle(1, right)  # pre-barrier data on the open input still flows
+    assert snapshots == []
+    ex.handle(1, END_OF_STREAM)
+    assert snapshots == [("merge", 5)]
+    assert not ex.input_blocked(0) and ex.ready_inputs == [0]
+    assert not ex.finalized
+    ex.handle(0, left)
+    ex.handle(0, END_OF_STREAM)
+    assert snapshots == [("merge", 5)] and ex.finalized
+    out = node.outputs[0]
+    items = []
+    while (item := out.try_get()) is not END_OF_STREAM:
+        items.append(item)
+    assert [type(i).__name__ if is_barrier(i) else i.payload for i in items] == [
+        right.payload, "CheckpointBarrier", left.payload,
+    ]

@@ -3,6 +3,10 @@ batched stream transport, and the reservoir latency recorder."""
 
 import pytest
 
+from repro.core import Strata
+from repro.elastic import ElasticConfig, elastic_plan
+from repro.fleet.runner import build_pipeline, resolve_workload
+from repro.kvstore import MemoryStore
 from repro.spe import (
     END_OF_STREAM,
     CheckpointBarrier,
@@ -29,6 +33,7 @@ from repro.spe import (
 )
 from repro.spe.plan import _FusedPart
 from repro.spe.stream import item_weight
+from tests.conftest import assert_one_producer_one_consumer
 
 
 def tuples(n=3):
@@ -296,7 +301,6 @@ def test_replication_builds_router_clones_and_merge():
     assert "k1::router" not in names and "k0::merge" not in names
     merge = next(n for n in nodes if n.name == "k1::merge")
     assert len(merge.inputs) == 3
-    assert all(s.num_producers == 1 for s in merge.inputs)
     router = next(n for n in nodes if n.name == "k0::router")
     assert router.router.num_shards == 3
     for node in nodes:
@@ -321,16 +325,16 @@ def test_replication_records_the_rescale_recipe():
     streams = {}
     for node in nodes:
         for stream in node.inputs + node.outputs:
-            streams[stream.name] = (stream.capacity, stream.num_producers)
+            streams[stream.name] = stream.capacity
     assert streams == {
-        "src->m": (7, 1),
-        "m::router->m::0": (7, 1),
-        "m::router->m::1": (7, 1),
-        "m::router->m::2": (7, 1),
-        "m::0->m::merge": (7, 1),
-        "m::1->m::merge": (7, 1),
-        "m::2->m::merge": (7, 1),
-        "m->out": (7, 1),
+        "src->m": 7,
+        "m::router->m::0": 7,
+        "m::router->m::1": 7,
+        "m::router->m::2": 7,
+        "m::0->m::merge": 7,
+        "m::1->m::merge": 7,
+        "m::2->m::merge": 7,
+        "m->out": 7,
     }
     router = nodes[1]
     assert router.router.num_shards == 3
@@ -385,6 +389,37 @@ def test_replicated_plan_output_matches_baseline():
     )
     got = sorted(t.payload["x"] for t in optimized.sinks["out"].results)
     assert got == expected
+
+
+# -- one producer, one consumer per stream ----------------------------------
+
+#: every shape a deployment compiles: (plan, force_replication)
+PLAN_SHAPES = {
+    "off": (None, False),
+    "default": (PlanConfig(), False),
+    "parallelism=2": (PlanConfig(parallelism=2), False),
+    "elastic": elastic_plan(PlanConfig(), ElasticConfig(max_parallelism=2)),
+}
+
+
+@pytest.fixture(scope="module")
+def calibrations():
+    store = MemoryStore()
+    yield store
+    store.close()
+
+
+@pytest.mark.parametrize("shape", PLAN_SHAPES)
+@pytest.mark.parametrize("kind", ["thermal", "streaks", "forecast", "reconstruct"])
+def test_every_compiled_stream_has_one_producer_and_one_consumer(
+    kind, shape, calibrations
+):
+    strata = Strata(engine_mode="threaded")
+    workload = resolve_workload({"kind": kind, "layers": 3, "image_px": 96})
+    build_pipeline(strata, workload, calibrations)
+    plan, forced = PLAN_SHAPES[shape]
+    nodes = compile_plan(strata.query.build(), plan, force_replication=forced)
+    assert_one_producer_one_consumer(nodes)
 
 
 # -- render_plan / explain ---------------------------------------------------
@@ -603,7 +638,6 @@ def test_item_weight_counts_batch_tuples():
 
 def test_stream_accounts_batches_by_tuple_count():
     s = Stream("s", capacity=10)
-    s.set_num_producers(1)
     s.put(TupleBatch(tuples(3)))
     assert len(s) == 3
     got = s.get()
@@ -613,7 +647,6 @@ def test_stream_accounts_batches_by_tuple_count():
 
 def test_full_stream_rejects_batch_put_with_timeout():
     s = Stream("s", capacity=2)
-    s.set_num_producers(1)
     # batches are admitted whenever ANY capacity remains (bounded overshoot
     # beats deadlock), so one oversized batch goes through...
     assert s.put(TupleBatch(tuples(3)), timeout=0.05)
@@ -625,7 +658,6 @@ def test_full_stream_rejects_batch_put_with_timeout():
 
 def test_drain_stops_at_barriers_and_eos():
     s = Stream("s", capacity=100)
-    s.set_num_producers(1)
     ts = tuples(4)
     s.put(ts[0])
     s.put(ts[1])

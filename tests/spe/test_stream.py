@@ -52,18 +52,6 @@ def test_eos_single_producer():
     assert stream.try_get() is END_OF_STREAM
 
 
-def test_eos_waits_for_all_producers():
-    stream = Stream("s")
-    stream.set_num_producers(3)
-    stream.put(END_OF_STREAM)
-    stream.put(END_OF_STREAM)
-    assert stream.try_get() is None
-    assert not stream.at_eos()
-    stream.put(END_OF_STREAM)
-    assert stream.try_get() is END_OF_STREAM
-    assert stream.at_eos()
-
-
 def test_data_before_eos_is_delivered_first():
     stream = Stream("s")
     stream.put(1)
@@ -108,8 +96,3 @@ def test_invalid_capacity():
     with pytest.raises(ValueError):
         Stream("s", capacity=0)
 
-
-def test_invalid_producer_count():
-    stream = Stream("s")
-    with pytest.raises(ValueError):
-        stream.set_num_producers(0)
