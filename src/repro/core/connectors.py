@@ -13,7 +13,8 @@ A record's value is one tuple or — when a batching writer was handed
 several same-key, same-schema tuples in a row — one
 :class:`~repro.spe.columnar.ColumnarBlock` holding the run. The reader
 turns a block back into its rows, so what crosses the connector is the
-same tuple sequence either way; only the number of records differs.
+same tuple sequence either way; only the number of records differs. A
+block's rows leave the reader together, as one ``TupleBatch`` run.
 
 The ``broker`` argument is anything broker-shaped — ``ensure_topic()`` plus
 the ``producer()``/``consumer()`` factories: an in-process
@@ -37,7 +38,7 @@ from ..recovery.dedup import result_identity
 from ..spe.columnar import ColumnarBlock
 from ..spe.sink import Sink
 from ..spe.source import Source
-from ..spe.stream import TupleBatch, flatten_runs
+from ..spe.stream import TupleBatch
 from ..spe.tuples import StreamTuple
 
 #: value published when the writing query side has no more tuples
@@ -184,11 +185,10 @@ class PubSubReaderSource(Source):
     until :meth:`forget_below` reports its record below the producer's
     committed output offset, which no restart republishes.
 
-    Iterating yields tuples. :meth:`runs` yields the same sequence but
-    hands a multi-row record over whole, as a
-    :class:`~repro.spe.stream.TupleBatch` — the scheduler ships it down
-    the edge as one entry, so the run its producer framed survives the
-    connector without a linger timer on this side.
+    Iterating yields one tuple per single-row record and a multi-row
+    record whole, as a :class:`~repro.spe.stream.TupleBatch` — the
+    executor sends it down the edge as one entry, so the run its producer
+    framed survives the connector without a linger timer on this side.
     """
 
     def __init__(
@@ -209,7 +209,7 @@ class PubSubReaderSource(Source):
         self._duplicates = 0
         self._seen: set[tuple] = set()
         # (topic, partition) -> (offset, keys first seen in that record), in
-        # read order; forget_below() hands over the horizon, runs() applies it
+        # read order; forget_below() hands over the horizon, iteration applies it
         self._seen_at: dict[tuple[str, int], deque] = {}
         self._horizon: dict[tuple[str, int], int] = {}
         self._consumer = None
@@ -331,7 +331,7 @@ class PubSubReaderSource(Source):
         for topic, partition, offset in offsets:
             self._consumer.commit(topic, int(partition), int(offset))
 
-    def runs(self) -> Iterator[Any]:
+    def __iter__(self) -> Iterator[Any]:
         """Yield each record's tuples: one tuple, or a ``TupleBatch`` of rows."""
         pending = set(self._consumer.assignment)
         applied: dict[tuple[str, int], int] = {}
@@ -387,6 +387,3 @@ class PubSubReaderSource(Source):
             sightings = self._seen_at.get(where)
             while sightings and sightings[0][0] < below:
                 self._seen.difference_update(sightings.popleft()[1])
-
-    def __iter__(self) -> Iterator[StreamTuple]:
-        return flatten_runs(self.runs())

@@ -17,13 +17,13 @@ carry per-worker liveness and an observability snapshot, aggregated here
 and exposed through the Prometheus exporter (``scrape_port``).
 
 The coordinator also keeps the logs short. Every supervision tick it
-reads each worker's newest epoch record and trims each connector topic a
-worker reads below the lowest position any of its readers committed; the
-terminal stage is never re-forked, so what its readers have delivered
-counts as their commit. A trimmed record takes its shm slab reference
-with it, so its slot is reclaimed for free instead of spilled. A topic
-only the terminal stage reads is not trimmed. The records' horizons tell
-the terminal readers which content keys no restart can republish.
+reads each worker's newest epoch record and trims each connector topic
+below the lowest position any of its readers committed; the terminal stage
+is never re-forked, so what its readers have delivered counts as their
+commit (its in-place reads copy out of the slab, so a delivered record may
+go). A trimmed record takes its shm slab reference with it, so its slot is
+reclaimed for free instead of spilled. The records' horizons tell the
+terminal readers which content keys no restart can republish.
 """
 
 from __future__ import annotations
@@ -374,11 +374,11 @@ class DistCoordinator:
                     )
 
     def _trim(self) -> None:
-        """Trim the logs to the workers' commits; pass the horizons on.
+        """Trim each log to its readers' commits; pass the horizons on.
 
         A worker that exited cleanly read its inputs to the end and is
         never re-forked; one that has not committed yet holds its inputs
-        from offset 0.
+        from offset 0. A terminal reader's delivered position is its commit.
         """
         records = self._commits.poll()
         floor: dict[tuple[str, int], int] = {}
@@ -397,8 +397,7 @@ class DistCoordinator:
         for reader in readers:
             for topic, partition, delivered in reader.offsets():
                 key = (topic, partition)
-                if key in floor:
-                    floor[key] = min(floor[key], delivered)
+                floor[key] = min(floor.get(key, delivered), delivered)
         for (topic, partition), before in floor.items():
             self._broker.trim(topic, partition, before)
         horizon = self._commits.horizon()

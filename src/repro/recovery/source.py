@@ -12,12 +12,14 @@ Two position models, chosen by duck-typing the inner source:
 * **pubsub** — the inner source exposes ``offsets()``/``seek()`` (e.g.
   :class:`~repro.core.connectors.PubSubReaderSource`); positions are
   per-partition broker offsets and restore is an exact seek. Such a
-  source may hand over a whole record's tuples at once (``runs()``); a
+  source may yield a whole record's tuples as one ``TupleBatch`` run; a
   barrier then falls between records, never inside one.
 * **count** — any other source; the position is the number of tuples
-  emitted, and restore skips that many tuples on the next iteration
-  (correct whenever the source replays deterministically, which holds for
-  the replayed-print datasets this repo uses).
+  emitted (a run counts its rows), and restore skips that many tuples on
+  the next iteration — a run lying wholly inside the skip is dropped, one
+  straddling it yields its tail (correct whenever the source replays
+  deterministically, which holds for the replayed-print datasets this
+  repo uses).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Any, Callable, Iterator
 
 from ..spe.barrier import CheckpointBarrier
 from ..spe.source import Source
-from ..spe.stream import TupleBatch, flatten_runs
+from ..spe.stream import TupleBatch
 from ..spe.tuples import StreamTuple
 
 #: (source_name, epoch, position) — invoked at the exact injection point
@@ -54,7 +56,7 @@ class CheckpointableSource(Source):
 
     @property
     def emitted(self) -> int:
-        """Tuples emitted so far (excludes barriers and skipped replays)."""
+        """Rows emitted so far, those a restore skipped included (no barriers)."""
         return self._emitted
 
     def request_barrier(
@@ -93,10 +95,9 @@ class CheckpointableSource(Source):
                 on_inject(self.name, barrier.epoch, self.position())
             yield barrier
 
-    def runs(self) -> Iterator[StreamTuple | TupleBatch | CheckpointBarrier]:
+    def __iter__(self) -> Iterator[StreamTuple | TupleBatch | CheckpointBarrier]:
         """The inner source's items, whole runs included, with barriers between."""
-        inner_runs = getattr(self._inner, "runs", None)
-        iterator = inner_runs() if inner_runs is not None else iter(self._inner)
+        iterator = iter(self._inner)
         while True:
             # Drain BEFORE pulling the next item: once it is pulled, a
             # pubsub inner's offsets already point past it, so a barrier
@@ -107,13 +108,15 @@ class CheckpointableSource(Source):
             except StopIteration:
                 yield from self._drain()
                 return
+            rows = len(item) if type(item) is TupleBatch else 1
             if self._skip > 0:
-                # count positions come from sources that emit single tuples
-                self._skip -= 1
-                self._emitted += 1
-                continue
+                # a count position counts rows: drop a run lying wholly
+                # inside the skip, hand over the tail of one straddling it
+                skipped = min(rows, self._skip)
+                self._skip -= skipped
+                self._emitted += skipped
+                if skipped == rows:
+                    continue
+                item, rows = TupleBatch(item[skipped:]), rows - skipped
             yield item
-            self._emitted += len(item) if type(item) is TupleBatch else 1
-
-    def __iter__(self) -> Iterator[StreamTuple | CheckpointBarrier]:
-        return flatten_runs(self.runs())
+            self._emitted += rows

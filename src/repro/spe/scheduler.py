@@ -10,8 +10,10 @@ Two execution strategies, one node semantics:
   more than timing fidelity.
 
 Both share :class:`NodeExecutor`, which implements the per-node protocol:
-process data items, react to per-input end-of-stream, flush on full close,
-and propagate the end-of-stream marker downstream exactly once.
+send what a source yields (tuples, ``TupleBatch`` runs, barriers) down its
+edges, process data items, react to per-input end-of-stream, flush on full
+close, and propagate the end-of-stream marker downstream exactly once. A
+scheduler only decides when a node runs.
 """
 
 from __future__ import annotations
@@ -188,19 +190,51 @@ class NodeExecutor:
         if now - self._last_flush >= LINGER_S:
             self.flush_outputs()
 
-    def _put(self, stream: Stream, item: object) -> None:
+    def _put(self, stream: Stream, item: object) -> bool:
+        """Append ``item`` to ``stream``; False if it was dropped at stop."""
         if not self._blocking_puts:
-            stream.put_unbounded(item)
-            return
+            return stream.put_unbounded(item)
         if self._stop_event is None:
-            stream.put(item)
-            return
+            return stream.put(item)
         # Cooperative shutdown: a downstream consumer may already
         # have exited without draining; never block forever on a
         # full queue once stop was requested — drop instead.
         while not stream.put(item, timeout=0.1):
             if self._stop_event.is_set():
-                break
+                return False
+        return True
+
+    def emit_from_source(self, item: object) -> bool:
+        """Send one item a source yielded down this node's edges.
+
+        A barrier goes to every output, bypassing any hash router (it
+        belongs to all replicas, not one key's partition); a tuple goes
+        along ``node.route``; a :class:`TupleBatch` run goes as one batch
+        per destination, split by the router if there is one. Rows count
+        and are stamped one by one whatever their framing. False once a
+        put was dropped because stop was requested.
+        """
+        node = self.node
+        if is_barrier(item):
+            return all(self._put(stream, item) for stream in node.outputs)
+        is_run = type(item) is TupleBatch
+        run = item if is_run else (item,)
+        self.stats.tuples_out += len(run)
+        if self._obs is not None:
+            self.stats.last_tau = run[-1].tau
+            if self._tracer is not None:
+                for t in run:
+                    self._tracer.at_source(node.name, t)
+        if not is_run:
+            return all(self._put(stream, item) for stream in node.route(item))
+        if node.router is None:
+            sends = [(stream, TupleBatch(run)) for stream in node.outputs]
+        else:
+            routed: dict[int, TupleBatch] = {}
+            for t in run:
+                routed.setdefault(node.router.route(t), TupleBatch()).append(t)
+            sends = [(node.outputs[i], batch) for i, batch in routed.items()]
+        return all(self._put(stream, batch) for stream, batch in sends)
 
     def handle(self, input_index: int, item: object) -> None:
         """Process one item (data tuple, batch, barrier, or EOS) from one input."""
@@ -431,29 +465,13 @@ class SynchronousScheduler:
 
     def _step_source(self, ex: NodeExecutor, source_iters: dict) -> bool:
         iterator = source_iters[ex.node.name]
-        tracer = ex._tracer
-        obs_on = ex._obs is not None
-        progressed = False
         for _ in range(self._batch_size):
-            t = next(iterator, None)
-            if t is None:
+            item = next(iterator, None)
+            if item is None:
                 ex.finalize()
-                return True
-            if is_barrier(t):
-                # Barriers go to every output, ignoring hash routers.
-                for stream in ex.node.outputs:
-                    stream.put_unbounded(t)
-                progressed = True
-                continue
-            ex.stats.tuples_out += 1
-            if obs_on:
-                ex.stats.last_tau = t.tau
-                if tracer is not None:
-                    tracer.at_source(ex.node.name, t)
-            for stream in ex.node.route(t):
-                stream.put_unbounded(t)
-            progressed = True
-        return progressed
+                break
+            ex.emit_from_source(item)
+        return True
 
     def _step_consumer(self, ex: NodeExecutor) -> bool:
         progressed = False
@@ -553,59 +571,12 @@ class ThreadedScheduler:
             self._stop.set()
 
     def _source_loop(self, ex: NodeExecutor) -> None:
-        node = ex.node
-        tracer = ex._tracer
-        obs_on = ex._obs is not None
-        put = self._source_put
-        # A source that already holds framed runs (a connector reader
-        # decoding block records) hands each over whole through runs().
-        runs = getattr(node.source, "runs", None)
-        for t in runs() if runs is not None else node.source:
+        for item in ex.node.source:
             if self._stop.is_set():
                 break
-            if is_barrier(t):
-                # Barriers go to every output, ignoring hash routers.
-                if not all(put(stream, t) for stream in node.outputs):
-                    return
-                continue
-            if type(t) is TupleBatch:
-                if not self._ship_run(ex, t):
-                    return
-                continue
-            ex.stats.tuples_out += 1
-            if obs_on:
-                ex.stats.last_tau = t.tau
-                if tracer is not None:
-                    tracer.at_source(node.name, t)
-            for stream in node.route(t):
-                if not put(stream, t):
-                    return
+            if not ex.emit_from_source(item):
+                return
         ex.finalize()
-
-    def _source_put(self, stream: Stream, item: object) -> bool:
-        """Blocking put; False once stop was requested."""
-        while not stream.put(item, timeout=0.2):
-            if self._stop.is_set():
-                return False
-        return True
-
-    def _ship_run(self, ex: NodeExecutor, run: TupleBatch) -> bool:
-        """Send a source's run down its edges: one TupleBatch per destination."""
-        node = ex.node
-        ex.stats.tuples_out += len(run)
-        if ex._obs is not None:
-            ex.stats.last_tau = run[-1].tau
-            if ex._tracer is not None:
-                for t in run:
-                    ex._tracer.at_source(node.name, t)
-        if node.router is None:
-            batches = [(stream, TupleBatch(run)) for stream in node.outputs]
-        else:
-            routed: dict[int, TupleBatch] = {}
-            for t in run:
-                routed.setdefault(node.router.route(t), TupleBatch()).append(t)
-            batches = [(node.outputs[i], batch) for i, batch in routed.items()]
-        return all(self._source_put(stream, batch) for stream, batch in batches)
 
     def _consumer_loop(self, ex: NodeExecutor) -> None:
         while not ex.finalized and not ex.retired and not self._stop.is_set():

@@ -1,6 +1,10 @@
 """Sources: where tuples enter a continuous query.
 
-A source is any iterable of :class:`StreamTuple`. ``ListSource`` replays a
+A source is any iterable of what an edge carries: :class:`StreamTuple`
+items, :class:`~repro.spe.stream.TupleBatch` runs (sent down each edge as
+one entry; a connector reader yields a block record's rows this way) and
+checkpoint barriers (a barrier-capable wrapper injects them between
+items). The node's executor sends each item on. ``ListSource`` replays a
 fixed dataset (optionally re-stamping ``ingest_time`` at emission, which is
 what latency measurement needs); ``RateLimitedSource`` paces another source
 at a target tuple rate, used by the throughput experiment (Figure 7) to
@@ -24,7 +28,7 @@ class Source(ABC):
 
     @abstractmethod
     def __iter__(self) -> Iterator[StreamTuple]:
-        """Yield tuples until the source is exhausted."""
+        """Yield tuples, ``TupleBatch`` runs and barriers until exhausted."""
 
 
 class ListSource(Source):

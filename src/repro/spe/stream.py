@@ -9,8 +9,9 @@ appends when it will emit nothing more.
 
 Queue entries are either single tuples, control items (barriers, EOS), or
 a :class:`TupleBatch` — a contiguous run of data tuples a producer moved
-as one entry to amortize lock/condvar traffic (the plan compiler's batched
-edge transport). Capacity and the produced/consumed counters account for
+as one entry to amortize lock/condvar traffic: an operator's batched edge
+transport, or a run a source yielded whole (a connector reader's block
+record). Capacity and the produced/consumed counters account for
 the *tuples* inside a batch, so back-pressure semantics are unchanged.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Iterable, Iterator
+from typing import Any
 
 from .barrier import is_barrier
 
@@ -45,15 +46,6 @@ class TupleBatch(list):
     """
 
     __slots__ = ()
-
-
-def flatten_runs(items: Iterable[Any]) -> Iterator[Any]:
-    """Yield ``items`` one by one, a :class:`TupleBatch` as its tuples."""
-    for item in items:
-        if type(item) is TupleBatch:
-            yield from item
-        else:
-            yield item
 
 
 #: entry types whose capacity weight is their row count; extended by

@@ -11,6 +11,7 @@ import pytest
 
 from repro.am import BuildDataset, OTImageRenderer, make_job
 from repro.kvstore import MemoryStore
+from repro.spe.stream import TupleBatch
 
 # Small-but-real geometry: full 12-specimen plate at a coarse sensor
 # resolution keeps a layer render around a millisecond.
@@ -57,6 +58,11 @@ def assert_one_producer_one_consumer(nodes) -> None:
         if (producers[key], consumers[key]) != (1, 1)
     }
     assert not wrong, f"(producers, consumers) per stream: {wrong}"
+
+
+def rows(items) -> list:
+    """What a source yielded, one row each: a ``TupleBatch`` run as its rows."""
+    return [t for item in items for t in (item if type(item) is TupleBatch else [item])]
 
 
 def assert_families_grouped(text: str) -> None:

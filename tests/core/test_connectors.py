@@ -11,6 +11,8 @@ from repro.core.connectors import (
 )
 from repro.pubsub import Broker, Consumer, Producer
 from repro.spe import StreamTuple
+from repro.spe.stream import TupleBatch
+from tests.conftest import rows as source_rows
 
 
 def make_tuple(i):
@@ -199,11 +201,11 @@ def _publish_blocks(broker):
 def test_reader_unpacks_block_records_and_hands_over_runs():
     broker = Broker()
     rows = _publish_blocks(broker)
-    assert [t.tau for t in PubSubReaderSource("r", broker, "strata.s")] == [
-        t.tau for t in rows
-    ]
-    runs = list(PubSubReaderSource("r2", broker, "strata.s").runs())
-    assert [len(r) if isinstance(r, list) else 1 for r in runs] == [5, 1, 3]
+    # each record's rows leave the reader whole: a block as one run
+    items = list(PubSubReaderSource("r", broker, "strata.s"))
+    assert [type(item) for item in items] == [TupleBatch, StreamTuple, TupleBatch]
+    assert [len(item) for item in (items[0], items[2])] == [5, 3]
+    assert [t.tau for t in source_rows(items)] == [t.tau for t in rows]
 
 
 def test_barrier_falls_on_a_record_boundary_and_restore_loses_nothing():
@@ -221,20 +223,23 @@ def test_barrier_falls_on_a_record_boundary_and_restore_loses_nothing():
     for item in source:
         if is_barrier(item):
             continue
-        (after if captured else before).append(item.tau)
-        if len(before) == 2 and not captured and not source._pending:
-            # mid-block: rows 0 and 1 of the first record are out
-            source.request_barrier(
-                CheckpointBarrier(1),
-                lambda name, epoch, position: captured.update(position),
-            )
+        for t in source_rows([item]):
+            (after if captured else before).append(t.tau)
+            if len(before) == 2 and not captured and not source._pending:
+                # mid-block: rows 0 and 1 of the first record are out
+                source.request_barrier(
+                    CheckpointBarrier(1),
+                    lambda name, epoch, position: captured.update(position),
+                )
     assert before == [t.tau for t in rows[:5]]  # the block was finished first
     assert after == [t.tau for t in rows[5:]]
     assert captured == {"kind": "pubsub", "offsets": [["strata.s", 0, 1]]}
 
     restored = CheckpointableSource(PubSubReaderSource("r2", broker, "strata.s"))
     restored.restore_position(captured)
-    assert [t.tau for t in restored if not is_barrier(t)] == [t.tau for t in rows[5:]]
+    assert [t.tau for t in source_rows(restored) if not is_barrier(t)] == [
+        t.tau for t in rows[5:]
+    ]
 
 
 # -- commits: acked offsets, the dedup horizon -----------------------------------
@@ -263,7 +268,7 @@ def test_dedup_forgets_keys_below_the_horizon_only():
     for i in range(4):  # offsets 0-3: layers 0-3
         producer.send("strata.s", make_tuple(i))
     reader = PubSubReaderSource("r", broker, "strata.s", dedup=True)
-    runs = reader.runs()
+    runs = iter(reader)
     assert [next(runs).layer for _ in range(4)] == [0, 1, 2, 3]
     assert reader.dedup_keys == 4
     reader.forget_below([["strata.s", 0, 2], ["strata.other", 0, 99]])

@@ -8,6 +8,8 @@ from repro.core.connectors import PubSubReaderSource, PubSubWriterSink
 from repro.net import BrokerClient, BrokerServer
 from repro.pubsub import Broker
 from repro.spe import StreamTuple
+from repro.spe.stream import TupleBatch
+from tests.conftest import rows
 
 
 @pytest.fixture()
@@ -110,18 +112,14 @@ def test_batching_writer_publishes_runs_as_block_records(client):
     # schema) stayed the tuple record it always was; then the sentinel
     assert [type(v) for v in values[:3]] == [ColumnarBlock, ColumnarBlock, StreamTuple]
     assert [len(v) for v in values[:2]] == [5, 2]
-    reader = PubSubReaderSource("r", client, "strata.s")
-    got = list(reader)
+    items = list(PubSubReaderSource("r", client, "strata.s"))
+    # the reader hands each record's rows over whole
+    assert [len(item) if type(item) is TupleBatch else 1 for item in items] == [5, 2, 1]
+    got = rows(items)
     assert [(t.layer, t.portion) for t in got[:7]] == (
         [(0, str(i)) for i in range(5)] + [(1, "0"), (1, "1")]
     )
     assert got[7].payload == {"done": True}
-    # runs() hands each record's rows over whole
-    shapes = [
-        len(item) if isinstance(item, list) else 1
-        for item in PubSubReaderSource("r2", client, "strata.s").runs()
-    ]
-    assert shapes == [5, 2, 1]
 
 
 def test_partial_batch_is_published_when_the_input_runs_dry(client):
@@ -173,7 +171,7 @@ def test_dedup_is_per_row_when_a_replay_reframes_blocks(client):
         first.accept(t)
     first.on_close()
     reader = PubSubReaderSource("r", client, "strata.s", dedup=True)
-    got = list(reader)
+    got = rows(reader)
     assert [t.portion for t in got] == [str(i) for i in range(9)]
     assert reader.duplicates_suppressed == 6
 
@@ -198,7 +196,7 @@ def test_in_process_reader_on_a_served_broker(transport):
                 writer.accept(t)
             writer.on_close()
             reader = PubSubReaderSource("r", server, "strata.s", auto_commit=False)
-            got = list(reader)
+            got = rows(reader)
     assert len(got) == 5
     assert isinstance(got[0].payload["image"], np.ndarray)
     np.testing.assert_array_equal(got[0].payload["image"], image)

@@ -264,9 +264,9 @@ def test_sync_scheduler_survives_emission_beyond_stream_capacity():
 
 
 def test_source_runs_cross_the_edge_as_one_batch_per_destination():
-    """A source exposing ``runs()`` may hand over a whole run; the threaded
-    scheduler ships it as one TupleBatch per destination stream (two
-    consumers get a batch each), single tuples and order untouched."""
+    """A source may yield a whole run; the threaded scheduler ships it as
+    one TupleBatch per destination stream (two consumers get a batch
+    each), single tuples and order untouched."""
     from repro.spe import Operator, ThreadedScheduler
     from repro.spe.source import Source
     from repro.spe.stream import TupleBatch
@@ -274,13 +274,10 @@ def test_source_runs_cross_the_edge_as_one_batch_per_destination():
     data = tuples(7)
 
     class FramedSource(Source):
-        def runs(self):
+        def __iter__(self):
             yield TupleBatch(data[:4])
             yield data[4]
             yield TupleBatch(data[5:])
-
-        def __iter__(self):
-            raise AssertionError("the scheduler must prefer runs()")
 
     class RunLengths(Operator):
         num_inputs = 1
@@ -309,3 +306,98 @@ def test_source_runs_cross_the_edge_as_one_batch_per_destination():
     for op, sink in zip((left, right), sinks):
         assert sum(op.lengths) == 7 and 4 in op.lengths  # the run arrived whole
         assert [t.layer for t in sink.results] == list(range(7))
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+def test_both_schedulers_send_what_a_source_yields_alike(monkeypatch, keyed):
+    """A source yielding a tuple, a barrier and a run, with obs on: both
+    schedulers hand every consumer the same entries in the same order —
+    the run as one batch (split by the router when keyed), taken in one
+    ``process_many`` call — and count the run's rows as tuples out."""
+    from repro.obs import ObsConfig, ObsContext
+    from repro.spe import Operator, SynchronousScheduler, ThreadedScheduler
+    from repro.spe.barrier import CheckpointBarrier, is_barrier
+    from repro.spe.scheduler import NodeExecutor
+    from repro.spe.source import Source
+    from repro.spe.stream import END_OF_STREAM, TupleBatch
+
+    data = tuples(5)
+
+    class MixedSource(Source):
+        def __iter__(self):
+            yield data[0]
+            yield CheckpointBarrier(7)
+            yield TupleBatch(data[1:])
+
+    class Calls(Operator):
+        num_inputs = 1
+
+        def __init__(self, name):
+            super().__init__(name)
+            self.calls = []
+
+        def process(self, input_index, t):
+            return self.process_many([t])
+
+        def process_many(self, batch, input_index=0):
+            self.calls.append([t.layer for t in batch])
+            return list(batch)
+
+    class ByParity:
+        def route(self, t):
+            return t.layer % 2
+
+    def entry(item):
+        if type(item) is TupleBatch:
+            return ("run", [t.layer for t in item])
+        if is_barrier(item):
+            return ("barrier", item.epoch)
+        if item is END_OF_STREAM:
+            return ("eos",)
+        return ("tuple", item.layer)
+
+    entries = {"op0": [], "op1": []}
+    handle = NodeExecutor.handle
+
+    def recording(self, input_index, item):
+        if self.node.name in entries:
+            entries[self.node.name].append(entry(item))
+        return handle(self, input_index, item)
+
+    monkeypatch.setattr(NodeExecutor, "handle", recording)
+
+    def run(scheduler):
+        for seen in entries.values():
+            seen.clear()
+        q = Query("mixed")
+        q.add_source("src", MixedSource("src"))
+        ops = [Calls("op0"), Calls("op1")]
+        for op in ops:
+            q.add_operator(op.name, op, "src")
+            q.add_sink(f"out-{op.name}", CollectingSink(), op.name)
+        nodes = q.build()
+        if keyed:
+            next(node for node in nodes if node.kind == "source").router = ByParity()
+        stats = scheduler.run(nodes)
+        return (
+            {name: list(seen) for name, seen in entries.items()},
+            [op.calls for op in ops],
+            stats["src"].tuples_out,
+        )
+
+    config = ObsConfig(trace_sample_every=1, qos_deadline_s=None)
+    sync = run(SynchronousScheduler(obs=ObsContext(config)))
+    threaded = run(ThreadedScheduler(obs=ObsContext(config)))
+    assert sync == threaded
+    got, calls, tuples_out = sync
+    assert tuples_out == 5
+    if keyed:
+        assert got == {
+            "op0": [("tuple", 0), ("barrier", 7), ("run", [2, 4]), ("eos",)],
+            "op1": [("barrier", 7), ("run", [1, 3]), ("eos",)],
+        }
+        assert calls == [[[0], [2, 4]], [[1, 3]]]
+    else:
+        run_of_four = [("tuple", 0), ("barrier", 7), ("run", [1, 2, 3, 4]), ("eos",)]
+        assert got == {"op0": run_of_four, "op1": run_of_four}
+        assert calls == [[[0], [1, 2, 3, 4]]] * 2

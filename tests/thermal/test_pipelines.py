@@ -182,9 +182,9 @@ def _in_runs_of(collector_cls, n):
     """``collector_cls`` handing the scheduler its tuples ``n`` per run."""
 
     class Framed(collector_cls):
-        def runs(self):
+        def __iter__(self):
             run = TupleBatch()
-            for t in self:
+            for t in super().__iter__():
                 run.append(t)
                 if len(run) == n:
                     yield run
