@@ -126,7 +126,7 @@ def _deploy(profile, workload, burst, elastic):
         sink=sink, ot_source=ot_source, pp_source=pp_source,
     )
     deploy_cfg = DeployConfig(
-        plan=PlanConfig(parallelism=1, edge_batch_size=8), elastic=elastic
+        plan=PlanConfig(parallelism=1), elastic=elastic
     )
     started = time.monotonic()
     report = strata.deploy(deploy_cfg)

@@ -37,7 +37,7 @@ MIN_RATIO = 0.9
 #: where per-tuple instrumentation overhead would show first. Observing
 #: must leave the block path on (ISSUE 12): a drop back to the scalar
 #: cascade under the tracer is a 10x, not a 10 %, loss
-PLAN = PlanConfig(edge_batch_size=32)
+PLAN = PlanConfig()
 
 VARIANTS: dict[str, object] = {
     "obs-off": None,

@@ -76,8 +76,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-optimize", action="store_true",
                         help="run the graph as declared: no plan compiler, "
                              "one thread per operator, tuple at a time")
-    parser.add_argument("--batch-size", type=int, default=32,
-                        help="tuples per queue entry on threaded edges (1 = unbatched)")
     parser.add_argument("--parallelism", type=int, default=1,
                         help="replicate keyed stages N-ways behind a hash router")
     parser.add_argument("--elastic", action="store_true",
@@ -137,9 +135,7 @@ def _deploy_of(args: argparse.Namespace) -> DeployConfig:
             deploy["elastic"].pop("replan", None)
         return DeployConfig.from_dict(deploy)
     replan = args.replan and not args.no_replan
-    deploy = {"plan": not args.no_optimize and {
-        "edge_batch_size": args.batch_size, "parallelism": args.parallelism,
-    }}
+    deploy = {"plan": not args.no_optimize and {"parallelism": args.parallelism}}
     if args.elastic or replan:
         deploy["elastic"] = {
             "min_parallelism": args.min_parallelism,
@@ -477,7 +473,8 @@ def _render_top(snap) -> str:
             continue
         row = ops.setdefault(op, {})
         if s.name in ("spe_tuples_in_total", "spe_tuples_out_total",
-                      "spe_busy_seconds_total", "spe_block_fill_ratio"):
+                      "spe_busy_seconds_total", "spe_blocks_in_total",
+                      "spe_block_rows_in_total"):
             row[s.name] = s.value
         if s.name == "spe_operator_mode":
             row["mode"] = s.label("mode") or "scalar"
@@ -493,9 +490,10 @@ def _render_top(snap) -> str:
         row = ops[op]
         name = ("  " + op) if row.get("fused") else op
         mode = row.get("mode", "") if not row.get("fused") else ""
-        fill = row.get("spe_block_fill_ratio")
-        if mode == "vectorized" and fill is not None:
-            mode = f"{mode} {fill * 100:.0f}%"
+        blocks = row.get("spe_blocks_in_total")
+        if mode == "vectorized" and blocks:
+            # rows per block: what one array-at-a-time call took on average
+            mode = f"{mode} {row['spe_block_rows_in_total'] / blocks:.0f}/blk"
         adapt = str(row.get("adapt", "")) if not row.get("fused") else ""
         lines.append(
             f"{name:<34} {int(row.get('spe_tuples_in_total', 0)):>9} "

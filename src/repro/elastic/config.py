@@ -16,8 +16,7 @@ class ElasticConfig:
     every keyed-replicated group; a deployment starts at the plan's
     ``parallelism`` clamped into those bounds.
     ``tick_s`` is the signal sampling period, ``cooldown_s`` the minimum
-    spacing between rescales of one group. Between rescales the controller
-    retunes each group's edge batch size. What to rescale, and when, is
+    spacing between rescales of one group. What to rescale, and when, is
     :class:`~repro.elastic.replan.CostModelPolicy`'s call.
     ``replan`` enables runtime plan adaptation — ``True`` for defaults or a
     :class:`~repro.elastic.replan.ReplanConfig`; off, the controller

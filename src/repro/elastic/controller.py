@@ -37,10 +37,8 @@ step:
    re-bound, then the new nodes are handed to the live
    :class:`~repro.spe.scheduler.ThreadedScheduler`.
 
-Between mutations the controller retunes edge batching on
-group executors. Every decision is recorded as a structured event and
-exported through the metrics registry (``elastic_*`` /
-``elastic_replan_*`` series).
+Every decision is recorded as a structured event and exported through
+the metrics registry (``elastic_*`` / ``elastic_replan_*`` series).
 """
 
 from __future__ import annotations
@@ -79,10 +77,6 @@ from .replan import MAX_ACTIONS_PER_TICK, AdaptiveChain, CostModelPolicy, discov
 
 logger = logging.getLogger("repro.elastic")
 
-#: the range adaptive edge batching moves a group's batch size within
-BATCH_MIN = 1
-BATCH_MAX = 256
-
 
 class ElasticError(SPEError):
     """Raised when the elastic runtime cannot operate on a deployment."""
@@ -100,7 +94,6 @@ class ElasticGroup:
     meta: ReplicaGroupMeta
     nodes: list[Node]
     boundary: Stream
-    batch_size: int = 1
     # previous-tick busy total, for the delta the signals are taken over
     prev_busy_s: float = 0.0
 
@@ -193,9 +186,6 @@ class ElasticController:
                 "chain); mark at least one keyed stage replicable (or "
                 "declare parallelism) before enabling ElasticConfig"
             )
-        base_batch = plan.edge_batch_size if plan is not None else 1
-        for group in self.groups:
-            group.batch_size = base_batch
         self.events: deque[dict[str, Any]] = deque(maxlen=256)
         self._rescales_up = 0
         self._rescales_down = 0
@@ -323,8 +313,7 @@ class ElasticController:
 
     def tick(self) -> None:
         """One sampling + decision round (public for deterministic tests)."""
-        executors = self._scheduler.executors
-        view = self._workload_view(executors)
+        view = self._workload_view(self._scheduler.executors)
         actions = self._policy.decide(view)
         rescaled: set[str] = set()
         budget = MAX_ACTIONS_PER_TICK
@@ -364,9 +353,6 @@ class ElasticController:
             ):
                 if self.rescale(group, clamped, signals=view.groups.get(group.name)):
                     rescaled.add(group.name)
-        for group in self.groups:
-            if group.name not in rescaled and group.name in view.groups:
-                self._adapt_batching(group, view.groups[group.name], executors)
 
     def _clamp(self, target: int) -> int:
         """``target`` moved inside the live parallelism bounds."""
@@ -445,36 +431,6 @@ class ElasticController:
             fused=chain.fused,
             queue_fill=fill,
             busy_fraction=busy_fraction,
-        )
-
-    # -- adaptive batching --------------------------------------------------
-
-    def _adapt_batching(
-        self,
-        group: ElasticGroup,
-        signals: GroupSignals,
-        executors: list[NodeExecutor],
-    ) -> None:
-        """Multiplicative-increase / multiplicative-decrease batch tuning.
-
-        Backlog on the boundary means queue synchronization is worth
-        amortizing harder; an idle group pays batch linger for nothing.
-        """
-        current = group.batch_size
-        if signals.queue_fill >= 0.5:
-            target = min(BATCH_MAX, max(2, current * 2))
-        elif signals.queue_fill <= 0.05 and signals.busy_fraction <= 0.2:
-            target = max(BATCH_MIN, current // 2)
-        else:
-            return
-        if target == current:
-            return
-        group.batch_size = target
-        for ex in self._live_executors(group, executors):
-            if ex.node.kind != "source":
-                ex.set_batching(target)
-        self._record_event(
-            "batch", group, {"batch_size": target, "queue_fill": signals.queue_fill}
         )
 
     # -- action engine ------------------------------------------------------
@@ -702,10 +658,6 @@ class ElasticController:
                 self._rescales_up += 1
             elif new_n < old_n:
                 self._rescales_down += 1
-        if group.batch_size > 1:
-            for ex in self._live_executors(group, self._scheduler.executors):
-                if ex.node.kind != "source":
-                    ex.set_batching(group.batch_size)
         return new_n != old_n
 
     # -- observability ------------------------------------------------------
@@ -733,9 +685,6 @@ class ElasticController:
                 labels = (("group", group.name),)
                 samples.append(
                     Sample("elastic_parallelism", labels, float(group.parallelism))
-                )
-                samples.append(
-                    Sample("elastic_batch_size", labels, float(group.batch_size))
                 )
             samples.append(
                 Sample(

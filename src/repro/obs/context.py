@@ -172,23 +172,6 @@ class ObsContext:
             samples.append(
                 Sample("spe_busy_seconds_total", labels, stats.processing_seconds, "counter")
             )
-            if stats.batches_out:
-                samples.append(
-                    Sample("spe_batches_out_total", labels, stats.batches_out, "counter")
-                )
-                samples.append(
-                    Sample(
-                        "spe_batch_tuples_out_total", labels,
-                        stats.batch_tuples_out, "counter",
-                    )
-                )
-                samples.append(
-                    Sample(
-                        "spe_batch_fill_ratio", labels,
-                        stats.batch_tuples_out / stats.batches_out
-                        / max(ex.edge_batch_size, 1),
-                    )
-                )
             if stats.timing_counts is not None and stats.timing_total:
                 samples.extend(
                     histogram_samples(
@@ -217,16 +200,6 @@ class ObsContext:
                         Sample(
                             "spe_block_rows_in_total", labels,
                             op.block_rows_in, "counter",
-                        )
-                    )
-                    samples.append(
-                        Sample(
-                            "spe_block_fill_ratio", labels,
-                            min(
-                                1.0,
-                                op.block_rows_peak / blocks_in
-                                / max(ex.edge_batch_size, 1),
-                            ),
                         )
                     )
                 extra = op.stats_extra()
@@ -339,15 +312,9 @@ _HELP = {
     "spe_tuples_out_total": "tuples emitted per scheduler node",
     "spe_busy_seconds_total": "time spent processing tuples per node",
     "spe_processing_seconds": "per-tuple processing time distribution",
-    "spe_batches_out_total": "tuple batches shipped on outgoing edges",
-    "spe_batch_tuples_out_total": "tuples shipped inside batches",
-    "spe_batch_fill_ratio": "mean batch occupancy vs configured batch size",
     "spe_operator_mode": "execution mode per operator (scalar or vectorized)",
     "spe_blocks_in_total": "columnar blocks formed by a vectorized operator",
     "spe_block_rows_in_total": "rows entering columnar blocks",
-    "spe_block_fill_ratio": (
-        "mean rows at a block's widest point vs configured batch size, capped at 1"
-    ),
     "spe_last_tau": "newest event time (tau) seen by a node",
     "spe_queue_depth": "tuples currently queued on a stream",
     "spe_queue_high_watermark": "max queue depth observed on a stream",
@@ -361,7 +328,6 @@ _HELP = {
     "strata_watermark_tau": "event-time frontier at sources vs sinks",
     "strata_watermark_lag": "event-time distance between ingest and delivery",
     "elastic_parallelism": "current replica count per elastic group",
-    "elastic_batch_size": "adaptive edge batch size per elastic group",
     "elastic_rescales_total": "rescale operations executed, by direction",
     "elastic_last_rescale_seconds": "duration of the newest rescale drain-splice",
     "elastic_chain_mode": "shape of an adaptable chain (fused, unfused, vectorized)",

@@ -116,8 +116,8 @@ def launch(
         obs.bind(nodes)
     scheduler = ThreadedScheduler(
         checkpoint_listener=checkpoint_listener,
-        edge_batch_size=1 if plan is None else plan.edge_batch_size,
         obs=obs,
+        planned=plan is not None,
     )
     supervisor = None if supervise is None else supervise(scheduler, nodes)
     scheduler.start(nodes)
@@ -183,8 +183,9 @@ class StreamEngine:
         ``plan`` enables the plan compiler (:mod:`repro.spe.plan`):
         ``True`` for defaults, a :class:`PlanConfig` for explicit knobs,
         ``None``/``False`` to run the graph exactly as declared. The sync
-        scheduler always uses unbatched transport (it is the deterministic
-        oracle), but still honours fusion/replication rewrites.
+        scheduler sends operator output tuple by tuple whatever the plan
+        (it is the deterministic oracle), but still honours
+        fusion/replication rewrites.
         """
         if self._mode == "threaded":
             self.start(query, checkpointer, on_built, plan, obs)

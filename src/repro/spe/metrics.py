@@ -243,9 +243,6 @@ class OperatorStats:
         self.tuples_in = 0
         self.tuples_out = 0
         self.processing_seconds = 0.0
-        # edge batching (populated only when the plan compiler batches edges)
-        self.batches_out = 0
-        self.batch_tuples_out = 0
         # newest event time handled; NaN until the first tuple arrives
         self.last_tau = math.nan
         # optional lock-free processing-time histogram (repro.obs)

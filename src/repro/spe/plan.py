@@ -6,7 +6,7 @@ lock/condvar traffic. That is faithful to Liebre's execution model but
 dominates end-to-end latency long before the analytics do. Native SPEs
 close this gap with plan-level optimization — Flink's operator chaining,
 Strider's runtime plan adaptation — and this module reproduces the same
-idea with three passes over the *materialized* node list:
+idea with two passes over the *materialized* node list:
 
 * **replication** — clone maximal runs of keyed, factory-built stages
   (``partition`` / ``detectEvent`` / ``correlateEvents``) N ways behind a
@@ -14,11 +14,12 @@ idea with three passes over the *materialized* node list:
   stays single-producer and checkpoint barriers align exactly;
 * **fusion** — collapse linear chains of single-input/single-output
   operators into one :class:`FusedOperator` that executes by direct
-  function composition: no intermediate stream, queue, or thread hop;
-* **batched edge transport** — not a graph rewrite: the plan carries an
-  edge batch size that :class:`~repro.spe.scheduler.ThreadedScheduler`
-  uses to move :class:`~repro.spe.stream.TupleBatch` entries through the
-  remaining queues, amortizing synchronization.
+  function composition: no intermediate stream, queue, or thread hop.
+
+A compiled graph also moves whole runs through the remaining queues
+(:mod:`repro.spe.scheduler`): an operator's output for one run leaves as
+one :class:`~repro.spe.stream.TupleBatch` entry per destination, and a
+consumer takes what is queued as one run. There is no batch size to set.
 
 Fusion is checkpoint-transparent. A fused node aligns and forwards
 barriers exactly like the chain head did, and snapshots composite state
@@ -44,25 +45,20 @@ from .tuples import StreamTuple
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Knobs for the plan compiler and the batched transport layer.
+    """Knobs for the plan compiler.
 
     A plan always fuses linear chains, and a fused chain with a
     block-capable member always runs it array-at-a-time
-    (:func:`build_fused_node`); what a deployment sets is how wide and how
-    batched the compiled plan runs.
+    (:func:`build_fused_node`); what a deployment sets is how wide the
+    compiled plan runs.
 
-    ``edge_batch_size``  tuples moved per queue entry on threaded edges
-                         (1 = unbatched transport).
-    ``parallelism``      replica count for the keyed-replication pass
-                         (1 = pass disabled).
+    ``parallelism``  replica count for the keyed-replication pass
+                     (1 = pass disabled).
     """
 
-    edge_batch_size: int = 32
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.edge_batch_size < 1:
-            raise ValueError("edge_batch_size must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
@@ -78,7 +74,7 @@ class PlanConfig:
         raise TypeError(f"plan must be bool, None or PlanConfig, got {plan!r}")
 
     def describe(self) -> str:
-        return f"batch={self.edge_batch_size}, parallelism={self.parallelism}"
+        return f"parallelism={self.parallelism}"
 
 
 class _FusedPart:
@@ -311,7 +307,7 @@ class VectorizedFusedOperator(FusedOperator):
         # of rows, the opposite mistake one block conversion, so the
         # estimate jumps up at once and only decays.
         self._expansion = {i: 1.0 for i, _j, is_block in self._segments if is_block}
-        # columnar transport counters (block fill ratio in repro.obs):
+        # columnar transport counters (repro.obs exports the first two):
         # blocks formed, rows in them at entry and at their widest point
         self.blocks_in = 0
         self.block_rows_in = 0

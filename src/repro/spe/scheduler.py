@@ -14,6 +14,13 @@ send what a source yields (tuples, ``TupleBatch`` runs, barriers) down its
 edges, process data items, react to per-input end-of-stream, flush on full
 close, and propagate the end-of-stream marker downstream exactly once. A
 scheduler only decides when a node runs.
+
+With a plan, a run is the unit of transport: an operator's output for one
+run leaves as one ``TupleBatch`` per destination, and the threaded
+scheduler hands a node everything one drain took from an input (up to
+``DRAIN_BATCH`` entries, never past a barrier or EOS) as one run. Without
+a plan every tuple is its own entry and every entry its own ``handle``:
+the graph as declared, tuple at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ from .tuples import StreamTuple
 # aligned barrier. ``None`` state means the node is stateless but did align.
 CheckpointListener = Callable[[str, int, "dict | None"], None]
 
-#: max time a partially filled output batch may wait before it is flushed
-LINGER_S = 0.005
 #: how long an idle consumer blocks on one input before it looks again
 POLL_TIMEOUT = 0.02
 #: queued entries one consumer wake-up takes under one lock acquisition
@@ -50,9 +55,9 @@ class NodeExecutor:
         node: Node,
         stop_event: threading.Event | None = None,
         checkpoint_listener: CheckpointListener | None = None,
-        edge_batch_size: int = 1,
         obs=None,
         blocking_puts: bool = True,
+        planned: bool = False,
     ) -> None:
         self.node = node
         self.stats = OperatorStats(node.name)
@@ -71,18 +76,10 @@ class NodeExecutor:
         # blocking put is a self-deadlock (see Stream.put_unbounded).
         self._blocking_puts = blocking_puts
         self._checkpoint_listener = checkpoint_listener
-        # Batched edge transport: with edge_batch_size > 1, emitted data
-        # tuples are buffered per output stream and shipped as one
-        # TupleBatch queue entry. Buffers are touched only by the thread
-        # driving this executor, so they need no locking; control items
-        # (barriers, EOS) always flush first, preserving in-band ordering.
-        self._edge_batch = max(1, edge_batch_size)
-        # Buffers are always allocated so batching can be switched on at
-        # runtime (adaptive tuning); _emit fast-paths on _edge_batch <= 1.
-        self._buffers: dict[int, tuple[Stream, list]] = {
-            id(s): (s, []) for s in node.outputs
-        }
-        self._last_flush = time.monotonic()
+        # The graph was compiled from a plan: an operator's output for one
+        # run leaves whole, one TupleBatch per destination; otherwise tuple
+        # by tuple, the graph exactly as declared.
+        self._planned = planned
         # Chandy–Lamport alignment: epoch -> inputs whose barrier arrived.
         # An input is aligned for an epoch once its barrier arrived (or it
         # closed); while aligned-but-waiting it is *blocked* so no
@@ -109,19 +106,6 @@ class NodeExecutor:
     @property
     def retired(self) -> bool:
         return self._retired
-
-    @property
-    def edge_batch_size(self) -> int:
-        return self._edge_batch
-
-    def set_batching(self, batch_size: int) -> None:
-        """Retune edge batching at runtime (adaptive controller hook).
-
-        Safe to call from any thread: the batch size is an atomic scalar
-        write; the buffers themselves stay owner-thread-only. Leftover tuples
-        in a shrunken buffer ship on the owner's next flush or linger expiry.
-        """
-        self._edge_batch = max(1, int(batch_size))
 
     @property
     def open_inputs(self) -> list[int]:
@@ -155,40 +139,17 @@ class NodeExecutor:
         return input_index in self._barrier_seen.get(epoch, ())
 
     def _emit(self, tuples: list[StreamTuple]) -> None:
-        buffers = self._buffers
-        for t in tuples:
-            self.stats.tuples_out += 1
-            for stream in self.node.route(t):
-                if self._edge_batch <= 1:
-                    self._put(stream, t)
-                    continue
-                buf = buffers[id(stream)][1]
-                buf.append(t)
-                if len(buf) >= self._edge_batch:
-                    self._flush_stream(stream, buf)
-
-    def _flush_stream(self, stream: Stream, buf: list) -> None:
-        if not buf:
+        self.stats.tuples_out += len(tuples)
+        if self._planned:
+            self._send(tuples)
             return
-        stats = self.stats
-        stats.batches_out += 1
-        stats.batch_tuples_out += len(buf)
-        item = buf[0] if len(buf) == 1 else TupleBatch(buf)
-        buf.clear()
-        self._put(stream, item)
+        for t in tuples:
+            self._send(t)
 
     def flush_outputs(self) -> None:
-        """Ship every partially filled output batch now."""
-        for stream, buf in self._buffers.values():
-            self._flush_stream(stream, buf)
+        """Tell a buffering sink to ship what it holds now."""
         if self._sink_flush is not None:
             self._sink_flush()
-        self._last_flush = time.monotonic()
-
-    def maybe_flush(self, now: float) -> None:
-        """Flush buffered batches older than the linger deadline."""
-        if now - self._last_flush >= LINGER_S:
-            self.flush_outputs()
 
     def _put(self, stream: Stream, item: object) -> bool:
         """Append ``item`` to ``stream``; False if it was dropped at stop."""
@@ -204,37 +165,46 @@ class NodeExecutor:
                 return False
         return True
 
+    def _send(self, item: StreamTuple | list[StreamTuple]) -> bool:
+        """Send data down this node's edges: the one send path.
+
+        A tuple goes along ``node.route``; a run (a list of tuples) goes as
+        one :class:`TupleBatch` per destination, split by the router if
+        there is one. False once a put was dropped because stop was
+        requested.
+        """
+        node = self.node
+        if not isinstance(item, list):
+            return all(self._put(stream, item) for stream in node.route(item))
+        if node.router is None:
+            sends = [(stream, TupleBatch(item)) for stream in node.outputs]
+        else:
+            routed: dict[int, TupleBatch] = {}
+            for t in item:
+                routed.setdefault(node.router.route(t), TupleBatch()).append(t)
+            sends = [(node.outputs[i], batch) for i, batch in routed.items()]
+        return all(self._put(stream, batch) for stream, batch in sends)
+
     def emit_from_source(self, item: object) -> bool:
         """Send one item a source yielded down this node's edges.
 
         A barrier goes to every output, bypassing any hash router (it
-        belongs to all replicas, not one key's partition); a tuple goes
-        along ``node.route``; a :class:`TupleBatch` run goes as one batch
-        per destination, split by the router if there is one. Rows count
-        and are stamped one by one whatever their framing. False once a
-        put was dropped because stop was requested.
+        belongs to all replicas, not one key's partition); a tuple or a
+        :class:`TupleBatch` run goes through :meth:`_send`. Rows count and
+        are stamped one by one whatever their framing. False once a put
+        was dropped because stop was requested.
         """
         node = self.node
         if is_barrier(item):
             return all(self._put(stream, item) for stream in node.outputs)
-        is_run = type(item) is TupleBatch
-        run = item if is_run else (item,)
+        run = item if type(item) is TupleBatch else (item,)
         self.stats.tuples_out += len(run)
         if self._obs is not None:
             self.stats.last_tau = run[-1].tau
             if self._tracer is not None:
                 for t in run:
                     self._tracer.at_source(node.name, t)
-        if not is_run:
-            return all(self._put(stream, item) for stream in node.route(item))
-        if node.router is None:
-            sends = [(stream, TupleBatch(run)) for stream in node.outputs]
-        else:
-            routed: dict[int, TupleBatch] = {}
-            for t in run:
-                routed.setdefault(node.router.route(t), TupleBatch()).append(t)
-            sends = [(node.outputs[i], batch) for i, batch in routed.items()]
-        return all(self._put(stream, batch) for stream, batch in sends)
+        return self._send(item)
 
     def handle(self, input_index: int, item: object) -> None:
         """Process one item (data tuple, batch, barrier, or EOS) from one input."""
@@ -352,9 +322,9 @@ class NodeExecutor:
 
     def _complete_checkpoint(self, epoch: int) -> None:
         """Snapshot at the aligned cut, then forward the barrier downstream."""
-        # Pre-barrier data must precede the barrier in every output queue —
-        # and leave a buffering sink before the sink acknowledges the epoch:
-        # the snapshot claims everything before the cut was delivered.
+        # Pre-barrier data must leave a buffering sink before the sink
+        # acknowledges the epoch: the snapshot claims everything before the
+        # cut was delivered.
         self.flush_outputs()
         if self._checkpoint_listener is not None:
             self._snapshot_into(self._checkpoint_listener, epoch)
@@ -368,7 +338,7 @@ class NodeExecutor:
         """Drain protocol for one node inside a rescaling replica group.
 
         A scope node retires: it snapshots its drained state into the
-        barrier, flushes, and forwards the *same* barrier object. The merge
+        barrier and forwards the *same* barrier object. The merge
         node (``absorb_at``) absorbs the barrier instead — by then every
         scope node upstream of it has retired (alignment guarantees their
         pre-barrier output was fully consumed), so absorbing doubles as the
@@ -386,7 +356,6 @@ class NodeExecutor:
                 lambda name, _epoch, state: barrier.on_snapshot(name, state),
                 barrier.epoch,
             )
-        self.flush_outputs()
         if node.name == barrier.absorb_at:
             barrier.notify_absorbed()
             return
@@ -394,7 +363,7 @@ class NodeExecutor:
             self._put(stream, barrier)
 
     def finalize(self) -> None:
-        """Flush remaining state and propagate EOS downstream (idempotent)."""
+        """Close the node and propagate EOS downstream (idempotent)."""
         if self._finalized:
             return
         self._finalized = True
@@ -407,7 +376,6 @@ class NodeExecutor:
             self._run_operator(node.operator.on_close)
         elif node.kind == "sink":
             node.sink.on_close()
-        self.flush_outputs()
         for stream in node.outputs:
             stream.put(END_OF_STREAM)
 
@@ -494,12 +462,13 @@ class ThreadedScheduler:
     def __init__(
         self,
         checkpoint_listener: CheckpointListener | None = None,
-        edge_batch_size: int = 1,
         obs=None,
+        planned: bool = False,
     ) -> None:
         self._checkpoint_listener = checkpoint_listener
-        self._edge_batch_size = max(1, edge_batch_size)
         self._obs = obs
+        # nodes compiled from a plan send and take whole runs
+        self._planned = planned
         self._threads: list[threading.Thread] = []
         self._threads_lock = threading.Lock()
         self._executors: list[NodeExecutor] = []
@@ -536,8 +505,8 @@ class ThreadedScheduler:
             node,
             stop_event=self._stop,
             checkpoint_listener=self._checkpoint_listener,
-            edge_batch_size=self._edge_batch_size if node.kind != "source" else 1,
             obs=self._obs,
+            planned=self._planned,
         )
 
     def _launch(self, ex: NodeExecutor) -> None:
@@ -583,7 +552,7 @@ class ThreadedScheduler:
             moved = False
             for index in list(ex.ready_inputs):
                 stream = ex.node.inputs[index]
-                # Bulk-drain queued data entries under one lock acquisition;
+                # Take queued data entries under one lock acquisition;
                 # drain() stops before control items (EOS, barriers), which
                 # the try_get fallback then delivers one at a time.
                 items = stream.drain(DRAIN_BATCH)
@@ -591,24 +560,17 @@ class ThreadedScheduler:
                     item = stream.try_get()
                     if item is None:
                         continue
-                    ex.handle(index, item)
-                    moved = True
-                    if ex.retired:
-                        break
-                    continue
-                for item in items:
-                    ex.handle(index, item)
+                    items = [item]
+                self._deliver(ex, index, items)
                 moved = True
                 if ex.retired:
                     break
             if ex.retired:
                 break
-            if moved:
-                ex.maybe_flush(time.monotonic())
-            elif not ex.finalized:
-                # Going idle: ship partially filled output batches so
-                # downstream latency is bounded by the blocking timeout,
-                # not by how long this node stays starved.
+            if not moved and not ex.finalized:
+                # Going idle: a buffering sink ships what it holds, so its
+                # latency is bounded by the blocking timeout, not by how
+                # long this node stays starved.
                 ex.flush_outputs()
                 self._block_on_any_input(ex)
         if self._stop.is_set() and not ex.finalized and not ex.retired:
@@ -632,16 +594,31 @@ class ThreadedScheduler:
         item = stream.get(timeout=POLL_TIMEOUT)
         if item is None:
             return
-        ex.handle(ready[0], item)
-        if ex.finalized or ex.retired or ex.input_blocked(ready[0]):
+        if item is END_OF_STREAM or is_barrier(item):
+            ex.handle(ready[0], item)
             return
-        # Opportunistic drain: whatever queued up behind the item we just
-        # waited for is consumed in the same wake-up, one lock acquisition
-        # for the whole run instead of one per item.
-        for extra in stream.drain(DRAIN_BATCH):
-            ex.handle(ready[0], extra)
-            if ex.retired:
-                return
+        # Whatever queued up behind the entry we waited for is taken in
+        # the same wake-up, one lock acquisition for the whole drain.
+        self._deliver(ex, ready[0], [item, *stream.drain(DRAIN_BATCH - 1)])
+
+    def _deliver(self, ex: NodeExecutor, index: int, entries: list) -> None:
+        """Hand ``ex`` what one drain took from input ``index``.
+
+        With a plan, the data entries go as one run; without one, and for
+        a control item, one ``handle`` per entry.
+        """
+        if self._planned and len(entries) > 1:
+            run = TupleBatch()
+            for item in entries:
+                if type(item) is TupleBatch:
+                    run.extend(item)
+                elif type(item) is ColumnarBlock:
+                    run.extend(item.to_tuples())
+                else:
+                    run.append(item)
+            entries = [run]
+        for item in entries:
+            ex.handle(index, item)
 
     def stop(self) -> None:
         """Request cooperative shutdown of all node threads."""

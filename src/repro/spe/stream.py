@@ -9,10 +9,11 @@ appends when it will emit nothing more.
 
 Queue entries are either single tuples, control items (barriers, EOS), or
 a :class:`TupleBatch` — a contiguous run of data tuples a producer moved
-as one entry to amortize lock/condvar traffic: an operator's batched edge
-transport, or a run a source yielded whole (a connector reader's block
-record). Capacity and the produced/consumed counters account for
-the *tuples* inside a batch, so back-pressure semantics are unchanged.
+as one entry to amortize lock/condvar traffic: what a planned operator
+returned for one run, or a run a source yielded whole (a connector
+reader's block record). Capacity and the produced/consumed counters
+account for the *tuples* inside a batch, so back-pressure semantics are
+unchanged.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class Stream:
         EOS markers bypass the capacity check so shutdown never deadlocks.
         A :class:`TupleBatch` is admitted whenever *any* capacity remains
         (it may transiently overshoot by at most one batch), so a batch
-        never deadlocks against a capacity smaller than the batch size.
+        never deadlocks against a capacity smaller than its length.
         """
         with self._not_full:
             if item is not END_OF_STREAM:

@@ -18,7 +18,7 @@ TIMING = re.compile(r"\d+(?:\.\d+)?(?=\s?(?:ms|s|img/s|kcells/s)\b)")
 
 EXPLAIN_ALG1 = """\
 == strata ==
-   optimizer: batch=32, parallelism=1
+   optimizer: parallelism=1
   source:pp  [source[PrintingParameterCollector]]
   source:OT  [source[OTImageCollector]]
   fuse:OT&pp  [JoinOperator]  <- source:OT->fuse:OT&pp, source:pp->fuse:OT&pp
@@ -252,7 +252,7 @@ def test_monitor_clean_completes(capsys):
 def test_explain_names_vectorized_chains(capsys):
     assert main(["replay", *SMALL, "--explain"]) == 0
     out = capsys.readouterr().out
-    assert "optimizer: batch=32, parallelism=1" in out
+    assert "optimizer: parallelism=1" in out
     assert "mode=vectorized" in out
 
 

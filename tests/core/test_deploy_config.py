@@ -39,6 +39,7 @@ def simple_strata():
 #: sets it: a config file naming one must fail to parse, not at deploy
 RETIRED_KEYS = [
     ("plan.linger_s", b"[plan]\nlinger_s = 0.01\n"),
+    ("plan.edge_batch_size", b"[plan]\nedge_batch_size = 32\n"),
     ("obs.max_traces", b"[obs]\nmax_traces = 0\n"),
     ("obs.time_buckets", b"[obs]\ntime_buckets = []\n"),
     ("obs.timing_histograms", b"[obs]\ntiming_histograms = true\n"),
@@ -141,7 +142,7 @@ class TestRoundTrip:
 
     def test_round_trip_is_identity(self):
         config = DeployConfig.from_dict({
-            "plan": {"parallelism": 2, "edge_batch_size": 8},
+            "plan": {"parallelism": 2},
             "elastic": {"max_parallelism": 8, "cooldown_s": 1.0},
         })
         assert DeployConfig.from_dict(config.to_dict()) == config

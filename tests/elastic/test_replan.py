@@ -589,7 +589,7 @@ def test_cli_elastic_of_replan_flags():
 
     def elastic_of(**kw):
         base = dict(
-            config=None, no_optimize=False, batch_size=32, parallelism=1,
+            config=None, no_optimize=False, parallelism=1,
             elastic=False, replan=False, no_replan=False,
             min_parallelism=1, max_parallelism=4,
         )

@@ -14,6 +14,7 @@ run's.
 import importlib.util
 from pathlib import Path
 
+from repro.cli import _render_top
 from repro.core import (
     DeployConfig,
     Strata,
@@ -130,11 +131,14 @@ def test_fully_traced_pipeline_still_runs_blocks(
         s.label("operator"): s.value for s in snap.filter("spe_blocks_in_total").samples
     }
     assert blocks[chains[0]] > 0
-    fill = {
-        s.label("operator"): s.value for s in snap.filter("spe_block_fill_ratio").samples
+    rows = {
+        s.label("operator"): s.value
+        for s in snap.filter("spe_block_rows_in_total").samples
     }
-    # widest-point fill: a few specimen rows per layer are thousands of cells
-    assert fill[chains[0]] == 1.0
+    # a block takes a layer's specimen rows at once, and top shows how many
+    per_block = rows[chains[0]] / blocks[chains[0]]
+    assert per_block > 1
+    assert f"vectorized {per_block:.0f}/blk" in _render_top(snap)
 
     # (b) each layer's journey: source -> fuse -> fused chain -> sink, in
     # order, one span per node per run. fuse carries the OT side's trace id

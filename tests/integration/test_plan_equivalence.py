@@ -1,11 +1,12 @@
 """Property: a compiled plan is observationally equivalent to the query.
 
 The oracle is the :class:`SynchronousScheduler` running the graph exactly
-as declared (no fusion, no replication, no batching). For any randomly
+as declared (no fusion, no replication, tuple at a time). For any randomly
 generated pipeline and input, the optimized threaded plan must deliver
 the same sink output: the identical *sequence* for linear plans (fusion
-and batching may not reorder), the identical *multiset* once replication
-is in play (the merge union interleaves replica outputs arbitrarily).
+and whole-run transport may not reorder), the identical *multiset* once
+replication is in play (the merge union interleaves replica outputs
+arbitrarily).
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from repro.spe import (
     Query,
     StreamEngine,
     StreamTuple,
+    TupleBatch,
 )
+from repro.spe.source import Source
 
 # Each spec is (kind, knob); stages are instantiated fresh per run so the
 # oracle and the optimized run never share state.
@@ -77,13 +80,32 @@ def _make_stage(kind: str, knob: int, name: str):
     raise AssertionError(kind)
 
 
-def _build(stages, values, replicable: bool):
+class _RunSource(Source):
+    """Yields its tuples as ``TupleBatch`` runs of the given lengths."""
+
+    def __init__(self, name, tuples, lengths):
+        super().__init__(name)
+        self._tuples = tuples
+        self._lengths = lengths
+
+    def __iter__(self):
+        start = 0
+        for n in self._lengths:
+            if start >= len(self._tuples):
+                return
+            yield TupleBatch(self._tuples[start:start + n])
+            start += n
+        yield from self._tuples[start:]
+
+
+def _build(stages, values, replicable: bool, runs=None):
     q = Query("prop")
     tuples = [
         StreamTuple(tau=float(i), job="j", layer=i, payload={"x": v})
         for i, v in enumerate(values)
     ]
-    q.add_source("src", ListSource("src", tuples))
+    source = ListSource("src", tuples) if runs is None else _RunSource("src", tuples, runs)
+    q.add_source("src", source)
     upstream = "src"
     for i, (kind, knob) in enumerate(stages):
         name = f"s{i}"
@@ -108,12 +130,19 @@ def _payloads(report):
     return [tuple(sorted(t.payload.items())) for t in report.sinks["out"].results]
 
 
-@given(stages=_STAGES, values=_INPUTS, batch=st.sampled_from([1, 2, 7, 32]))
+@given(
+    stages=_STAGES,
+    values=_INPUTS,
+    runs=st.lists(st.integers(min_value=1, max_value=32), max_size=12),
+)
 @settings(max_examples=25, deadline=None)
-def test_fused_batched_plan_matches_sync_oracle(stages, values, batch):
+def test_fused_batched_plan_matches_sync_oracle(stages, values, runs):
+    """The source yields runs of drawn lengths (tuples past the drawn runs
+    come one by one), so the fused chain sees varied run shapes."""
     oracle = StreamEngine(mode="sync").run(_build(stages, values, False))
-    plan = PlanConfig(edge_batch_size=batch)
-    optimized = StreamEngine(mode="threaded").run(_build(stages, values, False), plan=plan)
+    optimized = StreamEngine(mode="threaded").run(
+        _build(stages, values, False, runs), plan=PlanConfig()
+    )
     # linear plans must preserve the exact output sequence, not just the set
     assert _payloads(optimized) == _payloads(oracle)
 
@@ -122,7 +151,7 @@ def test_fused_batched_plan_matches_sync_oracle(stages, values, batch):
 @settings(max_examples=15, deadline=None)
 def test_replicated_plan_matches_sync_oracle_as_multiset(stages, values, parallelism):
     oracle = StreamEngine(mode="sync").run(_build(stages, values, False))
-    plan = PlanConfig(edge_batch_size=8, parallelism=parallelism)
+    plan = PlanConfig(parallelism=parallelism)
     optimized = StreamEngine(mode="threaded").run(
         _build(stages, values, True), plan=plan
     )
@@ -154,7 +183,7 @@ def test_stateful_aggregate_survives_fusion_with_batching():
 
     oracle = StreamEngine(mode="sync").run(build())
     optimized = StreamEngine(mode="threaded").run(
-        build(), plan=PlanConfig(edge_batch_size=16)
+        build(), plan=PlanConfig()
     )
     assert _payloads(optimized) == _payloads(oracle)
     total = sum(t.payload["n"] for t in optimized.sinks["out"].results)

@@ -52,7 +52,7 @@ WINDOW = 4
 
 #: the graph as declared: one thread per operator, tuple at a time
 PLAN_OFF = None
-VECTOR_PLAN = PlanConfig(edge_batch_size=32)
+VECTOR_PLAN = PlanConfig()
 
 
 def _paced(records, delay):
@@ -102,10 +102,11 @@ def test_vectorized_plan_output_matches_plan_off(
 def test_vectorized_single_tuple_batches_match(
     layer_records, reference_images, test_job, oracle_signature
 ):
-    """edge_batch_size=1: every run is a one-row block (worst-case fill)."""
+    """A paced source: each layer reaches the chain as its own one-row run
+    (worst-case fill)."""
     strata = Strata(engine_mode="threaded")
-    pipeline = _build(strata, layer_records, reference_images, test_job)
-    strata.deploy(DeployConfig(plan=PlanConfig(edge_batch_size=1)))
+    pipeline = _build(strata, layer_records, reference_images, test_job, delay=0.02)
+    strata.deploy(DeployConfig(plan=VECTOR_PLAN))
     assert signature(pipeline.sink.results) == oracle_signature
 
 

@@ -125,7 +125,7 @@ def test_unfused_checkpoint_restores_into_fused_plan():
 
 
 def test_fused_checkpoint_restores_into_unfused_plan():
-    store = checkpointed_store(two_stage_query, plan=PlanConfig(edge_batch_size=4))
+    store = checkpointed_store(two_stage_query, plan=PlanConfig())
     recovery = RecoveryCoordinator(store)
     query, sink = two_stage_query(n=60)
     StreamEngine(mode="sync").run(query, on_built=recovery, plan=None)
@@ -193,7 +193,7 @@ def test_crash_unfused_then_recover_fused():
     recovery = RecoveryCoordinator(store)
     query2, sink2 = two_stage_query(n=n)
     StreamEngine(mode="threaded").run(
-        query2, on_built=recovery, plan=PlanConfig(edge_batch_size=8)
+        query2, on_built=recovery, plan=PlanConfig()
     )
     assert recovery.report is not None
     assert recovery.report.sources_restored == ["src"]
@@ -202,11 +202,12 @@ def test_crash_unfused_then_recover_fused():
 
 
 def test_fused_checkpoint_during_batched_run_round_trips():
-    """Checkpoint under fusion+batching, crash, recover under the same
-    optimized shape — the common production path."""
+    """Checkpoint under the default plan (fused, whole runs on edges),
+    crash, recover under the same optimized shape — the common production
+    path."""
     store = MemoryStore()
     n = 60
-    plan = PlanConfig(edge_batch_size=8)
+    plan = PlanConfig()
     query, sink = two_stage_query(n=n, delay=0.02)
     coordinator = CheckpointCoordinator(store)
     engine = StreamEngine(mode="threaded")

@@ -86,11 +86,11 @@ def test_resolve_off_forms_return_none():
 def test_resolve_true_gives_defaults():
     plan = PlanConfig.resolve(True)
     assert plan == PlanConfig()
-    assert plan.edge_batch_size > 1 and plan.parallelism == 1
+    assert plan.parallelism == 1
 
 
 def test_resolve_passes_instances_through():
-    plan = PlanConfig(edge_batch_size=4)
+    plan = PlanConfig(parallelism=4)
     assert PlanConfig.resolve(plan) is plan
 
 
@@ -101,7 +101,7 @@ def test_resolve_rejects_other_types():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"edge_batch_size": 0}, {"parallelism": 0}],
+    [{"parallelism": 0}, {"parallelism": -1}],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -263,7 +263,7 @@ def test_compile_plan_none_is_identity():
 
 
 def test_a_plan_always_fuses():
-    compiled = compile_plan(build_chain().build(), PlanConfig(edge_batch_size=1))
+    compiled = compile_plan(build_chain().build(), PlanConfig())
     assert [n.name for n in compiled] == ["src", "fused[m0+m1+m2]", "out"]
 
 
@@ -521,16 +521,14 @@ def test_render_plan_names_every_chain_mode():
 
 
 def test_describe_names_only_what_a_deployment_sets():
-    assert PlanConfig(edge_batch_size=8, parallelism=2).describe() == (
-        "batch=8, parallelism=2"
-    )
+    assert PlanConfig(parallelism=2).describe() == "parallelism=2"
 
 
 def test_vectorized_chain_matches_plan_off_output():
     baseline = StreamEngine(mode="sync").run(build_block_chain())
     expected = [t.payload["x"] for t in baseline.sinks["out"].results]
     optimized = StreamEngine(mode="threaded").run(
-        build_block_chain(), plan=PlanConfig(edge_batch_size=4)
+        build_block_chain(), plan=PlanConfig()
     )
     assert [t.payload["x"] for t in optimized.sinks["out"].results] == expected
 
@@ -672,7 +670,7 @@ def test_drain_stops_at_barriers_and_eos():
 
 def test_threaded_batched_run_preserves_order_and_results():
     report = StreamEngine(mode="threaded").run(
-        build_chain(3), plan=PlanConfig(edge_batch_size=2)
+        build_chain(3), plan=PlanConfig()
     )
     xs = [t.payload["x"] for t in report.sinks["out"].results]
     assert xs == [3, 4, 5]

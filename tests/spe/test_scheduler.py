@@ -401,3 +401,94 @@ def test_both_schedulers_send_what_a_source_yields_alike(monkeypatch, keyed):
         run_of_four = [("tuple", 0), ("barrier", 7), ("run", [1, 2, 3, 4]), ("eos",)]
         assert got == {"op0": run_of_four, "op1": run_of_four}
         assert calls == [[[0], [1, 2, 3, 4]]] * 2
+
+
+def _launch_alone(q, name, entries, plan, router=None):
+    """Queue ``entries`` and EOS on node ``name``'s input, then run that node
+    alone on the one launch path (its consumers never run)."""
+    from repro.spe.engine import join, launch
+    from repro.spe.stream import END_OF_STREAM
+
+    node = next(n for n in q.build() if n.name == name)
+    node.router = router
+    for item in [*entries, END_OF_STREAM]:
+        node.inputs[0].put(item)
+    assert join(*launch([node], plan), timeout=10.0), "the node did not finish"
+
+
+@pytest.mark.parametrize("keyed", [False, True])
+def test_a_planned_operator_sends_its_run_whole_before_handle_returns(
+    monkeypatch, keyed
+):
+    """With a plan, the three tuples an operator returns for one run are on
+    its output edges when ``handle`` returns: one ``TupleBatch`` per
+    destination, split by the router when keyed."""
+    from repro.spe import Operator
+    from repro.spe.scheduler import NodeExecutor
+    from repro.spe.stream import TupleBatch
+
+    class Triple(Operator):
+        num_inputs = 1
+
+        def process(self, input_index, t):
+            return [t.derive(layer=i) for i in range(3)]
+
+    class ByParity:
+        def route(self, t):
+            return t.layer % 2
+
+    after_handle = []
+    handle = NodeExecutor.handle
+
+    def recording(self, input_index, item):
+        handle(self, input_index, item)
+        if isinstance(item, StreamTuple):
+            after_handle.append([
+                [(type(e), [t.layer for t in e]) for e in s.drain()]
+                for s in self.node.outputs
+            ])
+
+    monkeypatch.setattr(NodeExecutor, "handle", recording)
+    q = Query("triple")
+    q.add_source("src", ListSource("src", []))
+    q.add_operator("op", Triple("op"), "src")
+    q.add_sink("a", CollectingSink("a"), "op")
+    if keyed:
+        q.add_sink("b", CollectingSink("b"), "op")
+    _launch_alone(q, "op", tuples(1), PlanConfig(), ByParity() if keyed else None)
+    if keyed:
+        assert after_handle == [[[(TupleBatch, [0, 2])], [(TupleBatch, [1])]]]
+    else:
+        assert after_handle == [[[(TupleBatch, [0, 1, 2])]]]
+
+
+@pytest.mark.parametrize(
+    "plan, calls", [(PlanConfig(), [5]), (None, [1] * 5)], ids=["plan", "plan-off"]
+)
+def test_queued_entries_reach_process_many_as_one_run_with_a_plan(plan, calls):
+    """Five data entries queued on one input: with a plan one drain hands
+    them over as one 5-row ``process_many`` call; without one, each entry
+    is its own call, the graph as declared."""
+    from repro.spe import Operator
+
+    class Lengths(Operator):
+        num_inputs = 1
+
+        def __init__(self, name):
+            super().__init__(name)
+            self.lengths = []
+
+        def process(self, input_index, t):
+            return self.process_many([t])
+
+        def process_many(self, batch, input_index=0):
+            self.lengths.append(len(batch))
+            return []
+
+    op = Lengths("op")
+    q = Query("queued")
+    q.add_source("src", ListSource("src", []))
+    q.add_operator("op", op, "src")
+    q.add_sink("out", CollectingSink(), "op")
+    _launch_alone(q, "op", tuples(5), plan)
+    assert op.lengths == calls
