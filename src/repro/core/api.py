@@ -184,6 +184,12 @@ class Strata:
         ``ws`` of each other match). ``gb`` adds payload sub-attributes to
         the matching key. Output payload concatenates both inputs' payloads
         (keys must be disjoint — Table 1).
+
+        Without ``ws``/``wa`` each input carries one tuple per key (one OT
+        image and one PP record per layer), so a pair is dropped once it
+        has fused: nothing that matched stays in the join's state, and a
+        replayed duplicate finds no partner (sinks dedup it anyway).
+        Windowed fuses emit every pair and evict by watermark.
         """
         self._check_mutable()
         self._check_new_stream(s_out)
@@ -213,7 +219,9 @@ class Strata:
                 return (t.job, t.layer) + tuple(t.payload.get(k) for k in gb_keys)
 
         node = f"fuse:{s_out}"
-        join = JoinOperator(node, ws=join_ws, group_by=group_by)
+        join = JoinOperator(
+            node, ws=join_ws, group_by=group_by, one_to_one=ws is None
+        )
         upstream1 = self._resolve_upstream(s_in1, MODULE_MONITOR)
         upstream2 = self._resolve_upstream(s_in2, MODULE_MONITOR)
         self._query.add_operator(node, join, [upstream1, upstream2])

@@ -49,13 +49,29 @@ class KVStore(ABC):
     def delete(self, key: str | bytes) -> None:
         """Remove ``key`` if present (idempotent)."""
 
-    @abstractmethod
     def scan(
         self,
         start: str | bytes | None = None,
         end: str | bytes | None = None,
     ) -> Iterator[tuple[bytes, Any]]:
         """Iterate ``(key, value)`` pairs with ``start <= key < end``."""
+        for key, raw in self._range(start, end):
+            yield key, decode_value(raw)
+
+    def keys(
+        self,
+        start: str | bytes | None = None,
+        end: str | bytes | None = None,
+    ) -> Iterator[bytes]:
+        """Iterate the keys ``start <= key < end`` in order; no value is decoded."""
+        for key, _raw in self._range(start, end):
+            yield key
+
+    @abstractmethod
+    def _range(
+        self, start: str | bytes | None, end: str | bytes | None
+    ) -> Iterator[tuple[bytes, bytes | memoryview]]:
+        """Live ``(key, encoded value)`` pairs with ``start <= key < end``."""
 
     @abstractmethod
     def close(self) -> None:

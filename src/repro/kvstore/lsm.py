@@ -19,7 +19,7 @@ from typing import Any, Iterator
 
 from .api import KVStore, decode_value, encode_key, encode_value
 from .batch import WriteBatch
-from .compaction import compact
+from .compaction import compact, merge_runs
 from .errors import StoreClosedError
 from .memtable import TOMBSTONE, SkipListMemtable
 from .sstable import SSTable, SSTableWriter
@@ -130,47 +130,23 @@ class LSMStore(KVStore):
             self._wal.append(raw_key, TOMBSTONE)
             self._memtable.put(raw_key, TOMBSTONE)
 
-    def scan(
-        self,
-        start: str | bytes | None = None,
-        end: str | bytes | None = None,
-    ) -> Iterator[tuple[bytes, Any]]:
+    def _range(
+        self, start: str | bytes | None, end: str | bytes | None
+    ) -> Iterator[tuple[bytes, bytes | memoryview]]:
         raw_start = encode_key(start) if start is not None else None
         raw_end = encode_key(end) if end is not None else None
         with self._lock:
             self._check_open()
             # Snapshot the merge inputs under the lock; iteration itself is
             # lock-free over immutable SSTables plus a copied memtable slice.
-            sources: list[list[tuple[bytes, bytes]]] = [
+            # Table values are views into the tables' buffers, not copies.
+            runs: list[list[tuple[bytes, bytes | memoryview]]] = [
                 list(table.range_items(raw_start, raw_end)) for table in self._tables
             ]
-            sources.append(list(self._memtable.range_items(raw_start, raw_end)))
-        yield from self._merged_scan(sources)
-
-    @staticmethod
-    def _merged_scan(
-        sources: list[list[tuple[bytes, bytes]]],
-    ) -> Iterator[tuple[bytes, Any]]:
-        # sources are ordered oldest → newest; later sources win on ties.
-        import heapq
-
-        heap: list[tuple[bytes, int, bytes, int, int]] = []
-        for age, entries in enumerate(sources):
-            if entries:
-                key, value = entries[0]
-                heap.append((key, -age, value, age, 0))
-        heapq.heapify(heap)
-        last_key: bytes | None = None
-        while heap:
-            key, _neg, value, age, pos = heapq.heappop(heap)
-            if pos + 1 < len(sources[age]):
-                nkey, nvalue = sources[age][pos + 1]
-                heapq.heappush(heap, (nkey, -age, nvalue, age, pos + 1))
-            if key == last_key:
-                continue
-            last_key = key
+            runs.append(list(self._memtable.range_items(raw_start, raw_end)))
+        for key, value in merge_runs(runs):
             if value != TOMBSTONE:
-                yield key, decode_value(value)
+                yield key, value
 
     def write_batch(self, batch: "WriteBatch") -> None:
         """Apply a batch of puts/deletes atomically.

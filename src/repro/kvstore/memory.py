@@ -48,11 +48,9 @@ class MemoryStore(KVStore):
             self._check_open()
             self._data.pop(raw_key, None)
 
-    def scan(
-        self,
-        start: str | bytes | None = None,
-        end: str | bytes | None = None,
-    ) -> Iterator[tuple[bytes, Any]]:
+    def _range(
+        self, start: str | bytes | None, end: str | bytes | None
+    ) -> Iterator[tuple[bytes, bytes]]:
         raw_start = encode_key(start) if start is not None else None
         raw_end = encode_key(end) if end is not None else None
         with self._lock:
@@ -66,7 +64,7 @@ class MemoryStore(KVStore):
             with self._lock:
                 raw = self._data.get(key)
             if raw is not None:
-                yield key, decode_value(raw)
+                yield key, raw
 
     def write_batch(self, batch) -> None:
         """Apply a :class:`~repro.kvstore.batch.WriteBatch` atomically."""

@@ -15,24 +15,18 @@ offset, so a point lookup reads at most one index segment of records.
 from __future__ import annotations
 
 import struct
-import zlib
 from bisect import bisect_right
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .bloom import BloomFilter
 from .errors import CorruptionError
+from .wal import record_crc, write_record
 
 _RECORD_HEADER = struct.Struct("<III")
 _FOOTER = struct.Struct("<QQQQ8s")
 _MAGIC = b"SSTBLv01"
 _INDEX_INTERVAL = 16
-
-
-def _pack_record(key: bytes, value: bytes) -> bytes:
-    header_tail = struct.pack("<II", len(key), len(value))
-    crc = zlib.crc32(header_tail + key + value)
-    return _RECORD_HEADER.pack(crc, len(key), len(value)) + key + value
 
 
 class SSTableWriter:
@@ -61,9 +55,7 @@ class SSTableWriter:
         self._last_key = key
         if self._count % self._index_interval == 0:
             self._index.append((key, self._offset))
-        record = _pack_record(key, value)
-        self._file.write(record)
-        self._offset += len(record)
+        self._offset += write_record(self._file, key, value)
         self._bloom.add(key)
         self._count += 1
 
@@ -84,7 +76,12 @@ class SSTableWriter:
 
 
 class SSTable:
-    """Read-only view over one SSTable file."""
+    """Read-only view over one SSTable file.
+
+    The file is read once and held as one buffer; values come back as
+    ``memoryview`` slices of it, so iterating keys or checking CRCs copies
+    no value.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self._path = Path(path)
@@ -97,7 +94,7 @@ class SSTable:
         )
         if magic != _MAGIC:
             raise CorruptionError(f"{self._path}: bad magic {magic!r}")
-        self._data = data[:index_offset]
+        self._data = memoryview(data)[:index_offset]
         self._count = count
         self._bloom = BloomFilter.from_bytes(data[bloom_offset : -_FOOTER.size])
         self._index_keys: list[bytes] = []
@@ -118,7 +115,7 @@ class SSTable:
     def __len__(self) -> int:
         return self._count
 
-    def _records_from(self, offset: int) -> Iterator[tuple[bytes, bytes]]:
+    def _records_from(self, offset: int) -> Iterator[tuple[bytes, memoryview]]:
         data = self._data
         total = len(data)
         while offset + _RECORD_HEADER.size <= total:
@@ -127,14 +124,14 @@ class SSTable:
             end = start + key_len + value_len
             if end > total:
                 raise CorruptionError(f"{self._path}: truncated record at {offset}")
-            body = data[start:end]
-            expected = zlib.crc32(data[offset + 4 : start] + body)
-            if crc != expected:
+            key = data[start : start + key_len]
+            value = data[start + key_len : end]
+            if crc != record_crc(data[offset + 4 : start], key, value):
                 raise CorruptionError(f"{self._path}: CRC mismatch at {offset}")
-            yield body[:key_len], body[key_len:]
+            yield key.tobytes(), value
             offset = end
 
-    def get(self, key: bytes) -> Optional[bytes]:
+    def get(self, key: bytes) -> Optional[memoryview]:
         """Point lookup; returns the raw stored value (may be a tombstone)."""
         if not self._index_keys or not self._bloom.might_contain(key):
             return None
@@ -148,13 +145,13 @@ class SSTable:
                 return None
         return None
 
-    def items(self) -> Iterator[tuple[bytes, bytes]]:
+    def items(self) -> Iterator[tuple[bytes, memoryview]]:
         """All entries in key order (tombstones included)."""
         yield from self._records_from(0)
 
     def range_items(
         self, start: bytes | None, end: bytes | None
-    ) -> Iterator[tuple[bytes, bytes]]:
+    ) -> Iterator[tuple[bytes, memoryview]]:
         """Entries with ``start <= key < end`` in key order."""
         offset = 0
         if start is not None and self._index_keys:

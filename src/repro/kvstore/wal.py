@@ -20,6 +20,26 @@ from typing import Iterator
 from .errors import StoreClosedError
 
 _HEADER = struct.Struct("<III")
+_CRC = struct.Struct("<I")
+_LENGTHS = struct.Struct("<II")
+
+
+def record_crc(lengths, key, value) -> int:
+    """CRC of one record: its two length fields, key and value.
+
+    Computed incrementally over the parts, so a large value is never
+    copied to be checked.
+    """
+    return zlib.crc32(value, zlib.crc32(key, zlib.crc32(lengths)))
+
+
+def write_record(file, key: bytes, value) -> int:
+    """Frame ``key``/``value`` as one record on ``file``; returns its size."""
+    lengths = _LENGTHS.pack(len(key), len(value))
+    file.write(_CRC.pack(record_crc(lengths, key, value)) + lengths)
+    file.write(key)
+    file.write(value)
+    return _HEADER.size + len(key) + len(value)
 
 
 class WriteAheadLog:
@@ -39,10 +59,7 @@ class WriteAheadLog:
         """Durably record one put/delete before it reaches the memtable."""
         if self._closed:
             raise StoreClosedError("WAL is closed")
-        body = key + value
-        header = _HEADER.pack(0, len(key), len(value))
-        crc = zlib.crc32(header[4:] + body)
-        self._file.write(_HEADER.pack(crc, len(key), len(value)) + body)
+        write_record(self._file, key, value)
         self._file.flush()
         if self._sync:
             os.fsync(self._file.fileno())
@@ -73,9 +90,9 @@ class WriteAheadLog:
             body_end = body_start + key_len + value_len
             if body_end > total:
                 return  # truncated tail
-            body = data[body_start:body_end]
-            expected = zlib.crc32(data[offset + 4 : offset + _HEADER.size] + body)
-            if crc != expected:
+            key = data[body_start : body_start + key_len]
+            value = data[body_start + key_len : body_end]
+            if crc != record_crc(data[offset + 4 : body_start], key, value):
                 return  # corrupt record; discard it and everything after
-            yield body[:key_len], body[key_len:]
+            yield key, value
             offset = body_end

@@ -11,6 +11,9 @@ invisible to recovery, so a crash mid-checkpoint leaves at most some
 orphaned ``node/``/``source/`` keys that are never read (and are harmlessly
 overwritten if the epoch number is ever reused). Atomicity therefore rests
 on a single KV put, which both backends apply atomically.
+
+Listing and dropping epochs reads keys only (``KVStore.keys``): retention
+runs on every commit and never decodes a stored state.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ class CheckpointStorage:
     def drop_epoch(self, epoch: int) -> None:
         """Delete one epoch, manifest first so readers never see a torso."""
         self._store.delete(self.manifest_key(epoch))
-        prefix = self._epoch_prefix(epoch) + "/"
-        doomed = [key for key, _ in self._scan_prefix(prefix)]
+        doomed = list(self._keys_under(self._epoch_prefix(epoch) + "/"))
         for key in doomed:
             self._store.delete(key)
 
@@ -84,17 +86,16 @@ class CheckpointStorage:
 
     # -- reads --------------------------------------------------------------
 
-    def _scan_prefix(self, prefix: str) -> Iterator[tuple[str, Any]]:
+    def _keys_under(self, prefix: str) -> Iterator[str]:
         # '0x2F + 1 = 0x30' trick: "p/" .. "p0" spans every key under p/.
         end = prefix[:-1] + chr(ord(prefix[-1]) + 1)
-        for raw_key, value in self._store.scan(start=prefix, end=end):
-            key = raw_key.decode("utf-8") if isinstance(raw_key, bytes) else raw_key
-            yield key, value
+        for raw_key in self._store.keys(start=prefix, end=end):
+            yield raw_key.decode("utf-8")
 
     def epochs(self) -> list[int]:
         """Committed (manifested) epochs, ascending."""
         out = []
-        for key, _ in self._scan_prefix(self._prefix + "/"):
+        for key in self._keys_under(self._prefix + "/"):
             parts = key.split("/")
             if len(parts) == 3 and parts[2] == "manifest":
                 out.append(int(parts[1]))

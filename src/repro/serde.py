@@ -107,13 +107,17 @@ def encode_value(value: Any, allow_pickle: bool = True) -> bytes:
     return TAG_PICKLE + pickle.dumps(value)
 
 
-def decode_value(data: bytes, allow_pickle: bool = True) -> Any:
-    """Inverse of :func:`encode_value`."""
-    tag, body = data[:1], data[1:]
+def decode_value(data: bytes | memoryview, allow_pickle: bool = True) -> Any:
+    """Inverse of :func:`encode_value`.
+
+    ``data`` may be any bytes-like object (the LSM store hands in views of
+    its tables); the body is decoded in place, not copied first.
+    """
+    tag, body = bytes(data[:1]), memoryview(data)[1:]
     if tag == TAG_BYTES:
-        return body
+        return body.tobytes()
     if tag == TAG_JSON:
-        return json.loads(body.decode("utf-8"))
+        return json.loads(str(body, "utf-8"))
     if tag == TAG_PICKLE:
         if not allow_pickle:
             raise PickleRefusedError(

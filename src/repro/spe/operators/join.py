@@ -9,6 +9,10 @@ without window parameters matches tuples with identical ``tau``.
 
 Buffers are evicted by watermark: once both inputs have progressed past
 ``tau + WS``, a buffered tuple can no longer find partners and is dropped.
+A join declared ``one_to_one`` (each key has at most one tuple per side,
+as the paper's one OT image and one PP record per layer) drops a pair at
+the match instead: the partner leaves its buffer and the arriving tuple
+is never buffered, so a checkpoint holds only tuples still waiting.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ GroupByFunction = Callable[[StreamTuple], Hashable]
 
 
 class JoinOperator(Operator):
-    """Symmetric hash join over bounded event-time windows."""
+    """Symmetric hash join over bounded event-time windows.
+
+    ``one_to_one=True`` declares at most one tuple per key on each side:
+    a match consumes both tuples, so a replayed duplicate no longer fuses
+    again with a partner that already matched. Without it every pair in
+    the window is emitted and tuples leave only by watermark.
+    """
 
     num_inputs = 2
     LEFT = 0
@@ -40,6 +50,7 @@ class JoinOperator(Operator):
         group_by: GroupByFunction | None = None,
         combiner: JoinCombiner | None = None,
         slack: float = 0.0,
+        one_to_one: bool = False,
     ) -> None:
         super().__init__(name)
         if ws < 0:
@@ -48,6 +59,7 @@ class JoinOperator(Operator):
         self._predicate = predicate or (lambda left, right: True)
         self._group_by = group_by or (lambda t: None)
         self._combiner = combiner or StreamTuple.fused
+        self._one_to_one = one_to_one
         # side -> key -> deque of buffered tuples (insertion = tau order)
         self._buffers: tuple[dict[Hashable, deque[StreamTuple]], ...] = ({}, {})
         self._tracker = WatermarkTracker(2, slack)
@@ -58,15 +70,22 @@ class JoinOperator(Operator):
             raise ValueError(f"join has inputs 0 and 1, got {input_index}")
         key = self._group_by(t)
         other_side = self._buffers[1 - input_index]
+        partners = other_side.get(key, ())
         out: list[StreamTuple] = []
-        for candidate in other_side.get(key, ()):
+        for position, candidate in enumerate(partners):
             if abs(t.tau - candidate.tau) > self._ws:
                 continue
             left, right = (t, candidate) if input_index == self.LEFT else (candidate, t)
             if self._predicate(left, right):
                 out.append(self._combiner(left, right))
                 self.matches += 1
-        self._buffers[input_index].setdefault(key, deque()).append(t)
+                if self._one_to_one:
+                    del partners[position]
+                    if not partners:
+                        del other_side[key]
+                    break
+        if not (out and self._one_to_one):
+            self._buffers[input_index].setdefault(key, deque()).append(t)
         watermark = self._tracker.observe(input_index, t.tau)
         self._evict(watermark)
         return out

@@ -307,11 +307,10 @@ class VectorizedFusedOperator(FusedOperator):
         # of rows, the opposite mistake one block conversion, so the
         # estimate jumps up at once and only decays.
         self._expansion = {i: 1.0 for i, _j, is_block in self._segments if is_block}
-        # columnar transport counters (repro.obs exports the first two):
-        # blocks formed, rows in them at entry and at their widest point
+        # columnar transport counters (repro.obs exports both): blocks
+        # formed and the rows in them at entry
         self.blocks_in = 0
         self.block_rows_in = 0
-        self.block_rows_peak = 0
 
     def member_modes(self) -> dict[str, str]:
         """Execution mode per constituent, keyed by original node name."""
@@ -413,7 +412,6 @@ class VectorizedFusedOperator(FusedOperator):
             extend(block.to_tuples())
         self.blocks_in += 1
         self.block_rows_in += len(run)
-        self.block_rows_peak += widest
         return widest
 
     def __repr__(self) -> str:  # pragma: no cover

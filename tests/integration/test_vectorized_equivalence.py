@@ -333,4 +333,3 @@ def test_all_singles_still_form_blocks_behind_a_fan_out():
         op.process(0, t)
     assert op.blocks_in == 3
     assert op.block_rows_in == 6
-    assert op.block_rows_peak == 3 * (IMAGE_PX // 2) ** 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kvstore import LSMStore, StoreClosedError
+from repro.kvstore import CorruptionError, LSMStore, StoreClosedError
 
 
 @pytest.fixture()
@@ -103,6 +103,29 @@ def test_scan_excludes_deleted(store):
     store.flush()
     store.delete("a")
     assert dict(store.scan()) == {b"b": 2}
+
+
+def test_keys_list_what_scan_yields(store):
+    for i in range(12):
+        store.put(f"{i:02d}", {"state": i})
+        if i % 4 == 3:
+            store.flush()
+    store.delete("05")
+    store.put("07", "newer")
+    assert list(store.keys()) == [k for k, _ in store.scan()]
+    assert list(store.keys("03", "08")) == [b"03", b"04", b"06", b"07"]
+
+
+def test_keys_still_check_each_record(tmp_path):
+    with LSMStore(tmp_path) as store:
+        store.put("a", b"value")
+    (path,) = tmp_path.glob("sstable-*.sst")
+    data = bytearray(path.read_bytes())
+    data[12 + 1 + 2] ^= 0x01  # inside the value of the only record
+    path.write_bytes(bytes(data))
+    with LSMStore(tmp_path) as store:
+        with pytest.raises(CorruptionError):
+            list(store.keys())
 
 
 def test_recovery_from_wal(tmp_path):

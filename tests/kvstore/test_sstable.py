@@ -82,6 +82,19 @@ def test_data_corruption_detected_on_read(tmp_path):
         list(table.items())
 
 
+def test_flipped_value_byte_detected_on_read(tmp_path):
+    path = tmp_path / "t.sst"
+    build_table(path, [(b"key-one", b"value-one"), (b"key-two", b"value-two")])
+    data = bytearray(path.read_bytes())
+    data[12 + len(b"key-one") + 3] ^= 0x01  # inside the first record's value
+    path.write_bytes(bytes(data))
+    table = SSTable(path)
+    with pytest.raises(CorruptionError):
+        table.get(b"key-one")
+    with pytest.raises(CorruptionError):
+        list(table.range_items(None, None))
+
+
 def test_small_index_interval(tmp_path):
     entries = [(f"{i:03d}".encode(), str(i).encode()) for i in range(64)]
     table = build_table(tmp_path / "t.sst", entries, index_interval=4)

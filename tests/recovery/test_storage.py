@@ -2,6 +2,9 @@
 
 import pytest
 
+import repro.kvstore.api
+import repro.kvstore.lsm
+import repro.kvstore.memory
 from repro.kvstore.lsm import LSMStore
 from repro.kvstore.memory import MemoryStore
 from repro.recovery.storage import CheckpointStorage
@@ -123,3 +126,30 @@ def test_node_names_with_separators(storage):
     storage.save_node_state(0, name, {"ok": True})
     storage.commit_manifest(0, {"epoch": 0, "nodes": [name], "sources": []})
     assert storage.load_node_state(0, name) == {"ok": True}
+
+
+def test_listing_and_dropping_epochs_decode_no_value(storage, monkeypatch):
+    """Retention runs on every commit: it reads keys, never a stored state."""
+    for epoch in range(4):
+        if epoch == 2 and isinstance(storage.store, LSMStore):
+            storage.store.flush()  # epochs 0-1 in an SSTable, 2-3 in the memtable
+        storage.save_node_state(epoch, "fuse", {"image": bytes(4096), "epoch": epoch})
+        storage.save_source_position(epoch, "src", {"kind": "count", "emitted": epoch})
+        storage.commit_manifest(epoch, {"epoch": epoch, "nodes": ["fuse"], "sources": ["src"]})
+    decoded = []
+    decode = repro.kvstore.api.decode_value
+
+    def counted(data, *args, **kwargs):
+        decoded.append(bytes(data[:1]))
+        return decode(data, *args, **kwargs)
+
+    for module in (repro.kvstore.api, repro.kvstore.lsm, repro.kvstore.memory):
+        monkeypatch.setattr(module, "decode_value", counted)
+    assert storage.epochs() == [0, 1, 2, 3]
+    assert storage.latest_epoch() == 3
+    storage.drop_epoch(0)
+    assert storage.retain(2) == [1]
+    assert decoded == []
+    # the count is live: reading a state decodes it
+    assert storage.load_node_state(2, "fuse")["epoch"] == 2
+    assert decoded

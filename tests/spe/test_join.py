@@ -1,6 +1,10 @@
 """Join operator: matching, predicates, group-by, eviction."""
 
+import pytest
+
+from repro.core import Strata
 from repro.spe import JoinOperator, StreamTuple
+from repro.spe.source import ListSource
 
 
 def make(tau, side, layer=None, job="j", **payload):
@@ -101,3 +105,66 @@ def test_on_close_clears_state():
     join.process(0, make(0.0, "L", a=1))
     assert join.on_close() == []
     assert join.buffered == 0
+
+
+# -- what a fuse declares ---------------------------------------------------
+
+
+def fuse_join(**window):
+    """The join operator ``Strata.fuse`` declares for two sources."""
+    strata = Strata()
+    strata.add_source(ListSource("a", []), "OT")
+    strata.add_source(ListSource("b", []), "pp")
+    strata.fuse("OT", "pp", "OT&pp", **window)
+    return strata.query._declared["fuse:OT&pp"].operator
+
+
+def held_layers(join):
+    """Layers of every tuple a checkpoint of ``join`` would hold."""
+    state = join.snapshot_state()
+    return sorted(t.layer for side in state["buffers"] for buf in side.values() for t in buf)
+
+
+def test_windowless_fuse_holds_nothing_of_a_fused_layer():
+    join = fuse_join()
+    for k in range(3):
+        assert join.process(0, make(float(k), "L", ot=k)) == []
+        out = join.process(1, make(float(k), "R", pp=k))
+        assert [t.payload for t in out] == [{"ot": k, "pp": k}]
+        assert held_layers(join) == []
+    # a layer still waiting for its partner is held, and fuses after a restore
+    join.process(1, make(3.0, "R", pp=3))
+    assert held_layers(join) == [3]
+    restored = fuse_join()
+    restored.restore_state(join.snapshot_state())
+    out = restored.process(0, make(3.0, "L", ot=3))
+    assert [t.payload for t in out] == [{"ot": 3, "pp": 3}]
+    assert held_layers(restored) == []
+    assert restored.matches == 4
+
+
+def test_windowless_fuse_does_not_fuse_a_replayed_duplicate():
+    join = fuse_join()
+    join.process(0, make(1.0, "L", ot=1))
+    assert len(join.process(1, make(1.0, "R", pp=1))) == 1
+    assert join.process(1, make(1.0, "R", pp=1)) == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fuse_join(ws=2.0, wa=2.0),
+        lambda: fuse_join(ws=2.0, wa=1.0),
+        lambda: JoinOperator("j", ws=0.0, group_by=lambda t: (t.job, t.layer)),
+    ],
+    ids=["tumbling-fuse", "sliding-fuse", "join"],
+)
+def test_two_tuples_per_key_still_emit_every_pair(build):
+    join = build()
+    join.process(0, make(1.0, "L", a=1))
+    join.process(0, make(1.0, "L", a=2))
+    out = join.process(1, make(1.0, "R", b=1))
+    assert sorted(t.payload["a"] for t in out) == [1, 2]
+    out = join.process(1, make(1.0, "R", b=2))
+    assert sorted(t.payload["a"] for t in out) == [1, 2]
+    assert held_layers(join) == [1, 1, 1, 1]

@@ -540,7 +540,6 @@ def test_vectorized_operator_counts_blocks_and_rows():
     assert [t.payload["x"] for t in out] == [x + 11 for x in range(5)]
     assert op.blocks_in == 1
     assert op.block_rows_in == 5
-    assert op.block_rows_peak == 5  # nothing fans out: widest == entry
 
 
 class BlockFanOut(Operator):
@@ -576,7 +575,6 @@ def test_single_tuples_behind_a_fan_out_member_form_blocks():
     assert [t.payload["x"] for t in outs[2]] == [3] * 50
     assert op.blocks_in == 3
     assert op.block_rows_in == 3
-    assert op.block_rows_peak == 150
 
 
 def test_single_non_expanding_tuples_take_the_scalar_cascade():
