@@ -1,6 +1,6 @@
 """Compaction: newest-wins merging and tombstone reclamation."""
 
-from repro.kvstore.compaction import compact, merge_tables
+from repro.kvstore.compaction import compact, merge_runs
 from repro.kvstore.memtable import TOMBSTONE
 from repro.kvstore.sstable import SSTable, SSTableWriter
 
@@ -16,7 +16,7 @@ def make_table(path, entries):
 def test_merge_newest_wins(tmp_path):
     old = make_table(tmp_path / "0.sst", [(b"a", b"old"), (b"b", b"old")])
     new = make_table(tmp_path / "1.sst", [(b"b", b"new"), (b"c", b"new")])
-    merged = dict(merge_tables([old, new]))
+    merged = dict(merge_runs([old.items(), new.items()]))
     assert merged == {b"a": b"old", b"b": b"new", b"c": b"new"}
 
 
@@ -24,7 +24,7 @@ def test_merge_three_generations(tmp_path):
     t0 = make_table(tmp_path / "0.sst", [(b"k", b"v0")])
     t1 = make_table(tmp_path / "1.sst", [(b"k", b"v1")])
     t2 = make_table(tmp_path / "2.sst", [(b"k", b"v2")])
-    assert dict(merge_tables([t0, t1, t2])) == {b"k": b"v2"}
+    assert dict(merge_runs([t.items() for t in (t0, t1, t2)])) == {b"k": b"v2"}
 
 
 def test_compact_drops_tombstones_at_bottom(tmp_path):
@@ -56,4 +56,4 @@ def test_compact_preserves_order_and_size(tmp_path):
 
 def test_merge_empty_inputs(tmp_path):
     empty = make_table(tmp_path / "0.sst", [])
-    assert list(merge_tables([empty])) == []
+    assert list(merge_runs([empty.items()])) == []
